@@ -12,7 +12,7 @@
 // the undefended run. Two determinism legs re-run one poisoned defended
 // scenario across thread widths {1, 2, 8} and across an injected
 // crash + resume: final parameters must be bitwise identical (the
-// adversary RNG + counters ride in the v5 snapshot tail).
+// adversary RNG + counters ride in the run-state snapshot).
 //
 // Emits a human table plus BENCH_adversary.json, and exits non-zero if
 // any gate fails. --smoke shrinks the workload to the sanitizer-budget

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -91,7 +92,8 @@ void BenchCodec() {
             .string();
     watch.Reset();
     for (int r = 0; r < reps; ++r) {
-      LIGHTTR_CHECK_OK(nn::SaveCheckpoint(path, params, dtype));
+      LIGHTTR_CHECK_OK(
+          nn::SaveCheckpoint(RealFileSystemInstance(), path, params, dtype));
     }
     s = watch.ElapsedSeconds();
     table.AddRow({std::string("save(atomic) ") + dname,
@@ -101,7 +103,8 @@ void BenchCodec() {
 
     watch.Reset();
     for (int r = 0; r < reps; ++r) {
-      LIGHTTR_CHECK_OK(nn::LoadCheckpoint(path, &target));
+      LIGHTTR_CHECK_OK(
+          nn::LoadCheckpoint(RealFileSystemInstance(), path, &target));
     }
     s = watch.ElapsedSeconds();
     table.AddRow({std::string("load ") + dname, std::to_string(blob.size()),
@@ -145,8 +148,8 @@ void BenchEnvDispatch() {
   // Warm both paths (page cache, allocator) before timing.
   LIGHTTR_CHECK_OK(
       DirectSaveCheckpoint(direct_path, params, nn::CheckpointDtype::kFloat64));
-  LIGHTTR_CHECK_OK(
-      nn::SaveCheckpoint(env_path, params, nn::CheckpointDtype::kFloat64));
+  LIGHTTR_CHECK_OK(nn::SaveCheckpoint(RealFileSystemInstance(), env_path,
+                                      params, nn::CheckpointDtype::kFloat64));
 
   Stopwatch watch;
   for (int r = 0; r < reps; ++r) {
@@ -157,8 +160,8 @@ void BenchEnvDispatch() {
 
   watch.Reset();
   for (int r = 0; r < reps; ++r) {
-    LIGHTTR_CHECK_OK(
-        nn::SaveCheckpoint(env_path, params, nn::CheckpointDtype::kFloat64));
+    LIGHTTR_CHECK_OK(nn::SaveCheckpoint(RealFileSystemInstance(), env_path,
+                                        params, nn::CheckpointDtype::kFloat64));
   }
   const double env_s = watch.ElapsedSeconds();
   std::filesystem::remove(direct_path);

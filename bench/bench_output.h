@@ -20,7 +20,7 @@
 #include <filesystem>
 #include <string>
 
-#include "common/file_util.h"
+#include "common/env.h"
 
 namespace lighttr::bench {
 
@@ -74,7 +74,8 @@ inline bool WriteArtifact(const BenchArgs& args, const std::string& filename,
   std::filesystem::create_directories(args.output_dir, ec);
   const std::string path =
       (std::filesystem::path(args.output_dir) / filename).generic_string();
-  const Status status = WriteFile(path, contents);
+  const Status status =
+      RealFileSystemInstance()->WriteFileAtomic(path, contents);
   if (!status.ok()) {
     std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
                  status.ToString().c_str());

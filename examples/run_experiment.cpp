@@ -74,7 +74,7 @@ int Usage() {
       "                      [--net-drop=0] [--net-corrupt=0] [--net-delay=0]\n"
       "                      [--net-dup=0] [--net-reorder=0]\n"
       "                      [--net-truncate=0] [--net-retries=3]\n"
-      "                      [--net-seed=1592639710] [--no-transport]\n"
+      "                      [--net-seed=1592639710]\n"
       "                      [--aggregation=mean|median|trimmed|krum|\n"
       "                       multikrum|normbound] [--byzantine-fraction=0.25]\n"
       "                      [--exclude-suspected]\n"
@@ -113,8 +113,7 @@ int Usage() {
       "--net-corrupt/--net-delay/--net-dup/--net-reorder/--net-truncate\n"
       "set per-frame fault probabilities in [0,1); --net-retries bounds\n"
       "retransmissions per exchange; --net-seed re-rolls the network's\n"
-      "weather without touching any training draw. --no-transport falls\n"
-      "back to the legacy in-process handoff with estimated byte counts.\n"
+      "weather without touching any training draw.\n"
       "\n"
       "Byzantine robustness: --aggregation selects the server rule over\n"
       "screened uploads (federated methods only; mean is the paper's\n"
@@ -142,7 +141,6 @@ int main(int argc, char** argv) {
       FlagValue(argc, argv, "checkpoint-dir", "");
   const bool resume = HasFlag(argc, argv, "resume");
   const bool health = HasFlag(argc, argv, "health");
-  const bool no_transport = HasFlag(argc, argv, "no-transport");
   const bool exclude_suspected = HasFlag(argc, argv, "exclude-suspected");
   double keep = 0.0;
   double lr = 0.0;
@@ -344,7 +342,6 @@ int main(int argc, char** argv) {
     options.fed.healing.reputation.quarantine_threshold = quarantine_threshold;
     options.fed.healing.max_rollbacks = max_rollbacks;
     options.fed.clip_norm = clip_norm;
-    options.fed.transport.enabled = !no_transport;
     options.fed.transport.channel_seed = static_cast<uint64_t>(net_seed_ll);
     options.fed.transport.channel.drop_rate = net_drop;
     options.fed.transport.channel.corrupt_rate = net_corrupt;

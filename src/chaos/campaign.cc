@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/finite.h"
+#include "fl/comm_stats.h"
 #include "fl/federated_trainer.h"
 #include "nn/kernels/kernels.h"
 #include "nn/losses.h"
@@ -192,99 +193,6 @@ void AddViolation(ScenarioReport* report, const std::string& label,
   report->violations.push_back(InvariantViolation{label, detail});
 }
 
-// Field-by-field RoundRecord equality, wall-clock time excluded. Returns
-// an empty string on match, otherwise the first differing field.
-std::string DescribeRecordMismatch(const fl::RoundRecord& a,
-                                   const fl::RoundRecord& b) {
-  struct IntField {
-    const char* name;
-    int64_t lhs;
-    int64_t rhs;
-  };
-  const IntField ints[] = {
-      {"round", a.round, b.round},
-      {"sampled", a.sampled, b.sampled},
-      {"reporting", a.reporting, b.reporting},
-      {"drops", a.drops, b.drops},
-      {"retries", a.retries, b.retries},
-      {"stragglers", a.stragglers, b.stragglers},
-      {"rejected_uploads", a.rejected_uploads, b.rejected_uploads},
-      {"quorum_met", a.quorum_met ? 1 : 0, b.quorum_met ? 1 : 0},
-      {"verdict", a.verdict, b.verdict},
-      {"outlier_uploads", a.outlier_uploads, b.outlier_uploads},
-      {"quarantined", a.quarantined, b.quarantined},
-      {"skipped_quarantined", a.skipped_quarantined, b.skipped_quarantined},
-      {"escalated", a.escalated ? 1 : 0, b.escalated ? 1 : 0},
-      {"poisoned_uploads", a.poisoned_uploads, b.poisoned_uploads},
-      {"suspected_uploads", a.suspected_uploads, b.suspected_uploads},
-      {"net_retries", a.net_retries, b.net_retries},
-      {"net_timeouts", a.net_timeouts, b.net_timeouts},
-      {"net_crc_drops", a.net_crc_drops, b.net_crc_drops},
-      {"net_dedup_drops", a.net_dedup_drops, b.net_dedup_drops},
-      {"net_late_drops", a.net_late_drops, b.net_late_drops},
-      {"net_lost", a.net_lost, b.net_lost},
-      {"storage_write_failures", a.storage_write_failures,
-       b.storage_write_failures},
-  };
-  for (const IntField& f : ints) {
-    if (f.lhs != f.rhs) {
-      return std::string(f.name) + " " + std::to_string(f.lhs) + " vs " +
-             std::to_string(f.rhs);
-    }
-  }
-  if (a.mean_train_loss != b.mean_train_loss) return "mean_train_loss";
-  if (a.global_valid_accuracy != b.global_valid_accuracy) {
-    return "global_valid_accuracy";
-  }
-  if (a.valid_loss != b.valid_loss) return "valid_loss";
-  return std::string();
-}
-
-std::string DescribeFaultsMismatch(const fl::FaultStats& a,
-                                   const fl::FaultStats& b) {
-  struct IntField {
-    const char* name;
-    int64_t lhs;
-    int64_t rhs;
-  };
-  const IntField ints[] = {
-      {"drops", a.drops, b.drops},
-      {"retries", a.retries, b.retries},
-      {"stragglers", a.stragglers, b.stragglers},
-      {"rejected_uploads", a.rejected_uploads, b.rejected_uploads},
-      {"clipped_uploads", a.clipped_uploads, b.clipped_uploads},
-      {"quorum_misses", a.quorum_misses, b.quorum_misses},
-      {"sampled_clients", a.sampled_clients, b.sampled_clients},
-      {"reporting_clients", a.reporting_clients, b.reporting_clients},
-      {"outlier_uploads", a.outlier_uploads, b.outlier_uploads},
-      {"diverged_rounds", a.diverged_rounds, b.diverged_rounds},
-      {"rollbacks", a.rollbacks, b.rollbacks},
-      {"quarantine_events", a.quarantine_events, b.quarantine_events},
-      {"parole_events", a.parole_events, b.parole_events},
-      {"quarantined_skips", a.quarantined_skips, b.quarantined_skips},
-      {"poisoned_uploads", a.poisoned_uploads, b.poisoned_uploads},
-      {"suspected_uploads", a.suspected_uploads, b.suspected_uploads},
-      {"net_retries", a.net_retries, b.net_retries},
-      {"net_timeouts", a.net_timeouts, b.net_timeouts},
-      {"net_crc_drops", a.net_crc_drops, b.net_crc_drops},
-      {"net_dedup_drops", a.net_dedup_drops, b.net_dedup_drops},
-      {"net_late_drops", a.net_late_drops, b.net_late_drops},
-      {"net_lost", a.net_lost, b.net_lost},
-      {"storage_write_failures", a.storage_write_failures,
-       b.storage_write_failures},
-  };
-  for (const IntField& f : ints) {
-    if (f.lhs != f.rhs) {
-      return std::string(f.name) + " " + std::to_string(f.lhs) + " vs " +
-             std::to_string(f.rhs);
-    }
-  }
-  if (a.simulated_backoff_s != b.simulated_backoff_s) {
-    return "simulated_backoff_s";
-  }
-  return std::string();
-}
-
 // Invariant: the final global model is finite, always — no fault axis
 // is allowed to push NaN/Inf into the aggregated parameters.
 void CheckFiniteModel(const RunOutcome& run, ScenarioReport* report) {
@@ -333,59 +241,33 @@ void CheckQuorumAccounting(const ChaosScenario& s, const RunOutcome& run,
   }
 }
 
-// Invariant: lifetime fault counters equal the per-round history sums.
-// Skipped when storage faults could have eaten journal lines across a
-// crash (the resumed history is then legitimately incomplete).
+// Invariant: run-scoped counter totals equal the per-round history
+// sums (quorum misses: the count of rounds that missed quorum). Skipped
+// when storage faults could have eaten journal lines across a crash
+// (the resumed history is then legitimately incomplete).
 void CheckCounterConservation(const RunOutcome& run, ScenarioReport* report) {
-  fl::FaultStats sum;
-  for (const fl::RoundRecord& r : run.result.history) {
-    sum.drops += r.drops;
-    sum.retries += r.retries;
-    sum.stragglers += r.stragglers;
-    sum.rejected_uploads += r.rejected_uploads;
-    sum.sampled_clients += r.sampled;
-    sum.reporting_clients += r.reporting;
-    sum.net_retries += r.net_retries;
-    sum.net_timeouts += r.net_timeouts;
-    sum.net_crc_drops += r.net_crc_drops;
-    sum.net_dedup_drops += r.net_dedup_drops;
-    sum.net_late_drops += r.net_late_drops;
-    sum.net_lost += r.net_lost;
-    sum.poisoned_uploads += r.poisoned_uploads;
-    sum.suspected_uploads += r.suspected_uploads;
-    if (!r.quorum_met) ++sum.quorum_misses;
-  }
   const fl::FaultStats& total = run.result.faults;
-  struct IntField {
-    const char* name;
-    int64_t history;
-    int64_t lifetime;
-  };
-  const IntField fields[] = {
-      {"drops", sum.drops, total.drops},
-      {"retries", sum.retries, total.retries},
-      {"stragglers", sum.stragglers, total.stragglers},
-      {"rejected_uploads", sum.rejected_uploads, total.rejected_uploads},
-      {"sampled_clients", sum.sampled_clients, total.sampled_clients},
-      {"reporting_clients", sum.reporting_clients, total.reporting_clients},
-      {"quorum_misses", sum.quorum_misses, total.quorum_misses},
-      {"net_retries", sum.net_retries, total.net_retries},
-      {"net_timeouts", sum.net_timeouts, total.net_timeouts},
-      {"net_crc_drops", sum.net_crc_drops, total.net_crc_drops},
-      {"net_dedup_drops", sum.net_dedup_drops, total.net_dedup_drops},
-      {"net_late_drops", sum.net_late_drops, total.net_late_drops},
-      {"net_lost", sum.net_lost, total.net_lost},
-      {"poisoned_uploads", sum.poisoned_uploads, total.poisoned_uploads},
-      {"suspected_uploads", sum.suspected_uploads, total.suspected_uploads},
-  };
-  for (const IntField& f : fields) {
-    if (f.history != f.lifetime) {
+  const auto check = [&](const char* name, int64_t history, int64_t lifetime) {
+    if (history != lifetime) {
       AddViolation(report, "counter-conservation",
-                   std::string(f.name) + ": history sum " +
-                       std::to_string(f.history) + " != lifetime " +
-                       std::to_string(f.lifetime));
+                   std::string(name) + ": history sum " +
+                       std::to_string(history) + " != lifetime " +
+                       std::to_string(lifetime));
     }
+  };
+  for (const fl::CounterSpec& counter : fl::kCounters) {
+    if (counter.scope != fl::CounterScope::kRun || counter.round == nullptr) {
+      continue;
+    }
+    int64_t sum = 0;
+    for (const fl::RoundRecord& r : run.result.history) sum += r.*counter.round;
+    check(counter.name, sum, total.*counter.total);
   }
+  int64_t misses = 0;
+  for (const fl::RoundRecord& r : run.result.history) {
+    if (!r.quorum_met) ++misses;
+  }
+  check("quorum_misses", misses, total.quorum_misses);
 }
 
 // Invariant: no orphan temp files at quiescence. Litter the fault layer
@@ -518,24 +400,14 @@ void CheckThreadBitwise(const ChaosScenario& s, const RunOutcome& main_run,
                  "final global parameters differ" + tag);
     return;
   }
-  if (main_run.result.history.size() != alt.result.history.size()) {
-    AddViolation(report, "thread-bitwise",
-                 "history length " +
-                     std::to_string(main_run.result.history.size()) + " vs " +
-                     std::to_string(alt.result.history.size()) + tag);
+  const std::string history_mismatch =
+      fl::DescribeMismatch(main_run.result.history, alt.result.history);
+  if (!history_mismatch.empty()) {
+    AddViolation(report, "thread-bitwise", history_mismatch + tag);
     return;
   }
-  for (size_t i = 0; i < main_run.result.history.size(); ++i) {
-    const std::string mismatch = DescribeRecordMismatch(
-        main_run.result.history[i], alt.result.history[i]);
-    if (!mismatch.empty()) {
-      AddViolation(report, "thread-bitwise",
-                   "history[" + std::to_string(i) + "] " + mismatch + tag);
-      return;
-    }
-  }
   const std::string faults_mismatch =
-      DescribeFaultsMismatch(main_run.result.faults, alt.result.faults);
+      fl::DescribeMismatch(main_run.result.faults, alt.result.faults);
   if (!faults_mismatch.empty()) {
     AddViolation(report, "thread-bitwise",
                  "lifetime counters: " + faults_mismatch + tag);
@@ -563,25 +435,11 @@ void CheckResumeBitwise(const ChaosScenario& s, const RunOutcome& main_run,
     return;
   }
   if (s.storage_on) return;
-  if (main_run.result.history.size() != ref.result.history.size()) {
+  const std::string mismatch =
+      fl::DescribeMismatch(main_run.result.history, ref.result.history);
+  if (!mismatch.empty()) {
     AddViolation(report, "resume-bitwise",
-                 "history length " +
-                     std::to_string(main_run.result.history.size()) +
-                     " after crash vs " +
-                     std::to_string(ref.result.history.size()) +
-                     " uninterrupted");
-    return;
-  }
-  for (size_t i = 0; i < main_run.result.history.size(); ++i) {
-    const std::string mismatch =
-        DescribeRecordMismatch(main_run.result.history[i],
-                               ref.result.history[i]);
-    if (!mismatch.empty()) {
-      AddViolation(report, "resume-bitwise",
-                   "history[" + std::to_string(i) + "] " + mismatch +
-                       " (crash+resume vs uninterrupted)");
-      return;
-    }
+                 mismatch + " (crash+resume vs uninterrupted)");
   }
 }
 

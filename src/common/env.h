@@ -5,11 +5,13 @@
 // (DurabilityConfig::fs) instead of the real disk.
 //
 // Two implementations ship:
-//   - RealFileSystem: the production backend (std::filesystem + streams,
-//     moved here from common/file_util). common/env is the ONLY place in
-//     src/ allowed to touch raw file APIs — the no-direct-persistence
-//     lint rule bans std::ofstream/fopen and std::filesystem mutation
-//     everywhere else under src/.
+//   - RealFileSystem: the production backend (std::filesystem +
+//     streams), reached through RealFileSystemInstance(). common/env is
+//     the ONLY place in src/ allowed to touch raw file APIs — the
+//     no-direct-persistence lint rule bans std::ofstream/fopen and
+//     std::filesystem mutation everywhere else under src/ — and a
+//     FileSystem* is the only persistence surface: every durable-state
+//     call (snapshots, journal, checkpoints) takes one.
 //   - FaultyFileSystem: a deterministic in-memory filesystem with a
 //     seeded fault model (ENOSPC, torn appends, rename failures, read
 //     bit-rot, leftover `.tmp` litter) and simulated fsync/crash
@@ -82,8 +84,8 @@ class FileSystem {
   [[nodiscard]] virtual Status SyncAll() = 0;
 };
 
-/// The process-wide real filesystem. The free functions in
-/// common/file_util delegate here, so legacy callers keep working.
+/// The process-wide real filesystem: what to pass wherever a
+/// FileSystem* is taken and the real disk is meant.
 FileSystem* RealFileSystemInstance();
 
 // ---------------------------------------------------------------------------

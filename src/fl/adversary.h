@@ -130,7 +130,7 @@ class AdversaryEngine {
   }
 
   /// Serializes the RNG stream + honest-norm window (for fl/run_state
-  /// v5 snapshots). The drift direction is deliberately absent: it is
+  /// snapshots). The drift direction is deliberately absent: it is
   /// regenerated by BeginRound from the restored stream.
   std::string SerializeState() const;
 

@@ -5,6 +5,8 @@
 #define LIGHTTR_FL_COMM_STATS_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace lighttr::fl {
 
@@ -36,9 +38,8 @@ struct FaultStats {
   int64_t poisoned_uploads = 0;
   int64_t suspected_uploads = 0;
   // Wire-transport telemetry (fl/transport): what the network did to
-  // frames in flight. All zero with transport disabled or a clean
-  // channel. These faults are attributed to the NETWORK — they never
-  // touch a client's reputation.
+  // frames in flight. All zero on a clean channel. These faults are
+  // attributed to the NETWORK — they never touch a client's reputation.
   int64_t net_retries = 0;     // request re-sends after unusable exchanges
   int64_t net_timeouts = 0;    // exchanges that produced no usable response
   int64_t net_crc_drops = 0;   // frames discarded (CRC/decode/misroute)
@@ -101,11 +102,112 @@ struct RoundRecord {
   int storage_write_failures = 0;
 };
 
-/// Accumulated transport statistics of one federated run. With the wire
-/// transport enabled (the default) every figure is *measured* from
-/// encoded frame lengths — retransmissions and channel-injected
-/// duplicates included; with transport disabled they fall back to the
-/// legacy per-contact estimate (kept as the bench baseline).
+/// How a counter's FaultStats total relates to its per-round column.
+enum class CounterScope {
+  /// A run total that rewinds with the model on rollback: the trainer
+  /// folds the per-round column (when there is one) into the total at
+  /// the end of every round, so the total equals the history's sum.
+  kRun,
+  /// A trainer-lifetime total that survives rollback (what happened in
+  /// an undone round still happened). The per-round column, when there
+  /// is one, is informational and need not sum to the total.
+  kLifetime,
+  /// A per-round value with no total.
+  kRound,
+};
+
+/// One telemetry counter: where it lives in RoundRecord and FaultStats.
+struct CounterSpec {
+  const char* name;
+  CounterScope scope;
+  int RoundRecord::*round;     // nullptr: no per-round column
+  int64_t FaultStats::*total;  // nullptr: no FaultStats total
+};
+
+/// The single list of counters. The round fold, the snapshot codec, the
+/// journal columns, DescribeMismatch, and the chaos invariants all
+/// iterate it, so adding a counter means adding its fields, one row
+/// here, and the line that increments it. Reordering or inserting rows changes the snapshot and
+/// journal layouts: bump the run-state version (fl/run_state.cc).
+inline constexpr CounterSpec kCounters[] = {
+    // Cohort bookkeeping (Algorithm 3 line 2 and its survivors).
+    {"sampled", CounterScope::kRun, &RoundRecord::sampled,
+     &FaultStats::sampled_clients},
+    {"reporting", CounterScope::kRun, &RoundRecord::reporting,
+     &FaultStats::reporting_clients},
+    // Client faults (fl/fault_injection) and upload screening.
+    {"drops", CounterScope::kRun, &RoundRecord::drops, &FaultStats::drops},
+    {"retries", CounterScope::kRun, &RoundRecord::retries,
+     &FaultStats::retries},
+    {"stragglers", CounterScope::kRun, &RoundRecord::stragglers,
+     &FaultStats::stragglers},
+    {"rejected_uploads", CounterScope::kRun, &RoundRecord::rejected_uploads,
+     &FaultStats::rejected_uploads},
+    {"clipped_uploads", CounterScope::kRun, nullptr,
+     &FaultStats::clipped_uploads},
+    {"quorum_misses", CounterScope::kRun, nullptr, &FaultStats::quorum_misses},
+    // Adversary (fl/adversary + the Byzantine aggregators).
+    {"poisoned_uploads", CounterScope::kRun, &RoundRecord::poisoned_uploads,
+     &FaultStats::poisoned_uploads},
+    {"suspected_uploads", CounterScope::kRun, &RoundRecord::suspected_uploads,
+     &FaultStats::suspected_uploads},
+    // Network (fl/transport).
+    {"net_retries", CounterScope::kRun, &RoundRecord::net_retries,
+     &FaultStats::net_retries},
+    {"net_timeouts", CounterScope::kRun, &RoundRecord::net_timeouts,
+     &FaultStats::net_timeouts},
+    {"net_crc_drops", CounterScope::kRun, &RoundRecord::net_crc_drops,
+     &FaultStats::net_crc_drops},
+    {"net_dedup_drops", CounterScope::kRun, &RoundRecord::net_dedup_drops,
+     &FaultStats::net_dedup_drops},
+    {"net_late_drops", CounterScope::kRun, &RoundRecord::net_late_drops,
+     &FaultStats::net_late_drops},
+    {"net_lost", CounterScope::kRun, &RoundRecord::net_lost,
+     &FaultStats::net_lost},
+    // Self-healing (fl/health + fl/reputation).
+    {"verdict", CounterScope::kRound, &RoundRecord::verdict, nullptr},
+    {"quarantined", CounterScope::kRound, &RoundRecord::quarantined, nullptr},
+    {"outlier_uploads", CounterScope::kLifetime, &RoundRecord::outlier_uploads,
+     &FaultStats::outlier_uploads},
+    {"quarantined_skips", CounterScope::kLifetime,
+     &RoundRecord::skipped_quarantined, &FaultStats::quarantined_skips},
+    {"diverged_rounds", CounterScope::kLifetime, nullptr,
+     &FaultStats::diverged_rounds},
+    {"rollbacks", CounterScope::kLifetime, nullptr, &FaultStats::rollbacks},
+    {"quarantine_events", CounterScope::kLifetime, nullptr,
+     &FaultStats::quarantine_events},
+    {"parole_events", CounterScope::kLifetime, nullptr,
+     &FaultStats::parole_events},
+    // Storage (common/env).
+    {"storage_write_failures", CounterScope::kLifetime,
+     &RoundRecord::storage_write_failures,
+     &FaultStats::storage_write_failures},
+};
+
+constexpr int CountTotals() {
+  int count = 0;
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.total != nullptr) ++count;
+  }
+  return count;
+}
+static_assert(sizeof(FaultStats) ==
+                  sizeof(double) + sizeof(int64_t) * CountTotals(),
+              "every FaultStats counter needs a kCounters row");
+
+/// Field-by-field equality, wall-clock time excluded: "" on a match,
+/// otherwise the first differing field ("drops 2 vs 3"). A record
+/// compares its losses, flags and every kCounters column; run totals
+/// compare every kCounters total and the simulated backoff; histories
+/// compare their lengths and then record by record ("history[4] ...").
+std::string DescribeMismatch(const RoundRecord& a, const RoundRecord& b);
+std::string DescribeMismatch(const FaultStats& a, const FaultStats& b);
+std::string DescribeMismatch(const std::vector<RoundRecord>& a,
+                             const std::vector<RoundRecord>& b);
+
+/// Accumulated transport statistics of one federated run, measured from
+/// encoded frame lengths: retransmissions and channel-injected
+/// duplicates included.
 struct CommStats {
   int64_t bytes_downlink = 0;  // server -> clients
   int64_t bytes_uplink = 0;    // clients -> server

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 
 #include "common/binary_io.h"
 #include "common/check.h"
@@ -49,13 +48,11 @@ struct ClientSlot {
   bool corrupt = false;    // rejection was for non-finite scalars
   bool clipped = false;    // upload was norm-clipped by screening
   bool poisoned = false;   // upload rewritten by the injected adversary
-  int attempts = 0;        // downlink sends (first contact + retries)
   int retries = 0;
   double backoff_s = 0.0;
   double loss = 0.0;          // valid when trained
   double delta_norm = 0.0;    // L2 delta of the accepted upload
-  int64_t uplink_bytes = 0;   // legacy estimate (transport disabled only)
-  transport::LinkStats link;  // exact frame accounting (transport on)
+  transport::LinkStats link;  // exact frame accounting
   std::vector<nn::Scalar> upload;  // valid when sent and not rejected
 };
 
@@ -75,7 +72,6 @@ std::string EncodeNormWindow(const std::vector<double>& window) {
 Status DecodeNormWindow(const std::string& bytes,
                         std::vector<double>* window) {
   window->clear();
-  if (bytes.empty()) return Status::Ok();  // pre-v5 snapshot: fresh window
   BinaryReader reader(bytes);
   uint64_t count = 0;
   LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
@@ -97,6 +93,16 @@ Status DecodeNormWindow(const std::string& bytes,
     return Status::InvalidArgument("norm-bound window blob: trailing bytes");
   }
   return Status::Ok();
+}
+
+// Copies the CounterScope::kLifetime totals (healing and storage) from
+// `from` into `to`, leaving every other field of `to` alone.
+void CopyLifetimeCounters(const FaultStats& from, FaultStats* to) {
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.scope == CounterScope::kLifetime) {
+      to->*counter.total = from.*counter.total;
+    }
+  }
 }
 
 }  // namespace
@@ -223,13 +229,10 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
   }
   LIGHTTR_RETURN_NOT_OK(rng_.DeserializeState(state.rng_state));
   LIGHTTR_RETURN_NOT_OK(fault_rng_.DeserializeState(state.fault_rng_state));
-  // The channel stream rewinds with the round (pre-v3 snapshots carry
-  // none — the freshly seeded stream stands in): both resume and
-  // rollback replay the same network weather, which the lossy-channel
-  // determinism contract requires.
-  if (!state.net_rng_state.empty()) {
-    LIGHTTR_RETURN_NOT_OK(net_rng_.DeserializeState(state.net_rng_state));
-  }
+  // The channel stream rewinds with the round: both resume and rollback
+  // replay the same network weather, which the lossy-channel determinism
+  // contract requires.
+  LIGHTTR_RETURN_NOT_OK(net_rng_.DeserializeState(state.net_rng_state));
   // ParseCheckpoint rejects non-finite payloads, so a poisoned snapshot
   // can never silently install a NaN/Inf global model.
   LIGHTTR_RETURN_NOT_OK(
@@ -240,14 +243,12 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
   }
   // The monitor's rolling windows always come back: a rollback must
   // undo the norms the bad round banked.
-  if (!state.monitor_blob.empty()) {
-    LIGHTTR_RETURN_NOT_OK(monitor_.DeserializeState(state.monitor_blob));
-  }
+  LIGHTTR_RETURN_NOT_OK(monitor_.DeserializeState(state.monitor_blob));
   // The adversary stream and the norm-bound window rewind with the
-  // round too (pre-v5 snapshots carry neither — the fresh state stands
-  // in): a rollback or resume must replay the identical attack weather
-  // and clip against the identical bound, or bitwise determinism across
-  // crash/resume breaks.
+  // round too (a snapshot taken with the adversary off carries no
+  // engine state — the fresh one stands in): a rollback or resume must
+  // replay the identical attack weather and clip against the identical
+  // bound, or bitwise determinism across crash/resume breaks.
   if (adversary_ != nullptr && !state.adversary_blob.empty()) {
     LIGHTTR_RETURN_NOT_OK(adversary_->DeserializeState(state.adversary_blob));
   }
@@ -264,19 +265,6 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
     escalated_ = state.escalated;
   }
   return Status::Ok();
-}
-
-void FederatedTrainer::AssignHealingCounters(FaultStats* faults) const {
-  faults->outlier_uploads = outlier_uploads_;
-  faults->diverged_rounds = diverged_rounds_;
-  faults->rollbacks = rollbacks_;
-  faults->quarantine_events = quarantine_events_;
-  faults->parole_events = parole_events_;
-  faults->quarantined_skips = quarantined_skips_;
-  // The storage counter rides along: like the healing counters it is a
-  // lifetime trainer member, so a rollback-restored FaultStats must be
-  // refreshed with the current value rather than the anchor's.
-  faults->storage_write_failures = storage_write_failures_;
 }
 
 FileSystem* FederatedTrainer::DurableFs() const {
@@ -313,7 +301,7 @@ Status FederatedTrainer::SaveSnapshot(int round,
         fs->AppendToFile(path + ".tmp", encoded.substr(0, encoded.size() / 2));
     // A storage fault can hit even the dying write; count it so the
     // attribution ledger stays exact, then crash as scheduled.
-    if (!half.ok()) ++storage_write_failures_;
+    if (!half.ok()) ++lifetime_.storage_write_failures;
     throw InjectedCrash{CrashPoint::kMidSave, round};
   }
   LIGHTTR_RETURN_NOT_OK(SaveRunState(fs, path, state));
@@ -363,15 +351,8 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
                    path.c_str(), restored.ToString().c_str());
       continue;
     }
-    // Lifetime healing counters continue from where the snapshot left
-    // off (they live in FaultStats so v1 snapshots restore them as 0).
-    outlier_uploads_ = state.faults.outlier_uploads;
-    diverged_rounds_ = state.faults.diverged_rounds;
-    rollbacks_ = state.faults.rollbacks;
-    quarantine_events_ = state.faults.quarantine_events;
-    parole_events_ = state.faults.parole_events;
-    quarantined_skips_ = state.faults.quarantined_skips;
-    storage_write_failures_ = state.faults.storage_write_failures;
+    // Lifetime counters continue from where the snapshot left off.
+    CopyLifetimeCounters(state.faults, &lifetime_);
     start_round_ = state.round;
     resumed_round_ = state.round;
     resume_seed_ = FederatedRunResult{};
@@ -391,10 +372,10 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
         // A failed truncation would leave stale future-round records
         // that the rerun will duplicate. Count the storage fault and
         // retry once; if the filesystem still refuses, resume fails.
-        ++storage_write_failures_;
+        ++lifetime_.storage_write_failures;
         const Status retried = RewriteJournal(fs, dir, resume_seed_.history);
         if (!retried.ok()) {
-          ++storage_write_failures_;
+          ++lifetime_.storage_write_failures;
           return retried;
         }
       }
@@ -430,15 +411,13 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
   const int sampled = std::max(
       1, static_cast<int>(std::llround(options_.client_fraction *
                                        static_cast<double>(num_clients))));
-  const int64_t wire_bytes = global_model_->params().WireBytes();
   const FaultModel fault_model(options_.faults);
   const bool inject = options_.faults.enabled();
   const bool healing = options_.healing.enabled;
-  const bool use_transport = options_.transport.enabled;
   // Config-only conditionality (like `inject`): whether per-task
   // channel streams are forked depends on the fault *configuration*,
   // never on any outcome, so the fork sequence is fixed per round.
-  const bool net_faulty = use_transport && options_.transport.faulty();
+  const bool net_faulty = options_.transport.faulty();
   // Sample the validation pool from a *copy* of the stream so Run() is
   // idempotent with respect to valid_rng_ (a resumed trainer draws the
   // identical pool without any state having been persisted for it).
@@ -480,7 +459,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       record.skipped_quarantined =
           static_cast<int>(selected.end() - keep_end);
       selected.erase(keep_end, selected.end());
-      quarantined_skips_ += record.skipped_quarantined;
+      lifetime_.quarantined_skips += record.skipped_quarantined;
     }
 
     // Lines 3-10: download, local training, upload — now with faults,
@@ -489,20 +468,16 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     // each fork is unconditional given the *config* (never conditional
     // on another client's fault outcome), so the streams — and thus the
     // results — are identical for every thread count.
-    const std::string global_blob = global_model_->params().Serialize();
     const std::vector<nn::Scalar> global_flat =
         global_model_->params().Flatten();
     // The round's pull reply is identical for every client: encode the
     // frame once on the coordinating thread and share it read-only.
-    std::string pull_reply_frame;
-    if (use_transport) {
-      transport::ModelPullReply reply;
-      reply.round = round;
-      reply.model_blob = global_blob;
-      pull_reply_frame =
-          transport::EncodeFrame(transport::FrameType::kModelPullReply,
-                                 transport::EncodeModelPullReply(reply));
-    }
+    transport::ModelPullReply reply;
+    reply.round = round;
+    reply.model_blob = global_model_->params().Serialize();
+    const std::string pull_reply_frame =
+        transport::EncodeFrame(transport::FrameType::kModelPullReply,
+                               transport::EncodeModelPullReply(reply));
     // Adversary prologue (coordinating thread): resample any colluding
     // drift direction for this round before per-attacker streams fork.
     const bool attack_round =
@@ -537,7 +512,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // budget and a simulated backoff delay before the next attempt.
       FaultDraw draw;
       for (int attempt = 0;; ++attempt) {
-        ++slot.attempts;  // each attempt (re)sends the global model
         if (inject) draw = fault_model.Draw(&task.fault_rng);
         if (draw.type != FaultType::kDropout) {
           slot.contacted = true;
@@ -554,24 +528,19 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // The client's link for this round: both channel directions plus
       // the server endpoint (dedup + the shared pull-reply frame). All
       // state is task-private, so links run concurrently unshared.
-      std::optional<transport::ReliableLink> link;
-      if (use_transport) {
-        link.emplace(
-            options_.transport.LinkConfig(static_cast<int>(client_index)),
-            options_.transport.retry, round, static_cast<int>(client_index),
-            &pull_reply_frame, net_faulty ? &task.net_rng : nullptr);
-        Result<std::string> blob = link->PullModelBlob();
-        if (!blob.ok()) {
-          // The link is down before the client ever saw the model:
-          // charged to the network, not the client.
-          slot.net_lost = true;
-          slot.link = link->stats();
-          return;
-        }
-        LIGHTTR_CHECK_OK(client->params().Deserialize(blob.value()));
-      } else {
-        LIGHTTR_CHECK_OK(client->params().Deserialize(global_blob));
+      transport::ReliableLink link(
+          options_.transport.LinkConfig(static_cast<int>(client_index)),
+          options_.transport.retry, round, static_cast<int>(client_index),
+          &pull_reply_frame, net_faulty ? &task.net_rng : nullptr);
+      Result<std::string> blob = link.PullModelBlob();
+      if (!blob.ok()) {
+        // The link is down before the client ever saw the model:
+        // charged to the network, not the client.
+        slot.net_lost = true;
+        slot.link = link.stats();
+        return;
       }
+      LIGHTTR_CHECK_OK(client->params().Deserialize(blob.value()));
       slot.loss = strategy->Update(static_cast<int>(client_index), client,
                                    client_optimizers_[client_index].get(),
                                    (*clients_)[client_index],
@@ -582,7 +551,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         // The client computed the update but missed the server's round
         // deadline; the server never receives the upload.
         slot.straggler = true;
-        if (use_transport) slot.link = link->stats();
+        slot.link = link.stats();
         return;
       }
 
@@ -599,55 +568,38 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         // deployment would. Poison() is const — safe from workers.
         slot.poisoned = adversary_->Poison(global_flat, &upload, &task.adv_rng);
       }
-      if (use_transport) {
-        transport::UpdatePush push;
-        push.round = round;
-        push.client_id = static_cast<int>(client_index);
-        push.msg_id =
-            transport::PushMsgId(round, static_cast<int>(client_index));
-        push.train_loss = slot.loss;
-        if (options_.quantize_uploads &&
-            draw.type != FaultType::kCorruption) {
-          push.kind = transport::PayloadKind::kQuantizedInt8;
-          push.quantized = QuantizeFlat(upload);
-        } else {
-          if (options_.quantize_uploads) {
-            // The client still quantizes; the injected fault then
-            // damages the *decoded* scalars, so the frame stays
-            // CRC-valid and screening (not the CRC) catches it —
-            // client-behaviour corruption must keep scoring against
-            // the client, unlike wire damage.
-            upload = DequantizeFlat(QuantizeFlat(upload));
-          }
-          if (draw.type == FaultType::kCorruption) {
-            FaultModel::Corrupt(draw.corruption, &task.fault_rng, &upload);
-          }
-          push.kind = transport::PayloadKind::kRawF64;
-          push.raw = upload;
-        }
-        Result<std::vector<double>> received = link->PushUpdate(push);
-        slot.link = link->stats();
-        if (!received.ok()) {
-          slot.net_lost = true;
-          return;
-        }
-        // Aggregation consumes what the SERVER received (dequantized
-        // server-side when the push was quantized).
-        upload = std::move(received).value();
+      transport::UpdatePush push;
+      push.round = round;
+      push.client_id = static_cast<int>(client_index);
+      push.msg_id = transport::PushMsgId(round, static_cast<int>(client_index));
+      push.train_loss = slot.loss;
+      if (options_.quantize_uploads && draw.type != FaultType::kCorruption) {
+        push.kind = transport::PayloadKind::kQuantizedInt8;
+        push.quantized = QuantizeFlat(upload);
       } else {
         if (options_.quantize_uploads) {
-          const QuantizedBlob blob = QuantizeFlat(upload);
-          slot.uplink_bytes = blob.WireBytes();
-          upload = DequantizeFlat(blob);
-        } else {
-          slot.uplink_bytes = wire_bytes;
+          // The client still quantizes; the injected fault then damages
+          // the *decoded* scalars, so the frame stays CRC-valid and
+          // screening (not the CRC) catches it — client-behaviour
+          // corruption must keep scoring against the client, unlike
+          // wire damage.
+          upload = DequantizeFlat(QuantizeFlat(upload));
         }
         if (draw.type == FaultType::kCorruption) {
-          // Damage happens on the wire, after the client's privacy and
-          // quantization steps and after uplink accounting.
           FaultModel::Corrupt(draw.corruption, &task.fault_rng, &upload);
         }
+        push.kind = transport::PayloadKind::kRawF64;
+        push.raw = upload;
       }
+      Result<std::vector<double>> received = link.PushUpdate(push);
+      slot.link = link.stats();
+      if (!received.ok()) {
+        slot.net_lost = true;
+        return;
+      }
+      // Aggregation consumes what the SERVER received (dequantized
+      // server-side when the push was quantized).
+      upload = std::move(received).value();
 
       const Status screen =
           ScreenUpload(&upload, global_flat, tolerance.screen, &slot.clipped);
@@ -679,26 +631,18 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     int loss_count = 0;
     for (size_t s = 0; s < slots.size(); ++s) {
       ClientSlot& slot = slots[s];
-      if (use_transport) {
-        // Exact accounting measured from encoded frames: every
-        // transmitted copy counts — retransmissions included.
-        result.comm.bytes_downlink += slot.link.downlink_bytes;
-        result.comm.bytes_uplink += slot.link.uplink_bytes;
-        result.comm.messages +=
-            slot.link.uplink_frames + slot.link.downlink_frames;
-        record.net_retries += slot.link.retries;
-        record.net_timeouts += slot.link.timeouts;
-        record.net_crc_drops += slot.link.crc_drops;
-        record.net_dedup_drops += slot.link.dedup_drops;
-        record.net_late_drops += slot.link.late_drops;
-        result.faults.simulated_backoff_s +=
-            slot.backoff_s + slot.link.backoff_s;
-      } else {
-        // Legacy estimate: one model-size message per contact attempt.
-        result.comm.bytes_downlink += wire_bytes * slot.attempts;
-        result.comm.messages += slot.attempts;
-        result.faults.simulated_backoff_s += slot.backoff_s;
-      }
+      // Exact accounting measured from encoded frames: every transmitted
+      // copy counts — retransmissions included.
+      result.comm.bytes_downlink += slot.link.downlink_bytes;
+      result.comm.bytes_uplink += slot.link.uplink_bytes;
+      result.comm.messages +=
+          slot.link.uplink_frames + slot.link.downlink_frames;
+      record.net_retries += slot.link.retries;
+      record.net_timeouts += slot.link.timeouts;
+      record.net_crc_drops += slot.link.crc_drops;
+      record.net_dedup_drops += slot.link.dedup_drops;
+      record.net_late_drops += slot.link.late_drops;
+      result.faults.simulated_backoff_s += slot.backoff_s + slot.link.backoff_s;
       record.retries += slot.retries;
       if (!slot.contacted) {
         ++record.drops;
@@ -720,10 +664,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       if (slot.straggler) {
         ++record.stragglers;
         continue;
-      }
-      if (!use_transport) {
-        result.comm.bytes_uplink += slot.uplink_bytes;
-        ++result.comm.messages;
       }
       // Every upload that reached screening is evidence for the
       // reputation ledger — including clean ones, which decay scores.
@@ -804,24 +744,15 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     if (!record.quorum_met) ++result.faults.quorum_misses;
     ++result.comm.rounds;
 
-    result.faults.drops += record.drops;
-    result.faults.retries += record.retries;
-    result.faults.stragglers += record.stragglers;
-    result.faults.rejected_uploads += record.rejected_uploads;
-    result.faults.sampled_clients += record.sampled;
-    result.faults.reporting_clients += record.reporting;
-    result.faults.net_retries += record.net_retries;
-    result.faults.net_timeouts += record.net_timeouts;
-    result.faults.net_crc_drops += record.net_crc_drops;
-    result.faults.net_dedup_drops += record.net_dedup_drops;
-    result.faults.net_late_drops += record.net_late_drops;
-    result.faults.net_lost += record.net_lost;
-    result.faults.poisoned_uploads += record.poisoned_uploads;
-    result.faults.suspected_uploads += record.suspected_uploads;
-    // Assignment, not +=: the member is already a lifetime total (and
-    // failures during THIS round's commit below only surface next
-    // round, or in the final result assignment after the loop).
-    result.faults.storage_write_failures = storage_write_failures_;
+    for (const CounterSpec& counter : kCounters) {
+      if (counter.scope == CounterScope::kRun && counter.round != nullptr) {
+        result.faults.*counter.total += record.*counter.round;
+      }
+    }
+    // Assignment, not +=: lifetime counters are already totals (and
+    // storage failures during THIS round's commit below only surface
+    // next round, or in the final assignment after the loop).
+    CopyLifetimeCounters(lifetime_, &result.faults);
 
     // Telemetry: validation accuracy + loss of the (possibly kept)
     // global model over the run-level unbiased validation pool.
@@ -839,15 +770,15 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
           &observations, global_model_->params().Flatten(), record.valid_loss);
       record.verdict = static_cast<int>(report.verdict);
       record.outlier_uploads = report.outlier_uploads;
-      outlier_uploads_ += report.outlier_uploads;
+      lifetime_.outlier_uploads += report.outlier_uploads;
       for (const UpdateObservation& obs : observations) {
         if (book_->Observe(obs.client_index, obs.corrupt, obs.norm_rejected,
                            obs.outlier, obs.suspected)) {
-          ++quarantine_events_;
+          ++lifetime_.quarantine_events;
         }
       }
       if (report.verdict == HealthVerdict::kDiverged) {
-        ++diverged_rounds_;
+        ++lifetime_.diverged_rounds;
         escalated_ = true;
         const int anchor = last_healthy_->round;
         std::fprintf(stderr,
@@ -855,17 +786,17 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
                      round, report.global_nonfinite ? "non-finite model " : "",
                      report.loss_nonfinite ? "non-finite loss " : "",
                      report.loss_spike ? "validation-loss spike" : "",
-                     rollbacks_ < options_.healing.max_rollbacks
+                     lifetime_.rollbacks < options_.healing.max_rollbacks
                          ? "rolling back to"
                          : "rollback budget exhausted; stopping at",
                      anchor);
-        if (rollbacks_ < options_.healing.max_rollbacks) {
-          ++rollbacks_;
+        if (lifetime_.rollbacks < options_.healing.max_rollbacks) {
+          ++lifetime_.rollbacks;
           LIGHTTR_CHECK_OK(
               RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
           result.comm = last_healthy_->comm;
           result.faults = last_healthy_->faults;
-          AssignHealingCounters(&result.faults);
+          CopyLifetimeCounters(lifetime_, &result.faults);
           // The diverged round is neither journaled nor recorded: it
           // re-executes (with escalation and the updated ledger) as if
           // it never happened.
@@ -879,18 +810,19 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
             RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
         result.comm = last_healthy_->comm;
         result.faults = last_healthy_->faults;
-        AssignHealingCounters(&result.faults);
+        CopyLifetimeCounters(lifetime_, &result.faults);
         break;
       }
       // Committed round: advance quarantine clocks (the quarantining
       // round's tick counts toward parole).
-      parole_events_ += book_->Tick();
+      lifetime_.parole_events += book_->Tick();
       record.quarantined = book_->QuarantinedCount();
-      AssignHealingCounters(&result.faults);
+      CopyLifetimeCounters(lifetime_, &result.faults);
       last_healthy_ = CaptureState(round, result);
     }
     record.wall_seconds = watch.ElapsedSeconds();
-    record.storage_write_failures = static_cast<int>(storage_write_failures_);
+    record.storage_write_failures =
+        static_cast<int>(lifetime_.storage_write_failures);
     result.history.push_back(record);
 
     if (durability.enabled()) {
@@ -905,23 +837,23 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // operator; aborting training over a full disk would be worse.)
       const Status journaled = AppendJournalRecord(DurableFs(),
                                                    durability.dir, record);
-      if (!journaled.ok()) ++storage_write_failures_;
+      if (!journaled.ok()) ++lifetime_.storage_write_failures;
       const bool snapshot_due = round % durability.snapshot_every == 0 ||
                                 round == options_.rounds;
       if (snapshot_due) {
         MaybeInjectCrash(durability, CrashPoint::kBeforeSave, round);
         // Refresh first so the snapshot carries any journal failure
         // just counted (resume must restore an exact ledger).
-        result.faults.storage_write_failures = storage_write_failures_;
+        CopyLifetimeCounters(lifetime_, &result.faults);
         const Status saved = SaveSnapshot(round, result);
-        if (!saved.ok()) ++storage_write_failures_;
+        if (!saved.ok()) ++lifetime_.storage_write_failures;
         MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
       }
     }
   }
   // Late storage failures (this loop's final journal/snapshot writes)
   // still reach the caller's telemetry.
-  result.faults.storage_write_failures = storage_write_failures_;
+  CopyLifetimeCounters(lifetime_, &result.faults);
   start_round_ = 0;
   resume_seed_ = FederatedRunResult{};
   return result;

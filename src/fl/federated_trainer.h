@@ -114,12 +114,10 @@ struct FederatedTrainerOptions {
   /// Self-healing layer: health verdicts, divergence rollback, client
   /// quarantine (off by default).
   SelfHealingConfig healing;
-  /// Wire-level transport (on by default): model pulls and update
-  /// pushes travel as CRC32-framed messages over a per-client
-  /// SimulatedChannel with idempotent retries, and CommStats is
-  /// measured from the encoded frames. `transport.enabled = false`
-  /// falls back to the legacy in-process handoff with estimated byte
-  /// accounting (kept as the bench baseline).
+  /// Wire-level transport: model pulls and update pushes travel as
+  /// CRC32-framed messages over a per-client SimulatedChannel with
+  /// idempotent retries, and CommStats is measured from the encoded
+  /// frames.
   transport::TransportConfig transport;
   /// Injected model-poisoning adversary (off by default): compromised
   /// clients rewrite their uploads after local training and before
@@ -191,7 +189,9 @@ class FederatedTrainer {
   /// such failures — the model is unaffected — but the count is
   /// surfaced so chaos invariants can reconcile it against what the
   /// fault-injecting filesystem reports.
-  int64_t storage_write_failures() const { return storage_write_failures_; }
+  int64_t storage_write_failures() const {
+    return lifetime_.storage_write_failures;
+  }
 
   /// The global model (valid after construction; trained after Run).
   RecoveryModel* global_model() { return global_model_.get(); }
@@ -225,10 +225,6 @@ class FederatedTrainer {
   /// remembered so the replay can differ).
   [[nodiscard]] Status RestoreFromState(const ServerRunState& state,
                                         bool restore_reputation);
-
-  /// Copies the lifetime self-healing counters into `faults` (they are
-  /// trainer members so a rollback cannot erase them).
-  void AssignHealingCounters(FaultStats* faults) const;
 
   /// Captures full server state after `round` and atomically writes it
   /// to the snapshot directory, honoring kMidSave crash injection.
@@ -266,7 +262,7 @@ class FederatedTrainer {
   std::unique_ptr<AdversaryEngine> adversary_;
   /// Rolling window of accepted, non-suspected delta norms; its median
   /// is the kNormBound aggregator's clip bound. Maintained only when
-  /// that policy is configured; snapshotted in the v5 tail.
+  /// that policy is configured; snapshotted with the run state.
   std::vector<double> normbound_window_;
   std::unique_ptr<RecoveryModel> global_model_;
   std::vector<std::unique_ptr<RecoveryModel>> client_models_;
@@ -287,17 +283,11 @@ class FederatedTrainer {
   /// forced on and kMean aggregation is hardened to kMedian for the
   /// rest of the run.
   bool escalated_ = false;
-  // Lifetime healing counters (see AssignHealingCounters).
-  int64_t outlier_uploads_ = 0;
-  int64_t diverged_rounds_ = 0;
-  int64_t rollbacks_ = 0;
-  int64_t quarantine_events_ = 0;
-  int64_t parole_events_ = 0;
-  int64_t quarantined_skips_ = 0;
-  /// Lifetime storage-fault counter (see storage_write_failures()).
-  /// Deliberately NOT reset by rollback — like the healing counters, a
-  /// persistence failure happened even if the round it served is undone.
-  int64_t storage_write_failures_ = 0;
+  /// Owns the CounterScope::kLifetime counters (healing and storage;
+  /// its other fields stay zero), copied into each result's FaultStats.
+  /// Deliberately NOT reset by rollback: a quarantine or a persistence
+  /// failure happened even if the round it served is undone.
+  FaultStats lifetime_;
 };
 
 }  // namespace lighttr::fl

@@ -23,7 +23,7 @@
 //
 // Everything is a pure function of the observation sequence, so
 // verdicts are bitwise identical across thread widths, and the window
-// state serializes into fl/run_state snapshots (v2) so a resumed or
+// state serializes into fl/run_state snapshots so a resumed or
 // rolled-back run re-judges identically.
 #ifndef LIGHTTR_FL_HEALTH_H_
 #define LIGHTTR_FL_HEALTH_H_
@@ -124,7 +124,7 @@ class RoundHealthMonitor {
   int norm_history() const { return static_cast<int>(norm_window_.size()); }
   int loss_history() const { return static_cast<int>(loss_window_.size()); }
 
-  /// Serializes the rolling windows (for fl/run_state v2 snapshots).
+  /// Serializes the rolling windows (for fl/run_state snapshots).
   std::string SerializeState() const;
 
   /// Restores SerializeState output. Rejects malformed input without

@@ -11,10 +11,7 @@ namespace lighttr::fl {
 namespace {
 
 constexpr uint32_t kBookMagic = 0x4C545250u;  // "LTRP"
-// v2 appends the suspect_events counter per client; v1 blobs (from
-// pre-adversary snapshots) still load, defaulting the counter to 0.
 constexpr uint32_t kBookVersion = 2;
-constexpr uint32_t kMinBookVersion = 1;
 
 }  // namespace
 
@@ -102,7 +99,7 @@ std::string ReputationBook::Serialize() const {
     writer.WriteU32(static_cast<uint32_t>(c.corrupt_events));
     writer.WriteU32(static_cast<uint32_t>(c.rejected_events));
     writer.WriteU32(static_cast<uint32_t>(c.outlier_events));
-    writer.WriteU32(static_cast<uint32_t>(c.suspect_events));  // v2
+    writer.WriteU32(static_cast<uint32_t>(c.suspect_events));
   }
   return writer.Take();
 }
@@ -116,7 +113,7 @@ Status ReputationBook::Deserialize(const std::string& bytes) {
     return Status::InvalidArgument("reputation blob: bad magic");
   }
   LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version < kMinBookVersion || version > kBookVersion) {
+  if (version != kBookVersion) {
     return Status::InvalidArgument("reputation blob: unknown version " +
                                    std::to_string(version));
   }
@@ -137,9 +134,7 @@ Status ReputationBook::Deserialize(const std::string& bytes) {
     LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&corrupt));
     LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&rejected));
     LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&outlier));
-    if (version >= 2) {
-      LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&suspect));
-    }
+    LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&suspect));
     if (!IsFinite(c.score) || quarantined > 1) {
       return Status::InvalidArgument("reputation blob: corrupt client entry");
     }

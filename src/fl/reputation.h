@@ -12,7 +12,7 @@
 // The book lives on the coordinating thread and is a pure function of
 // the observation sequence, so quarantine decisions are bitwise
 // deterministic across thread widths. It serializes into fl/run_state
-// snapshots (v2) so a resumed run remembers its offenders. Rollback,
+// snapshots so a resumed run remembers its offenders. Rollback,
 // deliberately, does NOT restore the book: the whole point of rolling
 // back is to replay the round with the offenders remembered.
 #ifndef LIGHTTR_FL_REPUTATION_H_
@@ -87,7 +87,7 @@ class ReputationBook {
   /// completed (non-rolled-back) round.
   int Tick();
 
-  /// Serializes the ledger (for fl/run_state v2 snapshots).
+  /// Serializes the ledger (for fl/run_state snapshots).
   std::string Serialize() const;
 
   /// Restores Serialize output. Rejects malformed input (including a

@@ -1,10 +1,10 @@
 #include "fl/run_state.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <algorithm>
 #include <sstream>
 
 #include "common/binary_io.h"
@@ -17,47 +17,50 @@ namespace lighttr::fl {
 namespace {
 
 constexpr char kMagic[4] = {'L', 'T', 'R', 'S'};
-// v1: original layout (PR 3). v2 appends the self-healing tail (extra
-// FaultStats counters, reputation + monitor blobs, escalation latch)
-// after the optimizer blobs. v3 appends the wire-transport tail (the
-// six net fault counters + the channel RNG stream). v4 appends the
-// storage-fault counter. v5 appends the adversary tail (poisoned/
-// suspected counters + adversary engine blob + norm-bound window).
-// Each version's shared prefix is byte-identical, and older snapshots
-// still decode with the newer tails left at defaults.
-constexpr uint32_t kVersion = 5;
-constexpr uint32_t kMinVersion = 1;
+// The one readable layout. Any incompatible change (including adding,
+// removing, or reordering a kCounters row) bumps it; older snapshots
+// are then rejected rather than half-read.
+constexpr uint32_t kVersion = 6;
 constexpr char kJournalName[] = "journal.log";
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".ltrs";
+// Journal columns ahead of the kCounters columns: round, the four
+// doubles, and the two flags.
+constexpr size_t kJournalFixedFields = 7;
 
 std::string JournalPath(const std::string& dir) {
   return dir + "/" + kJournalName;
 }
 
-// One journal line: twenty-six space-separated fields followed by the
-// CRC-32 (8 hex digits) of everything before the final space. Doubles
-// use %.17g so the text round-trips bit-exactly. Fields 12..17 are the
-// self-healing columns added in v2, fields 18..23 the wire-transport
-// columns added in v3, field 24 the storage-fault column added in v4,
-// fields 25..26 the adversary columns added in v5; the parser accepts
-// any line with at least the eleven v1 fields and ignores unknown
-// trailing fields, so journals written by newer builds (with further
-// columns) still load.
-std::string FormatJournalBody(const RoundRecord& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "%d %.17g %.17g %.17g %d %d %d %d %d %d %d %.17g %d %d %d %d %d"
-                " %d %d %d %d %d %d %d %d %d",
+size_t JournalFieldCount() {
+  size_t fields = kJournalFixedFields;
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.round != nullptr) ++fields;
+  }
+  return fields;
+}
+
+// One journal line: the fixed fields, then every kCounters per-round
+// column in table order, then the CRC-32 (8 hex digits) of everything
+// before the final space. Doubles use %.17g so the text round-trips
+// bit-exactly. The line is framed by newlines on both sides: even when
+// the previous append was torn mid-line, this record starts on a fresh
+// line of its own (blank lines are skipped on replay).
+std::string FormatJournalLine(const RoundRecord& r) {
+  char fixed[160];
+  std::snprintf(fixed, sizeof(fixed), "%d %.17g %.17g %.17g %.17g %d %d",
                 r.round, r.mean_train_loss, r.global_valid_accuracy,
-                r.wall_seconds, r.sampled, r.reporting, r.drops, r.retries,
-                r.stragglers, r.rejected_uploads, r.quorum_met ? 1 : 0,
-                r.valid_loss, r.verdict, r.outlier_uploads, r.quarantined,
-                r.skipped_quarantined, r.escalated ? 1 : 0, r.net_retries,
-                r.net_timeouts, r.net_crc_drops, r.net_dedup_drops,
-                r.net_late_drops, r.net_lost, r.storage_write_failures,
-                r.poisoned_uploads, r.suspected_uploads);
-  return std::string(buf);
+                r.wall_seconds, r.valid_loss, r.quorum_met ? 1 : 0,
+                r.escalated ? 1 : 0);
+  std::string body = fixed;
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.round == nullptr) continue;
+    body += ' ';
+    body += std::to_string(r.*counter.round);
+  }
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
+  return "\n" + body + " " + crc + "\n";
 }
 
 bool ParseJournalLine(const std::string& line, RoundRecord* out) {
@@ -75,10 +78,7 @@ bool ParseJournalLine(const std::string& line, RoundRecord* out) {
   std::vector<std::string> field;
   std::string token;
   while (tokens >> token) field.push_back(token);
-  // Eleven v1 fields are mandatory; anything beyond the fields this
-  // build knows is tolerated (forward compatibility with newer builds
-  // that append further columns — the CRC already vouches for them).
-  if (field.size() < 11) return false;
+  if (field.size() != JournalFieldCount()) return false;
 
   auto to_int = [](const std::string& s, int* v) {
     char* e = nullptr;
@@ -93,71 +93,30 @@ bool ParseJournalLine(const std::string& line, RoundRecord* out) {
     return e == s.c_str() + s.size();
   };
   int quorum = 0;
+  int escalated = 0;
   if (!to_int(field[0], &out->round) ||
       !to_double(field[1], &out->mean_train_loss) ||
       !to_double(field[2], &out->global_valid_accuracy) ||
       !to_double(field[3], &out->wall_seconds) ||
-      !to_int(field[4], &out->sampled) || !to_int(field[5], &out->reporting) ||
-      !to_int(field[6], &out->drops) || !to_int(field[7], &out->retries) ||
-      !to_int(field[8], &out->stragglers) ||
-      !to_int(field[9], &out->rejected_uploads) ||
-      !to_int(field[10], &quorum)) {
+      !to_double(field[4], &out->valid_loss) || !to_int(field[5], &quorum) ||
+      !to_int(field[6], &escalated)) {
     return false;
   }
   out->quorum_met = quorum != 0;
-  // Self-healing columns (v2); a v1 line leaves them at defaults.
-  int escalated = 0;
-  if (field.size() >= 12 && !to_double(field[11], &out->valid_loss)) {
-    return false;
-  }
-  if (field.size() >= 13 && !to_int(field[12], &out->verdict)) return false;
-  if (field.size() >= 14 && !to_int(field[13], &out->outlier_uploads)) {
-    return false;
-  }
-  if (field.size() >= 15 && !to_int(field[14], &out->quarantined)) {
-    return false;
-  }
-  if (field.size() >= 16 && !to_int(field[15], &out->skipped_quarantined)) {
-    return false;
-  }
-  if (field.size() >= 17 && !to_int(field[16], &escalated)) return false;
   out->escalated = escalated != 0;
-  // Wire-transport columns (v3); an older line leaves them at defaults.
-  if (field.size() >= 18 && !to_int(field[17], &out->net_retries)) {
-    return false;
-  }
-  if (field.size() >= 19 && !to_int(field[18], &out->net_timeouts)) {
-    return false;
-  }
-  if (field.size() >= 20 && !to_int(field[19], &out->net_crc_drops)) {
-    return false;
-  }
-  if (field.size() >= 21 && !to_int(field[20], &out->net_dedup_drops)) {
-    return false;
-  }
-  if (field.size() >= 22 && !to_int(field[21], &out->net_late_drops)) {
-    return false;
-  }
-  if (field.size() >= 23 && !to_int(field[22], &out->net_lost)) return false;
-  // Storage-fault column (v4); an older line leaves it at default.
-  if (field.size() >= 24 && !to_int(field[23], &out->storage_write_failures)) {
-    return false;
-  }
-  // Adversary columns (v5); an older line leaves them at defaults.
-  if (field.size() >= 25 && !to_int(field[24], &out->poisoned_uploads)) {
-    return false;
-  }
-  if (field.size() >= 26 && !to_int(field[25], &out->suspected_uploads)) {
-    return false;
+  size_t next = kJournalFixedFields;
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.round == nullptr) continue;
+    if (!to_int(field[next++], &(out->*counter.round))) return false;
   }
   return true;
 }
 
-std::string FormatJournalLine(const RoundRecord& r) {
-  const std::string body = FormatJournalBody(r);
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
-  return body + " " + crc + "\n";
+std::string SnapshotFileName(int round) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%06d%s", kSnapshotPrefix, round,
+                kSnapshotSuffix);
+  return name;
 }
 
 /// Parent directory of `path` ("" when there is none to create).
@@ -195,48 +154,25 @@ std::string EncodeRunState(const ServerRunState& state) {
   writer.WriteU32(static_cast<uint32_t>(state.round));
   writer.WriteString(state.rng_state);
   writer.WriteString(state.fault_rng_state);
+  writer.WriteString(state.net_rng_state);
   writer.WriteI64(state.comm.bytes_downlink);
   writer.WriteI64(state.comm.bytes_uplink);
   writer.WriteI64(state.comm.messages);
   writer.WriteI64(state.comm.rounds);
-  writer.WriteI64(state.faults.drops);
-  writer.WriteI64(state.faults.retries);
-  writer.WriteI64(state.faults.stragglers);
-  writer.WriteI64(state.faults.rejected_uploads);
-  writer.WriteI64(state.faults.clipped_uploads);
-  writer.WriteI64(state.faults.quorum_misses);
-  writer.WriteI64(state.faults.sampled_clients);
-  writer.WriteI64(state.faults.reporting_clients);
   writer.WriteF64(state.faults.simulated_backoff_s);
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.total != nullptr) {
+      writer.WriteI64(state.faults.*counter.total);
+    }
+  }
   writer.WriteString(state.global_params_blob);
   writer.WriteU32(static_cast<uint32_t>(state.optimizer_blobs.size()));
   for (const std::string& blob : state.optimizer_blobs) {
     writer.WriteString(blob);
   }
-  // v2 self-healing tail. Appended last so the v1 prefix stays
-  // byte-identical.
-  writer.WriteI64(state.faults.outlier_uploads);
-  writer.WriteI64(state.faults.diverged_rounds);
-  writer.WriteI64(state.faults.rollbacks);
-  writer.WriteI64(state.faults.quarantine_events);
-  writer.WriteI64(state.faults.parole_events);
-  writer.WriteI64(state.faults.quarantined_skips);
   writer.WriteString(state.reputation_blob);
   writer.WriteString(state.monitor_blob);
   writer.WriteU8(state.escalated ? 1 : 0);
-  // v3 wire-transport tail.
-  writer.WriteI64(state.faults.net_retries);
-  writer.WriteI64(state.faults.net_timeouts);
-  writer.WriteI64(state.faults.net_crc_drops);
-  writer.WriteI64(state.faults.net_dedup_drops);
-  writer.WriteI64(state.faults.net_late_drops);
-  writer.WriteI64(state.faults.net_lost);
-  writer.WriteString(state.net_rng_state);
-  // v4 storage-fault tail.
-  writer.WriteI64(state.faults.storage_write_failures);
-  // v5 adversary tail.
-  writer.WriteI64(state.faults.poisoned_uploads);
-  writer.WriteI64(state.faults.suspected_uploads);
   writer.WriteString(state.adversary_blob);
   writer.WriteString(state.normbound_blob);
   std::string out = writer.Take();
@@ -266,7 +202,7 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   }
   uint32_t version = 0;
   LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     return Status::InvalidArgument("unsupported run-state version " +
                                    std::to_string(version));
   }
@@ -275,19 +211,17 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   state->round = static_cast<int>(round);
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->rng_state));
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->fault_rng_state));
+  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->net_rng_state));
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.bytes_downlink));
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.bytes_uplink));
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.messages));
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.rounds));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.drops));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.retries));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.stragglers));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.rejected_uploads));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.clipped_uploads));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.quorum_misses));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.sampled_clients));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.reporting_clients));
   LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&state->faults.simulated_backoff_s));
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.total != nullptr) {
+      LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&(state->faults.*counter.total)));
+    }
+  }
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->global_params_blob));
   uint32_t opt_count = 0;
   LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&opt_count));
@@ -297,41 +231,16 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
     LIGHTTR_RETURN_NOT_OK(reader.ReadString(&blob));
     state->optimizer_blobs.push_back(std::move(blob));
   }
-  if (version >= 2) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.outlier_uploads));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.diverged_rounds));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.rollbacks));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.quarantine_events));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.parole_events));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.quarantined_skips));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->reputation_blob));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->monitor_blob));
-    uint8_t escalated = 0;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&escalated));
-    if (escalated > 1) {
-      return Status::InvalidArgument("run-state snapshot: bad escalation flag");
-    }
-    state->escalated = escalated != 0;
+  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->reputation_blob));
+  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->monitor_blob));
+  uint8_t escalated = 0;
+  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&escalated));
+  if (escalated > 1) {
+    return Status::InvalidArgument("run-state snapshot: bad escalation flag");
   }
-  if (version >= 3) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_retries));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_timeouts));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_crc_drops));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_dedup_drops));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_late_drops));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_lost));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->net_rng_state));
-  }
-  if (version >= 4) {
-    LIGHTTR_RETURN_NOT_OK(
-        reader.ReadI64(&state->faults.storage_write_failures));
-  }
-  if (version >= 5) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.poisoned_uploads));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.suspected_uploads));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->adversary_blob));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->normbound_blob));
-  }
+  state->escalated = escalated != 0;
+  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->adversary_blob));
+  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->normbound_blob));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in run-state snapshot");
   }
@@ -352,10 +261,6 @@ Status SaveRunState(FileSystem* fs, const std::string& path,
   return fs->WriteFileAtomic(path, EncodeRunState(state));
 }
 
-Status SaveRunState(const std::string& path, const ServerRunState& state) {
-  return SaveRunState(RealFileSystemInstance(), path, state);
-}
-
 Result<ServerRunState> LoadRunState(FileSystem* fs, const std::string& path) {
   LIGHTTR_CHECK(fs != nullptr);
   Result<std::string> contents = fs->ReadFile(path);
@@ -365,15 +270,8 @@ Result<ServerRunState> LoadRunState(FileSystem* fs, const std::string& path) {
   return state;
 }
 
-Result<ServerRunState> LoadRunState(const std::string& path) {
-  return LoadRunState(RealFileSystemInstance(), path);
-}
-
 std::string SnapshotPath(const std::string& dir, int round) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%06d%s", kSnapshotPrefix, round,
-                kSnapshotSuffix);
-  return dir + "/" + name;
+  return dir + "/" + SnapshotFileName(round);
 }
 
 Result<std::vector<int>> ListSnapshotRounds(FileSystem* fs,
@@ -387,28 +285,22 @@ Result<std::vector<int>> ListSnapshotRounds(FileSystem* fs,
     return names.status();
   }
   std::vector<int> rounds;
+  const size_t prefix_len = std::strlen(kSnapshotPrefix);
   for (const std::string& name : names.value()) {
-    const size_t prefix_len = std::strlen(kSnapshotPrefix);
-    const size_t suffix_len = std::strlen(kSnapshotSuffix);
-    if (name.size() <= prefix_len + suffix_len) continue;
     if (name.compare(0, prefix_len, kSnapshotPrefix) != 0) continue;
-    if (name.compare(name.size() - suffix_len, suffix_len, kSnapshotSuffix) !=
-        0) {
-      continue;  // includes in-flight "*.ltrs.tmp" partials
-    }
-    const std::string digits =
-        name.substr(prefix_len, name.size() - prefix_len - suffix_len);
     char* end = nullptr;
-    const long long round = std::strtoll(digits.c_str(), &end, 10);
-    if (end != digits.c_str() + digits.size() || round <= 0) continue;
+    const long long round = std::strtoll(name.c_str() + prefix_len, &end, 10);
+    // Only the exact name SnapshotPath writes counts: anything else
+    // (in-flight "*.ltrs.tmp" partials, "snapshot-12.ltrs") is not ours,
+    // and PruneSnapshots must never delete a real snapshot on its behalf.
+    if (round <= 0 || round > INT_MAX ||
+        name != SnapshotFileName(static_cast<int>(round))) {
+      continue;
+    }
     rounds.push_back(static_cast<int>(round));
   }
   std::sort(rounds.begin(), rounds.end());
   return rounds;
-}
-
-Result<std::vector<int>> ListSnapshotRounds(const std::string& dir) {
-  return ListSnapshotRounds(RealFileSystemInstance(), dir);
 }
 
 void PruneSnapshots(FileSystem* fs, const std::string& dir, int keep) {
@@ -422,10 +314,6 @@ void PruneSnapshots(FileSystem* fs, const std::string& dir, int keep) {
   }
 }
 
-void PruneSnapshots(const std::string& dir, int keep) {
-  PruneSnapshots(RealFileSystemInstance(), dir, keep);
-}
-
 Status AppendJournalRecord(FileSystem* fs, const std::string& dir,
                            const RoundRecord& record) {
   LIGHTTR_CHECK(fs != nullptr);
@@ -435,10 +323,6 @@ Status AppendJournalRecord(FileSystem* fs, const std::string& dir,
                            created.message());
   }
   return fs->AppendToFile(JournalPath(dir), FormatJournalLine(record));
-}
-
-Status AppendJournalRecord(const std::string& dir, const RoundRecord& record) {
-  return AppendJournalRecord(RealFileSystemInstance(), dir, record);
 }
 
 Result<std::vector<RoundRecord>> ReadJournal(FileSystem* fs,
@@ -454,20 +338,13 @@ Result<std::vector<RoundRecord>> ReadJournal(FileSystem* fs,
   std::istringstream lines(contents.value());
   std::string line;
   while (std::getline(lines, line)) {
-    if (line.empty()) continue;
     RoundRecord record;
-    if (!ParseJournalLine(line, &record)) {
-      // A line that fails its CRC (or cannot parse) marks the torn
-      // tail of a crashed append; everything after it is suspect.
-      break;
-    }
-    records.push_back(record);
+    // A line that fails its CRC (or cannot parse) is what a torn append
+    // leaves behind. Every record starts on a fresh line, so the damage
+    // ends at this line's end and later records are intact.
+    if (ParseJournalLine(line, &record)) records.push_back(record);
   }
   return records;
-}
-
-Result<std::vector<RoundRecord>> ReadJournal(const std::string& dir) {
-  return ReadJournal(RealFileSystemInstance(), dir);
 }
 
 Status RewriteJournal(FileSystem* fs, const std::string& dir,
@@ -483,11 +360,6 @@ Status RewriteJournal(FileSystem* fs, const std::string& dir,
                            created.message());
   }
   return fs->WriteFileAtomic(JournalPath(dir), contents);
-}
-
-Status RewriteJournal(const std::string& dir,
-                      const std::vector<RoundRecord>& records) {
-  return RewriteJournal(RealFileSystemInstance(), dir, records);
 }
 
 }  // namespace lighttr::fl

@@ -13,8 +13,13 @@
 // Snapshots are written via WriteFileAtomic and carry a whole-file
 // CRC-32, so a crash at any point leaves either the previous snapshot
 // set intact or a new fully-valid snapshot — never a half-written one
-// that parses. The journal is append-only; a torn tail line fails its
-// CRC and is discarded on replay.
+// that parses. The journal is append-only and every record starts on a
+// fresh line, so a torn append fails its own line's CRC and costs only
+// its own record on replay.
+//
+// Only the current format version is read: an older snapshot is
+// rejected with "unsupported run-state version N", and a journal line
+// with any other column count fails to parse.
 #ifndef LIGHTTR_FL_RUN_STATE_H_
 #define LIGHTTR_FL_RUN_STATE_H_
 
@@ -80,38 +85,24 @@ void MaybeInjectCrash(const DurabilityConfig& config, CrashPoint point,
                       int round);
 
 /// Everything the server must persist to resume a run exactly: the
-/// last completed round, the RNG stream states, accumulated telemetry,
-/// the global parameters (float64 checkpoint blob), and each client
-/// optimizer's state. Version 2 appends the self-healing state: the
-/// extra FaultStats counters, the reputation ledger, the health
-/// monitor's rolling windows, and the escalation latch. Version 3
-/// appends the wire-transport state: the net fault counters and the
-/// channel RNG stream (so a resumed run replays the same network
-/// weather). Version 4 appends the storage-fault counter
-/// (FaultStats::storage_write_failures). Version 5 appends the
-/// adversary tail: the poisoned/suspected counters, the adversary
-/// engine's stream + honest-norm window, and the norm-bound
-/// aggregator's rolling window (so a resumed run replays the same
-/// attack weather and clips against the same bound). Older snapshots
-/// still load, the newer tails defaulting to "fresh".
+/// last completed round, every RNG stream state (so a resumed run
+/// replays the same fault, network, and attack weather), accumulated
+/// telemetry (every kCounters row), the global parameters (float64
+/// checkpoint blob), each client optimizer's state, and the
+/// self-healing and Byzantine-defence state.
 struct ServerRunState {
   int round = 0;
   std::string rng_state;        // FederatedTrainer::rng_
   std::string fault_rng_state;  // dedicated fault stream
+  std::string net_rng_state;    // dedicated channel-fault stream
   CommStats comm;
   FaultStats faults;
   std::string global_params_blob;            // nn::SerializeCheckpoint, f64
   std::vector<std::string> optimizer_blobs;  // one per client, in order
-  // v2 fields (empty/false when decoded from a v1 snapshot):
-  std::string reputation_blob;  // ReputationBook::Serialize
+  std::string reputation_blob;  // ReputationBook::Serialize ("" when off)
   std::string monitor_blob;     // RoundHealthMonitor::SerializeState
   bool escalated = false;       // screening escalation latch
-  // v3 fields (empty when decoded from an older snapshot); the six
-  // FaultStats net counters also ride in the v3 tail:
-  std::string net_rng_state;    // dedicated channel-fault stream
-  // v5 fields (empty when decoded from an older snapshot); the two
-  // FaultStats adversary counters also ride in the v5 tail:
-  std::string adversary_blob;   // AdversaryEngine::SerializeState
+  std::string adversary_blob;   // AdversaryEngine::SerializeState ("" when off)
   std::string normbound_blob;   // trainer's rolling accepted-norm window
 };
 
@@ -124,54 +115,45 @@ std::string EncodeRunState(const ServerRunState& state);
                                     ServerRunState* state);
 
 /// Atomically writes `state` to `path` through `fs` (creating the
-/// parent directory). The fs-less overload uses the real filesystem —
-/// same for every pair below.
+/// parent directory). Every call below takes the FileSystem to use;
+/// pass RealFileSystemInstance() for the real disk.
 [[nodiscard]] Status SaveRunState(FileSystem* fs, const std::string& path,
-                                  const ServerRunState& state);
-[[nodiscard]] Status SaveRunState(const std::string& path,
                                   const ServerRunState& state);
 
 /// Reads and decodes the snapshot at `path`.
 [[nodiscard]] Result<ServerRunState> LoadRunState(FileSystem* fs,
                                                   const std::string& path);
-[[nodiscard]] Result<ServerRunState> LoadRunState(const std::string& path);
 
 /// Canonical snapshot path for a round: <dir>/snapshot-<round>.ltrs.
 std::string SnapshotPath(const std::string& dir, int round);
 
 /// Rounds with a snapshot file in `dir`, ascending. NotFound when the
 /// directory does not exist; an empty vector when it is merely empty.
-/// Partial `.tmp` files and unrelated names are ignored.
+/// Only names SnapshotPath would produce count: partial `.tmp` files,
+/// unrelated names, and non-canonical spellings such as
+/// `snapshot-12.ltrs` are ignored (and so never pruned).
 [[nodiscard]] Result<std::vector<int>> ListSnapshotRounds(
     FileSystem* fs, const std::string& dir);
-[[nodiscard]] Result<std::vector<int>> ListSnapshotRounds(
-    const std::string& dir);
 
 /// Deletes all but the newest `keep` snapshots (best effort).
 void PruneSnapshots(FileSystem* fs, const std::string& dir, int keep);
-void PruneSnapshots(const std::string& dir, int keep);
 
-/// Appends one CRC-tagged journal line for a completed round.
+/// Appends one CRC-tagged journal line for a completed round, starting
+/// on a fresh line so an earlier torn append cannot swallow it.
 [[nodiscard]] Status AppendJournalRecord(FileSystem* fs,
                                          const std::string& dir,
                                          const RoundRecord& record);
-[[nodiscard]] Status AppendJournalRecord(const std::string& dir,
-                                         const RoundRecord& record);
 
-/// Replays the journal: returns every leading record whose line passes
-/// its CRC, silently dropping the torn tail a crash mid-append leaves.
-/// A missing journal is an empty history, not an error.
+/// Replays the journal: returns every record whose line passes its CRC,
+/// in file order, skipping lines a torn append left behind. A missing
+/// journal is an empty history, not an error.
 [[nodiscard]] Result<std::vector<RoundRecord>> ReadJournal(
     FileSystem* fs, const std::string& dir);
-[[nodiscard]] Result<std::vector<RoundRecord>> ReadJournal(
-    const std::string& dir);
 
 /// Atomically rewrites the journal to exactly `records` (used on resume
 /// to drop records newer than the snapshot being resumed from, since
 /// those rounds will be re-executed).
 [[nodiscard]] Status RewriteJournal(FileSystem* fs, const std::string& dir,
-                                    const std::vector<RoundRecord>& records);
-[[nodiscard]] Status RewriteJournal(const std::string& dir,
                                     const std::vector<RoundRecord>& records);
 
 }  // namespace lighttr::fl

@@ -79,10 +79,6 @@ class SimulatedChannel {
 
 /// Transport configuration for a federated run.
 struct TransportConfig {
-  /// When false the trainer uses the legacy in-process handoff with
-  /// estimated byte accounting (kept as the bench baseline).
-  bool enabled = true;
-
   /// Seed for the channel fault streams. Independent of the training
   /// seed: changing the network's weather must not perturb model init,
   /// client sampling, or local training draws.

@@ -12,8 +12,7 @@ namespace lighttr::nn {
 
 namespace {
 
-constexpr char kMagicV2[4] = {'L', 'T', 'C', '2'};
-constexpr char kMagicV1[4] = {'L', 'T', 'R', '1'};
+constexpr char kMagic[4] = {'L', 'T', 'C', '2'};
 constexpr uint32_t kVersion = 2;
 // Parameter names in this codebase are short ("encoder.w1"); anything
 // beyond this cap is a corrupted or hostile length field.
@@ -28,7 +27,7 @@ size_t ElementWidth(CheckpointDtype dtype) {
 std::string SerializeCheckpoint(const ParameterSet& params,
                                 CheckpointDtype dtype) {
   BinaryWriter writer;
-  writer.WriteBytes(kMagicV2, sizeof(kMagicV2));
+  writer.WriteBytes(kMagic, sizeof(kMagic));
   writer.WriteU32(kVersion);
   writer.WriteU8(static_cast<uint8_t>(dtype));
   writer.WriteU32(static_cast<uint32_t>(params.size()));
@@ -57,14 +56,9 @@ std::string SerializeCheckpoint(const ParameterSet& params,
 
 Status ParseCheckpoint(const std::string& bytes, ParameterSet* params) {
   LIGHTTR_CHECK(params != nullptr);
-  if (bytes.size() >= sizeof(kMagicV1) &&
-      std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-    // Legacy v1 checkpoint: the raw FL wire format, no checksums.
-    return params->Deserialize(bytes);
-  }
   // The whole-file CRC is checked before any field is interpreted, so
   // truncation and bit flips are caught no matter where they land.
-  if (bytes.size() < sizeof(kMagicV2) + sizeof(uint32_t)) {
+  if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t)) {
     return Status::InvalidArgument("checkpoint too short to hold a header");
   }
   size_t body_len = 0;
@@ -77,7 +71,7 @@ Status ParseCheckpoint(const std::string& bytes, ParameterSet* params) {
   BinaryReader reader(body);
   char magic[4];
   LIGHTTR_RETURN_NOT_OK(reader.ReadBytes(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("bad checkpoint magic");
   }
   uint32_t version = 0;
@@ -154,23 +148,10 @@ Status ParseCheckpoint(const std::string& bytes, ParameterSet* params) {
   return Status::Ok();
 }
 
-Status SaveCheckpoint(const std::string& path, const ParameterSet& params) {
-  return SaveCheckpoint(path, params, CheckpointDtype::kFloat32);
-}
-
-Status SaveCheckpoint(const std::string& path, const ParameterSet& params,
-                      CheckpointDtype dtype) {
-  return SaveCheckpoint(RealFileSystemInstance(), path, params, dtype);
-}
-
 Status SaveCheckpoint(FileSystem* fs, const std::string& path,
                       const ParameterSet& params, CheckpointDtype dtype) {
   LIGHTTR_CHECK(fs != nullptr);
   return fs->WriteFileAtomic(path, SerializeCheckpoint(params, dtype));
-}
-
-Status LoadCheckpoint(const std::string& path, ParameterSet* params) {
-  return LoadCheckpoint(RealFileSystemInstance(), path, params);
 }
 
 Status LoadCheckpoint(FileSystem* fs, const std::string& path,

@@ -7,8 +7,7 @@
 // CRC-32. The loader detects truncation, bit flips, oversized declared
 // lengths, shape/name mismatches, and non-finite payloads, and returns
 // a descriptive Status for each instead of crashing or silently loading
-// garbage. Legacy v1 blobs (ParameterSet::Serialize wire format) are
-// still readable.
+// garbage. Only v2 is read; anything else is rejected.
 #ifndef LIGHTTR_NN_CHECKPOINT_H_
 #define LIGHTTR_NN_CHECKPOINT_H_
 
@@ -34,33 +33,21 @@ enum class CheckpointDtype : uint8_t {
 std::string SerializeCheckpoint(const ParameterSet& params,
                                 CheckpointDtype dtype = CheckpointDtype::kFloat32);
 
-/// Restores `params` from a v2 blob (or a legacy v1 blob). Names and
-/// shapes must match; every integrity violation yields a non-OK Status
-/// with the file left out of the model (params may be partially
-/// overwritten on failure — reload a known-good checkpoint before use).
+/// Restores `params` from a v2 blob. Names and shapes must match; every
+/// integrity violation yields a non-OK Status with the file left out of
+/// the model (params may be partially overwritten on failure — reload a
+/// known-good checkpoint before use).
 [[nodiscard]] Status ParseCheckpoint(const std::string& bytes,
                                      ParameterSet* params);
 
-/// Writes the parameters to `path` (v2, float32, atomic write).
-[[nodiscard]] Status SaveCheckpoint(const std::string& path,
-                                    const ParameterSet& params);
+/// Atomically writes the parameters to `path` through `fs` (pass
+/// RealFileSystemInstance() for the real disk).
+[[nodiscard]] Status SaveCheckpoint(
+    FileSystem* fs, const std::string& path, const ParameterSet& params,
+    CheckpointDtype dtype = CheckpointDtype::kFloat32);
 
-/// Writes the parameters to `path` with an explicit element type.
-[[nodiscard]] Status SaveCheckpoint(const std::string& path,
-                                    const ParameterSet& params,
-                                    CheckpointDtype dtype);
-
-/// As above, through an explicit FileSystem (fault-injectable path; the
-/// two-argument overloads use the process-wide real filesystem).
-[[nodiscard]] Status SaveCheckpoint(FileSystem* fs, const std::string& path,
-                                    const ParameterSet& params,
-                                    CheckpointDtype dtype);
-
-/// Restores parameters from `path`; names and shapes must match.
-[[nodiscard]] Status LoadCheckpoint(const std::string& path,
-                                    ParameterSet* params);
-
-/// As above, through an explicit FileSystem.
+/// Restores parameters from `path` through `fs`; names and shapes must
+/// match.
 [[nodiscard]] Status LoadCheckpoint(FileSystem* fs, const std::string& path,
                                     ParameterSet* params);
 

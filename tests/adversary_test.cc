@@ -780,7 +780,7 @@ TEST(FederatedTrainerAdversary, CrashResumeReplaysAttackBitwise) {
   const std::vector<nn::Scalar> expected =
       reference.global_model()->params().Flatten();
 
-  // Crash mid-run with the adversary live, then resume: the v5
+  // Crash mid-run with the adversary live, then resume: the run-state
   // snapshot must carry the adversary stream so the replayed attack
   // (and therefore the final model) is bitwise identical.
   FederatedTrainerOptions options =

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "common/file_util.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
@@ -78,11 +78,12 @@ TEST(CheckpointV2, Float64RoundTripsBitwise) {
   ExpectParamsEqual(original, restored, 0.0);
 }
 
-TEST(CheckpointV2, LegacyV1BlobsStillLoad) {
+TEST(CheckpointV2, WireFormatBlobsAreNotCheckpoints) {
+  // ParameterSet::Serialize ("LTR1", the FL wire format) is not a
+  // checkpoint format: only v2 is read.
   const ParameterSet original = MakeParams();
   ParameterSet restored = MakeParams(0.0);
-  ASSERT_TRUE(ParseCheckpoint(original.Serialize(), &restored).ok());
-  ExpectParamsEqual(original, restored, 1e-6);
+  EXPECT_FALSE(ParseCheckpoint(original.Serialize(), &restored).ok());
 }
 
 TEST(CheckpointV2, SaveLoadThroughDiskIsAtomic) {
@@ -92,10 +93,10 @@ TEST(CheckpointV2, SaveLoadThroughDiskIsAtomic) {
   std::filesystem::create_directories(dir);
   const std::string path = (std::filesystem::path(dir) / "model.ckpt").string();
   const ParameterSet original = MakeParams();
-  ASSERT_TRUE(SaveCheckpoint(path, original).ok());
+  ASSERT_TRUE(SaveCheckpoint(RealFileSystemInstance(), path, original).ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));  // temp renamed away
   ParameterSet restored = MakeParams(0.0);
-  ASSERT_TRUE(LoadCheckpoint(path, &restored).ok());
+  ASSERT_TRUE(LoadCheckpoint(RealFileSystemInstance(), path, &restored).ok());
   ExpectParamsEqual(original, restored, 1e-6);
 }
 
@@ -337,14 +338,15 @@ fl::FederatedTrainerOptions SnapshotOptions(const std::string& dir,
 // container, so every CRC stays valid.
 void PoisonSnapshotModel(const std::string& dir, int round, Scalar poison) {
   const std::string path = fl::SnapshotPath(dir, round);
-  Result<fl::ServerRunState> loaded = fl::LoadRunState(path);
+  Result<fl::ServerRunState> loaded =
+      fl::LoadRunState(RealFileSystemInstance(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   fl::ServerRunState state = loaded.value();
   ParameterSet poisoned;
   poisoned.Register("w", Tensor::Variable(Matrix::Full(1, 1, poison)));
   state.global_params_blob =
       SerializeCheckpoint(poisoned, CheckpointDtype::kFloat64);
-  ASSERT_TRUE(fl::SaveRunState(path, state).ok());
+  ASSERT_TRUE(fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
 }
 
 TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
@@ -397,7 +399,8 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
 
   // When every snapshot is poisoned there is nothing to fall back to:
   // resume reports an error instead of loading a non-finite model.
-  Result<std::vector<int>> rounds = fl::ListSnapshotRounds(last_dir);
+  Result<std::vector<int>> rounds =
+      fl::ListSnapshotRounds(RealFileSystemInstance(), last_dir);
   ASSERT_TRUE(rounds.ok());
   for (int round : rounds.value()) {
     PoisonSnapshotModel(last_dir, round,
@@ -412,7 +415,7 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
   }
 }
 
-// The v2 healing tail gets the same treatment: a snapshot whose monitor
+// The healing state gets the same treatment: a snapshot whose monitor
 // or reputation blob fails validation is rejected as a whole, falling
 // back one snapshot per damaged tail.
 TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
@@ -426,20 +429,24 @@ TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
   {
     // Garbage monitor window on the newest snapshot.
     const std::string path = fl::SnapshotPath(options.durability.dir, 6);
-    Result<fl::ServerRunState> loaded = fl::LoadRunState(path);
+    Result<fl::ServerRunState> loaded =
+        fl::LoadRunState(RealFileSystemInstance(), path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     fl::ServerRunState state = loaded.value();
     state.monitor_blob = "not a monitor blob";
-    ASSERT_TRUE(fl::SaveRunState(path, state).ok());
+    ASSERT_TRUE(
+        fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
   }
   {
     // Garbage reputation ledger on the one before it.
     const std::string path = fl::SnapshotPath(options.durability.dir, 5);
-    Result<fl::ServerRunState> loaded = fl::LoadRunState(path);
+    Result<fl::ServerRunState> loaded =
+        fl::LoadRunState(RealFileSystemInstance(), path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     fl::ServerRunState state = loaded.value();
     state.reputation_blob = "not a ledger";
-    ASSERT_TRUE(fl::SaveRunState(path, state).ok());
+    ASSERT_TRUE(
+        fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
   }
 
   options.durability.resume = true;

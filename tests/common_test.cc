@@ -10,7 +10,7 @@
 #include "common/backoff.h"
 #include "common/binary_io.h"
 #include "common/crc32.h"
-#include "common/file_util.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -184,18 +184,20 @@ TEST(TablePrinter, FmtPrecision) {
   EXPECT_EQ(TablePrinter::Fmt(2.0, 0), "2");
 }
 
-TEST(FileUtil, WriteReadRoundtrip) {
-  const std::string path = "/tmp/lighttr_file_util_test.bin";
+TEST(RealFileSystem, WriteReadRoundtrip) {
+  FileSystem* fs = RealFileSystemInstance();
+  const std::string path = "/tmp/lighttr_real_fs_test.bin";
   const std::string payload("bin\0ary\n", 8);
-  ASSERT_TRUE(WriteFile(path, payload).ok());
-  auto read = ReadFile(path);
+  ASSERT_TRUE(fs->WriteFileAtomic(path, payload).ok());
+  auto read = fs->ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), payload);
   std::remove(path.c_str());
 }
 
-TEST(FileUtil, ReadMissingFileFails) {
-  auto read = ReadFile("/tmp/definitely_missing_lighttr_file");
+TEST(RealFileSystem, ReadMissingFileFails) {
+  auto read = RealFileSystemInstance()->ReadFile(
+      "/tmp/definitely_missing_lighttr_file");
   EXPECT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kIoError);
 }
@@ -287,36 +289,38 @@ TEST(BinaryIo, HostileStringLengthIsRejected) {
   EXPECT_EQ(len, 0xFFFFFFFFFFFFull);
 }
 
-TEST(FileUtil, WriteFileAtomicLeavesNoTempBehind) {
+TEST(RealFileSystem, WriteFileAtomicLeavesNoTempBehind) {
+  FileSystem* fs = RealFileSystemInstance();
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "atomic_write").string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = (std::filesystem::path(dir) / "out.bin").string();
-  ASSERT_TRUE(WriteFileAtomic(path, "v1").ok());
-  ASSERT_TRUE(WriteFileAtomic(path, "v2-longer").ok());  // overwrite works
+  ASSERT_TRUE(fs->WriteFileAtomic(path, "v1").ok());
+  ASSERT_TRUE(fs->WriteFileAtomic(path, "v2-longer").ok());  // overwrite works
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  auto read = ReadFile(path);
+  auto read = fs->ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), "v2-longer");
 }
 
-TEST(FileUtil, WriteFileAtomicFailsCleanlyOnBadPath) {
-  const Status status =
-      WriteFileAtomic("/nonexistent_dir_lighttr/x/y/out.bin", "data");
+TEST(RealFileSystem, WriteFileAtomicFailsCleanlyOnBadPath) {
+  const Status status = RealFileSystemInstance()->WriteFileAtomic(
+      "/nonexistent_dir_lighttr/x/y/out.bin", "data");
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
-TEST(FileUtil, AppendToFileAccumulates) {
+TEST(RealFileSystem, AppendToFileAccumulates) {
+  FileSystem* fs = RealFileSystemInstance();
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "append_file").string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = (std::filesystem::path(dir) / "log.txt").string();
-  ASSERT_TRUE(AppendToFile(path, "one\n").ok());
-  ASSERT_TRUE(AppendToFile(path, "two\n").ok());
-  auto read = ReadFile(path);
+  ASSERT_TRUE(fs->AppendToFile(path, "one\n").ok());
+  ASSERT_TRUE(fs->AppendToFile(path, "two\n").ok());
+  auto read = fs->ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), "one\ntwo\n");
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "common/file_util.h"
+#include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
 #include "nn/losses.h"
@@ -98,48 +98,28 @@ std::vector<nn::Scalar> FinalParams(FederatedTrainer* trainer) {
   return trainer->global_model()->params().Flatten();
 }
 
-// Every field except wall-clock time must survive resume bitwise.
-void ExpectSameRecord(const RoundRecord& a, const RoundRecord& b) {
-  EXPECT_EQ(a.round, b.round);
-  EXPECT_EQ(a.mean_train_loss, b.mean_train_loss);
-  EXPECT_EQ(a.global_valid_accuracy, b.global_valid_accuracy);
-  EXPECT_EQ(a.sampled, b.sampled);
-  EXPECT_EQ(a.reporting, b.reporting);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.stragglers, b.stragglers);
-  EXPECT_EQ(a.rejected_uploads, b.rejected_uploads);
-  EXPECT_EQ(a.quorum_met, b.quorum_met);
-}
-
+// Everything except wall-clock time must survive resume bitwise: the
+// wire totals, every counter-table total and per-round column, and each
+// record's losses and flags.
 void ExpectSameResult(const FederatedRunResult& a,
                       const FederatedRunResult& b) {
   EXPECT_EQ(a.comm.bytes_downlink, b.comm.bytes_downlink);
   EXPECT_EQ(a.comm.bytes_uplink, b.comm.bytes_uplink);
   EXPECT_EQ(a.comm.messages, b.comm.messages);
   EXPECT_EQ(a.comm.rounds, b.comm.rounds);
-  EXPECT_EQ(a.faults.drops, b.faults.drops);
-  EXPECT_EQ(a.faults.retries, b.faults.retries);
-  EXPECT_EQ(a.faults.stragglers, b.faults.stragglers);
-  EXPECT_EQ(a.faults.rejected_uploads, b.faults.rejected_uploads);
-  EXPECT_EQ(a.faults.clipped_uploads, b.faults.clipped_uploads);
-  EXPECT_EQ(a.faults.quorum_misses, b.faults.quorum_misses);
-  EXPECT_EQ(a.faults.sampled_clients, b.faults.sampled_clients);
-  EXPECT_EQ(a.faults.reporting_clients, b.faults.reporting_clients);
-  EXPECT_EQ(a.faults.simulated_backoff_s, b.faults.simulated_backoff_s);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (size_t i = 0; i < a.history.size(); ++i) {
-    ExpectSameRecord(a.history[i], b.history[i]);
-  }
+  EXPECT_EQ(DescribeMismatch(a.faults, b.faults), "");
+  EXPECT_EQ(DescribeMismatch(a.history, b.history), "");
 }
 
+FileSystem* Disk() { return RealFileSystemInstance(); }
+
 void CorruptFile(const std::string& path) {
-  Result<std::string> contents = ReadFile(path);
+  Result<std::string> contents = Disk()->ReadFile(path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
   std::string bytes = contents.value();
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 2] ^= static_cast<char>(0x40);
-  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  ASSERT_TRUE(Disk()->WriteFileAtomic(path, bytes).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -201,158 +181,181 @@ TEST(RunState, DecodeRejectsTruncation) {
 TEST(RunState, SaveLoadThroughDisk) {
   const std::string dir = FreshDir("run_state_disk");
   const std::string path = SnapshotPath(dir, 7);
-  ASSERT_TRUE(SaveRunState(path, MakeState()).ok());
-  Result<ServerRunState> loaded = LoadRunState(path);
+  ASSERT_TRUE(SaveRunState(Disk(), path, MakeState()).ok());
+  Result<ServerRunState> loaded = LoadRunState(Disk(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().round, 12);
-  EXPECT_FALSE(LoadRunState(SnapshotPath(dir, 8)).ok());  // missing file
+  EXPECT_FALSE(LoadRunState(Disk(), SnapshotPath(dir, 8)).ok());  // missing
 }
 
 TEST(RunState, ListAndPruneSnapshots) {
   const std::string dir = FreshDir("run_state_list");
-  EXPECT_FALSE(ListSnapshotRounds(dir).ok());  // NotFound before any save
+  EXPECT_FALSE(ListSnapshotRounds(Disk(), dir).ok());  // NotFound before save
   for (int round : {4, 8, 12, 16}) {
-    ASSERT_TRUE(SaveRunState(SnapshotPath(dir, round), MakeState()).ok());
+    ASSERT_TRUE(
+        SaveRunState(Disk(), SnapshotPath(dir, round), MakeState()).ok());
   }
   // In-flight temp files and unrelated names are ignored.
-  ASSERT_TRUE(AppendToFile(SnapshotPath(dir, 20) + ".tmp", "partial").ok());
   ASSERT_TRUE(
-      AppendToFile((std::filesystem::path(dir) / "notes.txt").string(), "x")
-          .ok());
-  Result<std::vector<int>> rounds = ListSnapshotRounds(dir);
+      Disk()->AppendToFile(SnapshotPath(dir, 20) + ".tmp", "partial").ok());
+  ASSERT_TRUE(Disk()->AppendToFile(dir + "/notes.txt", "x").ok());
+  Result<std::vector<int>> rounds = ListSnapshotRounds(Disk(), dir);
   ASSERT_TRUE(rounds.ok());
   EXPECT_EQ(rounds.value(), (std::vector<int>{4, 8, 12, 16}));
 
-  PruneSnapshots(dir, 2);
-  rounds = ListSnapshotRounds(dir);
+  PruneSnapshots(Disk(), dir, 2);
+  rounds = ListSnapshotRounds(Disk(), dir);
   ASSERT_TRUE(rounds.ok());
   EXPECT_EQ(rounds.value(), (std::vector<int>{12, 16}));
+}
+
+// A name that parses as a round but is not what SnapshotPath writes
+// (here the unpadded "snapshot-12.ltrs") is not a snapshot: listing it
+// as round 12 would make pruning keep it and delete the real newest one.
+TEST(RunState, StraySnapshotNameNeitherListsNorDisplacesTheRealOne) {
+  const std::string dir = FreshDir("run_state_stray");
+  ASSERT_TRUE(SaveRunState(Disk(), SnapshotPath(dir, 3), MakeState()).ok());
+  for (const char* stray : {"snapshot-12.ltrs", "snapshot-+00012.ltrs",
+                            "snapshot- 00012.ltrs", "snapshot-0000012.ltrs"}) {
+    ASSERT_TRUE(Disk()->AppendToFile(dir + "/" + stray, "stray").ok());
+  }
+  Result<std::vector<int>> rounds = ListSnapshotRounds(Disk(), dir);
+  ASSERT_TRUE(rounds.ok());
+  EXPECT_EQ(rounds.value(), (std::vector<int>{3}));
+
+  PruneSnapshots(Disk(), dir, 1);
+  EXPECT_TRUE(Disk()->Exists(SnapshotPath(dir, 3)));
+  EXPECT_TRUE(Disk()->Exists(dir + "/snapshot-12.ltrs"));  // not ours
 }
 
 // ---------------------------------------------------------------------
 // Round journal
 
+// Every per-round counter gets a value distinct from every other
+// counter's (and from the other rounds'), so a column the journal
+// drops, swaps, or misparses shows up as a mismatch.
 RoundRecord MakeRecord(int round) {
   RoundRecord record;
   record.round = round;
   record.mean_train_loss = 0.125 + round * 1e-17;  // exercise %.17g
   record.global_valid_accuracy = 1.0 / 3.0;
   record.wall_seconds = 0.002;
-  record.sampled = 4;
-  record.reporting = 3;
-  record.drops = 1;
-  record.retries = 2;
+  record.valid_loss = 2.0 / 3.0;
   record.quorum_met = round % 2 == 0;
+  record.escalated = round % 3 == 0;
+  int value = 100 * round;
+  for (const CounterSpec& counter : kCounters) {
+    if (counter.round != nullptr) record.*counter.round = ++value;
+  }
   return record;
 }
 
 TEST(Journal, AppendReadRoundTripsBitwise) {
   const std::string dir = FreshDir("journal_roundtrip");
   for (int round = 1; round <= 5; ++round) {
-    ASSERT_TRUE(AppendJournalRecord(dir, MakeRecord(round)).ok());
+    ASSERT_TRUE(AppendJournalRecord(Disk(), dir, MakeRecord(round)).ok());
   }
-  Result<std::vector<RoundRecord>> records = ReadJournal(dir);
+  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records.value().size(), 5u);
   for (int round = 1; round <= 5; ++round) {
-    ExpectSameRecord(records.value()[round - 1], MakeRecord(round));
+    EXPECT_EQ(DescribeMismatch(records.value()[round - 1], MakeRecord(round)),
+              "");
     // Doubles must round-trip exactly through the text format.
     EXPECT_EQ(records.value()[round - 1].wall_seconds, 0.002);
   }
 }
 
-TEST(Journal, TornTailIsDroppedNotFatal) {
-  const std::string dir = FreshDir("journal_torn");
-  ASSERT_TRUE(AppendJournalRecord(dir, MakeRecord(1)).ok());
-  ASSERT_TRUE(AppendJournalRecord(dir, MakeRecord(2)).ok());
-  // A crash mid-append leaves a half-written line with a broken CRC.
-  ASSERT_TRUE(
-      AppendToFile((std::filesystem::path(dir) / "journal.log").string(),
-                   "3 0.5 0.5 0.1 4 3 1")
-          .ok());
-  Result<std::vector<RoundRecord>> records = ReadJournal(dir);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 2u);
-  EXPECT_EQ(records.value().back().round, 2);
+// A RAM disk whose `tear`-th append lands only half its bytes and
+// reports kIoError, like a crash or a short write mid-append.
+class TearOneAppend : public FaultyFileSystem {
+ public:
+  explicit TearOneAppend(int tear) : tear_(tear) {}
+
+  Status AppendToFile(const std::string& path,
+                      const std::string& contents) override {
+    if (++appends_ != tear_) {
+      return FaultyFileSystem::AppendToFile(path, contents);
+    }
+    const std::string half = contents.substr(0, contents.size() / 2);
+    EXPECT_TRUE(FaultyFileSystem::AppendToFile(path, half).ok());
+    return Status::IoError("torn append");
+  }
+
+ private:
+  int tear_;
+  int appends_ = 0;
+};
+
+// A torn append costs only its own record, whether it is the crashed
+// tail or mid-journal: later appends start on a fresh line, and replay
+// skips the damaged one instead of stopping.
+TEST(Journal, TornAppendCostsOnlyItsOwnRecord) {
+  for (const int tear : {5, 2}) {
+    SCOPED_TRACE(tear);
+    TearOneAppend fs(tear);
+    std::vector<int> expected;
+    for (int round = 1; round <= 5; ++round) {
+      EXPECT_EQ(AppendJournalRecord(&fs, "run", MakeRecord(round)).ok(),
+                round != tear);
+      if (round != tear) expected.push_back(round);
+    }
+    Result<std::vector<RoundRecord>> records = ReadJournal(&fs, "run");
+    ASSERT_TRUE(records.ok());
+    std::vector<int> rounds;
+    for (const RoundRecord& record : records.value()) {
+      rounds.push_back(record.round);
+      EXPECT_EQ(DescribeMismatch(record, MakeRecord(record.round)), "");
+    }
+    EXPECT_EQ(rounds, expected);  // tear 2: {1, 3, 4, 5}
+  }
 }
 
 TEST(Journal, MissingJournalIsEmptyHistory) {
   const std::string dir = FreshDir("journal_missing");
   std::filesystem::create_directories(dir);
-  Result<std::vector<RoundRecord>> records = ReadJournal(dir);
+  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records.value().empty());
 }
 
-// Forward compatibility: a newer build may append further columns to
-// the journal line. The CRC vouches for the whole body, and this build
-// must parse the prefix it understands and ignore the extras.
-TEST(Journal, ExtraTrailingFieldsFromNewerBuildsAreTolerated) {
-  const std::string dir = FreshDir("journal_forward");
-  ASSERT_TRUE(AppendJournalRecord(dir, MakeRecord(1)).ok());
-  ASSERT_TRUE(AppendJournalRecord(dir, MakeRecord(2)).ok());
-  const std::string path =
-      (std::filesystem::path(dir) / "journal.log").string();
-  Result<std::string> contents = ReadFile(path);
+// Only the current column layout parses: a correctly CRC-signed line
+// with one column too many or too few (say, an eleven-field line from
+// an old build) is skipped like any other damaged line.
+TEST(Journal, LinesWithOtherColumnCountsAreRejected) {
+  const std::string dir = FreshDir("journal_columns");
+  ASSERT_TRUE(AppendJournalRecord(Disk(), dir, MakeRecord(1)).ok());
+  const std::string path = dir + "/journal.log";
+  Result<std::string> contents = Disk()->ReadFile(path);
   ASSERT_TRUE(contents.ok());
-  std::string text = contents.value();
-  ASSERT_FALSE(text.empty());
-  ASSERT_EQ(text.back(), '\n');
-  text.pop_back();
-  // Graft two extra columns onto record 2's body and re-sign the line.
-  const size_t line_start = text.rfind('\n') + 1;
-  const size_t crc_space = text.rfind(' ');
-  ASSERT_GT(crc_space, line_start);
-  std::string body = text.substr(line_start, crc_space - line_start);
-  body += " 7 0.25";
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
-  text = text.substr(0, line_start) + body + " " + crc + "\n";
-  ASSERT_TRUE(WriteFileAtomic(path, text).ok());
-
-  Result<std::vector<RoundRecord>> records = ReadJournal(dir);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 2u);
-  ExpectSameRecord(records.value()[1], MakeRecord(2));
-}
-
-// Backward compatibility: an eleven-field line written by the
-// pre-self-healing build still parses, with the healing columns left at
-// their defaults.
-TEST(Journal, LegacyElevenFieldLinesStillParse) {
-  const std::string dir = FreshDir("journal_v1");
-  std::filesystem::create_directories(dir);
-  const std::string body = "9 0.5 0.25 0.001 4 3 1 2 0 1 1";
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
-  ASSERT_TRUE(
-      AppendToFile((std::filesystem::path(dir) / "journal.log").string(),
-                   body + " " + std::string(crc) + "\n")
-          .ok());
-  Result<std::vector<RoundRecord>> records = ReadJournal(dir);
+  std::string line = contents.value();
+  while (!line.empty() && line.front() == '\n') line.erase(0, 1);
+  while (!line.empty() && line.back() == '\n') line.pop_back();
+  const std::string body = line.substr(0, line.rfind(' '));
+  const std::string misshapen[] = {body + " 7",
+                                   body.substr(0, body.rfind(' ')),
+                                   "9 0.5 0.25 0.001 4 3 1 2 0 1 1"};
+  for (const std::string& text : misshapen) {
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x", Crc32(text));
+    ASSERT_TRUE(
+        Disk()->AppendToFile(path, "\n" + text + " " + crc + "\n").ok());
+  }
+  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records.value().size(), 1u);
-  const RoundRecord& r = records.value()[0];
-  EXPECT_EQ(r.round, 9);
-  EXPECT_EQ(r.sampled, 4);
-  EXPECT_EQ(r.retries, 2);
-  EXPECT_TRUE(r.quorum_met);
-  EXPECT_EQ(r.valid_loss, 0.0);
-  EXPECT_EQ(r.verdict, 0);
-  EXPECT_EQ(r.outlier_uploads, 0);
-  EXPECT_EQ(r.quarantined, 0);
-  EXPECT_EQ(r.skipped_quarantined, 0);
-  EXPECT_FALSE(r.escalated);
+  EXPECT_EQ(DescribeMismatch(records.value()[0], MakeRecord(1)), "");
 }
 
 TEST(Journal, RewriteTruncatesAtomically) {
   const std::string dir = FreshDir("journal_rewrite");
   for (int round = 1; round <= 6; ++round) {
-    ASSERT_TRUE(AppendJournalRecord(dir, MakeRecord(round)).ok());
+    ASSERT_TRUE(AppendJournalRecord(Disk(), dir, MakeRecord(round)).ok());
   }
-  ASSERT_TRUE(
-      RewriteJournal(dir, {MakeRecord(1), MakeRecord(2), MakeRecord(3)}).ok());
-  Result<std::vector<RoundRecord>> records = ReadJournal(dir);
+  ASSERT_TRUE(RewriteJournal(Disk(), dir,
+                             {MakeRecord(1), MakeRecord(2), MakeRecord(3)})
+                  .ok());
+  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records.value().size(), 3u);
   EXPECT_EQ(records.value().back().round, 3);
@@ -376,58 +379,93 @@ TEST(CrashRecovery, DurabilityDoesNotPerturbTraining) {
   EXPECT_EQ(FinalParams(&plain), FinalParams(&durable));
 }
 
+// LossyOptions plus every other counter family at once: a hostile
+// network, the healing layer, and a defended poisoning attack, so a
+// resume that dropped any net, healing, or adversary counter (or its RNG
+// stream) diverges somewhere.
+FederatedTrainerOptions HostileOptions() {
+  FederatedTrainerOptions options = LossyOptions();
+  options.client_fraction = 1.0;
+  options.transport.channel.drop_rate = 0.1;
+  options.transport.channel.corrupt_rate = 0.1;
+  options.transport.channel.duplicate_rate = 0.1;
+  options.healing.enabled = true;
+  options.healing.reputation.quarantine_threshold = 0.45;
+  options.adversary.num_attackers = 2;
+  options.adversary.attack = AttackType::kScaledAscent;
+  options.tolerance.aggregator.policy = AggregatorPolicy::kMultiKrum;
+  options.tolerance.aggregator.byzantine_fraction = 0.3;
+  options.tolerance.aggregator.exclude_suspected = true;
+  return options;
+}
+
 // The acceptance matrix: for every CrashPoint, a run killed mid-flight
 // and resumed in a fresh process (trainer) must converge to the exact
 // bits of an uninterrupted run, telemetry included.
 TEST(CrashRecovery, EveryCrashPointResumesBitwiseIdentical) {
-  auto clients = MakeClients(4, 53);
-  FederatedTrainer baseline(MakeStub, &clients, LossyOptions());
-  const FederatedRunResult expected = baseline.Run();
-  const std::vector<nn::Scalar> expected_params = FinalParams(&baseline);
-
-  struct Case {
-    CrashPoint point;
-    int round;
-  };
-  // Save-point crashes must land on a snapshot round (every 3rd);
-  // kMidRound may land anywhere.
-  const Case cases[] = {
-      {CrashPoint::kBeforeSave, 15},
-      {CrashPoint::kMidSave, 15},
-      {CrashPoint::kAfterSave, 15},
-      {CrashPoint::kMidRound, 17},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(CrashPointName(c.point));
-    FederatedTrainerOptions options = LossyOptions();
-    options.durability.dir =
-        FreshDir(std::string("crash_") + CrashPointName(c.point));
-    options.durability.snapshot_every = 3;
-    options.durability.crash_point = c.point;
-    options.durability.crash_round = c.round;
-
-    bool crashed = false;
-    {
-      FederatedTrainer victim(MakeStub, &clients, options);
-      try {
-        victim.Run();
-      } catch (const InjectedCrash& crash) {
-        crashed = true;
-        EXPECT_EQ(crash.point, c.point);
-        EXPECT_EQ(crash.round, c.round);
-      }
+  auto clients = MakeClients(8, 53);
+  for (const bool hostile : {false, true}) {
+    const std::string scenario = hostile ? "hostile" : "lossy";
+    SCOPED_TRACE(scenario);
+    const FederatedTrainerOptions base =
+        hostile ? HostileOptions() : LossyOptions();
+    FederatedTrainer baseline(MakeStub, &clients, base);
+    const FederatedRunResult expected = baseline.Run();
+    const std::vector<nn::Scalar> expected_params = FinalParams(&baseline);
+    if (hostile) {
+      // The scenario really exercises each family.
+      EXPECT_GT(expected.faults.net_retries, 0);
+      EXPECT_GT(expected.faults.net_lost, 0);
+      EXPECT_GT(expected.faults.poisoned_uploads, 0);
+      EXPECT_GT(expected.faults.suspected_uploads, 0);
+      EXPECT_GT(expected.faults.quarantine_events, 0);
+      EXPECT_GT(expected.faults.parole_events, 0);
     }
-    ASSERT_TRUE(crashed);
 
-    options.durability.crash_point = CrashPoint::kNone;
-    options.durability.crash_round = 0;
-    options.durability.resume = true;
-    FederatedTrainer resumed(MakeStub, &clients, options);
-    const FederatedRunResult result = resumed.Run();
-    EXPECT_GT(resumed.resumed_round(), 0);       // actually resumed,
-    EXPECT_LT(resumed.resumed_round(), c.round + 1);  // from before the crash
-    ExpectSameResult(expected, result);
-    EXPECT_EQ(expected_params, FinalParams(&resumed));
+    struct Case {
+      CrashPoint point;
+      int round;
+    };
+    // Save-point crashes must land on a snapshot round (every 3rd);
+    // kMidRound may land anywhere.
+    const Case cases[] = {
+        {CrashPoint::kBeforeSave, 15},
+        {CrashPoint::kMidSave, 15},
+        {CrashPoint::kAfterSave, 15},
+        {CrashPoint::kMidRound, 17},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(CrashPointName(c.point));
+      FederatedTrainerOptions options = base;
+      options.durability.dir =
+          FreshDir("crash_" + scenario + "_" + CrashPointName(c.point));
+      options.durability.snapshot_every = 3;
+      options.durability.crash_point = c.point;
+      options.durability.crash_round = c.round;
+
+      bool crashed = false;
+      {
+        FederatedTrainer victim(MakeStub, &clients, options);
+        try {
+          victim.Run();
+        } catch (const InjectedCrash& crash) {
+          crashed = true;
+          EXPECT_EQ(crash.point, c.point);
+          EXPECT_EQ(crash.round, c.round);
+        }
+      }
+      ASSERT_TRUE(crashed);
+
+      options.durability.crash_point = CrashPoint::kNone;
+      options.durability.crash_round = 0;
+      options.durability.resume = true;
+      FederatedTrainer resumed(MakeStub, &clients, options);
+      const FederatedRunResult result = resumed.Run();
+      EXPECT_GT(resumed.resumed_round(), 0);       // actually resumed,
+      EXPECT_LT(resumed.resumed_round(), c.round + 1);  // from before the crash
+      ExpectSameResult(expected, result);
+      EXPECT_EQ(expected_params, FinalParams(&resumed));
+    }
   }
 }
 
@@ -510,7 +548,8 @@ TEST(CrashRecovery, AllSnapshotsCorruptedIsAnErrorNotACrash) {
     FederatedTrainer first(MakeStub, &clients, options);
     first.Run();
   }
-  Result<std::vector<int>> rounds = ListSnapshotRounds(options.durability.dir);
+  Result<std::vector<int>> rounds =
+      ListSnapshotRounds(Disk(), options.durability.dir);
   ASSERT_TRUE(rounds.ok());
   for (int round : rounds.value()) {
     CorruptFile(SnapshotPath(options.durability.dir, round));
@@ -546,7 +585,8 @@ TEST(CrashRecovery, MidSaveLeavesOnlyATempFile) {
   EXPECT_THROW(victim.Run(), InjectedCrash);
 
   // The torn temp file must not be mistaken for a snapshot.
-  Result<std::vector<int>> rounds = ListSnapshotRounds(options.durability.dir);
+  Result<std::vector<int>> rounds =
+      ListSnapshotRounds(Disk(), options.durability.dir);
   ASSERT_TRUE(rounds.ok());
   EXPECT_TRUE(rounds.value().empty());
   EXPECT_TRUE(std::filesystem::exists(

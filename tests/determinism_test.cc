@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "eval/harness.h"
+#include "fl/comm_stats.h"
 #include "fl/run_state.h"
 #include "nn/kernels/kernels.h"
 #include "nn/losses.h"
@@ -16,6 +17,19 @@
 
 namespace lighttr {
 namespace {
+
+// Two runs that must agree bitwise: the same wire totals, every
+// counter-table total and per-round column, and the same per-round
+// losses and flags (wall-clock time excluded).
+void ExpectSameRun(const fl::FederatedRunResult& a,
+                   const fl::FederatedRunResult& b) {
+  EXPECT_EQ(a.comm.bytes_downlink, b.comm.bytes_downlink);
+  EXPECT_EQ(a.comm.bytes_uplink, b.comm.bytes_uplink);
+  EXPECT_EQ(a.comm.messages, b.comm.messages);
+  EXPECT_EQ(a.gave_up, b.gave_up);
+  EXPECT_EQ(fl::DescribeMismatch(a.faults, b.faults), "");
+  EXPECT_EQ(fl::DescribeMismatch(a.history, b.history), "");
+}
 
 TEST(Determinism, CityGenerationIsSeedDeterministic) {
   Rng rng_a(7);
@@ -99,12 +113,7 @@ TEST(Determinism, EndToEndExperimentIsReproducible) {
   EXPECT_DOUBLE_EQ(a.metrics.precision, b.metrics.precision);
   EXPECT_DOUBLE_EQ(a.metrics.mae_km, b.metrics.mae_km);
   EXPECT_DOUBLE_EQ(a.metrics.rmse_km, b.metrics.rmse_km);
-  EXPECT_EQ(a.run.comm.TotalBytes(), b.run.comm.TotalBytes());
-  ASSERT_EQ(a.run.history.size(), b.run.history.size());
-  for (size_t r = 0; r < a.run.history.size(); ++r) {
-    EXPECT_DOUBLE_EQ(a.run.history[r].mean_train_loss,
-                     b.run.history[r].mean_train_loss);
-  }
+  ExpectSameRun(a.run, b.run);
 }
 
 TEST(Determinism, FaultScheduleIsSeedDeterministic) {
@@ -147,17 +156,7 @@ TEST(Determinism, FaultyExperimentIsReproducible) {
   const eval::MethodResult b = run_once();
   EXPECT_DOUBLE_EQ(a.metrics.recall, b.metrics.recall);
   EXPECT_DOUBLE_EQ(a.metrics.mae_km, b.metrics.mae_km);
-  EXPECT_EQ(a.run.comm.TotalBytes(), b.run.comm.TotalBytes());
-  EXPECT_EQ(a.run.faults.drops, b.run.faults.drops);
-  EXPECT_EQ(a.run.faults.retries, b.run.faults.retries);
-  EXPECT_EQ(a.run.faults.rejected_uploads, b.run.faults.rejected_uploads);
-  EXPECT_EQ(a.run.faults.quorum_misses, b.run.faults.quorum_misses);
-  ASSERT_EQ(a.run.history.size(), b.run.history.size());
-  for (size_t r = 0; r < a.run.history.size(); ++r) {
-    EXPECT_EQ(a.run.history[r].reporting, b.run.history[r].reporting);
-    EXPECT_DOUBLE_EQ(a.run.history[r].mean_train_loss,
-                     b.run.history[r].mean_train_loss);
-  }
+  ExpectSameRun(a.run, b.run);
 }
 
 // The determinism contract of the parallel substrate: thread count is a
@@ -193,31 +192,13 @@ TEST(Determinism, FederatedRunIsBitwiseIdenticalAcrossThreadCounts) {
   };
   const eval::MethodResult serial = run_with_threads(1);
   for (int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     const eval::MethodResult parallel = run_with_threads(threads);
-    EXPECT_DOUBLE_EQ(parallel.metrics.recall, serial.metrics.recall)
-        << "threads=" << threads;
+    EXPECT_DOUBLE_EQ(parallel.metrics.recall, serial.metrics.recall);
     EXPECT_DOUBLE_EQ(parallel.metrics.precision, serial.metrics.precision);
     EXPECT_DOUBLE_EQ(parallel.metrics.mae_km, serial.metrics.mae_km);
     EXPECT_DOUBLE_EQ(parallel.metrics.rmse_km, serial.metrics.rmse_km);
-    EXPECT_EQ(parallel.run.comm.TotalBytes(), serial.run.comm.TotalBytes());
-    EXPECT_EQ(parallel.run.comm.messages, serial.run.comm.messages);
-    EXPECT_EQ(parallel.run.faults.drops, serial.run.faults.drops);
-    EXPECT_EQ(parallel.run.faults.retries, serial.run.faults.retries);
-    EXPECT_EQ(parallel.run.faults.stragglers, serial.run.faults.stragglers);
-    EXPECT_EQ(parallel.run.faults.rejected_uploads,
-              serial.run.faults.rejected_uploads);
-    EXPECT_DOUBLE_EQ(parallel.run.faults.simulated_backoff_s,
-                     serial.run.faults.simulated_backoff_s);
-    ASSERT_EQ(parallel.run.history.size(), serial.run.history.size());
-    for (size_t r = 0; r < serial.run.history.size(); ++r) {
-      EXPECT_EQ(parallel.run.history[r].reporting,
-                serial.run.history[r].reporting);
-      EXPECT_DOUBLE_EQ(parallel.run.history[r].mean_train_loss,
-                       serial.run.history[r].mean_train_loss)
-          << "threads=" << threads << " round=" << r;
-      EXPECT_DOUBLE_EQ(parallel.run.history[r].global_valid_accuracy,
-                       serial.run.history[r].global_valid_accuracy);
-    }
+    ExpectSameRun(parallel.run, serial.run);
   }
 }
 
@@ -330,34 +311,10 @@ TEST(Determinism, SelfHealingRunIsBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_GE(serial.faults.quarantine_events, 1);
 
   for (int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto [parallel, parallel_w] = run_with_threads(threads);
-    EXPECT_EQ(parallel_w, serial_w) << "threads=" << threads;
-    EXPECT_EQ(parallel.faults.diverged_rounds, serial.faults.diverged_rounds);
-    EXPECT_EQ(parallel.faults.rollbacks, serial.faults.rollbacks);
-    EXPECT_EQ(parallel.faults.outlier_uploads, serial.faults.outlier_uploads);
-    EXPECT_EQ(parallel.faults.quarantine_events,
-              serial.faults.quarantine_events);
-    EXPECT_EQ(parallel.faults.parole_events, serial.faults.parole_events);
-    EXPECT_EQ(parallel.faults.quarantined_skips,
-              serial.faults.quarantined_skips);
-    EXPECT_EQ(parallel.gave_up, serial.gave_up);
-    ASSERT_EQ(parallel.history.size(), serial.history.size());
-    for (size_t r = 0; r < serial.history.size(); ++r) {
-      EXPECT_EQ(parallel.history[r].verdict, serial.history[r].verdict)
-          << "threads=" << threads << " round=" << r;
-      EXPECT_EQ(parallel.history[r].outlier_uploads,
-                serial.history[r].outlier_uploads);
-      EXPECT_EQ(parallel.history[r].quarantined,
-                serial.history[r].quarantined);
-      EXPECT_EQ(parallel.history[r].skipped_quarantined,
-                serial.history[r].skipped_quarantined);
-      EXPECT_EQ(parallel.history[r].escalated, serial.history[r].escalated);
-      EXPECT_DOUBLE_EQ(parallel.history[r].valid_loss,
-                       serial.history[r].valid_loss)
-          << "threads=" << threads << " round=" << r;
-      EXPECT_DOUBLE_EQ(parallel.history[r].mean_train_loss,
-                       serial.history[r].mean_train_loss);
-    }
+    EXPECT_EQ(parallel_w, serial_w);
+    ExpectSameRun(parallel, serial);
   }
 }
 
@@ -416,28 +373,10 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_GT(serial.faults.net_retries, 0);
 
   for (int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto [parallel, parallel_params] = run_with_threads(threads);
-    EXPECT_EQ(parallel_params, serial_params) << "threads=" << threads;
-    EXPECT_EQ(parallel.comm.messages, serial.comm.messages);
-    EXPECT_EQ(parallel.comm.bytes_uplink, serial.comm.bytes_uplink);
-    EXPECT_EQ(parallel.comm.bytes_downlink, serial.comm.bytes_downlink);
-    EXPECT_EQ(parallel.faults.net_retries, serial.faults.net_retries);
-    EXPECT_EQ(parallel.faults.net_timeouts, serial.faults.net_timeouts);
-    EXPECT_EQ(parallel.faults.net_crc_drops, serial.faults.net_crc_drops);
-    EXPECT_EQ(parallel.faults.net_dedup_drops, serial.faults.net_dedup_drops);
-    EXPECT_EQ(parallel.faults.net_late_drops, serial.faults.net_late_drops);
-    EXPECT_EQ(parallel.faults.net_lost, serial.faults.net_lost);
-    ASSERT_EQ(parallel.history.size(), serial.history.size());
-    for (size_t r = 0; r < serial.history.size(); ++r) {
-      EXPECT_EQ(parallel.history[r].net_retries, serial.history[r].net_retries)
-          << "threads=" << threads << " round=" << r;
-      EXPECT_EQ(parallel.history[r].net_crc_drops,
-                serial.history[r].net_crc_drops);
-      EXPECT_EQ(parallel.history[r].reporting, serial.history[r].reporting);
-      EXPECT_DOUBLE_EQ(parallel.history[r].valid_loss,
-                       serial.history[r].valid_loss)
-          << "threads=" << threads << " round=" << r;
-    }
+    EXPECT_EQ(parallel_params, serial_params);
+    ExpectSameRun(parallel, serial);
   }
 }
 
@@ -482,25 +421,7 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   const fl::FederatedRunResult result = resumed.Run();
   EXPECT_GT(resumed.resumed_round(), 0);
   EXPECT_EQ(resumed.global_model()->params().Serialize(), expected_params);
-  EXPECT_EQ(result.comm.messages, expected.comm.messages);
-  EXPECT_EQ(result.comm.bytes_uplink, expected.comm.bytes_uplink);
-  EXPECT_EQ(result.comm.bytes_downlink, expected.comm.bytes_downlink);
-  EXPECT_EQ(result.faults.net_retries, expected.faults.net_retries);
-  EXPECT_EQ(result.faults.net_timeouts, expected.faults.net_timeouts);
-  EXPECT_EQ(result.faults.net_crc_drops, expected.faults.net_crc_drops);
-  EXPECT_EQ(result.faults.net_dedup_drops, expected.faults.net_dedup_drops);
-  EXPECT_EQ(result.faults.net_late_drops, expected.faults.net_late_drops);
-  EXPECT_EQ(result.faults.net_lost, expected.faults.net_lost);
-  ASSERT_EQ(result.history.size(), expected.history.size());
-  for (size_t r = 0; r < expected.history.size(); ++r) {
-    EXPECT_EQ(result.history[r].net_retries, expected.history[r].net_retries)
-        << "round=" << r;
-    EXPECT_EQ(result.history[r].net_crc_drops,
-              expected.history[r].net_crc_drops);
-    EXPECT_EQ(result.history[r].net_dedup_drops,
-              expected.history[r].net_dedup_drops);
-    EXPECT_EQ(result.history[r].reporting, expected.history[r].reporting);
-  }
+  ExpectSameRun(result, expected);
 }
 
 // The kernel axis of the determinism contract (DESIGN.md §14): for a
@@ -529,9 +450,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
       const auto [parallel, parallel_params] = run_with_threads(threads);
       EXPECT_EQ(parallel_params, serial_params)
           << "kernel=" << nn::KernelModeName(mode) << " threads=" << threads;
-      EXPECT_EQ(parallel.comm.messages, serial.comm.messages);
-      EXPECT_EQ(parallel.faults.net_retries, serial.faults.net_retries);
-      EXPECT_EQ(parallel.faults.net_crc_drops, serial.faults.net_crc_drops);
+      ExpectSameRun(parallel, serial);
     }
 
     // Crash mid-run and resume under the same kernel: same final bits.

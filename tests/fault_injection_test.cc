@@ -14,6 +14,7 @@
 #include "fl/aggregation.h"
 #include "fl/fault_injection.h"
 #include "fl/federated_trainer.h"
+#include "fl/transport/wire.h"
 #include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
@@ -397,14 +398,18 @@ TEST(FaultTolerantTrainer, StragglersAreCutOffAtTheDeadline) {
   FederatedTrainerOptions options = BaseOptions(1);
   options.faults.straggler_rate = 1.0;
   options.faults.straggler_slowdown_mean = 1000.0;
-  // Legacy accounting: uplink counts model uploads only. (Under the
-  // framed transport stragglers still send their pull-request frame.)
-  options.transport.enabled = false;
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
   EXPECT_EQ(result.faults.stragglers, 3);
   EXPECT_EQ(result.faults.reporting_clients, 0);
-  EXPECT_EQ(result.comm.bytes_uplink, 0);  // cut off before upload
+  // Cut off before upload: each straggler's only uplink frame is its
+  // pull request, answered by one pull reply; no push crosses the wire.
+  const std::string pull_request = transport::EncodeFrame(
+      transport::FrameType::kModelPullRequest,
+      transport::EncodeModelPullRequest(transport::ModelPullRequest{}));
+  EXPECT_EQ(result.comm.bytes_uplink,
+            3 * static_cast<int64_t>(pull_request.size()));
+  EXPECT_EQ(result.comm.messages, 3 * 2);
   EXPECT_GT(result.comm.bytes_downlink, 0);
   EXPECT_EQ(result.faults.quorum_misses, 1);
 }

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "fl/compression.h"
 #include "fl/cyclic_trainer.h"
 #include "fl/federated_trainer.h"
 #include "fl/local_trainer.h"
@@ -18,14 +19,17 @@
 namespace lighttr::fl {
 namespace {
 
-// A minimal RecoveryModel: a single scalar parameter w trained toward a
-// per-trajectory constant (driver_id), recovery reported as segment 0
-// with ratio clamp(w).
+// A minimal RecoveryModel: a 1 x `width` parameter row w, every entry
+// trained toward a per-trajectory constant (driver_id), recovery
+// reported as segment 0 with ratio clamp(w).
 class StubModel : public RecoveryModel {
  public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
+  explicit StubModel(Rng* rng, size_t width = 1) {
+    nn::Matrix w(1, width);
+    for (size_t i = 0; i < width; ++i) {
+      w(0, i) = rng != nullptr ? rng->Uniform(-1, 1) : 0.0;
+    }
+    w_ = nn::Tensor::Variable(w);
     params_.Register("w", w_);
   }
 
@@ -34,8 +38,9 @@ class StubModel : public RecoveryModel {
 
   ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
                         bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
+    const nn::Matrix target = nn::Matrix::Full(
+        1, w_.value().cols(),
+        static_cast<nn::Scalar>(trajectory.ground_truth.driver_id));
     ForwardResult result;
     result.loss = nn::MseLoss(w_, target);
     result.representation = w_;
@@ -147,32 +152,10 @@ TEST(FederatedTrainer, AggregatesTowardClientMean) {
   EXPECT_NEAR(global->weight(), (0 + 1 + 2 + 3) / 4.0, 0.3);
 }
 
-TEST(FederatedTrainer, CommAccounting) {
-  auto clients = MakeClients(5, 10);
-  FederatedTrainerOptions options;
-  options.rounds = 3;
-  options.local_epochs = 1;
-  options.client_fraction = 0.6;  // -> 3 of 5 clients per round
-  // Legacy estimated accounting (one abstract message each way per
-  // contact); kept as the bench baseline alongside the framed transport.
-  options.transport.enabled = false;
-  FederatedTrainer trainer(
-      [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
-      options);
-  const FederatedRunResult result = trainer.Run();
-  const int64_t wire = trainer.global_model()->params().WireBytes();
-  EXPECT_EQ(result.comm.rounds, 3);
-  EXPECT_EQ(result.comm.messages, 3 * 3 * 2);
-  EXPECT_EQ(result.comm.bytes_downlink, 3 * 3 * wire);
-  EXPECT_EQ(result.comm.bytes_uplink, 3 * 3 * wire);
-  EXPECT_EQ(result.history.size(), 3u);
-}
-
-TEST(FederatedTrainer, TransportCommAccountingMeasuresEncodedFrames) {
-  // With the framed transport on (the default), comm stats are measured
-  // from the bytes actually put on the wire: four frames per contact
-  // (pull request, pull reply, update push, push ack), sized by the
-  // encoder rather than estimated from WireBytes().
+TEST(FederatedTrainer, CommAccountingMeasuresEncodedFrames) {
+  // Comm stats are measured from the bytes actually put on the wire:
+  // four frames per contact (pull request, pull reply, update push, push
+  // ack), each sized by the encoder.
   auto clients = MakeClients(5, 10);
   FederatedTrainerOptions options;
   options.rounds = 3;
@@ -202,6 +185,7 @@ TEST(FederatedTrainer, TransportCommAccountingMeasuresEncodedFrames) {
   const auto ack_frame = EncodeFrame(FrameType::kPushAck, EncodePushAck(ack));
 
   EXPECT_EQ(result.comm.rounds, 3);
+  EXPECT_EQ(result.history.size(), 3u);
   EXPECT_EQ(result.comm.messages, contacts * 4);
   EXPECT_EQ(result.comm.bytes_uplink,
             contacts * static_cast<int64_t>(pull_request_frame.size() +
@@ -217,22 +201,38 @@ TEST(FederatedTrainer, TransportCommAccountingMeasuresEncodedFrames) {
   EXPECT_EQ(result.faults.net_lost, 0);
 }
 
-TEST(FederatedTrainer, TransportMatchesLegacyModelTrajectory) {
-  // The transport is a faithful pipe: on a clean channel the recovered
-  // global model is bitwise identical to the legacy in-process path.
-  auto run = [](bool enabled) {
-    auto clients = MakeClients(4, 21);
+TEST(FederatedTrainer, TransportIsAFaithfulPipe) {
+  // One kMean round over two clients: the server must aggregate exactly
+  // what the clients trained, so the new global model is (c0 + c1) * 0.5
+  // bitwise (with two terms, summation order cannot matter). Quantized
+  // uploads arrive as exactly DequantizeFlat(QuantizeFlat(c)): the wire
+  // carries the int8 codes and the f64 min/max unchanged.
+  for (const bool quantize : {false, true}) {
+    SCOPED_TRACE(quantize ? "quantized" : "raw");
+    auto clients = MakeClients(2, 21);
     FederatedTrainerOptions options;
-    options.rounds = 4;
+    options.rounds = 1;
     options.local_epochs = 1;
-    options.transport.enabled = enabled;
+    options.quantize_uploads = quantize;
     FederatedTrainer trainer(
-        [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
-        options);
+        [](Rng* rng) { return std::make_unique<StubModel>(rng, 16); },
+        &clients, options);
     trainer.Run();
-    return trainer.global_model()->params().Serialize();
-  };
-  EXPECT_EQ(run(true), run(false));
+    std::vector<std::vector<nn::Scalar>> sent;
+    for (int i = 0; i < 2; ++i) {
+      const std::vector<nn::Scalar> c =
+          trainer.client_model(i)->params().Flatten();
+      sent.push_back(quantize ? DequantizeFlat(QuantizeFlat(c)) : c);
+      // The quantized case must actually be lossy to prove anything.
+      EXPECT_EQ(sent.back() == c, !quantize);
+    }
+    const std::vector<nn::Scalar> global =
+        trainer.global_model()->params().Flatten();
+    ASSERT_EQ(global.size(), 16u);
+    for (size_t i = 0; i < global.size(); ++i) {
+      EXPECT_EQ(global[i], (sent[0][i] + sent[1][i]) * 0.5) << "index " << i;
+    }
+  }
 }
 
 TEST(FederatedTrainer, FractionOneUsesAllClients) {
@@ -269,32 +269,9 @@ TEST(FederatedTrainer, FaultFreeRunHasCleanTelemetry) {
   }
 }
 
-TEST(FederatedTrainer, DropoutAccountingCountsEveryContactAttempt) {
-  auto clients = MakeClients(2, 14);
-  FederatedTrainerOptions options;
-  options.rounds = 1;
-  options.local_epochs = 1;
-  options.faults.dropout_rate = 1.0;
-  options.tolerance.retry.max_retries = 2;
-  // Legacy estimated accounting: the model broadcast is charged per
-  // contact attempt even though the client never answers.
-  options.transport.enabled = false;
-  FederatedTrainer trainer(
-      [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
-      options);
-  const FederatedRunResult result = trainer.Run();
-  const int64_t wire = trainer.global_model()->params().WireBytes();
-  // Each client: initial contact + 2 retries, all downlink, no upload.
-  EXPECT_EQ(result.comm.messages, 2 * 3);
-  EXPECT_EQ(result.comm.bytes_downlink, 2 * 3 * wire);
-  EXPECT_EQ(result.comm.bytes_uplink, 0);
-  EXPECT_EQ(result.faults.drops, 2);
-  EXPECT_EQ(result.faults.retries, 2 * 2);
-}
-
 TEST(FederatedTrainer, DroppedOutClientsPutNoFramesOnTheWire) {
-  // Under the framed transport a dropped-out client never initiates its
-  // pull, so — unlike the legacy estimate — nothing crosses the wire.
+  // A dropped-out client never initiates its pull, so however many
+  // contact attempts the server makes, nothing crosses the wire.
   auto clients = MakeClients(2, 14);
   FederatedTrainerOptions options;
   options.rounds = 1;

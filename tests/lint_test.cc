@@ -192,12 +192,12 @@ TEST(LintTest, NoDirectPersistenceCoversFormerFlNnAllowedDirs) {
   // moved the raw APIs into common/env, so everything else in src/ is
   // now held to the FileSystem contract.
   SourceFile common;
-  common.path = "src/common/file_util.cc";
+  common.path = "src/common/table_printer.cc";
   common.content = "void A() { std::ofstream out(\"x\"); }\n";
   const std::vector<Diagnostic> hits =
       OfRule(Lint({common}), "no-direct-persistence");
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].file, "src/common/file_util.cc");
+  EXPECT_EQ(hits[0].file, "src/common/table_printer.cc");
 }
 
 TEST(LintTest, BannedFnIncludesRacyTempHelpers) {

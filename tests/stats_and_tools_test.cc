@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "common/env.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "nn/checkpoint.h"
@@ -62,8 +63,9 @@ TEST_F(StatsToolsTest, CheckpointRoundTripThroughDisk) {
   auto dest = baselines::MakeFactory(baselines::ModelKind::kLightTr,
                                      &env_.encoder())(&r2);
   const std::string path = "/tmp/lighttr_checkpoint_test.bin";
-  ASSERT_TRUE(nn::SaveCheckpoint(path, source->params()).ok());
-  ASSERT_TRUE(nn::LoadCheckpoint(path, &dest->params()).ok());
+  FileSystem* disk = RealFileSystemInstance();
+  ASSERT_TRUE(nn::SaveCheckpoint(disk, path, source->params()).ok());
+  ASSERT_TRUE(nn::LoadCheckpoint(disk, path, &dest->params()).ok());
   const auto a = source->params().Flatten();
   const auto b = dest->params().Flatten();
   for (size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-6);
@@ -74,8 +76,10 @@ TEST_F(StatsToolsTest, CheckpointLoadFailsOnMissingFile) {
   Rng rng(3);
   auto model = baselines::MakeFactory(baselines::ModelKind::kFc,
                                       &env_.encoder())(&rng);
-  EXPECT_FALSE(
-      nn::LoadCheckpoint("/tmp/no_such_lighttr_ckpt", &model->params()).ok());
+  EXPECT_FALSE(nn::LoadCheckpoint(RealFileSystemInstance(),
+                                  "/tmp/no_such_lighttr_ckpt",
+                                  &model->params())
+                   .ok());
 }
 
 TEST_F(StatsToolsTest, PerClientEvaluationCoversEveryClient) {

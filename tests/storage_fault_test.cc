@@ -1,8 +1,8 @@
 // Tests for the storage-fault layer: FaultyFileSystem semantics (every
 // fault axis, sync/crash behavior, seeded determinism), the
-// failure-path hygiene contract both FileSystem backends share,
-// cross-version run-state decoding (a v4 reader must load v1/v2/v3
-// blobs), backoff saturation at extreme retry counts, and
+// failure-path hygiene contract both FileSystem backends share, the
+// run-state format (every counter round-trips; only the current version
+// is read), backoff saturation at extreme retry counts, and
 // corrupted-newest snapshot fallback driven by a filesystem-injected
 // read fault rather than on-disk byte surgery.
 #include <gtest/gtest.h>
@@ -336,202 +336,99 @@ TEST(Backoff, SaturatesAtExtremeRetryCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Cross-version run-state decoding: the v5 reader must load v1..v4
-// blobs with the newer tails left at defaults. The encoders below
-// replicate each historical layout byte for byte (shared prefix, then
-// per-version tails), capped with the same whole-file CRC trailer.
+// The run-state format: every counter-table row round-trips, and only
+// the current version is read.
 
+// Every kCounters total gets a value distinct from every other
+// counter's, and every blob is non-empty, so a field the codec drops,
+// swaps, or defaults shows up as a mismatch.
 fl::ServerRunState DistinctiveState() {
   fl::ServerRunState state;
   state.round = 9;
   state.rng_state = Rng(41).SerializeState();
   state.fault_rng_state = Rng(42).SerializeState();
+  state.net_rng_state = Rng(43).SerializeState();
   state.comm.bytes_downlink = 1111;
   state.comm.bytes_uplink = 2222;
   state.comm.messages = 33;
   state.comm.rounds = 9;
-  state.faults.drops = 4;
-  state.faults.retries = 6;
-  state.faults.stragglers = 2;
-  state.faults.rejected_uploads = 1;
-  state.faults.clipped_uploads = 3;
-  state.faults.quorum_misses = 1;
-  state.faults.sampled_clients = 36;
-  state.faults.reporting_clients = 30;
   state.faults.simulated_backoff_s = 2.75;
+  int64_t value = 100;
+  for (const fl::CounterSpec& counter : fl::kCounters) {
+    if (counter.total != nullptr) state.faults.*counter.total = ++value;
+  }
   state.global_params_blob = "fake-checkpoint";
   state.optimizer_blobs = {"opt-0", "opt-1"};
-  state.faults.outlier_uploads = 5;
-  state.faults.diverged_rounds = 1;
-  state.faults.rollbacks = 1;
-  state.faults.quarantine_events = 2;
-  state.faults.parole_events = 1;
-  state.faults.quarantined_skips = 3;
   state.reputation_blob = "rep";
   state.monitor_blob = "mon";
   state.escalated = true;
-  state.faults.net_retries = 7;
-  state.faults.net_timeouts = 2;
-  state.faults.net_crc_drops = 1;
-  state.faults.net_dedup_drops = 1;
-  state.faults.net_late_drops = 2;
-  state.faults.net_lost = 3;
-  state.net_rng_state = Rng(43).SerializeState();
-  state.faults.storage_write_failures = 4;
-  state.faults.poisoned_uploads = 6;
-  state.faults.suspected_uploads = 5;
   state.adversary_blob = "adv";
   state.normbound_blob = "nbw";
   return state;
 }
 
-std::string EncodeAtVersion(const fl::ServerRunState& state,
-                            uint32_t version) {
-  BinaryWriter writer;
-  writer.WriteBytes("LTRS", 4);
-  writer.WriteU32(version);
-  writer.WriteU32(static_cast<uint32_t>(state.round));
-  writer.WriteString(state.rng_state);
-  writer.WriteString(state.fault_rng_state);
-  writer.WriteI64(state.comm.bytes_downlink);
-  writer.WriteI64(state.comm.bytes_uplink);
-  writer.WriteI64(state.comm.messages);
-  writer.WriteI64(state.comm.rounds);
-  writer.WriteI64(state.faults.drops);
-  writer.WriteI64(state.faults.retries);
-  writer.WriteI64(state.faults.stragglers);
-  writer.WriteI64(state.faults.rejected_uploads);
-  writer.WriteI64(state.faults.clipped_uploads);
-  writer.WriteI64(state.faults.quorum_misses);
-  writer.WriteI64(state.faults.sampled_clients);
-  writer.WriteI64(state.faults.reporting_clients);
-  writer.WriteF64(state.faults.simulated_backoff_s);
-  writer.WriteString(state.global_params_blob);
-  writer.WriteU32(static_cast<uint32_t>(state.optimizer_blobs.size()));
-  for (const std::string& blob : state.optimizer_blobs) {
-    writer.WriteString(blob);
-  }
-  if (version >= 2) {
-    writer.WriteI64(state.faults.outlier_uploads);
-    writer.WriteI64(state.faults.diverged_rounds);
-    writer.WriteI64(state.faults.rollbacks);
-    writer.WriteI64(state.faults.quarantine_events);
-    writer.WriteI64(state.faults.parole_events);
-    writer.WriteI64(state.faults.quarantined_skips);
-    writer.WriteString(state.reputation_blob);
-    writer.WriteString(state.monitor_blob);
-    writer.WriteU8(state.escalated ? 1 : 0);
-  }
-  if (version >= 3) {
-    writer.WriteI64(state.faults.net_retries);
-    writer.WriteI64(state.faults.net_timeouts);
-    writer.WriteI64(state.faults.net_crc_drops);
-    writer.WriteI64(state.faults.net_dedup_drops);
-    writer.WriteI64(state.faults.net_late_drops);
-    writer.WriteI64(state.faults.net_lost);
-    writer.WriteString(state.net_rng_state);
-  }
-  if (version >= 4) {
-    writer.WriteI64(state.faults.storage_write_failures);
-  }
-  if (version >= 5) {
-    writer.WriteI64(state.faults.poisoned_uploads);
-    writer.WriteI64(state.faults.suspected_uploads);
-    writer.WriteString(state.adversary_blob);
-    writer.WriteString(state.normbound_blob);
-  }
-  std::string out = writer.Take();
-  AppendCrc32Trailer(&out);
-  return out;
+// Re-signs `blob` (whole-file CRC trailer) after `edit` changes its body.
+template <typename Edit>
+std::string Resigned(std::string blob, Edit edit) {
+  blob.resize(blob.size() - sizeof(uint32_t));  // strip the CRC trailer
+  edit(&blob);
+  AppendCrc32Trailer(&blob);
+  return blob;
 }
 
-TEST(RunStateVersions, V1BlobDecodesWithNewerTailsAtDefaults) {
+TEST(RunStateFormat, EveryFieldAndCounterRoundTrips) {
   const fl::ServerRunState state = DistinctiveState();
   fl::ServerRunState out;
-  ASSERT_TRUE(fl::DecodeRunState(EncodeAtVersion(state, 1), &out).ok());
-  // The shared prefix survives...
+  ASSERT_TRUE(fl::DecodeRunState(fl::EncodeRunState(state), &out).ok());
   EXPECT_EQ(out.round, state.round);
   EXPECT_EQ(out.rng_state, state.rng_state);
   EXPECT_EQ(out.fault_rng_state, state.fault_rng_state);
+  EXPECT_EQ(out.net_rng_state, state.net_rng_state);
   EXPECT_EQ(out.comm.bytes_downlink, state.comm.bytes_downlink);
-  EXPECT_EQ(out.faults.drops, state.faults.drops);
+  EXPECT_EQ(out.comm.bytes_uplink, state.comm.bytes_uplink);
+  EXPECT_EQ(out.comm.messages, state.comm.messages);
+  EXPECT_EQ(out.comm.rounds, state.comm.rounds);
   EXPECT_EQ(out.faults.simulated_backoff_s, state.faults.simulated_backoff_s);
+  for (const fl::CounterSpec& counter : fl::kCounters) {
+    if (counter.total == nullptr) continue;
+    EXPECT_EQ(out.faults.*counter.total, state.faults.*counter.total)
+        << counter.name;
+  }
   EXPECT_EQ(out.global_params_blob, state.global_params_blob);
   EXPECT_EQ(out.optimizer_blobs, state.optimizer_blobs);
-  // ...and every newer tail stays at its default.
-  EXPECT_EQ(out.faults.outlier_uploads, 0);
-  EXPECT_EQ(out.reputation_blob, "");
-  EXPECT_EQ(out.monitor_blob, "");
-  EXPECT_FALSE(out.escalated);
-  EXPECT_EQ(out.faults.net_retries, 0);
-  EXPECT_EQ(out.faults.net_lost, 0);
-  EXPECT_EQ(out.net_rng_state, "");
-  EXPECT_EQ(out.faults.storage_write_failures, 0);
-}
-
-TEST(RunStateVersions, V2BlobDecodesHealingTailButNotNewer) {
-  const fl::ServerRunState state = DistinctiveState();
-  fl::ServerRunState out;
-  ASSERT_TRUE(fl::DecodeRunState(EncodeAtVersion(state, 2), &out).ok());
-  EXPECT_EQ(out.faults.outlier_uploads, state.faults.outlier_uploads);
-  EXPECT_EQ(out.faults.quarantined_skips, state.faults.quarantined_skips);
   EXPECT_EQ(out.reputation_blob, state.reputation_blob);
   EXPECT_EQ(out.monitor_blob, state.monitor_blob);
   EXPECT_TRUE(out.escalated);
-  EXPECT_EQ(out.faults.net_retries, 0);
-  EXPECT_EQ(out.net_rng_state, "");
-  EXPECT_EQ(out.faults.storage_write_failures, 0);
+  EXPECT_EQ(out.adversary_blob, state.adversary_blob);
+  EXPECT_EQ(out.normbound_blob, state.normbound_blob);
 }
 
-TEST(RunStateVersions, V3BlobDecodesNetTailButNotStorage) {
-  const fl::ServerRunState state = DistinctiveState();
-  fl::ServerRunState out;
-  ASSERT_TRUE(fl::DecodeRunState(EncodeAtVersion(state, 3), &out).ok());
-  EXPECT_EQ(out.faults.net_retries, state.faults.net_retries);
-  EXPECT_EQ(out.faults.net_lost, state.faults.net_lost);
-  EXPECT_EQ(out.net_rng_state, state.net_rng_state);
-  EXPECT_EQ(out.faults.storage_write_failures, 0);
-}
-
-TEST(RunStateVersions, V4BlobDecodesStorageTailButNotAdversary) {
-  const fl::ServerRunState state = DistinctiveState();
-  fl::ServerRunState out;
-  ASSERT_TRUE(fl::DecodeRunState(EncodeAtVersion(state, 4), &out).ok());
-  EXPECT_EQ(out.faults.storage_write_failures,
-            state.faults.storage_write_failures);
-  EXPECT_EQ(out.faults.poisoned_uploads, 0);
-  EXPECT_EQ(out.faults.suspected_uploads, 0);
-  EXPECT_EQ(out.adversary_blob, "");
-  EXPECT_EQ(out.normbound_blob, "");
-}
-
-TEST(RunStateVersions, V5MatchesTheLiveEncoder) {
-  const fl::ServerRunState state = DistinctiveState();
-  // The hand-rolled v5 encoder and the live one must agree exactly —
-  // this pins the layout the older-version encoders are derived from.
-  EXPECT_EQ(EncodeAtVersion(state, 5), fl::EncodeRunState(state));
-}
-
-TEST(RunStateVersions, UnsupportedVersionsAreRejected) {
-  const fl::ServerRunState state = DistinctiveState();
-  for (uint32_t version : {0u, 6u, 999u}) {
+TEST(RunStateFormat, OnlyTheCurrentVersionIsRead) {
+  const std::string live = fl::EncodeRunState(DistinctiveState());
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u}) {
+    // The version word follows the 4-byte magic.
+    const std::string patched = Resigned(live, [version](std::string* body) {
+      BinaryWriter word;
+      word.WriteU32(version);
+      body->replace(4, sizeof(uint32_t), word.bytes());
+    });
     fl::ServerRunState out;
-    const Status status =
-        fl::DecodeRunState(EncodeAtVersion(state, version), &out);
-    EXPECT_FALSE(status.ok()) << "version " << version;
+    const Status status = fl::DecodeRunState(patched, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(),
+              "unsupported run-state version " + std::to_string(version));
   }
 }
 
-TEST(RunStateVersions, TrailingBytesAfterAKnownVersionAreRejected) {
-  // A v1 header followed by v2-tail bytes is a corrupt file, not a
+TEST(RunStateFormat, TrailingBytesAreRejected) {
+  // Extra bytes under a valid CRC are a corrupt file, not a
   // forward-compatible one: the reader must insist on AtEnd.
-  const fl::ServerRunState state = DistinctiveState();
-  std::string blob = EncodeAtVersion(state, 1);
-  blob.resize(blob.size() - sizeof(uint32_t));  // strip the CRC trailer
-  BinaryWriter extra;
-  extra.WriteI64(777);
-  blob += extra.Take();
-  AppendCrc32Trailer(&blob);
+  const std::string blob =
+      Resigned(fl::EncodeRunState(DistinctiveState()), [](std::string* body) {
+        BinaryWriter extra;
+        extra.WriteI64(777);
+        *body += extra.bytes();
+      });
   fl::ServerRunState out;
   EXPECT_FALSE(fl::DecodeRunState(blob, &out).ok());
 }

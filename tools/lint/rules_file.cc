@@ -126,8 +126,8 @@ constexpr BannedFn kBannedFns[] = {
     {"system", "shells out with inherited environment; spawn explicitly or "
                "restructure"},
     {"tmpnam", "racy temp naming; derive paths from a seed or PID instead"},
-    {"mktemp", "racy temp naming; use WriteFileAtomic (common/file_util), "
-               "which owns its temp-file lifecycle"},
+    {"mktemp", "racy temp naming; use FileSystem::WriteFileAtomic "
+               "(common/env), which owns its temp-file lifecycle"},
 };
 
 void CheckBannedFn(Context* ctx, size_t fi) {

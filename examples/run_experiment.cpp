@@ -236,29 +236,32 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(threads_ll);
   const int max_rollbacks = static_cast<int>(max_rollbacks_ll);
 
-  // Fault probabilities live in [0,1): a rate of exactly 1.0 on every
-  // frame can never complete a round, which is a test scenario, not an
+  // Every range check states what is valid, so NaN fails it too. Fault
+  // probabilities live in [0,1): a rate of exactly 1.0 on every frame
+  // can never complete a round, which is a test scenario, not an
   // experiment.
   const auto valid_rate = [](double rate) { return rate >= 0.0 && rate < 1.0; };
-  if (keep <= 0.0 || keep > 1.0 || clients_n < 1 || rounds < 1 ||
-      epochs < 1 || grid < 3 || checkpoint_every < 1 || threads < 0 ||
-      quarantine_threshold <= 0.0 || quarantine_threshold > 1.0 ||
-      clip_norm < 0.0 || max_rollbacks < 0 || !valid_rate(net_drop) ||
-      !valid_rate(net_corrupt) || !valid_rate(net_delay) ||
-      !valid_rate(net_dup) || !valid_rate(net_reorder) ||
-      !valid_rate(net_truncate) || net_retries_ll < 0 ||
-      byzantine_fraction < 0.0 || byzantine_fraction >= 1.0 ||
-      adversary_scale <= 0.0 || adversary_count_ll < 0 ||
-      adversary_count_ll > clients_ll || adversary_start_ll < 1) {
-    return Usage();
-  }
+  const bool valid =
+      keep > 0.0 && keep <= 1.0 && lr > 0.0 && fraction > 0.0 &&
+      fraction <= 1.0 && clients_n >= 1 && rounds >= 1 && epochs >= 1 &&
+      traj_per_client >= 1 && grid >= 3 && checkpoint_every >= 1 &&
+      threads >= 0 && quarantine_threshold > 0.0 &&
+      quarantine_threshold <= 1.0 && clip_norm >= 0.0 && max_rollbacks >= 0 &&
+      valid_rate(net_drop) && valid_rate(net_corrupt) &&
+      valid_rate(net_delay) && valid_rate(net_dup) &&
+      valid_rate(net_reorder) && valid_rate(net_truncate) &&
+      net_retries_ll >= 0 && byzantine_fraction >= 0.0 &&
+      byzantine_fraction < 1.0 && adversary_scale > 0.0 &&
+      adversary_count_ll >= 0 && adversary_count_ll <= clients_ll &&
+      adversary_start_ll >= 1;
+  if (!valid) return Usage();
   nn::KernelMode kernel_mode;
   if (!nn::ParseKernelMode(FlagValue(argc, argv, "kernel", "auto"),
                            &kernel_mode)) {
     return Usage();
   }
-  // Activate here so the centralized path (which never constructs a
-  // FederatedTrainer) also runs the selected kernels.
+  // The kernel mode is process-global and only entry points select it;
+  // the library never changes it.
   nn::ActivateKernels(kernel_mode);
   // Size the global pool (GEMM row splits) to match the request; the
   // federated trainer gets its own pool via options.fed.threads.
@@ -337,7 +340,6 @@ int main(int argc, char** argv) {
     options.fed.durability.snapshot_every = checkpoint_every;
     options.fed.durability.resume = resume;
     options.fed.threads = threads;
-    options.fed.kernel = kernel_mode;
     options.fed.healing.enabled = health;
     options.fed.healing.reputation.quarantine_threshold = quarantine_threshold;
     options.fed.healing.max_rollbacks = max_rollbacks;

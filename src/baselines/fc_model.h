@@ -5,10 +5,9 @@
 #define LIGHTTR_BASELINES_FC_MODEL_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "fl/recovery_model.h"
+#include "baselines/per_step_model.h"
 #include "nn/layers.h"
 #include "traj/encoding.h"
 
@@ -23,34 +22,19 @@ struct FcConfig {
 };
 
 /// Per-step MLP recovery model (no sequence modeling).
-class FcModel : public fl::RecoveryModel {
+class FcModel : public PerStepModel {
  public:
   FcModel(const traj::TrajectoryEncoder* encoder, const FcConfig& config,
           Rng* rng);
 
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool training, Rng* rng) override;
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override;
-
  private:
-  /// Hidden activations of the missing steps, [M, hidden], plus the
-  /// missing step indices.
-  nn::Tensor HiddenForMissing(const traj::IncompleteTrajectory& trajectory,
-                              bool training, Rng* rng,
-                              std::vector<size_t>* missing) const;
+  std::vector<nn::Tensor> HiddenForMissing(const nn::Tensor& inputs,
+                                           const std::vector<size_t>& missing,
+                                           bool training,
+                                           Rng* rng) const override;
 
-  std::string name_ = "FC+FL";
-  const traj::TrajectoryEncoder* encoder_;
   FcConfig config_;
-  nn::ParameterSet params_;
   std::vector<std::unique_ptr<nn::Dense>> layers_;
-  std::unique_ptr<nn::Dense> seg_head_;    // hidden -> num_segments
-  std::unique_ptr<nn::Dense> ratio_head_;  // hidden -> 1
 };
 
 }  // namespace lighttr::baselines

@@ -7,10 +7,8 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "baselines/mt_head.h"
-#include "fl/recovery_model.h"
+#include "lighttr/seq2seq_model.h"
 #include "nn/layers.h"
 #include "traj/encoding.h"
 
@@ -26,33 +24,20 @@ struct MTrajRecConfig {
 
 /// Seq2Seq multi-task trajectory recovery (the centralized SOTA the
 /// paper compares against; federated as MTrajRec+FL).
-class MTrajRecModel : public fl::RecoveryModel {
+class MTrajRecModel : public core::Seq2SeqModel {
  public:
   MTrajRecModel(const traj::TrajectoryEncoder* encoder,
                 const MTrajRecConfig& config, Rng* rng,
                 std::string name = "MTrajRec+FL");
 
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool training, Rng* rng) override;
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override;
-
  private:
-  fl::ForwardResult RunSequence(const traj::IncompleteTrajectory& trajectory,
-                                bool training, bool teacher_forcing, Rng* rng,
-                                std::vector<roadnet::PointPosition>* collect);
+  DecoderStep Encode(const traj::IncompleteTrajectory& trajectory,
+                     const nn::Tensor& inputs, bool training,
+                     Rng* rng) override;
 
-  std::string name_;
-  const traj::TrajectoryEncoder* encoder_;
   MTrajRecConfig config_;
-  nn::ParameterSet params_;
   std::unique_ptr<nn::GruCell> encoder_gru_;
   std::unique_ptr<nn::GruCell> decoder_gru_;
-  std::unique_ptr<MtHead> head_;
 };
 
 }  // namespace lighttr::baselines

@@ -1,0 +1,101 @@
+#include "baselines/per_step_model.h"
+
+#include <algorithm>
+
+#include "common/check.h"
+#include "nn/losses.h"
+#include "nn/ops.h"
+
+namespace lighttr::baselines {
+
+PerStepModel::PerStepModel(const traj::TrajectoryEncoder* encoder,
+                           std::string name, double mu)
+    : encoder_(encoder), name_(std::move(name)), mu_(mu) {
+  LIGHTTR_CHECK(encoder != nullptr);
+}
+
+void PerStepModel::BuildHeads(size_t hidden_dim, Rng* rng) {
+  seg_head_ = std::make_unique<nn::Dense>(
+      hidden_dim, encoder_->num_segments(), "seg_head", &params_, rng);
+  ratio_head_ =
+      std::make_unique<nn::Dense>(hidden_dim, 1, "ratio_head", &params_, rng);
+}
+
+nn::Tensor PerStepModel::Hidden(const traj::IncompleteTrajectory& trajectory,
+                                const std::vector<size_t>& missing,
+                                bool training, Rng* rng) const {
+  // The layers run even when nothing is missing: skipping them would
+  // shift the dropout RNG stream of every later trajectory.
+  const std::vector<nn::Tensor> rows = HiddenForMissing(
+      nn::Tensor::Constant(encoder_->EncodeInputs(trajectory)), missing,
+      training, rng);
+  if (rows.empty()) return nn::Tensor();
+  return nn::ConcatRows(rows);
+}
+
+fl::ForwardResult PerStepModel::Forward(
+    const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
+  fl::ForwardResult result;
+  const std::vector<size_t> missing = trajectory.MissingIndices();
+  const nn::Tensor hidden = Hidden(trajectory, missing, training, rng);
+  if (!hidden.defined()) {
+    result.loss = nn::Tensor::Constant(nn::Matrix::Zeros(1, 1));
+    return result;
+  }
+  const auto targets = encoder_->EncodeTargets(trajectory);
+
+  std::vector<nn::Tensor> ce_losses;
+  nn::Matrix ratio_target(missing.size(), 1);
+  for (size_t i = 0; i < missing.size(); ++i) {
+    ratio_target(i, 0) = static_cast<nn::Scalar>(targets[missing[i]].ratio);
+    const traj::StepCandidates candidates =
+        encoder_->CandidatesForStep(trajectory, missing[i]);
+    if (!candidates.target_in_range) continue;
+    const nn::Tensor logits =
+        nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
+                            seg_head_->bias(), candidates.segments);
+    ce_losses.push_back(
+        nn::SoftmaxCrossEntropy(logits, {candidates.target_index}));
+  }
+  const nn::Tensor ratio = nn::Sigmoid(ratio_head_->Forward(hidden));
+  nn::Tensor loss = nn::Scale(nn::MseLoss(ratio, ratio_target),
+                              static_cast<nn::Scalar>(mu_));
+  if (!ce_losses.empty()) {
+    nn::Tensor ce_total = ce_losses[0];
+    for (size_t i = 1; i < ce_losses.size(); ++i) {
+      ce_total = nn::Add(ce_total, ce_losses[i]);
+    }
+    loss = nn::Add(loss, nn::Scale(ce_total, nn::Scalar{1} /
+                                   static_cast<nn::Scalar>(ce_losses.size())));
+  }
+  result.loss = loss;
+  result.representation = hidden;
+  return result;
+}
+
+std::vector<roadnet::PointPosition> PerStepModel::Recover(
+    const traj::IncompleteTrajectory& trajectory) {
+  nn::NoGradScope no_grad;
+  std::vector<roadnet::PointPosition> positions(trajectory.size());
+  for (size_t t = 0; t < trajectory.size(); ++t) {
+    positions[t] = trajectory.ground_truth.points[t].position;
+  }
+  const std::vector<size_t> missing = trajectory.MissingIndices();
+  const nn::Tensor hidden =
+      Hidden(trajectory, missing, /*training=*/false, nullptr);
+  if (!hidden.defined()) return positions;
+  const nn::Tensor ratio = nn::Sigmoid(ratio_head_->Forward(hidden));
+  for (size_t i = 0; i < missing.size(); ++i) {
+    const traj::StepCandidates candidates =
+        encoder_->CandidatesForStep(trajectory, missing[i]);
+    const nn::Tensor logits =
+        nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
+                            seg_head_->bias(), candidates.segments);
+    positions[missing[i]] = roadnet::PointPosition{
+        candidates.segments[nn::ArgmaxRow(logits.value(), 0)],
+        std::clamp(ratio.value()(i, 0), 0.0, 1.0)};
+  }
+  return positions;
+}
+
+}  // namespace lighttr::baselines

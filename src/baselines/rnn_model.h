@@ -6,10 +6,9 @@
 #define LIGHTTR_BASELINES_RNN_MODEL_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "fl/recovery_model.h"
+#include "baselines/per_step_model.h"
 #include "nn/layers.h"
 #include "traj/encoding.h"
 
@@ -24,32 +23,19 @@ struct RnnConfig {
 };
 
 /// Stacked-GRU recovery model.
-class RnnModel : public fl::RecoveryModel {
+class RnnModel : public PerStepModel {
  public:
   RnnModel(const traj::TrajectoryEncoder* encoder, const RnnConfig& config,
            Rng* rng);
 
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool training, Rng* rng) override;
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override;
-
  private:
-  nn::Tensor HiddenForMissing(const traj::IncompleteTrajectory& trajectory,
-                              bool training, Rng* rng,
-                              std::vector<size_t>* missing) const;
+  std::vector<nn::Tensor> HiddenForMissing(const nn::Tensor& inputs,
+                                           const std::vector<size_t>& missing,
+                                           bool training,
+                                           Rng* rng) const override;
 
-  std::string name_ = "RNN+FL";
-  const traj::TrajectoryEncoder* encoder_;
   RnnConfig config_;
-  nn::ParameterSet params_;
   std::vector<std::unique_ptr<nn::GruCell>> layers_;
-  std::unique_ptr<nn::Dense> seg_head_;
-  std::unique_ptr<nn::Dense> ratio_head_;
 };
 
 }  // namespace lighttr::baselines

@@ -11,10 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/mt_head.h"
-#include "fl/recovery_model.h"
+#include "lighttr/seq2seq_model.h"
 #include "nn/layers.h"
-#include "roadnet/road_network.h"
 #include "traj/encoding.h"
 
 namespace lighttr::baselines {
@@ -29,34 +27,22 @@ struct RnTrajRecConfig {
 };
 
 /// Graph- and attention-enhanced seq2seq recovery model.
-class RnTrajRecModel : public fl::RecoveryModel {
+class RnTrajRecModel : public core::Seq2SeqModel {
  public:
   RnTrajRecModel(const traj::TrajectoryEncoder* encoder,
                  const RnTrajRecConfig& config, Rng* rng,
                  std::string name = "RNTrajRec+FL");
 
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool training, Rng* rng) override;
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override;
-
  private:
-  fl::ForwardResult RunSequence(const traj::IncompleteTrajectory& trajectory,
-                                bool training, bool teacher_forcing, Rng* rng,
-                                std::vector<roadnet::PointPosition>* collect);
+  DecoderStep Encode(const traj::IncompleteTrajectory& trajectory,
+                     const nn::Tensor& inputs, bool training,
+                     Rng* rng) override;
 
   /// One-hop graph-propagated embedding of a segment:
   /// ReLU(W1 emb[s] + W2 mean(emb[neighbors(s)])).
   nn::Tensor EnrichedSegmentEmbedding(int segment) const;
 
-  std::string name_;
-  const traj::TrajectoryEncoder* encoder_;
   RnTrajRecConfig config_;
-  nn::ParameterSet params_;
   std::vector<std::vector<int>> neighbors_;  // per segment, capped fan-in
 
   std::unique_ptr<nn::GruCell> encoder_gru_;
@@ -65,7 +51,6 @@ class RnTrajRecModel : public fl::RecoveryModel {
   std::unique_ptr<nn::Embedding> gnn_embed_;  // segment table for the GNN
   std::unique_ptr<nn::Dense> gnn_self_;
   std::unique_ptr<nn::Dense> gnn_neighbor_;
-  std::unique_ptr<MtHead> head_;
 };
 
 }  // namespace lighttr::baselines

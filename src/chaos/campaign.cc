@@ -9,7 +9,6 @@
 #include "common/finite.h"
 #include "fl/comm_stats.h"
 #include "fl/federated_trainer.h"
-#include "nn/kernels/kernels.h"
 #include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/workload.h"
@@ -87,10 +86,6 @@ fl::FederatedTrainerOptions MakeOptions(const ChaosScenario& s, int threads,
   o.learning_rate = 0.05;
   o.seed = s.seed;
   o.threads = threads;
-  // Respect the process-wide kernel selection (CLI --kernel or a test's
-  // ActivateKernels call): ActiveKernelMode() is already resolved to a
-  // concrete mode, so the trainer's re-activation is a no-op.
-  o.kernel = nn::ActiveKernelMode();
   o.tolerance.quorum_fraction = s.quorum_fraction;
   o.tolerance.retry.max_retries = 1;
   if (s.client_faults_on) o.faults = s.client_faults;

@@ -130,8 +130,6 @@ FederatedTrainer::FederatedTrainer(
       monitor_(options.healing.monitor) {
   LIGHTTR_CHECK(clients != nullptr);
   LIGHTTR_CHECK(!clients->empty());
-  // Process-global: see FederatedTrainerOptions::kernel.
-  nn::ActivateKernels(options_.kernel);
   LIGHTTR_CHECK_GT(options_.client_fraction, 0.0);
   LIGHTTR_CHECK_LE(options_.client_fraction, 1.0);
   LIGHTTR_CHECK_GE(options_.rounds, 1);

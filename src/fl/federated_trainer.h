@@ -22,7 +22,6 @@
 #include "fl/reputation.h"
 #include "fl/run_state.h"
 #include "fl/transport/channel.h"
-#include "nn/kernels/kernels.h"
 #include "nn/optimizer.h"
 #include "traj/workload.h"
 
@@ -136,15 +135,6 @@ struct FederatedTrainerOptions {
   /// coordinating thread in canonical selection order and uploads are
   /// merged in that same order.
   int threads = 0;
-
-  /// Compute-kernel variant for the math hot path (GEMM + activation
-  /// sweeps). kAuto picks AVX2+FMA when the CPU has it, else the scalar
-  /// reference. The setting is process-global (the trainer activates it
-  /// at construction): kernels are stateless pure functions, so the last
-  /// activation wins for every model in the process. Results are bitwise
-  /// reproducible across runs and thread counts for a FIXED kernel;
-  /// scalar and avx2 differ only by FMA/vector rounding.
-  nn::KernelMode kernel = nn::KernelMode::kAuto;
 };
 
 /// Outcome of a federated run. (RoundRecord lives in comm_stats.h with

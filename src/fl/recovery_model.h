@@ -24,8 +24,8 @@ struct ForwardResult {
   /// Task loss L_local (Eq. 13): cross-entropy + mu * MSE, 1x1 tensor.
   nn::Tensor loss;
   /// Hidden representation over the missing steps ([n_missing, hidden]),
-  /// used as the distillation signal of Eq. 16. May be undefined for
-  /// models that do not support distillation.
+  /// used as the distillation signal of Eq. 16. Every model in the zoo
+  /// defines it; it is undefined only when no step is missing.
   nn::Tensor representation;
 };
 

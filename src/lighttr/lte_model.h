@@ -7,6 +7,8 @@
 //                     road segment e_t and moving ratio r_t jointly
 //                     (Eq. 7-9), with the constraint mask layer (Eq. 10/11)
 //                     restricting segment logits to nearby candidates.
+//                     The head and the decode loop are Seq2SeqModel's,
+//                     shared with the MTrajRec and RNTrajRec baselines.
 //
 // The same class serves as teacher and student in the knowledge
 // distillation scheme (Sec. IV-C); Forward() exposes the ST-block hidden
@@ -18,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "fl/recovery_model.h"
+#include "lighttr/seq2seq_model.h"
 #include "nn/layers.h"
 #include "traj/encoding.h"
 
@@ -34,46 +36,24 @@ struct LteConfig {
 };
 
 /// LightTR's local trajectory-recovery model.
-class LteModel : public fl::RecoveryModel {
+class LteModel : public Seq2SeqModel {
  public:
   /// `encoder` must outlive the model.
   LteModel(const traj::TrajectoryEncoder* encoder, const LteConfig& config,
            Rng* rng, std::string name = "LightTR");
 
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool training, Rng* rng) override;
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override;
-
   const LteConfig& config() const { return config_; }
 
  private:
-  /// Shared pass: builds the loss graph and, when `collect` is non-null,
-  /// records per-step predictions (used by Recover).
-  fl::ForwardResult RunSequence(const traj::IncompleteTrajectory& trajectory,
-                                bool training, bool teacher_forcing, Rng* rng,
-                                std::vector<roadnet::PointPosition>* collect);
+  DecoderStep Encode(const traj::IncompleteTrajectory& trajectory,
+                     const nn::Tensor& inputs, bool training,
+                     Rng* rng) override;
 
-  std::string name_;
-  const traj::TrajectoryEncoder* encoder_;
   LteConfig config_;
-  nn::ParameterSet params_;
-
   // Embedding model (Eq. 5/6).
   std::unique_ptr<nn::GruCell> embed_gru_;
   // Lightweight ST-operator (Eq. 7): RNN cells, one per stacked block.
   std::vector<std::unique_ptr<nn::RnnCell>> st_rnn_;
-  // MT head (Eq. 8): shared across steps.
-  std::unique_ptr<nn::Dense> head_dense_;   // h'_t -> h_{t,d}
-  nn::Tensor seg_w_;                        // [hidden, num_segments]
-  nn::Tensor seg_b_;                        // [1, num_segments]
-  std::unique_ptr<nn::Embedding> seg_embed_;  // road segment embedding (Emb)
-  std::unique_ptr<nn::Dense> emb_proj_;     // RNN(e^t) stand-in: e-emb -> hidden
-  std::unique_ptr<nn::Dense> ratio_head_;   // [h_{t,e}, e-emb] -> r_t
 };
 
 }  // namespace lighttr::core

@@ -1,8 +1,8 @@
 // Runtime-dispatched CPU microkernels for the nn hot path.
 //
-// One process-global kernel mode — selected explicitly at startup
-// (FederatedTrainerOptions::kernel, `run_experiment --kernel=`) or
-// resolved lazily from CPUID on first use — routes the GEMM trio and
+// One process-global kernel mode — selected explicitly by an entry point
+// (`run_experiment --kernel=`, `lighttr-chaos --kernel=`) or resolved
+// lazily from CPUID on first use — routes the GEMM trio and
 // the sigmoid/tanh activation sweeps through either the portable scalar
 // reference or the AVX2+FMA variant (DESIGN.md §14).
 //
@@ -12,8 +12,8 @@
 // crash/resume. Across modes results may differ by bounded rounding
 // (FMA contracts the multiply-add; kernels_test bounds the drift) —
 // which is why mode selection is explicit and never silently changes
-// mid-run: ActivateKernels is called at trainer construction, before
-// any model math.
+// mid-run: only entry points call ActivateKernels, before any model
+// math; no library code does.
 #ifndef LIGHTTR_NN_KERNELS_KERNELS_H_
 #define LIGHTTR_NN_KERNELS_KERNELS_H_
 
@@ -43,10 +43,10 @@ bool CpuHasAvx2Fma();
 ///   kScalar -> kScalar
 KernelMode ResolveKernelMode(KernelMode requested, bool has_avx2_fma);
 
-/// Selects the process-global kernel table. Call once at startup
-/// (FederatedTrainer's constructor does this from options.kernel)
-/// before any model math; switching modes mid-run is safe memory-wise
-/// but breaks bitwise reproducibility against earlier results.
+/// Selects the process-global kernel table. Call once at startup, from
+/// the program's entry point, before any model math; switching modes
+/// mid-run is safe memory-wise but breaks bitwise reproducibility
+/// against earlier results.
 void ActivateKernels(KernelMode mode);
 
 /// The resolved mode currently in force (never kAuto: lazy resolution

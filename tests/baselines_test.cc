@@ -1,15 +1,13 @@
-// Tests for the baseline recovery models (FC, RNN, MTrajRec, RNTrajRec),
-// the model zoo, and the centralized trainer.
+// Tests for the model zoo, the centralized trainer, and the contract
+// every recovery model kind (the four baselines and LightTR's LTE)
+// keeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "baselines/centralized_trainer.h"
-#include "baselines/fc_model.h"
 #include "baselines/model_zoo.h"
-#include "baselines/mtrajrec_model.h"
-#include "baselines/rnn_model.h"
-#include "baselines/rntrajrec_model.h"
 #include "fl/local_trainer.h"
 #include "nn/optimizer.h"
 #include "roadnet/generators.h"
@@ -40,74 +38,11 @@ class BaselinesTest : public ::testing::Test {
                                                &data_rng);
   }
 
-  void CheckModelBasics(fl::RecoveryModel* model) {
-    EXPECT_GT(model->params().NumScalars(), 0);
-    Rng rng(63);
-    for (const auto& trajectory : clients_[0].train) {
-      const fl::ForwardResult result = model->Forward(trajectory, true, &rng);
-      EXPECT_TRUE(std::isfinite(result.loss.ScalarValue()));
-      EXPECT_GE(result.loss.ScalarValue(), 0.0);
-    }
-    const auto& sample = clients_[0].test[0];
-    const auto recovered = model->Recover(sample);
-    ASSERT_EQ(recovered.size(), sample.size());
-    for (size_t t = 0; t < sample.size(); ++t) {
-      EXPECT_GE(recovered[t].segment, 0);
-      EXPECT_LT(recovered[t].segment, network_.num_segments());
-      EXPECT_GE(recovered[t].ratio, 0.0);
-      EXPECT_LE(recovered[t].ratio, 1.0);
-      if (sample.observed[t]) {
-        EXPECT_EQ(recovered[t], sample.ground_truth.points[t].position);
-      }
-    }
-  }
-
-  void CheckTrainingReducesLoss(fl::RecoveryModel* model) {
-    nn::AdamOptimizer optimizer(3e-3);
-    fl::LocalTrainOptions options;
-    options.epochs = 1;
-    Rng rng(64);
-    const double first = fl::TrainLocal(model, &optimizer, clients_[0].train,
-                                        options, &rng);
-    options.epochs = 10;
-    const double later = fl::TrainLocal(model, &optimizer, clients_[0].train,
-                                        options, &rng);
-    EXPECT_LT(later, first);
-  }
-
   roadnet::RoadNetwork network_;
   std::unique_ptr<roadnet::SegmentIndex> index_;
   std::unique_ptr<traj::TrajectoryEncoder> encoder_;
   std::vector<traj::ClientDataset> clients_;
 };
-
-TEST_F(BaselinesTest, FcModelBasicsAndTraining) {
-  Rng rng(1);
-  FcModel model(encoder_.get(), FcConfig{}, &rng);
-  CheckModelBasics(&model);
-  CheckTrainingReducesLoss(&model);
-}
-
-TEST_F(BaselinesTest, RnnModelBasicsAndTraining) {
-  Rng rng(2);
-  RnnModel model(encoder_.get(), RnnConfig{}, &rng);
-  CheckModelBasics(&model);
-  CheckTrainingReducesLoss(&model);
-}
-
-TEST_F(BaselinesTest, MTrajRecModelBasicsAndTraining) {
-  Rng rng(3);
-  MTrajRecModel model(encoder_.get(), MTrajRecConfig{}, &rng);
-  CheckModelBasics(&model);
-  CheckTrainingReducesLoss(&model);
-}
-
-TEST_F(BaselinesTest, RnTrajRecModelBasicsAndTraining) {
-  Rng rng(4);
-  RnTrajRecModel model(encoder_.get(), RnTrajRecConfig{}, &rng);
-  CheckModelBasics(&model);
-  CheckTrainingReducesLoss(&model);
-}
 
 TEST_F(BaselinesTest, ModelZooNamesAndFactories) {
   const std::vector<std::pair<ModelKind, std::string>> expectations = {
@@ -146,6 +81,98 @@ TEST_F(BaselinesTest, CentralizedTrainerRuns) {
   const auto recovered = model->Recover(clients_[0].test[0]);
   EXPECT_EQ(recovered.size(), clients_[0].test[0].size());
 }
+
+// The contract both shared decoders (core::Seq2SeqModel and
+// PerStepModel) give every model built on them.
+class ModelContract : public BaselinesTest,
+                      public ::testing::WithParamInterface<ModelKind> {
+ protected:
+  std::unique_ptr<fl::RecoveryModel> MakeModel(uint64_t seed) const {
+    Rng rng(seed);
+    return MakeFactory(GetParam(), encoder_.get())(&rng);
+  }
+};
+
+TEST_P(ModelContract, ForwardRecoverAndTraining) {
+  auto model = MakeModel(static_cast<uint64_t>(GetParam()) + 1);
+  EXPECT_GT(model->params().NumScalars(), 0);
+  Rng rng(63);
+  for (const auto& trajectory : clients_[0].train) {
+    const fl::ForwardResult result = model->Forward(trajectory, true, &rng);
+    EXPECT_TRUE(std::isfinite(result.loss.ScalarValue()));
+    EXPECT_GE(result.loss.ScalarValue(), 0.0);
+  }
+  const auto& sample = clients_[0].test[0];
+  const auto recovered = model->Recover(sample);
+  ASSERT_EQ(recovered.size(), sample.size());
+  for (size_t t = 0; t < sample.size(); ++t) {
+    EXPECT_GE(recovered[t].segment, 0);
+    EXPECT_LT(recovered[t].segment, network_.num_segments());
+    EXPECT_GE(recovered[t].ratio, 0.0);
+    EXPECT_LE(recovered[t].ratio, 1.0);
+    if (sample.observed[t]) {
+      EXPECT_EQ(recovered[t], sample.ground_truth.points[t].position);
+    }
+  }
+
+  nn::AdamOptimizer optimizer(3e-3);
+  fl::LocalTrainOptions options;
+  options.epochs = 1;
+  Rng train_rng(64);
+  const double first = fl::TrainLocal(model.get(), &optimizer,
+                                      clients_[0].train, options, &train_rng);
+  options.epochs = 10;
+  const double later = fl::TrainLocal(model.get(), &optimizer,
+                                      clients_[0].train, options, &train_rng);
+  EXPECT_LT(later, first);
+}
+
+TEST_P(ModelContract, FullyObservedTrajectoryHasNothingToRecover) {
+  auto model = MakeModel(9);
+  traj::IncompleteTrajectory full = clients_[0].train[0];
+  full.observed.assign(full.size(), true);
+  Rng rng(10);
+  for (bool training : {true, false}) {
+    const fl::ForwardResult result =
+        model->Forward(full, training, training ? &rng : nullptr);
+    EXPECT_EQ(result.loss.ScalarValue(), 0.0) << "training=" << training;
+    EXPECT_FALSE(result.representation.defined());
+  }
+  const auto recovered = model->Recover(full);
+  ASSERT_EQ(recovered.size(), full.size());
+  for (size_t t = 0; t < full.size(); ++t) {
+    EXPECT_EQ(recovered[t], full.ground_truth.points[t].position);
+  }
+}
+
+TEST_P(ModelContract, RepresentationHasOneRowPerMissingStep) {
+  auto model = MakeModel(11);
+  Rng rng(12);
+  for (const auto& trajectory : clients_[0].train) {
+    const size_t missing = trajectory.MissingIndices().size();
+    ASSERT_GT(missing, 0u);
+    const fl::ForwardResult result = model->Forward(trajectory, true, &rng);
+    ASSERT_TRUE(result.representation.defined());
+    EXPECT_EQ(result.representation.rows(), missing);
+  }
+}
+
+TEST_P(ModelContract, EvalForwardCarriesNoStateBetweenCalls) {
+  auto model = MakeModel(13);
+  for (const auto& trajectory : clients_[0].train) {
+    const double a =
+        model->Forward(trajectory, false, nullptr).loss.ScalarValue();
+    const double b =
+        model->Forward(trajectory, false, nullptr).loss.ScalarValue();
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " vs " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ModelContract,
+                         ::testing::Values(ModelKind::kFc, ModelKind::kRnn,
+                                           ModelKind::kMTrajRec,
+                                           ModelKind::kRnTrajRec,
+                                           ModelKind::kLightTr));
 
 // Property: every model kind survives a federated round-trip of
 // serialize -> deserialize with bitwise-equal float32 parameters.

@@ -429,16 +429,16 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
 // invisible — on AVX2 hardware kAuto runs the vector table, so this
 // sweeps a genuinely different reduction order than kScalar. Across
 // modes results may differ (FMA rounding), which is exactly why the
-// mode is pinned in FederatedTrainerOptions rather than sniffed
-// per-thread.
+// mode is one process-global choice made by the entry point (here, the
+// test) rather than sniffed per-thread; no trainer changes it.
 TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
   const nn::KernelMode saved = nn::ActiveKernelMode();
   for (nn::KernelMode mode : {nn::KernelMode::kScalar, nn::KernelMode::kAuto}) {
-    auto run_with_threads = [mode](int threads) {
+    nn::ActivateKernels(mode);
+    auto run_with_threads = [](int threads) {
       auto clients = MakeLossyClients(67);
       fl::FederatedTrainerOptions options = LossyChannelOptions(6);
       options.threads = threads;
-      options.kernel = mode;
       fl::FederatedTrainer trainer(MakeHealingStub, &clients, options);
       fl::FederatedRunResult result = trainer.Run();
       return std::make_pair(std::move(result),
@@ -461,7 +461,6 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
     std::filesystem::remove_all(dir);
     auto clients = MakeLossyClients(67);
     fl::FederatedTrainerOptions options = LossyChannelOptions(6);
-    options.kernel = mode;
     options.durability.dir = dir;
     options.durability.snapshot_every = 2;
     options.durability.crash_point = fl::CrashPoint::kMidRound;

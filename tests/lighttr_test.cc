@@ -67,24 +67,6 @@ TEST_F(LightTrTest, ForwardLossFiniteAndPositive) {
   }
 }
 
-TEST_F(LightTrTest, RecoverKeepsObservedPointsVerbatim) {
-  Rng rng(3);
-  LteModel model(encoder_.get(), LteConfig{}, &rng);
-  const traj::IncompleteTrajectory& sample = clients_[0].test[0];
-  const auto recovered = model.Recover(sample);
-  ASSERT_EQ(recovered.size(), sample.size());
-  for (size_t t = 0; t < sample.size(); ++t) {
-    if (sample.observed[t]) {
-      EXPECT_EQ(recovered[t], sample.ground_truth.points[t].position);
-    } else {
-      EXPECT_GE(recovered[t].segment, 0);
-      EXPECT_LT(recovered[t].segment, network_.num_segments());
-      EXPECT_GE(recovered[t].ratio, 0.0);
-      EXPECT_LE(recovered[t].ratio, 1.0);
-    }
-  }
-}
-
 TEST_F(LightTrTest, TrainingReducesLoss) {
   Rng rng(4);
   LteModel model(encoder_.get(), LteConfig{}, &rng);

@@ -1,0 +1,38 @@
+# Every out-of-range numeric flag makes run_experiment print its usage
+# and exit with 2: no CHECK abort, no uncaught exception, and no run on a
+# value that describes no experiment. NaN must fail every range check.
+#
+#   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
+if(NOT RUN_EXPERIMENT)
+  message(FATAL_ERROR "pass -DRUN_EXPERIMENT=<path to run_experiment>")
+endif()
+
+set(cases
+  "--fraction=0"
+  "--fraction=1.5"
+  "--lr=-1"
+  "--lr=nan"
+  "--keep=nan"
+  "--clip-norm=nan"
+  "--quarantine-threshold=nan --health"
+  "--adversary-scale=nan --adversary-count=1"
+  "--traj-per-client=-3"
+  "--traj-per-client=0"
+  "--byzantine-fraction=nan")
+
+set(failures 0)
+foreach(case IN LISTS cases)
+  separate_arguments(args UNIX_COMMAND "${case}")
+  # The case's flags come first: the first spelling of a flag wins, and
+  # the trailing ones only keep an accidental run short.
+  execute_process(
+    COMMAND "${RUN_EXPERIMENT}" ${args} --threads=1 --rounds=1 --clients=2
+    RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code STREQUAL "2")
+    message(SEND_ERROR "run_experiment ${case}: exit '${code}', want 2")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+if(failures GREATER 0)
+  message(FATAL_ERROR "${failures} bad flag(s) did not exit with usage")
+endif()

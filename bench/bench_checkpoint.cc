@@ -2,7 +2,7 @@
 // run-state snapshot primitives, (2) the clean-path cost of the
 // FileSystem (common/env) indirection versus a hand-inlined save, and
 // (3) end-to-end per-round overhead of crash-safe federated training
-// (journal + snapshot every round) versus the same run with durability
+// (a snapshot every round) versus the same run with durability
 // off.
 //
 // Expected shape: encode/decode run at memory-ish bandwidth, and the

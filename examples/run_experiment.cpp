@@ -6,6 +6,7 @@
 //
 // Methods: fc | rnn | mtrajrec | rntrajrec | lighttr | centralized
 // Datasets: geolife | tdrive
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -83,10 +84,10 @@ int Usage() {
       "                      [--adversary-scale=10] [--adversary-start=1]\n"
       "                      [--adversary-seed=2915761665]\n"
       "\n"
-      "Durability: --checkpoint-dir enables crash-safe snapshots + a round\n"
-      "journal under DIR every --checkpoint-every rounds; --resume restarts\n"
-      "an interrupted run from the newest valid snapshot in DIR (federated\n"
-      "methods only).\n"
+      "Durability: --checkpoint-dir enables crash-safe snapshots under DIR\n"
+      "every --checkpoint-every rounds, each carrying the round history so\n"
+      "far; --resume restarts an interrupted run from the newest valid\n"
+      "snapshot in DIR (federated methods only).\n"
       "\n"
       "Parallelism: --threads=N trains the clients of each round on N\n"
       "executors and parallelizes large matrix products; results are\n"
@@ -225,36 +226,40 @@ int main(int argc, char** argv) {
                  attack_text.c_str());
     return Usage();
   }
+  // Every range check states what is valid, so NaN fails it too. Fault
+  // probabilities live in [0,1): a rate of exactly 1.0 on every frame
+  // can never complete a round, which is a test scenario, not an
+  // experiment. Integer flags are checked before they narrow to int, so
+  // a value past INT_MAX is rejected rather than wrapped into another
+  // experiment.
+  const auto valid_rate = [](double rate) { return rate >= 0.0 && rate < 1.0; };
+  const auto valid_int = [](long long value, long long min) {
+    return value >= min && value <= INT_MAX;
+  };
+  const bool valid =
+      keep > 0.0 && keep <= 1.0 && lr > 0.0 && fraction > 0.0 &&
+      fraction <= 1.0 && valid_int(clients_ll, 1) && valid_int(rounds_ll, 1) &&
+      valid_int(epochs_ll, 1) && valid_int(traj_ll, 1) &&
+      valid_int(grid_ll, 3) && valid_int(checkpoint_every_ll, 1) &&
+      valid_int(threads_ll, 0) && quarantine_threshold > 0.0 &&
+      quarantine_threshold <= 1.0 && clip_norm >= 0.0 &&
+      valid_int(max_rollbacks_ll, 0) && valid_rate(net_drop) &&
+      valid_rate(net_corrupt) && valid_rate(net_delay) &&
+      valid_rate(net_dup) && valid_rate(net_reorder) &&
+      valid_rate(net_truncate) && valid_int(net_retries_ll, 0) &&
+      byzantine_fraction >= 0.0 && byzantine_fraction < 1.0 &&
+      adversary_scale > 0.0 && valid_int(adversary_count_ll, 0) &&
+      adversary_count_ll <= clients_ll && valid_int(adversary_start_ll, 1);
+  if (!valid) return Usage();
   const int clients_n = static_cast<int>(clients_ll);
   const int rounds = static_cast<int>(rounds_ll);
   const int epochs = static_cast<int>(epochs_ll);
   const int traj_per_client = static_cast<int>(traj_ll);
   const int grid = static_cast<int>(grid_ll);
   const auto seed = static_cast<uint64_t>(seed_ll);
-
   const int checkpoint_every = static_cast<int>(checkpoint_every_ll);
   const int threads = static_cast<int>(threads_ll);
   const int max_rollbacks = static_cast<int>(max_rollbacks_ll);
-
-  // Every range check states what is valid, so NaN fails it too. Fault
-  // probabilities live in [0,1): a rate of exactly 1.0 on every frame
-  // can never complete a round, which is a test scenario, not an
-  // experiment.
-  const auto valid_rate = [](double rate) { return rate >= 0.0 && rate < 1.0; };
-  const bool valid =
-      keep > 0.0 && keep <= 1.0 && lr > 0.0 && fraction > 0.0 &&
-      fraction <= 1.0 && clients_n >= 1 && rounds >= 1 && epochs >= 1 &&
-      traj_per_client >= 1 && grid >= 3 && checkpoint_every >= 1 &&
-      threads >= 0 && quarantine_threshold > 0.0 &&
-      quarantine_threshold <= 1.0 && clip_norm >= 0.0 && max_rollbacks >= 0 &&
-      valid_rate(net_drop) && valid_rate(net_corrupt) &&
-      valid_rate(net_delay) && valid_rate(net_dup) &&
-      valid_rate(net_reorder) && valid_rate(net_truncate) &&
-      net_retries_ll >= 0 && byzantine_fraction >= 0.0 &&
-      byzantine_fraction < 1.0 && adversary_scale > 0.0 &&
-      adversary_count_ll >= 0 && adversary_count_ll <= clients_ll &&
-      adversary_start_ll >= 1;
-  if (!valid) return Usage();
   nn::KernelMode kernel_mode;
   if (!nn::ParseKernelMode(FlagValue(argc, argv, "kernel", "auto"),
                            &kernel_mode)) {

@@ -237,9 +237,7 @@ void CheckQuorumAccounting(const ChaosScenario& s, const RunOutcome& run,
 }
 
 // Invariant: run-scoped counter totals equal the per-round history
-// sums (quorum misses: the count of rounds that missed quorum). Skipped
-// when storage faults could have eaten journal lines across a crash
-// (the resumed history is then legitimately incomplete).
+// sums (quorum misses: the count of rounds that missed quorum).
 void CheckCounterConservation(const RunOutcome& run, ScenarioReport* report) {
   const fl::FaultStats& total = run.result.faults;
   const auto check = [&](const char* name, int64_t history, int64_t lifetime) {
@@ -410,10 +408,8 @@ void CheckThreadBitwise(const ChaosScenario& s, const RunOutcome& main_run,
 }
 
 // Invariant: a crashed-and-resumed (or crashed-and-restarted) run
-// converges to the same final model, bitwise, as the same scenario
-// without the crash. History equality is additionally required when the
-// storage axis is off (with storage faults the journal may legitimately
-// lose lines, and the storage counters differ by construction).
+// converges to the same final model and the same round history,
+// bitwise, as the same scenario without the crash.
 void CheckResumeBitwise(const ChaosScenario& s, const RunOutcome& main_run,
                         const std::vector<traj::ClientDataset>* clients,
                         ScenarioReport* report) {
@@ -429,7 +425,6 @@ void CheckResumeBitwise(const ChaosScenario& s, const RunOutcome& main_run,
                      " differ from the uninterrupted run");
     return;
   }
-  if (s.storage_on) return;
   const std::string mismatch =
       fl::DescribeMismatch(main_run.result.history, ref.result.history);
   if (!mismatch.empty()) {
@@ -470,9 +465,7 @@ ScenarioReport RunScenario(const ChaosScenario& scenario) {
   CheckFiniteModel(main_run, &report);
   CheckRoundConservation(main_run, &report);
   CheckQuorumAccounting(scenario, main_run, &report);
-  if (!(scenario.storage_on && main_run.crash_fired)) {
-    CheckCounterConservation(main_run, &report);
-  }
+  CheckCounterConservation(main_run, &report);
   CheckNoOrphanTemps(fs, &report);
   CheckStorageAttribution(main_run, fs.stats(), &report);
   CheckAdversaryAttribution(scenario, main_run, &report);
@@ -571,7 +564,6 @@ ShrinkOutcome ShrinkScenario(const ChaosScenario& failing,
   std::vector<FieldFn> rate_fields;
   if (current.storage_on) {
     rate_fields.push_back([](ChaosScenario* c) { return &c->storage.enospc_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->storage.torn_append_rate; });
     rate_fields.push_back([](ChaosScenario* c) { return &c->storage.rename_fail_rate; });
     rate_fields.push_back([](ChaosScenario* c) { return &c->storage.read_bitrot_rate; });
     rate_fields.push_back([](ChaosScenario* c) { return &c->storage.tmp_litter_rate; });

@@ -132,7 +132,6 @@ std::string FormatRepro(const ChaosScenario& s) {
   if (s.storage_on) {
     AppendKv(&out, "storage.seed", std::to_string(s.storage.seed));
     AppendDouble(&out, "storage.enospc", s.storage.enospc_rate);
-    AppendDouble(&out, "storage.torn", s.storage.torn_append_rate);
     AppendDouble(&out, "storage.rename", s.storage.rename_fail_rate);
     AppendDouble(&out, "storage.bitrot", s.storage.read_bitrot_rate);
     AppendDouble(&out, "storage.litter", s.storage.tmp_litter_rate);
@@ -217,8 +216,6 @@ Result<ChaosScenario> ParseRepro(const std::string& text) {
       ok = ParseU64(value, &s.storage.seed);
     } else if (key == "storage.enospc") {
       ok = ParseRate(value, &s.storage.enospc_rate);
-    } else if (key == "storage.torn") {
-      ok = ParseRate(value, &s.storage.torn_append_rate);
     } else if (key == "storage.rename") {
       ok = ParseRate(value, &s.storage.rename_fail_rate);
     } else if (key == "storage.bitrot") {
@@ -322,7 +319,6 @@ ChaosScenario SampleScenario(Rng* rng) {
   s.storage_on = rng->Bernoulli(0.6);
   s.storage.seed = static_cast<uint64_t>(rng->UniformInt(1, 1'000'000'000));
   s.storage.enospc_rate = rng->Uniform(0.0, 0.15);
-  s.storage.torn_append_rate = rng->Uniform(0.0, 0.15);
   s.storage.rename_fail_rate = rng->Uniform(0.0, 0.15);
   s.storage.read_bitrot_rate = rng->Uniform(0.0, 0.10);
   s.storage.tmp_litter_rate = rng->Uniform(0.0, 0.20);

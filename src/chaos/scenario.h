@@ -52,8 +52,8 @@ struct ChaosScenario {
   bool healing = false;
 
   /// Storage axis: all durability IO through a fault-injecting
-  /// filesystem (ENOSPC, torn appends, rename failures, bit rot,
-  /// temp-file litter, lost unsynced data at crash).
+  /// filesystem (ENOSPC, rename failures, bit rot, temp-file litter,
+  /// lost unsynced data at crash).
   bool storage_on = false;
   StorageFaultConfig storage;
 

@@ -50,18 +50,6 @@ class RealFileSystem : public FileSystem {
     return Status::Ok();
   }
 
-  Status AppendToFile(const std::string& path,
-                      const std::string& contents) override {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out) return Status::IoError("cannot open for appending: " + path);
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) return Status::IoError("short append to " + path);
-    out.close();
-    if (out.fail()) return Status::IoError("close failed appending " + path);
-    return Status::Ok();
-  }
-
   Result<std::string> ReadFile(const std::string& path) override {
     std::ifstream in(path, std::ios::binary);
     if (!in) return Status::IoError("cannot open for reading: " + path);
@@ -193,34 +181,6 @@ Status FaultyFileSystem::WriteFileAtomic(const std::string& path,
     litter_.insert(tmp);
     ++stats_.tmp_litter_files;
   }
-  return Status::Ok();
-}
-
-Status FaultyFileSystem::AppendToFile(const std::string& path,
-                                      const std::string& contents) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ParentExists(path)) {
-    return Status::IoError("cannot open for appending: " + path +
-                           " (no parent directory)");
-  }
-  if (DrawFault(config_.enospc_rate)) {
-    ++stats_.enospc_failures;
-    return Status::IoError("injected ENOSPC appending to " + path);
-  }
-  if (DrawFault(config_.torn_append_rate)) {
-    // A proper prefix lands, then the device gives out. The short write
-    // is reported as an error — callers must never mistake it for
-    // success (journal CRCs catch the torn tail on replay).
-    size_t torn_len = 0;
-    if (!contents.empty()) {
-      torn_len = static_cast<size_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(contents.size()) - 1));
-    }
-    files_[path].data.append(contents, 0, torn_len);
-    ++stats_.torn_appends;
-    return Status::IoError("injected torn append to " + path);
-  }
-  files_[path].data.append(contents);
   return Status::Ok();
 }
 

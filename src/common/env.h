@@ -1,7 +1,7 @@
 // Pluggable filesystem environment: every byte the library persists
 // flows through a FileSystem, so the whole durability stack (atomic
-// checkpoint writes, run-state snapshots, the round journal) can be
-// pointed at a deterministic fault-injecting filesystem with ONE knob
+// checkpoint and run-state snapshot writes) can be pointed at a
+// deterministic fault-injecting filesystem with ONE knob
 // (DurabilityConfig::fs) instead of the real disk.
 //
 // Two implementations ship:
@@ -11,18 +11,18 @@
 //     no-direct-persistence lint rule bans std::ofstream/fopen and
 //     std::filesystem mutation everywhere else under src/ — and a
 //     FileSystem* is the only persistence surface: every durable-state
-//     call (snapshots, journal, checkpoints) takes one.
+//     call (snapshots, checkpoints) takes one.
 //   - FaultyFileSystem: a deterministic in-memory filesystem with a
-//     seeded fault model (ENOSPC, torn appends, rename failures, read
-//     bit-rot, leftover `.tmp` litter) and simulated fsync/crash
+//     seeded fault model (ENOSPC, rename failures, read bit-rot,
+//     leftover `.tmp` litter) and simulated fsync/crash
 //     semantics (unsynced data can be lost at a crash). Every injected
 //     fault is counted, so chaos invariants can check that what the
 //     filesystem injected is exactly what the trainer attributed.
 //
 // Failure-path hygiene contract (both implementations): WriteFileAtomic
 // never leaves its own `<path>.tmp` behind — the temp is removed on a
-// failed write AND on a failed rename — and AppendToFile reports short
-// writes as kIoError, never as success.
+// failed write AND on a failed rename — and reports a short write as
+// kIoError, never as success.
 #ifndef LIGHTTR_COMMON_ENV_H_
 #define LIGHTTR_COMMON_ENV_H_
 
@@ -52,12 +52,6 @@ class FileSystem {
   /// process; on failure no new `<path>.tmp` survives.
   [[nodiscard]] virtual Status WriteFileAtomic(const std::string& path,
                                                const std::string& contents) = 0;
-
-  /// Appends `contents` to `path`, creating it if missing. NOT atomic:
-  /// a crash (or an injected fault) can leave a torn tail, which is why
-  /// journal records carry per-line CRCs. A short write is kIoError.
-  [[nodiscard]] virtual Status AppendToFile(const std::string& path,
-                                            const std::string& contents) = 0;
 
   /// Reads the whole file at `path`.
   [[nodiscard]] virtual Result<std::string> ReadFile(const std::string& path) = 0;
@@ -99,12 +93,9 @@ FileSystem* RealFileSystemInstance();
 /// (seed, operation sequence).
 struct StorageFaultConfig {
   uint64_t seed = 0xF11E5EEDull;
-  /// WriteFileAtomic / AppendToFile fails before any byte lands
-  /// ("No space left on device").
+  /// WriteFileAtomic fails before any byte lands ("No space left on
+  /// device").
   double enospc_rate = 0.0;
-  /// AppendToFile writes only a random proper prefix, then reports
-  /// kIoError (a short write must never look like success).
-  double torn_append_rate = 0.0;
   /// WriteFileAtomic fails at the rename step; the target keeps its old
   /// contents and (hygiene) the temp file is cleaned up.
   double rename_fail_rate = 0.0;
@@ -121,17 +112,16 @@ struct StorageFaultConfig {
   bool lose_unsynced_on_crash = false;
 
   bool enabled() const {
-    return enospc_rate > 0.0 || torn_append_rate > 0.0 ||
-           rename_fail_rate > 0.0 || read_bitrot_rate > 0.0 ||
-           tmp_litter_rate > 0.0 || lose_unsynced_on_crash;
+    return enospc_rate > 0.0 || rename_fail_rate > 0.0 ||
+           read_bitrot_rate > 0.0 || tmp_litter_rate > 0.0 ||
+           lose_unsynced_on_crash;
   }
 };
 
 /// Exact counts of what the fault layer injected; chaos invariants
 /// reconcile these against what the trainer observed.
 struct StorageFaultStats {
-  int64_t enospc_failures = 0;   // writes/appends failed with ENOSPC
-  int64_t torn_appends = 0;      // appends that wrote a proper prefix
+  int64_t enospc_failures = 0;   // writes failed with ENOSPC
   int64_t rename_failures = 0;   // atomic replaces failed at rename
   int64_t bitrot_reads = 0;      // reads returned a flipped bit
   int64_t tmp_litter_files = 0;  // stale .tmp files planted
@@ -141,7 +131,7 @@ struct StorageFaultStats {
   /// Faults that surface as a failed write call (each failing call
   /// carries exactly one of these).
   int64_t WriteFaults() const {
-    return enospc_failures + torn_appends + rename_failures;
+    return enospc_failures + rename_failures;
   }
 };
 
@@ -158,8 +148,6 @@ class FaultyFileSystem : public FileSystem {
 
   [[nodiscard]] Status WriteFileAtomic(const std::string& path,
                                        const std::string& contents) override;
-  [[nodiscard]] Status AppendToFile(const std::string& path,
-                                    const std::string& contents) override;
   [[nodiscard]] Result<std::string> ReadFile(const std::string& path) override;
   [[nodiscard]] Result<std::vector<std::string>> ListDir(
       const std::string& dir) override;

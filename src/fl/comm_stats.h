@@ -46,11 +46,11 @@ struct FaultStats {
   int64_t net_dedup_drops = 0; // duplicate pushes absorbed by server dedup
   int64_t net_late_drops = 0;  // frames discarded for missing the deadline
   int64_t net_lost = 0;        // client-rounds lost to a dead link
-  // Storage telemetry (common/env): persistence calls (journal append,
-  // snapshot write) that failed at the filesystem. Training continues —
-  // the model is unaffected — but durability coverage degrades, so the
-  // count is surfaced rather than swallowed. Attributed to STORAGE:
-  // never to the network or to client reputation.
+  // Storage telemetry (common/env): persistence calls (snapshot writes)
+  // that failed at the filesystem. Training continues — the model is
+  // unaffected — but durability coverage degrades, so the count is
+  // surfaced rather than swallowed. Attributed to STORAGE: never to the
+  // network or to client reputation.
   int64_t storage_write_failures = 0;
 
   /// Mean fraction of each round's cohort that actually reported.
@@ -62,9 +62,9 @@ struct FaultStats {
 };
 
 /// Per-round telemetry (drives the convergence analysis of Fig. 5 and
-/// the resilience curves of bench_fault_tolerance). One journal line
-/// per record is persisted by the durability layer (fl/run_state) so a
-/// resumed run can replay its history.
+/// the resilience curves of bench_fault_tolerance). Every snapshot the
+/// durability layer (fl/run_state) writes carries the history so far,
+/// so a resumed run reports the rounds it did not re-execute.
 struct RoundRecord {
   int round = 0;
   double mean_train_loss = 0.0;
@@ -95,11 +95,6 @@ struct RoundRecord {
   int net_dedup_drops = 0;
   int net_late_drops = 0;
   int net_lost = 0;              // contacted clients lost to network faults
-  // Storage telemetry: lifetime storage_write_failures at the time this
-  // round committed (a running total, not a per-round delta, so a
-  // journal line lost to the very fault it would have recorded still
-  // shows up as a jump in the next surviving line).
-  int storage_write_failures = 0;
 };
 
 /// How a counter's FaultStats total relates to its per-round column.
@@ -124,11 +119,12 @@ struct CounterSpec {
   int64_t FaultStats::*total;  // nullptr: no FaultStats total
 };
 
-/// The single list of counters. The round fold, the snapshot codec, the
-/// journal columns, DescribeMismatch, and the chaos invariants all
-/// iterate it, so adding a counter means adding its fields, one row
-/// here, and the line that increments it. Reordering or inserting rows changes the snapshot and
-/// journal layouts: bump the run-state version (fl/run_state.cc).
+/// The single list of counters. The round fold, the snapshot codec
+/// (totals and history columns), DescribeMismatch, and the chaos
+/// invariants all iterate it, so adding a counter means adding its
+/// fields, one row here, and the line that increments it. Reordering or
+/// inserting rows changes the snapshot layout: bump the run-state
+/// version (fl/run_state.cc).
 inline constexpr CounterSpec kCounters[] = {
     // Cohort bookkeeping (Algorithm 3 line 2 and its survivors).
     {"sampled", CounterScope::kRun, &RoundRecord::sampled,
@@ -179,8 +175,7 @@ inline constexpr CounterSpec kCounters[] = {
     {"parole_events", CounterScope::kLifetime, nullptr,
      &FaultStats::parole_events},
     // Storage (common/env).
-    {"storage_write_failures", CounterScope::kLifetime,
-     &RoundRecord::storage_write_failures,
+    {"storage_write_failures", CounterScope::kLifetime, nullptr,
      &FaultStats::storage_write_failures},
 };
 

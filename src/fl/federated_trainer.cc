@@ -214,6 +214,7 @@ ServerRunState FederatedTrainer::CaptureState(int round,
   state.net_rng_state = net_rng_.SerializeState();
   state.adversary_blob = adversary_ ? adversary_->SerializeState() : std::string();
   state.normbound_blob = EncodeNormWindow(normbound_window_);
+  state.history = result.history;
   return state;
 }
 
@@ -295,8 +296,8 @@ Status FederatedTrainer::SaveSnapshot(int round,
     // is untouched.
     (void)fs->CreateDirs(durability.dir);  // best-effort, like a dying writer
     const std::string encoded = EncodeRunState(state);
-    const Status half =
-        fs->AppendToFile(path + ".tmp", encoded.substr(0, encoded.size() / 2));
+    const Status half = fs->WriteFileAtomic(
+        path + ".tmp", encoded.substr(0, encoded.size() / 2));
     // A storage fault can hit even the dying write; count it so the
     // attribution ledger stays exact, then crash as scheduled.
     if (!half.ok()) ++lifetime_.storage_write_failures;
@@ -304,8 +305,7 @@ Status FederatedTrainer::SaveSnapshot(int round,
   }
   LIGHTTR_RETURN_NOT_OK(SaveRunState(fs, path, state));
   // The snapshot is the durability point: sync so a simulated power
-  // loss cannot revert behind it (this also makes the journal records
-  // up to this round crash-proof).
+  // loss cannot revert behind it.
   LIGHTTR_RETURN_NOT_OK(fs->SyncAll());
   PruneSnapshots(fs, durability.dir, durability.keep_snapshots);
   return Status::Ok();
@@ -356,28 +356,7 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
     resume_seed_ = FederatedRunResult{};
     resume_seed_.comm = state.comm;
     resume_seed_.faults = state.faults;
-    // Replay the journal up to the snapshot round; later records belong
-    // to rounds that will be re-executed, so drop them from disk too
-    // (otherwise the journal would hold duplicates after the rerun).
-    Result<std::vector<RoundRecord>> journal = ReadJournal(fs, dir);
-    if (!journal.ok()) return journal.status();
-    for (const RoundRecord& record : journal.value()) {
-      if (record.round <= state.round) resume_seed_.history.push_back(record);
-    }
-    if (resume_seed_.history.size() != journal.value().size()) {
-      const Status rewritten = RewriteJournal(fs, dir, resume_seed_.history);
-      if (!rewritten.ok()) {
-        // A failed truncation would leave stale future-round records
-        // that the rerun will duplicate. Count the storage fault and
-        // retry once; if the filesystem still refuses, resume fails.
-        ++lifetime_.storage_write_failures;
-        const Status retried = RewriteJournal(fs, dir, resume_seed_.history);
-        if (!retried.ok()) {
-          ++lifetime_.storage_write_failures;
-          return retried;
-        }
-      }
-    }
+    resume_seed_.history = state.history;
     std::fprintf(stderr, "[lighttr] resumed from %s (round %d complete)\n",
                  path.c_str(), state.round);
     return Status::Ok();
@@ -762,7 +741,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
 
     // Self-healing: judge the round, book the evidence, and on a
     // diverged verdict roll back to the last healthy state — all on
-    // the coordinating thread, before anything is journaled.
+    // the coordinating thread, before anything is recorded.
     if (healing) {
       RoundHealthReport report = monitor_.Judge(
           &observations, global_model_->params().Flatten(), record.valid_loss);
@@ -795,7 +774,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
           result.comm = last_healthy_->comm;
           result.faults = last_healthy_->faults;
           CopyLifetimeCounters(lifetime_, &result.faults);
-          // The diverged round is neither journaled nor recorded: it
+          // The diverged round is neither recorded nor snapshotted: it
           // re-executes (with escalation and the updated ledger) as if
           // it never happened.
           round = anchor;
@@ -816,41 +795,29 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       lifetime_.parole_events += book_->Tick();
       record.quarantined = book_->QuarantinedCount();
       CopyLifetimeCounters(lifetime_, &result.faults);
-      last_healthy_ = CaptureState(round, result);
     }
     record.wall_seconds = watch.ElapsedSeconds();
-    record.storage_write_failures =
-        static_cast<int>(lifetime_.storage_write_failures);
     result.history.push_back(record);
+    // The committed round, its record included, is the rollback anchor.
+    if (healing) last_healthy_ = CaptureState(round, result);
 
-    if (durability.enabled()) {
-      // Journal first, snapshot second: a crash between the two leaves
-      // a journal record newer than any snapshot, which ResumeFrom
-      // truncates before re-executing the round.
-      //
-      // Persistence failures here are survivable, not fatal: the round
-      // already committed in memory and the model is untouched, so the
-      // run continues with degraded durability coverage and the failure
+    const bool snapshot_due =
+        durability.enabled() && (round % durability.snapshot_every == 0 ||
+                                 round == options_.rounds);
+    if (snapshot_due) {
+      // A failed snapshot is survivable, not fatal: the round already
+      // committed in memory and the model is untouched, so the run
+      // continues with degraded durability coverage and the failure
       // attributed to the storage counter. (A real deployment pages an
       // operator; aborting training over a full disk would be worse.)
-      const Status journaled = AppendJournalRecord(DurableFs(),
-                                                   durability.dir, record);
-      if (!journaled.ok()) ++lifetime_.storage_write_failures;
-      const bool snapshot_due = round % durability.snapshot_every == 0 ||
-                                round == options_.rounds;
-      if (snapshot_due) {
-        MaybeInjectCrash(durability, CrashPoint::kBeforeSave, round);
-        // Refresh first so the snapshot carries any journal failure
-        // just counted (resume must restore an exact ledger).
-        CopyLifetimeCounters(lifetime_, &result.faults);
-        const Status saved = SaveSnapshot(round, result);
-        if (!saved.ok()) ++lifetime_.storage_write_failures;
-        MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
-      }
+      MaybeInjectCrash(durability, CrashPoint::kBeforeSave, round);
+      const Status saved = SaveSnapshot(round, result);
+      if (!saved.ok()) ++lifetime_.storage_write_failures;
+      MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
     }
   }
-  // Late storage failures (this loop's final journal/snapshot writes)
-  // still reach the caller's telemetry.
+  // Late storage failures (this loop's final snapshot write) still
+  // reach the caller's telemetry.
   CopyLifetimeCounters(lifetime_, &result.faults);
   start_round_ = 0;
   resume_seed_ = FederatedRunResult{};

@@ -107,8 +107,8 @@ struct FederatedTrainerOptions {
   FaultInjectionConfig faults;
   /// Server-side tolerance policy (screening is on by default).
   FaultToleranceConfig tolerance;
-  /// Crash-safe persistence: periodic snapshots + round journal under
-  /// `durability.dir`, and optional resume from it (off by default).
+  /// Crash-safe persistence: periodic snapshots under `durability.dir`,
+  /// and optional resume from it (off by default).
   DurabilityConfig durability;
   /// Self-healing layer: health verdicts, divergence rollback, client
   /// quarantine (off by default).
@@ -174,11 +174,11 @@ class FederatedTrainer {
   /// happened). Run() continues at resumed_round() + 1.
   int resumed_round() const { return resumed_round_; }
 
-  /// Lifetime count of persistence calls (journal append, snapshot
-  /// write/sync) that failed at the filesystem. Training continues past
-  /// such failures — the model is unaffected — but the count is
-  /// surfaced so chaos invariants can reconcile it against what the
-  /// fault-injecting filesystem reports.
+  /// Lifetime count of persistence calls (snapshot write/sync) that
+  /// failed at the filesystem. Training continues past such failures —
+  /// the model is unaffected — but the count is surfaced so chaos
+  /// invariants can reconcile it against what the fault-injecting
+  /// filesystem reports.
   int64_t storage_write_failures() const {
     return lifetime_.storage_write_failures;
   }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "common/binary_io.h"
 #include "common/check.h"
@@ -20,96 +19,58 @@ constexpr char kMagic[4] = {'L', 'T', 'R', 'S'};
 // The one readable layout. Any incompatible change (including adding,
 // removing, or reordering a kCounters row) bumps it; older snapshots
 // are then rejected rather than half-read.
-constexpr uint32_t kVersion = 6;
-constexpr char kJournalName[] = "journal.log";
+constexpr uint32_t kVersion = 7;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".ltrs";
-// Journal columns ahead of the kCounters columns: round, the four
-// doubles, and the two flags.
-constexpr size_t kJournalFixedFields = 7;
 
-std::string JournalPath(const std::string& dir) {
-  return dir + "/" + kJournalName;
+// A boolean stored as one byte that must be exactly 0 or 1.
+Status ReadFlag(BinaryReader* reader, const char* name, bool* out) {
+  uint8_t byte = 0;
+  LIGHTTR_RETURN_NOT_OK(reader->ReadU8(&byte));
+  if (byte > 1) {
+    return Status::InvalidArgument(std::string("run-state snapshot: bad ") +
+                                   name + " flag");
+  }
+  *out = byte != 0;
+  return Status::Ok();
 }
 
-size_t JournalFieldCount() {
-  size_t fields = kJournalFixedFields;
+// One history record: the round, the four doubles, the two flags, then
+// every kCounters per-round column in table order.
+void WriteRoundRecord(const RoundRecord& record, BinaryWriter* writer) {
+  writer->WriteU32(static_cast<uint32_t>(record.round));
+  writer->WriteF64(record.mean_train_loss);
+  writer->WriteF64(record.global_valid_accuracy);
+  writer->WriteF64(record.wall_seconds);
+  writer->WriteF64(record.valid_loss);
+  writer->WriteU8(record.quorum_met ? 1 : 0);
+  writer->WriteU8(record.escalated ? 1 : 0);
   for (const CounterSpec& counter : kCounters) {
-    if (counter.round != nullptr) ++fields;
+    if (counter.round != nullptr) writer->WriteI64(record.*counter.round);
   }
-  return fields;
 }
 
-// One journal line: the fixed fields, then every kCounters per-round
-// column in table order, then the CRC-32 (8 hex digits) of everything
-// before the final space. Doubles use %.17g so the text round-trips
-// bit-exactly. The line is framed by newlines on both sides: even when
-// the previous append was torn mid-line, this record starts on a fresh
-// line of its own (blank lines are skipped on replay).
-std::string FormatJournalLine(const RoundRecord& r) {
-  char fixed[160];
-  std::snprintf(fixed, sizeof(fixed), "%d %.17g %.17g %.17g %.17g %d %d",
-                r.round, r.mean_train_loss, r.global_valid_accuracy,
-                r.wall_seconds, r.valid_loss, r.quorum_met ? 1 : 0,
-                r.escalated ? 1 : 0);
-  std::string body = fixed;
-  for (const CounterSpec& counter : kCounters) {
-    if (counter.round == nullptr) continue;
-    body += ' ';
-    body += std::to_string(r.*counter.round);
-  }
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
-  return "\n" + body + " " + crc + "\n";
-}
-
-bool ParseJournalLine(const std::string& line, RoundRecord* out) {
-  const size_t last_space = line.rfind(' ');
-  if (last_space == std::string::npos) return false;
-  const std::string body = line.substr(0, last_space);
-  const std::string crc_text = line.substr(last_space + 1);
-  if (crc_text.size() != 8) return false;
-  char* end = nullptr;
-  const unsigned long crc_claim = std::strtoul(crc_text.c_str(), &end, 16);
-  if (end != crc_text.c_str() + crc_text.size()) return false;
-  if (static_cast<uint32_t>(crc_claim) != Crc32(body)) return false;
-
-  std::istringstream tokens(body);
-  std::vector<std::string> field;
-  std::string token;
-  while (tokens >> token) field.push_back(token);
-  if (field.size() != JournalFieldCount()) return false;
-
-  auto to_int = [](const std::string& s, int* v) {
-    char* e = nullptr;
-    const long long parsed = std::strtoll(s.c_str(), &e, 10);
-    if (e != s.c_str() + s.size()) return false;
-    *v = static_cast<int>(parsed);
-    return true;
-  };
-  auto to_double = [](const std::string& s, double* v) {
-    char* e = nullptr;
-    *v = std::strtod(s.c_str(), &e);
-    return e == s.c_str() + s.size();
-  };
-  int quorum = 0;
-  int escalated = 0;
-  if (!to_int(field[0], &out->round) ||
-      !to_double(field[1], &out->mean_train_loss) ||
-      !to_double(field[2], &out->global_valid_accuracy) ||
-      !to_double(field[3], &out->wall_seconds) ||
-      !to_double(field[4], &out->valid_loss) || !to_int(field[5], &quorum) ||
-      !to_int(field[6], &escalated)) {
-    return false;
-  }
-  out->quorum_met = quorum != 0;
-  out->escalated = escalated != 0;
-  size_t next = kJournalFixedFields;
+Status ReadRoundRecord(BinaryReader* reader, RoundRecord* record) {
+  uint32_t round = 0;
+  LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&round));
+  record->round = static_cast<int>(round);  // the caller checks its value
+  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->mean_train_loss));
+  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->global_valid_accuracy));
+  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->wall_seconds));
+  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->valid_loss));
+  LIGHTTR_RETURN_NOT_OK(ReadFlag(reader, "quorum", &record->quorum_met));
+  LIGHTTR_RETURN_NOT_OK(ReadFlag(reader, "escalation", &record->escalated));
   for (const CounterSpec& counter : kCounters) {
     if (counter.round == nullptr) continue;
-    if (!to_int(field[next++], &(out->*counter.round))) return false;
+    int64_t value = 0;
+    LIGHTTR_RETURN_NOT_OK(reader->ReadI64(&value));
+    if (value < INT_MIN || value > INT_MAX) {
+      return Status::InvalidArgument(std::string("run-state snapshot: ") +
+                                     counter.name + " out of range");
+    }
+    record->*counter.round = static_cast<int>(value);
   }
-  return true;
+  return Status::Ok();
 }
 
 std::string SnapshotFileName(int round) {
@@ -175,6 +136,10 @@ std::string EncodeRunState(const ServerRunState& state) {
   writer.WriteU8(state.escalated ? 1 : 0);
   writer.WriteString(state.adversary_blob);
   writer.WriteString(state.normbound_blob);
+  writer.WriteU32(static_cast<uint32_t>(state.history.size()));
+  for (const RoundRecord& record : state.history) {
+    WriteRoundRecord(record, &writer);
+  }
   std::string out = writer.Take();
   AppendCrc32Trailer(&out);
   return out;
@@ -208,6 +173,9 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   }
   uint32_t round = 0;
   LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&round));
+  if (round > INT_MAX) {
+    return Status::InvalidArgument("run-state snapshot: bad round");
+  }
   state->round = static_cast<int>(round);
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->rng_state));
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->fault_rng_state));
@@ -233,14 +201,30 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   }
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->reputation_blob));
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->monitor_blob));
-  uint8_t escalated = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&escalated));
-  if (escalated > 1) {
-    return Status::InvalidArgument("run-state snapshot: bad escalation flag");
-  }
-  state->escalated = escalated != 0;
+  LIGHTTR_RETURN_NOT_OK(ReadFlag(&reader, "escalation", &state->escalated));
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->adversary_blob));
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->normbound_blob));
+  // The history is exactly rounds 1..round, in order. Records are read
+  // one at a time (never sized from the stored count), so a hostile
+  // count fails on truncation instead of allocating.
+  uint32_t count = 0;
+  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&count));
+  if (count != round) {
+    return Status::InvalidArgument(
+        "run-state snapshot: " + std::to_string(count) +
+        " history records for round " + std::to_string(round));
+  }
+  state->history.clear();
+  for (int expected = 1; expected <= state->round; ++expected) {
+    RoundRecord record;
+    LIGHTTR_RETURN_NOT_OK(ReadRoundRecord(&reader, &record));
+    if (record.round != expected) {
+      return Status::InvalidArgument(
+          "run-state snapshot: history record " + std::to_string(expected) +
+          " holds round " + std::to_string(record.round));
+    }
+    state->history.push_back(record);
+  }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in run-state snapshot");
   }
@@ -312,54 +296,6 @@ void PruneSnapshots(FileSystem* fs, const std::string& dir, int keep) {
   for (size_t i = 0; i + static_cast<size_t>(keep) < all.size(); ++i) {
     (void)fs->Remove(SnapshotPath(dir, all[i]));  // best-effort pruning
   }
-}
-
-Status AppendJournalRecord(FileSystem* fs, const std::string& dir,
-                           const RoundRecord& record) {
-  LIGHTTR_CHECK(fs != nullptr);
-  Status created = fs->CreateDirs(dir);
-  if (!created.ok()) {
-    return Status::IoError("cannot create journal directory " + dir + ": " +
-                           created.message());
-  }
-  return fs->AppendToFile(JournalPath(dir), FormatJournalLine(record));
-}
-
-Result<std::vector<RoundRecord>> ReadJournal(FileSystem* fs,
-                                             const std::string& dir) {
-  LIGHTTR_CHECK(fs != nullptr);
-  const std::string path = JournalPath(dir);
-  if (!fs->Exists(path)) {
-    return std::vector<RoundRecord>{};  // fresh directory: empty history
-  }
-  Result<std::string> contents = fs->ReadFile(path);
-  if (!contents.ok()) return contents.status();
-  std::vector<RoundRecord> records;
-  std::istringstream lines(contents.value());
-  std::string line;
-  while (std::getline(lines, line)) {
-    RoundRecord record;
-    // A line that fails its CRC (or cannot parse) is what a torn append
-    // leaves behind. Every record starts on a fresh line, so the damage
-    // ends at this line's end and later records are intact.
-    if (ParseJournalLine(line, &record)) records.push_back(record);
-  }
-  return records;
-}
-
-Status RewriteJournal(FileSystem* fs, const std::string& dir,
-                      const std::vector<RoundRecord>& records) {
-  LIGHTTR_CHECK(fs != nullptr);
-  std::string contents;
-  for (const RoundRecord& record : records) {
-    contents += FormatJournalLine(record);
-  }
-  Status created = fs->CreateDirs(dir);
-  if (!created.ok()) {
-    return Status::IoError("cannot create journal directory " + dir + ": " +
-                           created.message());
-  }
-  return fs->WriteFileAtomic(JournalPath(dir), contents);
 }
 
 }  // namespace lighttr::fl

@@ -1,25 +1,22 @@
 // Durable server state for the federated loop: periodic full-state
-// snapshots plus an append-only, CRC-tagged round journal, so a
-// coordinator killed mid-run can resume and converge bitwise-identically
-// to an uninterrupted run.
+// snapshots, so a coordinator killed mid-run can resume and converge
+// bitwise-identically to an uninterrupted run.
 //
 // Directory layout (everything under DurabilityConfig::dir):
 //
-//   snapshot-000012.ltrs   full ServerRunState after round 12
+//   snapshot-000012.ltrs   full ServerRunState after round 12, round
+//                          history included
 //   snapshot-000016.ltrs   ... the newest `keep_snapshots` are retained
-//   journal.log            one line per completed round, CRC-tagged
 //   *.tmp                  in-flight atomic writes; ignored by readers
 //
 // Snapshots are written via WriteFileAtomic and carry a whole-file
 // CRC-32, so a crash at any point leaves either the previous snapshot
 // set intact or a new fully-valid snapshot — never a half-written one
-// that parses. The journal is append-only and every record starts on a
-// fresh line, so a torn append fails its own line's CRC and costs only
-// its own record on replay.
+// that parses. Each snapshot is self-contained: resume needs no other
+// file.
 //
 // Only the current format version is read: an older snapshot is
-// rejected with "unsupported run-state version N", and a journal line
-// with any other column count fails to parse.
+// rejected with "unsupported run-state version N".
 #ifndef LIGHTTR_FL_RUN_STATE_H_
 #define LIGHTTR_FL_RUN_STATE_H_
 
@@ -56,7 +53,7 @@ struct InjectedCrash {
 /// Server-side durability knobs. Durability is off (no files written)
 /// while `dir` is empty.
 struct DurabilityConfig {
-  /// Directory for snapshots + journal; created on first save.
+  /// Directory for snapshots; created on first save.
   std::string dir;
   /// Filesystem all durability IO goes through. Null means the real
   /// disk; tests and the chaos engine point this at a FaultyFileSystem
@@ -88,8 +85,8 @@ void MaybeInjectCrash(const DurabilityConfig& config, CrashPoint point,
 /// last completed round, every RNG stream state (so a resumed run
 /// replays the same fault, network, and attack weather), accumulated
 /// telemetry (every kCounters row), the global parameters (float64
-/// checkpoint blob), each client optimizer's state, and the
-/// self-healing and Byzantine-defence state.
+/// checkpoint blob), each client optimizer's state, the self-healing
+/// and Byzantine-defence state, and the round history.
 struct ServerRunState {
   int round = 0;
   std::string rng_state;        // FederatedTrainer::rng_
@@ -104,13 +101,15 @@ struct ServerRunState {
   bool escalated = false;       // screening escalation latch
   std::string adversary_blob;   // AdversaryEngine::SerializeState ("" when off)
   std::string normbound_blob;   // trainer's rolling accepted-norm window
+  std::vector<RoundRecord> history;  // rounds 1..round, in order
 };
 
 /// Encodes a snapshot ("LTRS" magic, version, fields, whole-file CRC).
 std::string EncodeRunState(const ServerRunState& state);
 
 /// Decodes an EncodeRunState blob; any integrity violation (bad magic,
-/// truncation, CRC mismatch, oversized lengths) yields a non-OK Status.
+/// truncation, CRC mismatch, oversized lengths, a history that is not
+/// exactly rounds 1..round) yields a non-OK Status.
 [[nodiscard]] Status DecodeRunState(const std::string& bytes,
                                     ServerRunState* state);
 
@@ -137,24 +136,6 @@ std::string SnapshotPath(const std::string& dir, int round);
 
 /// Deletes all but the newest `keep` snapshots (best effort).
 void PruneSnapshots(FileSystem* fs, const std::string& dir, int keep);
-
-/// Appends one CRC-tagged journal line for a completed round, starting
-/// on a fresh line so an earlier torn append cannot swallow it.
-[[nodiscard]] Status AppendJournalRecord(FileSystem* fs,
-                                         const std::string& dir,
-                                         const RoundRecord& record);
-
-/// Replays the journal: returns every record whose line passes its CRC,
-/// in file order, skipping lines a torn append left behind. A missing
-/// journal is an empty history, not an error.
-[[nodiscard]] Result<std::vector<RoundRecord>> ReadJournal(
-    FileSystem* fs, const std::string& dir);
-
-/// Atomically rewrites the journal to exactly `records` (used on resume
-/// to drop records newer than the snapshot being resumed from, since
-/// those rounds will be re-executed).
-[[nodiscard]] Status RewriteJournal(FileSystem* fs, const std::string& dir,
-                                    const std::vector<RoundRecord>& records);
 
 }  // namespace lighttr::fl
 

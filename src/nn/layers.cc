@@ -44,36 +44,6 @@ Tensor GruCell::InitialState() const {
   return Tensor::Constant(Matrix::Zeros(1, hidden_dim_));
 }
 
-LstmCell::LstmCell(size_t input_dim, size_t hidden_dim,
-                   const std::string& prefix, ParameterSet* params, Rng* rng)
-    : hidden_dim_(hidden_dim),
-      gate_i_(hidden_dim + input_dim, hidden_dim, prefix + ".i", params, rng),
-      gate_f_(hidden_dim + input_dim, hidden_dim, prefix + ".f", params, rng),
-      gate_o_(hidden_dim + input_dim, hidden_dim, prefix + ".o", params, rng),
-      gate_g_(hidden_dim + input_dim, hidden_dim, prefix + ".g", params,
-              rng) {}
-
-LstmCell::State LstmCell::Forward(const Tensor& x,
-                                  const State& previous) const {
-  LIGHTTR_DCHECK_EQ(previous.h.cols(), hidden_dim_);
-  LIGHTTR_DCHECK_EQ(previous.c.cols(), hidden_dim_);
-  LIGHTTR_DCHECK_EQ(previous.h.rows(), x.rows());
-  const Tensor hx = ConcatCols(previous.h, x);
-  const Tensor i = Sigmoid(gate_i_.Forward(hx));
-  const Tensor f = Sigmoid(gate_f_.Forward(hx));
-  const Tensor o = Sigmoid(gate_o_.Forward(hx));
-  const Tensor g = Tanh(gate_g_.Forward(hx));
-  State next;
-  next.c = Add(Mul(f, previous.c), Mul(i, g));
-  next.h = Mul(o, Tanh(next.c));
-  return next;
-}
-
-LstmCell::State LstmCell::InitialState() const {
-  return State{Tensor::Constant(Matrix::Zeros(1, hidden_dim_)),
-               Tensor::Constant(Matrix::Zeros(1, hidden_dim_))};
-}
-
 RnnCell::RnnCell(size_t input_dim, size_t hidden_dim,
                  const std::string& prefix, ParameterSet* params, Rng* rng)
     : hidden_dim_(hidden_dim),

@@ -59,31 +59,6 @@ class GruCell {
   Dense gate_h_;
 };
 
-/// Long short-term memory cell (alternative RNN-family ST-operator):
-///   i, f, o = sigma(W_{i,f,o} [h, x] + b); g = tanh(W_g [h, x] + b)
-///   c' = f * c + i * g;  h' = o * tanh(c').
-class LstmCell {
- public:
-  LstmCell(size_t input_dim, size_t hidden_dim, const std::string& prefix,
-           ParameterSet* params, Rng* rng);
-
-  /// One step; returns the pair via output parameters-free struct.
-  struct State {
-    Tensor h;
-    Tensor c;
-  };
-  State Forward(const Tensor& x, const State& previous) const;
-  State InitialState() const;
-  size_t hidden_dim() const { return hidden_dim_; }
-
- private:
-  size_t hidden_dim_;
-  Dense gate_i_;
-  Dense gate_f_;
-  Dense gate_o_;
-  Dense gate_g_;
-};
-
 /// Vanilla tanh RNN cell: h_t = tanh(W [h_{t-1}, x_t] + b).
 class RnnCell {
  public:

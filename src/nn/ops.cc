@@ -357,56 +357,6 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
   });
 }
 
-Tensor LayerNormRows(const Tensor& a, Scalar epsilon) {
-  const size_t rows = a.rows();
-  const size_t cols = a.cols();
-  LIGHTTR_CHECK_GE(cols, 1u);
-  Matrix out(rows, cols);
-  // Cache per-row mean and inverse stddev for the backward pass.
-  auto stats = std::make_shared<Matrix>(rows, 2);
-  for (size_t r = 0; r < rows; ++r) {
-    Scalar mean{0};
-    for (size_t c = 0; c < cols; ++c) mean += a.value()(r, c);
-    mean /= static_cast<Scalar>(cols);
-    Scalar var{0};
-    for (size_t c = 0; c < cols; ++c) {
-      const Scalar d = a.value()(r, c) - mean;
-      var += d * d;
-    }
-    var /= static_cast<Scalar>(cols);
-    const Scalar inv_std = Scalar{1} / std::sqrt(var + epsilon);
-    (*stats)(r, 0) = mean;
-    (*stats)(r, 1) = inv_std;
-    for (size_t c = 0; c < cols; ++c) {
-      out(r, c) = (a.value()(r, c) - mean) * inv_std;
-    }
-  }
-  AddFlops(static_cast<int64_t>(6 * rows * cols));
-  return Tensor::MakeOp(std::move(out), {a}, [a, stats](TensorNode& self) {
-    if (!a.requires_grad()) return;
-    Matrix& ag = a.grad();
-    const size_t grad_cols = ag.cols();
-    const auto n = static_cast<Scalar>(grad_cols);
-    for (size_t r = 0; r < ag.rows(); ++r) {
-      const Scalar inv_std = (*stats)(r, 1);
-      // dL/dx = inv_std * (g - mean(g) - y * mean(g * y))
-      Scalar g_mean{0};
-      Scalar gy_mean{0};
-      for (size_t c = 0; c < grad_cols; ++c) {
-        g_mean += self.grad(r, c);
-        gy_mean += self.grad(r, c) * self.value(r, c);
-      }
-      g_mean /= n;
-      gy_mean /= n;
-      for (size_t c = 0; c < grad_cols; ++c) {
-        ag(r, c) += inv_std * (self.grad(r, c) - g_mean -
-                               self.value(r, c) * gy_mean);
-      }
-    }
-    AddFlops(static_cast<int64_t>(8 * ag.size()));
-  });
-}
-
 Tensor GruStep(const Tensor& x, const Tensor& h_prev, const Tensor& wr,
                const Tensor& br, const Tensor& wz, const Tensor& bz,
                const Tensor& wh, const Tensor& bh) {

@@ -72,10 +72,6 @@ Tensor Dropout(const Tensor& a, double p, bool training, Rng* rng);
 /// Backward scatter-adds into the table rows.
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
 
-/// Row-wise layer normalisation (no learned affine): each row is
-/// centred and scaled to unit variance (epsilon-stabilised).
-Tensor LayerNormRows(const Tensor& a, Scalar epsilon = Scalar{1e-5});
-
 /// One fused GRU step (paper Eq. 5), replacing the ~12-node op chain a
 /// composed implementation builds per step with a single graph node:
 ///   r = sigma(x_h W_r + b_r)   with x_h = [h_prev | x] (never

@@ -27,7 +27,6 @@ ChaosScenario EverythingOnScenario() {
   s.storage_on = true;
   s.storage.seed = 17;
   s.storage.enospc_rate = 0.05;
-  s.storage.torn_append_rate = 0.1;
   s.storage.rename_fail_rate = 0.125;
   s.storage.read_bitrot_rate = 0.01;
   s.storage.tmp_litter_rate = 0.2;
@@ -62,7 +61,6 @@ void ExpectSameScenario(const ChaosScenario& a, const ChaosScenario& b) {
   if (a.storage_on && b.storage_on) {
     EXPECT_EQ(a.storage.seed, b.storage.seed);
     EXPECT_EQ(a.storage.enospc_rate, b.storage.enospc_rate);
-    EXPECT_EQ(a.storage.torn_append_rate, b.storage.torn_append_rate);
     EXPECT_EQ(a.storage.rename_fail_rate, b.storage.rename_fail_rate);
     EXPECT_EQ(a.storage.read_bitrot_rate, b.storage.read_bitrot_rate);
     EXPECT_EQ(a.storage.tmp_litter_rate, b.storage.tmp_litter_rate);
@@ -204,13 +202,13 @@ TEST(ChaosCampaign, ScenarioReportsAreDeterministic) {
   s.clients = 3;
   s.storage_on = true;
   s.storage.enospc_rate = 0.15;
-  s.storage.torn_append_rate = 0.15;
+  s.storage.rename_fail_rate = 0.15;
   const ScenarioReport a = RunScenario(s);
   const ScenarioReport b = RunScenario(s);
   EXPECT_EQ(a.violations.size(), b.violations.size());
   EXPECT_EQ(a.trainer_storage_failures, b.trainer_storage_failures);
   EXPECT_EQ(a.storage_stats.WriteFaults(), b.storage_stats.WriteFaults());
-  EXPECT_EQ(a.storage_stats.torn_appends, b.storage_stats.torn_appends);
+  EXPECT_EQ(a.storage_stats.rename_failures, b.storage_stats.rename_failures);
 }
 
 // ---------------------------------------------------------------------

@@ -311,20 +311,6 @@ TEST(RealFileSystem, WriteFileAtomicFailsCleanlyOnBadPath) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
-TEST(RealFileSystem, AppendToFileAccumulates) {
-  FileSystem* fs = RealFileSystemInstance();
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "append_file").string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (std::filesystem::path(dir) / "log.txt").string();
-  ASSERT_TRUE(fs->AppendToFile(path, "one\n").ok());
-  ASSERT_TRUE(fs->AppendToFile(path, "two\n").ok());
-  auto read = fs->ReadFile(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value(), "one\ntwo\n");
-}
-
 TEST(Rng, StateSerializationResumesExactStream) {
   Rng rng(123);
   for (int i = 0; i < 57; ++i) rng.Uniform();  // advance mid-stream

@@ -1,15 +1,13 @@
-// Tests for the durability layer: run-state snapshot integrity, the
-// CRC-tagged round journal, crash injection at every CrashPoint, and
-// bitwise-identical resume of an interrupted federated run.
+// Tests for the durability layer: run-state snapshot integrity, crash
+// injection at every CrashPoint, and bitwise-identical resume of an
+// interrupted federated run, round history included.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
@@ -141,6 +139,11 @@ ServerRunState MakeState() {
   state.faults.simulated_backoff_s = 1.25;
   state.global_params_blob = "pretend-checkpoint-bytes";
   state.optimizer_blobs = {"opt-a", "opt-b", std::string("\0\x01", 2)};
+  for (int round = 1; round <= state.round; ++round) {
+    RoundRecord record;
+    record.round = round;
+    state.history.push_back(record);
+  }
   return state;
 }
 
@@ -197,8 +200,8 @@ TEST(RunState, ListAndPruneSnapshots) {
   }
   // In-flight temp files and unrelated names are ignored.
   ASSERT_TRUE(
-      Disk()->AppendToFile(SnapshotPath(dir, 20) + ".tmp", "partial").ok());
-  ASSERT_TRUE(Disk()->AppendToFile(dir + "/notes.txt", "x").ok());
+      Disk()->WriteFileAtomic(SnapshotPath(dir, 20) + ".tmp", "partial").ok());
+  ASSERT_TRUE(Disk()->WriteFileAtomic(dir + "/notes.txt", "x").ok());
   Result<std::vector<int>> rounds = ListSnapshotRounds(Disk(), dir);
   ASSERT_TRUE(rounds.ok());
   EXPECT_EQ(rounds.value(), (std::vector<int>{4, 8, 12, 16}));
@@ -217,7 +220,7 @@ TEST(RunState, StraySnapshotNameNeitherListsNorDisplacesTheRealOne) {
   ASSERT_TRUE(SaveRunState(Disk(), SnapshotPath(dir, 3), MakeState()).ok());
   for (const char* stray : {"snapshot-12.ltrs", "snapshot-+00012.ltrs",
                             "snapshot- 00012.ltrs", "snapshot-0000012.ltrs"}) {
-    ASSERT_TRUE(Disk()->AppendToFile(dir + "/" + stray, "stray").ok());
+    ASSERT_TRUE(Disk()->WriteFileAtomic(dir + "/" + stray, "stray").ok());
   }
   Result<std::vector<int>> rounds = ListSnapshotRounds(Disk(), dir);
   ASSERT_TRUE(rounds.ok());
@@ -226,139 +229,6 @@ TEST(RunState, StraySnapshotNameNeitherListsNorDisplacesTheRealOne) {
   PruneSnapshots(Disk(), dir, 1);
   EXPECT_TRUE(Disk()->Exists(SnapshotPath(dir, 3)));
   EXPECT_TRUE(Disk()->Exists(dir + "/snapshot-12.ltrs"));  // not ours
-}
-
-// ---------------------------------------------------------------------
-// Round journal
-
-// Every per-round counter gets a value distinct from every other
-// counter's (and from the other rounds'), so a column the journal
-// drops, swaps, or misparses shows up as a mismatch.
-RoundRecord MakeRecord(int round) {
-  RoundRecord record;
-  record.round = round;
-  record.mean_train_loss = 0.125 + round * 1e-17;  // exercise %.17g
-  record.global_valid_accuracy = 1.0 / 3.0;
-  record.wall_seconds = 0.002;
-  record.valid_loss = 2.0 / 3.0;
-  record.quorum_met = round % 2 == 0;
-  record.escalated = round % 3 == 0;
-  int value = 100 * round;
-  for (const CounterSpec& counter : kCounters) {
-    if (counter.round != nullptr) record.*counter.round = ++value;
-  }
-  return record;
-}
-
-TEST(Journal, AppendReadRoundTripsBitwise) {
-  const std::string dir = FreshDir("journal_roundtrip");
-  for (int round = 1; round <= 5; ++round) {
-    ASSERT_TRUE(AppendJournalRecord(Disk(), dir, MakeRecord(round)).ok());
-  }
-  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 5u);
-  for (int round = 1; round <= 5; ++round) {
-    EXPECT_EQ(DescribeMismatch(records.value()[round - 1], MakeRecord(round)),
-              "");
-    // Doubles must round-trip exactly through the text format.
-    EXPECT_EQ(records.value()[round - 1].wall_seconds, 0.002);
-  }
-}
-
-// A RAM disk whose `tear`-th append lands only half its bytes and
-// reports kIoError, like a crash or a short write mid-append.
-class TearOneAppend : public FaultyFileSystem {
- public:
-  explicit TearOneAppend(int tear) : tear_(tear) {}
-
-  Status AppendToFile(const std::string& path,
-                      const std::string& contents) override {
-    if (++appends_ != tear_) {
-      return FaultyFileSystem::AppendToFile(path, contents);
-    }
-    const std::string half = contents.substr(0, contents.size() / 2);
-    EXPECT_TRUE(FaultyFileSystem::AppendToFile(path, half).ok());
-    return Status::IoError("torn append");
-  }
-
- private:
-  int tear_;
-  int appends_ = 0;
-};
-
-// A torn append costs only its own record, whether it is the crashed
-// tail or mid-journal: later appends start on a fresh line, and replay
-// skips the damaged one instead of stopping.
-TEST(Journal, TornAppendCostsOnlyItsOwnRecord) {
-  for (const int tear : {5, 2}) {
-    SCOPED_TRACE(tear);
-    TearOneAppend fs(tear);
-    std::vector<int> expected;
-    for (int round = 1; round <= 5; ++round) {
-      EXPECT_EQ(AppendJournalRecord(&fs, "run", MakeRecord(round)).ok(),
-                round != tear);
-      if (round != tear) expected.push_back(round);
-    }
-    Result<std::vector<RoundRecord>> records = ReadJournal(&fs, "run");
-    ASSERT_TRUE(records.ok());
-    std::vector<int> rounds;
-    for (const RoundRecord& record : records.value()) {
-      rounds.push_back(record.round);
-      EXPECT_EQ(DescribeMismatch(record, MakeRecord(record.round)), "");
-    }
-    EXPECT_EQ(rounds, expected);  // tear 2: {1, 3, 4, 5}
-  }
-}
-
-TEST(Journal, MissingJournalIsEmptyHistory) {
-  const std::string dir = FreshDir("journal_missing");
-  std::filesystem::create_directories(dir);
-  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
-  ASSERT_TRUE(records.ok());
-  EXPECT_TRUE(records.value().empty());
-}
-
-// Only the current column layout parses: a correctly CRC-signed line
-// with one column too many or too few (say, an eleven-field line from
-// an old build) is skipped like any other damaged line.
-TEST(Journal, LinesWithOtherColumnCountsAreRejected) {
-  const std::string dir = FreshDir("journal_columns");
-  ASSERT_TRUE(AppendJournalRecord(Disk(), dir, MakeRecord(1)).ok());
-  const std::string path = dir + "/journal.log";
-  Result<std::string> contents = Disk()->ReadFile(path);
-  ASSERT_TRUE(contents.ok());
-  std::string line = contents.value();
-  while (!line.empty() && line.front() == '\n') line.erase(0, 1);
-  while (!line.empty() && line.back() == '\n') line.pop_back();
-  const std::string body = line.substr(0, line.rfind(' '));
-  const std::string misshapen[] = {body + " 7",
-                                   body.substr(0, body.rfind(' ')),
-                                   "9 0.5 0.25 0.001 4 3 1 2 0 1 1"};
-  for (const std::string& text : misshapen) {
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x", Crc32(text));
-    ASSERT_TRUE(
-        Disk()->AppendToFile(path, "\n" + text + " " + crc + "\n").ok());
-  }
-  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 1u);
-  EXPECT_EQ(DescribeMismatch(records.value()[0], MakeRecord(1)), "");
-}
-
-TEST(Journal, RewriteTruncatesAtomically) {
-  const std::string dir = FreshDir("journal_rewrite");
-  for (int round = 1; round <= 6; ++round) {
-    ASSERT_TRUE(AppendJournalRecord(Disk(), dir, MakeRecord(round)).ok());
-  }
-  ASSERT_TRUE(RewriteJournal(Disk(), dir,
-                             {MakeRecord(1), MakeRecord(2), MakeRecord(3)})
-                  .ok());
-  Result<std::vector<RoundRecord>> records = ReadJournal(Disk(), dir);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records.value().size(), 3u);
-  EXPECT_EQ(records.value().back().round, 3);
 }
 
 // ---------------------------------------------------------------------
@@ -510,6 +380,39 @@ TEST(CrashRecovery, ResumeUnderDifferentThreadCountIsBitwiseIdentical) {
   EXPECT_GT(resumed.resumed_round(), 0);
   ExpectSameResult(expected, result);
   EXPECT_EQ(expected_params, FinalParams(&resumed));
+}
+
+// Storage faults cost a run durability coverage (failed snapshots), but
+// never the history of the rounds it resumes past: every snapshot that
+// does land carries every record up to its round.
+TEST(CrashRecovery, StorageFaultsNeverCostAResumedRunItsHistory) {
+  auto clients = MakeClients(3, 67);
+  FederatedTrainer baseline(MakeStub, &clients, LossyOptions(8));
+  const FederatedRunResult expected = baseline.Run();
+
+  StorageFaultConfig storage;
+  storage.seed = 5;
+  storage.enospc_rate = 0.3;
+  FaultyFileSystem fs(storage);
+  FederatedTrainerOptions options = LossyOptions(8);
+  options.durability.dir = "run";
+  options.durability.fs = &fs;
+  options.durability.crash_point = CrashPoint::kAfterSave;
+  options.durability.crash_round = 6;
+  {
+    FederatedTrainer victim(MakeStub, &clients, options);
+    EXPECT_THROW(victim.Run(), InjectedCrash);
+  }
+  ASSERT_GT(fs.stats().WriteFaults(), 0);
+
+  options.durability.crash_point = CrashPoint::kNone;
+  options.durability.crash_round = 0;
+  options.durability.resume = true;
+  FederatedTrainer resumed(MakeStub, &clients, options);
+  const FederatedRunResult result = resumed.Run();
+  EXPECT_GT(resumed.resumed_round(), 0);
+  ASSERT_EQ(result.history.size(), 8u);
+  EXPECT_EQ(DescribeMismatch(result.history, expected.history), "");
 }
 
 TEST(CrashRecovery, CorruptedLatestSnapshotFallsBackToPrevious) {

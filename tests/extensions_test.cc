@@ -1,6 +1,5 @@
 // Tests for the extension features: DP upload privacy, quantized
-// communication, A* search, the greedy map-matching baseline, and the
-// LSTM / LayerNorm additions to nn.
+// communication, and the greedy map-matching baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,11 +10,7 @@
 #include "baselines/model_zoo.h"
 #include "mapmatch/greedy_map_matcher.h"
 #include "mapmatch/hmm_map_matcher.h"
-#include "nn/layers.h"
-#include "nn/ops.h"
-#include "roadnet/astar.h"
 #include "roadnet/generators.h"
-#include "roadnet/shortest_path.h"
 #include "traj/generator.h"
 
 namespace lighttr {
@@ -106,42 +101,6 @@ TEST(Compression, ExtremesRepresentable) {
   EXPECT_DOUBLE_EQ(back[2], 1.0);
 }
 
-// ------------------------------------------------------------------ astar
-
-class AStarVsDijkstra : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(AStarVsDijkstra, SameDistancesFewerExpansions) {
-  Rng rng(GetParam());
-  roadnet::CityGridOptions options;
-  options.rows = 8;
-  options.cols = 8;
-  const roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  roadnet::DijkstraEngine dijkstra(net);
-  Rng pick(GetParam() + 10);
-  int64_t total_expanded = 0;
-  int queries = 0;
-  for (int trial = 0; trial < 25; ++trial) {
-    const auto u = static_cast<roadnet::VertexId>(
-        pick.UniformInt(0, net.num_vertices() - 1));
-    const auto v = static_cast<roadnet::VertexId>(
-        pick.UniformInt(0, net.num_vertices() - 1));
-    const roadnet::AStarResult astar = roadnet::AStarDistance(net, u, v);
-    const double expected = dijkstra.Distance(u, v);
-    if (expected == roadnet::kUnreachable) {
-      EXPECT_EQ(astar.distance_m, roadnet::kUnreachable);
-    } else {
-      EXPECT_NEAR(astar.distance_m, expected, 1e-6);
-    }
-    total_expanded += astar.expanded_vertices;
-    ++queries;
-  }
-  // The heuristic must keep mean expansions well below |V|.
-  EXPECT_LT(total_expanded / queries, net.num_vertices());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AStarVsDijkstra,
-                         ::testing::Values(31, 32, 33, 34));
-
 // ----------------------------------------------------------------- greedy
 
 TEST(GreedyMatcher, HmmAtLeastAsAccurateOnNoisyData) {
@@ -196,100 +155,6 @@ TEST(GreedyMatcher, RejectsEmptyAndFarInput) {
   traj::RawTrajectory far;
   far.points.push_back({{0.0, 0.0}, 0.0});
   EXPECT_FALSE(greedy.Match(far).ok());
-}
-
-// ------------------------------------------------------------- nn add-ons
-
-TEST(Lstm, StateShapesAndRange) {
-  nn::ParameterSet params;
-  Rng rng(51);
-  nn::LstmCell lstm(3, 4, "lstm", &params, &rng);
-  EXPECT_EQ(params.NumScalars(), 4 * ((3 + 4) * 4 + 4));
-  nn::LstmCell::State state = lstm.InitialState();
-  for (int step = 0; step < 4; ++step) {
-    state = lstm.Forward(
-        nn::Tensor::Constant(nn::Matrix::RandomUniform(1, 3, 2.0, &rng)),
-        state);
-    EXPECT_EQ(state.h.cols(), 4u);
-    EXPECT_EQ(state.c.cols(), 4u);
-    for (size_t i = 0; i < 4; ++i) {
-      EXPECT_GT(state.h.value()(0, i), -1.0);
-      EXPECT_LT(state.h.value()(0, i), 1.0);
-    }
-  }
-}
-
-TEST(Lstm, GradCheckThroughTwoSteps) {
-  nn::ParameterSet params;
-  Rng rng(52);
-  nn::LstmCell lstm(2, 3, "lstm", &params, &rng);
-  nn::Tensor x = nn::Tensor::Variable(nn::Matrix::RandomUniform(1, 2, 0.8, &rng));
-
-  auto build_loss = [&] {
-    nn::LstmCell::State state = lstm.InitialState();
-    state = lstm.Forward(x, state);
-    state = lstm.Forward(x, state);
-    return nn::Mean(state.h);
-  };
-  nn::Tensor loss = build_loss();
-  x.ZeroGrad();
-  params.ZeroGrads();
-  loss.Backward();
-  const nn::Matrix analytic = x.grad();
-
-  const double eps = 1e-5;
-  for (size_t i = 0; i < 2; ++i) {
-    nn::Scalar* entry = x.mutable_value().data() + i;
-    const nn::Scalar saved = *entry;
-    *entry = saved + eps;
-    const double up = build_loss().ScalarValue();
-    *entry = saved - eps;
-    const double down = build_loss().ScalarValue();
-    *entry = saved;
-    EXPECT_NEAR((up - down) / (2 * eps), analytic.data()[i], 1e-6);
-  }
-}
-
-TEST(LayerNorm, RowsHaveZeroMeanUnitVariance) {
-  Rng rng(53);
-  const nn::Tensor x =
-      nn::Tensor::Constant(nn::Matrix::RandomUniform(4, 16, 3.0, &rng));
-  const nn::Matrix y = nn::LayerNormRows(x).value();
-  for (size_t r = 0; r < 4; ++r) {
-    double mean = 0.0;
-    double var = 0.0;
-    for (size_t c = 0; c < 16; ++c) mean += y(r, c);
-    mean /= 16.0;
-    for (size_t c = 0; c < 16; ++c) var += (y(r, c) - mean) * (y(r, c) - mean);
-    var /= 16.0;
-    EXPECT_NEAR(mean, 0.0, 1e-9);
-    EXPECT_NEAR(var, 1.0, 1e-3);
-  }
-}
-
-TEST(LayerNorm, GradCheck) {
-  Rng rng(54);
-  nn::Tensor x = nn::Tensor::Variable(nn::Matrix::RandomUniform(2, 5, 1.0, &rng));
-  Rng wrng(55);
-  const nn::Matrix w = nn::Matrix::RandomUniform(2, 5, 1.0, &wrng);
-  auto build_loss = [&] {
-    return nn::Mean(nn::Mul(nn::LayerNormRows(x), nn::Tensor::Constant(w)));
-  };
-  nn::Tensor loss = build_loss();
-  x.ZeroGrad();
-  loss.Backward();
-  const nn::Matrix analytic = x.grad();
-  const double eps = 1e-5;
-  for (size_t i = 0; i < x.value().size(); ++i) {
-    nn::Scalar* entry = x.mutable_value().data() + i;
-    const nn::Scalar saved = *entry;
-    *entry = saved + eps;
-    const double up = build_loss().ScalarValue();
-    *entry = saved - eps;
-    const double down = build_loss().ScalarValue();
-    *entry = saved;
-    EXPECT_NEAR((up - down) / (2 * eps), analytic.data()[i], 1e-6);
-  }
 }
 
 // -------------------------------------------- federated trainer plumbing

@@ -1,6 +1,7 @@
 # Every out-of-range numeric flag makes run_experiment print its usage
 # and exit with 2: no CHECK abort, no uncaught exception, and no run on a
-# value that describes no experiment. NaN must fail every range check.
+# value that describes no experiment. NaN must fail every range check,
+# and an integer past INT_MAX must not wrap into a different one.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
 if(NOT RUN_EXPERIMENT)
@@ -18,7 +19,10 @@ set(cases
   "--adversary-scale=nan --adversary-count=1"
   "--traj-per-client=-3"
   "--traj-per-client=0"
-  "--byzantine-fraction=nan")
+  "--byzantine-fraction=nan"
+  "--rounds=4294967297"
+  "--clients=4294967298"
+  "--epochs=4294967297")
 
 set(failures 0)
 foreach(case IN LISTS cases)

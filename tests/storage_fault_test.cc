@@ -1,10 +1,10 @@
 // Tests for the storage-fault layer: FaultyFileSystem semantics (every
 // fault axis, sync/crash behavior, seeded determinism), the
 // failure-path hygiene contract both FileSystem backends share, the
-// run-state format (every counter round-trips; only the current version
-// is read), backoff saturation at extreme retry counts, and
-// corrupted-newest snapshot fallback driven by a filesystem-injected
-// read fault rather than on-disk byte surgery.
+// run-state format (every counter and the round history round-trip;
+// only the current version is read), backoff saturation at extreme
+// retry counts, and corrupted-newest snapshot fallback driven by a
+// filesystem-injected read fault rather than on-disk byte surgery.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.h"
@@ -61,8 +62,7 @@ TEST(FaultyFileSystem, CleanConfigActsAsDeterministicRamDisk) {
   ASSERT_TRUE(fs.WriteFileAtomic("a/b/x", "rewritten").ok());
   EXPECT_EQ(MustRead(&fs, "a/b/x"), "rewritten");
 
-  ASSERT_TRUE(fs.AppendToFile("a/b/log", "one ").ok());
-  ASSERT_TRUE(fs.AppendToFile("a/b/log", "two").ok());
+  ASSERT_TRUE(fs.WriteFileAtomic("a/b/log", "one two").ok());
   EXPECT_EQ(MustRead(&fs, "a/b/log"), "one two");
 
   Result<std::vector<std::string>> names = fs.ListDir("a/b");
@@ -78,7 +78,6 @@ TEST(FaultyFileSystem, CleanConfigActsAsDeterministicRamDisk) {
   // Writes into a directory that was never created must fail, not
   // invent parents behind the caller's back.
   EXPECT_FALSE(fs.WriteFileAtomic("nodir/f", "x").ok());
-  EXPECT_FALSE(fs.AppendToFile("nodir/f", "x").ok());
   EXPECT_FALSE(fs.ReadFile("a/b/ghost").ok());
 
   const StorageFaultStats stats = fs.stats();
@@ -99,29 +98,12 @@ TEST(FaultyFileSystem, EnospcFailsTheCallAndLeavesContentsUntouched) {
   fs.set_faults_paused(false);
 
   EXPECT_EQ(fs.WriteFileAtomic("f", "new").code(), StatusCode::kIoError);
-  EXPECT_EQ(fs.AppendToFile("f", "tail").code(), StatusCode::kIoError);
   EXPECT_EQ(MustRead(&fs, "f"), "old");
   EXPECT_FALSE(fs.Exists("f.tmp"));
 
   const StorageFaultStats stats = fs.stats();
-  EXPECT_EQ(stats.enospc_failures, 2);
-  EXPECT_EQ(stats.WriteFaults(), 2);
-}
-
-TEST(FaultyFileSystem, TornAppendWritesProperPrefixAndReportsIoError) {
-  StorageFaultConfig config;
-  config.torn_append_rate = 1.0;
-  FaultyFileSystem fs(config);
-  const std::string line = "0123456789";
-  EXPECT_EQ(fs.AppendToFile("journal", line).code(), StatusCode::kIoError);
-
-  // A proper prefix landed: strictly shorter than the payload, and
-  // byte-identical to the payload's head.
-  fs.set_faults_paused(true);
-  const std::string tail = MustRead(&fs, "journal");
-  EXPECT_LT(tail.size(), line.size());
-  EXPECT_EQ(tail, line.substr(0, tail.size()));
-  EXPECT_EQ(fs.stats().torn_appends, 1);
+  EXPECT_EQ(stats.enospc_failures, 1);
+  EXPECT_EQ(stats.WriteFaults(), 1);
 }
 
 TEST(FaultyFileSystem, RenameFailureKeepsOldContentsAndCleansTemp) {
@@ -234,7 +216,6 @@ TEST(FaultyFileSystem, SameSeedSameOperationsSameFaultSchedule) {
   StorageFaultConfig config;
   config.seed = 99;
   config.enospc_rate = 0.3;
-  config.torn_append_rate = 0.3;
   config.rename_fail_rate = 0.3;
   config.read_bitrot_rate = 0.3;
   FaultyFileSystem a(config);
@@ -243,14 +224,11 @@ TEST(FaultyFileSystem, SameSeedSameOperationsSameFaultSchedule) {
     const std::string path = "f" + std::to_string(i % 5);
     EXPECT_EQ(a.WriteFileAtomic(path, "payload").code(),
               b.WriteFileAtomic(path, "payload").code());
-    EXPECT_EQ(a.AppendToFile("log", "line\n").code(),
-              b.AppendToFile("log", "line\n").code());
-    EXPECT_EQ(a.ReadFile("log").ok(), b.ReadFile("log").ok());
+    EXPECT_EQ(a.ReadFile(path).ok(), b.ReadFile(path).ok());
   }
   const StorageFaultStats sa = a.stats();
   const StorageFaultStats sb = b.stats();
   EXPECT_EQ(sa.enospc_failures, sb.enospc_failures);
-  EXPECT_EQ(sa.torn_appends, sb.torn_appends);
   EXPECT_EQ(sa.rename_failures, sb.rename_failures);
   EXPECT_EQ(sa.bitrot_reads, sb.bitrot_reads);
   EXPECT_EQ(a.AllFiles(), b.AllFiles());
@@ -288,7 +266,7 @@ TEST(RealFileSystem, AtomicWriteClobbersStaleTempFromACrashedWriter) {
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(fs->CreateDirs(dir).ok());
   const std::string path = dir + "/f";
-  ASSERT_TRUE(fs->AppendToFile(path + ".tmp", "stale partial").ok());
+  ASSERT_TRUE(fs->WriteFileAtomic(path + ".tmp", "stale partial").ok());
 
   ASSERT_TRUE(fs->WriteFileAtomic(path, "fresh").ok());
   EXPECT_FALSE(fs->Exists(path + ".tmp"));
@@ -336,12 +314,32 @@ TEST(Backoff, SaturatesAtExtremeRetryCounts) {
 }
 
 // ---------------------------------------------------------------------
-// The run-state format: every counter-table row round-trips, and only
-// the current version is read.
+// The run-state format: every counter-table row and the round history
+// round-trip, and only the current version is read.
+
+// Every field and every per-round column gets a value distinct from
+// every other one in the record (and from the other rounds'), so a
+// column the codec drops, swaps, or misreads shows up as a mismatch.
+fl::RoundRecord DistinctiveRecord(int round) {
+  fl::RoundRecord record;
+  record.round = round;
+  record.mean_train_loss = 0.125 + round;
+  record.global_valid_accuracy = 1.0 / (round + 2);
+  record.wall_seconds = 1e-3 * round;
+  record.valid_loss = 10.0 + round / 3.0;
+  record.quorum_met = round % 2 == 0;
+  record.escalated = round % 3 == 0;
+  int value = 100 * round;
+  for (const fl::CounterSpec& counter : fl::kCounters) {
+    if (counter.round != nullptr) record.*counter.round = ++value;
+  }
+  return record;
+}
 
 // Every kCounters total gets a value distinct from every other
-// counter's, and every blob is non-empty, so a field the codec drops,
-// swaps, or defaults shows up as a mismatch.
+// counter's, every blob is non-empty, and every round has its
+// distinctive record, so a field the codec drops, swaps, or defaults
+// shows up as a mismatch.
 fl::ServerRunState DistinctiveState() {
   fl::ServerRunState state;
   state.round = 9;
@@ -364,6 +362,9 @@ fl::ServerRunState DistinctiveState() {
   state.escalated = true;
   state.adversary_blob = "adv";
   state.normbound_blob = "nbw";
+  for (int round = 1; round <= state.round; ++round) {
+    state.history.push_back(DistinctiveRecord(round));
+  }
   return state;
 }
 
@@ -401,11 +402,37 @@ TEST(RunStateFormat, EveryFieldAndCounterRoundTrips) {
   EXPECT_TRUE(out.escalated);
   EXPECT_EQ(out.adversary_blob, state.adversary_blob);
   EXPECT_EQ(out.normbound_blob, state.normbound_blob);
+  EXPECT_EQ(fl::DescribeMismatch(out.history, state.history), "");
+  // DescribeMismatch skips wall-clock time; the codec must not.
+  ASSERT_EQ(out.history.size(), state.history.size());
+  for (size_t i = 0; i < state.history.size(); ++i) {
+    EXPECT_EQ(out.history[i].wall_seconds, state.history[i].wall_seconds);
+  }
+}
+
+// The history must be exactly rounds 1..round in order: a snapshot that
+// lost, reordered, or repeated a record is rejected, not half-read.
+TEST(RunStateFormat, HistoryMustBeRoundsOneToN) {
+  fl::ServerRunState missing = DistinctiveState();
+  missing.history.erase(missing.history.begin() + 4);
+  fl::ServerRunState reordered = DistinctiveState();
+  std::swap(reordered.history[2], reordered.history[3]);
+  fl::ServerRunState duplicated = DistinctiveState();
+  duplicated.history[3] = duplicated.history[2];
+  const std::pair<const char*, const fl::ServerRunState*> cases[] = {
+      {"missing", &missing}, {"reordered", &reordered},
+      {"duplicated", &duplicated}};
+  for (const auto& [name, state] : cases) {
+    SCOPED_TRACE(name);
+    fl::ServerRunState out;
+    EXPECT_EQ(fl::DecodeRunState(fl::EncodeRunState(*state), &out).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(RunStateFormat, OnlyTheCurrentVersionIsRead) {
   const std::string live = fl::EncodeRunState(DistinctiveState());
-  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u}) {
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
     // The version word follows the 4-byte magic.
     const std::string patched = Resigned(live, [version](std::string* body) {
       BinaryWriter word;

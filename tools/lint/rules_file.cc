@@ -176,14 +176,13 @@ void CheckNoDirectPersistence(Context* ctx, size_t fi) {
       ctx->Report(fi, t[i].line, "no-direct-persistence",
                   "std::" + id +
                       " in src/ outside common/env; do file IO through a "
-                      "FileSystem (WriteFileAtomic / AppendToFile / "
-                      "ReadFile) so it stays crash-atomic and "
-                      "fault-injectable");
+                      "FileSystem (WriteFileAtomic / ReadFile) so it "
+                      "stays crash-atomic and fault-injectable");
     } else if (id == "fopen" && IsFreeOrStdCall(t, i)) {
       ctx->Report(fi, t[i].line, "no-direct-persistence",
                   "fopen in src/ outside common/env; do file IO through a "
-                  "FileSystem (WriteFileAtomic / AppendToFile / ReadFile) "
-                  "so it stays crash-atomic and fault-injectable");
+                  "FileSystem (WriteFileAtomic / ReadFile) so it stays "
+                  "crash-atomic and fault-injectable");
     } else if (id == "filesystem" && IsStdQualified(t, i)) {
       ctx->Report(fi, t[i].line, "no-direct-persistence",
                   "std::filesystem in src/ outside common/env (aliases "

@@ -1,9 +1,10 @@
-// Durability cost: (1) microbenchmarks of the v2 checkpoint codec and
-// run-state snapshot primitives, (2) the clean-path cost of the
-// FileSystem (common/env) indirection versus a hand-inlined save, and
-// (3) end-to-end per-round overhead of crash-safe federated training
-// (a snapshot every round) versus the same run with durability
-// off.
+// Durability cost: (1) microbenchmarks of the parameter blob codec
+// (nn::ParameterSet::Serialize / Deserialize) at the wire's float32
+// and the snapshot's float64, (2) the clean-path cost of the FileSystem
+// (common/env) indirection versus a hand-inlined save of the float64
+// blob, and (3) end-to-end per-round overhead of crash-safe federated
+// training (a snapshot every round) versus the same run with
+// durability off.
 //
 // Expected shape: encode/decode run at memory-ish bandwidth, and the
 // per-round durability overhead stays well under 10% of the round
@@ -22,7 +23,6 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "eval/harness.h"
-#include "nn/checkpoint.h"
 #include "nn/parameter.h"
 
 namespace {
@@ -58,15 +58,15 @@ void BenchCodec() {
   const int reps = 50;
   TablePrinter table({"Op", "Bytes", "ms/op", "MiB/s"});
 
-  for (nn::CheckpointDtype dtype :
-       {nn::CheckpointDtype::kFloat32, nn::CheckpointDtype::kFloat64}) {
+  for (nn::BlobPrecision precision :
+       {nn::BlobPrecision::kFloat32, nn::BlobPrecision::kFloat64}) {
     const char* dname =
-        dtype == nn::CheckpointDtype::kFloat32 ? "f32" : "f64";
-    const std::string blob = nn::SerializeCheckpoint(params, dtype);
+        precision == nn::BlobPrecision::kFloat32 ? "f32" : "f64";
+    const std::string blob = params.Serialize(precision);
 
     Stopwatch watch;
     for (int r = 0; r < reps; ++r) {
-      const std::string out = nn::SerializeCheckpoint(params, dtype);
+      const std::string out = params.Serialize(precision);
       LIGHTTR_CHECK_EQ(out.size(), blob.size());
     }
     double s = watch.ElapsedSeconds();
@@ -79,49 +79,22 @@ void BenchCodec() {
     nn::ParameterSet target = MakeParams(&parse_rng);
     watch.Reset();
     for (int r = 0; r < reps; ++r) {
-      LIGHTTR_CHECK_OK(nn::ParseCheckpoint(blob, &target));
+      LIGHTTR_CHECK_OK(target.Deserialize(blob));
     }
     s = watch.ElapsedSeconds();
-    table.AddRow({std::string("parse ") + dname, std::to_string(blob.size()),
-                  TablePrinter::Fmt(s / reps * 1e3, 3),
-                  TablePrinter::Fmt(MbPerSec(blob.size(), s, reps), 0)});
-
-    const std::string path =
-        (std::filesystem::path(::std::filesystem::temp_directory_path()) /
-         (std::string("bench_ckpt_") + dname + ".ltc"))
-            .string();
-    watch.Reset();
-    for (int r = 0; r < reps; ++r) {
-      LIGHTTR_CHECK_OK(
-          nn::SaveCheckpoint(RealFileSystemInstance(), path, params, dtype));
-    }
-    s = watch.ElapsedSeconds();
-    table.AddRow({std::string("save(atomic) ") + dname,
+    table.AddRow({std::string("deserialize ") + dname,
                   std::to_string(blob.size()),
                   TablePrinter::Fmt(s / reps * 1e3, 3),
                   TablePrinter::Fmt(MbPerSec(blob.size(), s, reps), 0)});
-
-    watch.Reset();
-    for (int r = 0; r < reps; ++r) {
-      LIGHTTR_CHECK_OK(
-          nn::LoadCheckpoint(RealFileSystemInstance(), path, &target));
-    }
-    s = watch.ElapsedSeconds();
-    table.AddRow({std::string("load ") + dname, std::to_string(blob.size()),
-                  TablePrinter::Fmt(s / reps * 1e3, 3),
-                  TablePrinter::Fmt(MbPerSec(blob.size(), s, reps), 0)});
-    std::filesystem::remove(path);
   }
-  std::printf("Checkpoint codec:\n%s\n", table.ToString().c_str());
+  std::printf("Parameter blob codec:\n%s\n", table.ToString().c_str());
 }
 
-// The same atomic save SaveCheckpoint performs, hand-inlined with raw
-// stream + rename calls (benches may touch raw file APIs; src/ may
-// not). This is the no-indirection baseline for BenchEnvDispatch.
-Status DirectSaveCheckpoint(const std::string& path,
-                            const nn::ParameterSet& params,
-                            nn::CheckpointDtype dtype) {
-  const std::string blob = nn::SerializeCheckpoint(params, dtype);
+// The same atomic save FileSystem::WriteFileAtomic performs,
+// hand-inlined with raw stream + rename calls (benches may touch raw
+// file APIs; src/ may not). This is the no-indirection baseline for
+// BenchEnvDispatch.
+Status DirectWriteAtomic(const std::string& path, const std::string& blob) {
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) return Status::IoError("cannot open " + tmp);
@@ -136,33 +109,35 @@ Status DirectSaveCheckpoint(const std::string& path,
 
 // Measures what routing persistence through the FileSystem interface
 // costs on the clean (fault-free, real-disk) path: the acceptance bar
-// for the Env refactor is <= 2% over the hand-inlined save.
+// for the Env refactor is <= 2% over the hand-inlined save. Both paths
+// serialize the float64 blob on every save, as a snapshot does.
 void BenchEnvDispatch() {
   Rng rng(19);
   const nn::ParameterSet params = MakeParams(&rng);
   const int reps = 60;
   const std::string dir = std::filesystem::temp_directory_path().string();
-  const std::string direct_path = dir + "/bench_ckpt_direct.ltc";
-  const std::string env_path = dir + "/bench_ckpt_env.ltc";
+  const std::string direct_path = dir + "/bench_ckpt_direct.bin";
+  const std::string env_path = dir + "/bench_ckpt_env.bin";
+  FileSystem* fs = RealFileSystemInstance();
+  const auto direct_save = [&] {
+    return DirectWriteAtomic(direct_path,
+                             params.Serialize(nn::BlobPrecision::kFloat64));
+  };
+  const auto env_save = [&] {
+    return fs->WriteFileAtomic(env_path,
+                               params.Serialize(nn::BlobPrecision::kFloat64));
+  };
 
   // Warm both paths (page cache, allocator) before timing.
-  LIGHTTR_CHECK_OK(
-      DirectSaveCheckpoint(direct_path, params, nn::CheckpointDtype::kFloat64));
-  LIGHTTR_CHECK_OK(nn::SaveCheckpoint(RealFileSystemInstance(), env_path,
-                                      params, nn::CheckpointDtype::kFloat64));
+  LIGHTTR_CHECK_OK(direct_save());
+  LIGHTTR_CHECK_OK(env_save());
 
   Stopwatch watch;
-  for (int r = 0; r < reps; ++r) {
-    LIGHTTR_CHECK_OK(DirectSaveCheckpoint(direct_path, params,
-                                          nn::CheckpointDtype::kFloat64));
-  }
+  for (int r = 0; r < reps; ++r) LIGHTTR_CHECK_OK(direct_save());
   const double direct_s = watch.ElapsedSeconds();
 
   watch.Reset();
-  for (int r = 0; r < reps; ++r) {
-    LIGHTTR_CHECK_OK(nn::SaveCheckpoint(RealFileSystemInstance(), env_path,
-                                        params, nn::CheckpointDtype::kFloat64));
-  }
+  for (int r = 0; r < reps; ++r) LIGHTTR_CHECK_OK(env_save());
   const double env_s = watch.ElapsedSeconds();
   std::filesystem::remove(direct_path);
   std::filesystem::remove(env_path);

@@ -6,7 +6,9 @@
 //
 // Methods: fc | rnn | mtrajrec | rntrajrec | lighttr | centralized
 // Datasets: geolife | tdrive
+#include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +37,19 @@ bool ParseInt(const std::string& text, long long* out) {
   char* end = nullptr;
   *out = std::strtoll(text.c_str(), &end, 10);
   return end != text.c_str() && *end == '\0';
+}
+
+// Seeds span the full unsigned 64-bit range and nothing else: a sign
+// (which strtoull would wrap) or an out-of-range value is an error, not
+// a different seed.
+bool ParseSeed(const std::string& text, uint64_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *out = static_cast<uint64_t>(value);
+  return true;
 }
 
 // Minimal --key=value parser (no external flag library).
@@ -153,7 +168,7 @@ int main(int argc, char** argv) {
   long long epochs_ll = 0;
   long long traj_ll = 0;
   long long grid_ll = 0;
-  long long seed_ll = 0;
+  uint64_t seed = 0;
   long long checkpoint_every_ll = 0;
   long long threads_ll = 0;
   long long max_rollbacks_ll = 0;
@@ -164,12 +179,12 @@ int main(int argc, char** argv) {
   double net_reorder = 0.0;
   double net_truncate = 0.0;
   long long net_retries_ll = 0;
-  long long net_seed_ll = 0;
+  uint64_t net_seed = 0;
   double byzantine_fraction = 0.0;
   double adversary_scale = 0.0;
   long long adversary_count_ll = 0;
   long long adversary_start_ll = 0;
-  long long adversary_seed_ll = 0;
+  uint64_t adversary_seed = 0;
   if (!ParseDouble(FlagValue(argc, argv, "keep", "0.125"), &keep) ||
       !ParseDouble(FlagValue(argc, argv, "lr", "0.003"), &lr) ||
       !ParseDouble(FlagValue(argc, argv, "fraction", "1.0"), &fraction) ||
@@ -178,7 +193,7 @@ int main(int argc, char** argv) {
       !ParseInt(FlagValue(argc, argv, "epochs", "2"), &epochs_ll) ||
       !ParseInt(FlagValue(argc, argv, "traj-per-client", "20"), &traj_ll) ||
       !ParseInt(FlagValue(argc, argv, "grid", "9"), &grid_ll) ||
-      !ParseInt(FlagValue(argc, argv, "seed", "42"), &seed_ll) ||
+      !ParseSeed(FlagValue(argc, argv, "seed", "42"), &seed) ||
       !ParseInt(FlagValue(argc, argv, "checkpoint-every", "1"),
                 &checkpoint_every_ll) ||
       !ParseInt(FlagValue(argc, argv, "threads", "0"), &threads_ll) ||
@@ -195,8 +210,8 @@ int main(int argc, char** argv) {
       !ParseDouble(FlagValue(argc, argv, "net-truncate", "0"),
                    &net_truncate) ||
       !ParseInt(FlagValue(argc, argv, "net-retries", "3"), &net_retries_ll) ||
-      !ParseInt(FlagValue(argc, argv, "net-seed", "1592639710"),
-                &net_seed_ll) ||
+      !ParseSeed(FlagValue(argc, argv, "net-seed", "1592639710"),
+                 &net_seed) ||
       !ParseDouble(FlagValue(argc, argv, "byzantine-fraction", "0.25"),
                    &byzantine_fraction) ||
       !ParseDouble(FlagValue(argc, argv, "adversary-scale", "10"),
@@ -205,8 +220,8 @@ int main(int argc, char** argv) {
                 &adversary_count_ll) ||
       !ParseInt(FlagValue(argc, argv, "adversary-start", "1"),
                 &adversary_start_ll) ||
-      !ParseInt(FlagValue(argc, argv, "adversary-seed", "2915761665"),
-                &adversary_seed_ll)) {
+      !ParseSeed(FlagValue(argc, argv, "adversary-seed", "2915761665"),
+                 &adversary_seed)) {
     return Usage();
   }
   // Strict spellings: an unknown aggregation rule or attack name is a
@@ -256,7 +271,6 @@ int main(int argc, char** argv) {
   const int epochs = static_cast<int>(epochs_ll);
   const int traj_per_client = static_cast<int>(traj_ll);
   const int grid = static_cast<int>(grid_ll);
-  const auto seed = static_cast<uint64_t>(seed_ll);
   const int checkpoint_every = static_cast<int>(checkpoint_every_ll);
   const int threads = static_cast<int>(threads_ll);
   const int max_rollbacks = static_cast<int>(max_rollbacks_ll);
@@ -349,7 +363,7 @@ int main(int argc, char** argv) {
     options.fed.healing.reputation.quarantine_threshold = quarantine_threshold;
     options.fed.healing.max_rollbacks = max_rollbacks;
     options.fed.clip_norm = clip_norm;
-    options.fed.transport.channel_seed = static_cast<uint64_t>(net_seed_ll);
+    options.fed.transport.channel_seed = net_seed;
     options.fed.transport.channel.drop_rate = net_drop;
     options.fed.transport.channel.corrupt_rate = net_corrupt;
     options.fed.transport.channel.delay_rate = net_delay;
@@ -365,7 +379,7 @@ int main(int argc, char** argv) {
     options.fed.adversary.attack = adversary_attack;
     options.fed.adversary.start_round = static_cast<int>(adversary_start_ll);
     options.fed.adversary.ascent_scale = adversary_scale;
-    options.fed.adversary.seed = static_cast<uint64_t>(adversary_seed_ll);
+    options.fed.adversary.seed = adversary_seed;
     options.teacher.learning_rate = lr;
     options.max_test_trajectories = 100;
     result = eval::RunFederatedMethod(env, kind, clients, options);

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320): the integrity checksum
-// used by every persistence path (checkpoints, run-state snapshots) and
-// every wire frame. A checksum mismatch means the bytes on disk are not
+// used by the one persistence path (run-state snapshots) and every
+// wire frame. A checksum mismatch means the bytes on disk are not
 // the bytes that were written — truncation, a torn write, or bit rot —
 // and the loader must reject the file instead of propagating garbage
 // into the global model.

@@ -1,8 +1,8 @@
 // Pluggable filesystem environment: every byte the library persists
 // flows through a FileSystem, so the whole durability stack (atomic
-// checkpoint and run-state snapshot writes) can be pointed at a
-// deterministic fault-injecting filesystem with ONE knob
-// (DurabilityConfig::fs) instead of the real disk.
+// run-state snapshot writes) can be pointed at a deterministic
+// fault-injecting filesystem with ONE knob (DurabilityConfig::fs)
+// instead of the real disk.
 //
 // Two implementations ship:
 //   - RealFileSystem: the production backend (std::filesystem +
@@ -11,7 +11,7 @@
 //     no-direct-persistence lint rule bans std::ofstream/fopen and
 //     std::filesystem mutation everywhere else under src/ — and a
 //     FileSystem* is the only persistence surface: every durable-state
-//     call (snapshots, checkpoints) takes one.
+//     call (snapshots) takes one.
 //   - FaultyFileSystem: a deterministic in-memory filesystem with a
 //     seeded fault model (ENOSPC, rename failures, read bit-rot,
 //     leftover `.tmp` litter) and simulated fsync/crash

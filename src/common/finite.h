@@ -2,7 +2,7 @@
 // classification outside src/fl/health.
 //
 // Numerical hygiene decisions (reject an upload, flag a diverged model,
-// refuse a checkpoint) must agree everywhere, so ad-hoc std::isnan /
+// refuse a snapshot) must agree everywhere, so ad-hoc std::isnan /
 // std::isinf sprinkling is banned by the `no-raw-nonfinite` lint rule;
 // call these helpers instead. std::isfinite on a single freshly computed
 // value is tolerated, but vector scans should go through ScanFinite /

@@ -16,6 +16,9 @@ constexpr uint32_t kAdversaryVersion = 1;
 /// Banked honest norms; matches the health monitor's norm window so the
 /// adversary mimics exactly the history the defense judges against.
 constexpr size_t kHonestNormWindow = 64;
+/// Target norm as a fraction of the median honest delta norm (kMinMax,
+/// kNormMatched): just inside the envelope the defense expects.
+constexpr double kStealthMargin = 0.9;
 
 }  // namespace
 
@@ -58,7 +61,6 @@ AdversaryEngine::AdversaryEngine(const AdversaryConfig& config)
   LIGHTTR_CHECK_GE(config_.num_attackers, 0);
   LIGHTTR_CHECK_GE(config_.start_round, 1);
   LIGHTTR_CHECK_GT(config_.ascent_scale, 0.0);
-  LIGHTTR_CHECK_GT(config_.stealth_margin, 0.0);
 }
 
 void AdversaryEngine::BeginRound(int round, size_t param_count) {
@@ -157,7 +159,7 @@ double AdversaryEngine::TargetNorm(double fallback) const {
   const double base =
       honest_norms_.empty() ? fallback : Median(honest_norms_);
   if (!(base > 0.0)) return fallback > 0.0 ? fallback : 1.0;
-  return config_.stealth_margin * base;
+  return kStealthMargin * base;
 }
 
 std::string AdversaryEngine::SerializeState() const {

@@ -20,9 +20,9 @@
 //                    coordinate-median-style defenses that assume
 //                    attackers are mutually independent outliers.
 //   kNormMatched   — stealth sign-flip: the adversarial direction is
-//                    rescaled to `stealth_margin` x the median honest
-//                    delta norm, so norm-based screening and MAD
-//                    envelopes see nothing unusual.
+//                    rescaled to 0.9 x the median honest delta norm, so
+//                    norm-based screening and MAD envelopes see nothing
+//                    unusual.
 //
 // The engine is adaptive across rounds — it watches the delta norms of
 // accepted honest uploads (ObserveHonestNorm) and sizes its attacks to
@@ -73,9 +73,6 @@ struct AdversaryConfig {
   int start_round = 1;
   /// Gradient-ascent multiplier (kScaledAscent).
   double ascent_scale = 10.0;
-  /// Target norm as a fraction of the median honest delta norm
-  /// (kMinMax, kNormMatched).
-  double stealth_margin = 0.9;
   /// Seed for the engine's independent stream. Changing it re-rolls the
   /// attack weather without perturbing any training draw.
   uint64_t seed = 0xADCAFE01ull;
@@ -120,9 +117,9 @@ class AdversaryEngine {
   /// thread, canonical order, after each round's fold.
   void ObserveHonestNorm(double norm);
 
-  /// Median of the banked honest norms scaled by stealth_margin, or
-  /// `fallback` (the attacker's own honest delta norm) before any
-  /// history exists.
+  /// Median of the banked honest norms scaled by 0.9 (kMinMax and
+  /// kNormMatched aim just under the honest envelope), or `fallback`
+  /// (the attacker's own honest delta norm) before any history exists.
   double TargetNorm(double fallback) const;
 
   int honest_norm_history() const {

@@ -82,6 +82,10 @@ Status ScreenUpload(std::vector<nn::Scalar>* upload,
 
 namespace {
 
+// Detection multiple: an upload is flagged suspected past this multiple
+// of the cohort's own scale (see AggregateFlat in the header).
+constexpr double kSuspicionMult = 4.0;
+
 /// Coordinate-wise median (kMedian, and the small-cohort fallback for
 /// Krum). Even cohorts average the two middle values.
 std::vector<nn::Scalar> CoordinateMedian(
@@ -238,9 +242,6 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
       if (config.byzantine_fraction < 0.0 || config.byzantine_fraction >= 1.0) {
         return Status::InvalidArgument("byzantine_fraction must be in [0, 1)");
       }
-      if (!(config.suspicion_mult > 0.0)) {
-        return Status::InvalidArgument("suspicion_mult must be positive");
-      }
       const size_t f = static_cast<size_t>(
           std::floor(config.byzantine_fraction * static_cast<double>(m)));
       // Krum needs m - f - 2 >= 1 scoreable neighbors; tiny cohorts
@@ -302,8 +303,8 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
         }
         for (size_t rank = selected; rank < m; ++rank) {
           const size_t i = order[rank];
-          if (scores[i] > config.suspicion_mult * median_score &&
-              scores[i] > config.suspicion_mult * anchor &&
+          if (scores[i] > kSuspicionMult * median_score &&
+              scores[i] > kSuspicionMult * anchor &&
               scores[i] > 0.0) {
             flags[i] = 1;
           }
@@ -384,9 +385,6 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
         return Status::InvalidArgument(
             "norm-bound reference length mismatch");
       }
-      if (!(config.suspicion_mult > 0.0)) {
-        return Status::InvalidArgument("suspicion_mult must be positive");
-      }
       // bound <= 0 means the rolling norm history has not armed yet:
       // degrade to the plain mean rather than clipping against garbage.
       std::vector<nn::Scalar> out(n, nn::Scalar{0});
@@ -396,7 +394,7 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
         if (norm_bound > 0.0 && norm > norm_bound) {
           scale = norm_bound / norm;
           if (suspected != nullptr &&
-              norm > config.suspicion_mult * norm_bound) {
+              norm > kSuspicionMult * norm_bound) {
             (*suspected)[c] = 1;
           }
         }

@@ -73,16 +73,6 @@ struct AggregatorConfig {
   /// f = floor(byzantine_fraction * m). Krum needs m - f - 2 >= 1
   /// neighbors; smaller cohorts fall back to the coordinate median.
   double byzantine_fraction = 0.25;
-  /// Detection (not selection) threshold: a non-selected upload whose
-  /// Krum score exceeds suspicion_mult x the cohort median score AND
-  /// suspicion_mult x the median squared update magnitude (distance to
-  /// the reference, when one is given) — or, under kNormBound, whose
-  /// delta norm exceeds suspicion_mult x the bound — is flagged
-  /// suspected. Relative on purpose: on a clean round every score sits
-  /// near the median and nobody is flagged; the magnitude anchor keeps
-  /// a nearly degenerate honest cluster (median score ~ 0) from making
-  /// its own stragglers look suspicious.
-  double suspicion_mult = 4.0;
   /// kKrum/kMultiKrum aggregation mode: detection runs unchanged, but
   /// the returned aggregate is the plain mean over the uploads NOT
   /// flagged suspected this round (falling back to the Krum-selected
@@ -104,9 +94,17 @@ struct AggregatorConfig {
 /// the others), `norm_bound` the rolling median accepted delta norm
 /// (<= 0 means unarmed: kNormBound degrades to the plain mean), and
 /// `suspected`, when non-null, is resized to uploads.size() with a 1
-/// per upload the policy flagged as probable poison. Under kKrum /
-/// kMultiKrum the flag fires on the score threshold above, and on two
-/// certificates the distance scores are blind to:
+/// per upload the policy flagged as probable poison. Detection (not
+/// selection) is relative, with a fixed multiple of 4: under kKrum /
+/// kMultiKrum a non-selected upload whose Krum score exceeds 4x the
+/// cohort median score AND 4x the median squared update magnitude
+/// (distance to the reference, when one is given) is flagged; under
+/// kNormBound, an upload whose delta norm exceeds 4x the bound. On a
+/// clean round every score sits near the median and nobody is flagged;
+/// the magnitude anchor keeps a nearly degenerate honest cluster
+/// (median score ~ 0) from making its own stragglers look suspicious.
+/// Krum / Multi-Krum also flag on two certificates the distance scores
+/// are blind to:
 ///   - collusion: two bitwise-identical uploads from distinct clients
 ///     (min-max colluders' tell — independent trainings never reproduce
 ///     an identical multi-parameter model, and the shared zero distance

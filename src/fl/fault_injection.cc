@@ -6,6 +6,13 @@
 #include "common/check.h"
 
 namespace lighttr::fl {
+namespace {
+
+// Simulated duration of a healthy local update, seconds (before the
+// +-20% jitter and any straggler slowdown).
+constexpr double kNominalUpdateSeconds = 0.25;
+
+}  // namespace
 
 const char* FaultTypeName(FaultType type) {
   switch (type) {
@@ -42,15 +49,13 @@ FaultModel::FaultModel(FaultInjectionConfig config) : config_(config) {
   LIGHTTR_CHECK_LE(config_.straggler_rate, 1.0);
   LIGHTTR_CHECK_GE(config_.corruption_rate, 0.0);
   LIGHTTR_CHECK_LE(config_.corruption_rate, 1.0);
-  LIGHTTR_CHECK_GT(config_.nominal_update_s, 0.0);
   LIGHTTR_CHECK_GT(config_.straggler_slowdown_mean, 0.0);
 }
 
 FaultDraw FaultModel::Draw(Rng* rng) const {
   LIGHTTR_CHECK(rng != nullptr);
   FaultDraw draw;
-  draw.simulated_seconds =
-      config_.nominal_update_s * rng->Uniform(0.8, 1.2);
+  draw.simulated_seconds = kNominalUpdateSeconds * rng->Uniform(0.8, 1.2);
   // The draws are consumed unconditionally so the Rng stream (and hence
   // every later fault) does not depend on earlier outcomes.
   const bool dropped = rng->Bernoulli(config_.dropout_rate);
@@ -67,7 +72,7 @@ FaultDraw FaultModel::Draw(Rng* rng) const {
   }
   if (slowed) {
     draw.simulated_seconds *= slowdown;
-    if (draw.simulated_seconds > config_.round_deadline_s) {
+    if (draw.simulated_seconds > kRoundDeadlineSeconds) {
       draw.type = FaultType::kStraggler;
       return draw;
     }

@@ -39,6 +39,11 @@ enum class CorruptionKind {
 const char* FaultTypeName(FaultType type);
 const char* CorruptionKindName(CorruptionKind kind);
 
+/// Server-side per-round deadline (simulated seconds). A slowed client
+/// whose update finishes after the deadline is cut off; a healthy local
+/// update takes 0.25 s +-20% (fault_injection.cc).
+inline constexpr double kRoundDeadlineSeconds = 1.0;
+
 /// Per-round, per-client fault probabilities and timing model. All rates
 /// are independent Bernoulli draws; dropout shadows straggler shadows
 /// corruption (a client that never reports cannot also be late).
@@ -47,14 +52,9 @@ struct FaultInjectionConfig {
   double straggler_rate = 0.0;   // P(client is slowed down)
   double corruption_rate = 0.0;  // P(upload is damaged)
 
-  /// Simulated duration of a healthy local update, seconds.
-  double nominal_update_s = 0.25;
   /// Straggler slowdown factor is lognormal: exp(N(ln(mean), sigma)).
   double straggler_slowdown_mean = 8.0;
   double straggler_slowdown_sigma = 0.5;
-  /// Server-side per-round deadline (simulated seconds). A slowed client
-  /// whose update finishes after the deadline is cut off.
-  double round_deadline_s = 1.0;
 
   bool enabled() const {
     return dropout_rate > 0.0 || straggler_rate > 0.0 ||

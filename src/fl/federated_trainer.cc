@@ -14,7 +14,6 @@
 #include "fl/compression.h"
 #include "fl/local_trainer.h"
 #include "fl/transport/link.h"
-#include "nn/checkpoint.h"
 
 namespace lighttr::fl {
 
@@ -126,8 +125,7 @@ FederatedTrainer::FederatedTrainer(
       rng_(options.seed),
       fault_rng_(0),
       valid_rng_(0),
-      net_rng_(options.transport.channel_seed),
-      monitor_(options.healing.monitor) {
+      net_rng_(options.transport.channel_seed) {
   LIGHTTR_CHECK(clients != nullptr);
   LIGHTTR_CHECK(!clients->empty());
   LIGHTTR_CHECK_GT(options_.client_fraction, 0.0);
@@ -202,8 +200,8 @@ ServerRunState FederatedTrainer::CaptureState(int round,
   state.faults = result.faults;
   // Float64 on purpose: the FL wire format is float32, but aggregation
   // runs in Scalar (double); a rounded restore would diverge bitwise.
-  state.global_params_blob = nn::SerializeCheckpoint(
-      global_model_->params(), nn::CheckpointDtype::kFloat64);
+  state.global_params_blob =
+      global_model_->params().Serialize(nn::BlobPrecision::kFloat64);
   state.optimizer_blobs.reserve(client_optimizers_.size());
   for (const auto& optimizer : client_optimizers_) {
     state.optimizer_blobs.push_back(optimizer->SerializeState());
@@ -232,10 +230,19 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
   // replay the same network weather, which the lossy-channel determinism
   // contract requires.
   LIGHTTR_RETURN_NOT_OK(net_rng_.DeserializeState(state.net_rng_state));
-  // ParseCheckpoint rejects non-finite payloads, so a poisoned snapshot
-  // can never silently install a NaN/Inf global model.
-  LIGHTTR_RETURN_NOT_OK(
-      nn::ParseCheckpoint(state.global_params_blob, &global_model_->params()));
+  // The model goes in all or nothing: a blob that does not parse, or
+  // that carries a NaN/Inf, puts the previous values back, so a
+  // poisoned snapshot can never install a non-finite global model.
+  nn::ParameterSet& params = global_model_->params();
+  const std::vector<nn::Scalar> previous = params.Flatten();
+  Status installed = params.Deserialize(state.global_params_blob);
+  if (installed.ok() && !AllFinite(params.Flatten())) {
+    installed = Status::InvalidArgument("non-finite value in snapshot model");
+  }
+  if (!installed.ok()) {
+    params.AssignFlat(previous);
+    return installed;
+  }
   for (size_t i = 0; i < client_optimizers_.size(); ++i) {
     LIGHTTR_RETURN_NOT_OK(
         client_optimizers_[i]->DeserializeState(state.optimizer_blobs[i]));
@@ -341,7 +348,7 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
     }
     const Status restored = RestoreFromState(state, /*restore_reputation=*/true);
     if (!restored.ok()) {
-      // Includes non-finite-poisoned global models (ParseCheckpoint
+      // Includes non-finite-poisoned global models (RestoreFromState
       // refuses them): warn and fall back, same as a CRC failure.
       std::fprintf(stderr,
                    "[lighttr] warning: snapshot %s rejected (%s); falling "

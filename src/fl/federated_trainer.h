@@ -70,7 +70,6 @@ class PlainLocalUpdate : public LocalUpdateStrategy {
 /// applied on a diverged verdict. Off by default (the paper's setting).
 struct SelfHealingConfig {
   bool enabled = false;
-  HealthMonitorConfig monitor;
   ReputationConfig reputation;
   /// How many times a run may roll back to its last healthy state
   /// before it gives up (restores that state once more and stops).

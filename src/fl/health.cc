@@ -15,12 +15,33 @@ namespace {
 // embeds it can evolve independently of the snapshot container.
 constexpr uint32_t kMonitorMagic = 0x4C54484Du;  // "LTHM"
 constexpr uint32_t kMonitorVersion = 1;
-// A window far above any configured size; bounds hostile length fields.
+// Far above either window size; bounds hostile length fields.
 constexpr uint64_t kMaxWindow = 1u << 20;
 
-void TrimFront(std::vector<double>* window, int cap) {
-  if (cap < 0) cap = 0;
-  const size_t limit = static_cast<size_t>(cap);
+// Detector thresholds, deliberately loose: a self-healing layer that
+// cries wolf (rolls back healthy rounds) costs more than one that waits
+// a round longer to be sure.
+//
+// Rolling window of accepted update delta norms.
+constexpr size_t kNormWindow = 64;
+// Outlier detection stays silent until this many norms are banked.
+constexpr size_t kMinNormHistory = 8;
+// An upload is an outlier when norm > median + this multiple of the MAD
+// (with a relative floor so a zero-MAD window cannot flag everything).
+constexpr double kNormOutlierMult = 8.0;
+// Rolling window of per-round validation losses (non-diverged rounds).
+constexpr size_t kLossWindow = 16;
+// Spike detection stays silent until this many losses are banked
+// (non-finite losses diverge regardless of history).
+constexpr size_t kMinLossHistory = 3;
+// A round diverged when loss > median + this multiple of max(MAD, floor).
+constexpr double kLossSpikeMult = 10.0;
+// MAD floor, as a fraction of max(1, |median|): guards the common
+// early-training case where the banked losses are nearly identical and
+// the raw MAD is ~0.
+constexpr double kLossMadFloor = 0.25;
+
+void TrimFront(std::vector<double>* window, size_t limit) {
   if (window->size() > limit) {
     window->erase(window->begin(),
                   window->end() - static_cast<std::ptrdiff_t>(limit));
@@ -57,12 +78,6 @@ double MedianAbsDeviation(const std::vector<double>& values, double center) {
   return Median(std::move(deviations));
 }
 
-RoundHealthMonitor::RoundHealthMonitor(HealthMonitorConfig config)
-    : config_(config) {
-  LIGHTTR_CHECK_GT(config_.norm_window, 0);
-  LIGHTTR_CHECK_GT(config_.loss_window, 0);
-}
-
 RoundHealthReport RoundHealthMonitor::Judge(
     std::vector<UpdateObservation>* observations,
     const std::vector<nn::Scalar>& global_params, double valid_loss) {
@@ -71,8 +86,7 @@ RoundHealthReport RoundHealthMonitor::Judge(
 
   // (b) Norm outliers, judged against the window *before* this round is
   // admitted so one coordinated burst cannot vouch for itself.
-  const bool norms_armed =
-      static_cast<int>(norm_window_.size()) >= config_.min_norm_history;
+  const bool norms_armed = norm_window_.size() >= kMinNormHistory;
   if (norms_armed) {
     report.norm_median = Median(norm_window_);
     report.norm_mad = MedianAbsDeviation(norm_window_, report.norm_median);
@@ -81,7 +95,7 @@ RoundHealthReport RoundHealthMonitor::Judge(
       std::max(report.norm_mad,
                1e-3 * std::max(1.0, std::fabs(report.norm_median)));
   const double norm_bound =
-      report.norm_median + config_.norm_outlier_mult * norm_spread;
+      report.norm_median + kNormOutlierMult * norm_spread;
   std::vector<double> admitted_norms;
   for (UpdateObservation& obs : *observations) {
     if (obs.corrupt) ++report.corrupt_uploads;
@@ -107,7 +121,7 @@ RoundHealthReport RoundHealthMonitor::Judge(
     admitted_norms.push_back(obs.delta_norm);
   }
   for (double norm : admitted_norms) norm_window_.push_back(norm);
-  TrimFront(&norm_window_, config_.norm_window);
+  TrimFront(&norm_window_, kNormWindow);
 
   // (a) Non-finite scan of the post-aggregation global model: the
   // hardest divergence signal there is, independent of any history.
@@ -116,15 +130,13 @@ RoundHealthReport RoundHealthMonitor::Judge(
 
   // (c) Validation-loss spike vs the rolling median + MAD envelope of
   // past non-diverged rounds.
-  if (!report.loss_nonfinite &&
-      static_cast<int>(loss_window_.size()) >= config_.min_loss_history) {
+  if (!report.loss_nonfinite && loss_window_.size() >= kMinLossHistory) {
     report.loss_median = Median(loss_window_);
     report.loss_mad = MedianAbsDeviation(loss_window_, report.loss_median);
     const double spread =
         std::max(report.loss_mad,
-                 config_.loss_mad_floor *
-                     std::max(1.0, std::fabs(report.loss_median)));
-    if (valid_loss > report.loss_median + config_.loss_spike_mult * spread) {
+                 kLossMadFloor * std::max(1.0, std::fabs(report.loss_median)));
+    if (valid_loss > report.loss_median + kLossSpikeMult * spread) {
       report.loss_spike = true;
     }
   }
@@ -142,7 +154,7 @@ RoundHealthReport RoundHealthMonitor::Judge(
   // is about to be rolled back, so its loss never happened.
   if (report.verdict != HealthVerdict::kDiverged) {
     loss_window_.push_back(valid_loss);
-    TrimFront(&loss_window_, config_.loss_window);
+    TrimFront(&loss_window_, kLossWindow);
   }
   return report;
 }

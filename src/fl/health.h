@@ -45,30 +45,6 @@ enum class HealthVerdict {
 
 const char* HealthVerdictName(HealthVerdict verdict);
 
-/// Detector thresholds. Defaults are deliberately loose: a self-healing
-/// layer that cries wolf (rolls back healthy rounds) costs more than
-/// one that waits a round longer to be sure.
-struct HealthMonitorConfig {
-  /// Rolling window of accepted update delta norms.
-  int norm_window = 64;
-  /// Outlier detection stays silent until this many norms are banked.
-  int min_norm_history = 8;
-  /// Upload is an outlier when norm > median + this multiple of the MAD
-  /// (with a relative floor so a zero-MAD window cannot flag everything).
-  double norm_outlier_mult = 8.0;
-  /// Rolling window of per-round validation losses (healthy rounds only).
-  int loss_window = 16;
-  /// Spike detection stays silent until this many losses are banked
-  /// (non-finite losses diverge regardless of history).
-  int min_loss_history = 3;
-  /// Round diverged when loss > median + this multiple of max(MAD, floor).
-  double loss_spike_mult = 10.0;
-  /// MAD floor, as a fraction of max(1, |median|): guards the common
-  /// early-training case where the banked losses are nearly identical
-  /// and the raw MAD is ~0.
-  double loss_mad_floor = 0.25;
-};
-
 /// One screened upload outcome, in canonical selection order. The
 /// trainer fills everything except `outlier`; Judge sets `outlier` for
 /// accepted uploads whose delta norm escapes the rolling envelope.
@@ -105,10 +81,6 @@ struct RoundHealthReport {
 /// once per round from the coordinating thread.
 class RoundHealthMonitor {
  public:
-  explicit RoundHealthMonitor(HealthMonitorConfig config = {});
-
-  const HealthMonitorConfig& config() const { return config_; }
-
   /// Judges one completed round. `observations` must be in canonical
   /// selection order (part of the determinism contract); Judge flags
   /// norm outliers in place. `global_params` is the post-aggregation
@@ -132,8 +104,7 @@ class RoundHealthMonitor {
   [[nodiscard]] Status DeserializeState(const std::string& bytes);
 
  private:
-  HealthMonitorConfig config_;
-  // Oldest first; trimmed to the configured window sizes.
+  // Oldest first; trimmed to the window sizes (health.cc).
   std::vector<double> norm_window_;
   std::vector<double> loss_window_;
 };

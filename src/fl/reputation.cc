@@ -13,13 +13,23 @@ namespace {
 constexpr uint32_t kBookMagic = 0x4C545250u;  // "LTRP"
 constexpr uint32_t kBookVersion = 2;
 
+// EWMA smoothing: score = (1 - kAlpha) * score + kAlpha * event weight.
+constexpr double kAlpha = 0.5;
+// Event weights, by decreasing severity. When several apply to one
+// upload, the maximum wins.
+constexpr double kCorruptWeight = 1.0;
+constexpr double kRejectedWeight = 0.7;
+// Byzantine-aggregator detection (fl/aggregation suspected flag).
+// Deliberately above the outlier weight: the EWMA of a repeated
+// weight-w event converges to w (see quarantine_threshold).
+constexpr double kSuspectWeight = 0.7;
+constexpr double kOutlierWeight = 0.5;
+
 }  // namespace
 
 ReputationBook::ReputationBook(int num_clients, ReputationConfig config)
     : config_(config) {
   LIGHTTR_CHECK_GE(num_clients, 0);
-  LIGHTTR_CHECK_GT(config_.alpha, 0.0);
-  LIGHTTR_CHECK_LE(config_.alpha, 1.0);
   LIGHTTR_CHECK_GT(config_.quarantine_threshold, 0.0);
   LIGHTTR_CHECK_GT(config_.parole_rounds, 0);
   clients_.resize(static_cast<size_t>(num_clients));
@@ -47,21 +57,21 @@ bool ReputationBook::Observe(int index, bool corrupt, bool rejected,
   double weight = 0.0;
   if (corrupt) {
     ++c.corrupt_events;
-    weight = std::max(weight, config_.corrupt_weight);
+    weight = std::max(weight, kCorruptWeight);
   }
   if (rejected) {
     ++c.rejected_events;
-    weight = std::max(weight, config_.rejected_weight);
+    weight = std::max(weight, kRejectedWeight);
   }
   if (suspected) {
     ++c.suspect_events;
-    weight = std::max(weight, config_.suspect_weight);
+    weight = std::max(weight, kSuspectWeight);
   }
   if (outlier) {
     ++c.outlier_events;
-    weight = std::max(weight, config_.outlier_weight);
+    weight = std::max(weight, kOutlierWeight);
   }
-  c.score = (1.0 - config_.alpha) * c.score + config_.alpha * weight;
+  c.score = (1.0 - kAlpha) * c.score + kAlpha * weight;
   if (!c.quarantined && c.score >= config_.quarantine_threshold) {
     c.quarantined = true;
     c.quarantine_age = 0;

@@ -25,26 +25,18 @@
 
 namespace lighttr::fl {
 
-/// EWMA scoring + quarantine thresholds.
+/// Quarantine thresholds. Each observation updates the EWMA
+/// score = 0.5 * score + 0.5 * weight, where the weight is the most
+/// severe event on the upload: corrupt 1.0, rejected 0.7, suspected
+/// 0.7, outlier 0.5, none 0 (constants in reputation.cc).
 struct ReputationConfig {
-  /// EWMA smoothing: score = (1-alpha)*score + alpha*event_weight.
-  double alpha = 0.5;
-  /// Quarantine when score reaches this value. With alpha 0.5 and
-  /// corrupt weight 1.0, two corrupt uploads in a row cross 0.6.
+  /// Quarantine when score reaches this value. Two corrupt uploads in a
+  /// row cross the default 0.6; outlier-only offenders, whose score
+  /// converges to 0.5, never do, while a suspected poisoner crosses it
+  /// on its third straight flag.
   double quarantine_threshold = 0.6;
   /// Rounds a quarantined client sits out before parole.
   int parole_rounds = 4;
-  // Event weights, by decreasing severity. When several apply to one
-  // upload, the maximum wins.
-  double corrupt_weight = 1.0;
-  double rejected_weight = 0.7;
-  /// Byzantine-aggregator detection (fl/aggregation suspected flag).
-  /// Deliberately above the outlier weight: with alpha 0.5 the EWMA of
-  /// a repeated weight-w event converges to w, so outlier-only
-  /// offenders (0.5) never cross the default 0.6 threshold while a
-  /// suspected poisoner (0.7) crosses it on its third straight flag.
-  double suspect_weight = 0.7;
-  double outlier_weight = 0.5;
 };
 
 /// One client's standing.

@@ -19,7 +19,7 @@ constexpr char kMagic[4] = {'L', 'T', 'R', 'S'};
 // The one readable layout. Any incompatible change (including adding,
 // removing, or reordering a kCounters row) bumps it; older snapshots
 // are then rejected rather than half-read.
-constexpr uint32_t kVersion = 7;
+constexpr uint32_t kVersion = 8;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".ltrs";
 

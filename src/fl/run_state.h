@@ -84,9 +84,10 @@ void MaybeInjectCrash(const DurabilityConfig& config, CrashPoint point,
 /// Everything the server must persist to resume a run exactly: the
 /// last completed round, every RNG stream state (so a resumed run
 /// replays the same fault, network, and attack weather), accumulated
-/// telemetry (every kCounters row), the global parameters (float64
-/// checkpoint blob), each client optimizer's state, the self-healing
-/// and Byzantine-defence state, and the round history.
+/// telemetry (every kCounters row), the global parameters (a float64
+/// ParameterSet blob, which the snapshot CRC covers), each client
+/// optimizer's state, the self-healing and Byzantine-defence state, and
+/// the round history.
 struct ServerRunState {
   int round = 0;
   std::string rng_state;        // FederatedTrainer::rng_
@@ -94,7 +95,7 @@ struct ServerRunState {
   std::string net_rng_state;    // dedicated channel-fault stream
   CommStats comm;
   FaultStats faults;
-  std::string global_params_blob;            // nn::SerializeCheckpoint, f64
+  std::string global_params_blob;            // ParameterSet::Serialize(kFloat64)
   std::vector<std::string> optimizer_blobs;  // one per client, in order
   std::string reputation_blob;  // ReputationBook::Serialize ("" when off)
   std::string monitor_blob;     // RoundHealthMonitor::SerializeState

@@ -1,20 +1,20 @@
 #include "fl/transport/channel.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace lighttr::fl::transport {
 
 namespace {
 
-// Flips 1..max_bit_flips random bits in `bytes`. Draw count depends only
+// Upper bound on bit flips per corrupted copy.
+constexpr int kMaxBitFlips = 8;
+
+// Flips 1..kMaxBitFlips random bits in `bytes`. Draw count depends only
 // on the drawn flip count, which is part of the same deterministic
 // stream, so replay is exact.
-void CorruptBytes(std::string* bytes, int max_bit_flips, Rng* rng) {
+void CorruptBytes(std::string* bytes, Rng* rng) {
   if (bytes->empty()) return;
-  const int flips =
-      static_cast<int>(rng->UniformInt(1, std::max(1, max_bit_flips)));
+  const int flips = static_cast<int>(rng->UniformInt(1, kMaxBitFlips));
   for (int i = 0; i < flips; ++i) {
     const auto pos = static_cast<size_t>(
         rng->UniformInt(0, static_cast<int64_t>(bytes->size()) - 1));
@@ -48,7 +48,7 @@ std::vector<Delivery> SimulatedChannel::Transmit(const std::string& frame,
     Delivery delivery;
     delivery.bytes = frame;
     if (config_.corrupt_rate > 0.0 && rng->Bernoulli(config_.corrupt_rate)) {
-      CorruptBytes(&delivery.bytes, config_.max_bit_flips, rng);
+      CorruptBytes(&delivery.bytes, rng);
     } else if (config_.truncate_rate > 0.0 &&
                rng->Bernoulli(config_.truncate_rate)) {
       if (!delivery.bytes.empty()) {

@@ -36,10 +36,9 @@ struct ChannelFaultConfig {
   double drop_rate = 0.0;       // frame vanishes entirely
   double duplicate_rate = 0.0;  // frame arrives twice
   double reorder_rate = 0.0;    // frame held back, released after the next
-  double corrupt_rate = 0.0;    // 1..max_bit_flips random bit flips
+  double corrupt_rate = 0.0;    // 1..8 random bit flips per copy
   double truncate_rate = 0.0;   // frame cut to a random prefix
   double delay_rate = 0.0;      // arrives after the receiver's deadline
-  int max_bit_flips = 8;        // upper bound on flips per corrupted copy
 
   /// True when any fault can fire — i.e. the channel needs an Rng.
   bool enabled() const {

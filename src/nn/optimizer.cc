@@ -13,7 +13,6 @@ namespace {
 // counters and moment matrices at full Scalar precision. Embedded in
 // run-state snapshots, which carry the integrity CRC; blobs here only
 // need to be bounds-safe to parse.
-constexpr uint8_t kStateKindSgd = 0;
 constexpr uint8_t kStateKindAdam = 1;
 
 void WriteMatrices(BinaryWriter* writer, const std::vector<Matrix>& matrices) {
@@ -66,63 +65,6 @@ void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm) {
     Matrix& g = params->tensor(i).grad();
     for (size_t j = 0; j < g.size(); ++j) g.data()[j] *= scale;
   }
-}
-
-SgdOptimizer::SgdOptimizer(Scalar learning_rate, Scalar momentum,
-                           Scalar clip_norm)
-    : learning_rate_(learning_rate),
-      momentum_(momentum),
-      clip_norm_(clip_norm) {
-  LIGHTTR_CHECK_GT(learning_rate, Scalar{0});
-  LIGHTTR_CHECK_GE(momentum, Scalar{0});
-  LIGHTTR_CHECK_LT(momentum, Scalar{1});
-}
-
-void SgdOptimizer::Step(ParameterSet* params) {
-  LIGHTTR_CHECK(params != nullptr);
-  ClipGradientsByGlobalNorm(params, clip_norm_);
-  if (velocity_.empty() && momentum_ > Scalar{0}) {
-    for (size_t i = 0; i < params->size(); ++i) {
-      const Matrix& value = params->tensor(i).value();
-      velocity_.emplace_back(value.rows(), value.cols());
-    }
-  }
-  for (size_t i = 0; i < params->size(); ++i) {
-    Matrix& value = params->tensor(i).mutable_value();
-    const Matrix& grad = params->tensor(i).grad();
-    if (momentum_ > Scalar{0}) {
-      Matrix& vel = velocity_[i];
-      LIGHTTR_CHECK(vel.SameShape(value));
-      for (size_t j = 0; j < value.size(); ++j) {
-        vel.data()[j] = momentum_ * vel.data()[j] - learning_rate_ * grad.data()[j];
-        value.data()[j] += vel.data()[j];
-      }
-    } else {
-      value.AddScaled(grad, -learning_rate_);
-    }
-  }
-  params->ZeroGrads();
-}
-
-std::string SgdOptimizer::SerializeState() const {
-  BinaryWriter writer;
-  writer.WriteU8(kStateKindSgd);
-  WriteMatrices(&writer, velocity_);
-  return writer.Take();
-}
-
-Status SgdOptimizer::DeserializeState(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  uint8_t kind = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&kind));
-  if (kind != kStateKindSgd) {
-    return Status::InvalidArgument("state blob is not SGD state");
-  }
-  LIGHTTR_RETURN_NOT_OK(ReadMatrices(&reader, &velocity_));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in SGD state blob");
-  }
-  return Status::Ok();
 }
 
 AdamOptimizer::AdamOptimizer(Scalar learning_rate, Scalar beta1, Scalar beta2,

@@ -1,4 +1,5 @@
-// First-order optimizers over ParameterSets: SGD (with momentum) and Adam.
+// First-order optimization over ParameterSets: Adam (AdamW-style weight
+// decay) behind the Optimizer interface, plus global-norm clipping.
 #ifndef LIGHTTR_NN_OPTIMIZER_H_
 #define LIGHTTR_NN_OPTIMIZER_H_
 
@@ -23,42 +24,13 @@ class Optimizer {
   /// Serializes the mutable optimizer state (moment estimates, step
   /// counters) at full Scalar precision for crash-recovery snapshots.
   /// Hyperparameters are NOT included: the restoring side constructs
-  /// the optimizer with the same options and then loads the state. The
-  /// base implementation is for stateless optimizers (empty blob).
-  virtual std::string SerializeState() const { return std::string(); }
+  /// the optimizer with the same options and then loads the state.
+  virtual std::string SerializeState() const = 0;
 
   /// Restores a blob produced by SerializeState on an optimizer of the
   /// same concrete type. Malformed or mismatched blobs are rejected
   /// with a Status (state may be partially overwritten on failure).
-  [[nodiscard]] virtual Status DeserializeState(const std::string& bytes) {
-    if (!bytes.empty()) {
-      return Status::InvalidArgument(
-          "state blob given to a stateless optimizer");
-    }
-    return Status::Ok();
-  }
-};
-
-/// Stochastic gradient descent with optional classical momentum and
-/// gradient clipping by global norm.
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(Scalar learning_rate, Scalar momentum = Scalar{0},
-                        Scalar clip_norm = Scalar{0});
-
-  void Step(ParameterSet* params) override;
-
-  std::string SerializeState() const override;
-  [[nodiscard]] Status DeserializeState(const std::string& bytes) override;
-
-  Scalar learning_rate() const { return learning_rate_; }
-  void set_learning_rate(Scalar lr) { learning_rate_ = lr; }
-
- private:
-  Scalar learning_rate_;
-  Scalar momentum_;
-  Scalar clip_norm_;  // 0 disables clipping
-  std::vector<Matrix> velocity_;
+  [[nodiscard]] virtual Status DeserializeState(const std::string& bytes) = 0;
 };
 
 /// Adam (Kingma & Ba) with bias correction and optional clipping.

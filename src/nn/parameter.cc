@@ -12,7 +12,9 @@ namespace lighttr::nn {
 
 namespace {
 
+// The magic names the element width: "LTR1" float32, "LTRD" float64.
 constexpr char kMagic[4] = {'L', 'T', 'R', '1'};
+constexpr char kMagic64[4] = {'L', 'T', 'R', 'D'};
 
 }  // namespace
 
@@ -76,9 +78,10 @@ int64_t ParameterSet::WireBytes() const {
   return bytes;
 }
 
-std::string ParameterSet::Serialize() const {
+std::string ParameterSet::Serialize(BlobPrecision precision) const {
+  const bool wide = precision == BlobPrecision::kFloat64;
   BinaryWriter writer;
-  writer.WriteBytes(kMagic, sizeof(kMagic));
+  writer.WriteBytes(wide ? kMagic64 : kMagic, sizeof(kMagic));
   writer.WriteU32(static_cast<uint32_t>(items_.size()));
   for (const auto& [name, tensor] : items_) {
     writer.WriteU32(static_cast<uint32_t>(name.size()));
@@ -86,8 +89,14 @@ std::string ParameterSet::Serialize() const {
     const Matrix& m = tensor.value();
     writer.WriteU32(static_cast<uint32_t>(m.rows()));
     writer.WriteU32(static_cast<uint32_t>(m.cols()));
-    for (size_t i = 0; i < m.size(); ++i) {
-      writer.WriteF32(static_cast<float>(m.data()[i]));
+    if (wide) {
+      for (size_t i = 0; i < m.size(); ++i) {
+        writer.WriteF64(static_cast<double>(m.data()[i]));
+      }
+    } else {
+      for (size_t i = 0; i < m.size(); ++i) {
+        writer.WriteF32(static_cast<float>(m.data()[i]));
+      }
     }
   }
   return writer.Take();
@@ -96,8 +105,11 @@ std::string ParameterSet::Serialize() const {
 Status ParameterSet::Deserialize(const std::string& bytes) {
   BinaryReader reader(bytes);
   char magic[4];
-  if (!reader.ReadBytes(magic, sizeof(magic)).ok() ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (!reader.ReadBytes(magic, sizeof(magic)).ok()) {
+    return Status::InvalidArgument("bad parameter blob magic");
+  }
+  const bool wide = std::memcmp(magic, kMagic64, sizeof(kMagic64)) == 0;
+  if (!wide && std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("bad parameter blob magic");
   }
   uint32_t count = 0;
@@ -132,12 +144,22 @@ Status ParameterSet::Deserialize(const std::string& bytes) {
     if (rows != m.rows() || cols != m.cols()) {
       return Status::InvalidArgument("parameter shape mismatch for " + name);
     }
-    for (size_t i = 0; i < m.size(); ++i) {
-      float v = 0.0f;
-      if (!reader.ReadF32(&v).ok()) {
-        return Status::InvalidArgument("truncated parameter blob");
+    if (wide) {
+      for (size_t i = 0; i < m.size(); ++i) {
+        double v = 0.0;
+        if (!reader.ReadF64(&v).ok()) {
+          return Status::InvalidArgument("truncated parameter blob");
+        }
+        m.data()[i] = static_cast<Scalar>(v);
       }
-      m.data()[i] = static_cast<Scalar>(v);
+    } else {
+      for (size_t i = 0; i < m.size(); ++i) {
+        float v = 0.0f;
+        if (!reader.ReadF32(&v).ok()) {
+          return Status::InvalidArgument("truncated parameter blob");
+        }
+        m.data()[i] = static_cast<Scalar>(v);
+      }
     }
   }
   if (!reader.AtEnd()) {

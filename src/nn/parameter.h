@@ -1,5 +1,11 @@
 // Parameter registry: named trainable tensors with flattening and
 // (de)serialization — the unit of exchange in federated aggregation.
+//
+// One blob codec serves every copy of the parameters: the float32 blob
+// is the FL wire format (pull replies), the float64 blob is the global
+// model inside fl/run_state snapshots. The blob carries no checksum of
+// its own; the frame CRC on the wire and the snapshot CRC on disk
+// cover it.
 #ifndef LIGHTTR_NN_PARAMETER_H_
 #define LIGHTTR_NN_PARAMETER_H_
 
@@ -12,12 +18,17 @@
 
 namespace lighttr::nn {
 
+/// Element width of a Serialize() blob. Float32 is the wire format, so
+/// communication byte counts are realistic; float64 keeps every Scalar
+/// bit, which a resumed run needs to stay bitwise-identical to an
+/// uninterrupted one.
+enum class BlobPrecision { kFloat32, kFloat64 };
+
 /// An ordered collection of named parameters (trainable leaf tensors).
 ///
 /// Models register their parameters at construction; the FL layer uses
-/// Flatten/AssignFlat to average models, and Serialize/Deserialize as
-/// the wire format (float32 on the wire, as a real deployment would use,
-/// so communication byte counts are realistic).
+/// Flatten/AssignFlat to average models, and Serialize/Deserialize to
+/// move or persist them (see BlobPrecision).
 class ParameterSet {
  public:
   ParameterSet() = default;
@@ -48,11 +59,14 @@ class ParameterSet {
   /// Serialized size in bytes of the float32 wire format.
   int64_t WireBytes() const;
 
-  /// Serializes names, shapes, and float32 values.
-  std::string Serialize() const;
+  /// Serializes names, shapes, and values at `precision`; the magic
+  /// records the width.
+  std::string Serialize(BlobPrecision precision = BlobPrecision::kFloat32) const;
 
-  /// Restores values from Serialize() output. The parameter names and
-  /// shapes must match this set exactly.
+  /// Restores values from Serialize() output of either precision. The
+  /// parameter names and shapes must match this set exactly. Values are
+  /// written as they are read, so a rejected blob may leave the set
+  /// partially overwritten.
   [[nodiscard]] Status Deserialize(const std::string& bytes);
 
  private:

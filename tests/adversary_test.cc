@@ -18,10 +18,10 @@
 #include "fl/privacy.h"
 #include "fl/reputation.h"
 #include "fl/run_state.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
@@ -116,7 +116,6 @@ TEST(AdversaryEngine, ScaledAscentScalesWithinJitterBand) {
 
 TEST(AdversaryEngine, MinMaxColludersUploadBitwiseIdentical) {
   AdversaryConfig config = BaseConfig(AttackType::kMinMax);
-  config.stealth_margin = 0.9;
   AdversaryEngine engine(config);
   // Bank honest norms so TargetNorm has a median to mimic.
   engine.ObserveHonestNorm(1.0);
@@ -131,7 +130,7 @@ TEST(AdversaryEngine, MinMaxColludersUploadBitwiseIdentical) {
   ASSERT_TRUE(engine.Poison(global, &a, &stream_a));
   ASSERT_TRUE(engine.Poison(global, &b, &stream_b));
   EXPECT_EQ(a, b);  // the collusion tell the certificate fires on
-  // Delta norm lands exactly on stealth_margin x median honest norm.
+  // Delta norm lands exactly on 0.9 x the median honest norm.
   EXPECT_NEAR(DeltaNorm(a, global), 0.9 * 2.0, 1e-9);
 }
 
@@ -153,7 +152,6 @@ TEST(AdversaryEngine, MinMaxResamplesDriftEveryRound) {
 
 TEST(AdversaryEngine, NormMatchedFlipsAndLandsUnderHonestEnvelope) {
   AdversaryConfig config = BaseConfig(AttackType::kNormMatched);
-  config.stealth_margin = 0.9;
   AdversaryEngine engine(config);
   engine.ObserveHonestNorm(2.0);
   const std::vector<nn::Scalar> global = {0.0, 0.0, 0.0};
@@ -547,7 +545,6 @@ TEST(Aggregation, ExcludeSuspectedMeansOverUnflaggedUploads) {
 TEST(Aggregation, NormBoundClipsAndFlagsOnlyExtremeDeltas) {
   AggregatorConfig config;
   config.policy = AggregatorPolicy::kNormBound;
-  config.suspicion_mult = 4.0;
   const std::vector<nn::Scalar> reference = {0.0};
   const std::vector<std::vector<nn::Scalar>> uploads = {
       {1.0}, {1.5}, {10.0}};
@@ -559,7 +556,7 @@ TEST(Aggregation, NormBoundClipsAndFlagsOnlyExtremeDeltas) {
   EXPECT_NEAR(unarmed.value()[0], (1.0 + 1.5 + 10.0) / 3.0, 1e-12);
   for (uint8_t flag : suspected) EXPECT_EQ(flag, 0);
   // Armed at 2.0: the 10.0 delta is clipped to the bound and, being
-  // over suspicion_mult x bound, flagged; the 1.5 delta sails through.
+  // over 4x the bound, flagged; the 1.5 delta sails through.
   Result<std::vector<nn::Scalar>> armed =
       AggregateFlat(uploads, config, &reference, 2.0, &suspected);
   ASSERT_TRUE(armed.ok());
@@ -609,47 +606,14 @@ TEST(Reputation, SuspectWeightOutranksOutlierOnSameUpload) {
 // End-to-end: FederatedTrainer under attack
 // ---------------------------------------------------------------------
 
-// Minimal RecoveryModel in the fl_test mold, but trained toward a
-// SHARED constant rather than the per-client driver_id: honest clients
-// must agree on a consensus direction for a Byzantine defense to have
-// something to defend (the per-client-target stub models a pathological
-// zero-consensus federation where no robust aggregator can distinguish
-// honest disagreement from attack).
-class StubModel : public RecoveryModel {
- public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  ForwardResult Forward(const traj::IncompleteTrajectory& /*trajectory*/,
-                        bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = nn::Scalar{2.0};
-    ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
+// The shared stub, trained toward a SHARED constant rather than the
+// per-client driver_id: honest clients must agree on a consensus
+// direction for a Byzantine defense to have something to defend (the
+// per-client-target stub models a pathological zero-consensus
+// federation where no robust aggregator can distinguish honest
+// disagreement from attack).
 std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
-  return std::make_unique<StubModel>(rng);
+  return std::make_unique<test_util::StubModel>(rng, 1, /*target=*/2.0);
 }
 
 std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,

@@ -1,7 +1,12 @@
-// Hostile-input tests for the v2 checkpoint loader: systematic and
-// seeded-random mutations of valid checkpoint files must always come
-// back as a descriptive Status — never a crash, hang, OOM, or silently
-// garbage parameters. (The sanitizer matrix runs this binary under
+// Hostile-input tests for the parameter blob codec
+// (nn::ParameterSet::Serialize / Deserialize), which carries the model
+// on the wire (float32) and inside run-state snapshots (float64).
+// Systematic and seeded-random mutations of valid blobs must come back
+// as a descriptive Status or as a well-formed decode — never a crash,
+// hang, or OOM. The blob has no checksum of its own: damaged values are
+// caught by the frame CRC on the wire and the snapshot CRC on disk, and
+// a NaN/Inf model is refused where a snapshot is restored (the second
+// half of this file). (The sanitizer matrix runs this binary under
 // ASan/TSan; see ROADMAP.md.)
 #include <gtest/gtest.h>
 
@@ -13,20 +18,26 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/env.h"
+#include "common/finite.h"
 #include "common/rng.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
-#include "nn/checkpoint.h"
-#include "nn/losses.h"
 #include "nn/parameter.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::nn {
 namespace {
+
+constexpr BlobPrecision kPrecisions[] = {BlobPrecision::kFloat32,
+                                         BlobPrecision::kFloat64};
+
+const char* PrecisionName(BlobPrecision precision) {
+  return precision == BlobPrecision::kFloat32 ? "f32" : "f64";
+}
 
 ParameterSet MakeParams(double scale = 1.0) {
   ParameterSet params;
@@ -60,199 +71,161 @@ void ExpectParamsEqual(const ParameterSet& a, const ParameterSet& b,
   }
 }
 
-TEST(CheckpointV2, Float32RoundTrips) {
+TEST(ParameterBlob, Float32RoundTrips) {
+  const ParameterSet original = MakeParams();
+  ParameterSet restored = MakeParams(0.0);
+  ASSERT_TRUE(restored.Deserialize(original.Serialize()).ok());
+  ExpectParamsEqual(original, restored, 1e-6);
+}
+
+TEST(ParameterBlob, Float64RoundTripsBitwise) {
+  // 1/3 and 1/5 have no float32 representation: only the float64 blob
+  // brings them back exactly.
   const ParameterSet original = MakeParams();
   ParameterSet restored = MakeParams(0.0);
   ASSERT_TRUE(
-      ParseCheckpoint(SerializeCheckpoint(original), &restored).ok());
-  ExpectParamsEqual(original, restored, 1e-6);
-}
-
-TEST(CheckpointV2, Float64RoundTripsBitwise) {
-  const ParameterSet original = MakeParams();
-  ParameterSet restored = MakeParams(0.0);
-  ASSERT_TRUE(ParseCheckpoint(
-                  SerializeCheckpoint(original, CheckpointDtype::kFloat64),
-                  &restored)
-                  .ok());
+      restored.Deserialize(original.Serialize(BlobPrecision::kFloat64)).ok());
   ExpectParamsEqual(original, restored, 0.0);
 }
 
-TEST(CheckpointV2, WireFormatBlobsAreNotCheckpoints) {
-  // ParameterSet::Serialize ("LTR1", the FL wire format) is not a
-  // checkpoint format: only v2 is read.
-  const ParameterSet original = MakeParams();
-  ParameterSet restored = MakeParams(0.0);
-  EXPECT_FALSE(ParseCheckpoint(original.Serialize(), &restored).ok());
+TEST(ParameterBlob, Float32IsTheWireSizeAndFloat64HoldsTwiceThePayload) {
+  const ParameterSet params = MakeParams();
+  const std::string narrow = params.Serialize();
+  const std::string wide = params.Serialize(BlobPrecision::kFloat64);
+  EXPECT_EQ(static_cast<int64_t>(narrow.size()), params.WireBytes());
+  EXPECT_EQ(wide.size() - narrow.size(),
+            static_cast<size_t>(params.NumScalars()) * sizeof(float));
 }
 
-TEST(CheckpointV2, SaveLoadThroughDiskIsAtomic) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "ckpt_disk").string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (std::filesystem::path(dir) / "model.ckpt").string();
-  const ParameterSet original = MakeParams();
-  ASSERT_TRUE(SaveCheckpoint(RealFileSystemInstance(), path, original).ok());
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));  // temp renamed away
-  ParameterSet restored = MakeParams(0.0);
-  ASSERT_TRUE(LoadCheckpoint(RealFileSystemInstance(), path, &restored).ok());
-  ExpectParamsEqual(original, restored, 1e-6);
-}
-
-// --------------------------------------------------------------------
-// Mutation battery. Every mutant must yield !ok(), and none may crash.
-
-TEST(CheckpointRobustness, EveryTruncationIsRejected) {
-  const std::string blob = SerializeCheckpoint(MakeParams());
-  for (size_t keep = 0; keep < blob.size(); keep += 3) {
-    ParameterSet victim = MakeParams(2.0);
-    EXPECT_FALSE(ParseCheckpoint(blob.substr(0, keep), &victim).ok())
-        << "truncation to " << keep << " bytes was accepted";
-  }
-}
-
-TEST(CheckpointRobustness, SingleByteFlipsAreAlwaysDetected) {
-  const std::string blob = SerializeCheckpoint(MakeParams());
-  for (size_t pos = 0; pos < blob.size(); ++pos) {
-    std::string mutant = blob;
-    mutant[pos] = static_cast<char>(mutant[pos] ^ 0x5a);
-    ParameterSet victim = MakeParams(2.0);
-    EXPECT_FALSE(ParseCheckpoint(mutant, &victim).ok())
-        << "byte flip at " << pos << " was accepted";
-  }
-}
-
-// ~20 deterministic pseudo-random mutants with multi-byte damage,
-// mirroring what a fuzzer would feed the loader. Seeded, so failures
-// reproduce.
-TEST(CheckpointRobustness, RandomMutantsNeverCrashTheLoader) {
-  const std::string blob =
-      SerializeCheckpoint(MakeParams(), CheckpointDtype::kFloat64);
-  lighttr::Rng rng(20240806);
-  for (int mutant_index = 0; mutant_index < 20; ++mutant_index) {
-    std::string mutant = blob;
-    const int edits = static_cast<int>(rng.UniformInt(1, 16));
-    for (int e = 0; e < edits; ++e) {
-      const auto pos = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(mutant.size()) - 1));
-      mutant[pos] = static_cast<char>(rng.UniformInt(0, 255));
-    }
-    if (static_cast<int>(rng.UniformInt(0, 3)) == 0 && mutant.size() > 8) {
-      mutant.resize(mutant.size() -
-                    static_cast<size_t>(rng.UniformInt(1, 8)));
-    }
-    if (mutant == blob) continue;  // the rare identity mutant
-    ParameterSet victim = MakeParams(2.0);
-    EXPECT_FALSE(ParseCheckpoint(mutant, &victim).ok())
-        << "mutant " << mutant_index << " was accepted";
-  }
-}
-
-// Targeted hostile inputs: each corrupts one structural field and then
-// repairs the whole-file CRC so parsing reaches the field validation.
-std::string WithFixedCrc(std::string body_without_crc) {
-  const uint32_t crc = Crc32(body_without_crc);
-  body_without_crc.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return body_without_crc;
-}
-
-std::string BodyOf(const std::string& blob) {
-  return blob.substr(0, blob.size() - sizeof(uint32_t));
-}
-
-TEST(CheckpointRobustness, HostileStructuralFieldsAreRejected) {
-  const std::string blob = SerializeCheckpoint(MakeParams());
-  struct Mutation {
-    const char* label;
-    size_t offset;
-    uint32_t value;
-  };
-  // Layout: magic(4) version(4) dtype(1) count(4) name_len(4) ...
-  const Mutation mutations[] = {
-      {"version 99", 4, 99u},
-      {"count 0", 9, 0u},
-      {"count huge", 9, 0x7fffffffu},
-      {"name_len huge", 13, 0xffffff00u},
-      {"name_len past end", 13, 1u << 20},
-  };
-  for (const Mutation& m : mutations) {
-    std::string body = BodyOf(blob);
-    ASSERT_LE(m.offset + sizeof(uint32_t), body.size());
-    std::memcpy(body.data() + m.offset, &m.value, sizeof(m.value));
-    ParameterSet victim = MakeParams(2.0);
-    EXPECT_FALSE(ParseCheckpoint(WithFixedCrc(body), &victim).ok()) << m.label;
-  }
-
-  // Unknown dtype byte (offset 8).
-  std::string body = BodyOf(blob);
-  body[8] = static_cast<char>(7);
-  ParameterSet victim = MakeParams(2.0);
-  EXPECT_FALSE(ParseCheckpoint(WithFixedCrc(body), &victim).ok());
-
-  // Trailing garbage with a repaired CRC.
-  ParameterSet victim2 = MakeParams(2.0);
-  EXPECT_FALSE(
-      ParseCheckpoint(WithFixedCrc(BodyOf(blob) + "extra"), &victim2).ok());
-}
-
-TEST(CheckpointRobustness, NonFinitePayloadIsRejected) {
-  ParameterSet poisoned = MakeParams();
-  std::vector<Scalar> flat = poisoned.Flatten();
-  flat[2] = std::numeric_limits<Scalar>::quiet_NaN();
-  poisoned.AssignFlat(flat);
-  const std::string blob =
-      SerializeCheckpoint(poisoned, CheckpointDtype::kFloat64);
-  ParameterSet victim = MakeParams(2.0);
-  const Status status = ParseCheckpoint(blob, &victim);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("non-finite"), std::string::npos);
-}
-
-TEST(CheckpointRobustness, InfinitePayloadIsRejected) {
-  for (const Scalar poison : {std::numeric_limits<Scalar>::infinity(),
+// The decoder moves values; judging them is the caller's job. The wire
+// path must not turn an unhealed NaN round into a decode failure, and
+// the snapshot path refuses non-finite models in RestoreFromState
+// (SnapshotRobustness below).
+TEST(ParameterBlob, NonFiniteValuesDecodeForTheCallerToJudge) {
+  for (const Scalar poison : {std::numeric_limits<Scalar>::quiet_NaN(),
+                              std::numeric_limits<Scalar>::infinity(),
                               -std::numeric_limits<Scalar>::infinity()}) {
     ParameterSet poisoned = MakeParams();
     std::vector<Scalar> flat = poisoned.Flatten();
     flat.back() = poison;
     poisoned.AssignFlat(flat);
-    for (const CheckpointDtype dtype :
-         {CheckpointDtype::kFloat32, CheckpointDtype::kFloat64}) {
+    for (const BlobPrecision precision : kPrecisions) {
+      SCOPED_TRACE(PrecisionName(precision));
       ParameterSet victim = MakeParams(2.0);
-      const Status status =
-          ParseCheckpoint(SerializeCheckpoint(poisoned, dtype), &victim);
-      EXPECT_FALSE(status.ok());
-      EXPECT_NE(status.message().find("non-finite"), std::string::npos);
+      ASSERT_TRUE(victim.Deserialize(poisoned.Serialize(precision)).ok());
+      const Scalar decoded = victim.Flatten().back();
+      EXPECT_EQ(IsNan(decoded), IsNan(poison));
+      if (!IsNan(poison)) {
+        EXPECT_EQ(decoded, poison);
+      }
     }
   }
 }
 
-TEST(CheckpointRobustness, WrongArchitectureIsRejectedNotLoaded) {
-  const std::string blob = SerializeCheckpoint(MakeParams());
+// --------------------------------------------------------------------
+// Mutation battery, run at both precisions. Every structural mutant
+// must yield !ok(), and none may crash.
 
-  ParameterSet fewer;
-  fewer.Register("encoder.w1", Tensor::Variable(Matrix(2, 3)));
-  EXPECT_FALSE(ParseCheckpoint(blob, &fewer).ok());  // count mismatch
-
-  ParameterSet renamed;
-  renamed.Register("encoder.w1", Tensor::Variable(Matrix(2, 3)));
-  renamed.Register("decoder.w2", Tensor::Variable(Matrix(1, 4)));
-  renamed.Register("head.bias", Tensor::Variable(Matrix(1, 1)));
-  EXPECT_FALSE(ParseCheckpoint(blob, &renamed).ok());  // name mismatch
-
-  ParameterSet reshaped;
-  reshaped.Register("encoder.w1", Tensor::Variable(Matrix(3, 2)));
-  reshaped.Register("encoder.w2", Tensor::Variable(Matrix(1, 4)));
-  reshaped.Register("head.bias", Tensor::Variable(Matrix(1, 1)));
-  EXPECT_FALSE(ParseCheckpoint(blob, &reshaped).ok());  // shape mismatch
+TEST(ParameterBlobRobustness, EveryTruncationIsRejected) {
+  for (const BlobPrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    const std::string blob = MakeParams().Serialize(precision);
+    for (size_t keep = 0; keep < blob.size(); ++keep) {
+      ParameterSet victim = MakeParams(2.0);
+      EXPECT_FALSE(victim.Deserialize(blob.substr(0, keep)).ok())
+          << "truncation to " << keep << " bytes was accepted";
+    }
+  }
 }
 
-TEST(CheckpointRobustness, EmptyAndTinyInputsAreRejected) {
-  for (const std::string& input :
-       {std::string(), std::string("L"), std::string("LTC2"),
-        std::string("LTC2\0\0\0\0", 8), std::string(3, '\xff')}) {
+TEST(ParameterBlobRobustness, HostileStructuralFieldsAreRejected) {
+  struct Mutation {
+    const char* label;
+    size_t offset;
+    uint32_t value;
+  };
+  // Layout: magic(4) count(4) name_len(4) name ...
+  const Mutation mutations[] = {
+      {"bad magic", 0, 0x31525458u},  // "XTR1"
+      {"count 0", 4, 0u},
+      {"count huge", 4, 0x7fffffffu},
+      {"name_len huge", 8, 0xffffff00u},
+      {"name_len past end", 8, 1u << 20},
+  };
+  for (const BlobPrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    const std::string blob = MakeParams().Serialize(precision);
+    for (const Mutation& m : mutations) {
+      std::string mutant = blob;
+      ASSERT_LE(m.offset + sizeof(uint32_t), mutant.size());
+      std::memcpy(mutant.data() + m.offset, &m.value, sizeof(m.value));
+      ParameterSet victim = MakeParams(2.0);
+      EXPECT_FALSE(victim.Deserialize(mutant).ok()) << m.label;
+    }
     ParameterSet victim = MakeParams(2.0);
-    EXPECT_FALSE(ParseCheckpoint(input, &victim).ok());
+    EXPECT_FALSE(victim.Deserialize(blob + "extra").ok()) << "trailing bytes";
+  }
+}
+
+TEST(ParameterBlobRobustness, WrongArchitectureIsRejectedNotLoaded) {
+  for (const BlobPrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    const std::string blob = MakeParams().Serialize(precision);
+
+    ParameterSet fewer;
+    fewer.Register("encoder.w1", Tensor::Variable(Matrix(2, 3)));
+    EXPECT_FALSE(fewer.Deserialize(blob).ok());  // count mismatch
+
+    ParameterSet renamed;
+    renamed.Register("encoder.w1", Tensor::Variable(Matrix(2, 3)));
+    renamed.Register("decoder.w2", Tensor::Variable(Matrix(1, 4)));
+    renamed.Register("head.bias", Tensor::Variable(Matrix(1, 1)));
+    EXPECT_FALSE(renamed.Deserialize(blob).ok());  // name mismatch
+
+    ParameterSet reshaped;
+    reshaped.Register("encoder.w1", Tensor::Variable(Matrix(3, 2)));
+    reshaped.Register("encoder.w2", Tensor::Variable(Matrix(1, 4)));
+    reshaped.Register("head.bias", Tensor::Variable(Matrix(1, 1)));
+    EXPECT_FALSE(reshaped.Deserialize(blob).ok());  // shape mismatch
+  }
+}
+
+TEST(ParameterBlobRobustness, EmptyAndTinyInputsAreRejected) {
+  for (const std::string& input :
+       {std::string(), std::string("L"), std::string("LTR1"),
+        std::string("LTRD"), std::string("LTR1\0\0\0\0", 8),
+        std::string("LTRD\0\0\0\0", 8), std::string(3, '\xff')}) {
+    ParameterSet victim = MakeParams(2.0);
+    EXPECT_FALSE(victim.Deserialize(input).ok());
+  }
+}
+
+// ~20 deterministic pseudo-random mutants per precision with multi-byte
+// damage, mirroring what a fuzzer would feed the decoder. Seeded, so
+// failures reproduce. A mutant may decode when only value bytes were
+// hit, but then it must have kept the blob's exact layout.
+TEST(ParameterBlobRobustness, RandomMutantsNeverCrashTheDecoder) {
+  lighttr::Rng rng(20240806);
+  for (const BlobPrecision precision : kPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    const std::string blob = MakeParams().Serialize(precision);
+    for (int mutant_index = 0; mutant_index < 20; ++mutant_index) {
+      std::string mutant = blob;
+      const int edits = static_cast<int>(rng.UniformInt(1, 16));
+      for (int e = 0; e < edits; ++e) {
+        const auto pos = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(mutant.size()) - 1));
+        mutant[pos] = static_cast<char>(rng.UniformInt(0, 255));
+      }
+      if (static_cast<int>(rng.UniformInt(0, 3)) == 0 && mutant.size() > 8) {
+        mutant.resize(mutant.size() -
+                      static_cast<size_t>(rng.UniformInt(1, 8)));
+      }
+      ParameterSet victim = MakeParams(2.0);
+      if (victim.Deserialize(mutant).ok()) {
+        EXPECT_EQ(mutant.size(), blob.size()) << "mutant " << mutant_index;
+      }
+    }
   }
 }
 
@@ -263,43 +236,6 @@ TEST(CheckpointRobustness, EmptyAndTinyInputsAreRejected) {
 // ResumeFrom must warn and fall back to the previous snapshot, exactly
 // as it does for file-level corruption, and must never install a
 // non-finite global model.
-
-class SnapshotStubModel : public fl::RecoveryModel {
- public:
-  explicit SnapshotStubModel(Rng* rng) {
-    w_ = Tensor::Variable(
-        Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool /*training*/, Rng* /*rng*/) override {
-    Matrix target(1, 1);
-    target(0, 0) = static_cast<Scalar>(trajectory.ground_truth.driver_id);
-    fl::ForwardResult result;
-    result.loss = MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
- private:
-  std::string name_ = "Stub";
-  ParameterSet params_;
-  Tensor w_;
-};
-
-std::unique_ptr<fl::RecoveryModel> MakeSnapshotStub(Rng* rng) {
-  return std::make_unique<SnapshotStubModel>(rng);
-}
 
 std::vector<traj::ClientDataset> MakeFederatedClients(int n, uint64_t seed) {
   Rng rng(seed);
@@ -334,8 +270,8 @@ fl::FederatedTrainerOptions SnapshotOptions(const std::string& dir,
 }
 
 // Rewrites the global model payload of the snapshot at `round` with a
-// checkpoint whose single weight is `poison`. SaveRunState re-signs the
-// container, so every CRC stays valid.
+// float64 parameter blob whose single weight is `poison`. SaveRunState
+// re-signs the container, so every CRC stays valid.
 void PoisonSnapshotModel(const std::string& dir, int round, Scalar poison) {
   const std::string path = fl::SnapshotPath(dir, round);
   Result<fl::ServerRunState> loaded =
@@ -344,8 +280,7 @@ void PoisonSnapshotModel(const std::string& dir, int round, Scalar poison) {
   fl::ServerRunState state = loaded.value();
   ParameterSet poisoned;
   poisoned.Register("w", Tensor::Variable(Matrix::Full(1, 1, poison)));
-  state.global_params_blob =
-      SerializeCheckpoint(poisoned, CheckpointDtype::kFloat64);
+  state.global_params_blob = poisoned.Serialize(BlobPrecision::kFloat64);
   ASSERT_TRUE(fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
 }
 
@@ -355,7 +290,7 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
   baseline_options.rounds = 6;
   baseline_options.local_epochs = 2;
   baseline_options.learning_rate = 0.05;
-  fl::FederatedTrainer baseline(MakeSnapshotStub, &clients, baseline_options);
+  fl::FederatedTrainer baseline(test_util::MakeStub, &clients, baseline_options);
   baseline.Run();
   const std::vector<Scalar> expected =
       baseline.global_model()->params().Flatten();
@@ -376,13 +311,13 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
         SnapshotOptions(FreshDir(std::string("poison_snapshot_") + c.label));
     last_dir = options.durability.dir;
     {
-      fl::FederatedTrainer first(MakeSnapshotStub, &clients, options);
+      fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
       first.Run();
     }
     PoisonSnapshotModel(options.durability.dir, 6, c.poison);
 
     options.durability.resume = true;
-    fl::FederatedTrainer resumed(MakeSnapshotStub, &clients, options);
+    fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
     ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
     EXPECT_EQ(resumed.resumed_round(), 5);
     resumed.Run();
@@ -398,7 +333,8 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
   }
 
   // When every snapshot is poisoned there is nothing to fall back to:
-  // resume reports an error instead of loading a non-finite model.
+  // resume reports an error instead of loading a non-finite model, and
+  // each refused restore put the model back exactly as it was.
   Result<std::vector<int>> rounds =
       fl::ListSnapshotRounds(RealFileSystemInstance(), last_dir);
   ASSERT_TRUE(rounds.ok());
@@ -407,12 +343,13 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
                         std::numeric_limits<Scalar>::quiet_NaN());
   }
   fl::FederatedTrainerOptions options = SnapshotOptions(last_dir);
-  fl::FederatedTrainer stranded(MakeSnapshotStub, &clients, options);
+  fl::FederatedTrainer stranded(test_util::MakeStub, &clients, options);
+  const std::vector<Scalar> before = stranded.global_model()->params().Flatten();
   EXPECT_FALSE(stranded.ResumeFrom(last_dir).ok());
   EXPECT_EQ(stranded.resumed_round(), 0);
-  for (const Scalar v : stranded.global_model()->params().Flatten()) {
-    EXPECT_TRUE(std::isfinite(v));
-  }
+  const std::vector<Scalar> after = stranded.global_model()->params().Flatten();
+  for (const Scalar v : after) EXPECT_TRUE(std::isfinite(v));
+  EXPECT_EQ(after, before);
 }
 
 // The healing state gets the same treatment: a snapshot whose monitor
@@ -423,7 +360,7 @@ TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
   fl::FederatedTrainerOptions options = SnapshotOptions(FreshDir("poison_tail"));
   options.healing.enabled = true;
   {
-    fl::FederatedTrainer first(MakeSnapshotStub, &clients, options);
+    fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
     first.Run();
   }
   {
@@ -450,7 +387,7 @@ TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
   }
 
   options.durability.resume = true;
-  fl::FederatedTrainer resumed(MakeSnapshotStub, &clients, options);
+  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
   ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
   EXPECT_EQ(resumed.resumed_round(), 4);
 }

@@ -11,52 +11,15 @@
 #include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
-// Same minimal RecoveryModel as fl_test: one scalar parameter trained
-// toward the per-trajectory driver_id.
-class StubModel : public RecoveryModel {
- public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                        bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
-std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
-  return std::make_unique<StubModel>(rng);
-}
+using test_util::MakeStub;
 
 std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
                                              int per_client = 6) {
@@ -137,7 +100,7 @@ ServerRunState MakeState() {
   state.faults.drops = 3;
   state.faults.retries = 5;
   state.faults.simulated_backoff_s = 1.25;
-  state.global_params_blob = "pretend-checkpoint-bytes";
+  state.global_params_blob = "pretend-params-bytes";
   state.optimizer_blobs = {"opt-a", "opt-b", std::string("\0\x01", 2)};
   for (int round = 1; round <= state.round; ++round) {
     RoundRecord record;

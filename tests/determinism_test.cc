@@ -12,8 +12,8 @@
 #include "fl/comm_stats.h"
 #include "fl/run_state.h"
 #include "nn/kernels/kernels.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
+#include "stub_model.h"
 
 namespace lighttr {
 namespace {
@@ -209,41 +209,6 @@ TEST(Determinism, FederatedRunIsBitwiseIdenticalAcrossThreadCounts) {
 // rolls back, and quarantines an offender must be bitwise identical at
 // every width.
 
-class HealingStubModel : public fl::RecoveryModel {
- public:
-  explicit HealingStubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    fl::ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
-  double weight() const { return w_.value()(0, 0); }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
 // Poisons client 0's uploads after 3 clean rounds (cf. health_test's
 // TurncoatUpdate). Only client 0's task ever touches the counter and a
 // client runs at most once per round, so the count — and therefore the
@@ -293,15 +258,12 @@ TEST(Determinism, SelfHealingRunIsBitwiseIdenticalAcrossThreadCounts) {
     options.healing.enabled = true;
     options.healing.reputation.quarantine_threshold = 0.4;
     fl::FederatedTrainer trainer(
-        [](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-          return std::make_unique<HealingStubModel>(rng);
-        },
-        &clients, options);
+        test_util::MakeStub, &clients, options);
     HostileClientUpdate strategy;
     fl::FederatedRunResult result = trainer.Run(&strategy);
     return std::make_pair(
         result,
-        dynamic_cast<HealingStubModel*>(trainer.global_model())->weight());
+        dynamic_cast<test_util::StubModel*>(trainer.global_model())->weight());
   };
 
   const auto [serial, serial_w] = run_with_threads(1);
@@ -352,16 +314,12 @@ std::vector<traj::ClientDataset> MakeLossyClients(uint64_t seed) {
   return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
 }
 
-std::unique_ptr<fl::RecoveryModel> MakeHealingStub(Rng* rng) {
-  return std::make_unique<HealingStubModel>(rng);
-}
-
 TEST(Determinism, LossyChannelRunIsBitwiseIdenticalAcrossThreadCounts) {
   auto run_with_threads = [](int threads) {
     auto clients = MakeLossyClients(67);
     fl::FederatedTrainerOptions options = LossyChannelOptions(10);
     options.threads = threads;
-    fl::FederatedTrainer trainer(MakeHealingStub, &clients, options);
+    fl::FederatedTrainer trainer(test_util::MakeStub, &clients, options);
     fl::FederatedRunResult result = trainer.Run();
     return std::make_pair(std::move(result),
                           trainer.global_model()->params().Serialize());
@@ -386,7 +344,7 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   // RNG state, so the replay sees the same network weather.
   auto clients = MakeLossyClients(71);
   fl::FederatedTrainerOptions baseline_options = LossyChannelOptions(12);
-  fl::FederatedTrainer baseline(MakeHealingStub, &clients, baseline_options);
+  fl::FederatedTrainer baseline(test_util::MakeStub, &clients, baseline_options);
   const fl::FederatedRunResult expected = baseline.Run();
   ASSERT_GT(expected.faults.net_crc_drops, 0);
   const std::string expected_params =
@@ -404,7 +362,7 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
 
   bool crashed = false;
   {
-    fl::FederatedTrainer victim(MakeHealingStub, &clients, options);
+    fl::FederatedTrainer victim(test_util::MakeStub, &clients, options);
     try {
       victim.Run();
     } catch (const fl::InjectedCrash& crash) {
@@ -417,7 +375,7 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   options.durability.crash_point = fl::CrashPoint::kNone;
   options.durability.crash_round = 0;
   options.durability.resume = true;
-  fl::FederatedTrainer resumed(MakeHealingStub, &clients, options);
+  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
   const fl::FederatedRunResult result = resumed.Run();
   EXPECT_GT(resumed.resumed_round(), 0);
   EXPECT_EQ(resumed.global_model()->params().Serialize(), expected_params);
@@ -439,7 +397,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
       auto clients = MakeLossyClients(67);
       fl::FederatedTrainerOptions options = LossyChannelOptions(6);
       options.threads = threads;
-      fl::FederatedTrainer trainer(MakeHealingStub, &clients, options);
+      fl::FederatedTrainer trainer(test_util::MakeStub, &clients, options);
       fl::FederatedRunResult result = trainer.Run();
       return std::make_pair(std::move(result),
                             trainer.global_model()->params().Serialize());
@@ -467,7 +425,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
     options.durability.crash_round = 4;
     bool crashed = false;
     {
-      fl::FederatedTrainer victim(MakeHealingStub, &clients, options);
+      fl::FederatedTrainer victim(test_util::MakeStub, &clients, options);
       try {
         victim.Run();
       } catch (const fl::InjectedCrash&) {
@@ -478,7 +436,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
     options.durability.crash_point = fl::CrashPoint::kNone;
     options.durability.crash_round = 0;
     options.durability.resume = true;
-    fl::FederatedTrainer resumed(MakeHealingStub, &clients, options);
+    fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
     (void)resumed.Run();
     EXPECT_GT(resumed.resumed_round(), 0);
     EXPECT_EQ(resumed.global_model()->params().Serialize(), serial_params)

@@ -15,50 +15,16 @@
 #include "fl/fault_injection.h"
 #include "fl/federated_trainer.h"
 #include "fl/transport/wire.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
-// Same minimal RecoveryModel as fl_test: one scalar parameter trained
-// toward the per-trajectory driver_id.
-class StubModel : public RecoveryModel {
- public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                        bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
-  double weight() const { return w_.value()(0, 0); }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
+using test_util::MakeStub;
+using test_util::StubModel;
 
 std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
                                              int per_client = 6) {
@@ -127,7 +93,7 @@ TEST(FaultModel, StragglerExceedsDeadline) {
   Rng rng(7);
   const FaultDraw draw = model.Draw(&rng);
   EXPECT_EQ(draw.type, FaultType::kStraggler);
-  EXPECT_GT(draw.simulated_seconds, config.round_deadline_s);
+  EXPECT_GT(draw.simulated_seconds, kRoundDeadlineSeconds);
 }
 
 TEST(FaultModel, CorruptionKindsDamageUploads) {
@@ -306,10 +272,6 @@ FederatedTrainerOptions BaseOptions(int rounds = 30) {
   options.local_epochs = 2;
   options.learning_rate = 0.05;
   return options;
-}
-
-std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
-  return std::make_unique<StubModel>(rng);
 }
 
 TEST(FaultTolerantTrainer, ThirtyPercentDropoutConvergesNearBaseline) {

@@ -9,62 +9,17 @@
 #include "fl/federated_trainer.h"
 #include "fl/local_trainer.h"
 #include "fl/transport/wire.h"
-#include "nn/losses.h"
 #include "nn/ops.h"
 #include "roadnet/generators.h"
 #include "traj/downsample.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
-// A minimal RecoveryModel: a 1 x `width` parameter row w, every entry
-// trained toward a per-trajectory constant (driver_id), recovery
-// reported as segment 0 with ratio clamp(w).
-class StubModel : public RecoveryModel {
- public:
-  explicit StubModel(Rng* rng, size_t width = 1) {
-    nn::Matrix w(1, width);
-    for (size_t i = 0; i < width; ++i) {
-      w(0, i) = rng != nullptr ? rng->Uniform(-1, 1) : 0.0;
-    }
-    w_ = nn::Tensor::Variable(w);
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                        bool /*training*/, Rng* /*rng*/) override {
-    const nn::Matrix target = nn::Matrix::Full(
-        1, w_.value().cols(),
-        static_cast<nn::Scalar>(trajectory.ground_truth.driver_id));
-    ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    std::vector<roadnet::PointPosition> out(trajectory.size());
-    for (size_t t = 0; t < trajectory.size(); ++t) {
-      out[t] = trajectory.observed[t]
-                   ? trajectory.ground_truth.points[t].position
-                   : roadnet::PointPosition{0, 0.0};
-    }
-    return out;
-  }
-
-  double weight() const { return w_.value()(0, 0); }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
+using test_util::StubModel;
 
 std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
                                              int per_client = 6) {

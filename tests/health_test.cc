@@ -13,12 +13,15 @@
 #include "fl/federated_trainer.h"
 #include "fl/health.h"
 #include "fl/reputation.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
+
+using test_util::MakeStub;
+using test_util::StubModel;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -110,7 +113,7 @@ TEST(RoundHealthMonitor, NonFiniteDeltaNormReclassifiedAsCorrupt) {
 
 TEST(RoundHealthMonitor, NormOutlierFlaggedOnceArmedAndNotBanked) {
   RoundHealthMonitor monitor;
-  ArmMonitor(&monitor);  // 12 norms banked >= min_norm_history
+  ArmMonitor(&monitor);  // 12 norms banked >= the 8 outlier detection needs
   const int banked = monitor.norm_history();
   std::vector<UpdateObservation> obs = {Accepted(0, 1000.0),
                                         Accepted(1, 1.0)};
@@ -126,7 +129,7 @@ TEST(RoundHealthMonitor, NormOutlierFlaggedOnceArmedAndNotBanked) {
 }
 
 TEST(RoundHealthMonitor, OutlierDetectionSilentUntilArmed) {
-  RoundHealthMonitor monitor;  // min_norm_history = 8, nothing banked
+  RoundHealthMonitor monitor;  // outliers need 8 banked norms; none are
   std::vector<UpdateObservation> obs = {Accepted(0, 1000.0),
                                         Accepted(1, 1.0)};
   const RoundHealthReport report = monitor.Judge(&obs, {0.1}, 1.0);
@@ -210,7 +213,7 @@ TEST(RoundHealthMonitor, MalformedStateRejectedWithoutDamage) {
 // ReputationBook
 
 ReputationConfig QuickQuarantine() {
-  ReputationConfig config;  // alpha .5, threshold .6, parole 4
+  ReputationConfig config;  // threshold .6, parole 4
   return config;
 }
 
@@ -302,45 +305,6 @@ TEST(ReputationBook, MalformedLedgerRejectedWithoutDamage) {
 
 // ---------------------------------------------------------------------
 // End to end: divergence rollback + quarantine on the stub model.
-
-class StubModel : public RecoveryModel {
- public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                        bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
-  double weight() const { return w_.value()(0, 0); }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
-std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
-  return std::make_unique<StubModel>(rng);
-}
 
 std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed) {
   Rng rng(seed);

@@ -1,4 +1,4 @@
-// Tests for SGD/Adam optimizers, clipping, weight decay, and the
+// Tests for the Adam optimizer, clipping, weight decay, and the
 // ParameterSet registry with its FedAvg helpers.
 #include <gtest/gtest.h>
 
@@ -13,8 +13,7 @@ namespace lighttr::nn {
 namespace {
 
 // Minimizes ||w - target||^2 and returns the final w.
-template <typename Opt>
-Matrix MinimizeQuadratic(Opt* optimizer, int steps) {
+Matrix MinimizeQuadratic(Optimizer* optimizer, int steps) {
   ParameterSet params;
   Tensor w = Tensor::Variable(Matrix::Full(1, 3, 5.0));
   params.Register("w", w);
@@ -28,19 +27,6 @@ Matrix MinimizeQuadratic(Opt* optimizer, int steps) {
     optimizer->Step(&params);
   }
   return w.value();
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  SgdOptimizer sgd(0.2);
-  const Matrix w = MinimizeQuadratic(&sgd, 200);
-  EXPECT_NEAR(w(0, 0), 1.0, 1e-3);
-  EXPECT_NEAR(w(0, 1), -2.0, 1e-3);
-}
-
-TEST(Sgd, MomentumConverges) {
-  SgdOptimizer sgd(0.05, /*momentum=*/0.9);
-  const Matrix w = MinimizeQuadratic(&sgd, 300);
-  EXPECT_NEAR(w(0, 2), 0.5, 1e-2);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -69,8 +55,8 @@ TEST(Optimizer, StepZeroesGradients) {
   params.Register("w", w);
   Tensor loss = Mean(w);
   loss.Backward();
-  SgdOptimizer sgd(0.1);
-  sgd.Step(&params);
+  AdamOptimizer adam(0.1);
+  adam.Step(&params);
   EXPECT_DOUBLE_EQ(w.grad()(0, 0), 0.0);
 }
 

@@ -1,7 +1,8 @@
 # Every out-of-range numeric flag makes run_experiment print its usage
 # and exit with 2: no CHECK abort, no uncaught exception, and no run on a
 # value that describes no experiment. NaN must fail every range check,
-# and an integer past INT_MAX must not wrap into a different one.
+# an integer past INT_MAX must not wrap into a different one, and a seed
+# takes the unsigned 64-bit range only (no sign, no overflow).
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
 if(NOT RUN_EXPERIMENT)
@@ -22,7 +23,11 @@ set(cases
   "--byzantine-fraction=nan"
   "--rounds=4294967297"
   "--clients=4294967298"
-  "--epochs=4294967297")
+  "--epochs=4294967297"
+  "--seed=-1"
+  "--seed=18446744073709551616"
+  "--net-seed=-1"
+  "--adversary-seed=-7")
 
 set(failures 0)
 foreach(case IN LISTS cases)

@@ -1,13 +1,9 @@
-// Tests for dataset statistics (Table III analog), model checkpointing,
-// and per-client evaluation.
+// Tests for dataset statistics (Table III analog) and per-client
+// evaluation.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
-#include "common/env.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
-#include "nn/checkpoint.h"
 #include "traj/stats.h"
 
 namespace lighttr {
@@ -53,33 +49,6 @@ TEST_F(StatsToolsTest, EmptyDatasetStats) {
   EXPECT_EQ(stats.trajectories, 0);
   EXPECT_EQ(stats.points, 0);
   EXPECT_DOUBLE_EQ(stats.total_length_km, 0.0);
-}
-
-TEST_F(StatsToolsTest, CheckpointRoundTripThroughDisk) {
-  Rng r1(1);
-  Rng r2(2);
-  auto source = baselines::MakeFactory(baselines::ModelKind::kLightTr,
-                                       &env_.encoder())(&r1);
-  auto dest = baselines::MakeFactory(baselines::ModelKind::kLightTr,
-                                     &env_.encoder())(&r2);
-  const std::string path = "/tmp/lighttr_checkpoint_test.bin";
-  FileSystem* disk = RealFileSystemInstance();
-  ASSERT_TRUE(nn::SaveCheckpoint(disk, path, source->params()).ok());
-  ASSERT_TRUE(nn::LoadCheckpoint(disk, path, &dest->params()).ok());
-  const auto a = source->params().Flatten();
-  const auto b = dest->params().Flatten();
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-6);
-  std::remove(path.c_str());
-}
-
-TEST_F(StatsToolsTest, CheckpointLoadFailsOnMissingFile) {
-  Rng rng(3);
-  auto model = baselines::MakeFactory(baselines::ModelKind::kFc,
-                                      &env_.encoder())(&rng);
-  EXPECT_FALSE(nn::LoadCheckpoint(RealFileSystemInstance(),
-                                  "/tmp/no_such_lighttr_ckpt",
-                                  &model->params())
-                   .ok());
 }
 
 TEST_F(StatsToolsTest, PerClientEvaluationCoversEveryClient) {

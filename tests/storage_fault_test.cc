@@ -21,10 +21,10 @@
 #include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr {
 namespace {
@@ -355,7 +355,7 @@ fl::ServerRunState DistinctiveState() {
   for (const fl::CounterSpec& counter : fl::kCounters) {
     if (counter.total != nullptr) state.faults.*counter.total = ++value;
   }
-  state.global_params_blob = "fake-checkpoint";
+  state.global_params_blob = "fake-params";
   state.optimizer_blobs = {"opt-0", "opt-1"};
   state.reputation_blob = "rep";
   state.monitor_blob = "mon";
@@ -432,7 +432,7 @@ TEST(RunStateFormat, HistoryMustBeRoundsOneToN) {
 
 TEST(RunStateFormat, OnlyTheCurrentVersionIsRead) {
   const std::string live = fl::EncodeRunState(DistinctiveState());
-  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
+  for (uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     // The version word follows the 4-byte magic.
     const std::string patched = Resigned(live, [version](std::string* body) {
       BinaryWriter word;
@@ -444,6 +444,30 @@ TEST(RunStateFormat, OnlyTheCurrentVersionIsRead) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(status.message(),
               "unsupported run-state version " + std::to_string(version));
+  }
+}
+
+// The snapshot is the one file on disk, so every truncation and every
+// single-byte flip of it must be rejected, wherever it lands. Short
+// placeholder RNG strings keep this quadratic sweep (each decode CRCs
+// the whole file) well under a second.
+TEST(RunStateFormat, EveryTruncationAndByteFlipIsRejected) {
+  fl::ServerRunState state = DistinctiveState();
+  state.rng_state = "rng";
+  state.fault_rng_state = "fault-rng";
+  state.net_rng_state = "net-rng";
+  const std::string blob = fl::EncodeRunState(state);
+  fl::ServerRunState out;
+  ASSERT_TRUE(fl::DecodeRunState(blob, &out).ok());
+  for (size_t keep = 0; keep < blob.size(); ++keep) {
+    EXPECT_FALSE(fl::DecodeRunState(blob.substr(0, keep), &out).ok())
+        << "truncation to " << keep << " bytes was accepted";
+  }
+  for (size_t pos = 0; pos < blob.size(); ++pos) {
+    std::string mutant = blob;
+    mutant[pos] = static_cast<char>(mutant[pos] ^ 0x5a);
+    EXPECT_FALSE(fl::DecodeRunState(mutant, &out).ok())
+        << "byte flip at " << pos << " was accepted";
   }
 }
 
@@ -465,43 +489,6 @@ TEST(RunStateFormat, TrailingBytesAreRejected) {
 // the read fault is injected by FaultyFileSystem (InjectBitrotOnce), so
 // the test exercises the exact failure mode the Env layer models —
 // read-path rot on an intact disk — rather than editing bytes on disk.
-
-class ProbeModel : public fl::RecoveryModel {
- public:
-  explicit ProbeModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    fl::ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
- private:
-  std::string name_ = "Probe";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
-std::unique_ptr<fl::RecoveryModel> MakeProbe(Rng* rng) {
-  return std::make_unique<ProbeModel>(rng);
-}
 
 std::vector<traj::ClientDataset> MakeFallbackClients(uint64_t seed) {
   Rng rng(seed);
@@ -530,7 +517,7 @@ TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
 
   FaultyFileSystem fs;  // clean RAM disk; only the targeted rot below
   options.durability.fs = &fs;
-  fl::FederatedTrainer first(MakeProbe, &clients, options);
+  fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
   const fl::FederatedRunResult expected = first.Run();
   const std::vector<nn::Scalar> expected_params =
       first.global_model()->params().Flatten();
@@ -539,7 +526,7 @@ TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
   // must reject it and resume must fall back to the round-4 snapshot,
   // then re-run rounds 5..6 to a bitwise-identical final model.
   fs.InjectBitrotOnce(fl::SnapshotPath("run", 6));
-  fl::FederatedTrainer resumed(MakeProbe, &clients, options);
+  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
   ASSERT_TRUE(resumed.ResumeFrom("run").ok());
   EXPECT_EQ(resumed.resumed_round(), 4);
   EXPECT_EQ(fs.stats().bitrot_reads, 1);
@@ -568,12 +555,12 @@ TEST(SnapshotFallback, AllSnapshotsRottenIsAnErrorNotAFreshStart) {
   FaultyFileSystem fs;
   options.durability.fs = &fs;
   {
-    fl::FederatedTrainer first(MakeProbe, &clients, options);
+    fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
     first.Run();
   }
   fs.InjectBitrotOnce(fl::SnapshotPath("run", 2));
   fs.InjectBitrotOnce(fl::SnapshotPath("run", 4));
-  fl::FederatedTrainer resumed(MakeProbe, &clients, options);
+  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
   EXPECT_FALSE(resumed.ResumeFrom("run").ok());
   EXPECT_EQ(resumed.resumed_round(), 0);
 }

@@ -1,0 +1,80 @@
+// The stub RecoveryModel the trainer-level tests share: one row of
+// weights trained by MSE toward a target. By default the target is the
+// client's driver id, so clients disagree and FedAvg lands on their
+// mean; a fixed target makes honest clients agree, which a Byzantine
+// defense needs to have something to defend. Runs in microseconds, so
+// a test can afford many rounds, seeds and thread widths.
+#ifndef LIGHTTR_TESTS_STUB_MODEL_H_
+#define LIGHTTR_TESTS_STUB_MODEL_H_
+
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "fl/recovery_model.h"
+#include "nn/losses.h"
+#include "nn/parameter.h"
+
+namespace lighttr::test_util {
+
+class StubModel : public fl::RecoveryModel {
+ public:
+  /// `rng` draws each initial weight from U(-1, 1) (null: all zero);
+  /// `target`, when set, replaces the per-client driver-id target.
+  explicit StubModel(Rng* rng, size_t width = 1,
+                     std::optional<double> target = std::nullopt)
+      : target_(target) {
+    nn::Matrix w(1, width);
+    for (size_t i = 0; i < width; ++i) {
+      w(0, i) = rng != nullptr ? rng->Uniform(-1, 1) : 0.0;
+    }
+    w_ = nn::Tensor::Variable(w);
+    params_.Register("w", w_);
+  }
+
+  const std::string& name() const override { return name_; }
+  nn::ParameterSet& params() override { return params_; }
+
+  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
+                            bool /*training*/, Rng* /*rng*/) override {
+    const double target = target_.value_or(
+        static_cast<double>(trajectory.ground_truth.driver_id));
+    fl::ForwardResult result;
+    result.loss = nn::MseLoss(
+        w_, nn::Matrix::Full(1, w_.value().cols(),
+                             static_cast<nn::Scalar>(target)));
+    result.representation = w_;
+    return result;
+  }
+
+  /// Observed points verbatim, segment 0 everywhere else.
+  std::vector<roadnet::PointPosition> Recover(
+      const traj::IncompleteTrajectory& trajectory) override {
+    std::vector<roadnet::PointPosition> out(trajectory.size());
+    for (size_t t = 0; t < trajectory.size(); ++t) {
+      out[t] = trajectory.observed[t]
+                   ? trajectory.ground_truth.points[t].position
+                   : roadnet::PointPosition{0, 0.0};
+    }
+    return out;
+  }
+
+  double weight() const { return w_.value()(0, 0); }
+
+ private:
+  std::optional<double> target_;
+  std::string name_ = "Stub";
+  nn::ParameterSet params_;
+  nn::Tensor w_;
+};
+
+/// A fl::ModelFactory for the default one-weight stub.
+inline std::unique_ptr<fl::RecoveryModel> MakeStub(Rng* rng) {
+  return std::make_unique<StubModel>(rng);
+}
+
+}  // namespace lighttr::test_util
+
+#endif  // LIGHTTR_TESTS_STUB_MODEL_H_

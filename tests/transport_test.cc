@@ -16,13 +16,15 @@
 #include "fl/transport/channel.h"
 #include "fl/transport/link.h"
 #include "fl/transport/wire.h"
-#include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
 #include "traj/workload.h"
+#include "stub_model.h"
 
 namespace lighttr::fl::transport {
 namespace {
+
+using test_util::MakeStub;
 
 // ---------------------------------------------------------------------
 // Codec round-trips
@@ -424,41 +426,6 @@ TEST(ReliableLink, ReorderingLeaksStaleFramesAcrossExchangesHarmlessly) {
 // ---------------------------------------------------------------------
 // End-to-end over lossy links
 
-class StubModel : public RecoveryModel {
- public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                        bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
-  double weight() const { return w_.value()(0, 0); }
-
- private:
-  std::string name_ = "Stub";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
 std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed) {
   Rng rng(seed);
   roadnet::CityGridOptions options;
@@ -470,10 +437,6 @@ std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed) {
   traj::FederatedWorkloadOptions workload;
   workload.num_clients = n;
   return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
-
-std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
-  return std::make_unique<StubModel>(rng);
 }
 
 TEST(TransportEndToEnd, MinorityDeadLinksDegradeToQuorum) {

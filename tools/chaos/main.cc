@@ -69,8 +69,10 @@ bool ParseIntFlag(const std::string& value, int* out) {
   return true;
 }
 
+// The full unsigned 64-bit range and nothing else: strtoull would
+// accept a sign and wrap "-1" into 2^64 - 1.
 bool ParseSeedFlag(const std::string& value, uint64_t* out) {
-  if (value.empty()) return false;
+  if (value.empty() || value[0] < '0' || value[0] > '9') return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);

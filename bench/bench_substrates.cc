@@ -1,7 +1,7 @@
 // Engineering microbenchmarks of the substrates: matrix kernels,
 // autograd overhead, Dijkstra shortest paths, segment-index queries,
-// and HMM map matching. Not a paper experiment; guards the performance
-// assumptions the experiment harness relies on.
+// trajectory encoding, and HMM map matching. Not a paper experiment;
+// guards the performance assumptions the experiment harness relies on.
 #include <benchmark/benchmark.h>
 
 #include "mapmatch/hmm_map_matcher.h"
@@ -10,7 +10,10 @@
 #include "roadnet/generators.h"
 #include "roadnet/segment_index.h"
 #include "roadnet/shortest_path.h"
+#include "traj/downsample.h"
+#include "traj/encoding.h"
 #include "traj/generator.h"
+#include "traj/workload.h"
 
 namespace {
 
@@ -76,6 +79,34 @@ void BM_SegmentIndexNearby(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentIndexNearby);
+
+// One-pass encoding (inputs, targets, every missing step's candidates)
+// of Geolife-like trajectories at keep ratio 12.5% on an 8x8 city; one
+// iteration encodes one trajectory.
+void BM_TrajectoryEncode(benchmark::State& state) {
+  Rng rng(8);
+  roadnet::CityGridOptions options;
+  options.rows = 8;
+  options.cols = 8;
+  const roadnet::RoadNetwork network = roadnet::GenerateCityGrid(options, &rng);
+  const roadnet::SegmentIndex index(network);
+  const traj::TrajectoryEncoder encoder(network, index);
+  const traj::TrajectoryGenerator generator(network);
+  const traj::GeneratorOptions gen = traj::GeolifeLikeProfile().generator;
+  std::vector<traj::IncompleteTrajectory> corpus;
+  while (corpus.size() < 64) {
+    auto matched = generator.Generate(gen, roadnet::kInvalidVertex, &rng);
+    if (!matched.ok()) continue;
+    corpus.push_back(
+        traj::MakeIncomplete(std::move(matched).value(), 0.125, &rng));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.Encode(corpus[next]));
+    next = (next + 1) % corpus.size();
+  }
+}
+BENCHMARK(BM_TrajectoryEncode);
 
 void BM_HmmMapMatch(benchmark::State& state) {
   Rng rng(7);

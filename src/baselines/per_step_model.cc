@@ -21,14 +21,13 @@ void PerStepModel::BuildHeads(size_t hidden_dim, Rng* rng) {
       std::make_unique<nn::Dense>(hidden_dim, 1, "ratio_head", &params_, rng);
 }
 
-nn::Tensor PerStepModel::Hidden(const traj::IncompleteTrajectory& trajectory,
-                                const std::vector<size_t>& missing,
+nn::Tensor PerStepModel::Hidden(const traj::EncodedTrajectory& encoded,
                                 bool training, Rng* rng) const {
   // The layers run even when nothing is missing: skipping them would
   // shift the dropout RNG stream of every later trajectory.
-  const std::vector<nn::Tensor> rows = HiddenForMissing(
-      nn::Tensor::Constant(encoder_->EncodeInputs(trajectory)), missing,
-      training, rng);
+  const std::vector<nn::Tensor> rows =
+      HiddenForMissing(nn::Tensor::Constant(encoded.inputs), encoded.missing,
+                       training, rng);
   if (rows.empty()) return nn::Tensor();
   return nn::ConcatRows(rows);
 }
@@ -36,20 +35,20 @@ nn::Tensor PerStepModel::Hidden(const traj::IncompleteTrajectory& trajectory,
 fl::ForwardResult PerStepModel::Forward(
     const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
   fl::ForwardResult result;
-  const std::vector<size_t> missing = trajectory.MissingIndices();
-  const nn::Tensor hidden = Hidden(trajectory, missing, training, rng);
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
+  const std::vector<size_t>& missing = encoded.missing;
+  const nn::Tensor hidden = Hidden(encoded, training, rng);
   if (!hidden.defined()) {
     result.loss = nn::Tensor::Constant(nn::Matrix::Zeros(1, 1));
     return result;
   }
-  const auto targets = encoder_->EncodeTargets(trajectory);
 
   std::vector<nn::Tensor> ce_losses;
   nn::Matrix ratio_target(missing.size(), 1);
   for (size_t i = 0; i < missing.size(); ++i) {
-    ratio_target(i, 0) = static_cast<nn::Scalar>(targets[missing[i]].ratio);
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, missing[i]);
+    ratio_target(i, 0) =
+        static_cast<nn::Scalar>(encoded.targets[missing[i]].ratio);
+    const traj::StepCandidates& candidates = encoded.candidates[i];
     if (!candidates.target_in_range) continue;
     const nn::Tensor logits =
         nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
@@ -80,14 +79,13 @@ std::vector<roadnet::PointPosition> PerStepModel::Recover(
   for (size_t t = 0; t < trajectory.size(); ++t) {
     positions[t] = trajectory.ground_truth.points[t].position;
   }
-  const std::vector<size_t> missing = trajectory.MissingIndices();
-  const nn::Tensor hidden =
-      Hidden(trajectory, missing, /*training=*/false, nullptr);
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
+  const std::vector<size_t>& missing = encoded.missing;
+  const nn::Tensor hidden = Hidden(encoded, /*training=*/false, nullptr);
   if (!hidden.defined()) return positions;
   const nn::Tensor ratio = nn::Sigmoid(ratio_head_->Forward(hidden));
   for (size_t i = 0; i < missing.size(); ++i) {
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, missing[i]);
+    const traj::StepCandidates& candidates = encoded.candidates[i];
     const nn::Tensor logits =
         nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
                             seg_head_->bias(), candidates.segments);

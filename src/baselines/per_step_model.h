@@ -50,9 +50,8 @@ class PerStepModel : public fl::RecoveryModel {
 
  private:
   /// Hidden rows of the missing steps stacked into [M, hidden];
-  /// undefined when `missing` is empty.
-  nn::Tensor Hidden(const traj::IncompleteTrajectory& trajectory,
-                    const std::vector<size_t>& missing, bool training,
+  /// undefined when no step is missing.
+  nn::Tensor Hidden(const traj::EncodedTrajectory& encoded, bool training,
                     Rng* rng) const;
 
   const traj::TrajectoryEncoder* encoder_;

@@ -75,10 +75,9 @@ fl::ForwardResult Seq2SeqModel::Decode(
     const traj::IncompleteTrajectory& trajectory, bool training,
     bool teacher_forcing, Rng* rng,
     std::vector<roadnet::PointPosition>* collect) {
-  const nn::Matrix inputs = encoder_->EncodeInputs(trajectory);
-  const std::vector<traj::StepTarget> targets =
-      encoder_->EncodeTargets(trajectory);
-  const nn::Tensor x_all = nn::Tensor::Constant(inputs);
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
+  const std::vector<traj::StepTarget>& targets = encoded.targets;
+  const nn::Tensor x_all = nn::Tensor::Constant(encoded.inputs);
   DecoderStep decoder = Encode(trajectory, x_all, training, rng);
 
   // e_{t-1} and r_{t-1} feed step t, so the decode is sequential.
@@ -90,6 +89,7 @@ fl::ForwardResult Seq2SeqModel::Decode(
   std::vector<nn::Scalar> ratio_truths;
   std::vector<nn::Tensor> representation_rows;
 
+  size_t k = 0;  // index of the next missing step in `encoded`
   for (size_t t = 0; t < trajectory.size(); ++t) {
     const nn::Tensor state = decoder(t, prev_segment, prev_ratio);
 
@@ -104,10 +104,9 @@ fl::ForwardResult Seq2SeqModel::Decode(
       continue;
     }
 
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, t);
-    const MtHeadStep step = head_->Run(
-        state, candidates, teacher_forcing ? targets[t].segment : -1);
+    const MtHeadStep step =
+        head_->Run(state, encoded.candidates[k++],
+                   teacher_forcing ? targets[t].segment : -1);
     if (step.ce_loss.defined()) ce_losses.push_back(step.ce_loss);
     ratio_preds.push_back(step.ratio);
     ratio_truths.push_back(static_cast<nn::Scalar>(targets[t].ratio));

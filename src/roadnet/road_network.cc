@@ -46,6 +46,16 @@ void RoadNetwork::Finalize() {
     out_segments_[segments_[e].from].push_back(e);
     in_segments_[segments_[e].to].push_back(e);
   }
+  frames_.reserve(segments_.size());
+  for (const Segment& seg : segments_) {
+    const geo::GeoPoint& a = vertices_[seg.from].position;
+    const geo::LocalProjection plane(a);
+    const auto pa = plane.ToXy(a);
+    const auto pb = plane.ToXy(vertices_[seg.to].position);
+    const double dx = pb.x - pa.x;
+    const double dy = pb.y - pa.y;
+    frames_.push_back(ProjectionFrame{plane, pa, dx, dy, dx * dx + dy * dy});
+  }
   finalized_ = true;
 }
 
@@ -80,24 +90,20 @@ geo::GeoPoint RoadNetwork::PositionToPoint(const PointPosition& pos) const {
 
 Projection RoadNetwork::ProjectOntoSegment(SegmentId e,
                                            const geo::GeoPoint& p) const {
-  const Segment& seg = segment(e);
-  const geo::GeoPoint& a = vertices_[seg.from].position;
-  const geo::GeoPoint& b = vertices_[seg.to].position;
+  LIGHTTR_CHECK(finalized_);
+  LIGHTTR_CHECK_GE(e, 0);
+  LIGHTTR_CHECK_LT(e, num_segments());
+  const ProjectionFrame& frame = frames_[e];
+  const auto pp = frame.plane.ToXy(p);
 
-  const geo::LocalProjection plane(a);
-  const auto pa = plane.ToXy(a);  // (0, 0)
-  const auto pb = plane.ToXy(b);
-  const auto pp = plane.ToXy(p);
-
-  const double dx = pb.x - pa.x;
-  const double dy = pb.y - pa.y;
-  const double len2 = dx * dx + dy * dy;
   double t = 0.0;
-  if (len2 > 0.0) {
-    t = std::clamp((pp.x * dx + pp.y * dy) / len2, 0.0, 1.0);
+  if (frame.len2 > 0.0) {
+    t = std::clamp((pp.x * frame.dx + pp.y * frame.dy) / frame.len2, 0.0,
+                   1.0);
   }
-  const geo::LocalProjection::Xy snapped_xy{pa.x + t * dx, pa.y + t * dy};
-  const geo::GeoPoint snapped = plane.FromXy(snapped_xy);
+  const geo::LocalProjection::Xy snapped_xy{frame.pa.x + t * frame.dx,
+                                            frame.pa.y + t * frame.dy};
+  const geo::GeoPoint snapped = frame.plane.FromXy(snapped_xy);
 
   Projection proj;
   proj.position = PointPosition{e, t};

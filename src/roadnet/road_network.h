@@ -67,7 +67,8 @@ class RoadNetwork {
   /// Adds both directions between u and v; returns the u->v segment id.
   SegmentId AddTwoWay(VertexId u, VertexId v);
 
-  /// Freezes the graph and builds adjacency indexes.
+  /// Freezes the graph, builds adjacency indexes and stores each
+  /// segment's projection frame.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -96,6 +97,7 @@ class RoadNetwork {
   geo::GeoPoint PositionToPoint(const PointPosition& pos) const;
 
   /// Projects a raw GPS point onto segment `e` (clamped to the segment).
+  /// Requires Finalize().
   Projection ProjectOntoSegment(SegmentId e, const geo::GeoPoint& p) const;
 
   /// Bounding box of all vertices (undefined before the first vertex).
@@ -107,6 +109,16 @@ class RoadNetwork {
   std::vector<Segment> segments_;
   std::vector<std::vector<SegmentId>> out_segments_;
   std::vector<std::vector<SegmentId>> in_segments_;
+  /// What ProjectOntoSegment derives from a segment alone: the local
+  /// plane around its `from` vertex and the segment in that plane.
+  struct ProjectionFrame {
+    geo::LocalProjection plane;
+    geo::LocalProjection::Xy pa;  // the `from` vertex, (0, 0)
+    double dx = 0.0;
+    double dy = 0.0;
+    double len2 = 0.0;
+  };
+  std::vector<ProjectionFrame> frames_;
   geo::GeoPoint min_corner_{90.0, 180.0};
   geo::GeoPoint max_corner_{-90.0, -180.0};
   bool finalized_ = false;

@@ -13,7 +13,8 @@ namespace lighttr::roadnet {
 
 /// Buckets segments into a uniform grid; Nearby() returns segments whose
 /// geometry passes within `radius_m` of a query point, in ascending
-/// projection-distance order.
+/// projection-distance order. Immutable after construction, so
+/// concurrent Nearby() calls are safe.
 class SegmentIndex {
  public:
   /// Builds the index; `cell_meters` trades memory for probe count.
@@ -25,7 +26,8 @@ class SegmentIndex {
     Projection projection;
   };
 
-  /// All segments within `radius_m` of `p`, nearest first.
+  /// All segments within `radius_m` of `p`, nearest first. Any positive
+  /// radius is valid; +inf returns every segment.
   std::vector<Candidate> Nearby(const geo::GeoPoint& p, double radius_m) const;
 
   const RoadNetwork& network() const { return network_; }
@@ -34,6 +36,7 @@ class SegmentIndex {
   const RoadNetwork& network_;
   geo::GridSpec grid_;
   std::vector<std::vector<SegmentId>> buckets_;
+  std::vector<std::vector<geo::GridCell>> cells_;  // cells listing segment e
 };
 
 }  // namespace lighttr::roadnet

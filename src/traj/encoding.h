@@ -36,6 +36,15 @@ struct StepCandidates {
   bool target_in_range = false;
 };
 
+/// Everything a recovery model reads of one trajectory, built in one pass
+/// by TrajectoryEncoder::Encode.
+struct EncodedTrajectory {
+  nn::Matrix inputs;                     // [T, kFeatureDim], as EncodeInputs
+  std::vector<StepTarget> targets;       // as EncodeTargets
+  std::vector<size_t> missing;           // the missing steps, ascending
+  std::vector<StepCandidates> candidates;  // candidates[k] is step missing[k]'s
+};
+
 /// Options for TrajectoryEncoder.
 struct EncoderOptions {
   double grid_cell_m = 200.0;       // Eq. 4 discretisation cell size
@@ -68,6 +77,13 @@ class TrajectoryEncoder {
 
   /// Number of features per step (fixed by the encoding).
   static constexpr size_t kFeatureDim = 11;
+
+  /// Inputs, targets and every missing step's candidates, equal to
+  /// EncodeInputs, EncodeTargets and CandidatesForStep, in one pass: the
+  /// anchors come from one forward and one backward sweep, each anchor
+  /// gap runs one route search, and each step's interpolated point is
+  /// computed once.
+  EncodedTrajectory Encode(const IncompleteTrajectory& trajectory) const;
 
   /// Encodes a [T, kFeatureDim] input matrix. Features per step:
   ///   0: observed flag
@@ -120,6 +136,21 @@ class TrajectoryEncoder {
   }
 
  private:
+  /// What the candidate builder reads of one step besides its truth.
+  struct StepGeometry {
+    geo::GeoPoint estimate;  // the step's interpolated point
+    /// Segment the route interpolation lands on; kInvalidSegment when
+    /// only the linear fallback exists.
+    roadnet::SegmentId route_segment = roadnet::kInvalidSegment;
+    double gap_m = 0.0;    // distance between the surrounding anchors
+    geo::GeoPoint before;  // interpolated points of the neighbouring
+    geo::GeoPoint after;   // steps, which give the travel heading
+  };
+
+  /// The candidates and Eq. 10 log mask of one step (CandidatesForStep).
+  StepCandidates BuildCandidates(const StepGeometry& step,
+                                 roadnet::SegmentId true_segment) const;
+
   const roadnet::RoadNetwork& network_;
   const roadnet::SegmentIndex& index_;
   EncoderOptions options_;

@@ -1,8 +1,9 @@
 // Unit and property tests for src/roadnet: graph construction, point
 // projection, shortest paths (vs brute force), generators, and the
-// segment spatial index.
+// segment spatial index (vs brute force and vs a direct oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "roadnet/road_network.h"
 #include "roadnet/segment_index.h"
 #include "roadnet/shortest_path.h"
+#include "segment_index_oracle.h"
 
 namespace lighttr::roadnet {
 namespace {
@@ -301,6 +303,94 @@ TEST_P(SegmentIndexProperty, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SegmentIndexProperty,
                          ::testing::Values(21, 22, 23, 24));
+
+// Two cities of different shape and size, for the differential tests.
+std::vector<RoadNetwork> OracleCities() {
+  std::vector<RoadNetwork> cities;
+  Rng rng(5);
+  CityGridOptions options;
+  options.rows = 8;
+  options.cols = 8;
+  cities.push_back(GenerateCityGrid(options, &rng));
+  options.rows = 6;
+  options.cols = 11;
+  options.spacing_m = 180.0;
+  options.diagonal_prob = 0.3;
+  cities.push_back(GenerateCityGrid(options, &rng));
+  return cities;
+}
+
+// A random point in the network's bounding box grown by `margin_deg`.
+geo::GeoPoint RandomPoint(const RoadNetwork& net, double margin_deg,
+                          Rng* rng) {
+  return {rng->Uniform(net.min_corner().lat - margin_deg,
+                       net.max_corner().lat + margin_deg),
+          rng->Uniform(net.min_corner().lng - margin_deg,
+                       net.max_corner().lng + margin_deg)};
+}
+
+TEST(SegmentIndexOracle, ProjectionMatchesOracleBitwise) {
+  Rng pick(61);
+  for (const RoadNetwork& net : OracleCities()) {
+    for (SegmentId e = 0; e < net.num_segments(); ++e) {
+      const Segment& seg = net.segment(e);
+      std::vector<geo::GeoPoint> points = {
+          net.vertex(seg.from).position, net.vertex(seg.to).position,
+          net.PositionToPoint({e, 0.5})};
+      for (int i = 0; i < 40; ++i) {
+        points.push_back(RandomPoint(net, 0.005, &pick));
+      }
+      for (const geo::GeoPoint& p : points) {
+        test_util::ExpectSameProjection(net.ProjectOntoSegment(e, p),
+                                        test_util::OracleProject(net, e, p));
+      }
+    }
+  }
+}
+
+TEST(SegmentIndexOracle, NearbyMatchesOracleBitwise) {
+  Rng pick(62);
+  for (const RoadNetwork& net : OracleCities()) {
+    for (const double cell : {200.0, 150.0}) {
+      const SegmentIndex index(net, cell);
+      const test_util::OracleIndex oracle(net, cell);
+      for (int trial = 0; trial < 400; ++trial) {
+        const geo::GeoPoint p = RandomPoint(net, 0.002, &pick);
+        const double radius = pick.Uniform(50.0, 800.0);
+        test_util::ExpectSameCandidates(index.Nearby(p, radius),
+                                        oracle.Nearby(p, radius));
+      }
+    }
+  }
+}
+
+TEST(SegmentIndexOracle, HugeRadiusReturnsEverySegmentNearestFirst) {
+  // The search window is clamped to the grid: a radius far beyond the
+  // city, +inf included, neither overflows it nor walks empty cells.
+  Rng rng(5);
+  CityGridOptions options;
+  options.rows = 8;
+  options.cols = 8;
+  const RoadNetwork net = GenerateCityGrid(options, &rng);
+  const SegmentIndex index(net);
+  const geo::GeoPoint p = net.PositionToPoint({0, 0.5});
+  for (const double radius :
+       {1e7, 1e12, std::numeric_limits<double>::infinity()}) {
+    const auto candidates = index.Nearby(p, radius);
+    ASSERT_EQ(candidates.size(), static_cast<size_t>(net.num_segments()))
+        << radius;
+    std::set<SegmentId> segments;
+    for (const auto& c : candidates) segments.insert(c.segment);
+    EXPECT_EQ(segments.size(), candidates.size()) << radius;
+    EXPECT_TRUE(std::is_sorted(
+        candidates.begin(), candidates.end(),
+        [](const SegmentIndex::Candidate& a, const SegmentIndex::Candidate& b) {
+          return a.projection.distance_m < b.projection.distance_m;
+        }))
+        << radius;
+    EXPECT_NEAR(candidates.front().projection.distance_m, 0.0, 1e-6) << radius;
+  }
+}
 
 }  // namespace
 }  // namespace lighttr::roadnet

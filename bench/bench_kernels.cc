@@ -9,14 +9,18 @@
 //     composed ~12-op chain it replaced, forward+backward.
 //  3. Arena — steady-state heap allocations across identically-shaped
 //     training steps (must be 0), and arena-vs-bypass timing.
+//  4. Adam — the optimizer's element update over a ~45k-scalar
+//     parameter set, in ns per scalar (the two tables agree bitwise).
 //
 // Emits BENCH_kernels.json (kernel variant recorded per row) and
 // bench_kernels.csv via the common --output-dir/LIGHTTR_BENCH_DIR
 // policy. `--smoke` runs tiny sizes and asserts the invariants
-// (SIMD >= scalar, scalar/AVX2 parity, arena zero-alloc) — registered
-// as the bench_kernels_smoke ctest so every test run gates on them.
+// (SIMD >= scalar, scalar/AVX2 parity — bitwise for Adam — and arena
+// zero-alloc) — registered as the bench_kernels_smoke ctest so every
+// test run gates on them.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
 #include "nn/ops.h"
+#include "nn/parameter.h"
 #include "nn/tensor.h"
 
 namespace {
@@ -115,6 +120,60 @@ GruFixture MakeGruFixture(size_t batch, size_t in_dim, size_t hidden,
   return f;
 }
 
+// A ParameterSet shaped like a GRU seq2seq model of about MTrajRec+FL's
+// size (44,783 scalars), with gradients and Adam moments. Several
+// tensor sizes are not multiples of 4, so the vector kernel's tails run.
+struct AdamFixture {
+  nn::ParameterSet params;
+  std::vector<nn::Matrix> m, v;
+};
+
+AdamFixture MakeAdamFixture(uint64_t seed) {
+  const size_t shapes[][2] = {{91, 96}, {91, 48}, {1, 96},  {1, 48},
+                              {48, 257}, {1, 257}, {96, 96}, {96, 48},
+                              {43, 48},  {1, 48},  {1, 3001}, {1, 5}};
+  AdamFixture f;
+  Rng rng(seed);
+  for (const auto& shape : shapes) {
+    nn::Tensor t = nn::Tensor::Variable(
+        nn::Matrix::RandomUniform(shape[0], shape[1], 1.0, &rng));
+    t.grad() = nn::Matrix::RandomUniform(shape[0], shape[1], 1.0, &rng);
+    f.params.Register("p" + std::to_string(f.m.size()), t);
+    f.m.push_back(nn::Matrix::Zeros(shape[0], shape[1]));
+    f.v.push_back(nn::Matrix::Zeros(shape[0], shape[1]));
+  }
+  return f;
+}
+
+// One Adam step (t >= 1) over every tensor through the active table.
+void AdamStep(AdamFixture* f, int t) {
+  const nn::kernels::AdamCoefficients c = {
+      0.9,  0.999, 1 - std::pow(0.9, t), 1 - std::pow(0.999, t),
+      3e-3, 1e-8,  1e-4};
+  for (size_t i = 0; i < f->params.size(); ++i) {
+    const nn::Tensor& p = f->params.tensor(i);
+    nn::kernels::AdamUpdate(p.mutable_value().data(), p.grad().data(),
+                            f->m[i].data(), f->v[i].data(), p.value().size(),
+                            c);
+  }
+}
+
+bool SameBits(const nn::Matrix& a, const nn::Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(nn::Scalar)) == 0;
+}
+
+// Values and both moments of every tensor agree bit for bit.
+bool AdamFixturesMatch(const AdamFixture& a, const AdamFixture& b) {
+  for (size_t i = 0; i < a.params.size(); ++i) {
+    if (!SameBits(a.params.tensor(i).value(), b.params.tensor(i).value()) ||
+        !SameBits(a.m[i], b.m[i]) || !SameBits(a.v[i], b.v[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Max combined abs/rel deviation between two buffers.
 double MaxDeviation(const std::vector<nn::Scalar>& a,
                     const std::vector<nn::Scalar>& b) {
@@ -178,6 +237,32 @@ int RunSmoke() {
     std::printf("blocked %zu^3: scalar %.4fs avx2 %.4fs (%.2fx)\n", dim,
                 scalar_s, avx2_s, scalar_s / avx2_s);
     if (avx2_s > scalar_s) return Fail("AVX2 slower than scalar");
+  }
+
+  // Adam: the two tables agree bitwise after chained steps, and the
+  // vector update is not slower.
+  {
+    AdamFixture adam_ref = MakeAdamFixture(13);
+    AdamFixture adam_vec = MakeAdamFixture(13);
+    nn::ActivateKernels(nn::KernelMode::kScalar);
+    for (int t = 1; t <= 5; ++t) AdamStep(&adam_ref, t);
+    nn::ActivateKernels(nn::KernelMode::kAuto);
+    for (int t = 1; t <= 5; ++t) AdamStep(&adam_vec, t);
+    if (!AdamFixturesMatch(adam_ref, adam_vec)) {
+      return Fail("Adam bitwise parity");
+    }
+    if (avx2) {
+      nn::ActivateKernels(nn::KernelMode::kScalar);
+      const double scalar_s = BestOfRuns(5, [&] { AdamStep(&adam_ref, 6); });
+      nn::ActivateKernels(nn::KernelMode::kAvx2);
+      const double avx2_s = BestOfRuns(5, [&] { AdamStep(&adam_vec, 6); });
+      const double scalars = static_cast<double>(adam_ref.params.NumScalars());
+      std::printf("adam %.0f scalars: scalar %.2f ns/scalar, avx2 %.2f "
+                  "ns/scalar (%.2fx)\n",
+                  scalars, scalar_s * 1e9 / scalars, avx2_s * 1e9 / scalars,
+                  scalar_s / avx2_s);
+      if (avx2_s > scalar_s) return Fail("AVX2 Adam slower than scalar");
+    }
   }
 
   // Arena: identically-shaped training steps allocate nothing after
@@ -362,6 +447,27 @@ int main(int argc, char** argv) {
                 "steps: %lld (pool hits +%lld)\n",
                 runs * reps, steady_heap_allocs,
                 static_cast<long long>(after.pool_hits - warm.pool_hits));
+  }
+
+  // ---- Section 5: the Adam update over a ~45k-scalar parameter set.
+  {
+    const int reps = 20;
+    double scalar_s = 0.0;
+    for (nn::KernelMode mode : modes) {
+      nn::ActivateKernels(mode);
+      AdamFixture f = MakeAdamFixture(37);
+      const double scalars = static_cast<double>(f.params.NumScalars());
+      const std::string shape = TablePrinter::Fmt(scalars, 0) + " scalars x" +
+                                std::to_string(reps);
+      const double seconds = BestOfRuns(runs, [&] {
+        for (int t = 1; t <= reps; ++t) AdamStep(&f, t);
+      });
+      if (mode == nn::KernelMode::kScalar) scalar_s = seconds;
+      add_row("adam", nn::KernelModeName(mode), shape, seconds, 0.0,
+              scalar_s);
+      std::printf("adam (%s): %.2f ns/scalar\n", nn::KernelModeName(mode),
+                  seconds * 1e9 / (scalars * reps));
+    }
   }
 
   std::printf("%s", table.ToString().c_str());

@@ -1,9 +1,14 @@
 // Engineering microbenchmarks of the substrates: matrix kernels,
-// autograd overhead, Dijkstra shortest paths, segment-index queries,
-// trajectory encoding, and HMM map matching. Not a paper experiment;
-// guards the performance assumptions the experiment harness relies on.
+// autograd overhead, the frame/snapshot CRC-32, Dijkstra shortest
+// paths, segment-index queries, trajectory encoding, and HMM map
+// matching. Not a paper experiment; guards the performance assumptions
+// the experiment harness relies on.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "mapmatch/hmm_map_matcher.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
@@ -45,6 +50,18 @@ void BM_AutogradOverhead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutogradOverhead);
+
+void BM_Crc32(benchmark::State& state) {
+  std::string buffer(512 * 1024, '\0');
+  Rng rng(5);
+  for (char& c : buffer) c = static_cast<char>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buffer));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32);
 
 void BM_DijkstraPointToPoint(benchmark::State& state) {
   Rng rng(3);

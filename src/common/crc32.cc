@@ -6,27 +6,56 @@ namespace lighttr {
 
 namespace {
 
-// Table-driven byte-at-a-time CRC-32 with the reflected IEEE polynomial.
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 CRC-32 with the reflected IEEE polynomial. Table 0 is the
+// classic byte-at-a-time table; table k maps a byte to its contribution
+// after k further zero bytes, so one step folds eight input bytes with
+// eight independent lookups instead of eight dependent ones. The value
+// is fixed by the polynomial, so it equals the byte-at-a-time CRC
+// exactly; the n % 8 tail still runs the byte loop on table 0.
+using SliceTables = std::array<std::array<uint32_t, 256>, 8>;
+
+SliceTables BuildTables() {
+  SliceTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+// Little-endian 32-bit load assembled from bytes: callers pass buffers
+// at any offset, and the byte order must not depend on the host's.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = BuildTable();
+  static const SliceTables kTables = BuildTables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = kTable[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, bytes += 8) {
+    const uint32_t lo = c ^ LoadLe32(bytes);
+    const uint32_t hi = LoadLe32(bytes + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++bytes) {
+    c = kTables[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -10,6 +10,7 @@
 #include <cstddef>
 
 #include "nn/arena.h"
+#include "nn/kernels/kernels.h"
 
 namespace lighttr::nn::kernels {
 
@@ -43,6 +44,12 @@ struct KernelTable {
   void (*sigmoid_inplace)(Scalar* x, size_t n);
   /// x[i] = tanh(x[i]).
   void (*tanh_inplace)(Scalar* x, size_t n);
+  /// One Adam step over n elements (see kernels::AdamUpdate). Unlike
+  /// the entries above, every table must match the scalar one bitwise:
+  /// same operations, same association order, no FMA contraction.
+  void (*adam_update)(Scalar* value, const Scalar* grad, Scalar* m,
+                      Scalar* v, size_t n,
+                      const AdamCoefficients& coefficients);
 };
 
 /// The portable reference table (always available; bit-identical to the

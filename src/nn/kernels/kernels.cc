@@ -1,9 +1,9 @@
 // Kernel dispatch + the portable scalar reference table.
 //
 // The scalar kernels are the pre-kernel-layer implementations moved
-// here verbatim (simple loops from nn/matrix.cc and the activation
-// loops from nn/ops.cc), so `--kernel=scalar` reproduces the historic
-// numerics bit-for-bit.
+// here verbatim (simple loops from nn/matrix.cc, the activation loops
+// from nn/ops.cc and the Adam element loop from nn/optimizer.cc), so
+// `--kernel=scalar` reproduces the historic numerics bit-for-bit.
 #include "nn/kernels/kernels.h"
 
 #include <algorithm>
@@ -121,6 +121,24 @@ void ScalarTanhInPlace(Scalar* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
 }
 
+// The association order here is the contract the AVX2 entry reproduces
+// operation for operation: ((1-b2)*g)*g, (lr*m_hat)/(sqrt(v_hat)+eps),
+// and the decay (lr*wd)*p applied to the already-stepped p.
+void ScalarAdamUpdate(Scalar* value, const Scalar* grad, Scalar* m, Scalar* v,
+                      size_t n, const kernels::AdamCoefficients& c) {
+  for (size_t j = 0; j < n; ++j) {
+    const Scalar g = grad[j];
+    m[j] = c.beta1 * m[j] + (Scalar{1} - c.beta1) * g;
+    v[j] = c.beta2 * v[j] + (Scalar{1} - c.beta2) * g * g;
+    const Scalar m_hat = m[j] / c.bias_correction1;
+    const Scalar v_hat = v[j] / c.bias_correction2;
+    value[j] -= c.learning_rate * m_hat / (std::sqrt(v_hat) + c.epsilon);
+    if (c.weight_decay > Scalar{0}) {
+      value[j] -= c.learning_rate * c.weight_decay * value[j];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Dispatch state. A single atomic table pointer: activation is a store,
 // the hot path is one relaxed-acquire load (TSan-clean, no locks).
@@ -146,8 +164,9 @@ namespace kernels {
 
 const KernelTable& ScalarKernelTable() {
   static constexpr KernelTable kTable = {
-      &ScalarGemmRowsBlocked, &ScalarGemmSmallNN, &ScalarGemmSmallTA,
+      &ScalarGemmRowsBlocked, &ScalarGemmSmallNN,    &ScalarGemmSmallTA,
       &ScalarGemmSmallTB,     &ScalarSigmoidInPlace, &ScalarTanhInPlace,
+      &ScalarAdamUpdate,
   };
   return kTable;
 }
@@ -234,6 +253,11 @@ void GemmSmallTB(const Scalar* a, const Scalar* b, Scalar* c, size_t m,
 void SigmoidInPlace(Scalar* x, size_t n) { ActiveTable().sigmoid_inplace(x, n); }
 
 void TanhInPlace(Scalar* x, size_t n) { ActiveTable().tanh_inplace(x, n); }
+
+void AdamUpdate(Scalar* value, const Scalar* grad, Scalar* m, Scalar* v,
+                size_t n, const AdamCoefficients& coefficients) {
+  ActiveTable().adam_update(value, grad, m, v, n, coefficients);
+}
 
 }  // namespace kernels
 

@@ -2,18 +2,19 @@
 //
 // One process-global kernel mode — selected explicitly by an entry point
 // (`run_experiment --kernel=`, `lighttr-chaos --kernel=`) or resolved
-// lazily from CPUID on first use — routes the GEMM trio and
-// the sigmoid/tanh activation sweeps through either the portable scalar
-// reference or the AVX2+FMA variant (DESIGN.md §14).
+// lazily from CPUID on first use — routes the GEMM trio, the
+// sigmoid/tanh activation sweeps and the Adam update through either the
+// portable scalar reference or the AVX2+FMA variant (DESIGN.md §14).
 //
 // Determinism contract: for a FIXED mode, every kernel fixes each
 // output element's floating-point reduction order by problem shape
 // alone, so results are bitwise identical across thread counts and
-// crash/resume. Across modes results may differ by bounded rounding
-// (FMA contracts the multiply-add; kernels_test bounds the drift) —
-// which is why mode selection is explicit and never silently changes
-// mid-run: only entry points call ActivateKernels, before any model
-// math; no library code does.
+// crash/resume. Across modes the GEMM and activation kernels may differ
+// by bounded rounding (FMA contracts the multiply-add; kernels_test
+// bounds the drift) — which is why mode selection is explicit and never
+// silently changes mid-run: only entry points call ActivateKernels,
+// before any model math; no library code does. The Adam update is the
+// exception: both tables compute it bitwise-identically.
 #ifndef LIGHTTR_NN_KERNELS_KERNELS_H_
 #define LIGHTTR_NN_KERNELS_KERNELS_H_
 
@@ -74,6 +75,24 @@ void GemmSmallTB(const Scalar* a, const Scalar* b, Scalar* c, size_t m,
                  size_t k, size_t n);
 void SigmoidInPlace(Scalar* x, size_t n);
 void TanhInPlace(Scalar* x, size_t n);
+
+/// The per-step constants of one Adam update: the moment decay rates,
+/// the bias corrections 1 - beta^t, the learning rate, the denominator
+/// epsilon, and the decoupled weight decay (<= 0 disables it).
+struct AdamCoefficients {
+  Scalar beta1;
+  Scalar beta2;
+  Scalar bias_correction1;
+  Scalar bias_correction2;
+  Scalar learning_rate;
+  Scalar epsilon;
+  Scalar weight_decay;
+};
+
+/// Adam (AdamW-style decay) over n elements: updates the moments m, v
+/// from grad, then steps value. Bitwise-identical in every mode.
+void AdamUpdate(Scalar* value, const Scalar* grad, Scalar* m, Scalar* v,
+                size_t n, const AdamCoefficients& coefficients);
 
 }  // namespace kernels
 

@@ -10,7 +10,9 @@
 // thread splits. They differ from the scalar table by bounded rounding
 // (FMA keeps the product unrounded; the vector exp is a polynomial,
 // not libm) — kernels_test bounds that drift against the scalar
-// reference.
+// reference. The Adam update is the exception: it is bitwise equal to
+// the scalar table, which is why FMA contraction is switched off for
+// that one function (and only there: the kernels above rely on it).
 #include "nn/kernels/kernel_table.h"
 
 // The build system compiles this TU with -mavx2 -mfma when the compiler
@@ -354,12 +356,62 @@ void Avx2TanhInPlace(Scalar* x, size_t n) {
   for (; i < n; ++i) x[i] = std::tanh(x[i]);
 }
 
+// ---------------------------------------------------------------------
+// Adam
+// ---------------------------------------------------------------------
+
+// Four elements per iteration of exactly the scalar table's operations
+// in its association order: ((1-b2)*g)*g, (lr*m_hat)/(sqrt(v_hat)+eps),
+// then the decay (lr*wd)*p on the already-stepped p. vdivpd and vsqrtpd
+// round exactly like their scalar forms, so the result is bitwise equal
+// to ScalarAdamUpdate — provided no multiply-add is fused. This TU is
+// compiled with -mfma and GCC contracts intrinsic mul+add by default,
+// hence the function-scoped fp-contract=off.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+void Avx2AdamUpdate(Scalar* value, const Scalar* grad, Scalar* m, Scalar* v,
+                    size_t n, const AdamCoefficients& c) {
+  const bool decay = c.weight_decay > Scalar{0};
+  const __m256d beta1 = _mm256_set1_pd(c.beta1);
+  const __m256d beta2 = _mm256_set1_pd(c.beta2);
+  const __m256d omb1 = _mm256_set1_pd(Scalar{1} - c.beta1);
+  const __m256d omb2 = _mm256_set1_pd(Scalar{1} - c.beta2);
+  const __m256d bc1 = _mm256_set1_pd(c.bias_correction1);
+  const __m256d bc2 = _mm256_set1_pd(c.bias_correction2);
+  const __m256d lr = _mm256_set1_pd(c.learning_rate);
+  const __m256d eps = _mm256_set1_pd(c.epsilon);
+  const __m256d lrwd = _mm256_set1_pd(c.learning_rate * c.weight_decay);
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d g = _mm256_loadu_pd(grad + j);
+    const __m256d mj = _mm256_add_pd(
+        _mm256_mul_pd(beta1, _mm256_loadu_pd(m + j)), _mm256_mul_pd(omb1, g));
+    const __m256d vj =
+        _mm256_add_pd(_mm256_mul_pd(beta2, _mm256_loadu_pd(v + j)),
+                      _mm256_mul_pd(_mm256_mul_pd(omb2, g), g));
+    _mm256_storeu_pd(m + j, mj);
+    _mm256_storeu_pd(v + j, vj);
+    const __m256d m_hat = _mm256_div_pd(mj, bc1);
+    const __m256d v_hat = _mm256_div_pd(vj, bc2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, m_hat),
+                      _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+    __m256d p = _mm256_sub_pd(_mm256_loadu_pd(value + j), step);
+    if (decay) p = _mm256_sub_pd(p, _mm256_mul_pd(lrwd, p));
+    _mm256_storeu_pd(value + j, p);
+  }
+  // The n % 4 tail runs the scalar table's own loop.
+  ScalarKernelTable().adam_update(value + j, grad + j, m + j, v + j, n - j, c);
+}
+#pragma GCC pop_options
+
 }  // namespace
 
 const KernelTable* Avx2KernelTable() {
   static constexpr KernelTable kTable = {
-      &Avx2GemmRowsBlocked, &Avx2GemmSmallNN, &Avx2GemmSmallTA,
+      &Avx2GemmRowsBlocked, &Avx2GemmSmallNN,    &Avx2GemmSmallTA,
       &Avx2GemmSmallTB,     &Avx2SigmoidInPlace, &Avx2TanhInPlace,
+      &Avx2AdamUpdate,
   };
   return &kTable;
 }

@@ -4,6 +4,7 @@
 
 #include "common/binary_io.h"
 #include "common/check.h"
+#include "nn/kernels/kernels.h"
 
 namespace lighttr::nn {
 
@@ -93,30 +94,27 @@ void AdamOptimizer::Step(ParameterSet* params) {
   LIGHTTR_CHECK_EQ(m_.size(), params->size());
   for (size_t i = 0; i < params->size(); ++i) {
     // A restored state whose shapes do not match the model is a
-    // programming error (wrong architecture for the snapshot).
-    LIGHTTR_CHECK(m_[i].SameShape(params->tensor(i).value()));
+    // programming error (wrong architecture for the snapshot). The
+    // kernel reads value.size() elements of both moments.
+    const Matrix& value = params->tensor(i).value();
+    LIGHTTR_CHECK(m_[i].SameShape(value));
+    LIGHTTR_CHECK(v_[i].SameShape(value));
   }
   ++step_count_;
-  const Scalar bc1 =
-      Scalar{1} - std::pow(beta1_, static_cast<Scalar>(step_count_));
-  const Scalar bc2 =
-      Scalar{1} - std::pow(beta2_, static_cast<Scalar>(step_count_));
+  const kernels::AdamCoefficients coefficients = {
+      beta1_,
+      beta2_,
+      Scalar{1} - std::pow(beta1_, static_cast<Scalar>(step_count_)),
+      Scalar{1} - std::pow(beta2_, static_cast<Scalar>(step_count_)),
+      learning_rate_,
+      epsilon_,
+      weight_decay_,
+  };
   for (size_t i = 0; i < params->size(); ++i) {
     Matrix& value = params->tensor(i).mutable_value();
-    const Matrix& grad = params->tensor(i).grad();
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (size_t j = 0; j < value.size(); ++j) {
-      const Scalar g = grad.data()[j];
-      m.data()[j] = beta1_ * m.data()[j] + (Scalar{1} - beta1_) * g;
-      v.data()[j] = beta2_ * v.data()[j] + (Scalar{1} - beta2_) * g * g;
-      const Scalar m_hat = m.data()[j] / bc1;
-      const Scalar v_hat = v.data()[j] / bc2;
-      value.data()[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-      if (weight_decay_ > Scalar{0}) {
-        value.data()[j] -= learning_rate_ * weight_decay_ * value.data()[j];
-      }
-    }
+    kernels::AdamUpdate(value.data(), params->tensor(i).grad().data(),
+                        m_[i].data(), v_[i].data(), value.size(),
+                        coefficients);
   }
   params->ZeroGrads();
 }
@@ -151,6 +149,11 @@ Status AdamOptimizer::DeserializeState(const std::string& bytes) {
   }
   if (m.size() != v.size()) {
     return Status::InvalidArgument("Adam moment vectors differ in length");
+  }
+  for (size_t i = 0; i < m.size(); ++i) {
+    if (!m[i].SameShape(v[i])) {
+      return Status::InvalidArgument("Adam moment matrices differ in shape");
+    }
   }
   step_count_ = steps;
   m_ = std::move(m);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <vector>
 
 #include "common/backoff.h"
 #include "common/binary_io.h"
@@ -225,6 +227,46 @@ TEST(Crc32, SensitiveToEveryBit) {
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
       EXPECT_NE(Crc32(damaged), clean);
     }
+  }
+}
+
+// Bit-at-a-time CRC-32 straight from the reflected polynomial: no
+// tables, so it shares nothing with the slice-by-8 implementation.
+uint32_t ReferenceCrc32(uint32_t crc, const unsigned char* data, size_t n) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32, SliceBy8MatchesBitwiseReference) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  Rng rng(9);
+  std::vector<unsigned char> buffer(kMiB + 8);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  // Every length 0..300 at every offset 0..7 covers the 8-byte body,
+  // the byte tail, and loads at every alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(buffer.data(), kMiB), ReferenceCrc32(0, buffer.data(), kMiB));
+  // Chaining at every split point equals the one-shot value.
+  const unsigned char* p = buffer.data() + 3;
+  const uint32_t whole = ReferenceCrc32(0, p, 64);
+  for (size_t split = 0; split < 64; ++split) {
+    const uint32_t head = Crc32Update(0, p, split);
+    EXPECT_EQ(Crc32Update(head, p + split, 64 - split), whole)
+        << "split " << split;
   }
 }
 

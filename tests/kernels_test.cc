@@ -1,8 +1,10 @@
 // Kernel-layer tests: mode resolution, scalar-vs-AVX2 numeric parity
-// (the scalar reference bounds the vector kernels' rounding drift), and
-// the tensor arena's alignment/reuse/bypass contracts.
+// (the scalar reference bounds the vector kernels' rounding drift, and
+// the Adam update must match it bitwise), and the tensor arena's
+// alignment/reuse/bypass contracts.
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -292,6 +294,61 @@ TEST(KernelParity, Activations) {
       EXPECT_LE(sig_vec[i], Scalar{1});
       EXPECT_GE(tanh_vec[i], Scalar{-1});
       EXPECT_LE(tanh_vec[i], Scalar{1});
+    }
+  }
+}
+
+// Adam is the one kernel with no drift budget: the AVX2 entry must
+// reproduce the scalar loop bit for bit (same association order, no
+// FMA contraction), across vector bodies, n % 4 tails and 50 chained
+// steps whose moments feed the next step.
+TEST(KernelParity, AdamUpdateIsBitwiseEqualAcrossModes) {
+  if (!CpuHasAvx2Fma()) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  constexpr int kSteps = 50;
+  struct AdamState {
+    std::vector<Scalar> value, m, v;
+  };
+  auto bitwise_equal = [](const std::vector<Scalar>& a,
+                          const std::vector<Scalar>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0);
+  };
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 33u, 1001u}) {
+    for (Scalar weight_decay : {Scalar{0}, Scalar{1e-4}}) {
+      Rng rng(49 + n);
+      const std::vector<Scalar> init = RandomVec(n, &rng);
+      // Magnitudes log-uniform over [1e-6, 1e6], random signs, and
+      // every 7th gradient exactly zero.
+      std::vector<std::vector<Scalar>> grads(kSteps, std::vector<Scalar>(n));
+      for (std::vector<Scalar>& g : grads) {
+        for (size_t i = 0; i < n; ++i) {
+          g[i] = std::pow(Scalar{10}, rng.Uniform(-6.0, 6.0));
+          if (rng.Uniform(0.0, 1.0) < 0.5) g[i] = -g[i];
+          if (i % 7 == 3) g[i] = Scalar{0};
+        }
+      }
+      auto run = [&](KernelMode mode) {
+        ScopedKernelMode guard(mode);
+        AdamState s{init, std::vector<Scalar>(n, Scalar{0}),
+                    std::vector<Scalar>(n, Scalar{0})};
+        for (int t = 1; t <= kSteps; ++t) {
+          const kernels::AdamCoefficients c = {
+              0.9,  0.999, 1 - std::pow(0.9, t), 1 - std::pow(0.999, t),
+              3e-3, 1e-8,  weight_decay};
+          kernels::AdamUpdate(s.value.data(), grads[t - 1].data(),
+                              s.m.data(), s.v.data(), n, c);
+        }
+        return s;
+      };
+      const AdamState ref = run(KernelMode::kScalar);
+      const AdamState vec = run(KernelMode::kAvx2);
+      EXPECT_TRUE(bitwise_equal(ref.value, vec.value))
+          << "value, n=" << n << " wd=" << weight_decay;
+      EXPECT_TRUE(bitwise_equal(ref.m, vec.m))
+          << "m, n=" << n << " wd=" << weight_decay;
+      EXPECT_TRUE(bitwise_equal(ref.v, vec.v))
+          << "v, n=" << n << " wd=" << weight_decay;
     }
   }
 }

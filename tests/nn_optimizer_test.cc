@@ -1,9 +1,14 @@
-// Tests for the Adam optimizer, clipping, weight decay, and the
-// ParameterSet registry with its FedAvg helpers.
+// Tests for the Adam optimizer and its state blobs, clipping, weight
+// decay, and the ParameterSet registry with its FedAvg helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
+#include "common/binary_io.h"
+#include "common/rng.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
@@ -60,6 +65,125 @@ TEST(Optimizer, StepZeroesGradients) {
   EXPECT_DOUBLE_EQ(w.grad()(0, 0), 0.0);
 }
 
+// ---------------------------------------------------------------------
+// Adam state blobs: run-state snapshots carry them, so a restored blob
+// is untrusted input until every shape agrees.
+// ---------------------------------------------------------------------
+
+// Two tensors of different shapes (3x3 and 1x5: 14 scalars, a vector
+// body plus a tail per tensor).
+std::unique_ptr<ParameterSet> MakeModel(uint64_t seed) {
+  auto params = std::make_unique<ParameterSet>();
+  Rng rng(seed);
+  params->Register("w1",
+                   Tensor::Variable(Matrix::RandomUniform(3, 3, 1.0, &rng)));
+  params->Register("w2",
+                   Tensor::Variable(Matrix::RandomUniform(1, 5, 1.0, &rng)));
+  return params;
+}
+
+// Fills every gradient with a value fixed by (tensor, element, step),
+// then steps.
+void StepWithGradients(AdamOptimizer* adam, ParameterSet* params, int step) {
+  for (size_t i = 0; i < params->size(); ++i) {
+    Matrix& g = params->tensor(i).grad();
+    for (size_t j = 0; j < g.size(); ++j) {
+      g.data()[j] = std::sin(0.7 * static_cast<double>((i + 1) * (j + 1)) +
+                             static_cast<double>(step));
+    }
+  }
+  adam->Step(params);
+}
+
+bool BitwiseEqual(const std::vector<Scalar>& a, const std::vector<Scalar>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0;
+}
+
+TEST(AdamState, RejectsMomentsOfDifferentShapes) {
+  // A 4x8 first moment next to a 1x1 second moment: the matrix counts
+  // agree, so only a per-matrix shape check catches it. Accepted, the
+  // next Step would read 32 elements of the one-element v.
+  BinaryWriter writer;
+  writer.WriteU8(1);  // Adam kind tag
+  writer.WriteI64(3);
+  writer.WriteU32(1);
+  writer.WriteU32(4);
+  writer.WriteU32(8);
+  for (int i = 0; i < 32; ++i) writer.WriteF64(0.0);
+  writer.WriteU32(1);
+  writer.WriteU32(1);
+  writer.WriteU32(1);
+  writer.WriteF64(0.0);
+  AdamOptimizer adam(0.1);
+  const Status status = adam.DeserializeState(writer.Take());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  // The rejected blob left the optimizer untouched and usable.
+  ParameterSet params;
+  Tensor w = Tensor::Variable(Matrix::Full(4, 8, 1.0));
+  params.Register("w", w);
+  w.grad().Fill(0.5);
+  adam.Step(&params);
+  EXPECT_LT(w.value()(0, 0), 1.0);
+}
+
+TEST(AdamState, RejectsMalformedBlobs) {
+  auto params = MakeModel(1);
+  AdamOptimizer adam(0.01);
+  for (int step = 0; step < 2; ++step) {
+    StepWithGradients(&adam, params.get(), step);
+  }
+  const std::string blob = adam.SerializeState();
+  AdamOptimizer fresh(0.01);
+  for (size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(fresh.DeserializeState(blob.substr(0, len)).ok())
+        << "prefix of " << len << " bytes";
+  }
+  EXPECT_FALSE(fresh.DeserializeState(blob + '\0').ok());
+  std::string wrong_kind = blob;
+  wrong_kind[0] = 2;
+  EXPECT_FALSE(fresh.DeserializeState(wrong_kind).ok());
+  // The step count is the i64 right after the one-byte kind tag.
+  BinaryWriter negative;
+  negative.WriteU8(static_cast<uint8_t>(blob[0]));
+  negative.WriteI64(-1);
+  negative.WriteBytes(blob.data() + 9, blob.size() - 9);
+  EXPECT_FALSE(fresh.DeserializeState(negative.Take()).ok());
+  // The untouched blob loads: the rejections above are the edits'.
+  EXPECT_TRUE(fresh.DeserializeState(blob).ok());
+}
+
+TEST(AdamState, SerializeRoundTripsByteIdentically) {
+  auto params = MakeModel(2);
+  AdamOptimizer adam(0.01);
+  for (int step = 0; step < 3; ++step) {
+    StepWithGradients(&adam, params.get(), step);
+  }
+  const std::string blob = adam.SerializeState();
+  AdamOptimizer restored(0.01);
+  ASSERT_TRUE(restored.DeserializeState(blob).ok());
+  EXPECT_EQ(restored.SerializeState(), blob);
+}
+
+TEST(AdamState, RestoredOptimizerStepsBitwiseLikeTheOriginal) {
+  auto original_params = MakeModel(3);
+  AdamOptimizer original(0.01);
+  for (int step = 0; step < 3; ++step) {
+    StepWithGradients(&original, original_params.get(), step);
+  }
+  // Same values and a fresh optimizer loaded from the original's state.
+  auto restored_params = MakeModel(4);
+  restored_params->AssignFlat(original_params->Flatten());
+  AdamOptimizer restored(0.01);
+  ASSERT_TRUE(restored.DeserializeState(original.SerializeState()).ok());
+
+  StepWithGradients(&original, original_params.get(), 3);
+  StepWithGradients(&restored, restored_params.get(), 3);
+  EXPECT_TRUE(
+      BitwiseEqual(original_params->Flatten(), restored_params->Flatten()));
+  EXPECT_EQ(original.SerializeState(), restored.SerializeState());
+}
+
 TEST(Clipping, ScalesDownLargeGradients) {
   ParameterSet params;
   Tensor w = Tensor::Variable(Matrix::Full(1, 4, 0.0));
@@ -103,17 +227,8 @@ TEST(ParameterSet, GetByName) {
 }
 
 TEST(ParameterSet, SerializeDeserializeRoundTrip) {
-  auto build = [](uint64_t seed) {
-    auto params = std::make_unique<ParameterSet>();
-    Rng rng(seed);
-    params->Register("w1",
-                     Tensor::Variable(Matrix::RandomUniform(3, 3, 1.0, &rng)));
-    params->Register("w2",
-                     Tensor::Variable(Matrix::RandomUniform(1, 5, 1.0, &rng)));
-    return params;
-  };
-  auto source = build(1);
-  auto dest = build(2);
+  auto source = MakeModel(1);
+  auto dest = MakeModel(2);
   const std::string blob = source->Serialize();
   EXPECT_EQ(static_cast<int64_t>(blob.size()), source->WireBytes());
   ASSERT_TRUE(dest->Deserialize(blob).ok());

@@ -12,19 +12,21 @@
 
 namespace lighttr {
 
+/// Growth factor per retry, shared by every retry schedule.
+constexpr double kBackoffMultiplier = 2.0;
+/// +- fraction of each delay, drawn uniformly from the supplied Rng.
+constexpr double kBackoffJitter = 0.1;
+
 /// Retry schedule: attempt k (0-based retry index) waits
-/// min(base * multiplier^k, max_delay) * (1 +- jitter), jitter drawn
-/// uniformly from the supplied Rng.
+/// min(base * kBackoffMultiplier^k, max_delay) * (1 +- kBackoffJitter).
 struct BackoffConfig {
   int max_retries = 0;         // retries after the first attempt; 0 = none
   double base_delay_s = 0.5;   // simulated delay before the first retry
-  double multiplier = 2.0;     // growth factor per retry
   double max_delay_s = 8.0;    // cap on any single delay
-  double jitter = 0.1;         // +- fraction of the delay, uniform
 };
 
 /// Simulated delay before retry number `retry` (0-based). Deterministic
-/// given the Rng state.
+/// given the Rng state; a null `rng` gives the delay without jitter.
 inline double BackoffDelaySeconds(const BackoffConfig& config, int retry,
                                   Rng* rng) {
   LIGHTTR_CHECK_GE(retry, 0);
@@ -33,20 +35,15 @@ inline double BackoffDelaySeconds(const BackoffConfig& config, int retry,
   // (and a shift-based variant would wrap), whereas the capped delay is
   // what every attempt past the knee gets anyway.
   double delay = std::min(config.base_delay_s, config.max_delay_s);
-  if (config.multiplier > 1.0) {
-    for (int i = 0; i < retry; ++i) {
-      delay *= config.multiplier;
-      if (delay >= config.max_delay_s) {
-        delay = config.max_delay_s;
-        break;
-      }
+  for (int i = 0; i < retry; ++i) {
+    delay *= kBackoffMultiplier;
+    if (delay >= config.max_delay_s) {
+      delay = config.max_delay_s;
+      break;
     }
-  } else {
-    for (int i = 0; i < retry; ++i) delay *= config.multiplier;
-    delay = std::min(delay, config.max_delay_s);
   }
-  if (config.jitter > 0.0 && rng != nullptr) {
-    delay *= 1.0 + rng->Uniform(-config.jitter, config.jitter);
+  if (rng != nullptr) {
+    delay *= 1.0 + rng->Uniform(-kBackoffJitter, kBackoffJitter);
   }
   return std::max(delay, 0.0);
 }

@@ -5,14 +5,15 @@
 // host's, the same convention ParameterSet::Serialize uses). BinaryReader
 // is the hostile-input counterpart: every read validates the remaining
 // byte count and returns a Status instead of walking past the end, and
-// length-prefixed strings are capped so a corrupted length field cannot
-// trigger a multi-gigabyte allocation.
+// length-prefixed strings and f64 arrays are capped so a corrupted length
+// or count field cannot trigger a multi-gigabyte allocation.
 #ifndef LIGHTTR_COMMON_BINARY_IO_H_
 #define LIGHTTR_COMMON_BINARY_IO_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -30,6 +31,17 @@ class BinaryWriter {
 
   /// Raw bytes, no length prefix.
   void WriteBytes(const void* data, size_t n) { Append(data, n); }
+
+  /// `n` doubles in one append: the bytes `n` WriteF64 calls produce.
+  void WriteF64Array(const double* values, size_t n) {
+    Append(values, n * sizeof(double));
+  }
+
+  /// u64 count + the values (inverse: BinaryReader::ReadF64Vector).
+  void WriteF64Vector(const std::vector<double>& values) {
+    WriteU64(static_cast<uint64_t>(values.size()));
+    WriteF64Array(values.data(), values.size());
+  }
 
   /// u64 length prefix + bytes.
   void WriteString(const std::string& s) {
@@ -76,6 +88,46 @@ class BinaryReader {
   /// Raw bytes, no length prefix.
   [[nodiscard]] Status ReadBytes(void* out, size_t n) { return ReadRaw(out, n); }
 
+  /// The one check a stored f64 count passes before anything is sized
+  /// by it: `count` doubles must fit in the bytes that remain. Divides
+  /// rather than multiplies, so a count whose byte size wraps 64 bits
+  /// cannot slip through.
+  [[nodiscard]] Status CheckF64Count(uint64_t count) const {
+    if (count > remaining() / sizeof(double)) {
+      return Status::InvalidArgument(
+          "truncated buffer: " + std::to_string(count) + " doubles at offset " +
+          std::to_string(offset_) + ", " + std::to_string(remaining()) +
+          " bytes remain");
+    }
+    return Status::Ok();
+  }
+
+  /// Inverse of WriteF64Array: `n` doubles in one copy, or nothing.
+  [[nodiscard]] Status ReadF64Array(double* out, size_t n) {
+    LIGHTTR_RETURN_NOT_OK(CheckF64Count(n));
+    return ReadRaw(out, n * sizeof(double));
+  }
+
+  /// Inverse of WriteF64Vector. A count above `max_count` or beyond the
+  /// remaining bytes is rejected before `out` is resized, and leaves
+  /// both `out` and the cursor unmoved.
+  [[nodiscard]] Status ReadF64Vector(std::vector<double>* out,
+                                     uint64_t max_count) {
+    uint64_t count = 0;
+    LIGHTTR_RETURN_NOT_OK(ReadU64(&count));
+    Status fits = count > max_count
+                      ? Status::InvalidArgument(
+                            "declared f64 count " + std::to_string(count) +
+                            " exceeds cap " + std::to_string(max_count))
+                      : CheckF64Count(count);
+    if (!fits.ok()) {
+      offset_ -= sizeof(uint64_t);
+      return fits;
+    }
+    out->resize(static_cast<size_t>(count));
+    return ReadF64Array(out->data(), out->size());
+  }
+
   /// Inverse of WriteString. A declared length larger than the bytes
   /// actually present (or than `max_len`) is rejected before any
   /// allocation proportional to it.
@@ -112,7 +164,7 @@ class BinaryReader {
           "truncated buffer: need " + std::to_string(n) + " bytes at offset " +
           std::to_string(offset_) + ", have " + std::to_string(remaining()));
     }
-    std::memcpy(out, data_->data() + offset_, n);
+    if (n > 0) std::memcpy(out, data_->data() + offset_, n);  // out may be null
     offset_ += n;
     return Status::Ok();
   }

@@ -24,23 +24,6 @@ Status Rng::DeserializeState(const std::string& state) {
   return Status::Ok();
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  LIGHTTR_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    LIGHTTR_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  LIGHTTR_CHECK_GT(total, 0.0);
-  double pick = Uniform(0.0, total);
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (pick < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   LIGHTTR_CHECK_LE(k, n);
   std::vector<size_t> indices(n);

@@ -2,7 +2,6 @@
 #ifndef LIGHTTR_COMMON_RNG_H_
 #define LIGHTTR_COMMON_RNG_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -46,16 +45,6 @@ class Rng {
     std::bernoulli_distribution dist(p);
     return dist(engine_);
   }
-
-  /// Shuffles `items` in place.
-  template <typename T>
-  void Shuffle(std::vector<T>* items) {
-    std::shuffle(items->begin(), items->end(), engine_);
-  }
-
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// All weights must be non-negative with a positive sum.
-  size_t WeightedIndex(const std::vector<double>& weights);
 
   /// Returns k distinct indices sampled uniformly from [0, n).
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);

@@ -19,9 +19,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Returns milliseconds elapsed since construction or the last Reset().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

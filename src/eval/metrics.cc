@@ -87,18 +87,4 @@ RecoveryMetrics EvaluateRecovery(
   return metrics;
 }
 
-std::vector<ClientMetrics> EvaluatePerClient(
-    fl::RecoveryModel* model, const roadnet::RoadNetwork& network,
-    const std::vector<traj::ClientDataset>& clients) {
-  std::vector<ClientMetrics> out;
-  out.reserve(clients.size());
-  for (size_t i = 0; i < clients.size(); ++i) {
-    ClientMetrics entry;
-    entry.client_index = static_cast<int>(i);
-    entry.metrics = EvaluateRecovery(model, network, clients[i].test);
-    out.push_back(entry);
-  }
-  return out;
-}
-
 }  // namespace lighttr::eval

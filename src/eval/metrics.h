@@ -10,7 +10,6 @@
 #include "fl/recovery_model.h"
 #include "roadnet/road_network.h"
 #include "traj/trajectory.h"
-#include "traj/workload.h"
 
 namespace lighttr::eval {
 
@@ -21,12 +20,6 @@ struct RecoveryMetrics {
   double mae_km = 0.0;
   double rmse_km = 0.0;
   int64_t recovered_points = 0;
-
-  /// F1 convenience (not reported in the paper but useful in tests).
-  double F1() const {
-    const double denom = recall + precision;
-    return denom > 0.0 ? 2.0 * recall * precision / denom : 0.0;
-  }
 };
 
 /// Segment-set recall/precision of one trajectory's recovery (Eq. 19):
@@ -39,17 +32,6 @@ struct SetCounts {
 };
 SetCounts SegmentSetCounts(const traj::IncompleteTrajectory& trajectory,
                            const std::vector<roadnet::PointPosition>& recovered);
-
-/// Per-client evaluation (personalization view): metrics of one shared
-/// model on each client's own test split. Exposes the heterogeneity a
-/// single aggregate number hides.
-struct ClientMetrics {
-  int client_index = 0;
-  RecoveryMetrics metrics;
-};
-std::vector<ClientMetrics> EvaluatePerClient(
-    fl::RecoveryModel* model, const roadnet::RoadNetwork& network,
-    const std::vector<traj::ClientDataset>& clients);
 
 /// Evaluates `model` over `test`: recall/precision micro-averaged across
 /// trajectories, MAE/RMSE in kilometers of network-constrained distance

@@ -13,9 +13,6 @@ namespace {
 
 constexpr uint32_t kAdversaryMagic = 0x4C544144u;  // "LTAD"
 constexpr uint32_t kAdversaryVersion = 1;
-/// Banked honest norms; matches the health monitor's norm window so the
-/// adversary mimics exactly the history the defense judges against.
-constexpr size_t kHonestNormWindow = 64;
 /// Target norm as a fraction of the median honest delta norm (kMinMax,
 /// kNormMatched): just inside the envelope the defense expects.
 constexpr double kStealthMargin = 0.9;
@@ -149,15 +146,12 @@ bool AdversaryEngine::Poison(const std::vector<nn::Scalar>& global,
 
 void AdversaryEngine::ObserveHonestNorm(double norm) {
   if (!IsFinite(norm) || norm < 0.0) return;
-  honest_norms_.push_back(norm);
-  if (honest_norms_.size() > kHonestNormWindow) {
-    honest_norms_.erase(honest_norms_.begin());
-  }
+  honest_norms_.Push(norm);
 }
 
 double AdversaryEngine::TargetNorm(double fallback) const {
   const double base =
-      honest_norms_.empty() ? fallback : Median(honest_norms_);
+      honest_norms_.size() == 0 ? fallback : honest_norms_.Median();
   if (!(base > 0.0)) return fallback > 0.0 ? fallback : 1.0;
   return kStealthMargin * base;
 }
@@ -167,8 +161,7 @@ std::string AdversaryEngine::SerializeState() const {
   writer.WriteU32(kAdversaryMagic);
   writer.WriteU32(kAdversaryVersion);
   writer.WriteString(rng_.SerializeState());
-  writer.WriteU64(honest_norms_.size());
-  for (const double norm : honest_norms_) writer.WriteF64(norm);
+  honest_norms_.Write(&writer);
   return writer.Take();
 }
 
@@ -187,18 +180,8 @@ Status AdversaryEngine::DeserializeState(const std::string& bytes) {
   }
   std::string rng_state;
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&rng_state));
-  uint64_t count = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
-  if (count > kHonestNormWindow) {
-    return Status::InvalidArgument("adversary blob: oversized norm window");
-  }
-  std::vector<double> norms(static_cast<size_t>(count));
-  for (double& norm : norms) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&norm));
-    if (!IsFinite(norm) || norm < 0.0) {
-      return Status::InvalidArgument("adversary blob: corrupt norm entry");
-    }
-  }
+  RollingWindow norms(kNormWindow);
+  LIGHTTR_RETURN_NOT_OK(norms.Read(&reader));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("adversary blob: trailing bytes");
   }

@@ -43,6 +43,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "fl/health.h"
 #include "nn/arena.h"
 
 namespace lighttr::fl {
@@ -140,8 +141,8 @@ class AdversaryEngine {
   Rng rng_;
   /// Shared unit-norm collusion direction (kMinMax), resampled per round.
   std::vector<nn::Scalar> drift_;
-  /// Rolling window of accepted honest delta norms, oldest first.
-  std::vector<double> honest_norms_;
+  /// Accepted honest delta norms.
+  RollingWindow honest_norms_{kNormWindow};
 };
 
 }  // namespace lighttr::fl

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/finite.h"
+#include "fl/health.h"
 #include "fl/privacy.h"
 
 namespace lighttr::fl {
@@ -278,12 +279,7 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
       for (nn::Scalar& x : out) x *= inv;
       std::vector<uint8_t> flags(m, 0);
       if (want_flags) {
-        std::vector<double> sorted_scores(scores.begin(), scores.end());
-        std::sort(sorted_scores.begin(), sorted_scores.end());
-        const double median_score = m % 2 == 1
-                                        ? sorted_scores[m / 2]
-                                        : 0.5 * (sorted_scores[m / 2 - 1] +
-                                                 sorted_scores[m / 2]);
+        const double median_score = Median(scores);
         // A purely relative test misfires when the honest cluster is
         // nearly degenerate: median_score ~ 0 lets any nonzero spread
         // look suspicious. Anchor on the median squared update
@@ -296,10 +292,7 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
           for (size_t c = 0; c < m; ++c) {
             mags[c] = SquaredDistance(uploads[c], *reference);
           }
-          std::sort(mags.begin(), mags.end());
-          anchor = m % 2 == 1
-                       ? mags[m / 2]
-                       : 0.5 * (mags[m / 2 - 1] + mags[m / 2]);
+          anchor = Median(std::move(mags));
         }
         for (size_t rank = selected; rank < m; ++rank) {
           const size_t i = order[rank];
@@ -315,7 +308,7 @@ Result<std::vector<nn::Scalar>> AggregateFlat(
         // may well have ranked into the selected set. Skipped when
         // every upload coincides (max score 0: a fully degenerate round
         // has no pair to single out) and for one-parameter models.
-        if (n >= 2 && sorted_scores.back() > 0.0) {
+        if (n >= 2 && *std::max_element(scores.begin(), scores.end()) > 0.0) {
           for (size_t i = 0; i < m; ++i) {
             if (min_dist[i] == 0.0) flags[i] = 1;
           }

@@ -14,34 +14,6 @@ constexpr double kNominalUpdateSeconds = 0.25;
 
 }  // namespace
 
-const char* FaultTypeName(FaultType type) {
-  switch (type) {
-    case FaultType::kNone:
-      return "none";
-    case FaultType::kDropout:
-      return "dropout";
-    case FaultType::kStraggler:
-      return "straggler";
-    case FaultType::kCorruption:
-      return "corruption";
-  }
-  return "unknown";
-}
-
-const char* CorruptionKindName(CorruptionKind kind) {
-  switch (kind) {
-    case CorruptionKind::kNaN:
-      return "nan";
-    case CorruptionKind::kInf:
-      return "inf";
-    case CorruptionKind::kScale:
-      return "scale";
-    case CorruptionKind::kGarbage:
-      return "garbage";
-  }
-  return "unknown";
-}
-
 FaultModel::FaultModel(FaultInjectionConfig config) : config_(config) {
   LIGHTTR_CHECK_GE(config_.dropout_rate, 0.0);
   LIGHTTR_CHECK_LE(config_.dropout_rate, 1.0);

@@ -36,9 +36,6 @@ enum class CorruptionKind {
   kGarbage,   // the whole vector is replaced with uniform noise
 };
 
-const char* FaultTypeName(FaultType type);
-const char* CorruptionKindName(CorruptionKind kind);
-
 /// Server-side per-round deadline (simulated seconds). A slowed client
 /// whose update finishes after the deadline is cut off; a healthy local
 /// update takes 0.25 s +-20% (fault_injection.cc).

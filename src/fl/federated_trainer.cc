@@ -55,45 +55,6 @@ struct ClientSlot {
   std::vector<nn::Scalar> upload;  // valid when sent and not rejected
 };
 
-// Rolling window of accepted delta norms backing the kNormBound clip
-// bound; small so one poisoned era cannot dominate the median forever.
-constexpr size_t kNormBoundWindow = 64;
-
-// The window's snapshot blob: bare count + doubles. It rides inside the
-// CRC-protected run-state container, which supplies integrity.
-std::string EncodeNormWindow(const std::vector<double>& window) {
-  BinaryWriter writer;
-  writer.WriteU64(window.size());
-  for (double v : window) writer.WriteF64(v);
-  return writer.Take();
-}
-
-Status DecodeNormWindow(const std::string& bytes,
-                        std::vector<double>* window) {
-  window->clear();
-  BinaryReader reader(bytes);
-  uint64_t count = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
-  if (count > kNormBoundWindow) {
-    return Status::InvalidArgument("norm-bound window blob: size " +
-                                   std::to_string(count) + " exceeds cap");
-  }
-  window->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    double v = 0.0;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&v));
-    if (!(v >= 0.0) || !IsFinite(v)) {
-      return Status::InvalidArgument(
-          "norm-bound window blob: invalid norm entry");
-    }
-    window->push_back(v);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("norm-bound window blob: trailing bytes");
-  }
-  return Status::Ok();
-}
-
 // Copies the CounterScope::kLifetime totals (healing and storage) from
 // `from` into `to`, leaving every other field of `to` alone.
 void CopyLifetimeCounters(const FaultStats& from, FaultStats* to) {
@@ -211,7 +172,9 @@ ServerRunState FederatedTrainer::CaptureState(int round,
   state.escalated = escalated_;
   state.net_rng_state = net_rng_.SerializeState();
   state.adversary_blob = adversary_ ? adversary_->SerializeState() : std::string();
-  state.normbound_blob = EncodeNormWindow(normbound_window_);
+  BinaryWriter normbound;
+  normbound_window_.Write(&normbound);
+  state.normbound_blob = normbound.Take();
   state.history = result.history;
   return state;
 }
@@ -258,8 +221,11 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
   if (adversary_ != nullptr && !state.adversary_blob.empty()) {
     LIGHTTR_RETURN_NOT_OK(adversary_->DeserializeState(state.adversary_blob));
   }
-  LIGHTTR_RETURN_NOT_OK(
-      DecodeNormWindow(state.normbound_blob, &normbound_window_));
+  BinaryReader normbound(state.normbound_blob);
+  LIGHTTR_RETURN_NOT_OK(normbound_window_.Read(&normbound));
+  if (!normbound.AtEnd()) {
+    return Status::InvalidArgument("norm-bound window blob: trailing bytes");
+  }
   if (restore_reputation) {
     // Cross-process resume: the ledger and the escalation latch come
     // back too. A rollback deliberately skips this branch — offenders
@@ -694,7 +660,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // empty window (the first rounds) leaves the bound unarmed.
       const double norm_bound =
           tolerance.aggregator.policy == AggregatorPolicy::kNormBound
-              ? Median(normbound_window_)
+              ? normbound_window_.Median()
               : 0.0;
       std::vector<uint8_t> suspected;
       Result<std::vector<nn::Scalar>> aggregate = AggregateFlat(
@@ -712,14 +678,8 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
                      AggregatorPolicy::kNormBound) {
             // Only unsuspected accepted norms teach the clip bound; a
             // norm-matched poison must not drag the median upward.
-            normbound_window_.push_back(upload_norms[u]);
+            normbound_window_.Push(upload_norms[u]);
           }
-        }
-        if (normbound_window_.size() > kNormBoundWindow) {
-          normbound_window_.erase(
-              normbound_window_.begin(),
-              normbound_window_.end() -
-                  static_cast<std::ptrdiff_t>(kNormBoundWindow));
         }
       } else {
         record.quorum_met = false;  // degrade: keep the previous model

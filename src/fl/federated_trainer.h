@@ -173,15 +173,6 @@ class FederatedTrainer {
   /// happened). Run() continues at resumed_round() + 1.
   int resumed_round() const { return resumed_round_; }
 
-  /// Lifetime count of persistence calls (snapshot write/sync) that
-  /// failed at the filesystem. Training continues past such failures —
-  /// the model is unaffected — but the count is surfaced so chaos
-  /// invariants can reconcile it against what the fault-injecting
-  /// filesystem reports.
-  int64_t storage_write_failures() const {
-    return lifetime_.storage_write_failures;
-  }
-
   /// The global model (valid after construction; trained after Run).
   RecoveryModel* global_model() { return global_model_.get(); }
 
@@ -252,7 +243,7 @@ class FederatedTrainer {
   /// Rolling window of accepted, non-suspected delta norms; its median
   /// is the kNormBound aggregator's clip bound. Maintained only when
   /// that policy is configured; snapshotted with the run state.
-  std::vector<double> normbound_window_;
+  RollingWindow normbound_window_{kNormWindow};
   std::unique_ptr<RecoveryModel> global_model_;
   std::vector<std::unique_ptr<RecoveryModel>> client_models_;
   std::vector<std::unique_ptr<nn::Optimizer>> client_optimizers_;

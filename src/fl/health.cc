@@ -15,15 +15,11 @@ namespace {
 // embeds it can evolve independently of the snapshot container.
 constexpr uint32_t kMonitorMagic = 0x4C54484Du;  // "LTHM"
 constexpr uint32_t kMonitorVersion = 1;
-// Far above either window size; bounds hostile length fields.
-constexpr uint64_t kMaxWindow = 1u << 20;
 
 // Detector thresholds, deliberately loose: a self-healing layer that
 // cries wolf (rolls back healthy rounds) costs more than one that waits
 // a round longer to be sure.
 //
-// Rolling window of accepted update delta norms.
-constexpr size_t kNormWindow = 64;
 // Outlier detection stays silent until this many norms are banked.
 constexpr size_t kMinNormHistory = 8;
 // An upload is an outlier when norm > median + this multiple of the MAD
@@ -41,26 +37,7 @@ constexpr double kLossSpikeMult = 10.0;
 // the raw MAD is ~0.
 constexpr double kLossMadFloor = 0.25;
 
-void TrimFront(std::vector<double>* window, size_t limit) {
-  if (window->size() > limit) {
-    window->erase(window->begin(),
-                  window->end() - static_cast<std::ptrdiff_t>(limit));
-  }
-}
-
 }  // namespace
-
-const char* HealthVerdictName(HealthVerdict verdict) {
-  switch (verdict) {
-    case HealthVerdict::kHealthy:
-      return "healthy";
-    case HealthVerdict::kSuspect:
-      return "suspect";
-    case HealthVerdict::kDiverged:
-      return "diverged";
-  }
-  return "unknown";
-}
 
 double Median(std::vector<double> values) {
   if (values.empty()) return 0.0;
@@ -78,6 +55,41 @@ double MedianAbsDeviation(const std::vector<double>& values, double center) {
   return Median(std::move(deviations));
 }
 
+RollingWindow::RollingWindow(size_t capacity) : capacity_(capacity) {
+  LIGHTTR_CHECK_GT(capacity, size_t{0});
+}
+
+void RollingWindow::Push(double value) {
+  if (values_.size() == capacity_) values_.erase(values_.begin());
+  values_.push_back(value);
+}
+
+double RollingWindow::Median() const { return fl::Median(values_); }
+
+double RollingWindow::MedianAbsDeviation(double center) const {
+  return fl::MedianAbsDeviation(values_, center);
+}
+
+void RollingWindow::Write(BinaryWriter* writer) const {
+  writer->WriteF64Vector(values_);
+}
+
+Status RollingWindow::Read(BinaryReader* reader) {
+  std::vector<double> values;
+  LIGHTTR_RETURN_NOT_OK(reader->ReadF64Vector(&values, capacity_));
+  for (const double v : values) {
+    if (!IsFinite(v) || v < 0.0) {
+      return Status::InvalidArgument(
+          "rolling window: entry is not a finite non-negative value");
+    }
+  }
+  values_ = std::move(values);
+  return Status::Ok();
+}
+
+RoundHealthMonitor::RoundHealthMonitor()
+    : norm_window_(kNormWindow), loss_window_(kLossWindow) {}
+
 RoundHealthReport RoundHealthMonitor::Judge(
     std::vector<UpdateObservation>* observations,
     const std::vector<nn::Scalar>& global_params, double valid_loss) {
@@ -88,15 +100,14 @@ RoundHealthReport RoundHealthMonitor::Judge(
   // admitted so one coordinated burst cannot vouch for itself.
   const bool norms_armed = norm_window_.size() >= kMinNormHistory;
   if (norms_armed) {
-    report.norm_median = Median(norm_window_);
-    report.norm_mad = MedianAbsDeviation(norm_window_, report.norm_median);
+    report.norm_median = norm_window_.Median();
+    report.norm_mad = norm_window_.MedianAbsDeviation(report.norm_median);
   }
   const double norm_spread =
       std::max(report.norm_mad,
                1e-3 * std::max(1.0, std::fabs(report.norm_median)));
   const double norm_bound =
       report.norm_median + kNormOutlierMult * norm_spread;
-  std::vector<double> admitted_norms;
   for (UpdateObservation& obs : *observations) {
     if (obs.corrupt) ++report.corrupt_uploads;
     if (obs.norm_rejected) ++report.rejected_uploads;
@@ -118,10 +129,8 @@ RoundHealthReport RoundHealthMonitor::Judge(
     // envelope by construction (norm-matched poison): never let it
     // teach the very window it is trying to blend into.
     if (obs.suspected) continue;
-    admitted_norms.push_back(obs.delta_norm);
+    norm_window_.Push(obs.delta_norm);
   }
-  for (double norm : admitted_norms) norm_window_.push_back(norm);
-  TrimFront(&norm_window_, kNormWindow);
 
   // (a) Non-finite scan of the post-aggregation global model: the
   // hardest divergence signal there is, independent of any history.
@@ -131,8 +140,8 @@ RoundHealthReport RoundHealthMonitor::Judge(
   // (c) Validation-loss spike vs the rolling median + MAD envelope of
   // past non-diverged rounds.
   if (!report.loss_nonfinite && loss_window_.size() >= kMinLossHistory) {
-    report.loss_median = Median(loss_window_);
-    report.loss_mad = MedianAbsDeviation(loss_window_, report.loss_median);
+    report.loss_median = loss_window_.Median();
+    report.loss_mad = loss_window_.MedianAbsDeviation(report.loss_median);
     const double spread =
         std::max(report.loss_mad,
                  kLossMadFloor * std::max(1.0, std::fabs(report.loss_median)));
@@ -153,8 +162,7 @@ RoundHealthReport RoundHealthMonitor::Judge(
   // Only non-diverged rounds teach the loss envelope: a diverged round
   // is about to be rolled back, so its loss never happened.
   if (report.verdict != HealthVerdict::kDiverged) {
-    loss_window_.push_back(valid_loss);
-    TrimFront(&loss_window_, kLossWindow);
+    loss_window_.Push(valid_loss);
   }
   return report;
 }
@@ -163,10 +171,8 @@ std::string RoundHealthMonitor::SerializeState() const {
   BinaryWriter writer;
   writer.WriteU32(kMonitorMagic);
   writer.WriteU32(kMonitorVersion);
-  writer.WriteU64(norm_window_.size());
-  for (double v : norm_window_) writer.WriteF64(v);
-  writer.WriteU64(loss_window_.size());
-  for (double v : loss_window_) writer.WriteF64(v);
+  norm_window_.Write(&writer);
+  loss_window_.Write(&writer);
   return writer.Take();
 }
 
@@ -183,26 +189,10 @@ Status RoundHealthMonitor::DeserializeState(const std::string& bytes) {
     return Status::InvalidArgument("health monitor blob: unknown version " +
                                    std::to_string(version));
   }
-  std::vector<double> norms;
-  std::vector<double> losses;
-  for (std::vector<double>* window : {&norms, &losses}) {
-    uint64_t count = 0;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
-    if (count > kMaxWindow) {
-      return Status::InvalidArgument("health monitor blob: window size " +
-                                     std::to_string(count) + " exceeds cap");
-    }
-    window->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      double v = 0.0;
-      LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&v));
-      if (!IsFinite(v)) {
-        return Status::InvalidArgument(
-            "health monitor blob: non-finite window entry");
-      }
-      window->push_back(v);
-    }
-  }
+  RollingWindow norms(kNormWindow);
+  RollingWindow losses(kLossWindow);
+  LIGHTTR_RETURN_NOT_OK(norms.Read(&reader));
+  LIGHTTR_RETURN_NOT_OK(losses.Read(&reader));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("health monitor blob: trailing bytes");
   }

@@ -28,13 +28,49 @@
 #ifndef LIGHTTR_FL_HEALTH_H_
 #define LIGHTTR_FL_HEALTH_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/status.h"
 #include "nn/arena.h"
 
 namespace lighttr::fl {
+
+/// Size of every rolling window of accepted update delta norms: the
+/// monitor's outlier envelope, the kNormBound clip bound and the
+/// adversary's model of honest traffic, so the attacker mimics exactly
+/// the history the defense judges against.
+constexpr size_t kNormWindow = 64;
+
+/// The last `capacity` values pushed, oldest first: the history behind
+/// every median + MAD envelope of the defense layer. Every window holds
+/// update norms or validation losses, so a restored one must be finite
+/// and non-negative. Call sites decide what they admit.
+class RollingWindow {
+ public:
+  /// `capacity` >= 1.
+  explicit RollingWindow(size_t capacity);
+
+  /// Appends `value`, dropping the oldest once past capacity.
+  void Push(double value);
+
+  size_t size() const { return values_.size(); }
+  double Median() const;
+  double MedianAbsDeviation(double center) const;
+
+  /// u64 count + the values, oldest first.
+  void Write(BinaryWriter* writer) const;
+
+  /// Inverse of Write. Rejects a count above capacity and any
+  /// non-finite or negative entry, leaving the window untouched.
+  [[nodiscard]] Status Read(BinaryReader* reader);
+
+ private:
+  size_t capacity_;
+  std::vector<double> values_;
+};
 
 /// Per-round health verdict, ordered by severity.
 enum class HealthVerdict {
@@ -42,8 +78,6 @@ enum class HealthVerdict {
   kSuspect = 1,
   kDiverged = 2,
 };
-
-const char* HealthVerdictName(HealthVerdict verdict);
 
 /// One screened upload outcome, in canonical selection order. The
 /// trainer fills everything except `outlier`; Judge sets `outlier` for
@@ -81,6 +115,8 @@ struct RoundHealthReport {
 /// once per round from the coordinating thread.
 class RoundHealthMonitor {
  public:
+  RoundHealthMonitor();
+
   /// Judges one completed round. `observations` must be in canonical
   /// selection order (part of the determinism contract); Judge flags
   /// norm outliers in place. `global_params` is the post-aggregation
@@ -104,9 +140,8 @@ class RoundHealthMonitor {
   [[nodiscard]] Status DeserializeState(const std::string& bytes);
 
  private:
-  // Oldest first; trimmed to the window sizes (health.cc).
-  std::vector<double> norm_window_;
-  std::vector<double> loss_window_;
+  RollingWindow norm_window_;
+  RollingWindow loss_window_;
 };
 
 /// Median of `values` (by copy+sort: deterministic, O(n log n)).

@@ -93,8 +93,7 @@ struct TransportConfig {
   /// Retry schedule for ReliableLink: per-exchange attempts beyond the
   /// first, with simulated exponential backoff.
   BackoffConfig retry{/*max_retries=*/3, /*base_delay_s=*/0.05,
-                      /*multiplier=*/2.0, /*max_delay_s=*/1.0,
-                      /*jitter=*/0.1};
+                      /*max_delay_s=*/1.0};
 
   const ChannelFaultConfig& LinkConfig(int client_id) const {
     for (const auto& [id, config] : link_overrides) {

@@ -50,19 +50,6 @@ struct LinkStats {
   int dedup_drops = 0;  // duplicate pushes absorbed by server-side dedup
   int late_drops = 0;   // frames discarded for arriving past the deadline
   double backoff_s = 0.0;  // simulated retry backoff accumulated
-
-  void Add(const LinkStats& other) {
-    uplink_bytes += other.uplink_bytes;
-    downlink_bytes += other.downlink_bytes;
-    uplink_frames += other.uplink_frames;
-    downlink_frames += other.downlink_frames;
-    retries += other.retries;
-    timeouts += other.timeouts;
-    crc_drops += other.crc_drops;
-    dedup_drops += other.dedup_drops;
-    late_drops += other.late_drops;
-    backoff_s += other.backoff_s;
-  }
 };
 
 /// Builds the msg_id for the logical push of `client_id` in `round`.

@@ -134,8 +134,7 @@ std::string EncodeUpdatePush(const UpdatePush& msg) {
   writer.WriteF64(msg.train_loss);
   writer.WriteU8(static_cast<uint8_t>(msg.kind));
   if (msg.kind == PayloadKind::kRawF64) {
-    writer.WriteU64(static_cast<uint64_t>(msg.raw.size()));
-    for (const double v : msg.raw) writer.WriteF64(v);
+    writer.WriteF64Vector(msg.raw);
   } else {
     writer.WriteF64(msg.quantized.min_value);
     writer.WriteF64(msg.quantized.max_value);
@@ -168,20 +167,7 @@ Status DecodeUpdatePush(const std::string& payload, UpdatePush* out) {
   out->raw.clear();
   out->quantized = QuantizedBlob{};
   if (out->kind == PayloadKind::kRawF64) {
-    uint64_t count = 0;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
-    if (count > kMaxPayloadScalars ||
-        count * sizeof(double) > reader.remaining()) {
-      return Status::InvalidArgument(
-          "update-push claims " + std::to_string(count) + " scalars, " +
-          std::to_string(reader.remaining()) + " payload bytes remain");
-    }
-    out->raw.reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      double v = 0.0;
-      LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&v));
-      out->raw.push_back(v);
-    }
+    LIGHTTR_RETURN_NOT_OK(reader.ReadF64Vector(&out->raw, kMaxPayloadScalars));
   } else {
     LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&out->quantized.min_value));
     LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&out->quantized.max_value));

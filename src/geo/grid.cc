@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
+
 namespace lighttr::geo {
 
 GridSpec::GridSpec(GeoPoint min_corner, GeoPoint max_corner,
@@ -33,11 +35,6 @@ GridCell GridSpec::CellOf(const GeoPoint& p) const {
   };
   return {clamp_idx((p.lng - min_corner_.lng) / lng_step_, cols_),
           clamp_idx((p.lat - min_corner_.lat) / lat_step_, rows_)};
-}
-
-GeoPoint GridSpec::CellCenter(const GridCell& cell) const {
-  return {min_corner_.lat + (cell.y + 0.5) * lat_step_,
-          min_corner_.lng + (cell.x + 0.5) * lng_step_};
 }
 
 int64_t TimeBin(double t, double t0, double eps) {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "common/check.h"
 #include "geo/geo_point.h"
 
 namespace lighttr::geo {
@@ -30,18 +29,9 @@ class GridSpec {
 
   GridCell CellOf(const GeoPoint& p) const;
 
-  /// Center coordinate of a cell; inverse of CellOf up to quantisation.
-  GeoPoint CellCenter(const GridCell& cell) const;
-
   /// Flattened row-major id in [0, num_cells()).
   int64_t CellId(const GridCell& cell) const {
     return static_cast<int64_t>(cell.y) * cols_ + cell.x;
-  }
-
-  GridCell CellFromId(int64_t id) const {
-    LIGHTTR_CHECK_GE(id, 0);
-    LIGHTTR_CHECK_LT(id, num_cells());
-    return {static_cast<int32_t>(id % cols_), static_cast<int32_t>(id / cols_)};
   }
 
   int32_t rows() const { return rows_; }

@@ -66,9 +66,6 @@ class LightTrPipeline {
   /// Train()).
   fl::RecoveryModel* teacher() { return teacher_.get(); }
 
-  /// The model factory used for all replicas (exposed for benches).
-  const fl::ModelFactory& factory() const { return factory_; }
-
  private:
   const traj::TrajectoryEncoder* encoder_;
   const std::vector<traj::ClientDataset>* clients_;

@@ -212,23 +212,6 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   });
 }
 
-Tensor SliceCols(const Tensor& a, size_t begin, size_t len) {
-  LIGHTTR_DCHECK_LE(begin + len, a.cols());
-  Matrix out(a.rows(), len);
-  for (size_t r = 0; r < out.rows(); ++r) {
-    for (size_t c = 0; c < len; ++c) out(r, c) = a.value()(r, begin + c);
-  }
-  return Tensor::MakeOp(std::move(out), {a}, [a, begin](TensorNode& self) {
-    if (!a.requires_grad()) return;
-    Matrix& ag = a.grad();
-    for (size_t r = 0; r < self.grad.rows(); ++r) {
-      for (size_t c = 0; c < self.grad.cols(); ++c) {
-        ag(r, begin + c) += self.grad(r, c);
-      }
-    }
-  });
-}
-
 Tensor SliceRows(const Tensor& a, size_t begin, size_t len) {
   LIGHTTR_DCHECK_LE(begin + len, a.rows());
   Matrix out(len, a.cols());

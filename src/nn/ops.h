@@ -47,9 +47,6 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b);
 /// assemble per-step row vectors into a [T, n] sequence matrix.
 Tensor ConcatRows(const std::vector<Tensor>& parts);
 
-/// Columns [begin, begin+len) of a.
-Tensor SliceCols(const Tensor& a, size_t begin, size_t len);
-
 /// Rows [begin, begin+len) of a.
 Tensor SliceRows(const Tensor& a, size_t begin, size_t len);
 

@@ -21,9 +21,7 @@ void WriteMatrices(BinaryWriter* writer, const std::vector<Matrix>& matrices) {
   for (const Matrix& m : matrices) {
     writer->WriteU32(static_cast<uint32_t>(m.rows()));
     writer->WriteU32(static_cast<uint32_t>(m.cols()));
-    for (size_t i = 0; i < m.size(); ++i) {
-      writer->WriteF64(static_cast<double>(m.data()[i]));
-    }
+    writer->WriteF64Array(m.data(), m.size());
   }
 }
 
@@ -36,16 +34,12 @@ Status ReadMatrices(BinaryReader* reader, std::vector<Matrix>* out) {
     uint32_t cols = 0;
     LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&rows));
     LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&cols));
-    const uint64_t elements = static_cast<uint64_t>(rows) * cols;
-    if (elements * sizeof(double) > reader->remaining()) {
-      return Status::InvalidArgument("truncated optimizer state matrix");
-    }
+    // Two u32 dimensions multiply without wrapping in 64 bits; the
+    // reader's check then bounds the allocation by the bytes present.
+    LIGHTTR_RETURN_NOT_OK(
+        reader->CheckF64Count(static_cast<uint64_t>(rows) * cols));
     Matrix m(rows, cols);
-    for (size_t i = 0; i < m.size(); ++i) {
-      double v = 0.0;
-      LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&v));
-      m.data()[i] = static_cast<Scalar>(v);
-    }
+    LIGHTTR_RETURN_NOT_OK(reader->ReadF64Array(m.data(), m.size()));
     out->push_back(std::move(m));
   }
   return Status::Ok();

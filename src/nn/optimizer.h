@@ -47,9 +47,6 @@ class AdamOptimizer : public Optimizer {
   std::string SerializeState() const override;
   [[nodiscard]] Status DeserializeState(const std::string& bytes) override;
 
-  Scalar learning_rate() const { return learning_rate_; }
-  void set_learning_rate(Scalar lr) { learning_rate_ = lr; }
-
  private:
   Scalar learning_rate_;
   Scalar beta1_;

@@ -90,9 +90,7 @@ std::string ParameterSet::Serialize(BlobPrecision precision) const {
     writer.WriteU32(static_cast<uint32_t>(m.rows()));
     writer.WriteU32(static_cast<uint32_t>(m.cols()));
     if (wide) {
-      for (size_t i = 0; i < m.size(); ++i) {
-        writer.WriteF64(static_cast<double>(m.data()[i]));
-      }
+      writer.WriteF64Array(m.data(), m.size());
     } else {
       for (size_t i = 0; i < m.size(); ++i) {
         writer.WriteF32(static_cast<float>(m.data()[i]));
@@ -145,12 +143,8 @@ Status ParameterSet::Deserialize(const std::string& bytes) {
       return Status::InvalidArgument("parameter shape mismatch for " + name);
     }
     if (wide) {
-      for (size_t i = 0; i < m.size(); ++i) {
-        double v = 0.0;
-        if (!reader.ReadF64(&v).ok()) {
-          return Status::InvalidArgument("truncated parameter blob");
-        }
-        m.data()[i] = static_cast<Scalar>(v);
+      if (!reader.ReadF64Array(m.data(), m.size()).ok()) {
+        return Status::InvalidArgument("truncated parameter blob");
       }
     } else {
       for (size_t i = 0; i < m.size(); ++i) {
@@ -197,23 +191,6 @@ double ClipGradNorm(ParameterSet* params, double max_norm) {
     }
   }
   return norm;
-}
-
-std::vector<Scalar> AverageFlat(
-    const std::vector<std::vector<Scalar>>& flats) {
-  // An empty upload set (every client failed) is a recoverable runtime
-  // condition, not a programming error: return an empty vector so
-  // callers can keep their previous parameters instead of crashing.
-  if (flats.empty()) return {};
-  const size_t n = flats[0].size();
-  std::vector<Scalar> avg(n, Scalar{0});
-  for (const auto& flat : flats) {
-    LIGHTTR_CHECK_EQ(flat.size(), n);
-    for (size_t i = 0; i < n; ++i) avg[i] += flat[i];
-  }
-  const auto inv = Scalar{1} / static_cast<Scalar>(flats.size());
-  for (Scalar& x : avg) x *= inv;
-  return avg;
 }
 
 }  // namespace lighttr::nn

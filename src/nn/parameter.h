@@ -80,13 +80,6 @@ class ParameterSet {
 /// poisoned step must not reach the optimizer). No-op when max_norm <= 0.
 double ClipGradNorm(ParameterSet* params, double max_norm);
 
-/// Element-wise average of several flattened parameter vectors — the
-/// FedAvg aggregation rule (Algorithm 3 line 11). Returns an empty
-/// vector for an empty input set (a fully failed round); callers keep
-/// their previous parameters in that case. See fl::AggregateFlat for
-/// the robust (median / trimmed-mean) variants with Status reporting.
-std::vector<Scalar> AverageFlat(const std::vector<std::vector<Scalar>>& flats);
-
 }  // namespace lighttr::nn
 
 #endif  // LIGHTTR_NN_PARAMETER_H_

@@ -89,21 +89,4 @@ RoadNetwork GenerateChain(int32_t n, double spacing_m,
   return net;
 }
 
-RoadNetwork GenerateRing(int32_t n, double radius_m,
-                         const geo::GeoPoint& center) {
-  LIGHTTR_CHECK_GE(n, 3);
-  RoadNetwork net;
-  const geo::LocalProjection plane(center);
-  std::vector<VertexId> ids;
-  ids.reserve(n);
-  for (int32_t i = 0; i < n; ++i) {
-    const double angle = 2.0 * M_PI * i / n;
-    ids.push_back(net.AddVertex(plane.FromXy(
-        {radius_m * std::cos(angle), radius_m * std::sin(angle)})));
-  }
-  for (int32_t i = 0; i < n; ++i) net.AddTwoWay(ids[i], ids[(i + 1) % n]);
-  net.Finalize();
-  return net;
-}
-
 }  // namespace lighttr::roadnet

@@ -34,10 +34,6 @@ RoadNetwork GenerateCityGrid(const CityGridOptions& options, Rng* rng);
 RoadNetwork GenerateChain(int32_t n, double spacing_m,
                           const geo::GeoPoint& origin = {39.90, 116.38});
 
-/// Generates a two-way ring of `n` vertices with radius `radius_m`.
-RoadNetwork GenerateRing(int32_t n, double radius_m,
-                         const geo::GeoPoint& center = {39.95, 116.45});
-
 }  // namespace lighttr::roadnet
 
 #endif  // LIGHTTR_ROADNET_GENERATORS_H_

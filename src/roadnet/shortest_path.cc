@@ -15,29 +15,6 @@ using MinHeap =
 
 }  // namespace
 
-std::vector<double> SingleSourceDistances(const RoadNetwork& network,
-                                          VertexId source) {
-  LIGHTTR_CHECK(network.finalized());
-  std::vector<double> dist(network.num_vertices(), kUnreachable);
-  dist[source] = 0.0;
-  MinHeap heap;
-  heap.push({0.0, source});
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;  // stale entry
-    for (SegmentId e : network.OutSegments(u)) {
-      const Segment& seg = network.segment(e);
-      const double nd = d + seg.length_m;
-      if (nd < dist[seg.to]) {
-        dist[seg.to] = nd;
-        heap.push({nd, seg.to});
-      }
-    }
-  }
-  return dist;
-}
-
 double VertexDistance(const RoadNetwork& network, VertexId u, VertexId v) {
   DijkstraEngine engine(network);
   return engine.Distance(u, v);

@@ -15,11 +15,6 @@ namespace lighttr::roadnet {
 /// Marker for unreachable vertices in distance arrays.
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-/// Distances (meters) from `source` to every vertex (kUnreachable where no
-/// directed path exists). O(E log V) Dijkstra.
-std::vector<double> SingleSourceDistances(const RoadNetwork& network,
-                                          VertexId source);
-
 /// Directed shortest-path distance from vertex u to vertex v in meters,
 /// with early termination. Returns kUnreachable when no path exists.
 double VertexDistance(const RoadNetwork& network, VertexId u, VertexId v);

@@ -23,21 +23,4 @@ IncompleteTrajectory MakeIncomplete(MatchedTrajectory trajectory,
   return icp;
 }
 
-IncompleteTrajectory MakeIncompleteStrided(MatchedTrajectory trajectory,
-                                           double keep_ratio) {
-  LIGHTTR_CHECK_GT(keep_ratio, 0.0);
-  LIGHTTR_CHECK_LE(keep_ratio, 1.0);
-  const size_t n = trajectory.points.size();
-  LIGHTTR_CHECK_GE(n, 2u);
-  const size_t stride =
-      std::max<size_t>(1, static_cast<size_t>(std::llround(1.0 / keep_ratio)));
-
-  IncompleteTrajectory icp;
-  icp.observed.assign(n, false);
-  for (size_t i = 0; i < n; i += stride) icp.observed[i] = true;
-  icp.observed.back() = true;
-  icp.ground_truth = std::move(trajectory);
-  return icp;
-}
-
 }  // namespace lighttr::traj

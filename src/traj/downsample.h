@@ -17,11 +17,6 @@ namespace lighttr::traj {
 IncompleteTrajectory MakeIncomplete(MatchedTrajectory trajectory,
                                     double keep_ratio, Rng* rng);
 
-/// Deterministic variant keeping every round(1/keep_ratio)-th point plus
-/// both endpoints; useful in tests and the case study.
-IncompleteTrajectory MakeIncompleteStrided(MatchedTrajectory trajectory,
-                                           double keep_ratio);
-
 }  // namespace lighttr::traj
 
 #endif  // LIGHTTR_TRAJ_DOWNSAMPLE_H_

@@ -18,13 +18,12 @@
 #include "fl/privacy.h"
 #include "fl/reputation.h"
 #include "fl/run_state.h"
-#include "roadnet/generators.h"
-#include "traj/generator.h"
-#include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
+
+using test_util::MakeClients;
 
 // ---------------------------------------------------------------------
 // AdversaryEngine unit tests
@@ -614,20 +613,6 @@ TEST(Reputation, SuspectWeightOutranksOutlierOnSameUpload) {
 // disagreement from attack).
 std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
   return std::make_unique<test_util::StubModel>(rng, 1, /*target=*/2.0);
-}
-
-std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
-                                             int per_client = 6) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = per_client;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
 }
 
 // The defended configuration bench_adversary gates on, shrunk for unit

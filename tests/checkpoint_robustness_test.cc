@@ -18,15 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/env.h"
 #include "common/finite.h"
 #include "common/rng.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
 #include "nn/parameter.h"
-#include "roadnet/generators.h"
-#include "traj/generator.h"
-#include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::nn {
@@ -237,19 +235,6 @@ TEST(ParameterBlobRobustness, RandomMutantsNeverCrashTheDecoder) {
 // as it does for file-level corruption, and must never install a
 // non-finite global model.
 
-std::vector<traj::ClientDataset> MakeFederatedClients(int n, uint64_t seed) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = 6;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
-
 std::string FreshDir(const std::string& name) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / name).generic_string();
@@ -285,7 +270,7 @@ void PoisonSnapshotModel(const std::string& dir, int round, Scalar poison) {
 }
 
 TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
-  auto clients = MakeFederatedClients(4, 63);
+  auto clients = test_util::MakeClients(4, 63);
   fl::FederatedTrainerOptions baseline_options;
   baseline_options.rounds = 6;
   baseline_options.local_epochs = 2;
@@ -352,11 +337,48 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
   EXPECT_EQ(after, before);
 }
 
+// A CRC-valid snapshot whose first client's Adam state declares a
+// 2^31 x 2^30 moment matrix, a byte size that wraps to 0 in 64 bits,
+// followed by 4,096 values. Resume must refuse it with a Status (not
+// overrun the heap) and fall back to the snapshot before it.
+TEST(SnapshotRobustness, HostileAdamDimensionsFallBackToPrevious) {
+  auto clients = test_util::MakeClients(4, 67);
+  fl::FederatedTrainerOptions options = SnapshotOptions(FreshDir("poison_adam"));
+  std::vector<Scalar> expected;
+  {
+    fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
+    first.Run();
+    expected = first.global_model()->params().Flatten();
+  }
+  const std::string path = fl::SnapshotPath(options.durability.dir, 6);
+  Result<fl::ServerRunState> loaded =
+      fl::LoadRunState(RealFileSystemInstance(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  fl::ServerRunState state = loaded.value();
+  ASSERT_FALSE(state.optimizer_blobs.empty());
+  BinaryWriter hostile;
+  hostile.WriteU8(1);  // Adam kind tag
+  hostile.WriteI64(1);
+  hostile.WriteU32(1);
+  hostile.WriteU32(0x80000000u);
+  hostile.WriteU32(0x40000000u);
+  for (int i = 0; i < 4096; ++i) hostile.WriteF64(1.0);
+  state.optimizer_blobs[0] = hostile.Take();
+  ASSERT_TRUE(fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
+
+  options.durability.resume = true;
+  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+  ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
+  EXPECT_EQ(resumed.resumed_round(), 5);
+  resumed.Run();
+  EXPECT_EQ(resumed.global_model()->params().Flatten(), expected);
+}
+
 // The healing state gets the same treatment: a snapshot whose monitor
 // or reputation blob fails validation is rejected as a whole, falling
 // back one snapshot per damaged tail.
 TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
-  auto clients = MakeFederatedClients(4, 65);
+  auto clients = test_util::MakeClients(4, 65);
   fl::FederatedTrainerOptions options = SnapshotOptions(FreshDir("poison_tail"));
   options.healing.enabled = true;
   {

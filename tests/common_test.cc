@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -117,23 +119,6 @@ TEST(Rng, NormalMoments) {
   const double mean = sum / n;
   EXPECT_NEAR(mean, 1.0, 0.1);
   EXPECT_NEAR(std::sqrt(sq / n - mean * mean), 2.0, 0.1);
-}
-
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(5);
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 9000; ++i) {
-    ++counts[rng.WeightedIndex({1.0, 2.0, 6.0})];
-  }
-  EXPECT_NEAR(counts[0] / 9000.0, 1.0 / 9.0, 0.02);
-  EXPECT_NEAR(counts[2] / 9000.0, 6.0 / 9.0, 0.02);
-}
-
-TEST(Rng, WeightedIndexSkipsZeroWeights) {
-  Rng rng(6);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(rng.WeightedIndex({0.0, 1.0, 0.0}), 1u);
-  }
 }
 
 TEST(Rng, SampleWithoutReplacementDistinct) {
@@ -331,6 +316,74 @@ TEST(BinaryIo, HostileStringLengthIsRejected) {
   EXPECT_EQ(len, 0xFFFFFFFFFFFFull);
 }
 
+TEST(BinaryIo, F64ArraysWriteTheBytesOfScalarWrites) {
+  const std::vector<double> values = {
+      0.0, -0.0, 1.5, -2.25, 1e-310, std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  BinaryWriter scalar;
+  scalar.WriteU64(values.size());
+  for (const double v : values) scalar.WriteF64(v);
+  BinaryWriter bulk;
+  bulk.WriteF64Vector(values);
+  EXPECT_EQ(bulk.bytes(), scalar.bytes());
+
+  // An exact fit round-trips byte-identically, NaN payload included.
+  BinaryReader reader(bulk.bytes());
+  std::vector<double> back;
+  ASSERT_TRUE(reader.ReadF64Vector(&back, values.size()).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  ASSERT_EQ(back.size(), values.size());
+  EXPECT_EQ(std::memcmp(back.data(), values.data(),
+                        values.size() * sizeof(double)),
+            0);
+  BinaryWriter again;
+  again.WriteF64Vector(back);
+  EXPECT_EQ(again.bytes(), bulk.bytes());
+}
+
+TEST(BinaryIo, HostileF64CountsAreRefusedWithoutAllocating) {
+  // Each count is followed by one value. 2 exceeds the bytes by one
+  // value; 2^61 and 2^61 + 1 times 8 bytes wrap 64 bits to 0 and 8, so a
+  // multiply-then-compare check would pass both.
+  const uint64_t counts[] = {2, 1ull << 61, (1ull << 61) + 1,
+                             std::numeric_limits<uint64_t>::max()};
+  for (const uint64_t count : counts) {
+    SCOPED_TRACE(count);
+    BinaryWriter writer;
+    writer.WriteU64(count);
+    writer.WriteF64(1.0);
+    const std::string bytes = writer.Take();
+    BinaryReader reader(bytes);
+    std::vector<double> out;
+    EXPECT_EQ(reader.ReadF64Vector(&out, std::numeric_limits<uint64_t>::max())
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.capacity(), 0u);   // nothing was sized by the count
+    EXPECT_EQ(reader.offset(), 0u);  // the cursor did not move
+
+    uint64_t stored = 0;
+    ASSERT_TRUE(reader.ReadU64(&stored).ok());
+    EXPECT_FALSE(reader.CheckF64Count(stored).ok());
+    double value = 0.0;
+    EXPECT_FALSE(reader.ReadF64Array(&value, static_cast<size_t>(stored)).ok());
+    EXPECT_EQ(reader.offset(), sizeof(uint64_t));
+    ASSERT_TRUE(reader.ReadF64Array(&value, 1).ok());
+    EXPECT_EQ(value, 1.0);
+  }
+
+  // A count the bytes could hold but above the caller's cap is refused
+  // the same way, and leaves the output alone.
+  BinaryWriter writer;
+  writer.WriteF64Vector({1.0, 2.0});
+  BinaryReader reader(writer.bytes());
+  std::vector<double> out = {7.0};
+  EXPECT_FALSE(reader.ReadF64Vector(&out, 1).ok());
+  EXPECT_EQ(out, std::vector<double>{7.0});
+  EXPECT_EQ(reader.offset(), 0u);
+  ASSERT_TRUE(reader.ReadF64Vector(&out, 2).ok());
+  EXPECT_EQ(out, (std::vector<double>{1.0, 2.0}));
+}
+
 TEST(RealFileSystem, WriteFileAtomicLeavesNoTempBehind) {
   FileSystem* fs = RealFileSystemInstance();
   const std::string dir =
@@ -383,7 +436,7 @@ TEST(Rng, DeserializeRejectsGarbageWithoutClobberingState) {
 }
 
 TEST(Backoff, SeededDeterminism) {
-  const BackoffConfig config;  // jitter 0.1 by default
+  const BackoffConfig config;  // jittered by kBackoffJitter
   Rng a(11);
   Rng b(11);
   for (int retry = 0; retry < 6; ++retry) {
@@ -393,11 +446,11 @@ TEST(Backoff, SeededDeterminism) {
 }
 
 TEST(Backoff, NoJitterIsExactGeometricWithCap) {
+  static_assert(kBackoffMultiplier == 2.0);
   BackoffConfig config;
   config.base_delay_s = 0.5;
-  config.multiplier = 2.0;
   config.max_delay_s = 3.0;
-  config.jitter = 0.0;
+  // A null Rng draws no jitter.
   EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 0, nullptr), 0.5);
   EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 1, nullptr), 1.0);
   EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 2, nullptr), 2.0);
@@ -408,15 +461,16 @@ TEST(Backoff, NoJitterIsExactGeometricWithCap) {
 TEST(Backoff, JitterStaysInsideConfiguredBand) {
   BackoffConfig config;
   config.base_delay_s = 1.0;
-  config.multiplier = 1.0;
   config.max_delay_s = 1.0;
-  config.jitter = 0.25;
   Rng rng(13);
+  bool jittered = false;
   for (int i = 0; i < 500; ++i) {
     const double delay = BackoffDelaySeconds(config, 0, &rng);
-    EXPECT_GE(delay, 0.75);
-    EXPECT_LE(delay, 1.25);
+    EXPECT_GE(delay, 1.0 - kBackoffJitter);
+    EXPECT_LE(delay, 1.0 + kBackoffJitter);
+    jittered |= delay != 1.0;
   }
+  EXPECT_TRUE(jittered);
 }
 
 TEST(Stopwatch, Monotonic) {

@@ -11,29 +11,13 @@
 #include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
-#include "roadnet/generators.h"
-#include "traj/generator.h"
-#include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
+using test_util::MakeClients;
 using test_util::MakeStub;
-
-std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
-                                             int per_client = 6) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = per_client;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
 
 // A lossy 30-round configuration so resume must restore the fault RNG
 // stream (drops, retries, backoff jitter) as well as the model state.

@@ -301,22 +301,9 @@ fl::FederatedTrainerOptions LossyChannelOptions(int rounds) {
   return options;
 }
 
-std::vector<traj::ClientDataset> MakeLossyClients(uint64_t seed) {
-  Rng rng(seed);
-  roadnet::CityGridOptions grid;
-  grid.rows = 6;
-  grid.cols = 6;
-  const roadnet::RoadNetwork net = roadnet::GenerateCityGrid(grid, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = 6;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = 4;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
-
 TEST(Determinism, LossyChannelRunIsBitwiseIdenticalAcrossThreadCounts) {
   auto run_with_threads = [](int threads) {
-    auto clients = MakeLossyClients(67);
+    auto clients = test_util::MakeClients(4, 67);
     fl::FederatedTrainerOptions options = LossyChannelOptions(10);
     options.threads = threads;
     fl::FederatedTrainer trainer(test_util::MakeStub, &clients, options);
@@ -342,7 +329,7 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   // A run killed mid-round over a hostile network must resume to the
   // exact bits of an uninterrupted run: the snapshot carries the channel
   // RNG state, so the replay sees the same network weather.
-  auto clients = MakeLossyClients(71);
+  auto clients = test_util::MakeClients(4, 71);
   fl::FederatedTrainerOptions baseline_options = LossyChannelOptions(12);
   fl::FederatedTrainer baseline(test_util::MakeStub, &clients, baseline_options);
   const fl::FederatedRunResult expected = baseline.Run();
@@ -394,7 +381,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
   for (nn::KernelMode mode : {nn::KernelMode::kScalar, nn::KernelMode::kAuto}) {
     nn::ActivateKernels(mode);
     auto run_with_threads = [](int threads) {
-      auto clients = MakeLossyClients(67);
+      auto clients = test_util::MakeClients(4, 67);
       fl::FederatedTrainerOptions options = LossyChannelOptions(6);
       options.threads = threads;
       fl::FederatedTrainer trainer(test_util::MakeStub, &clients, options);
@@ -417,7 +404,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
                               nn::KernelModeName(mode)))
                                 .generic_string();
     std::filesystem::remove_all(dir);
-    auto clients = MakeLossyClients(67);
+    auto clients = test_util::MakeClients(4, 67);
     fl::FederatedTrainerOptions options = LossyChannelOptions(6);
     options.durability.dir = dir;
     options.durability.snapshot_every = 2;

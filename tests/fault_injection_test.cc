@@ -8,37 +8,21 @@
 #include <limits>
 #include <memory>
 
-#include "common/backoff.h"
 #include "common/finite.h"
 #include "eval/harness.h"
 #include "fl/aggregation.h"
 #include "fl/fault_injection.h"
 #include "fl/federated_trainer.h"
 #include "fl/transport/wire.h"
-#include "roadnet/generators.h"
-#include "traj/generator.h"
 #include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
+using test_util::MakeClients;
 using test_util::MakeStub;
 using test_util::StubModel;
-
-std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
-                                             int per_client = 6) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = per_client;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
 
 FaultInjectionConfig LossyConfig() {
   FaultInjectionConfig config;
@@ -119,33 +103,6 @@ TEST(FaultModel, CorruptionKindsDamageUploads) {
   bool changed = false;
   for (nn::Scalar x : garbage) changed |= x != nn::Scalar{1};
   EXPECT_TRUE(changed);
-}
-
-// ---------------------------------------------------------------------
-// Backoff
-
-TEST(Backoff, GrowsGeometricallyAndCaps) {
-  BackoffConfig config;
-  config.base_delay_s = 1.0;
-  config.multiplier = 2.0;
-  config.max_delay_s = 5.0;
-  config.jitter = 0.0;
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 0, nullptr), 1.0);
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 1, nullptr), 2.0);
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 2, nullptr), 4.0);
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(config, 3, nullptr), 5.0);  // capped
-}
-
-TEST(Backoff, JitterStaysWithinBounds) {
-  BackoffConfig config;
-  config.base_delay_s = 1.0;
-  config.jitter = 0.25;
-  Rng rng(11);
-  for (int i = 0; i < 100; ++i) {
-    const double d = BackoffDelaySeconds(config, 0, &rng);
-    EXPECT_GE(d, 0.75);
-    EXPECT_LE(d, 1.25);
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -10,30 +10,14 @@
 #include "fl/local_trainer.h"
 #include "fl/transport/wire.h"
 #include "nn/ops.h"
-#include "roadnet/generators.h"
 #include "traj/downsample.h"
-#include "traj/generator.h"
-#include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
+using test_util::MakeClients;
 using test_util::StubModel;
-
-std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
-                                             int per_client = 6) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = per_client;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
 
 TEST(TrainLocal, ReducesLossOnStub) {
   auto clients = MakeClients(1, 1);

@@ -89,32 +89,23 @@ TEST(GridSpec, OutOfBoundsClamped) {
   EXPECT_EQ(far.y, grid.rows() - 1);
 }
 
-TEST(GridSpec, CellIdRoundTrip) {
+TEST(GridSpec, CellIdIsRowMajor) {
   const GridSpec grid({39.9, 116.3}, {40.0, 116.5}, 300.0);
+  int64_t next = 0;
   for (int32_t y = 0; y < grid.rows(); ++y) {
     for (int32_t x = 0; x < grid.cols(); ++x) {
-      const GridCell cell{x, y};
-      EXPECT_EQ(grid.CellFromId(grid.CellId(cell)), cell);
+      EXPECT_EQ(grid.CellId({x, y}), next++);
     }
   }
-}
-
-TEST(GridSpec, CellCenterMapsBackToCell) {
-  const GridSpec grid({39.9, 116.3}, {40.0, 116.5}, 250.0);
-  lighttr::Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    const GridCell cell{
-        static_cast<int32_t>(rng.UniformInt(0, grid.cols() - 1)),
-        static_cast<int32_t>(rng.UniformInt(0, grid.rows() - 1))};
-    EXPECT_EQ(grid.CellOf(grid.CellCenter(cell)), cell);
-  }
+  EXPECT_EQ(next, grid.num_cells());
 }
 
 TEST(GridSpec, CellSizeApproximatelyRequested) {
-  const GridSpec grid({39.9, 116.3}, {40.0, 116.5}, 200.0);
-  const GeoPoint c0 = grid.CellCenter({0, 0});
-  const GeoPoint c1 = grid.CellCenter({1, 0});
-  EXPECT_NEAR(HaversineMeters(c0, c1), 200.0, 40.0);
+  const GeoPoint lo{39.9, 116.3};
+  const GeoPoint hi{40.0, 116.5};
+  const GridSpec grid(lo, hi, 200.0);
+  EXPECT_NEAR(HaversineMeters(lo, {lo.lat, hi.lng}) / grid.cols(), 200.0, 40.0);
+  EXPECT_NEAR(HaversineMeters(lo, {hi.lat, lo.lng}) / grid.rows(), 200.0, 40.0);
 }
 
 TEST(TimeBin, MatchesFloor) {

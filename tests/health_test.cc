@@ -3,23 +3,26 @@
 // divergence-rollback protocol end to end on the stub model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/finite.h"
+#include "common/rng.h"
 #include "fl/federated_trainer.h"
 #include "fl/health.h"
 #include "fl/reputation.h"
-#include "roadnet/generators.h"
 #include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
+using test_util::MakeClients;
 using test_util::MakeStub;
 using test_util::StubModel;
 
@@ -40,6 +43,73 @@ TEST(HealthStats, MedianAbsDeviation) {
   EXPECT_DOUBLE_EQ(MedianAbsDeviation({}, 0.0), 0.0);
   // Deviations from 3: {2, 0, 2} -> median 2.
   EXPECT_DOUBLE_EQ(MedianAbsDeviation({1.0, 3.0, 5.0}, 3.0), 2.0);
+}
+
+// ---------------------------------------------------------------------
+// RollingWindow
+
+std::string WindowBlob(const std::vector<double>& values) {
+  BinaryWriter writer;
+  writer.WriteF64Vector(values);
+  return writer.Take();
+}
+
+// The window's contents, oldest first, as its codec writes them.
+std::string Contents(const RollingWindow& window) {
+  BinaryWriter writer;
+  window.Write(&writer);
+  return writer.Take();
+}
+
+TEST(RollingWindow, KeepsTheLastCapacityValuesOldestFirst) {
+  RollingWindow window(4);
+  for (int i = 1; i <= 3; ++i) window.Push(i);
+  EXPECT_EQ(Contents(window), WindowBlob({1, 2, 3}));
+  for (int i = 4; i <= 10; ++i) window.Push(i);
+  EXPECT_EQ(window.size(), 4u);
+  EXPECT_EQ(Contents(window), WindowBlob({7, 8, 9, 10}));
+}
+
+TEST(RollingWindow, MedianAndMadMatchTheFreeFunctions) {
+  Rng rng(5);
+  RollingWindow window(kNormWindow);
+  std::vector<double> pushed;
+  for (int i = 0; i < 150; ++i) {
+    pushed.push_back(rng.Uniform(0.0, 10.0));
+    window.Push(pushed.back());
+    const size_t kept = std::min(pushed.size(), kNormWindow);
+    const std::vector<double> tail(pushed.end() - kept, pushed.end());
+    const double median = Median(tail);
+    EXPECT_EQ(window.Median(), median);
+    EXPECT_EQ(window.MedianAbsDeviation(median),
+              MedianAbsDeviation(tail, median));
+  }
+}
+
+TEST(RollingWindow, ReadRejectsHostileBlobsWithoutDamage) {
+  RollingWindow window(4);
+  window.Push(1.0);
+  window.Push(2.0);
+  const std::string good = Contents(window);
+  const std::string cases[] = {
+      WindowBlob({1, 2, 3, 4, 5}),  // count above capacity
+      WindowBlob({1, kNan}),
+      WindowBlob({1, kInf}),
+      WindowBlob({1, -1}),
+      good.substr(0, good.size() - 1),  // truncated
+      "",
+  };
+  for (const std::string& bad : cases) {
+    BinaryReader reader(bad);
+    EXPECT_EQ(window.Read(&reader).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(Contents(window), good);
+  }
+  // A full window reads back as written.
+  const std::string full = WindowBlob({4, 3, 2, 1});
+  BinaryReader reader(full);
+  ASSERT_TRUE(window.Read(&reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(Contents(window), full);
 }
 
 // ---------------------------------------------------------------------
@@ -305,19 +375,6 @@ TEST(ReputationBook, MalformedLedgerRejectedWithoutDamage) {
 
 // ---------------------------------------------------------------------
 // End to end: divergence rollback + quarantine on the stub model.
-
-std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = 6;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
 
 // A hostile client: behaves until it has seen `clean_updates` rounds,
 // then uploads a huge (finite) weight every round after. With screening

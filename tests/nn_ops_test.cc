@@ -72,7 +72,6 @@ TEST(Ops, ConcatAndSlice) {
   const Tensor rows = ConcatRows({a, b});
   EXPECT_EQ(rows.rows(), 4u);
   EXPECT_DOUBLE_EQ(rows.value()(3, 0), 7.0);
-  EXPECT_DOUBLE_EQ(SliceCols(cat, 1, 2).value()(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(SliceRows(rows, 2, 1).value()(0, 1), 6.0);
 }
 

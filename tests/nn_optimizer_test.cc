@@ -127,6 +127,26 @@ TEST(AdamState, RejectsMomentsOfDifferentShapes) {
   EXPECT_LT(w.value()(0, 0), 1.0);
 }
 
+// A moment matrix of 2^31 x 2^30 = 2^61 elements: its byte size wraps
+// to 0 in 64 bits, so a multiply-then-compare bound check passes it and
+// the decode writes 4,096 values into a block sized for none.
+std::string WrappingDimensionsBlob() {
+  BinaryWriter writer;
+  writer.WriteU8(1);  // Adam kind tag
+  writer.WriteI64(1);
+  writer.WriteU32(1);
+  writer.WriteU32(0x80000000u);
+  writer.WriteU32(0x40000000u);
+  for (int i = 0; i < 4096; ++i) writer.WriteF64(1.0);
+  return writer.Take();
+}
+
+TEST(AdamState, RejectsDimensionsWhoseByteSizeWraps) {
+  AdamOptimizer adam(0.1);
+  const Status status = adam.DeserializeState(WrappingDimensionsBlob());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 TEST(AdamState, RejectsMalformedBlobs) {
   auto params = MakeModel(1);
   AdamOptimizer adam(0.01);
@@ -259,15 +279,6 @@ TEST(ParameterSet, DeserializeRejectsCorruption) {
   ParameterSet other_shape;
   other_shape.Register("w", Tensor::Variable(Matrix::Full(2, 3, 1.0)));
   EXPECT_FALSE(other_shape.Deserialize(blob).ok());
-}
-
-TEST(ParameterSet, AverageFlatIsElementwiseMean) {
-  const std::vector<std::vector<Scalar>> flats = {
-      {1.0, 2.0, 3.0}, {3.0, 4.0, 5.0}, {5.0, 6.0, 7.0}};
-  const std::vector<Scalar> avg = AverageFlat(flats);
-  EXPECT_DOUBLE_EQ(avg[0], 3.0);
-  EXPECT_DOUBLE_EQ(avg[1], 4.0);
-  EXPECT_DOUBLE_EQ(avg[2], 5.0);
 }
 
 }  // namespace

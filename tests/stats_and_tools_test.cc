@@ -1,9 +1,7 @@
-// Tests for dataset statistics (Table III analog) and per-client
-// evaluation.
+// Tests for dataset statistics (Table III analog).
 #include <gtest/gtest.h>
 
 #include "eval/harness.h"
-#include "eval/metrics.h"
 #include "traj/stats.h"
 
 namespace lighttr {
@@ -49,21 +47,6 @@ TEST_F(StatsToolsTest, EmptyDatasetStats) {
   EXPECT_EQ(stats.trajectories, 0);
   EXPECT_EQ(stats.points, 0);
   EXPECT_DOUBLE_EQ(stats.total_length_km, 0.0);
-}
-
-TEST_F(StatsToolsTest, PerClientEvaluationCoversEveryClient) {
-  Rng rng(4);
-  auto model = baselines::MakeFactory(baselines::ModelKind::kLightTr,
-                                      &env_.encoder())(&rng);
-  const auto per_client =
-      eval::EvaluatePerClient(model.get(), env_.network(), clients_);
-  ASSERT_EQ(per_client.size(), clients_.size());
-  for (size_t i = 0; i < per_client.size(); ++i) {
-    EXPECT_EQ(per_client[i].client_index, static_cast<int>(i));
-    EXPECT_GT(per_client[i].metrics.recovered_points, 0);
-    EXPECT_GE(per_client[i].metrics.recall, 0.0);
-    EXPECT_LE(per_client[i].metrics.recall, 1.0);
-  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // client's driver id, so clients disagree and FedAvg lands on their
 // mean; a fixed target makes honest clients agree, which a Byzantine
 // defense needs to have something to defend. Runs in microseconds, so
-// a test can afford many rounds, seeds and thread widths.
+// a test can afford many rounds, seeds and thread widths. MakeClients
+// builds the small federation those tests train it on.
 #ifndef LIGHTTR_TESTS_STUB_MODEL_H_
 #define LIGHTTR_TESTS_STUB_MODEL_H_
 
@@ -16,6 +17,8 @@
 #include "fl/recovery_model.h"
 #include "nn/losses.h"
 #include "nn/parameter.h"
+#include "roadnet/generators.h"
+#include "traj/workload.h"
 
 namespace lighttr::test_util {
 
@@ -73,6 +76,23 @@ class StubModel : public fl::RecoveryModel {
 /// A fl::ModelFactory for the default one-weight stub.
 inline std::unique_ptr<fl::RecoveryModel> MakeStub(Rng* rng) {
   return std::make_unique<StubModel>(rng);
+}
+
+/// `n` Tdrive-like clients of `per_client` trajectories each on a 6x6
+/// city. The city and the workload both come from `seed`, so the same
+/// arguments give the same clients whichever test asks first.
+inline std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
+                                                    int per_client = 6) {
+  Rng rng(seed);
+  roadnet::CityGridOptions grid;
+  grid.rows = 6;
+  grid.cols = 6;
+  const roadnet::RoadNetwork net = roadnet::GenerateCityGrid(grid, &rng);
+  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
+  profile.trajectories_per_client = per_client;
+  traj::FederatedWorkloadOptions workload;
+  workload.num_clients = n;
+  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
 }
 
 }  // namespace lighttr::test_util

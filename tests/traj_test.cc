@@ -133,19 +133,6 @@ TEST(Downsample, ObservedAndMissingPartition) {
             icp.size());
 }
 
-TEST(Downsample, StridedKeepsEveryKth) {
-  MatchedTrajectory t;
-  t.epsilon_s = 15.0;
-  for (int i = 0; i < 17; ++i) {
-    t.points.push_back(MatchedPoint{{0, 0.1}, i * 15.0, i});
-  }
-  const IncompleteTrajectory icp = MakeIncompleteStrided(std::move(t), 0.25);
-  for (size_t i = 0; i < icp.size(); ++i) {
-    const bool expected = (i % 4 == 0) || i + 1 == icp.size();
-    EXPECT_EQ(icp.observed[i], expected) << i;
-  }
-}
-
 TEST(ToRaw, NoNoiseMatchesGeometry) {
   const roadnet::RoadNetwork net = TestCity();
   const TrajectoryGenerator generator(net);

@@ -16,14 +16,12 @@
 #include "fl/transport/channel.h"
 #include "fl/transport/link.h"
 #include "fl/transport/wire.h"
-#include "roadnet/generators.h"
-#include "traj/generator.h"
-#include "traj/workload.h"
 #include "stub_model.h"
 
 namespace lighttr::fl::transport {
 namespace {
 
+using test_util::MakeClients;
 using test_util::MakeStub;
 
 // ---------------------------------------------------------------------
@@ -426,21 +424,8 @@ TEST(ReliableLink, ReorderingLeaksStaleFramesAcrossExchangesHarmlessly) {
 // ---------------------------------------------------------------------
 // End-to-end over lossy links
 
-std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed) {
-  Rng rng(seed);
-  roadnet::CityGridOptions options;
-  options.rows = 6;
-  options.cols = 6;
-  static roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = 5;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = n;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
-
 TEST(TransportEndToEnd, MinorityDeadLinksDegradeToQuorum) {
-  auto clients = MakeClients(4, 31);
+  auto clients = MakeClients(4, 31, /*per_client=*/5);
   FederatedTrainerOptions options;
   options.rounds = 3;
   options.local_epochs = 1;
@@ -469,7 +454,7 @@ TEST(TransportEndToEnd, MinorityDeadLinksDegradeToQuorum) {
 }
 
 TEST(TransportEndToEnd, WireCorruptionNeverReachesAggregationOrScreening) {
-  auto clients = MakeClients(3, 33);
+  auto clients = MakeClients(3, 33, /*per_client=*/5);
   FederatedTrainerOptions options;
   options.rounds = 3;
   options.local_epochs = 1;
@@ -496,7 +481,7 @@ TEST(TransportEndToEnd, ChannelSeedChangesWeatherNotTraining) {
   // not perturb model init / sampling / training draws: on a clean
   // channel the trained model is bitwise identical across seeds.
   auto run = [](uint64_t channel_seed) {
-    auto clients = MakeClients(3, 35);
+    auto clients = MakeClients(3, 35, /*per_client=*/5);
     FederatedTrainerOptions options;
     options.rounds = 2;
     options.local_epochs = 1;
@@ -510,7 +495,7 @@ TEST(TransportEndToEnd, ChannelSeedChangesWeatherNotTraining) {
 
 TEST(TransportEndToEnd, LossyRunIsReproducibleFromTheChannelSeed) {
   auto run = [] {
-    auto clients = MakeClients(4, 37);
+    auto clients = MakeClients(4, 37, /*per_client=*/5);
     FederatedTrainerOptions options;
     options.rounds = 3;
     options.local_epochs = 1;

@@ -30,23 +30,41 @@ class RoutePriorModel : public fl::RecoveryModel {
   const std::string& name() const override { return name_; }
   nn::ParameterSet& params() override { return params_; }
 
+  // Exposing the encoder lets the training loops hand the model each
+  // trajectory's encoding, built once per job, through ForwardEncoded
+  // and RecoverEncoded. A model that implements only Forward and Recover
+  // still trains; it just encodes on every call.
+  const traj::TrajectoryEncoder* encoder() const override { return encoder_; }
+
   fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool /*training*/, Rng* /*rng*/) override {
-    const auto targets = encoder_->EncodeTargets(trajectory);
-    const nn::Tensor inputs =
-        nn::Tensor::Constant(encoder_->EncodeInputs(trajectory));
-    const auto missing = trajectory.MissingIndices();
+                            bool training, Rng* rng) override {
+    return ForwardEncoded(encoder_->Encode(trajectory), trajectory, training,
+                          rng);
+  }
+
+  std::vector<roadnet::PointPosition> Recover(
+      const traj::IncompleteTrajectory& trajectory) override {
+    return RecoverEncoded(encoder_->Encode(trajectory), trajectory);
+  }
+
+  fl::ForwardResult ForwardEncoded(
+      const traj::EncodedTrajectory& encoded,
+      const traj::IncompleteTrajectory& /*trajectory*/, bool /*training*/,
+      Rng* /*rng*/) override {
+    const std::vector<size_t>& missing = encoded.missing;
     fl::ForwardResult result;
     if (missing.empty()) {
       result.loss = nn::Tensor::Constant(nn::Matrix::Zeros(1, 1));
       return result;
     }
     // Learn a ratio offset on top of the route prior's ratio.
+    const nn::Tensor inputs = nn::Tensor::Constant(encoded.inputs);
     std::vector<nn::Tensor> rows;
     nn::Matrix target(missing.size(), 1);
     for (size_t i = 0; i < missing.size(); ++i) {
       rows.push_back(nn::SliceRows(inputs, missing[i], 1));
-      target(i, 0) = static_cast<nn::Scalar>(targets[missing[i]].ratio);
+      target(i, 0) =
+          static_cast<nn::Scalar>(encoded.targets[missing[i]].ratio);
     }
     const nn::Tensor pred =
         nn::Sigmoid(correction_.Forward(nn::ConcatRows(rows)));
@@ -54,11 +72,11 @@ class RoutePriorModel : public fl::RecoveryModel {
     return result;
   }
 
-  std::vector<roadnet::PointPosition> Recover(
+  std::vector<roadnet::PointPosition> RecoverEncoded(
+      const traj::EncodedTrajectory& encoded,
       const traj::IncompleteTrajectory& trajectory) override {
     nn::NoGradScope no_grad;
-    const nn::Tensor inputs =
-        nn::Tensor::Constant(encoder_->EncodeInputs(trajectory));
+    const nn::Tensor inputs = nn::Tensor::Constant(encoded.inputs);
     std::vector<roadnet::PointPosition> out(trajectory.size());
     for (size_t t = 0; t < trajectory.size(); ++t) {
       if (trajectory.observed[t]) {

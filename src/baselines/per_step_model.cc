@@ -34,8 +34,20 @@ nn::Tensor PerStepModel::Hidden(const traj::EncodedTrajectory& encoded,
 
 fl::ForwardResult PerStepModel::Forward(
     const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
+  return ForwardEncoded(encoder_->Encode(trajectory), trajectory, training,
+                        rng);
+}
+
+std::vector<roadnet::PointPosition> PerStepModel::Recover(
+    const traj::IncompleteTrajectory& trajectory) {
+  return RecoverEncoded(encoder_->Encode(trajectory), trajectory);
+}
+
+fl::ForwardResult PerStepModel::ForwardEncoded(
+    const traj::EncodedTrajectory& encoded,
+    const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
+  LIGHTTR_CHECK_EQ(encoded.targets.size(), trajectory.size());
   fl::ForwardResult result;
-  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   const std::vector<size_t>& missing = encoded.missing;
   const nn::Tensor hidden = Hidden(encoded, training, rng);
   if (!hidden.defined()) {
@@ -72,14 +84,15 @@ fl::ForwardResult PerStepModel::Forward(
   return result;
 }
 
-std::vector<roadnet::PointPosition> PerStepModel::Recover(
+std::vector<roadnet::PointPosition> PerStepModel::RecoverEncoded(
+    const traj::EncodedTrajectory& encoded,
     const traj::IncompleteTrajectory& trajectory) {
+  LIGHTTR_CHECK_EQ(encoded.targets.size(), trajectory.size());
   nn::NoGradScope no_grad;
   std::vector<roadnet::PointPosition> positions(trajectory.size());
   for (size_t t = 0; t < trajectory.size(); ++t) {
     positions[t] = trajectory.ground_truth.points[t].position;
   }
-  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   const std::vector<size_t>& missing = encoded.missing;
   const nn::Tensor hidden = Hidden(encoded, /*training=*/false, nullptr);
   if (!hidden.defined()) return positions;

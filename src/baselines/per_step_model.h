@@ -24,10 +24,20 @@ class PerStepModel : public fl::RecoveryModel {
   const std::string& name() const override { return name_; }
   nn::ParameterSet& params() override { return params_; }
 
+  const traj::TrajectoryEncoder* encoder() const override { return encoder_; }
+
   fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
                             bool training, Rng* rng) override;
 
   std::vector<roadnet::PointPosition> Recover(
+      const traj::IncompleteTrajectory& trajectory) override;
+
+  fl::ForwardResult ForwardEncoded(const traj::EncodedTrajectory& encoded,
+                                   const traj::IncompleteTrajectory& trajectory,
+                                   bool training, Rng* rng) override;
+
+  std::vector<roadnet::PointPosition> RecoverEncoded(
+      const traj::EncodedTrajectory& encoded,
       const traj::IncompleteTrajectory& trajectory) override;
 
  protected:

@@ -23,6 +23,12 @@ CommStats CyclicExchangeTrainer::Run() {
   CommStats comm;
   const size_t n = models_.size();
   const int64_t wire_bytes = models_[0]->params().WireBytes();
+  // Each client's train encodings, held for every round of this run.
+  std::vector<TrajectoryEncodings> encodings;
+  encodings.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    encodings.emplace_back(models_[i]->encoder(), (*clients_)[i].train);
+  }
   for (int round = 0; round < options_.rounds; ++round) {
     // Local training on every client.
     for (size_t i = 0; i < n; ++i) {
@@ -30,7 +36,7 @@ CommStats CyclicExchangeTrainer::Run() {
       local.epochs = options_.local_epochs;
       Rng update_rng = rng_.Fork();
       TrainLocal(models_[i].get(), optimizers_[i].get(),
-                 (*clients_)[i].train, local, &update_rng);
+                 (*clients_)[i].train, local, &update_rng, &encodings[i]);
     }
     // Ring exchange: client i adopts the parameters client i-1 produced.
     std::vector<std::string> blobs;

@@ -32,6 +32,9 @@ struct ClientTask {
   Rng net_rng{0};     // channel faults (only when the transport can fault)
   Rng adv_rng{0};     // poison jitter (only for attackers in attack rounds)
   bool poison = false;  // this task's client is an active attacker
+  // The client's run-long train + valid encodings. A client appears at
+  // most once per round, so only this task touches them this round.
+  ClientEncodings* encodings = nullptr;
 };
 
 // One client's outcome, written by exactly one task into a pre-sized
@@ -67,14 +70,25 @@ void CopyLifetimeCounters(const FaultStats& from, FaultStats* to) {
 
 }  // namespace
 
-double PlainLocalUpdate::Update(int /*client_index*/, RecoveryModel* model,
+double PlainLocalUpdate::Update(int client_index, RecoveryModel* model,
                                 nn::Optimizer* optimizer,
                                 const traj::ClientDataset& data, int epochs,
                                 Rng* rng) {
+  return UpdateEncoded(client_index, model, optimizer, data, nullptr, epochs,
+                       rng);
+}
+
+double PlainLocalUpdate::UpdateEncoded(int /*client_index*/,
+                                       RecoveryModel* model,
+                                       nn::Optimizer* optimizer,
+                                       const traj::ClientDataset& data,
+                                       ClientEncodings* encodings, int epochs,
+                                       Rng* rng) {
   LocalTrainOptions options;
   options.epochs = epochs;
   options.clip_norm = clip_norm_;
-  return TrainLocal(model, optimizer, data.train, options, rng);
+  return TrainLocal(model, optimizer, data.train, options, rng,
+                    encodings != nullptr ? &encodings->train : nullptr);
 }
 
 FederatedTrainer::FederatedTrainer(
@@ -374,6 +388,16 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
   Rng valid_rng = valid_rng_;
   const std::vector<traj::IncompleteTrajectory> valid_pool =
       SampleValidationPool(/*max_trajectories=*/40, &valid_rng);
+  // Every trajectory this run reads is encoded at most once: the pool
+  // here, each client's splits in its own pair. The vector is sized
+  // before the round loop; ClientTask::encodings points into it.
+  TrajectoryEncodings valid_encodings(global_model_->encoder(), valid_pool);
+  std::vector<ClientEncodings> client_encodings;
+  client_encodings.reserve(clients_->size());
+  for (size_t i = 0; i < clients_->size(); ++i) {
+    client_encodings.emplace_back(client_models_[i]->encoder(),
+                                  (*clients_)[i]);
+  }
 
   FederatedRunResult result = resume_seed_;
   // Rollback anchor: the pre-round-1 (or just-resumed) state counts as
@@ -438,6 +462,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     for (size_t client_index : selected) {
       ClientTask task;
       task.client_index = client_index;
+      task.encodings = &client_encodings[client_index];
       task.update_rng = rng_.Fork();
       if (options_.privacy.enabled()) task.noise_rng = rng_.Fork();
       if (inject) task.fault_rng = fault_rng_.Fork();
@@ -491,10 +516,10 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         return;
       }
       LIGHTTR_CHECK_OK(client->params().Deserialize(blob.value()));
-      slot.loss = strategy->Update(static_cast<int>(client_index), client,
-                                   client_optimizers_[client_index].get(),
-                                   (*clients_)[client_index],
-                                   options_.local_epochs, &task.update_rng);
+      slot.loss = strategy->UpdateEncoded(
+          static_cast<int>(client_index), client,
+          client_optimizers_[client_index].get(), (*clients_)[client_index],
+          task.encodings, options_.local_epochs, &task.update_rng);
       slot.trained = true;
 
       if (draw.type == FaultType::kStraggler) {
@@ -702,9 +727,10 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     // global model over the run-level unbiased validation pool.
     record.mean_train_loss =
         loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
-    record.global_valid_accuracy =
-        EvaluateSegmentAccuracy(global_model_.get(), valid_pool);
-    record.valid_loss = EvaluateMeanLoss(global_model_.get(), valid_pool);
+    record.global_valid_accuracy = EvaluateSegmentAccuracy(
+        global_model_.get(), valid_pool, &valid_encodings);
+    record.valid_loss =
+        EvaluateMeanLoss(global_model_.get(), valid_pool, &valid_encodings);
 
     // Self-healing: judge the round, book the evidence, and on a
     // diverged verdict roll back to the last healthy state — all on

@@ -21,6 +21,7 @@
 #include "fl/recovery_model.h"
 #include "fl/reputation.h"
 #include "fl/run_state.h"
+#include "fl/trajectory_encodings.h"
 #include "fl/transport/channel.h"
 #include "nn/optimizer.h"
 #include "traj/workload.h"
@@ -32,12 +33,13 @@ namespace lighttr::fl {
 /// meta-knowledge enhanced local training (Algorithm 2).
 ///
 /// Thread-safety contract: with `FederatedTrainerOptions::threads > 1`
-/// the trainer invokes Update concurrently for *distinct* clients of
-/// the same round (never twice for the same client). `model`,
-/// `optimizer`, `data`, and `rng` are private to the call; any mutable
-/// state shared across calls inside the strategy itself must be
-/// internally synchronized, and its values must not depend on the order
-/// in which clients run (or determinism across thread counts breaks).
+/// the trainer invokes UpdateEncoded concurrently for *distinct* clients
+/// of the same round (never twice for the same client). `model`,
+/// `optimizer`, `data`, `encodings` and `rng` are private to the call;
+/// any mutable state shared across calls inside the strategy itself must
+/// be internally synchronized, and its values must not depend on the
+/// order in which clients run (or determinism across thread counts
+/// breaks).
 class LocalUpdateStrategy {
  public:
   virtual ~LocalUpdateStrategy() = default;
@@ -48,6 +50,18 @@ class LocalUpdateStrategy {
                         nn::Optimizer* optimizer,
                         const traj::ClientDataset& data, int epochs,
                         Rng* rng) = 0;
+
+  /// Update with the client's train and valid encodings, which
+  /// FederatedTrainer::Run holds for the whole run so that no round
+  /// encodes the client's data again. Must give bitwise the result of
+  /// Update. The default ignores `encodings` and calls Update.
+  virtual double UpdateEncoded(int client_index, RecoveryModel* model,
+                               nn::Optimizer* optimizer,
+                               const traj::ClientDataset& data,
+                               ClientEncodings* /*encodings*/, int epochs,
+                               Rng* rng) {
+    return Update(client_index, model, optimizer, data, epochs, rng);
+  }
 };
 
 /// Plain FedAvg local update: `epochs` passes of task-loss SGD.
@@ -60,6 +74,12 @@ class PlainLocalUpdate : public LocalUpdateStrategy {
   double Update(int client_index, RecoveryModel* model,
                 nn::Optimizer* optimizer, const traj::ClientDataset& data,
                 int epochs, Rng* rng) override;
+
+  double UpdateEncoded(int client_index, RecoveryModel* model,
+                       nn::Optimizer* optimizer,
+                       const traj::ClientDataset& data,
+                       ClientEncodings* encodings, int epochs,
+                       Rng* rng) override;
 
  private:
   double clip_norm_;

@@ -1,11 +1,18 @@
 // Client-side local training and evaluation primitives.
+//
+// Each takes an optional TrajectoryEncodings over exactly `data`: when
+// the model's encoder() is its encoder, every pass reads the cached
+// encodings instead of encoding each trajectory again. Without one,
+// TrainLocal builds call-local encodings (it makes one pass per epoch);
+// the single-pass evaluations call the trajectory methods.
 #ifndef LIGHTTR_FL_LOCAL_TRAINER_H_
 #define LIGHTTR_FL_LOCAL_TRAINER_H_
 
-#include <vector>
+#include <span>
 
 #include "common/rng.h"
 #include "fl/recovery_model.h"
+#include "fl/trajectory_encodings.h"
 #include "nn/optimizer.h"
 #include "traj/trajectory.h"
 
@@ -30,18 +37,20 @@ struct LocalTrainOptions {
 /// loss is Eq. 17: L_local + lambda * ||f_tea(T) - f_stu(T)||^2.
 /// Returns the mean per-trajectory loss of the final epoch.
 double TrainLocal(RecoveryModel* model, nn::Optimizer* optimizer,
-                  const std::vector<traj::IncompleteTrajectory>& data,
-                  const LocalTrainOptions& options, Rng* rng);
+                  std::span<const traj::IncompleteTrajectory> data,
+                  const LocalTrainOptions& options, Rng* rng,
+                  TrajectoryEncodings* encodings = nullptr);
 
 /// Fraction of missing points whose predicted road segment equals the
 /// ground truth — the "acc" used by Algorithms 1 and 2. Grad-free.
 double EvaluateSegmentAccuracy(
-    RecoveryModel* model,
-    const std::vector<traj::IncompleteTrajectory>& data);
+    RecoveryModel* model, std::span<const traj::IncompleteTrajectory> data,
+    TrajectoryEncodings* encodings = nullptr);
 
 /// Mean task loss over `data` without updating parameters. Grad-free.
 double EvaluateMeanLoss(RecoveryModel* model,
-                        const std::vector<traj::IncompleteTrajectory>& data);
+                        std::span<const traj::IncompleteTrajectory> data,
+                        TrajectoryEncodings* encodings = nullptr);
 
 }  // namespace lighttr::fl
 

@@ -15,6 +15,7 @@
 #include "nn/parameter.h"
 #include "nn/tensor.h"
 #include "roadnet/road_network.h"
+#include "traj/encoding.h"
 #include "traj/trajectory.h"
 
 namespace lighttr::fl {
@@ -49,6 +50,30 @@ class RecoveryModel {
   /// as-is; missing steps are predicted). Runs grad-free.
   virtual std::vector<roadnet::PointPosition> Recover(
       const traj::IncompleteTrajectory& trajectory) = 0;
+
+  /// The encoder whose output ForwardEncoded and RecoverEncoded read, or
+  /// null (the default) for a model that only takes trajectories. A
+  /// training loop that holds `encoder()->Encode(trajectory)` calls the
+  /// *Encoded methods instead of encoding the trajectory again.
+  virtual const traj::TrajectoryEncoder* encoder() const { return nullptr; }
+
+  /// Forward over `encoded`, which is `encoder()->Encode(trajectory)`;
+  /// bitwise equal to Forward(trajectory, training, rng). The default
+  /// ignores `encoded` and calls Forward.
+  virtual ForwardResult ForwardEncoded(
+      const traj::EncodedTrajectory& /*encoded*/,
+      const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
+    return Forward(trajectory, training, rng);
+  }
+
+  /// Recover over `encoded`, which is `encoder()->Encode(trajectory)`;
+  /// equal to Recover(trajectory). The default ignores `encoded` and
+  /// calls Recover.
+  virtual std::vector<roadnet::PointPosition> RecoverEncoded(
+      const traj::EncodedTrajectory& /*encoded*/,
+      const traj::IncompleteTrajectory& trajectory) {
+    return Recover(trajectory);
+  }
 };
 
 /// Creates identical-architecture model replicas (server + each client).

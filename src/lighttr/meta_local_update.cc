@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "fl/local_trainer.h"
@@ -21,33 +22,43 @@ double MetaLocalUpdate::DynamicLambda(double lambda0, double teacher_acc,
   return lambda0 * std::pow(10.0, exponent);
 }
 
+double MetaLocalUpdate::TeacherAccuracy(int client_index,
+                                        fl::TrajectoryEncodings* valid) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    auto it = teacher_acc_cache_.find(client_index);
+    if (it != teacher_acc_cache_.end()) return it->second;
+  }
+  // Evaluate outside the lock; a concurrent duplicate for the same
+  // client computes the identical value (frozen teacher, fixed valid
+  // set), so first-emplace-wins is deterministic.
+  const double accuracy =
+      fl::EvaluateSegmentAccuracy(teacher_, valid->trajectories(), valid);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  teacher_acc_cache_.emplace(client_index, accuracy);
+  return accuracy;
+}
+
 double MetaLocalUpdate::Update(int client_index, fl::RecoveryModel* model,
                                nn::Optimizer* optimizer,
                                const traj::ClientDataset& data, int epochs,
                                Rng* rng) {
+  return UpdateEncoded(client_index, model, optimizer, data, nullptr, epochs,
+                       rng);
+}
+
+double MetaLocalUpdate::UpdateEncoded(int client_index,
+                                      fl::RecoveryModel* model,
+                                      nn::Optimizer* optimizer,
+                                      const traj::ClientDataset& data,
+                                      fl::ClientEncodings* encodings,
+                                      int epochs, Rng* rng) {
+  std::optional<fl::ClientEncodings> call_local;
+  if (encodings == nullptr) {
+    encodings = &call_local.emplace(model->encoder(), data);
+  }
   // Algorithm 2 line 1: start without guidance.
   double lambda = 0.0;
-  double teacher_acc = 0.0;
-  if (teacher_ != nullptr) {
-    bool cached = false;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = teacher_acc_cache_.find(client_index);
-      if (it != teacher_acc_cache_.end()) {
-        teacher_acc = it->second;
-        cached = true;
-      }
-    }
-    if (!cached) {
-      // Evaluate outside the lock; a concurrent duplicate for the same
-      // client computes the identical value (frozen teacher, fixed
-      // valid set), so first-emplace-wins is deterministic.
-      teacher_acc = fl::EvaluateSegmentAccuracy(teacher_, data.valid);
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      teacher_acc_cache_.emplace(client_index, teacher_acc);
-    }
-  }
-
   double last_loss = 0.0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     fl::LocalTrainOptions local;
@@ -55,13 +66,17 @@ double MetaLocalUpdate::Update(int client_index, fl::RecoveryModel* model,
     local.lambda = lambda;
     local.teacher = (lambda > 0.0) ? teacher_ : nullptr;
     local.clip_norm = options_.clip_norm;
-    last_loss = fl::TrainLocal(model, optimizer, data.train, local, rng);
+    last_loss = fl::TrainLocal(model, optimizer, data.train, local, rng,
+                               &encodings->train);
 
-    if (teacher_ == nullptr) continue;
-    // Lines 6-12: compare teacher and student on local validation data
-    // and set lambda for the next epoch.
+    // Lines 6-12 set lambda for the next epoch, so the last epoch skips
+    // them: nothing would read the result.
+    if (teacher_ == nullptr || epoch + 1 == epochs) continue;
+    // Compare teacher and student on local validation data.
+    const double teacher_acc =
+        TeacherAccuracy(client_index, &encodings->valid);
     const double student_acc =
-        fl::EvaluateSegmentAccuracy(model, data.valid);
+        fl::EvaluateSegmentAccuracy(model, data.valid, &encodings->valid);
     if (teacher_acc <= student_acc) {
       lambda = 0.0;  // the teacher has nothing to offer this client
     } else {

@@ -1,10 +1,10 @@
 // Meta-knowledge enhanced local training — paper Algorithm 2.
 //
 // Each client epoch trains with the Eq. 17 objective; after every epoch
-// the distillation weight lambda is set dynamically (Eq. 18) from how
-// much better the common teacher performs than the current local model
-// on local validation data. When the teacher is no better, lambda drops
-// to 0 (no guidance).
+// but the last, the distillation weight lambda for the next one is set
+// dynamically (Eq. 18) from how much better the common teacher performs
+// than the current local model on local validation data. When the
+// teacher is no better, lambda drops to 0 (no guidance).
 #ifndef LIGHTTR_LIGHTTR_META_LOCAL_UPDATE_H_
 #define LIGHTTR_LIGHTTR_META_LOCAL_UPDATE_H_
 
@@ -34,15 +34,28 @@ class MetaLocalUpdate : public fl::LocalUpdateStrategy {
   /// ablation).
   MetaLocalUpdate(fl::RecoveryModel* teacher, MetaLocalOptions options);
 
+  /// Without encodings from the caller, builds call-local ones.
   double Update(int client_index, fl::RecoveryModel* model,
                 nn::Optimizer* optimizer, const traj::ClientDataset& data,
                 int epochs, Rng* rng) override;
+
+  /// Every epoch and validation pass, the teacher's included, reads
+  /// `encodings` when the model (or teacher) shares their encoder.
+  double UpdateEncoded(int client_index, fl::RecoveryModel* model,
+                       nn::Optimizer* optimizer,
+                       const traj::ClientDataset& data,
+                       fl::ClientEncodings* encodings, int epochs,
+                       Rng* rng) override;
 
   /// Computes Eq. 18: lambda0 * 10^(min(1, (acc_tea - acc_stu) * 5) - 1).
   static double DynamicLambda(double lambda0, double teacher_acc,
                               double student_acc);
 
  private:
+  /// The teacher's accuracy on client `client_index`'s validation data,
+  /// whose encodings are `valid`; computed on first use.
+  double TeacherAccuracy(int client_index, fl::TrajectoryEncodings* valid);
+
   fl::RecoveryModel* teacher_;
   MetaLocalOptions options_;
   /// Teacher validation accuracy per client (the teacher is frozen

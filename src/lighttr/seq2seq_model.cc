@@ -72,11 +72,12 @@ void Seq2SeqModel::BuildHead(size_t hidden_dim, size_t seg_embed_dim,
 }
 
 fl::ForwardResult Seq2SeqModel::Decode(
+    const traj::EncodedTrajectory& encoded,
     const traj::IncompleteTrajectory& trajectory, bool training,
     bool teacher_forcing, Rng* rng,
     std::vector<roadnet::PointPosition>* collect) {
-  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   const std::vector<traj::StepTarget>& targets = encoded.targets;
+  LIGHTTR_CHECK_EQ(targets.size(), trajectory.size());
   const nn::Tensor x_all = nn::Tensor::Constant(encoded.inputs);
   DecoderStep decoder = Encode(trajectory, x_all, training, rng);
 
@@ -154,15 +155,29 @@ fl::ForwardResult Seq2SeqModel::Decode(
 
 fl::ForwardResult Seq2SeqModel::Forward(
     const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
-  return Decode(trajectory, training, /*teacher_forcing=*/true, rng, nullptr);
+  return ForwardEncoded(encoder_->Encode(trajectory), trajectory, training,
+                        rng);
 }
 
 std::vector<roadnet::PointPosition> Seq2SeqModel::Recover(
     const traj::IncompleteTrajectory& trajectory) {
+  return RecoverEncoded(encoder_->Encode(trajectory), trajectory);
+}
+
+fl::ForwardResult Seq2SeqModel::ForwardEncoded(
+    const traj::EncodedTrajectory& encoded,
+    const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
+  return Decode(encoded, trajectory, training, /*teacher_forcing=*/true, rng,
+                nullptr);
+}
+
+std::vector<roadnet::PointPosition> Seq2SeqModel::RecoverEncoded(
+    const traj::EncodedTrajectory& encoded,
+    const traj::IncompleteTrajectory& trajectory) {
   nn::NoGradScope no_grad;
   std::vector<roadnet::PointPosition> positions(trajectory.size());
-  Decode(trajectory, /*training=*/false, /*teacher_forcing=*/false, nullptr,
-         &positions);
+  Decode(encoded, trajectory, /*training=*/false, /*teacher_forcing=*/false,
+         nullptr, &positions);
   return positions;
 }
 

@@ -64,10 +64,20 @@ class Seq2SeqModel : public fl::RecoveryModel {
   const std::string& name() const override { return name_; }
   nn::ParameterSet& params() override { return params_; }
 
+  const traj::TrajectoryEncoder* encoder() const override { return encoder_; }
+
   fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
                             bool training, Rng* rng) override;
 
   std::vector<roadnet::PointPosition> Recover(
+      const traj::IncompleteTrajectory& trajectory) override;
+
+  fl::ForwardResult ForwardEncoded(const traj::EncodedTrajectory& encoded,
+                                   const traj::IncompleteTrajectory& trajectory,
+                                   bool training, Rng* rng) override;
+
+  std::vector<roadnet::PointPosition> RecoverEncoded(
+      const traj::EncodedTrajectory& encoded,
       const traj::IncompleteTrajectory& trajectory) override;
 
  protected:
@@ -97,9 +107,11 @@ class Seq2SeqModel : public fl::RecoveryModel {
   nn::ParameterSet params_;
 
  private:
-  /// One decode pass: builds the loss graph and, when `collect` is
-  /// non-null, records every step's position.
-  fl::ForwardResult Decode(const traj::IncompleteTrajectory& trajectory,
+  /// One decode pass over `encoded` (the encoding of `trajectory`):
+  /// builds the loss graph and, when `collect` is non-null, records every
+  /// step's position.
+  fl::ForwardResult Decode(const traj::EncodedTrajectory& encoded,
+                           const traj::IncompleteTrajectory& trajectory,
                            bool training, bool teacher_forcing, Rng* rng,
                            std::vector<roadnet::PointPosition>* collect);
 

@@ -1,6 +1,7 @@
 #include "lighttr/teacher_training.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -28,24 +29,28 @@ std::unique_ptr<fl::RecoveryModel> TrainTeacher(
   std::unique_ptr<fl::RecoveryModel> snapshot = factory(&snapshot_rng);
   nn::AdamOptimizer optimizer(static_cast<nn::Scalar>(options.learning_rate));
 
-  // Per-client training subsets ("a part of its local data").
-  std::vector<std::vector<traj::IncompleteTrajectory>> subsets(clients.size());
-  for (size_t i = 0; i < clients.size(); ++i) {
-    const auto& train = clients[i].train;
+  // Each client's encodings, held for every cycle: "a part of its local
+  // data" (a prefix of its train split) and its validation split.
+  std::vector<fl::TrajectoryEncodings> train;
+  std::vector<fl::TrajectoryEncodings> valid;
+  train.reserve(clients.size());
+  valid.reserve(clients.size());
+  for (const traj::ClientDataset& client : clients) {
     const size_t take = std::max<size_t>(
         1, static_cast<size_t>(options.data_fraction *
-                               static_cast<double>(train.size())));
-    subsets[i].assign(train.begin(),
-                      train.begin() + static_cast<long>(
-                                          std::min(take, train.size())));
+                               static_cast<double>(client.train.size())));
+    train.emplace_back(teacher->encoder(),
+                       std::span(client.train)
+                           .first(std::min(take, client.train.size())));
+    valid.emplace_back(teacher->encoder(), client.valid);
   }
 
   for (int cycle = 0; cycle < options.cycles; ++cycle) {
     for (size_t i = 0; i < clients.size(); ++i) {
       // Alg. 1 lines 4-10: decide whether the incoming knowledge is
       // useful for this client.
-      const double incoming_acc =
-          fl::EvaluateSegmentAccuracy(teacher.get(), clients[i].valid);
+      const double incoming_acc = fl::EvaluateSegmentAccuracy(
+          teacher.get(), clients[i].valid, &valid[i]);
 
       fl::LocalTrainOptions local;
       local.epochs = options.epochs_per_client;
@@ -57,8 +62,8 @@ std::unique_ptr<fl::RecoveryModel> TrainTeacher(
         local.lambda = options.lambda0;
       }
       Rng update_rng = rng.Fork();
-      fl::TrainLocal(teacher.get(), &optimizer, subsets[i], local,
-                     &update_rng);
+      fl::TrainLocal(teacher.get(), &optimizer, train[i].trajectories(),
+                     local, &update_rng, &train[i]);
     }
   }
   return teacher;

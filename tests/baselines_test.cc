@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "baselines/centralized_trainer.h"
 #include "baselines/model_zoo.h"
@@ -165,6 +166,58 @@ TEST_P(ModelContract, EvalForwardCarriesNoStateBetweenCalls) {
     const double b =
         model->Forward(trajectory, false, nullptr).loss.ScalarValue();
     EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " vs " << b;
+  }
+}
+
+// Bitwise equality of two matrices: same shape, same bytes.
+void ExpectSameBits(const nn::Matrix& a, const nn::Matrix& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(nn::Scalar)),
+            0)
+      << what;
+}
+
+// The encoded entry points the training loops call with a cached
+// encoding are the trajectory entry points, bit for bit: loss,
+// representation and every parameter gradient, with dropout on (same
+// seed) and off, and the recovered positions.
+TEST_P(ModelContract, EncodedEntryPointsMatchTrajectoryEntryPoints) {
+  auto direct = MakeModel(15);
+  auto cached = MakeModel(15);
+  ASSERT_EQ(direct->encoder(), encoder_.get());
+  ASSERT_EQ(cached->encoder(), encoder_.get());
+  nn::ParameterSet& direct_params = direct->params();
+  nn::ParameterSet& cached_params = cached->params();
+  for (const auto& trajectory : clients_[0].train) {
+    const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
+    for (bool training : {true, false}) {
+      SCOPED_TRACE("training=" + std::to_string(training));
+      direct_params.ZeroGrads();
+      cached_params.ZeroGrads();
+      Rng direct_rng(16);
+      Rng cached_rng(16);
+      fl::ForwardResult a = direct->Forward(
+          trajectory, training, training ? &direct_rng : nullptr);
+      fl::ForwardResult b = cached->ForwardEncoded(
+          encoded, trajectory, training, training ? &cached_rng : nullptr);
+      ExpectSameBits(a.loss.value(), b.loss.value(), "loss");
+      ASSERT_TRUE(a.representation.defined());
+      ASSERT_TRUE(b.representation.defined());
+      ExpectSameBits(a.representation.value(), b.representation.value(),
+                     "representation");
+      a.loss.Backward();
+      b.loss.Backward();
+      ASSERT_EQ(direct_params.size(), cached_params.size());
+      for (size_t i = 0; i < direct_params.size(); ++i) {
+        ExpectSameBits(direct_params.tensor(i).grad(),
+                       cached_params.tensor(i).grad(),
+                       "grad of " + direct_params.name(i));
+      }
+    }
+    EXPECT_EQ(direct->Recover(trajectory),
+              cached->RecoverEncoded(encoded, trajectory));
   }
 }
 

@@ -3,6 +3,7 @@
 // identical end-to-end experiment results.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -11,6 +12,8 @@
 #include "eval/harness.h"
 #include "fl/comm_stats.h"
 #include "fl/run_state.h"
+#include "lighttr/meta_local_update.h"
+#include "lighttr/teacher_training.h"
 #include "nn/kernels/kernels.h"
 #include "roadnet/generators.h"
 #include "stub_model.h"
@@ -199,6 +202,161 @@ TEST(Determinism, FederatedRunIsBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(parallel.metrics.mae_km, serial.metrics.mae_km);
     EXPECT_DOUBLE_EQ(parallel.metrics.rmse_km, serial.metrics.rmse_km);
     ExpectSameRun(parallel.run, serial.run);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Cached encodings are invisible: a training job whose models expose
+// their encoder (every loop then reads each trajectory's encoding from
+// the job's own cache) computes the same bits as one whose models hide
+// it (every call encodes again), at every thread width.
+
+// Forwards every call to the wrapped model. With `expose_encoder` false
+// it hides the encoder, so the loops take the trajectory methods; with
+// it true they take the encoded ones. Counts the calls that reach the
+// trajectory methods in `trajectory_calls` (shared by all replicas) and
+// this replica's forward passes of either kind.
+class ForwardingModel : public fl::RecoveryModel {
+ public:
+  ForwardingModel(std::unique_ptr<fl::RecoveryModel> inner,
+                  bool expose_encoder, std::atomic<int>* trajectory_calls)
+      : inner_(std::move(inner)),
+        expose_encoder_(expose_encoder),
+        trajectory_calls_(trajectory_calls) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  nn::ParameterSet& params() override { return inner_->params(); }
+  const traj::TrajectoryEncoder* encoder() const override {
+    return expose_encoder_ ? inner_->encoder() : nullptr;
+  }
+
+  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
+                            bool training, Rng* rng) override {
+    ++*trajectory_calls_;
+    ++forward_calls_;
+    return inner_->Forward(trajectory, training, rng);
+  }
+  std::vector<roadnet::PointPosition> Recover(
+      const traj::IncompleteTrajectory& trajectory) override {
+    ++*trajectory_calls_;
+    return inner_->Recover(trajectory);
+  }
+  fl::ForwardResult ForwardEncoded(const traj::EncodedTrajectory& encoded,
+                                   const traj::IncompleteTrajectory& trajectory,
+                                   bool training, Rng* rng) override {
+    ++forward_calls_;
+    return inner_->ForwardEncoded(encoded, trajectory, training, rng);
+  }
+  std::vector<roadnet::PointPosition> RecoverEncoded(
+      const traj::EncodedTrajectory& encoded,
+      const traj::IncompleteTrajectory& trajectory) override {
+    return inner_->RecoverEncoded(encoded, trajectory);
+  }
+
+  int forward_calls() const { return forward_calls_; }
+
+ private:
+  std::unique_ptr<fl::RecoveryModel> inner_;
+  bool expose_encoder_;
+  std::atomic<int>* trajectory_calls_;
+  std::atomic<int> forward_calls_{0};
+};
+
+struct JobOutcome {
+  fl::FederatedRunResult run;
+  eval::RecoveryMetrics metrics;
+  std::string global_params;  // float64 blob
+  // Calls that reached a trajectory method inside TrainTeacher and Run.
+  int trajectory_calls = 0;
+  // Forward passes of the teacher during Run: distillation and nothing
+  // else calls the teacher's Forward there.
+  int teacher_forwards = 0;
+};
+
+// One job as eval::RunFederatedMethod composes it (the LightTR kind:
+// Algorithm 1's teacher, then Algorithms 2-3 with MetaLocalUpdate; any
+// other kind: plain FedAvg), every model wrapped in a ForwardingModel.
+JobOutcome RunForwardedJob(baselines::ModelKind kind, bool expose_encoder,
+                           int threads) {
+  eval::ExperimentEnv env(6, 6, 17);
+  traj::WorkloadProfile profile = traj::GeolifeLikeProfile();
+  profile.trajectories_per_client = 8;
+  traj::FederatedWorkloadOptions workload;
+  workload.num_clients = 4;
+  workload.keep_ratio = 0.25;
+  const auto clients = env.MakeWorkload(profile, workload, 23);
+
+  std::atomic<int> trajectory_calls{0};
+  const fl::ModelFactory inner =
+      baselines::MakeFactory(kind, &env.encoder());
+  const fl::ModelFactory factory =
+      [&](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
+    return std::make_unique<ForwardingModel>(inner(rng), expose_encoder,
+                                             &trajectory_calls);
+  };
+  fl::FederatedTrainerOptions fed;
+  fed.rounds = 3;
+  fed.local_epochs = 2;
+  fed.learning_rate = 3e-3;
+  fed.threads = threads;
+  fl::FederatedTrainer trainer(factory, &clients, fed);
+  std::unique_ptr<fl::RecoveryModel> teacher;
+  std::unique_ptr<fl::LocalUpdateStrategy> strategy;
+  if (kind == baselines::ModelKind::kLightTr) {
+    core::TeacherTrainingOptions teacher_options;
+    teacher_options.learning_rate = fed.learning_rate;
+    teacher = core::TrainTeacher(factory, clients, teacher_options);
+    core::MetaLocalOptions meta;
+    // Guide whenever the teacher is ahead, so the distillation path runs.
+    meta.l_t = 1.0;
+    strategy = std::make_unique<core::MetaLocalUpdate>(teacher.get(), meta);
+  } else {
+    strategy = std::make_unique<fl::PlainLocalUpdate>();
+  }
+  JobOutcome outcome;
+  outcome.run = trainer.Run(strategy.get());
+  outcome.trajectory_calls = trajectory_calls;
+  if (teacher != nullptr) {
+    outcome.teacher_forwards =
+        static_cast<const ForwardingModel&>(*teacher).forward_calls();
+  }
+  outcome.metrics = eval::EvaluateRecovery(
+      trainer.global_model(), env.network(),
+      eval::ExperimentEnv::PooledTestSet(clients, 8));
+  outcome.global_params = trainer.global_model()->params().Serialize(
+      nn::BlobPrecision::kFloat64);
+  return outcome;
+}
+
+TEST(Determinism, CachedEncodingsAreBitwiseInvisibleInJobs) {
+  for (baselines::ModelKind kind :
+       {baselines::ModelKind::kLightTr, baselines::ModelKind::kMTrajRec}) {
+    SCOPED_TRACE(baselines::ModelKindName(kind));
+    const JobOutcome reference =
+        RunForwardedJob(kind, /*expose_encoder=*/false, /*threads=*/1);
+    // Hidden encoders: every pass took the trajectory methods.
+    EXPECT_GT(reference.trajectory_calls, 0);
+    if (kind == baselines::ModelKind::kLightTr) {
+      EXPECT_GT(reference.teacher_forwards, 0);  // some epoch was guided
+    }
+    for (int threads : {1, 2, 8}) {
+      for (bool expose_encoder : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " expose_encoder=" + std::to_string(expose_encoder));
+        const JobOutcome job = RunForwardedJob(kind, expose_encoder, threads);
+        ExpectSameRun(job.run, reference.run);
+        EXPECT_EQ(job.metrics.recall, reference.metrics.recall);
+        EXPECT_EQ(job.metrics.precision, reference.metrics.precision);
+        EXPECT_EQ(job.metrics.mae_km, reference.metrics.mae_km);
+        EXPECT_EQ(job.metrics.rmse_km, reference.metrics.rmse_km);
+        EXPECT_EQ(job.global_params, reference.global_params);
+        EXPECT_EQ(job.teacher_forwards, reference.teacher_forwards);
+        if (expose_encoder) {
+          // Exposed encoders: TrainTeacher and Run read only the cache.
+          EXPECT_EQ(job.trajectory_calls, 0);
+        }
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -81,6 +82,9 @@ void BM_DijkstraPointToPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraPointToPoint)->Arg(9)->Arg(16)->Arg(24);
 
+// Radius queries at random points of the default 12x12 city. 250 m is
+// the encoder's floor radius; 675 m is its gap-scaled radius for a
+// 1.5 km anchor gap (0.45 x gap), where most queries return over 32 hits.
 void BM_SegmentIndexNearby(benchmark::State& state) {
   Rng rng(5);
   roadnet::CityGridOptions options;
@@ -88,14 +92,45 @@ void BM_SegmentIndexNearby(benchmark::State& state) {
   const roadnet::SegmentIndex index(network);
   const geo::GeoPoint lo = network.min_corner();
   const geo::GeoPoint hi = network.max_corner();
+  const auto radius = static_cast<double>(state.range(0));
   Rng pick(6);
   for (auto _ : state) {
     const geo::GeoPoint p{pick.Uniform(lo.lat, hi.lat),
                           pick.Uniform(lo.lng, hi.lng)};
-    benchmark::DoNotOptimize(index.Nearby(p, 250.0));
+    benchmark::DoNotOptimize(index.Nearby(p, radius));
   }
 }
-BENCHMARK(BM_SegmentIndexNearby);
+BENCHMARK(BM_SegmentIndexNearby)->Arg(250)->Arg(675);
+
+// The constraint mask layer's logit op (paper Eq. 10-11): one decoder
+// state against 33 of the 8x8 city's 209 segment columns, at hidden 32
+// and 48. Arg 1 adds the backward closure (the Backward of a sum).
+void BM_CandidateLogits(benchmark::State& state) {
+  const auto hidden = static_cast<size_t>(state.range(0));
+  const bool backward = state.range(1) != 0;
+  constexpr size_t kSegments = 209;
+  Rng rng(9);
+  const nn::Tensor h =
+      nn::Tensor::Variable(nn::Matrix::RandomUniform(1, hidden, 1.0, &rng));
+  const nn::Tensor w = nn::Tensor::Variable(
+      nn::Matrix::RandomUniform(hidden, kSegments, 1.0, &rng));
+  const nn::Tensor b =
+      nn::Tensor::Variable(nn::Matrix::RandomUniform(1, kSegments, 1.0, &rng));
+  std::vector<int> candidates;
+  for (int k = 0; k < 33; ++k) {
+    candidates.push_back(static_cast<int>(rng.UniformInt(0, kSegments - 1)));
+  }
+  for (auto _ : state) {
+    nn::Tensor logits = nn::CandidateLogits(h, w, b, candidates);
+    if (backward) nn::Sum(logits).Backward();
+    benchmark::DoNotOptimize(logits.value().data());
+  }
+}
+BENCHMARK(BM_CandidateLogits)
+    ->Args({32, 0})
+    ->Args({48, 0})
+    ->Args({32, 1})
+    ->Args({48, 1});
 
 // One-pass encoding (inputs, targets, every missing step's candidates)
 // of Geolife-like trajectories at keep ratio 12.5% on an 8x8 city; one

@@ -573,40 +573,86 @@ Tensor CandidateLogits(const Tensor& h, const Tensor& w, const Tensor& b,
   LIGHTTR_CHECK_EQ(b.rows(), 1u);
   LIGHTTR_CHECK_EQ(b.cols(), w.cols());
   LIGHTTR_CHECK(!candidates.empty());
-  const size_t hidden = h.cols();
-  Matrix out(1, candidates.size());
-  for (size_t k = 0; k < candidates.size(); ++k) {
-    const auto cls = static_cast<size_t>(candidates[k]);
-    LIGHTTR_CHECK_LT(cls, w.cols());
-    Scalar acc = b.value()(0, cls);
-    for (size_t i = 0; i < hidden; ++i) {
-      acc += h.value()(0, i) * w.value()(i, cls);
-    }
-    out(0, k) = acc;
+  for (int cls : candidates) {
+    LIGHTTR_CHECK_LT(static_cast<size_t>(cls), w.cols());
   }
-  AddFlops(static_cast<int64_t>(2 * hidden * candidates.size()));
+  const size_t hidden = h.cols();
+  const size_t stride = w.cols();
+  const size_t count = candidates.size();
+  const Scalar* hv = h.value().data();
+  const Scalar* wv = w.value().data();
+  const Scalar* bv = b.value().data();
+  const int* cls = candidates.data();
+  Matrix out(1, count);
+  Scalar* ov = out.data();
+  // Each logit is one chain: b[c], then + h[i] * w[i][c] for i = 0..H-1
+  // (DESIGN.md §5). Blocks of 4 candidates run 4 chains side by side;
+  // every chain keeps its own order, so the values equal the serial loop.
+  size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const auto c0 = static_cast<size_t>(cls[k]);
+    const auto c1 = static_cast<size_t>(cls[k + 1]);
+    const auto c2 = static_cast<size_t>(cls[k + 2]);
+    const auto c3 = static_cast<size_t>(cls[k + 3]);
+    Scalar a0 = bv[c0];
+    Scalar a1 = bv[c1];
+    Scalar a2 = bv[c2];
+    Scalar a3 = bv[c3];
+    for (size_t i = 0; i < hidden; ++i) {
+      const Scalar hi = hv[i];
+      const Scalar* row = wv + i * stride;
+      a0 += hi * row[c0];
+      a1 += hi * row[c1];
+      a2 += hi * row[c2];
+      a3 += hi * row[c3];
+    }
+    ov[k] = a0;
+    ov[k + 1] = a1;
+    ov[k + 2] = a2;
+    ov[k + 3] = a3;
+  }
+  for (; k < count; ++k) {
+    const auto c = static_cast<size_t>(cls[k]);
+    Scalar acc = bv[c];
+    for (size_t i = 0; i < hidden; ++i) acc += hv[i] * wv[i * stride + c];
+    ov[k] = acc;
+  }
+  AddFlops(static_cast<int64_t>(2 * hidden * count));
   return Tensor::MakeOp(
       std::move(out), {h, w, b}, [h, w, b, candidates](TensorNode& self) {
         const size_t grad_hidden = h.cols();
-        for (size_t k = 0; k < candidates.size(); ++k) {
-          const Scalar g = self.grad(0, k);
-          if (g == Scalar{0}) continue;
-          const auto cls = static_cast<size_t>(candidates[k]);
-          if (h.requires_grad()) {
-            Matrix& hg = h.grad();
+        const size_t grad_stride = w.cols();
+        const size_t n = candidates.size();
+        const Scalar* g = self.grad.data();
+        AddFlops(static_cast<int64_t>(4 * grad_hidden * n));
+        // The grads are fetched (allocated on first use) at the first
+        // nonzero upstream value, so an all-zero upstream leaves them
+        // unallocated. Candidates then add in k order, so a repeated id
+        // sums its contributions in that order.
+        size_t first = 0;
+        while (first < n && g[first] == Scalar{0}) ++first;
+        if (first == n) return;
+        Scalar* hg = h.requires_grad() ? h.grad().data() : nullptr;
+        Scalar* wg = w.requires_grad() ? w.grad().data() : nullptr;
+        Scalar* bg = b.requires_grad() ? b.grad().data() : nullptr;
+        const Scalar* h_val = h.value().data();
+        const Scalar* w_val = w.value().data();
+        for (size_t j = first; j < n; ++j) {
+          const Scalar gj = g[j];
+          if (gj == Scalar{0}) continue;
+          const auto c = static_cast<size_t>(candidates[j]);
+          if (hg != nullptr) {
             for (size_t i = 0; i < grad_hidden; ++i) {
-              hg(0, i) += g * w.value()(i, cls);
+              hg[i] += gj * w_val[i * grad_stride + c];
             }
           }
-          if (w.requires_grad()) {
-            Matrix& wg = w.grad();
+          if (wg != nullptr) {
             for (size_t i = 0; i < grad_hidden; ++i) {
-              wg(i, cls) += g * h.value()(0, i);
+              wg[i * grad_stride + c] += gj * h_val[i];
             }
           }
-          if (b.requires_grad()) b.grad()(0, cls) += g;
+          if (bg != nullptr) bg[c] += gj;
         }
-        AddFlops(static_cast<int64_t>(4 * grad_hidden * candidates.size()));
       });
 }
 

@@ -88,30 +88,51 @@ geo::GeoPoint RoadNetwork::PositionToPoint(const PointPosition& pos) const {
                    r);
 }
 
-Projection RoadNetwork::ProjectOntoSegment(SegmentId e,
-                                           const geo::GeoPoint& p) const {
+const RoadNetwork::ProjectionFrame& RoadNetwork::FrameOf(SegmentId e) const {
   LIGHTTR_CHECK(finalized_);
   LIGHTTR_CHECK_GE(e, 0);
   LIGHTTR_CHECK_LT(e, num_segments());
-  const ProjectionFrame& frame = frames_[e];
-  const auto pp = frame.plane.ToXy(p);
+  return frames_[e];
+}
 
+RoadNetwork::PlanarFoot RoadNetwork::Foot(const ProjectionFrame& frame,
+                                          const geo::GeoPoint& p) {
+  const auto pp = frame.plane.ToXy(p);
   double t = 0.0;
   if (frame.len2 > 0.0) {
     t = std::clamp((pp.x * frame.dx + pp.y * frame.dy) / frame.len2, 0.0,
                    1.0);
   }
-  const geo::LocalProjection::Xy snapped_xy{frame.pa.x + t * frame.dx,
-                                            frame.pa.y + t * frame.dy};
-  const geo::GeoPoint snapped = frame.plane.FromXy(snapped_xy);
+  PlanarFoot foot;
+  foot.ratio = t;
+  foot.snapped = {frame.pa.x + t * frame.dx, frame.pa.y + t * frame.dy};
+  const double ex = pp.x - foot.snapped.x;
+  const double ey = pp.y - foot.snapped.y;
+  foot.distance_m = std::sqrt(ex * ex + ey * ey);
+  return foot;
+}
 
+Projection RoadNetwork::Snap(SegmentId e, const ProjectionFrame& frame,
+                             const PlanarFoot& foot) {
   Projection proj;
-  proj.position = PointPosition{e, t};
-  proj.snapped = snapped;
-  const double ex = pp.x - snapped_xy.x;
-  const double ey = pp.y - snapped_xy.y;
-  proj.distance_m = std::sqrt(ex * ex + ey * ey);
+  proj.position = PointPosition{e, foot.ratio};
+  proj.snapped = frame.plane.FromXy(foot.snapped);
+  proj.distance_m = foot.distance_m;
   return proj;
+}
+
+Projection RoadNetwork::ProjectOntoSegment(SegmentId e,
+                                           const geo::GeoPoint& p) const {
+  const ProjectionFrame& frame = FrameOf(e);
+  return Snap(e, frame, Foot(frame, p));
+}
+
+std::optional<Projection> RoadNetwork::ProjectWithin(
+    SegmentId e, const geo::GeoPoint& p, double max_distance_m) const {
+  const ProjectionFrame& frame = FrameOf(e);
+  const PlanarFoot foot = Foot(frame, p);
+  if (!(foot.distance_m <= max_distance_m)) return std::nullopt;
+  return Snap(e, frame, foot);
 }
 
 }  // namespace lighttr::roadnet

@@ -4,6 +4,7 @@
 #define LIGHTTR_ROADNET_ROAD_NETWORK_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,13 @@ class RoadNetwork {
   /// Requires Finalize().
   Projection ProjectOntoSegment(SegmentId e, const geo::GeoPoint& p) const;
 
+  /// ProjectOntoSegment(e, p), bit for bit, when its distance_m is at
+  /// most `max_distance_m`; nullopt otherwise (NaN distances included).
+  /// The distance comes first, so a miss never converts the snapped
+  /// point back to lat/lng. Requires Finalize().
+  std::optional<Projection> ProjectWithin(SegmentId e, const geo::GeoPoint& p,
+                                          double max_distance_m) const;
+
   /// Bounding box of all vertices (undefined before the first vertex).
   geo::GeoPoint min_corner() const { return min_corner_; }
   geo::GeoPoint max_corner() const { return max_corner_; }
@@ -118,6 +126,17 @@ class RoadNetwork {
     double dy = 0.0;
     double len2 = 0.0;
   };
+  /// A point's foot on a segment, in the segment's plane.
+  struct PlanarFoot {
+    double ratio = 0.0;
+    geo::LocalProjection::Xy snapped;
+    double distance_m = 0.0;
+  };
+  /// The one copy of the projection arithmetic both public forms share.
+  const ProjectionFrame& FrameOf(SegmentId e) const;
+  static PlanarFoot Foot(const ProjectionFrame& frame, const geo::GeoPoint& p);
+  static Projection Snap(SegmentId e, const ProjectionFrame& frame,
+                         const PlanarFoot& foot);
   std::vector<ProjectionFrame> frames_;
   geo::GeoPoint min_corner_{90.0, 180.0};
   geo::GeoPoint max_corner_{-90.0, -180.0};

@@ -33,10 +33,22 @@ class SegmentIndex {
   const RoadNetwork& network() const { return network_; }
 
  private:
+  /// A segment's lat/lng bounding box (the box of its two vertices).
+  struct Box {
+    double min_lat = 0.0;
+    double max_lat = 0.0;
+    double min_lng = 0.0;
+    double max_lng = 0.0;
+  };
+
   const RoadNetwork& network_;
   geo::GridSpec grid_;
   std::vector<std::vector<SegmentId>> buckets_;
-  std::vector<std::vector<geo::GridCell>> cells_;  // cells listing segment e
+  std::vector<Box> boxes_;  // indexed by segment id
+  /// The smallest |cos(lat)| over the planes ProjectOntoSegment uses: in
+  /// each of them a degree of longitude spans at least this fraction of
+  /// a degree of latitude.
+  double min_cos_lat_ = 1.0;
 };
 
 }  // namespace lighttr::roadnet

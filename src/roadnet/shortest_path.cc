@@ -1,19 +1,69 @@
 #include "roadnet/shortest_path.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstdint>
+#include <functional>
 #include <utility>
 
 namespace lighttr::roadnet {
 
-namespace {
+/// Labels live across searches; a label counts only when its stamp equals
+/// the current search's epoch, so a search starts without clearing arrays.
+/// The stamps are 16-bit: the rare wrap-around resets them (which keeps
+/// that path cheap to exercise in a test).
+struct DijkstraLabels {
+  struct Label {
+    double dist = kUnreachable;
+    SegmentId parent = kInvalidSegment;  // the segment that labelled it
+    uint16_t stamp = 0;
+  };
+  std::vector<Label> labels;  // indexed by vertex
+  uint16_t epoch = 0;
+  /// (distance, vertex) entries: a binary min-heap under std::greater.
+  std::vector<std::pair<double, VertexId>> heap;
 
-// (distance, vertex) min-heap entry.
-using HeapEntry = std::pair<double, VertexId>;
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+  double Dist(VertexId x) const {
+    const Label& l = labels[x];
+    return l.stamp == epoch ? l.dist : kUnreachable;
+  }
 
-}  // namespace
+  // Runs Dijkstra from u until v is settled (or the graph is exhausted)
+  // and returns v's distance. A (distance, vertex) heap has no equal
+  // entries (a vertex is re-pushed only at a strictly smaller distance),
+  // so it settles vertices in one fixed order and every label it leaves
+  // equals what any exact (distance, vertex) min-queue would leave.
+  double Search(const RoadNetwork& network, VertexId u, VertexId v) {
+    LIGHTTR_CHECK_GE(u, 0);
+    LIGHTTR_CHECK_LT(u, network.num_vertices());
+    LIGHTTR_CHECK_GE(v, 0);
+    LIGHTTR_CHECK_LT(v, network.num_vertices());
+    const auto n = static_cast<size_t>(network.num_vertices());
+    if (labels.size() < n) labels.resize(n);  // stamp 0: never current
+    if (++epoch == 0) {
+      for (Label& l : labels) l.stamp = 0;
+      epoch = 1;
+    }
+    labels[u] = Label{0.0, kInvalidSegment, epoch};
+    heap.assign(1, {0.0, u});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const auto [d, x] = heap.back();
+      heap.pop_back();
+      if (x == v) return d;
+      if (d > Dist(x)) continue;
+      for (SegmentId e : network.OutSegments(x)) {
+        const Segment& seg = network.segment(e);
+        const double nd = d + seg.length_m;
+        if (nd < Dist(seg.to)) {
+          labels[seg.to] = Label{nd, e, epoch};
+          heap.emplace_back(nd, seg.to);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        }
+      }
+    }
+    return Dist(v);
+  }
+};
 
 double VertexDistance(const RoadNetwork& network, VertexId u, VertexId v) {
   DijkstraEngine engine(network);
@@ -24,33 +74,13 @@ Result<std::vector<SegmentId>> VertexRoute(const RoadNetwork& network,
                                            VertexId u, VertexId v) {
   LIGHTTR_CHECK(network.finalized());
   if (u == v) return std::vector<SegmentId>{};
-  std::vector<double> dist(network.num_vertices(), kUnreachable);
-  std::vector<SegmentId> parent_segment(network.num_vertices(),
-                                        kInvalidSegment);
-  dist[u] = 0.0;
-  MinHeap heap;
-  heap.push({0.0, u});
-  while (!heap.empty()) {
-    auto [d, x] = heap.top();
-    heap.pop();
-    if (x == v) break;
-    if (d > dist[x]) continue;
-    for (SegmentId e : network.OutSegments(x)) {
-      const Segment& seg = network.segment(e);
-      const double nd = d + seg.length_m;
-      if (nd < dist[seg.to]) {
-        dist[seg.to] = nd;
-        parent_segment[seg.to] = e;
-        heap.push({nd, seg.to});
-      }
-    }
-  }
-  if (dist[v] == kUnreachable) {
+  thread_local DijkstraLabels search;
+  if (search.Search(network, u, v) == kUnreachable) {
     return Status::NotFound("no directed route between vertices");
   }
   std::vector<SegmentId> route;
   for (VertexId x = v; x != u;) {
-    const SegmentId e = parent_segment[x];
+    const SegmentId e = search.labels[x].parent;
     route.push_back(e);
     x = network.segment(e).from;
   }
@@ -92,40 +122,14 @@ double ConstrainedDistance(const RoadNetwork& network, const PointPosition& a,
 }
 
 DijkstraEngine::DijkstraEngine(const RoadNetwork& network)
-    : network_(network),
-      dist_(network.num_vertices(), kUnreachable),
-      epoch_(network.num_vertices(), 0) {
+    : network_(network), labels_(std::make_unique<DijkstraLabels>()) {
   LIGHTTR_CHECK(network.finalized());
 }
 
-double DijkstraEngine::Distance(VertexId u, VertexId v) {
-  ++current_epoch_;
-  auto get = [&](VertexId x) {
-    return epoch_[x] == current_epoch_ ? dist_[x] : kUnreachable;
-  };
-  auto set = [&](VertexId x, double d) {
-    epoch_[x] = current_epoch_;
-    dist_[x] = d;
-  };
+DijkstraEngine::~DijkstraEngine() = default;
 
-  set(u, 0.0);
-  MinHeap heap;
-  heap.push({0.0, u});
-  while (!heap.empty()) {
-    auto [d, x] = heap.top();
-    heap.pop();
-    if (x == v) return d;
-    if (d > get(x)) continue;
-    for (SegmentId e : network_.OutSegments(x)) {
-      const Segment& seg = network_.segment(e);
-      const double nd = d + seg.length_m;
-      if (nd < get(seg.to)) {
-        set(seg.to, nd);
-        heap.push({nd, seg.to});
-      }
-    }
-  }
-  return get(v);
+double DijkstraEngine::Distance(VertexId u, VertexId v) {
+  return labels_->Search(network_, u, v);
 }
 
 }  // namespace lighttr::roadnet

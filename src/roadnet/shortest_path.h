@@ -5,6 +5,7 @@
 #define LIGHTTR_ROADNET_SHORTEST_PATH_H_
 
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -47,20 +48,23 @@ double DirectedTravelDistance(const RoadNetwork& network,
 double ConstrainedDistance(const RoadNetwork& network, DijkstraEngine& engine,
                            const PointPosition& a, const PointPosition& b);
 
+/// Dijkstra's reusable working set (defined in shortest_path.cc).
+struct DijkstraLabels;
+
 /// Reusable single-source Dijkstra engine that avoids re-allocating its
 /// internal arrays across queries (hot path of the evaluation metrics).
+/// VertexRoute runs the same search on a per-thread working set.
 class DijkstraEngine {
  public:
   explicit DijkstraEngine(const RoadNetwork& network);
+  ~DijkstraEngine();
 
   /// Distance from u to v with early exit; kUnreachable when disconnected.
   double Distance(VertexId u, VertexId v);
 
  private:
   const RoadNetwork& network_;
-  std::vector<double> dist_;
-  std::vector<int32_t> epoch_;  // lazy-clearing stamps
-  int32_t current_epoch_ = 0;
+  std::unique_ptr<DijkstraLabels> labels_;
 };
 
 }  // namespace lighttr::roadnet

@@ -1,5 +1,5 @@
 // Tests for the extension features: DP upload privacy, quantized
-// communication, and the greedy map-matching baseline.
+// communication, and HMM map matching against a greedy baseline.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "fl/federated_trainer.h"
 #include "fl/privacy.h"
 #include "baselines/model_zoo.h"
-#include "mapmatch/greedy_map_matcher.h"
 #include "mapmatch/hmm_map_matcher.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
@@ -103,6 +102,24 @@ TEST(Compression, ExtremesRepresentable) {
 
 // ----------------------------------------------------------------- greedy
 
+// The greedy nearest-segment baseline: each GPS point snapped on its own
+// to its nearest segment within 80 m (then 160 m, then 320 m), ignoring
+// route continuity. Empty when some point has no segment in range.
+std::vector<roadnet::PointPosition> GreedyMatch(
+    const roadnet::SegmentIndex& index, const traj::RawTrajectory& raw) {
+  std::vector<roadnet::PointPosition> matched;
+  for (const traj::RawPoint& point : raw.points) {
+    std::vector<roadnet::SegmentIndex::Candidate> candidates;
+    for (double radius = 80.0; candidates.empty() && radius <= 320.0;
+         radius *= 2.0) {
+      candidates = index.Nearby(point.position, radius);
+    }
+    if (candidates.empty()) return {};
+    matched.push_back(candidates.front().projection.position);
+  }
+  return matched;
+}
+
 TEST(GreedyMatcher, HmmAtLeastAsAccurateOnNoisyData) {
   Rng rng(41);
   roadnet::CityGridOptions options;
@@ -112,7 +129,6 @@ TEST(GreedyMatcher, HmmAtLeastAsAccurateOnNoisyData) {
   const roadnet::SegmentIndex index(net);
   const traj::TrajectoryGenerator generator(net);
   const mapmatch::HmmMapMatcher hmm(index, {});
-  const mapmatch::GreedyMapMatcher greedy(index, {});
 
   double hmm_error = 0.0;
   double greedy_error = 0.0;
@@ -123,38 +139,23 @@ TEST(GreedyMatcher, HmmAtLeastAsAccurateOnNoisyData) {
     const traj::RawTrajectory raw =
         traj::ToRawTrajectory(net, truth.value(), 30.0, &rng);
     auto hmm_match = hmm.Match(raw);
-    auto greedy_match = greedy.Match(raw);
+    const std::vector<roadnet::PointPosition> greedy_match =
+        GreedyMatch(index, raw);
     ASSERT_TRUE(hmm_match.ok());
-    ASSERT_TRUE(greedy_match.ok());
+    ASSERT_EQ(greedy_match.size(), raw.points.size());
     for (size_t i = 0; i < raw.points.size(); ++i) {
       const geo::GeoPoint expected =
           net.PositionToPoint(truth.value().points[i].position);
       hmm_error += geo::HaversineMeters(
           net.PositionToPoint(hmm_match.value().points[i].position),
           expected);
-      greedy_error += geo::HaversineMeters(
-          net.PositionToPoint(greedy_match.value().points[i].position),
-          expected);
+      greedy_error +=
+          geo::HaversineMeters(net.PositionToPoint(greedy_match[i]), expected);
       ++points;
     }
   }
   // Viterbi uses route continuity that the greedy matcher ignores.
   EXPECT_LE(hmm_error / points, greedy_error / points + 1.0);
-}
-
-TEST(GreedyMatcher, RejectsEmptyAndFarInput) {
-  Rng rng(42);
-  roadnet::CityGridOptions options;
-  const roadnet::RoadNetwork net = roadnet::GenerateCityGrid(options, &rng);
-  const roadnet::SegmentIndex index(net);
-  mapmatch::GreedyOptions greedy_options;
-  greedy_options.radius_doublings = 0;
-  greedy_options.candidate_radius_m = 30.0;
-  const mapmatch::GreedyMapMatcher greedy(index, greedy_options);
-  EXPECT_FALSE(greedy.Match(traj::RawTrajectory{}).ok());
-  traj::RawTrajectory far;
-  far.points.push_back({{0.0, 0.0}, 0.0});
-  EXPECT_FALSE(greedy.Match(far).ok());
 }
 
 // -------------------------------------------- federated trainer plumbing

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/finite.h"
 #include "nn/flops.h"
@@ -152,6 +154,145 @@ TEST(Ops, CandidateLogitsMatchesFullProjection) {
   EXPECT_NEAR(sparse(0, 0), full(0, 1), 1e-12);
   EXPECT_NEAR(sparse(0, 1), full(0, 3), 1e-12);
   EXPECT_NEAR(sparse(0, 2), full(0, 6), 1e-12);
+}
+
+// The serial loops CandidateLogits ran before its blocked rewrite, kept
+// as the bitwise reference: the forward of every candidate k, then the
+// backward adding upstream `g` into the given grads in k order.
+Matrix ReferenceCandidateForward(const Matrix& h, const Matrix& w,
+                                 const Matrix& b,
+                                 const std::vector<int>& candidates) {
+  Matrix out(1, candidates.size());
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    const auto cls = static_cast<size_t>(candidates[k]);
+    Scalar acc = b(0, cls);
+    for (size_t i = 0; i < h.cols(); ++i) acc += h(0, i) * w(i, cls);
+    out(0, k) = acc;
+  }
+  return out;
+}
+
+void ReferenceCandidateBackward(const Matrix& h, const Matrix& w,
+                                const std::vector<int>& candidates,
+                                const Matrix& g, Matrix* hg, Matrix* wg,
+                                Matrix* bg) {
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    if (g(0, k) == Scalar{0}) continue;
+    const auto cls = static_cast<size_t>(candidates[k]);
+    if (hg != nullptr) {
+      for (size_t i = 0; i < h.cols(); ++i) (*hg)(0, i) += g(0, k) * w(i, cls);
+    }
+    if (wg != nullptr) {
+      for (size_t i = 0; i < h.cols(); ++i) (*wg)(i, cls) += g(0, k) * h(0, i);
+    }
+    if (bg != nullptr) (*bg)(0, cls) += g(0, k);
+  }
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0;
+}
+
+// Runs CandidateLogits' backward closure with upstream `g` on grads that
+// start at `seed` values (so the accumulation order shows in the bits).
+void RunCandidateBackward(const Tensor& logits, const Matrix& g) {
+  TensorNode& node = *logits.node();
+  ASSERT_TRUE(node.backward_fn);
+  node.grad = g;
+  node.backward_fn(node);
+}
+
+struct CandidateCase {
+  size_t hidden = 0;
+  std::vector<int> candidates;
+  Matrix upstream;
+  bool h_trains = true;
+  bool w_trains = true;
+};
+
+// Checks forward values and every grad against the reference, bitwise.
+void ExpectCandidateLogitsMatchReference(const CandidateCase& c, Rng* rng) {
+  const size_t classes = 61;
+  const Matrix hv = Matrix::RandomUniform(1, c.hidden, 1.0, rng);
+  const Matrix wv = Matrix::RandomUniform(c.hidden, classes, 1.0, rng);
+  const Matrix bv = Matrix::RandomUniform(1, classes, 1.0, rng);
+  const Tensor h = c.h_trains ? Tensor::Variable(hv) : Tensor::Constant(hv);
+  const Tensor w = c.w_trains ? Tensor::Variable(wv) : Tensor::Constant(wv);
+  const Tensor b = Tensor::Variable(bv);
+  // Nonzero starting grads, as after an earlier op's backward.
+  Matrix hg = Matrix::RandomUniform(1, c.hidden, 1.0, rng);
+  Matrix wg = Matrix::RandomUniform(c.hidden, classes, 1.0, rng);
+  Matrix bg = Matrix::RandomUniform(1, classes, 1.0, rng);
+  if (c.h_trains) h.grad() = hg;
+  if (c.w_trains) w.grad() = wg;
+  b.grad() = bg;
+
+  const Tensor logits = CandidateLogits(h, w, b, c.candidates);
+  ASSERT_TRUE(SameBits(logits.value(),
+                       ReferenceCandidateForward(hv, wv, bv, c.candidates)))
+      << "hidden " << c.hidden << ", " << c.candidates.size() << " candidates";
+  RunCandidateBackward(logits, c.upstream);
+  ReferenceCandidateBackward(hv, wv, c.candidates, c.upstream,
+                             c.h_trains ? &hg : nullptr,
+                             c.w_trains ? &wg : nullptr, &bg);
+  // A constant input keeps no grad at all.
+  EXPECT_TRUE(c.h_trains ? SameBits(h.grad_or_empty(), hg)
+                         : h.grad_or_empty().empty());
+  EXPECT_TRUE(c.w_trains ? SameBits(w.grad_or_empty(), wg)
+                         : w.grad_or_empty().empty());
+  EXPECT_TRUE(SameBits(b.grad_or_empty(), bg));
+}
+
+TEST(Ops, CandidateLogitsMatchesSerialReferenceBitwise) {
+  Rng rng(7);
+  for (const size_t hidden : {1, 3, 4, 5, 32, 33, 48}) {
+    for (const size_t count : {1, 2, 3, 4, 5, 7, 8, 32, 33}) {
+      CandidateCase c;
+      c.hidden = hidden;
+      for (size_t k = 0; k < count; ++k) {
+        c.candidates.push_back(static_cast<int>(rng.UniformInt(0, 60)));
+      }
+      // Repeated ids: the grads of a repeated column sum in k order.
+      if (count >= 3) c.candidates[count - 1] = c.candidates[0];
+      c.upstream = Matrix::RandomUniform(1, count, 1.0, &rng);
+      if (count >= 2) c.upstream(0, 1) = 0.0;  // an upstream zero is skipped
+      ExpectCandidateLogitsMatchReference(c, &rng);
+      c.h_trains = false;
+      ExpectCandidateLogitsMatchReference(c, &rng);
+      c.h_trains = true;
+      c.w_trains = false;
+      ExpectCandidateLogitsMatchReference(c, &rng);
+    }
+  }
+}
+
+TEST(Ops, CandidateLogitsAllZeroUpstreamLeavesGradsUnallocated) {
+  Rng rng(8);
+  const Tensor h = Tensor::Variable(Matrix::RandomUniform(1, 5, 1.0, &rng));
+  const Tensor w = Tensor::Variable(Matrix::RandomUniform(5, 9, 1.0, &rng));
+  const Tensor b = Tensor::Variable(Matrix::RandomUniform(1, 9, 1.0, &rng));
+  const Tensor logits = CandidateLogits(h, w, b, {8, 0, 3, 3, 5});
+  RunCandidateBackward(logits, Matrix::Zeros(1, 5));
+  EXPECT_TRUE(h.grad_or_empty().empty());
+  EXPECT_TRUE(w.grad_or_empty().empty());
+  EXPECT_TRUE(b.grad_or_empty().empty());
+}
+
+TEST(Ops, CandidateLogitsUnderNoGradScopeRecordsNothing) {
+  Rng rng(9);
+  const Matrix hv = Matrix::RandomUniform(1, 33, 1.0, &rng);
+  const Matrix wv = Matrix::RandomUniform(33, 40, 1.0, &rng);
+  const Matrix bv = Matrix::RandomUniform(1, 40, 1.0, &rng);
+  const std::vector<int> candidates = {39, 1, 2, 3, 4, 5, 1};
+  NoGradScope no_grad;
+  const Tensor logits =
+      CandidateLogits(Tensor::Variable(hv), Tensor::Variable(wv),
+                      Tensor::Variable(bv), candidates);
+  EXPECT_FALSE(logits.requires_grad());
+  EXPECT_FALSE(logits.node()->backward_fn);
+  EXPECT_TRUE(SameBits(logits.value(),
+                       ReferenceCandidateForward(hv, wv, bv, candidates)));
 }
 
 TEST(Ops, Im2RowCausalLayout) {

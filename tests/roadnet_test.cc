@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "roadnet/generators.h"
@@ -350,6 +354,61 @@ TEST(SegmentIndexOracle, NearbyMatchesOracleBitwise) {
         test_util::ExpectSameCandidates(index.Nearby(p, radius),
                                         oracle.Nearby(p, radius));
       }
+      // The encoder's gap-scaled radii (up to 2 km), from points up to
+      // ~3 km outside the grid, whose cells clamp to the border.
+      for (int trial = 0; trial < 200; ++trial) {
+        const geo::GeoPoint p = RandomPoint(net, 0.03, &pick);
+        const double radius = pick.Uniform(500.0, 2000.0);
+        test_util::ExpectSameCandidates(index.Nearby(p, radius),
+                                        oracle.Nearby(p, radius));
+      }
+    }
+  }
+}
+
+// Points where the order or the membership of hits is decided by a tie
+// or by one ulp: on street midlines (both directed twins of a street at
+// the same distance) and straight north/south/east/west of a segment's
+// ends, queried at exactly their distance to that segment and one ulp
+// either side (the `<=` test and the box bound's edge).
+TEST(SegmentIndexOracle, NearbyMatchesOracleOnTiesAndRadiusEdges) {
+  Rng pick(63);
+  for (const RoadNetwork& net : OracleCities()) {
+    const SegmentIndex index(net);
+    const test_util::OracleIndex oracle(net);
+    for (SegmentId e = 0; e < net.num_segments(); ++e) {
+      const Segment& seg = net.segment(e);
+      const geo::LocalProjection plane(net.vertex(seg.from).position);
+      const auto b = plane.ToXy(net.vertex(seg.to).position);
+      const double len = std::hypot(b.x, b.y);
+      for (const double along : {0.25, 0.5, 0.75}) {
+        for (const double offset : {0.0, 10.0, 37.5}) {
+          const geo::GeoPoint p =
+              plane.FromXy({along * b.x - offset * b.y / len,
+                            along * b.y + offset * b.x / len});
+          const double radius = pick.Uniform(50.0, 800.0);
+          test_util::ExpectSameCandidates(index.Nearby(p, radius),
+                                          oracle.Nearby(p, radius));
+        }
+      }
+      for (const geo::GeoPoint& end :
+           {net.vertex(seg.from).position, net.vertex(seg.to).position}) {
+        const geo::LocalProjection local(end);
+        const double d = pick.Uniform(20.0, 300.0);
+        using Xy = geo::LocalProjection::Xy;
+        for (const Xy step :
+             {Xy{0.0, d}, Xy{0.0, -d}, Xy{d, 0.0}, Xy{-d, 0.0}}) {
+          const geo::GeoPoint p = local.FromXy(step);
+          const double exact = test_util::OracleProject(net, e, p).distance_m;
+          const double up = std::numeric_limits<double>::infinity();
+          for (const double radius : {exact, std::nextafter(exact, 0.0),
+                                      std::nextafter(exact, up)}) {
+            if (radius <= 0.0) continue;  // p lies on the segment
+            test_util::ExpectSameCandidates(index.Nearby(p, radius),
+                                            oracle.Nearby(p, radius));
+          }
+        }
+      }
     }
   }
 }
@@ -380,6 +439,121 @@ TEST(SegmentIndexOracle, HugeRadiusReturnsEverySegmentNearestFirst) {
         << radius;
     EXPECT_NEAR(candidates.front().projection.distance_m, 0.0, 1e-6) << radius;
   }
+}
+
+// VertexRoute as it was before it shared DijkstraEngine's search: fresh
+// arrays and a std::priority_queue on every call. The differential
+// reference for the reused-array search.
+Result<std::vector<SegmentId>> OracleVertexRoute(const RoadNetwork& network,
+                                                 VertexId u, VertexId v) {
+  if (u == v) return std::vector<SegmentId>{};
+  std::vector<double> dist(network.num_vertices(), kUnreachable);
+  std::vector<SegmentId> parent_segment(network.num_vertices(),
+                                        kInvalidSegment);
+  dist[u] = 0.0;
+  using Entry = std::pair<double, VertexId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  heap.push({0.0, u});
+  while (!heap.empty()) {
+    auto [d, x] = heap.top();
+    heap.pop();
+    if (x == v) break;
+    if (d > dist[x]) continue;
+    for (SegmentId e : network.OutSegments(x)) {
+      const Segment& seg = network.segment(e);
+      const double nd = d + seg.length_m;
+      if (nd < dist[seg.to]) {
+        dist[seg.to] = nd;
+        parent_segment[seg.to] = e;
+        heap.push({nd, seg.to});
+      }
+    }
+  }
+  if (dist[v] == kUnreachable) {
+    return Status::NotFound("no directed route between vertices");
+  }
+  std::vector<SegmentId> route;
+  for (VertexId x = v; x != u;) {
+    const SegmentId e = parent_segment[x];
+    route.push_back(e);
+    x = network.segment(e).from;
+  }
+  std::reverse(route.begin(), route.end());
+  return route;
+}
+
+// A lattice whose blocks are all exactly 100 m, with a few one-way and
+// missing streets: equal-distance ties between vertices everywhere, so
+// the settle order among ties decides which of several equal routes
+// wins.
+RoadNetwork TieLattice() {
+  RoadNetwork net;
+  const geo::LocalProjection plane({39.9, 116.4});
+  const int32_t n = 7;
+  for (int32_t r = 0; r < n; ++r) {
+    for (int32_t c = 0; c < n; ++c) {
+      net.AddVertex(plane.FromXy({100.0 * c, 100.0 * r}));
+    }
+  }
+  for (int32_t r = 0; r < n; ++r) {
+    for (int32_t c = 0; c < n; ++c) {
+      const VertexId v = r * n + c;
+      if (c + 1 < n && (r + c) % 5 != 3) {
+        net.AddSegment(v, v + 1, 100.0);
+        if ((r * c) % 7 != 4) net.AddSegment(v + 1, v, 100.0);
+      }
+      if (r + 1 < n) {
+        net.AddSegment(v, v + n, 100.0);
+        net.AddSegment(v + n, v, 100.0);
+      }
+    }
+  }
+  net.Finalize();
+  return net;
+}
+
+void ExpectSameRoutes(const RoadNetwork& net, VertexId u, VertexId v) {
+  const auto got = VertexRoute(net, u, v);
+  const auto want = OracleVertexRoute(net, u, v);
+  ASSERT_EQ(got.ok(), want.ok()) << u << " -> " << v;
+  if (got.ok()) {
+    EXPECT_EQ(got.value(), want.value()) << u << " -> " << v;
+  }
+}
+
+TEST(RouteOracle, EveryVertexPairMatchesFreshArraySearch) {
+  std::vector<RoadNetwork> cities = OracleCities();
+  cities.push_back(TieLattice());
+  for (const RoadNetwork& net : cities) {
+    for (VertexId u = 0; u < net.num_vertices(); ++u) {
+      for (VertexId v = 0; v < net.num_vertices(); ++v) {
+        ExpectSameRoutes(net, u, v);
+      }
+    }
+  }
+}
+
+TEST(RouteOracle, SearchesSurviveStampWrapAround) {
+  // The reused labels carry 16-bit stamps, so any 65,535 consecutive
+  // searches cross one wrap-around. A search that labels the whole
+  // lattice from a corner is followed by 65,535 small ones; without the
+  // reset on wrap-around its stale labels would be current again in the
+  // search after them.
+  const RoadNetwork net = TieLattice();
+  const VertexId corner = 0;
+  const VertexId far = net.num_vertices() - 1;
+  const VertexId mid = net.num_vertices() / 2;
+  DijkstraEngine engine(net);
+  ASSERT_EQ(engine.Distance(corner, far), VertexDistance(net, corner, far));
+  for (int32_t i = 0; i < 65535; ++i) (void)engine.Distance(mid, mid + 1);
+  EXPECT_EQ(engine.Distance(far, corner), VertexDistance(net, far, corner));
+  // The same for this thread's VertexRoute labels, from whatever stamp
+  // earlier searches left them at.
+  ExpectSameRoutes(net, corner, far);
+  for (int32_t i = 0; i < 65535; ++i) {
+    ASSERT_TRUE(VertexRoute(net, mid, mid + 1).ok());
+  }
+  ExpectSameRoutes(net, far, corner);
 }
 
 }  // namespace

@@ -6,14 +6,13 @@
 //
 // Methods: fc | rnn | mtrajrec | rntrajrec | lighttr | centralized
 // Datasets: geolife | tdrive
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/parse_number.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "eval/harness.h"
@@ -24,33 +23,6 @@
 namespace {
 
 using namespace lighttr;
-
-// Strict numeric parsing: unlike atof/atoi, a malformed value falls
-// back to Usage() instead of silently becoming 0.
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0';
-}
-
-bool ParseInt(const std::string& text, long long* out) {
-  char* end = nullptr;
-  *out = std::strtoll(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
-}
-
-// Seeds span the full unsigned 64-bit range and nothing else: a sign
-// (which strtoull would wrap) or an out-of-range value is an error, not
-// a different seed.
-bool ParseSeed(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
 
 // Minimal --key=value parser (no external flag library).
 std::string FlagValue(int argc, char** argv, const std::string& key,
@@ -163,65 +135,58 @@ int main(int argc, char** argv) {
   double fraction = 0.0;
   double quarantine_threshold = 0.0;
   double clip_norm = 0.0;
-  long long clients_ll = 0;
-  long long rounds_ll = 0;
-  long long epochs_ll = 0;
-  long long traj_ll = 0;
-  long long grid_ll = 0;
+  int64_t clients_in = 0;
+  int64_t rounds_in = 0;
+  int64_t epochs_in = 0;
+  int64_t traj_in = 0;
+  int64_t grid_in = 0;
   uint64_t seed = 0;
-  long long checkpoint_every_ll = 0;
-  long long threads_ll = 0;
-  long long max_rollbacks_ll = 0;
+  int64_t checkpoint_every_in = 0;
+  int64_t threads_in = 0;
+  int64_t max_rollbacks_in = 0;
   double net_drop = 0.0;
   double net_corrupt = 0.0;
   double net_delay = 0.0;
   double net_dup = 0.0;
   double net_reorder = 0.0;
   double net_truncate = 0.0;
-  long long net_retries_ll = 0;
+  int64_t net_retries_in = 0;
   uint64_t net_seed = 0;
   double byzantine_fraction = 0.0;
   double adversary_scale = 0.0;
-  long long adversary_count_ll = 0;
-  long long adversary_start_ll = 0;
+  int64_t adversary_count_in = 0;
+  int64_t adversary_start_in = 0;
   uint64_t adversary_seed = 0;
-  if (!ParseDouble(FlagValue(argc, argv, "keep", "0.125"), &keep) ||
-      !ParseDouble(FlagValue(argc, argv, "lr", "0.003"), &lr) ||
-      !ParseDouble(FlagValue(argc, argv, "fraction", "1.0"), &fraction) ||
-      !ParseInt(FlagValue(argc, argv, "clients", "8"), &clients_ll) ||
-      !ParseInt(FlagValue(argc, argv, "rounds", "5"), &rounds_ll) ||
-      !ParseInt(FlagValue(argc, argv, "epochs", "2"), &epochs_ll) ||
-      !ParseInt(FlagValue(argc, argv, "traj-per-client", "20"), &traj_ll) ||
-      !ParseInt(FlagValue(argc, argv, "grid", "9"), &grid_ll) ||
-      !ParseSeed(FlagValue(argc, argv, "seed", "42"), &seed) ||
-      !ParseInt(FlagValue(argc, argv, "checkpoint-every", "1"),
-                &checkpoint_every_ll) ||
-      !ParseInt(FlagValue(argc, argv, "threads", "0"), &threads_ll) ||
-      !ParseDouble(FlagValue(argc, argv, "quarantine-threshold", "0.6"),
-                   &quarantine_threshold) ||
-      !ParseDouble(FlagValue(argc, argv, "clip-norm", "0"), &clip_norm) ||
-      !ParseInt(FlagValue(argc, argv, "max-rollbacks", "3"),
-                &max_rollbacks_ll) ||
-      !ParseDouble(FlagValue(argc, argv, "net-drop", "0"), &net_drop) ||
-      !ParseDouble(FlagValue(argc, argv, "net-corrupt", "0"), &net_corrupt) ||
-      !ParseDouble(FlagValue(argc, argv, "net-delay", "0"), &net_delay) ||
-      !ParseDouble(FlagValue(argc, argv, "net-dup", "0"), &net_dup) ||
-      !ParseDouble(FlagValue(argc, argv, "net-reorder", "0"), &net_reorder) ||
-      !ParseDouble(FlagValue(argc, argv, "net-truncate", "0"),
-                   &net_truncate) ||
-      !ParseInt(FlagValue(argc, argv, "net-retries", "3"), &net_retries_ll) ||
-      !ParseSeed(FlagValue(argc, argv, "net-seed", "1592639710"),
-                 &net_seed) ||
-      !ParseDouble(FlagValue(argc, argv, "byzantine-fraction", "0.25"),
-                   &byzantine_fraction) ||
-      !ParseDouble(FlagValue(argc, argv, "adversary-scale", "10"),
-                   &adversary_scale) ||
-      !ParseInt(FlagValue(argc, argv, "adversary-count", "0"),
-                &adversary_count_ll) ||
-      !ParseInt(FlagValue(argc, argv, "adversary-start", "1"),
-                &adversary_start_ll) ||
-      !ParseSeed(FlagValue(argc, argv, "adversary-seed", "2915761665"),
-                 &adversary_seed)) {
+  // Every number goes through the strict parser for its variable's type.
+  const auto number = [argc, argv](const char* key, const char* fallback,
+                                   auto* out) {
+    return ParseNumber(FlagValue(argc, argv, key, fallback), out);
+  };
+  if (!number("keep", "0.125", &keep) || !number("lr", "0.003", &lr) ||
+      !number("fraction", "1.0", &fraction) ||
+      !number("clients", "8", &clients_in) ||
+      !number("rounds", "5", &rounds_in) ||
+      !number("epochs", "2", &epochs_in) ||
+      !number("traj-per-client", "20", &traj_in) ||
+      !number("grid", "9", &grid_in) || !number("seed", "42", &seed) ||
+      !number("checkpoint-every", "1", &checkpoint_every_in) ||
+      !number("threads", "0", &threads_in) ||
+      !number("quarantine-threshold", "0.6", &quarantine_threshold) ||
+      !number("clip-norm", "0", &clip_norm) ||
+      !number("max-rollbacks", "3", &max_rollbacks_in) ||
+      !number("net-drop", "0", &net_drop) ||
+      !number("net-corrupt", "0", &net_corrupt) ||
+      !number("net-delay", "0", &net_delay) ||
+      !number("net-dup", "0", &net_dup) ||
+      !number("net-reorder", "0", &net_reorder) ||
+      !number("net-truncate", "0", &net_truncate) ||
+      !number("net-retries", "3", &net_retries_in) ||
+      !number("net-seed", "1592639710", &net_seed) ||
+      !number("byzantine-fraction", "0.25", &byzantine_fraction) ||
+      !number("adversary-scale", "10", &adversary_scale) ||
+      !number("adversary-count", "0", &adversary_count_in) ||
+      !number("adversary-start", "1", &adversary_start_in) ||
+      !number("adversary-seed", "2915761665", &adversary_seed)) {
     return Usage();
   }
   // Strict spellings: an unknown aggregation rule or attack name is a
@@ -248,32 +213,32 @@ int main(int argc, char** argv) {
   // a value past INT_MAX is rejected rather than wrapped into another
   // experiment.
   const auto valid_rate = [](double rate) { return rate >= 0.0 && rate < 1.0; };
-  const auto valid_int = [](long long value, long long min) {
+  const auto valid_int = [](int64_t value, int64_t min) {
     return value >= min && value <= INT_MAX;
   };
   const bool valid =
       keep > 0.0 && keep <= 1.0 && lr > 0.0 && fraction > 0.0 &&
-      fraction <= 1.0 && valid_int(clients_ll, 1) && valid_int(rounds_ll, 1) &&
-      valid_int(epochs_ll, 1) && valid_int(traj_ll, 1) &&
-      valid_int(grid_ll, 3) && valid_int(checkpoint_every_ll, 1) &&
-      valid_int(threads_ll, 0) && quarantine_threshold > 0.0 &&
+      fraction <= 1.0 && valid_int(clients_in, 1) && valid_int(rounds_in, 1) &&
+      valid_int(epochs_in, 1) && valid_int(traj_in, 1) &&
+      valid_int(grid_in, 3) && valid_int(checkpoint_every_in, 1) &&
+      valid_int(threads_in, 0) && quarantine_threshold > 0.0 &&
       quarantine_threshold <= 1.0 && clip_norm >= 0.0 &&
-      valid_int(max_rollbacks_ll, 0) && valid_rate(net_drop) &&
+      valid_int(max_rollbacks_in, 0) && valid_rate(net_drop) &&
       valid_rate(net_corrupt) && valid_rate(net_delay) &&
       valid_rate(net_dup) && valid_rate(net_reorder) &&
-      valid_rate(net_truncate) && valid_int(net_retries_ll, 0) &&
+      valid_rate(net_truncate) && valid_int(net_retries_in, 0) &&
       byzantine_fraction >= 0.0 && byzantine_fraction < 1.0 &&
-      adversary_scale > 0.0 && valid_int(adversary_count_ll, 0) &&
-      adversary_count_ll <= clients_ll && valid_int(adversary_start_ll, 1);
+      adversary_scale > 0.0 && valid_int(adversary_count_in, 0) &&
+      adversary_count_in <= clients_in && valid_int(adversary_start_in, 1);
   if (!valid) return Usage();
-  const int clients_n = static_cast<int>(clients_ll);
-  const int rounds = static_cast<int>(rounds_ll);
-  const int epochs = static_cast<int>(epochs_ll);
-  const int traj_per_client = static_cast<int>(traj_ll);
-  const int grid = static_cast<int>(grid_ll);
-  const int checkpoint_every = static_cast<int>(checkpoint_every_ll);
-  const int threads = static_cast<int>(threads_ll);
-  const int max_rollbacks = static_cast<int>(max_rollbacks_ll);
+  const int clients_n = static_cast<int>(clients_in);
+  const int rounds = static_cast<int>(rounds_in);
+  const int epochs = static_cast<int>(epochs_in);
+  const int traj_per_client = static_cast<int>(traj_in);
+  const int grid = static_cast<int>(grid_in);
+  const int checkpoint_every = static_cast<int>(checkpoint_every_in);
+  const int threads = static_cast<int>(threads_in);
+  const int max_rollbacks = static_cast<int>(max_rollbacks_in);
   nn::KernelMode kernel_mode;
   if (!nn::ParseKernelMode(FlagValue(argc, argv, "kernel", "auto"),
                            &kernel_mode)) {
@@ -338,7 +303,7 @@ int main(int argc, char** argv) {
                    "note: --checkpoint-dir only applies to federated "
                    "methods; ignoring it for --method=centralized\n");
     }
-    if (adversary_count_ll > 0 || aggregation != fl::AggregatorPolicy::kMean) {
+    if (adversary_count_in > 0 || aggregation != fl::AggregatorPolicy::kMean) {
       std::fprintf(stderr,
                    "note: --adversary-*/--aggregation only apply to "
                    "federated methods; ignoring them for "
@@ -371,13 +336,13 @@ int main(int argc, char** argv) {
     options.fed.transport.channel.reorder_rate = net_reorder;
     options.fed.transport.channel.truncate_rate = net_truncate;
     options.fed.transport.retry.max_retries =
-        static_cast<int>(net_retries_ll);
+        static_cast<int>(net_retries_in);
     options.fed.tolerance.aggregator.policy = aggregation;
     options.fed.tolerance.aggregator.byzantine_fraction = byzantine_fraction;
     options.fed.tolerance.aggregator.exclude_suspected = exclude_suspected;
-    options.fed.adversary.num_attackers = static_cast<int>(adversary_count_ll);
+    options.fed.adversary.num_attackers = static_cast<int>(adversary_count_in);
     options.fed.adversary.attack = adversary_attack;
-    options.fed.adversary.start_round = static_cast<int>(adversary_start_ll);
+    options.fed.adversary.start_round = static_cast<int>(adversary_start_in);
     options.fed.adversary.ascent_scale = adversary_scale;
     options.fed.adversary.seed = adversary_seed;
     options.teacher.learning_rate = lr;
@@ -418,13 +383,13 @@ int main(int argc, char** argv) {
   }
   // Attack/defense telemetry: shown whenever either side is in play so
   // a defended-vs-undefended pair of runs prints comparable tables.
-  if (!centralized && (adversary_count_ll > 0 ||
+  if (!centralized && (adversary_count_in > 0 ||
                        aggregation != fl::AggregatorPolicy::kMean)) {
     table.AddRow({"Aggregation", fl::AggregatorPolicyName(aggregation)});
-    if (adversary_count_ll > 0) {
+    if (adversary_count_in > 0) {
       table.AddRow({"Attack", fl::AttackTypeName(adversary_attack)});
       table.AddRow({"Attackers",
-                    std::to_string(static_cast<int>(adversary_count_ll))});
+                    std::to_string(static_cast<int>(adversary_count_in))});
     }
     table.AddRow({"Poisoned uploads",
                   std::to_string(result.run.faults.poisoned_uploads)});

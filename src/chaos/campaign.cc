@@ -544,48 +544,25 @@ ShrinkOutcome ShrinkScenario(const ChaosScenario& failing,
     current = candidate;
   }
 
-  // Rates: try zero outright, else halve a few times.
-  using FieldFn = double* (*)(ChaosScenario*);
-  const auto shrink_rate = [&](FieldFn field) {
-    if (*field(&current) <= 0.0) return;
+  // Rates of the enabled axes, in repro order: try zero outright, else
+  // halve a few times. No candidate toggles an axis, so the i-th enabled
+  // rate is the same field in every candidate.
+  const size_t num_rates = EnabledRates(&current).size();
+  for (size_t i = 0; i < num_rates; ++i) {
+    const auto rate = [i](ChaosScenario* c) { return EnabledRates(c)[i]; };
+    if (*rate(&current) <= 0.0) continue;
     ChaosScenario zeroed = current;
-    *field(&zeroed) = 0.0;
+    *rate(&zeroed) = 0.0;
     if (still_fails(zeroed)) {
       current = zeroed;
-      return;
+      continue;
     }
-    for (int i = 0; i < 4; ++i) {
+    for (int halving = 0; halving < 4; ++halving) {
       ChaosScenario halved = current;
-      *field(&halved) = *field(&current) / 2.0;
+      *rate(&halved) = *rate(&current) / 2.0;
       if (!still_fails(halved)) break;
       current = halved;
     }
-  };
-  std::vector<FieldFn> rate_fields;
-  if (current.storage_on) {
-    rate_fields.push_back([](ChaosScenario* c) { return &c->storage.enospc_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->storage.rename_fail_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->storage.read_bitrot_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->storage.tmp_litter_rate; });
-  }
-  if (current.net_on) {
-    rate_fields.push_back([](ChaosScenario* c) { return &c->net.drop_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->net.duplicate_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->net.reorder_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->net.corrupt_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->net.truncate_rate; });
-    rate_fields.push_back([](ChaosScenario* c) { return &c->net.delay_rate; });
-  }
-  if (current.client_faults_on) {
-    rate_fields.push_back(
-        [](ChaosScenario* c) { return &c->client_faults.dropout_rate; });
-    rate_fields.push_back(
-        [](ChaosScenario* c) { return &c->client_faults.straggler_rate; });
-    rate_fields.push_back(
-        [](ChaosScenario* c) { return &c->client_faults.corruption_rate; });
-  }
-  for (FieldFn field : rate_fields) {
-    shrink_rate(field);
   }
   if (current.storage_on && current.storage.lose_unsynced_on_crash) {
     ChaosScenario kind = current;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/env.h"
 #include "common/rng.h"
@@ -90,6 +91,12 @@ struct ChaosScenario {
 /// parameters.
 int AxisCount(const ChaosScenario& scenario);
 
+/// Pointers into `scenario` to the fault rates of its enabled axes
+/// (storage, network, client faults), in repro order: what the shrinker
+/// drives toward zero. Which fields it returns depends only on which
+/// axes are on.
+std::vector<double*> EnabledRates(ChaosScenario* scenario);
+
 /// Serializes to the flat repro grammar, e.g.
 ///   seed=7 rounds=4 clients=3 threads=1 fraction=1 quorum=0.25
 ///   healing=0 storage=1 storage.rename=0.2 ... crash=0 plant=leak-tmp
@@ -98,8 +105,9 @@ int AxisCount(const ChaosScenario& scenario);
 /// (doubles use shortest-round-trip formatting).
 std::string FormatRepro(const ChaosScenario& scenario);
 
-/// Parses the FormatRepro grammar. Unknown keys, malformed numbers, and
-/// out-of-range values yield InvalidArgument.
+/// Parses the FormatRepro grammar. Unknown keys, malformed numbers (see
+/// common/parse_number.h: a seed is digits only), and out-of-range
+/// values yield InvalidArgument.
 [[nodiscard]] Result<ChaosScenario> ParseRepro(const std::string& text);
 
 /// Draws one random scenario from `rng`, each axis enabled with

@@ -270,10 +270,9 @@ void FederatedTrainer::SweepTempFiles() {
   }
 }
 
-Status FederatedTrainer::SaveSnapshot(int round,
-                                      const FederatedRunResult& result) {
+Status FederatedTrainer::SaveSnapshot(const ServerRunState& state) {
   const DurabilityConfig& durability = options_.durability;
-  const ServerRunState state = CaptureState(round, result);
+  const int round = state.round;
   const std::string path = SnapshotPath(durability.dir, round);
   FileSystem* fs = DurableFs();
   if (durability.crash_point == CrashPoint::kMidSave &&
@@ -751,37 +750,34 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         ++lifetime_.diverged_rounds;
         escalated_ = true;
         const int anchor = last_healthy_->round;
+        const bool roll_back =
+            lifetime_.rollbacks < options_.healing.max_rollbacks;
         std::fprintf(stderr,
                      "[lighttr] round %d diverged (%s%s%s); %s round %d\n",
                      round, report.global_nonfinite ? "non-finite model " : "",
                      report.loss_nonfinite ? "non-finite loss " : "",
                      report.loss_spike ? "validation-loss spike" : "",
-                     lifetime_.rollbacks < options_.healing.max_rollbacks
-                         ? "rolling back to"
-                         : "rollback budget exhausted; stopping at",
+                     roll_back ? "rolling back to"
+                               : "rollback budget exhausted; stopping at",
                      anchor);
-        if (lifetime_.rollbacks < options_.healing.max_rollbacks) {
+        if (roll_back) {
           ++lifetime_.rollbacks;
-          LIGHTTR_CHECK_OK(
-              RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
-          result.comm = last_healthy_->comm;
-          result.faults = last_healthy_->faults;
-          CopyLifetimeCounters(lifetime_, &result.faults);
-          // The diverged round is neither recorded nor snapshotted: it
-          // re-executes (with escalation and the updated ledger) as if
-          // it never happened.
-          round = anchor;
-          continue;
+        } else {
+          result.gave_up = true;
         }
-        // Budget exhausted: park the run at its last healthy state so
-        // the caller still gets a finite model.
-        result.gave_up = true;
+        // Either way the run rewinds to its last healthy state. A
+        // rollback re-executes the diverged round from there (with
+        // escalation and the updated ledger) as if it never happened, so
+        // it is neither recorded nor snapshotted; an exhausted budget
+        // parks the run there so the caller still gets a finite model.
         LIGHTTR_CHECK_OK(
             RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
         result.comm = last_healthy_->comm;
         result.faults = last_healthy_->faults;
         CopyLifetimeCounters(lifetime_, &result.faults);
-        break;
+        if (!roll_back) break;
+        round = anchor;
+        continue;
       }
       // Committed round: advance quarantine clocks (the quarantining
       // round's tick counts toward parole).
@@ -804,7 +800,10 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // attributed to the storage counter. (A real deployment pages an
       // operator; aborting training over a full disk would be worse.)
       MaybeInjectCrash(durability, CrashPoint::kBeforeSave, round);
-      const Status saved = SaveSnapshot(round, result);
+      // Nothing has changed since the rollback anchor was captured, so
+      // with healing on it is this round's snapshot too.
+      const Status saved = healing ? SaveSnapshot(*last_healthy_)
+                                   : SaveSnapshot(CaptureState(round, result));
       if (!saved.ok()) ++lifetime_.storage_write_failures;
       MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
     }

@@ -226,10 +226,9 @@ class FederatedTrainer {
   [[nodiscard]] Status RestoreFromState(const ServerRunState& state,
                                         bool restore_reputation);
 
-  /// Captures full server state after `round` and atomically writes it
-  /// to the snapshot directory, honoring kMidSave crash injection.
-  [[nodiscard]] Status SaveSnapshot(int round,
-                                    const FederatedRunResult& result);
+  /// Atomically writes `state` (from CaptureState) to the snapshot
+  /// directory, honoring kMidSave crash injection.
+  [[nodiscard]] Status SaveSnapshot(const ServerRunState& state);
 
   /// The filesystem durability IO goes through: the configured
   /// `durability.fs`, or the process-wide real one when unset.

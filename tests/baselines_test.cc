@@ -3,6 +3,7 @@
 // keeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -224,6 +225,66 @@ TEST_P(ModelContract, EncodedEntryPointsMatchTrajectoryEntryPoints) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, ModelContract,
                          ::testing::Values(ModelKind::kFc, ModelKind::kRnn,
                                            ModelKind::kMTrajRec,
+                                           ModelKind::kRnTrajRec,
+                                           ModelKind::kLightTr));
+
+// The zero-initialised segment head (MtHead) makes a freshly built
+// masked model recover the Eq. 10 prior: at every missing step, the
+// candidate at the first maximum of that step's log mask. A control that
+// recovers that argmax without a model (ROADMAP item 1) stands in for an
+// untrained model only while this holds.
+class ZeroInitPrior : public BaselinesTest,
+                      public ::testing::WithParamInterface<ModelKind> {};
+
+TEST_P(ZeroInitPrior, UntrainedModelRecoversTheMaskArgmax) {
+  // The default mask's route bonus leads every step by a wide margin.
+  // Without it and the heading term, the directed twins of a street tie,
+  // so the first-maximum rule decides nearly every step.
+  traj::EncoderOptions geometric;
+  geometric.route_prior_bonus = 0.0;
+  geometric.direction_weight = 0.0;
+  const traj::TrajectoryEncoder twins(network_, *index_, geometric);
+  const traj::TrajectoryEncoder* const encoders[] = {encoder_.get(), &twins};
+  for (traj::WorkloadProfile profile :
+       {traj::GeolifeLikeProfile(), traj::TdriveLikeProfile()}) {
+    profile.trajectories_per_client = 8;
+    traj::FederatedWorkloadOptions workload;
+    workload.num_clients = 2;
+    workload.keep_ratio = 0.125;
+    Rng data_rng(71);
+    const std::vector<traj::ClientDataset> clients =
+        traj::GenerateFederatedWorkload(network_, profile, workload,
+                                        &data_rng);
+    for (const traj::TrajectoryEncoder* encoder : encoders) {
+      SCOPED_TRACE(profile.name + (encoder == &twins ? ", twins tie" : ""));
+      Rng rng(72);
+      auto model = MakeFactory(GetParam(), encoder)(&rng);
+      size_t steps = 0;
+      for (const traj::ClientDataset& client : clients) {
+        for (const auto* split : {&client.train, &client.test}) {
+          for (const traj::IncompleteTrajectory& trajectory : *split) {
+            const traj::EncodedTrajectory encoded = encoder->Encode(trajectory);
+            const auto recovered = model->Recover(trajectory);
+            for (size_t k = 0; k < encoded.missing.size(); ++k) {
+              const traj::StepCandidates& step = encoded.candidates[k];
+              const auto first_max = std::max_element(step.log_mask.begin(),
+                                                      step.log_mask.end());
+              ASSERT_EQ(recovered[encoded.missing[k]].segment,
+                        step.segments[static_cast<size_t>(
+                            first_max - step.log_mask.begin())])
+                  << "step " << encoded.missing[k];
+              ++steps;
+            }
+          }
+        }
+      }
+      EXPECT_GT(steps, 200u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaskedKinds, ZeroInitPrior,
+                         ::testing::Values(ModelKind::kMTrajRec,
                                            ModelKind::kRnTrajRec,
                                            ModelKind::kLightTr));
 

@@ -1,8 +1,8 @@
 // Tests for the chaos campaign engine: the flat repro grammar
-// (format/parse round-trip, rejection of malformed input), axis
-// accounting, a clean scenario flowing through the full invariant net,
-// crash-axis firing, and the shrinker reducing the planted hygiene bug
-// to a minimal replayable repro.
+// (format/parse round-trip, rejection of malformed input, the pinned
+// sampling stream), axis and rate accounting, a clean scenario flowing
+// through the full invariant net, crash-axis firing, and the shrinker
+// reducing the planted hygiene bug to a minimal replayable repro.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -45,6 +45,13 @@ ChaosScenario EverythingOnScenario() {
   s.crash_on = true;
   s.crash_point = fl::CrashPoint::kAfterSave;
   s.crash_round = 4;
+  s.adversary_on = true;
+  s.adversary.num_attackers = 2;
+  s.adversary.attack = fl::AttackType::kMinMax;
+  s.adversary.ascent_scale = 12.5;
+  s.adversary.start_round = 3;
+  s.adversary.seed = 99;
+  s.adversary_defended = false;
   s.plant = PlantedBug::kLeakTmp;
   return s;
 }
@@ -87,6 +94,15 @@ void ExpectSameScenario(const ChaosScenario& a, const ChaosScenario& b) {
   if (a.crash_on && b.crash_on) {
     EXPECT_EQ(a.crash_point, b.crash_point);
     EXPECT_EQ(a.crash_round, b.crash_round);
+  }
+  EXPECT_EQ(a.adversary_on, b.adversary_on);
+  if (a.adversary_on && b.adversary_on) {
+    EXPECT_EQ(a.adversary.num_attackers, b.adversary.num_attackers);
+    EXPECT_EQ(a.adversary.attack, b.adversary.attack);
+    EXPECT_EQ(a.adversary.ascent_scale, b.adversary.ascent_scale);
+    EXPECT_EQ(a.adversary.start_round, b.adversary.start_round);
+    EXPECT_EQ(a.adversary.seed, b.adversary.seed);
+    EXPECT_EQ(a.adversary_defended, b.adversary_defended);
   }
   EXPECT_EQ(a.plant, b.plant);
 }
@@ -141,6 +157,11 @@ TEST(ChaosRepro, MalformedInputIsRejected) {
       "seed=7 crash=1 crash.point=sideways",
       "seed=7 rounds=4 crash=1 crash.round=9",  // crash past the run
       "seed=7 rounds",                     // not key=value
+      "seed=-1",                           // a seed is digits only,
+      "seed=+7",                           // never -1 read as 2^64 - 1
+      "seed=7 storage.seed=-3",
+      "seed=7 adversary.seed=-7",
+      "seed=7 quorum=0x1p-2",              // numbers are decimal
   };
   for (const char* text : bad) {
     EXPECT_FALSE(ParseRepro(text).ok()) << "accepted: " << text;
@@ -157,6 +178,57 @@ TEST(ChaosRepro, AxisCountCountsEnabledAxes) {
   s.client_faults_on = true;
   s.crash_on = true;
   EXPECT_EQ(AxisCount(s), 5);
+  s.adversary_on = true;
+  EXPECT_EQ(AxisCount(s), 6);
+}
+
+TEST(ChaosRepro, EnabledRatesAreTheRatesOfEnabledAxesInReproOrder) {
+  ChaosScenario s = EverythingOnScenario();
+  const std::vector<double*> all = {
+      &s.storage.enospc_rate,         &s.storage.rename_fail_rate,
+      &s.storage.read_bitrot_rate,    &s.storage.tmp_litter_rate,
+      &s.net.drop_rate,               &s.net.duplicate_rate,
+      &s.net.reorder_rate,            &s.net.corrupt_rate,
+      &s.net.truncate_rate,           &s.net.delay_rate,
+      &s.client_faults.dropout_rate,  &s.client_faults.straggler_rate,
+      &s.client_faults.corruption_rate};
+  EXPECT_EQ(EnabledRates(&s), all);
+  s.net_on = false;
+  const std::vector<double*> without_net = {
+      &s.storage.enospc_rate,        &s.storage.rename_fail_rate,
+      &s.storage.read_bitrot_rate,   &s.storage.tmp_litter_rate,
+      &s.client_faults.dropout_rate, &s.client_faults.straggler_rate,
+      &s.client_faults.corruption_rate};
+  EXPECT_EQ(EnabledRates(&s), without_net);
+  // quorum is a rate too, but of the run shape, not of an axis.
+  s.storage_on = false;
+  s.client_faults_on = false;
+  EXPECT_TRUE(EnabledRates(&s).empty());
+}
+
+// SampleScenario's draw order is part of the campaign's contract: editing
+// the key list must not move scenario N of any campaign seed. Seed 17's
+// first scenario enables every axis, so it draws and prints every key.
+// The text is what libstdc++'s distributions draw.
+TEST(ChaosRepro, SampledStreamIsPinned) {
+  Rng rng(17);
+  EXPECT_EQ(
+      FormatRepro(SampleScenario(&rng)),
+      "seed=697077185 rounds=4 clients=6 threads=8 fraction=0.8 quorum=0.5 "
+      "healing=1 storage=1 storage.seed=316891497 "
+      "storage.enospc=0.12622392748982475 "
+      "storage.rename=0.07747015917957069 "
+      "storage.bitrot=0.03421385710034637 "
+      "storage.litter=0.07795698271998741 storage.lossy=1 net=1 "
+      "net.drop=0.11086609597457922 net.dup=0.1383257493125286 "
+      "net.reorder=0.06392018584020337 net.corrupt=0.13314545297672267 "
+      "net.truncate=0.04168893098999591 net.delay=0.09789449800928471 "
+      "faults=1 faults.dropout=0.12981166751919257 "
+      "faults.straggler=0.10599414492161321 "
+      "faults.corruption=0.0702258893888188 crash=1 "
+      "crash.point=after-save crash.round=2 adversary=1 adversary.count=2 "
+      "adversary.attack=scaled-ascent adversary.scale=11.389866050225145 "
+      "adversary.start=2 adversary.seed=748391150 adversary.defended=1");
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Unit tests for src/common: Status/Result, Rng, TablePrinter, file IO,
-// CRC-32, bounds-checked binary IO, atomic writes, backoff schedules.
+// CRC-32, bounds-checked binary IO, atomic writes, backoff schedules,
+// strict number parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,14 +8,17 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.h"
 #include "common/binary_io.h"
 #include "common/crc32.h"
 #include "common/env.h"
+#include "common/parse_number.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -480,6 +484,53 @@ TEST(Stopwatch, Monotonic) {
   EXPECT_GE(second, first);
   watch.Reset();
   EXPECT_LT(watch.ElapsedSeconds(), 1.0);
+}
+
+// Each refused string leaves the output as it was.
+template <typename T>
+void ExpectRefused(std::initializer_list<const char*> texts) {
+  for (const char* text : texts) {
+    T value = 42;
+    EXPECT_FALSE(ParseNumber(text, &value)) << "accepted '" << text << "'";
+    EXPECT_EQ(value, T{42}) << text;
+  }
+}
+
+TEST(ParseNumber, UnsignedIsDigitsOnly) {
+  uint64_t value = 0;
+  ASSERT_TRUE(ParseNumber("18446744073709551615", &value));
+  EXPECT_EQ(value, std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(ParseNumber("007", &value));
+  EXPECT_EQ(value, 7u);
+  ExpectRefused<uint64_t>({"", "-1", "+7", "-0", " 7", "7 ", "0x10", "1e3",
+                           "7a", "18446744073709551616"});
+}
+
+TEST(ParseNumber, SignedTakesOneSignThenDigits) {
+  int64_t value = 0;
+  ASSERT_TRUE(ParseNumber("-9223372036854775808", &value));
+  EXPECT_EQ(value, std::numeric_limits<int64_t>::min());
+  ASSERT_TRUE(ParseNumber("+5", &value));
+  EXPECT_EQ(value, 5);
+  ExpectRefused<int64_t>({"", "+", "-", " 5", "5 ", "--1", "+-1", "0x10",
+                          "1.0", "1e3", "9223372036854775808"});
+}
+
+TEST(ParseNumber, DoubleIsFiniteDecimal) {
+  double value = 0.0;
+  const std::pair<const char*, double> good[] = {
+      {"0.25", 0.25}, {"+5", 5.0}, {".5", 0.5}, {"5.", 5.0}, {"-1e-3", -1e-3},
+      {"2.2250738585072014e-308", std::numeric_limits<double>::min()},
+      {"1.7976931348623157e308", std::numeric_limits<double>::max()}};
+  for (const auto& [text, want] : good) {
+    ASSERT_TRUE(ParseNumber(text, &value)) << text;
+    EXPECT_EQ(value, want) << text;
+  }
+  // Infinite, NaN, overflowing, subnormal or underflowing to zero, hex,
+  // padded, or not a whole number.
+  ExpectRefused<double>({"", "inf", "-inf", "infinity", "nan", "1e999",
+                         "-1e999", "1e-310", "1e-400", "0x1p-2", " 1", "1 ",
+                         "1e", ".", "e5", "1,5", "1.2.3"});
 }
 
 }  // namespace

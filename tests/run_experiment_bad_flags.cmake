@@ -1,8 +1,9 @@
 # Every out-of-range numeric flag makes run_experiment print its usage
 # and exit with 2: no CHECK abort, no uncaught exception, and no run on a
 # value that describes no experiment. NaN must fail every range check,
-# an integer past INT_MAX must not wrap into a different one, and a seed
-# takes the unsigned 64-bit range only (no sign, no overflow).
+# an integer past INT_MAX must not wrap into a different one, a seed
+# takes the unsigned 64-bit range only (no sign, no overflow), and a
+# number that is infinite or overflows to infinity is no number at all.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
 if(NOT RUN_EXPERIMENT)
@@ -27,7 +28,11 @@ set(cases
   "--seed=-1"
   "--seed=18446744073709551616"
   "--net-seed=-1"
-  "--adversary-seed=-7")
+  "--adversary-seed=-7"
+  "--lr=inf"
+  "--lr=1e999"
+  "--clip-norm=inf"
+  "--adversary-scale=inf --adversary-count=1")
 
 set(failures 0)
 foreach(case IN LISTS cases)

@@ -17,14 +17,14 @@
 //   --plant mode  0 iff the planted bug was caught, shrunk to a repro
 //                 with at most two fault axes, and that repro replayed
 //   --repro mode  0 iff the replayed scenario satisfied every invariant
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "chaos/campaign.h"
 #include "chaos/scenario.h"
+#include "common/parse_number.h"
 #include "nn/kernels/kernels.h"
 
 namespace {
@@ -56,29 +56,6 @@ void Usage(const char* argv0) {
       "selects the math microkernels (determinism invariants must hold\n"
       "for every kernel).\n",
       argv0);
-}
-
-bool ParseIntFlag(const std::string& value, int* out) {
-  if (value.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  if (parsed < 1 || parsed > 1'000'000) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-// The full unsigned 64-bit range and nothing else: strtoull would
-// accept a sign and wrap "-1" into 2^64 - 1.
-bool ParseSeedFlag(const std::string& value, uint64_t* out) {
-  if (value.empty() || value[0] < '0' || value[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<uint64_t>(parsed);
-  return true;
 }
 
 void PrintProgress(int index, const ScenarioReport& report) {
@@ -184,12 +161,15 @@ int main(int argc, char** argv) {
       return arg.substr(std::strlen(prefix));
     };
     if (arg.rfind("--scenarios=", 0) == 0) {
-      if (!ParseIntFlag(value_of("--scenarios="), &options.scenarios)) {
+      int64_t scenarios = 0;
+      if (!lighttr::ParseNumber(value_of("--scenarios="), &scenarios) ||
+          scenarios < 1 || scenarios > 1'000'000) {
         std::fprintf(stderr, "bad --scenarios value\n");
         return 2;
       }
+      options.scenarios = static_cast<int>(scenarios);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseSeedFlag(value_of("--seed="), &options.seed)) {
+      if (!lighttr::ParseNumber(value_of("--seed="), &options.seed)) {
         std::fprintf(stderr, "bad --seed value\n");
         return 2;
       }

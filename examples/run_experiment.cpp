@@ -76,11 +76,11 @@ int Usage() {
       "far; --resume restarts an interrupted run from the newest valid\n"
       "snapshot in DIR (federated methods only).\n"
       "\n"
-      "Parallelism: --threads=N trains the clients of each round on N\n"
-      "executors and parallelizes large matrix products; results are\n"
-      "bitwise identical for every N. --threads=1 forces the serial path;\n"
-      "--threads=0 (default) uses LIGHTTR_THREADS or the hardware core\n"
-      "count.\n"
+      "Parallelism: --threads=N (at most 1024) trains the clients of each\n"
+      "round on N executors and parallelizes large matrix products;\n"
+      "results are bitwise identical for every N. --threads=1 forces the\n"
+      "serial path; --threads=0 (default) uses LIGHTTR_THREADS or the\n"
+      "hardware core count.\n"
       "\n"
       "Kernels: --kernel selects the math microkernels for GEMM and\n"
       "activation sweeps. auto (default) uses AVX2+FMA when the CPU\n"
@@ -221,7 +221,8 @@ int main(int argc, char** argv) {
       fraction <= 1.0 && valid_int(clients_in, 1) && valid_int(rounds_in, 1) &&
       valid_int(epochs_in, 1) && valid_int(traj_in, 1) &&
       valid_int(grid_in, 3) && valid_int(checkpoint_every_in, 1) &&
-      valid_int(threads_in, 0) && quarantine_threshold > 0.0 &&
+      valid_int(threads_in, 0) && threads_in <= kMaxThreads &&
+      quarantine_threshold > 0.0 &&
       quarantine_threshold <= 1.0 && clip_norm >= 0.0 &&
       valid_int(max_rollbacks_in, 0) && valid_rate(net_drop) &&
       valid_rate(net_corrupt) && valid_rate(net_delay) &&

@@ -1,9 +1,11 @@
 #include "common/thread_pool.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 
 #include "common/check.h"
+#include "common/parse_number.h"
 
 namespace lighttr {
 
@@ -115,18 +117,18 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 }
 
 int DefaultThreadCount() {
-  if (const char* env = std::getenv("LIGHTTR_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1 && parsed <= 1024) {
-      return static_cast<int>(parsed);
-    }
+  uint64_t parsed = 0;
+  if (const char* env = std::getenv("LIGHTTR_THREADS");
+      env != nullptr && ParseNumber(env, &parsed) && parsed >= 1 &&
+      parsed <= static_cast<uint64_t>(kMaxThreads)) {
+    return static_cast<int>(parsed);
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware >= 1 ? static_cast<int>(hardware) : 1;
 }
 
 int ResolveThreadCount(int requested) {
+  LIGHTTR_CHECK_LE(requested, kMaxThreads);
   return requested >= 1 ? requested : DefaultThreadCount();
 }
 

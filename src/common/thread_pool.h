@@ -80,13 +80,19 @@ class ThreadPool {
   bool shutdown_ = false;            // guarded by mutex_
 };
 
-/// Thread count from the environment: LIGHTTR_THREADS when set to a
-/// valid positive integer, otherwise std::thread::hardware_concurrency
-/// (at least 1). This is the process-wide default ("--threads=0").
+/// The most executors any pool is asked for: LIGHTTR_THREADS, a
+/// program's --threads and ResolveThreadCount all stop here.
+inline constexpr int kMaxThreads = 1024;
+
+/// Thread count from the environment: LIGHTTR_THREADS when its digits
+/// (ParseNumber) name a count in [1, kMaxThreads], otherwise
+/// std::thread::hardware_concurrency (at least 1). This is the
+/// process-wide default ("--threads=0").
 int DefaultThreadCount();
 
-/// Maps a requested thread count to an effective one: values >= 1 pass
-/// through, everything else resolves to DefaultThreadCount().
+/// Maps a requested thread count to an effective one: values in
+/// [1, kMaxThreads] pass through, values < 1 resolve to
+/// DefaultThreadCount(), and a value past the cap is a CHECK failure.
 int ResolveThreadCount(int requested);
 
 /// Lazily constructed process-global pool (DefaultThreadCount() wide).

@@ -19,43 +19,52 @@ namespace lighttr::fl {
 
 namespace {
 
-// Everything one client's round-trip needs, forked/derived on the
-// coordinating thread in canonical selection order BEFORE any task
-// runs. This is the determinism contract of the parallel round: the
-// stream a client consumes depends only on its position in the
-// selection, never on which executor runs it or when.
-struct ClientTask {
+// How one sampled client's round ended, decided once by its pool task.
+// With the quarantine skips, the fates partition the sampled cohort:
+// each lands in exactly one RoundRecord column.
+enum class ClientFate {
+  kDropped,       // retries exhausted before contact (drops)
+  kPullLost,      // link died before the model arrived (net_lost)
+  kPushLost,      // trained, link died under the upload (net_lost)
+  kStraggler,     // trained, missed the round deadline (stragglers)
+  kCorrupt,       // screened out: non-finite scalars (rejected_uploads)
+  kNormRejected,  // screened out: delta-norm bound (rejected_uploads)
+  kReported,      // screened in: enters aggregation (reporting)
+};
+
+// One sampled client's round. Its streams are forked on the coordinating
+// thread in canonical selection order BEFORE any task runs: the stream a
+// client consumes depends only on its position in the selection, never
+// on which executor runs it or when. Exactly one task then writes the
+// outcome, and the coordinating thread folds the records in selection
+// order, so every floating-point accumulation has a fixed order
+// regardless of thread count.
+struct ClientRound {
   size_t client_index = 0;
   Rng update_rng{0};  // local-update stream (always forked)
   Rng noise_rng{0};   // privacy stream (forked only when privacy is on)
   Rng fault_rng{0};   // dropout/backoff/corruption (only when injecting)
   Rng net_rng{0};     // channel faults (only when the transport can fault)
   Rng adv_rng{0};     // poison jitter (only for attackers in attack rounds)
-  bool poison = false;  // this task's client is an active attacker
+  bool poison = false;  // this client is an active attacker
   // The client's run-long train + valid encodings. A client appears at
   // most once per round, so only this task touches them this round.
   ClientEncodings* encodings = nullptr;
-};
 
-// One client's outcome, written by exactly one task into a pre-sized
-// slot. The coordinating thread folds the slots into round telemetry in
-// canonical selection order, so every floating-point accumulation has a
-// fixed order regardless of thread count.
-struct ClientSlot {
-  bool contacted = false;  // survived the dropout/retry gauntlet
-  bool trained = false;    // ran the local update (pull succeeded)
-  bool straggler = false;  // trained but missed the round deadline
-  bool net_lost = false;   // pull or push lost to network faults
-  bool rejected = false;   // upload failed server-side screening
-  bool corrupt = false;    // rejection was for non-finite scalars
-  bool clipped = false;    // upload was norm-clipped by screening
-  bool poisoned = false;   // upload rewritten by the injected adversary
+  ClientFate fate = ClientFate::kDropped;
+  bool clipped = false;   // upload was norm-clipped by screening
+  bool poisoned = false;  // upload rewritten by the injected adversary
   int retries = 0;
   double backoff_s = 0.0;
-  double loss = 0.0;          // valid when trained
-  double delta_norm = 0.0;    // L2 delta of the accepted upload
+  double loss = 0.0;          // valid when trained()
+  double delta_norm = 0.0;    // L2 delta of a reported upload
   transport::LinkStats link;  // exact frame accounting
-  std::vector<nn::Scalar> upload;  // valid when sent and not rejected
+  std::vector<nn::Scalar> upload;  // valid when reported
+
+  // Ran the local update: the model pull succeeded.
+  bool trained() const {
+    return fate != ClientFate::kDropped && fate != ClientFate::kPullLost;
+  }
 };
 
 // Copies the CounterScope::kLifetime totals (healing and storage) from
@@ -173,6 +182,7 @@ ServerRunState FederatedTrainer::CaptureState(int round,
   state.fault_rng_state = fault_rng_.SerializeState();
   state.comm = result.comm;
   state.faults = result.faults;
+  CopyLifetimeCounters(lifetime_, &state.faults);
   // Float64 on purpose: the FL wire format is float32, but aggregation
   // runs in Scalar (double); a rounded restore would diverge bitwise.
   state.global_params_blob =
@@ -195,12 +205,8 @@ ServerRunState FederatedTrainer::CaptureState(int round,
 
 Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
                                           bool restore_reputation) {
-  if (state.optimizer_blobs.size() != client_optimizers_.size()) {
-    return Status::InvalidArgument(
-        "snapshot has optimizer state for " +
-        std::to_string(state.optimizer_blobs.size()) + " clients, trainer has " +
-        std::to_string(client_optimizers_.size()));
-  }
+  // ResumeFrom checks the count; a rollback anchor is this trainer's own.
+  LIGHTTR_CHECK_EQ(state.optimizer_blobs.size(), client_optimizers_.size());
   LIGHTTR_RETURN_NOT_OK(rng_.DeserializeState(state.rng_state));
   LIGHTTR_RETURN_NOT_OK(fault_rng_.DeserializeState(state.fault_rng_state));
   // The channel stream rewinds with the round: both resume and rollback
@@ -308,33 +314,30 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
     const std::string path = SnapshotPath(dir, *it);
     Result<ServerRunState> loaded = LoadRunState(fs, path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr,
-                   "[lighttr] warning: snapshot %s rejected (%s); falling "
-                   "back to the previous one\n",
-                   path.c_str(), loaded.status().ToString().c_str());
-      continue;
+    Status restored = loaded.status();
+    if (restored.ok()) {
+      const size_t blobs = loaded.value().optimizer_blobs.size();
+      if (blobs != client_optimizers_.size()) {
+        // A shape mismatch is a caller error (wrong trainer for this
+        // directory), not snapshot corruption: fail hard, do not fall
+        // back to an older snapshot that would mismatch identically.
+        return Status::InvalidArgument(
+            "snapshot has optimizer state for " + std::to_string(blobs) +
+            " clients, trainer has " +
+            std::to_string(client_optimizers_.size()));
+      }
+      restored = RestoreFromState(loaded.value(), /*restore_reputation=*/true);
     }
-    const ServerRunState& state = loaded.value();
-    if (state.optimizer_blobs.size() != client_optimizers_.size()) {
-      // A shape mismatch is a caller error (wrong trainer for this
-      // directory), not snapshot corruption: fail hard, do not fall
-      // back to an older snapshot that would mismatch identically.
-      return Status::InvalidArgument(
-          "snapshot has optimizer state for " +
-          std::to_string(state.optimizer_blobs.size()) + " clients, trainer has " +
-          std::to_string(client_optimizers_.size()));
-    }
-    const Status restored = RestoreFromState(state, /*restore_reputation=*/true);
     if (!restored.ok()) {
-      // Includes non-finite-poisoned global models (RestoreFromState
-      // refuses them): warn and fall back, same as a CRC failure.
+      // A CRC failure, or a model RestoreFromState refuses (non-finite
+      // poison included): warn and fall back.
       std::fprintf(stderr,
                    "[lighttr] warning: snapshot %s rejected (%s); falling "
                    "back to the previous one\n",
                    path.c_str(), restored.ToString().c_str());
       continue;
     }
+    const ServerRunState& state = loaded.value();
     // Lifetime counters continue from where the snapshot left off.
     CopyLifetimeCounters(state.faults, &lifetime_);
     start_round_ = state.round;
@@ -389,7 +392,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       SampleValidationPool(/*max_trajectories=*/40, &valid_rng);
   // Every trajectory this run reads is encoded at most once: the pool
   // here, each client's splits in its own pair. The vector is sized
-  // before the round loop; ClientTask::encodings points into it.
+  // before the round loop; ClientRound::encodings points into it.
   TrajectoryEncodings valid_encodings(global_model_->encoder(), valid_pool);
   std::vector<ClientEncodings> client_encodings;
   client_encodings.reserve(clients_->size());
@@ -456,47 +459,45 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     const bool attack_round =
         adversary_ != nullptr && adversary_->ActiveInRound(round);
     if (adversary_ != nullptr) adversary_->BeginRound(round, global_flat.size());
-    std::vector<ClientTask> tasks;
-    tasks.reserve(selected.size());
+    std::vector<ClientRound> cohort;
+    cohort.reserve(selected.size());
     for (size_t client_index : selected) {
-      ClientTask task;
-      task.client_index = client_index;
-      task.encodings = &client_encodings[client_index];
-      task.update_rng = rng_.Fork();
-      if (options_.privacy.enabled()) task.noise_rng = rng_.Fork();
-      if (inject) task.fault_rng = fault_rng_.Fork();
-      if (net_faulty) task.net_rng = net_rng_.Fork();
+      ClientRound c;
+      c.client_index = client_index;
+      c.encodings = &client_encodings[client_index];
+      c.update_rng = rng_.Fork();
+      if (options_.privacy.enabled()) c.noise_rng = rng_.Fork();
+      if (inject) c.fault_rng = fault_rng_.Fork();
+      if (net_faulty) c.net_rng = net_rng_.Fork();
       if (attack_round &&
           options_.adversary.IsAttacker(static_cast<int>(client_index))) {
         // Attacker membership is pure config + round number — never an
         // outcome — so the fork sequence stays fixed per round.
-        task.adv_rng = adversary_->ForkStream();
-        task.poison = true;
+        c.adv_rng = adversary_->ForkStream();
+        c.poison = true;
       }
-      tasks.push_back(std::move(task));
+      cohort.push_back(std::move(c));
     }
 
-    std::vector<ClientSlot> slots(tasks.size());
-    // Each worker owns exactly one pre-sized slot: tasks[t]/slots[t].
-    pool_.ParallelFor(tasks.size(), [&](size_t t) {  // lint: shared-state(slots)
-      ClientTask& task = tasks[t];
-      ClientSlot& slot = slots[t];
-      const size_t client_index = task.client_index;
+    // Each task owns exactly one pre-sized record, and every path
+    // through it sets the record's fate once.
+    pool_.ParallelFor(cohort.size(), [&](size_t t) {  // lint: shared-state(cohort)
+      ClientRound& c = cohort[t];
+      const size_t client_index = c.client_index;
       // Contact the client; a dropout burns one attempt of the retry
       // budget and a simulated backoff delay before the next attempt.
       FaultDraw draw;
       for (int attempt = 0;; ++attempt) {
-        if (inject) draw = fault_model.Draw(&task.fault_rng);
-        if (draw.type != FaultType::kDropout) {
-          slot.contacted = true;
-          break;
+        if (inject) draw = fault_model.Draw(&c.fault_rng);
+        if (draw.type != FaultType::kDropout) break;
+        if (attempt >= tolerance.retry.max_retries) {
+          c.fate = ClientFate::kDropped;
+          return;
         }
-        if (attempt >= tolerance.retry.max_retries) break;
-        ++slot.retries;
-        slot.backoff_s +=
-            BackoffDelaySeconds(tolerance.retry, attempt, &task.fault_rng);
+        ++c.retries;
+        c.backoff_s +=
+            BackoffDelaySeconds(tolerance.retry, attempt, &c.fault_rng);
       }
-      if (!slot.contacted) return;
 
       RecoveryModel* client = client_models_[client_index].get();
       // The client's link for this round: both channel directions plus
@@ -505,48 +506,47 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       transport::ReliableLink link(
           options_.transport.LinkConfig(static_cast<int>(client_index)),
           options_.transport.retry, round, static_cast<int>(client_index),
-          &pull_reply_frame, net_faulty ? &task.net_rng : nullptr);
+          &pull_reply_frame, net_faulty ? &c.net_rng : nullptr);
       Result<std::string> blob = link.PullModelBlob();
       if (!blob.ok()) {
         // The link is down before the client ever saw the model:
         // charged to the network, not the client.
-        slot.net_lost = true;
-        slot.link = link.stats();
+        c.fate = ClientFate::kPullLost;
+        c.link = link.stats();
         return;
       }
       LIGHTTR_CHECK_OK(client->params().Deserialize(blob.value()));
-      slot.loss = strategy->UpdateEncoded(
+      c.loss = strategy->UpdateEncoded(
           static_cast<int>(client_index), client,
           client_optimizers_[client_index].get(), (*clients_)[client_index],
-          task.encodings, options_.local_epochs, &task.update_rng);
-      slot.trained = true;
+          c.encodings, options_.local_epochs, &c.update_rng);
 
       if (draw.type == FaultType::kStraggler) {
         // The client computed the update but missed the server's round
         // deadline; the server never receives the upload.
-        slot.straggler = true;
-        slot.link = link.stats();
+        c.fate = ClientFate::kStraggler;
+        c.link = link.stats();
         return;
       }
 
       std::vector<nn::Scalar> upload = client->params().Flatten();
       if (options_.privacy.enabled()) {
         upload = PrivatizeUpload(upload, global_flat, options_.privacy,
-                                 &task.noise_rng);
+                                 &c.noise_rng);
       }
-      if (task.poison) {
+      if (c.poison) {
         // The compromised client rewrites its upload after local
         // training and privacy but before quantization, wire faults,
         // and screening: the poison traverses the identical path an
         // honest update takes, so every defense sees it where a real
         // deployment would. Poison() is const — safe from workers.
-        slot.poisoned = adversary_->Poison(global_flat, &upload, &task.adv_rng);
+        c.poisoned = adversary_->Poison(global_flat, &upload, &c.adv_rng);
       }
       transport::UpdatePush push;
       push.round = round;
       push.client_id = static_cast<int>(client_index);
       push.msg_id = transport::PushMsgId(round, static_cast<int>(client_index));
-      push.train_loss = slot.loss;
+      push.train_loss = c.loss;
       if (options_.quantize_uploads && draw.type != FaultType::kCorruption) {
         push.kind = transport::PayloadKind::kQuantizedInt8;
         push.quantized = QuantizeFlat(upload);
@@ -560,15 +560,15 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
           upload = DequantizeFlat(QuantizeFlat(upload));
         }
         if (draw.type == FaultType::kCorruption) {
-          FaultModel::Corrupt(draw.corruption, &task.fault_rng, &upload);
+          FaultModel::Corrupt(draw.corruption, &c.fault_rng, &upload);
         }
         push.kind = transport::PayloadKind::kRawF64;
         push.raw = upload;
       }
       Result<std::vector<double>> received = link.PushUpdate(push);
-      slot.link = link.stats();
+      c.link = link.stats();
       if (!received.ok()) {
-        slot.net_lost = true;
+        c.fate = ClientFate::kPushLost;
         return;
       }
       // Aggregation consumes what the SERVER received (dequantized
@@ -576,96 +576,94 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       upload = std::move(received).value();
 
       const Status screen =
-          ScreenUpload(&upload, global_flat, tolerance.screen, &slot.clipped);
+          ScreenUpload(&upload, global_flat, tolerance.screen, &c.clipped);
       if (!screen.ok()) {
-        slot.rejected = true;
         // InvalidArgument = non-finite scalars; OutOfRange = norm bound.
-        slot.corrupt = screen.code() == StatusCode::kInvalidArgument;
+        c.fate = screen.code() == StatusCode::kInvalidArgument
+                     ? ClientFate::kCorrupt
+                     : ClientFate::kNormRejected;
         return;
       }
-      // Computed here (in parallel) for the health monitor; per-slot,
-      // so thread count cannot reorder any accumulation.
-      slot.delta_norm = DeltaNorm(upload, global_flat);
-      slot.upload = std::move(upload);
+      // Computed here (in parallel) for the fold's observation; per
+      // record, so thread count cannot reorder any accumulation.
+      c.delta_norm = DeltaNorm(upload, global_flat);
+      c.upload = std::move(upload);
+      c.fate = ClientFate::kReported;
     });
 
-    // Fold the slots in canonical selection order. All floating-point
+    // Fold the records in canonical selection order. All floating-point
     // accumulation (losses, backoff seconds) happens here, on one
     // thread, in one fixed order.
     std::vector<std::vector<nn::Scalar>> uploads;
-    uploads.reserve(slots.size());
-    std::vector<UpdateObservation> observations;  // canonical order
-    if (healing) observations.reserve(slots.size());
-    // uploads[u] -> its observation index / accepted delta norm, so the
-    // Byzantine aggregator's per-upload suspicion flags can be mapped
-    // back onto reputation evidence and the norm-bound window.
+    uploads.reserve(cohort.size());
+    // Every upload that reached screening is evidence for the health
+    // monitor and the reputation ledger, clean ones included (they
+    // decay scores). uploads[u] -> its observation, so the Byzantine
+    // aggregator's per-upload suspicion flags map back onto that
+    // evidence and the norm-bound window.
+    std::vector<UpdateObservation> observations;
+    observations.reserve(cohort.size());
     std::vector<size_t> upload_obs;
-    std::vector<double> upload_norms;
     double loss_sum = 0.0;
     int loss_count = 0;
-    for (size_t s = 0; s < slots.size(); ++s) {
-      ClientSlot& slot = slots[s];
+    for (ClientRound& c : cohort) {
       // Exact accounting measured from encoded frames: every transmitted
       // copy counts — retransmissions included.
-      result.comm.bytes_downlink += slot.link.downlink_bytes;
-      result.comm.bytes_uplink += slot.link.uplink_bytes;
-      result.comm.messages +=
-          slot.link.uplink_frames + slot.link.downlink_frames;
-      record.net_retries += slot.link.retries;
-      record.net_timeouts += slot.link.timeouts;
-      record.net_crc_drops += slot.link.crc_drops;
-      record.net_dedup_drops += slot.link.dedup_drops;
-      record.net_late_drops += slot.link.late_drops;
-      result.faults.simulated_backoff_s += slot.backoff_s + slot.link.backoff_s;
-      record.retries += slot.retries;
-      if (!slot.contacted) {
-        ++record.drops;
-        continue;
-      }
-      if (slot.trained) {
-        loss_sum += slot.loss;
+      result.comm.bytes_downlink += c.link.downlink_bytes;
+      result.comm.bytes_uplink += c.link.uplink_bytes;
+      result.comm.messages += c.link.uplink_frames + c.link.downlink_frames;
+      record.net_retries += c.link.retries;
+      record.net_timeouts += c.link.timeouts;
+      record.net_crc_drops += c.link.crc_drops;
+      record.net_dedup_drops += c.link.dedup_drops;
+      record.net_late_drops += c.link.late_drops;
+      result.faults.simulated_backoff_s += c.backoff_s + c.link.backoff_s;
+      record.retries += c.retries;
+      if (c.trained()) {
+        loss_sum += c.loss;
         ++loss_count;
       }
       // Ground truth, counted even when the wire later eats the upload:
       // the adversary DID rewrite it.
-      if (slot.poisoned) ++record.poisoned_uploads;
-      if (slot.net_lost) {
-        // Lost to the wire, not to the client: never a drop, straggler,
-        // or reputation observation.
-        ++record.net_lost;
-        continue;
+      if (c.poisoned) ++record.poisoned_uploads;
+      UpdateObservation obs;
+      obs.client_index = static_cast<int>(c.client_index);
+      switch (c.fate) {
+        case ClientFate::kDropped:
+          ++record.drops;
+          break;
+        case ClientFate::kPullLost:
+        case ClientFate::kPushLost:
+          // Lost to the wire, not to the client: never a drop, straggler,
+          // or reputation observation.
+          ++record.net_lost;
+          break;
+        case ClientFate::kStraggler:
+          ++record.stragglers;
+          break;
+        case ClientFate::kCorrupt:
+        case ClientFate::kNormRejected:
+          ++record.rejected_uploads;
+          obs.corrupt = c.fate == ClientFate::kCorrupt;
+          obs.norm_rejected = !obs.corrupt;
+          observations.push_back(obs);
+          break;
+        case ClientFate::kReported:
+          obs.accepted = true;
+          obs.delta_norm = c.delta_norm;
+          observations.push_back(obs);
+          if (c.clipped) ++result.faults.clipped_uploads;
+          // The adaptive adversary eavesdrops on accepted honest norms
+          // (the simulator grants it a global view) to size its stealth
+          // attacks. Coordinating thread, canonical order: deterministic.
+          if (adversary_ != nullptr &&
+              !options_.adversary.IsAttacker(obs.client_index)) {
+            adversary_->ObserveHonestNorm(c.delta_norm);
+          }
+          upload_obs.push_back(observations.size() - 1);
+          uploads.push_back(std::move(c.upload));
+          break;
       }
-      if (slot.straggler) {
-        ++record.stragglers;
-        continue;
-      }
-      // Every upload that reached screening is evidence for the
-      // reputation ledger — including clean ones, which decay scores.
-      if (healing) {
-        UpdateObservation obs;
-        obs.client_index = static_cast<int>(tasks[s].client_index);
-        obs.corrupt = slot.corrupt;
-        obs.norm_rejected = slot.rejected && !slot.corrupt;
-        obs.accepted = !slot.rejected;
-        obs.delta_norm = slot.delta_norm;
-        observations.push_back(obs);
-      }
-      if (slot.rejected) {
-        ++record.rejected_uploads;
-        continue;
-      }
-      if (slot.clipped) ++result.faults.clipped_uploads;
-      // The adaptive adversary eavesdrops on accepted honest norms (the
-      // simulator grants it a global view) to size its stealth attacks.
-      // Coordinating thread, canonical order: deterministic.
-      if (adversary_ != nullptr &&
-          !options_.adversary.IsAttacker(
-              static_cast<int>(tasks[s].client_index))) {
-        adversary_->ObserveHonestNorm(slot.delta_norm);
-      }
-      if (healing) upload_obs.push_back(observations.size() - 1);
-      upload_norms.push_back(slot.delta_norm);
-      uploads.push_back(std::move(slot.upload));
     }
     record.reporting = static_cast<int>(uploads.size());
     // A "mid-round" crash lands after local work but before the round
@@ -692,17 +690,18 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       if (aggregate.ok()) {
         global_model_->params().AssignFlat(aggregate.value());
         for (size_t u = 0; u < suspected.size(); ++u) {
+          UpdateObservation& obs = observations[upload_obs[u]];
           if (suspected[u] != 0) {
             // Map the aggregator's verdict back onto the reputation
             // evidence (same canonical order the uploads were folded in)
             // so Observe can score it below.
             ++record.suspected_uploads;
-            if (healing) observations[upload_obs[u]].suspected = true;
+            obs.suspected = true;
           } else if (tolerance.aggregator.policy ==
                      AggregatorPolicy::kNormBound) {
             // Only unsuspected accepted norms teach the clip bound; a
             // norm-matched poison must not drag the median upward.
-            normbound_window_.Push(upload_norms[u]);
+            normbound_window_.Push(obs.delta_norm);
           }
         }
       } else {
@@ -717,10 +716,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         result.faults.*counter.total += record.*counter.round;
       }
     }
-    // Assignment, not +=: lifetime counters are already totals (and
-    // storage failures during THIS round's commit below only surface
-    // next round, or in the final assignment after the loop).
-    CopyLifetimeCounters(lifetime_, &result.faults);
 
     // Telemetry: validation accuracy + loss of the (possibly kept)
     // global model over the run-level unbiased validation pool.
@@ -774,7 +769,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
             RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
         result.comm = last_healthy_->comm;
         result.faults = last_healthy_->faults;
-        CopyLifetimeCounters(lifetime_, &result.faults);
         if (!roll_back) break;
         round = anchor;
         continue;
@@ -783,7 +777,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // round's tick counts toward parole).
       lifetime_.parole_events += book_->Tick();
       record.quarantined = book_->QuarantinedCount();
-      CopyLifetimeCounters(lifetime_, &result.faults);
     }
     record.wall_seconds = watch.ElapsedSeconds();
     result.history.push_back(record);
@@ -808,8 +801,9 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
     }
   }
-  // Late storage failures (this loop's final snapshot write) still
-  // reach the caller's telemetry.
+  // The lifetime totals reach a result only here and in CaptureState:
+  // assignment, since they are totals already, and late enough to carry
+  // the final snapshot's storage failures.
   CopyLifetimeCounters(lifetime_, &result.faults);
   start_round_ = 0;
   resume_seed_ = FederatedRunResult{};

@@ -216,13 +216,13 @@ class FederatedTrainer {
       size_t max_trajectories, Rng* rng) const;
 
   /// Builds the full ServerRunState after `round` (shared by disk
-  /// snapshots and the in-memory rollback anchor).
+  /// snapshots and the in-memory rollback anchor), lifetime totals included.
   ServerRunState CaptureState(int round, const FederatedRunResult& result);
 
-  /// Restores trainer state from `state`. With `restore_reputation` the
-  /// reputation ledger + escalation latch come back too (cross-process
-  /// resume); without it they survive (rollback: offenders stay
-  /// remembered so the replay can differ).
+  /// Restores trainer state from `state`, whose optimizer count must
+  /// match. With `restore_reputation` the reputation ledger + escalation
+  /// latch come back too (cross-process resume); without it they survive
+  /// (rollback: offenders stay remembered so the replay can differ).
   [[nodiscard]] Status RestoreFromState(const ServerRunState& state,
                                         bool restore_reputation);
 
@@ -282,10 +282,9 @@ class FederatedTrainer {
   /// forced on and kMean aggregation is hardened to kMedian for the
   /// rest of the run.
   bool escalated_ = false;
-  /// Owns the CounterScope::kLifetime counters (healing and storage;
-  /// its other fields stay zero), copied into each result's FaultStats.
-  /// Deliberately NOT reset by rollback: a quarantine or a persistence
-  /// failure happened even if the round it served is undone.
+  /// The CounterScope::kLifetime totals (its other fields stay zero),
+  /// merged into FaultStats only by CaptureState and Run's return. Not
+  /// reset by rollback: an undone round's quarantine still happened.
   FaultStats lifetime_;
 };
 

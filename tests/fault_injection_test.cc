@@ -375,6 +375,65 @@ TEST(FaultTolerantTrainer, IdenticalSeedsGiveIdenticalFaultTelemetry) {
   }
 }
 
+// Every sampled client meets exactly one fate, and each fate has its own
+// RoundRecord column. A run that reaches all six must account for every
+// sampled slot of every round, and its run totals must be the sums of
+// its history, at any thread count.
+TEST(FaultTolerantTrainer, FatesPartitionEverySampledCohort) {
+  const std::pair<const char*, int RoundRecord::*> kFates[] = {
+      {"skipped_quarantined", &RoundRecord::skipped_quarantined},
+      {"drops", &RoundRecord::drops},
+      {"net_lost", &RoundRecord::net_lost},
+      {"stragglers", &RoundRecord::stragglers},
+      {"rejected_uploads", &RoundRecord::rejected_uploads},
+      {"reporting", &RoundRecord::reporting}};
+  auto clients = MakeClients(6, 71);
+  FederatedTrainerOptions options = BaseOptions(12);
+  options.faults = LossyConfig();
+  options.faults.corruption_rate = 0.3;
+  options.tolerance.retry.max_retries = 1;
+  options.tolerance.screen.max_delta_norm = 1.0;
+  options.tolerance.screen.norm_policy = ScreenPolicy::kReject;
+  options.transport.channel.drop_rate = 0.3;
+  options.transport.retry.max_retries = 1;
+  options.healing.enabled = true;
+  options.healing.reputation.quarantine_threshold = 0.4;
+  std::vector<RoundRecord> serial;
+  for (const int threads : {1, 8}) {
+    options.threads = threads;
+    FederatedTrainer trainer(MakeStub, &clients, options);
+    const FederatedRunResult result = trainer.Run();
+    ASSERT_EQ(result.history.size(), 12u);
+    std::vector<int> rounds_with(std::size(kFates), 0);
+    for (const RoundRecord& record : result.history) {
+      int fated = 0;
+      for (size_t f = 0; f < std::size(kFates); ++f) {
+        fated += record.*kFates[f].second;
+        if (record.*kFates[f].second > 0) ++rounds_with[f];
+      }
+      EXPECT_EQ(record.sampled, fated) << "round " << record.round;
+    }
+    for (size_t f = 0; f < std::size(kFates); ++f) {
+      EXPECT_GT(rounds_with[f], 0) << kFates[f].first << " never fired";
+    }
+    for (const CounterSpec& counter : kCounters) {
+      if (counter.scope != CounterScope::kRun || counter.round == nullptr) {
+        continue;
+      }
+      int64_t sum = 0;
+      for (const RoundRecord& record : result.history) {
+        sum += record.*counter.round;
+      }
+      EXPECT_EQ(result.faults.*counter.total, sum) << counter.name;
+    }
+    if (threads == 1) {
+      serial = result.history;
+    } else {
+      EXPECT_EQ(DescribeMismatch(result.history, serial), "");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Acceptance: a 10-round LightTR run under 30% dropout + occasional
 // corrupted uploads completes, rejects every non-finite upload, and

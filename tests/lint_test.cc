@@ -57,42 +57,6 @@ TEST(LintTest, RandInsideStringOrCommentDoesNotFire) {
   EXPECT_TRUE(OfRule(Lint({file}), "no-raw-rand").empty());
 }
 
-TEST(LintTest, NoIgnoredStatusFiresOnBareCall) {
-  SourceFile header;
-  header.path = "src/io/writer.h";
-  header.content = "Status WriteThing(int x);\n";
-  SourceFile source;
-  source.path = "src/io/user.cc";
-  source.content =
-      "void Use() {\n"
-      "  WriteThing(1);\n"                              // 2: discarded
-      "  Status s = WriteThing(2);\n"                   // consumed
-      "  if (!s.ok()) return;\n"
-      "  (void)WriteThing(3);  // best effort\n"        // explicit discard
-      "  WriteThing(4);  // lighttr-lint: allow(no-ignored-status)\n"
-      "}\n";
-  const std::vector<Diagnostic> hits =
-      OfRule(Lint({header, source}), "no-ignored-status");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].file, "src/io/user.cc");
-  EXPECT_EQ(hits[0].line, 2);
-  EXPECT_NE(hits[0].message.find("WriteThing"), std::string::npos);
-}
-
-TEST(LintTest, NoIgnoredStatusSeesQualifiedAndResultDecls) {
-  SourceFile header;
-  header.path = "src/io/api.h";
-  header.content =
-      "lighttr::Status Push(int x);\n"
-      "Result<std::vector<double>> Pull();\n";
-  SourceFile source;
-  source.path = "src/io/caller.cc";
-  source.content = "void F() { Push(1); Pull(); }\n";
-  const std::vector<Diagnostic> hits =
-      OfRule(Lint({header, source}), "no-ignored-status");
-  ASSERT_EQ(hits.size(), 2u);
-}
-
 TEST(LintTest, NoIostreamInLibFiresOnlyUnderSrc) {
   SourceFile lib;
   lib.path = "src/geo/debug.cc";
@@ -448,13 +412,13 @@ TEST(LintTest, NoRawIntrinsicsExemptsKernelsDirOnly) {
 
 TEST(LintTest, AllRuleNamesListsEveryRule) {
   const std::vector<std::string>& names = AllRuleNames();
-  EXPECT_EQ(names.size(), 16u);
+  EXPECT_EQ(names.size(), 15u);
   for (const char* expected :
        {"no-raw-rand", "no-raw-thread", "no-iostream-in-lib", "banned-fn",
         "no-direct-persistence", "no-raw-nonfinite", "no-raw-wire",
-        "no-raw-intrinsics", "no-ignored-status", "no-include-cycle",
-        "no-wall-clock", "no-pointer-keys", "parallel-capture-audit",
-        "no-unordered-iteration", "unused-include", "unused-suppression"}) {
+        "no-raw-intrinsics", "no-include-cycle", "no-wall-clock",
+        "no-pointer-keys", "parallel-capture-audit", "no-unordered-iteration",
+        "unused-include", "unused-suppression"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -749,36 +713,6 @@ TEST(LintTest, ParallelCaptureAuditIgnoresByValueAndOtherScopes) {
       "}\n";
   EXPECT_TRUE(
       OfRule(Lint({by_value, outside}), "parallel-capture-audit").empty());
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-ignored-status (token-port specifics).
-// ---------------------------------------------------------------------------
-
-TEST(LintTest, NoIgnoredStatusSeesMemberChainsAndReturns) {
-  SourceFile header;
-  header.path = "src/io/api.h";
-  header.content = "Status Push(int x);\n";
-  SourceFile source;
-  source.path = "src/io/caller.cc";
-  source.content =
-      "Status F() { return Push(1); }\n"           // consumed by return
-      "void G(Obj& obj) { obj.Push(2); }\n"        // 2: chain, discarded
-      "void H() { Status s; s = Push(3); }\n";     // consumed by assignment
-  const std::vector<Diagnostic> hits =
-      OfRule(Lint({header, source}), "no-ignored-status");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].line, 2);
-}
-
-TEST(LintTest, NoIgnoredStatusIgnoresMentionsInStrings) {
-  SourceFile header;
-  header.path = "src/io/api.h";
-  header.content = "Status Push(int x);\n";
-  SourceFile source;
-  source.path = "src/io/caller.cc";
-  source.content = "const char* kHelp = \"Push(1); discards a Status\";\n";
-  EXPECT_TRUE(OfRule(Lint({header, source}), "no-ignored-status").empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 # Every out-of-range numeric flag makes run_experiment print its usage
 # and exit with 2: no CHECK abort, no uncaught exception, and no run on a
 # value that describes no experiment. NaN must fail every range check,
-# an integer past INT_MAX must not wrap into a different one, a seed
+# an integer past INT_MAX must not wrap into a different one, a thread
+# count past kMaxThreads must not start a pool of that width, a seed
 # takes the unsigned 64-bit range only (no sign, no overflow), and a
 # number that is infinite or overflows to infinity is no number at all.
 #
@@ -25,6 +26,7 @@ set(cases
   "--rounds=4294967297"
   "--clients=4294967298"
   "--epochs=4294967297"
+  "--threads=1025"
   "--seed=-1"
   "--seed=18446744073709551616"
   "--net-seed=-1"

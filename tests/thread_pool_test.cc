@@ -98,15 +98,25 @@ TEST(ThreadPoolTest, OnWorkerThreadDistinguishesCallerFromWorkers) {
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
+  ASSERT_EQ(unsetenv("LIGHTTR_THREADS"), 0);
+  const int hardware = DefaultThreadCount();
+  EXPECT_GE(hardware, 1);
   ASSERT_EQ(setenv("LIGHTTR_THREADS", "5", /*overwrite=*/1), 0);
   EXPECT_EQ(DefaultThreadCount(), 5);
   EXPECT_EQ(ResolveThreadCount(0), 5);
-  ASSERT_EQ(setenv("LIGHTTR_THREADS", "garbage", 1), 0);
-  EXPECT_GE(DefaultThreadCount(), 1);  // falls back to hardware detection
+  ASSERT_EQ(setenv("LIGHTTR_THREADS", "1024", 1), 0);
+  EXPECT_EQ(DefaultThreadCount(), kMaxThreads);
+  // Anything but plain digits naming [1, kMaxThreads] falls back to the
+  // hardware count, exactly as an unset variable does.
+  for (const char* bad : {"garbage", "2x", " 2", "+2", "0", "-3", "1025",
+                          "2000", ""}) {
+    ASSERT_EQ(setenv("LIGHTTR_THREADS", bad, 1), 0);
+    EXPECT_EQ(DefaultThreadCount(), hardware) << "'" << bad << "'";
+  }
   ASSERT_EQ(unsetenv("LIGHTTR_THREADS"), 0);
-  EXPECT_GE(DefaultThreadCount(), 1);
   EXPECT_EQ(ResolveThreadCount(3), 3);
   EXPECT_EQ(ResolveThreadCount(1), 1);
+  EXPECT_EQ(ResolveThreadCount(kMaxThreads), kMaxThreads);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsResizable) {

@@ -205,7 +205,6 @@ const std::vector<std::string>& AllRuleNames() {
       "no-raw-nonfinite",
       "no-raw-wire",
       "no-raw-intrinsics",
-      "no-ignored-status",
       "no-include-cycle",
       "no-unordered-iteration",
       "no-wall-clock",

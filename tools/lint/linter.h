@@ -36,8 +36,6 @@
 //                           `// lint: shared-state(<guard>)` annotation
 //
 //  cross-file passes:
-//   no-ignored-status    bare statements discarding a Status/Result
-//                        returned by a function declared in the input set
 //   no-include-cycle     cycles in the quoted-include graph
 //   unused-include       IWYU-lite: a quoted include in src/ none of
 //                        whose declared names are referenced

@@ -1,11 +1,8 @@
-// Cross-translation-unit passes. All three share the same cross-file
-// state model: they are built from exactly the files handed to Lint()
-// in one call, so the whole tree of interest must be linted together.
+// Cross-translation-unit passes. Both share the same cross-file state
+// model: they are built from exactly the files handed to Lint() in one
+// call, so the whole tree of interest must be linted together.
 //
 //   no-include-cycle   cycles in the quoted-include graph
-//   no-ignored-status  bare statements discarding a Status/Result
-//                      return, checked against every declaration in
-//                      the input set
 //   unused-include     IWYU-lite: a quoted include (src/ only) none of
 //                      whose declared names the includer references
 #include <set>
@@ -100,89 +97,6 @@ void CheckIncludeCycles(Context* ctx,
         stack.pop_back();
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-ignored-status
-//
-// Pass 1 collects names of functions declared to return Status or
-// Result<T> anywhere in the input set. Pass 2 flags statements that
-// are a bare call to such a function: the return value never touched.
-// The compiler's [[nodiscard]] already rejects most of these; the lint
-// rule additionally covers code compiled without LIGHTTR_WERROR and
-// fixture trees. Explicit discards spell `(void)call(...)` (not
-// matched — the statement no longer begins with the callee) plus a
-// rationale comment.
-// ---------------------------------------------------------------------------
-
-std::set<std::string> CollectStatusFunctions(
-    const std::vector<TokenizedFile>& files) {
-  std::set<std::string> names;
-  for (const TokenizedFile& file : files) {
-    const std::vector<Token>& t = file.tokens;
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (t[i].kind != TokenKind::kIdent) continue;
-      size_t name_at = kNpos;
-      if (t[i].text == "Status" && !IsMemberAccess(t, i)) {
-        name_at = i + 1;
-      } else if (t[i].text == "Result" && IsPunct(t, i + 1, "<")) {
-        const size_t close = MatchingDelim(t, i + 1, "<", ">");
-        if (close != kNpos) name_at = close + 1;
-      }
-      if (name_at == kNpos || name_at >= t.size()) continue;
-      if (t[name_at].kind != TokenKind::kIdent) continue;
-      if (!IsPunct(t, name_at + 1, "(")) continue;
-      names.insert(t[name_at].text);
-    }
-  }
-  return names;
-}
-
-void CheckNoIgnoredStatus(Context* ctx, size_t fi,
-                          const std::set<std::string>& status_fns) {
-  if (status_fns.empty()) return;
-  const std::vector<Token>& t = ctx->files[fi].tokens;
-  // Walk statements: token runs separated by ; { } (preprocessor
-  // tokens skipped). For each run ending in `;`, match a bare call
-  // head: [ident [()] (:: | . | ->)]* ident ( — anchored at the start,
-  // so declarations ("Status Foo(") and keyword statements
-  // ("return Foo(...)") never match.
-  size_t start = kNpos;  // first token of the current statement
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].preproc) continue;
-    const bool boundary = t[i].kind == TokenKind::kPunct &&
-                          (t[i].text == ";" || t[i].text == "{" ||
-                           t[i].text == "}");
-    if (!boundary) {
-      if (start == kNpos) start = i;
-      continue;
-    }
-    if (start != kNpos && t[i].text == ";") {
-      size_t head = start;
-      std::string callee;
-      while (head < i && t[head].kind == TokenKind::kIdent) {
-        size_t next = head + 1;
-        if (IsPunct(t, next, "(") && IsPunct(t, next + 1, ")")) {
-          next += 2;  // zero-arg call inside a qualifier chain
-        }
-        if (next < i && t[next].kind == TokenKind::kPunct &&
-            (t[next].text == "::" || t[next].text == "." ||
-             t[next].text == "->")) {
-          head = next + 1;
-          continue;
-        }
-        if (IsPunct(t, head + 1, "(")) callee = t[head].text;
-        break;
-      }
-      if (!callee.empty() && status_fns.count(callee) > 0) {
-        ctx->Report(fi, t[start].line, "no-ignored-status",
-                    "result of Status-returning call '" + callee +
-                        "' is discarded; handle it, LIGHTTR_CHECK_OK it, or "
-                        "discard explicitly with (void) and a rationale");
-      }
-    }
-    start = kNpos;
   }
 }
 
@@ -332,10 +246,6 @@ void RunCrossTuRules(Context* ctx) {
   const std::vector<std::vector<IncludeEdge>> graph =
       BuildIncludeGraph(ctx->files);
   CheckIncludeCycles(ctx, graph);
-  const std::set<std::string> status_fns = CollectStatusFunctions(ctx->files);
-  for (size_t fi = 0; fi < ctx->files.size(); ++fi) {
-    CheckNoIgnoredStatus(ctx, fi, status_fns);
-  }
   CheckUnusedIncludes(ctx, graph);
 }
 

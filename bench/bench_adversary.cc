@@ -65,9 +65,9 @@ std::string JsonRow(const std::string& attack, const std::string& leg,
       "\"suspected\": %lld, \"quarantine\": %lld, \"finite\": %d, "
       "\"gave_up\": %d, \"seconds\": %.3f}",
       attack.c_str(), leg.c_str(), defended ? 1 : 0, JsonSafe(o.valid_loss),
-      o.recall, static_cast<long long>(f.poisoned_uploads),
-      static_cast<long long>(f.suspected_uploads),
-      static_cast<long long>(f.quarantine_events), o.finite ? 1 : 0,
+      o.recall, static_cast<long long>(f[fl::kPoisonedUploads]),
+      static_cast<long long>(f[fl::kSuspectedUploads]),
+      static_cast<long long>(f[fl::kQuarantineEvents]), o.finite ? 1 : 0,
       o.run.gave_up ? 1 : 0, o.seconds);
   return buffer;
 }
@@ -192,16 +192,16 @@ int main(int argc, char** argv) {
     table.AddRow({attack, defended ? "on" : "off",
                   TablePrinter::Fmt(JsonSafe(o.valid_loss)),
                   TablePrinter::Fmt(o.recall),
-                  std::to_string(o.run.faults.poisoned_uploads),
-                  std::to_string(o.run.faults.suspected_uploads),
+                  std::to_string(o.run.faults[fl::kPoisonedUploads]),
+                  std::to_string(o.run.faults[fl::kSuspectedUploads]),
                   JoinInts(o.quarantined), o.finite ? "yes" : "no",
                   TablePrinter::Fmt(o.seconds, 2)});
     json_rows.push_back(JsonRow(attack, leg, defended, o));
     std::printf("%s defense=%s: valid_loss=%.6g poisoned=%lld "
                 "suspected=%lld quarantined=[%s] finite=%d (%.2fs)\n",
                 attack.c_str(), defended ? "on" : "off", o.valid_loss,
-                static_cast<long long>(o.run.faults.poisoned_uploads),
-                static_cast<long long>(o.run.faults.suspected_uploads),
+                static_cast<long long>(o.run.faults[fl::kPoisonedUploads]),
+                static_cast<long long>(o.run.faults[fl::kSuspectedUploads]),
                 JoinInts(o.quarantined).c_str(), o.finite ? 1 : 0, o.seconds);
     std::fflush(stdout);
   };
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
         fed_options(attack, /*defended=*/true, /*threads=*/1), true);
     report(name, "sweep", true, on);
     if (attack == fl::AttackType::kScaledAscent) reference = on;
-    if (off.run.faults.poisoned_uploads <= 0) {
+    if (off.run.faults[fl::kPoisonedUploads] <= 0) {
       std::printf("ERROR[%s]: the attack never fired\n", name.c_str());
       gate_ok = false;
     }

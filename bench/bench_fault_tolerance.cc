@@ -54,9 +54,10 @@ int main() {
            TablePrinter::Fmt(result.metrics.recall),
            TablePrinter::Fmt(result.metrics.mae_km),
            TablePrinter::Fmt(faults.MeanCohortFraction() * 100, 0),
-           std::to_string(faults.drops), std::to_string(faults.retries),
-           std::to_string(faults.rejected_uploads),
-           std::to_string(faults.quorum_misses)});
+           std::to_string(faults[fl::kDrops]),
+           std::to_string(faults[fl::kRetries]),
+           std::to_string(faults[fl::kRejectedUploads]),
+           std::to_string(faults[fl::kQuorumMisses])});
       std::printf("done: dropout=%.0f%% agg=%s | %s\n", dropout * 100,
                   fl::AggregatorPolicyName(policy),
                   core::SummarizeResilience(result.run).c_str());

@@ -78,11 +78,11 @@ std::string JsonRow(const std::string& section, bool health, double seconds,
       "\"rollbacks\": %lld, \"quarantine\": %lld, \"parole\": %lld, "
       "\"outliers\": %lld, \"finite\": %d, \"gave_up\": %d}",
       section.c_str(), health ? 1 : 0, seconds, JsonSafe(valid_loss), recall,
-      static_cast<long long>(f.diverged_rounds),
-      static_cast<long long>(f.rollbacks),
-      static_cast<long long>(f.quarantine_events),
-      static_cast<long long>(f.parole_events),
-      static_cast<long long>(f.outlier_uploads), finite ? 1 : 0,
+      static_cast<long long>(f[fl::kDivergedRounds]),
+      static_cast<long long>(f[fl::kRollbacks]),
+      static_cast<long long>(f[fl::kQuarantineEvents]),
+      static_cast<long long>(f[fl::kParoleEvents]),
+      static_cast<long long>(f[fl::kOutlierUploads]), finite ? 1 : 0,
       gave_up ? 1 : 0);
   return buffer;
 }
@@ -163,9 +163,9 @@ int main(int argc, char** argv) {
     table.AddRow({section, health ? "on" : "off",
                   TablePrinter::Fmt(JsonSafe(outcome.valid_loss)),
                   TablePrinter::Fmt(outcome.recall),
-                  std::to_string(faults.diverged_rounds),
-                  std::to_string(faults.rollbacks),
-                  std::to_string(faults.quarantine_events),
+                  std::to_string(faults[fl::kDivergedRounds]),
+                  std::to_string(faults[fl::kRollbacks]),
+                  std::to_string(faults[fl::kQuarantineEvents]),
                   outcome.finite ? "yes" : "no",
                   TablePrinter::Fmt(outcome.seconds, 2)});
     json_rows.push_back(JsonRow(section, health, outcome.seconds,
@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
                 "rollbacks=%lld quarantine=%lld finite=%d (%.2fs)\n",
                 section.c_str(), health ? "on" : "off",
                 outcome.valid_loss, outcome.recall,
-                static_cast<long long>(faults.diverged_rounds),
-                static_cast<long long>(faults.rollbacks),
-                static_cast<long long>(faults.quarantine_events),
+                static_cast<long long>(faults[fl::kDivergedRounds]),
+                static_cast<long long>(faults[fl::kRollbacks]),
+                static_cast<long long>(faults[fl::kQuarantineEvents]),
                 outcome.finite ? 1 : 0, outcome.seconds);
     std::fflush(stdout);
   };
@@ -222,9 +222,9 @@ int main(int argc, char** argv) {
   // The acceptance bar: the protected run must detect, roll back, and
   // end strictly healthier than the unprotected one.
   if (!poisoned_on.finite || poisoned_on.run.gave_up ||
-      poisoned_on.run.faults.diverged_rounds < 1 ||
-      poisoned_on.run.faults.rollbacks < 1 ||
-      poisoned_on.run.faults.quarantine_events < 1 ||
+      poisoned_on.run.faults[fl::kDivergedRounds] < 1 ||
+      poisoned_on.run.faults[fl::kRollbacks] < 1 ||
+      poisoned_on.run.faults[fl::kQuarantineEvents] < 1 ||
       !(JsonSafe(poisoned_on.valid_loss) < JsonSafe(poisoned_off.valid_loss))) {
     std::printf("ERROR: self-healing did not beat the unprotected run\n");
     return 1;

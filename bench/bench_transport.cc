@@ -86,12 +86,12 @@ std::string JsonRow(const std::string& section, const RunOutcome& outcome,
       static_cast<long long>(outcome.run.comm.bytes_uplink),
       static_cast<long long>(outcome.run.comm.bytes_downlink),
       static_cast<long long>(outcome.run.comm.messages),
-      static_cast<long long>(f.net_retries),
-      static_cast<long long>(f.net_timeouts),
-      static_cast<long long>(f.net_crc_drops),
-      static_cast<long long>(f.net_dedup_drops),
-      static_cast<long long>(f.net_late_drops),
-      static_cast<long long>(f.net_lost), goodput, outcome.finite ? 1 : 0);
+      static_cast<long long>(f[fl::kNetRetries]),
+      static_cast<long long>(f[fl::kNetTimeouts]),
+      static_cast<long long>(f[fl::kNetCrcDrops]),
+      static_cast<long long>(f[fl::kNetDedupDrops]),
+      static_cast<long long>(f[fl::kNetLateDrops]),
+      static_cast<long long>(f[fl::kNetLost]), goodput, outcome.finite ? 1 : 0);
   return buffer;
 }
 
@@ -150,21 +150,21 @@ int main(int argc, char** argv) {
     table.AddRow({fault_case.name, TablePrinter::Fmt(outcome.seconds, 2),
                   std::to_string(outcome.run.comm.bytes_uplink),
                   std::to_string(outcome.run.comm.bytes_downlink),
-                  std::to_string(f.net_retries),
-                  std::to_string(f.net_timeouts),
-                  std::to_string(f.net_crc_drops),
-                  std::to_string(f.net_dedup_drops),
-                  std::to_string(f.net_lost),
+                  std::to_string(f[fl::kNetRetries]),
+                  std::to_string(f[fl::kNetTimeouts]),
+                  std::to_string(f[fl::kNetCrcDrops]),
+                  std::to_string(f[fl::kNetDedupDrops]),
+                  std::to_string(f[fl::kNetLost]),
                   TablePrinter::Fmt(goodput)});
     json_rows.push_back(JsonRow(fault_case.name, outcome, goodput));
     std::printf("%s: %.2fs wire=%lld retries=%lld timeouts=%lld "
                 "crc_drops=%lld lost=%lld goodput=%.3f\n",
                 fault_case.name.c_str(), outcome.seconds,
                 static_cast<long long>(wire),
-                static_cast<long long>(f.net_retries),
-                static_cast<long long>(f.net_timeouts),
-                static_cast<long long>(f.net_crc_drops),
-                static_cast<long long>(f.net_lost), goodput);
+                static_cast<long long>(f[fl::kNetRetries]),
+                static_cast<long long>(f[fl::kNetTimeouts]),
+                static_cast<long long>(f[fl::kNetCrcDrops]),
+                static_cast<long long>(f[fl::kNetLost]), goodput);
     std::fflush(stdout);
     if (!outcome.finite) {
       std::printf("ERROR: %s produced a non-finite model\n",

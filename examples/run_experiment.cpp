@@ -18,6 +18,7 @@
 #include "eval/harness.h"
 #include "fl/adversary.h"
 #include "fl/aggregation.h"
+#include "fl/comm_stats.h"
 #include "nn/kernels/kernels.h"
 
 namespace {
@@ -365,22 +366,25 @@ int main(int argc, char** argv) {
                       static_cast<double>(result.run.comm.TotalBytes()) / 1024.0,
                       0)});
   }
+  // Adds one row per counter of `block`, labelled and ordered by
+  // fl::kCounters.
   const fl::FaultStats& faults = result.run.faults;
-  const bool net_active = faults.net_retries > 0 || faults.net_timeouts > 0 ||
-                          faults.net_crc_drops > 0 ||
-                          faults.net_dedup_drops > 0 ||
-                          faults.net_late_drops > 0 || faults.net_lost > 0;
-  if (net_active) {
-    table.AddRow({"Net retries", std::to_string(faults.net_retries)});
-    table.AddRow({"Net timeouts", std::to_string(faults.net_timeouts)});
-    table.AddRow({"Net CRC drops", std::to_string(faults.net_crc_drops)});
-    table.AddRow({"Net dedup drops", std::to_string(faults.net_dedup_drops)});
-    table.AddRow({"Net late drops", std::to_string(faults.net_late_drops)});
-    table.AddRow({"Net lost clients", std::to_string(faults.net_lost)});
-  }
-  if (faults.storage_write_failures > 0) {
-    table.AddRow({"Storage write failures",
-                  std::to_string(faults.storage_write_failures)});
+  const auto add_counter_rows = [&](fl::CounterBlock block) {
+    for (const fl::CounterSpec& counter : fl::kCounters) {
+      if (counter.block == block) {
+        table.AddRow({counter.label, std::to_string(faults[counter.id])});
+      }
+    }
+  };
+  // The network and storage blocks show only when one of their counters
+  // fired.
+  for (const fl::CounterBlock block :
+       {fl::CounterBlock::kNet, fl::CounterBlock::kStorage}) {
+    bool fired = false;
+    for (const fl::CounterSpec& counter : fl::kCounters) {
+      fired = fired || (counter.block == block && faults[counter.id] > 0);
+    }
+    if (fired) add_counter_rows(block);
   }
   // Attack/defense telemetry: shown whenever either side is in play so
   // a defended-vs-undefended pair of runs prints comparable tables.
@@ -392,21 +396,10 @@ int main(int argc, char** argv) {
       table.AddRow({"Attackers",
                     std::to_string(static_cast<int>(adversary_count_in))});
     }
-    table.AddRow({"Poisoned uploads",
-                  std::to_string(result.run.faults.poisoned_uploads)});
-    table.AddRow({"Suspected uploads",
-                  std::to_string(result.run.faults.suspected_uploads)});
-    table.AddRow({"Quarantined skips",
-                  std::to_string(result.run.faults.quarantined_skips)});
+    add_counter_rows(fl::CounterBlock::kAttack);
   }
   if (health) {
-    table.AddRow({"Diverged rounds",
-                  std::to_string(result.run.faults.diverged_rounds)});
-    table.AddRow({"Rollbacks", std::to_string(result.run.faults.rollbacks)});
-    table.AddRow({"Quarantine events",
-                  std::to_string(result.run.faults.quarantine_events)});
-    table.AddRow({"Parole events",
-                  std::to_string(result.run.faults.parole_events)});
+    add_counter_rows(fl::CounterBlock::kHealth);
     table.AddRow({"Gave up", result.run.gave_up ? "yes" : "no"});
   }
   std::printf("%s", table.ToString().c_str());

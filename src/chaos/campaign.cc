@@ -198,15 +198,15 @@ void CheckFiniteModel(const RunOutcome& run, ScenarioReport* report) {
 }
 
 // Invariant: every sampled client is accounted for by exactly one
-// outcome bucket, every round.
+// fl::kCohortPartition column, every round.
 void CheckRoundConservation(const RunOutcome& run, ScenarioReport* report) {
   for (const fl::RoundRecord& r : run.result.history) {
-    const int accounted = r.skipped_quarantined + r.drops + r.net_lost +
-                          r.stragglers + r.rejected_uploads + r.reporting;
-    if (r.sampled != accounted) {
+    int accounted = 0;
+    for (const fl::Counter c : fl::kCohortPartition) accounted += r[c];
+    if (r[fl::kSampled] != accounted) {
       AddViolation(report, "round-conservation",
                    "round " + std::to_string(r.round) + ": sampled " +
-                       std::to_string(r.sampled) + " != accounted " +
+                       std::to_string(r[fl::kSampled]) + " != accounted " +
                        std::to_string(accounted));
     }
   }
@@ -220,17 +220,19 @@ void CheckQuorumAccounting(const ChaosScenario& s, const RunOutcome& run,
   for (const fl::RoundRecord& r : run.result.history) {
     const int need = std::max(
         1, static_cast<int>(
-               std::ceil(s.quorum_fraction * static_cast<double>(r.sampled))));
-    if (r.quorum_met && r.reporting < need) {
+               std::ceil(s.quorum_fraction *
+                         static_cast<double>(r[fl::kSampled]))));
+    const int reporting = r[fl::kReporting];
+    if (r.quorum_met && reporting < need) {
       AddViolation(report, "quorum-accounting",
                    "round " + std::to_string(r.round) + ": quorum met with " +
-                       std::to_string(r.reporting) + " < need " +
+                       std::to_string(reporting) + " < need " +
                        std::to_string(need));
     }
-    if (!r.quorum_met && r.reporting >= need) {
+    if (!r.quorum_met && reporting >= need) {
       AddViolation(report, "quorum-accounting",
                    "round " + std::to_string(r.round) +
-                       ": quorum missed with " + std::to_string(r.reporting) +
+                       ": quorum missed with " + std::to_string(reporting) +
                        " >= need " + std::to_string(need));
     }
   }
@@ -249,18 +251,18 @@ void CheckCounterConservation(const RunOutcome& run, ScenarioReport* report) {
     }
   };
   for (const fl::CounterSpec& counter : fl::kCounters) {
-    if (counter.scope != fl::CounterScope::kRun || counter.round == nullptr) {
+    if (counter.scope != fl::CounterScope::kRun || !counter.per_round) {
       continue;
     }
     int64_t sum = 0;
-    for (const fl::RoundRecord& r : run.result.history) sum += r.*counter.round;
-    check(counter.name, sum, total.*counter.total);
+    for (const fl::RoundRecord& r : run.result.history) sum += r[counter.id];
+    check(counter.name, sum, total[counter.id]);
   }
   int64_t misses = 0;
   for (const fl::RoundRecord& r : run.result.history) {
     if (!r.quorum_met) ++misses;
   }
-  check("quorum_misses", misses, total.quorum_misses);
+  check("quorum_misses", misses, total[fl::kQuorumMisses]);
 }
 
 // Invariant: no orphan temp files at quiescence. Litter the fault layer
@@ -283,7 +285,7 @@ void CheckNoOrphanTemps(const FaultyFileSystem& fs, ScenarioReport* report) {
 void CheckStorageAttribution(const RunOutcome& run,
                              const StorageFaultStats& stats,
                              ScenarioReport* report) {
-  const int64_t trainer_count = run.result.faults.storage_write_failures;
+  const int64_t trainer_count = run.result.faults[fl::kStorageWriteFailures];
   const int64_t injected = stats.WriteFaults();
   if (!run.crash_fired) {
     if (trainer_count != injected) {
@@ -315,10 +317,10 @@ void CheckStorageAttribution(const RunOutcome& run,
 void CheckAdversaryAttribution(const ChaosScenario& s, const RunOutcome& run,
                                ScenarioReport* report) {
   if (!s.adversary_on) {
-    if (run.result.faults.poisoned_uploads != 0) {
+    if (run.result.faults[fl::kPoisonedUploads] != 0) {
       AddViolation(report, "adversary-attribution",
                    "poisoned_uploads " +
-                       std::to_string(run.result.faults.poisoned_uploads) +
+                       std::to_string(run.result.faults[fl::kPoisonedUploads]) +
                        " with the adversary axis off");
     }
     return;
@@ -457,7 +459,7 @@ ScenarioReport RunScenario(const ChaosScenario& scenario) {
       RunOnce(scenario, scenario.threads, /*with_crash=*/true, &fs, &clients);
   report.storage_stats = fs.stats();
   report.trainer_storage_failures =
-      main_run.result.faults.storage_write_failures;
+      main_run.result.faults[fl::kStorageWriteFailures];
   report.crash_fired = main_run.crash_fired;
   report.fresh_restart = main_run.fresh_restart;
   report.rounds_completed = static_cast<int>(main_run.result.history.size());

@@ -19,8 +19,8 @@ std::string DescribeMismatch(const RoundRecord& a, const RoundRecord& b) {
     return Differs("escalated", a.escalated, b.escalated);
   }
   for (const CounterSpec& counter : kCounters) {
-    if (counter.round != nullptr && a.*counter.round != b.*counter.round) {
-      return Differs(counter.name, a.*counter.round, b.*counter.round);
+    if (counter.per_round && a[counter.id] != b[counter.id]) {
+      return Differs(counter.name, a[counter.id], b[counter.id]);
     }
   }
   if (a.mean_train_loss != b.mean_train_loss) return "mean_train_loss";
@@ -33,9 +33,8 @@ std::string DescribeMismatch(const RoundRecord& a, const RoundRecord& b) {
 
 std::string DescribeMismatch(const FaultStats& a, const FaultStats& b) {
   for (const CounterSpec& counter : kCounters) {
-    if (counter.total != nullptr &&
-        a.*counter.total != b.*counter.total) {
-      return Differs(counter.name, a.*counter.total, b.*counter.total);
+    if (counter.has_total() && a[counter.id] != b[counter.id]) {
+      return Differs(counter.name, a[counter.id], b[counter.id]);
     }
   }
   if (a.simulated_backoff_s != b.simulated_backoff_s) {

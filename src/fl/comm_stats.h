@@ -4,97 +4,27 @@
 #ifndef LIGHTTR_FL_COMM_STATS_H_
 #define LIGHTTR_FL_COMM_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace lighttr::fl {
 
-/// Accumulated fault-tolerance telemetry of one federated run: what the
-/// fault layer injected and what the server did about it.
-struct FaultStats {
-  int64_t drops = 0;             // contacts that never reported (after retries)
-  int64_t retries = 0;           // re-contact attempts for dropped clients
-  int64_t stragglers = 0;        // clients cut off by the round deadline
-  int64_t rejected_uploads = 0;  // uploads screened out (non-finite / norm)
-  int64_t clipped_uploads = 0;   // uploads norm-clipped but kept
-  int64_t quorum_misses = 0;     // rounds that kept the previous model
-  int64_t sampled_clients = 0;   // sum over rounds of cohort size
-  int64_t reporting_clients = 0; // sum over rounds of effective cohort size
-  double simulated_backoff_s = 0.0;  // simulated seconds spent backing off
-  // Self-healing telemetry (fl/health + fl/reputation); all zero when
-  // the health layer is disabled.
-  int64_t outlier_uploads = 0;    // accepted uploads flagged as norm outliers
-  int64_t diverged_rounds = 0;    // rounds the monitor judged diverged
-  int64_t rollbacks = 0;          // rollbacks to the last healthy state
-  int64_t quarantine_events = 0;  // clients entering quarantine
-  int64_t parole_events = 0;      // clients released from quarantine
-  int64_t quarantined_skips = 0;  // sampled slots skipped due to quarantine
-  // Adversary telemetry (fl/adversary + the Byzantine aggregators).
-  // `poisoned_uploads` counts uploads the injected adversary actually
-  // rewrote (ground truth, zero in production); `suspected_uploads`
-  // counts uploads the Byzantine aggregator flagged as probable poison
-  // (the defense's claim). Comparing the two is the attribution story.
-  int64_t poisoned_uploads = 0;
-  int64_t suspected_uploads = 0;
-  // Wire-transport telemetry (fl/transport): what the network did to
-  // frames in flight. All zero on a clean channel. These faults are
-  // attributed to the NETWORK — they never touch a client's reputation.
-  int64_t net_retries = 0;     // request re-sends after unusable exchanges
-  int64_t net_timeouts = 0;    // exchanges that produced no usable response
-  int64_t net_crc_drops = 0;   // frames discarded (CRC/decode/misroute)
-  int64_t net_dedup_drops = 0; // duplicate pushes absorbed by server dedup
-  int64_t net_late_drops = 0;  // frames discarded for missing the deadline
-  int64_t net_lost = 0;        // client-rounds lost to a dead link
-  // Storage telemetry (common/env): persistence calls (snapshot writes)
-  // that failed at the filesystem. Training continues — the model is
-  // unaffected — but durability coverage degrades, so the count is
-  // surfaced rather than swallowed. Attributed to STORAGE: never to the
-  // network or to client reputation.
-  int64_t storage_write_failures = 0;
-
-  /// Mean fraction of each round's cohort that actually reported.
-  double MeanCohortFraction() const {
-    return sampled_clients > 0 ? static_cast<double>(reporting_clients) /
-                                     static_cast<double>(sampled_clients)
-                               : 1.0;
-  }
-};
-
-/// Per-round telemetry (drives the convergence analysis of Fig. 5 and
-/// the resilience curves of bench_fault_tolerance). Every snapshot the
-/// durability layer (fl/run_state) writes carries the history so far,
-/// so a resumed run reports the rounds it did not re-execute.
-struct RoundRecord {
-  int round = 0;
-  double mean_train_loss = 0.0;
-  double global_valid_accuracy = 0.0;
-  double wall_seconds = 0.0;
-  // Fault telemetry for this round.
-  int sampled = 0;           // cohort size selected by Algorithm 3 line 2
-  int reporting = 0;         // uploads that survived faults + screening
-  int drops = 0;             // clients lost after exhausting retries
-  int retries = 0;           // re-contact attempts this round
-  int stragglers = 0;        // clients cut off by the deadline
-  int rejected_uploads = 0;  // uploads discarded by screening
-  bool quorum_met = true;    // false -> previous global model kept
-  // Self-healing telemetry; defaults describe a run with --health off.
-  double valid_loss = 0.0;       // global model's validation loss
-  int verdict = 0;               // fl::HealthVerdict as int (0=healthy)
-  int outlier_uploads = 0;       // accepted uploads flagged as outliers
-  int quarantined = 0;           // clients in quarantine after this round
-  int skipped_quarantined = 0;   // sampled slots skipped (quarantine)
-  bool escalated = false;        // round ran under escalated screening
-  // Adversary telemetry for this round (see FaultStats).
-  int poisoned_uploads = 0;      // uploads the injected adversary rewrote
-  int suspected_uploads = 0;     // uploads the Byzantine aggregator flagged
-  // Wire-transport telemetry for this round (see FaultStats).
-  int net_retries = 0;
-  int net_timeouts = 0;
-  int net_crc_drops = 0;
-  int net_dedup_drops = 0;
-  int net_late_drops = 0;
-  int net_lost = 0;              // contacted clients lost to network faults
+/// Every telemetry counter, in kCounters order (one line per table
+/// group). FaultStats and RoundRecord index their counter arrays with it
+/// (`faults[kDrops]`).
+enum Counter : int {
+  kSampled, kReporting,
+  kDrops, kRetries, kStragglers, kRejectedUploads, kClippedUploads,
+  kQuorumMisses,
+  kPoisonedUploads, kSuspectedUploads,
+  kNetRetries, kNetTimeouts, kNetCrcDrops, kNetDedupDrops, kNetLateDrops,
+  kNetLost,
+  kVerdict, kQuarantined, kOutlierUploads, kQuarantinedSkips,
+  kDivergedRounds, kRollbacks, kQuarantineEvents, kParoleEvents,
+  kStorageWriteFailures,
+  kNumCounters,
 };
 
 /// How a counter's FaultStats total relates to its per-round column.
@@ -111,84 +41,152 @@ enum class CounterScope {
   kRound,
 };
 
-/// One telemetry counter: where it lives in RoundRecord and FaultStats.
+/// The run_experiment table block that prints a counter's total.
+enum class CounterBlock {
+  kNone,     // not printed
+  kNet,      // every row, when any of them is nonzero
+  kStorage,  // every row, when any of them is nonzero
+  kAttack,   // when an adversary or a robust aggregator is in play
+  kHealth,   // with --health
+};
+
+/// One telemetry counter.
 struct CounterSpec {
+  Counter id;
   const char* name;
   CounterScope scope;
-  int RoundRecord::*round;     // nullptr: no per-round column
-  int64_t FaultStats::*total;  // nullptr: no FaultStats total
+  bool per_round;                 // has a RoundRecord column
+  const char* label = nullptr;    // its run_experiment row, if printed
+  CounterBlock block = CounterBlock::kNone;
+
+  /// Whether FaultStats carries a total of it.
+  constexpr bool has_total() const { return scope != CounterScope::kRound; }
 };
 
 /// The single list of counters. The round fold, the snapshot codec
-/// (totals and history columns), DescribeMismatch, and the chaos
-/// invariants all iterate it, so adding a counter means adding its
-/// fields, one row here, and the line that increments it. Reordering or
-/// inserting rows changes the snapshot layout: bump the run-state
-/// version (fl/run_state.cc).
+/// (totals and history columns), DescribeMismatch, the chaos invariants
+/// and run_experiment's table all walk it, so adding a counter means
+/// adding its enumerator, one row here, and the line that increments
+/// it. Reordering or inserting rows changes the snapshot layout: bump
+/// the run-state version (fl/run_state.cc).
 inline constexpr CounterSpec kCounters[] = {
+    // {id, name, scope, per-round column, run_experiment label and block}
     // Cohort bookkeeping (Algorithm 3 line 2 and its survivors).
-    {"sampled", CounterScope::kRun, &RoundRecord::sampled,
-     &FaultStats::sampled_clients},
-    {"reporting", CounterScope::kRun, &RoundRecord::reporting,
-     &FaultStats::reporting_clients},
-    // Client faults (fl/fault_injection) and upload screening.
-    {"drops", CounterScope::kRun, &RoundRecord::drops, &FaultStats::drops},
-    {"retries", CounterScope::kRun, &RoundRecord::retries,
-     &FaultStats::retries},
-    {"stragglers", CounterScope::kRun, &RoundRecord::stragglers,
-     &FaultStats::stragglers},
-    {"rejected_uploads", CounterScope::kRun, &RoundRecord::rejected_uploads,
-     &FaultStats::rejected_uploads},
-    {"clipped_uploads", CounterScope::kRun, nullptr,
-     &FaultStats::clipped_uploads},
-    {"quorum_misses", CounterScope::kRun, nullptr, &FaultStats::quorum_misses},
-    // Adversary (fl/adversary + the Byzantine aggregators).
-    {"poisoned_uploads", CounterScope::kRun, &RoundRecord::poisoned_uploads,
-     &FaultStats::poisoned_uploads},
-    {"suspected_uploads", CounterScope::kRun, &RoundRecord::suspected_uploads,
-     &FaultStats::suspected_uploads},
-    // Network (fl/transport).
-    {"net_retries", CounterScope::kRun, &RoundRecord::net_retries,
-     &FaultStats::net_retries},
-    {"net_timeouts", CounterScope::kRun, &RoundRecord::net_timeouts,
-     &FaultStats::net_timeouts},
-    {"net_crc_drops", CounterScope::kRun, &RoundRecord::net_crc_drops,
-     &FaultStats::net_crc_drops},
-    {"net_dedup_drops", CounterScope::kRun, &RoundRecord::net_dedup_drops,
-     &FaultStats::net_dedup_drops},
-    {"net_late_drops", CounterScope::kRun, &RoundRecord::net_late_drops,
-     &FaultStats::net_late_drops},
-    {"net_lost", CounterScope::kRun, &RoundRecord::net_lost,
-     &FaultStats::net_lost},
-    // Self-healing (fl/health + fl/reputation).
-    {"verdict", CounterScope::kRound, &RoundRecord::verdict, nullptr},
-    {"quarantined", CounterScope::kRound, &RoundRecord::quarantined, nullptr},
-    {"outlier_uploads", CounterScope::kLifetime, &RoundRecord::outlier_uploads,
-     &FaultStats::outlier_uploads},
-    {"quarantined_skips", CounterScope::kLifetime,
-     &RoundRecord::skipped_quarantined, &FaultStats::quarantined_skips},
-    {"diverged_rounds", CounterScope::kLifetime, nullptr,
-     &FaultStats::diverged_rounds},
-    {"rollbacks", CounterScope::kLifetime, nullptr, &FaultStats::rollbacks},
-    {"quarantine_events", CounterScope::kLifetime, nullptr,
-     &FaultStats::quarantine_events},
-    {"parole_events", CounterScope::kLifetime, nullptr,
-     &FaultStats::parole_events},
-    // Storage (common/env).
-    {"storage_write_failures", CounterScope::kLifetime, nullptr,
-     &FaultStats::storage_write_failures},
+    {kSampled, "sampled", CounterScope::kRun, true},
+    {kReporting, "reporting", CounterScope::kRun, true},
+    // Client faults (fl/fault_injection) and upload screening: clients
+    // lost after exhausting their retries, the re-contact attempts,
+    // clients cut off by the round deadline, uploads screened out
+    // (non-finite or over the norm bound), uploads norm-clipped but
+    // kept, and rounds that missed quorum and kept the previous model.
+    {kDrops, "drops", CounterScope::kRun, true},
+    {kRetries, "retries", CounterScope::kRun, true},
+    {kStragglers, "stragglers", CounterScope::kRun, true},
+    {kRejectedUploads, "rejected_uploads", CounterScope::kRun, true},
+    {kClippedUploads, "clipped_uploads", CounterScope::kRun, false},
+    {kQuorumMisses, "quorum_misses", CounterScope::kRun, false},
+    // Adversary (fl/adversary + the Byzantine aggregators): uploads the
+    // injected adversary rewrote (ground truth, zero in production) and
+    // uploads the aggregator flagged (the defence's claim).
+    {kPoisonedUploads, "poisoned_uploads", CounterScope::kRun, true,
+     "Poisoned uploads", CounterBlock::kAttack},
+    {kSuspectedUploads, "suspected_uploads", CounterScope::kRun, true,
+     "Suspected uploads", CounterBlock::kAttack},
+    // Network (fl/transport): what the wire did, never charged to a
+    // client's reputation. Re-sends after unusable exchanges, exchanges
+    // with no usable response, frames discarded (CRC, decode, misroute),
+    // duplicate pushes absorbed by server dedup, frames past the
+    // deadline, and client-rounds lost to a dead link.
+    {kNetRetries, "net_retries", CounterScope::kRun, true, "Net retries",
+     CounterBlock::kNet},
+    {kNetTimeouts, "net_timeouts", CounterScope::kRun, true, "Net timeouts",
+     CounterBlock::kNet},
+    {kNetCrcDrops, "net_crc_drops", CounterScope::kRun, true, "Net CRC drops",
+     CounterBlock::kNet},
+    {kNetDedupDrops, "net_dedup_drops", CounterScope::kRun, true,
+     "Net dedup drops", CounterBlock::kNet},
+    {kNetLateDrops, "net_late_drops", CounterScope::kRun, true,
+     "Net late drops", CounterBlock::kNet},
+    {kNetLost, "net_lost", CounterScope::kRun, true, "Net lost clients",
+     CounterBlock::kNet},
+    // Self-healing (fl/health + fl/reputation); zero with healing off.
+    // Per round: the fl::HealthVerdict as int (0 = healthy), the clients
+    // in quarantine after it, the accepted uploads flagged as norm
+    // outliers, and the sampled slots skipped for quarantine. Lifetime
+    // only: diverged rounds, rollbacks, and clients entering and leaving
+    // quarantine.
+    {kVerdict, "verdict", CounterScope::kRound, true},
+    {kQuarantined, "quarantined", CounterScope::kRound, true},
+    {kOutlierUploads, "outlier_uploads", CounterScope::kLifetime, true},
+    {kQuarantinedSkips, "quarantined_skips", CounterScope::kLifetime, true,
+     "Quarantined skips", CounterBlock::kAttack},
+    {kDivergedRounds, "diverged_rounds", CounterScope::kLifetime, false,
+     "Diverged rounds", CounterBlock::kHealth},
+    {kRollbacks, "rollbacks", CounterScope::kLifetime, false, "Rollbacks",
+     CounterBlock::kHealth},
+    {kQuarantineEvents, "quarantine_events", CounterScope::kLifetime, false,
+     "Quarantine events", CounterBlock::kHealth},
+    {kParoleEvents, "parole_events", CounterScope::kLifetime, false,
+     "Parole events", CounterBlock::kHealth},
+    // Storage (common/env): snapshot writes that failed. Training goes
+    // on with degraded durability, so the count is surfaced.
+    {kStorageWriteFailures, "storage_write_failures", CounterScope::kLifetime,
+     false, "Storage write failures", CounterBlock::kStorage},
 };
 
-constexpr int CountTotals() {
-  int count = 0;
-  for (const CounterSpec& counter : kCounters) {
-    if (counter.total != nullptr) ++count;
+static_assert(
+    [] {
+      int id = 0;
+      for (const CounterSpec& counter : kCounters) {
+        if (counter.id != id++) return false;
+      }
+      return id == kNumCounters;
+    }(),
+    "one kCounters row per Counter, in enum order");
+
+/// The six per-round columns that partition a round's sampled cohort:
+/// every sampled client is skipped for quarantine, dropped, lost to the
+/// network, cut off as a straggler, screened out, or reporting.
+inline constexpr Counter kCohortPartition[] = {
+    kQuarantinedSkips, kDrops,           kNetLost,
+    kStragglers,       kRejectedUploads, kReporting};
+
+/// Accumulated fault-tolerance telemetry of one federated run: what the
+/// fault layer injected and what the server did about it.
+struct FaultStats {
+  /// Every kCounters total; a counter without one stays zero.
+  std::array<int64_t, kNumCounters> counts{};
+  double simulated_backoff_s = 0.0;  // simulated seconds spent backing off
+
+  int64_t& operator[](Counter counter) { return counts[counter]; }
+  int64_t operator[](Counter counter) const { return counts[counter]; }
+
+  /// Mean fraction of each round's cohort that actually reported.
+  double MeanCohortFraction() const {
+    return counts[kSampled] > 0 ? static_cast<double>(counts[kReporting]) /
+                                      static_cast<double>(counts[kSampled])
+                                : 1.0;
   }
-  return count;
-}
-static_assert(sizeof(FaultStats) ==
-                  sizeof(double) + sizeof(int64_t) * CountTotals(),
-              "every FaultStats counter needs a kCounters row");
+};
+
+/// Per-round telemetry (drives the convergence analysis of Fig. 5 and
+/// the resilience curves of bench_fault_tolerance). Every snapshot the
+/// durability layer (fl/run_state) writes carries the history so far,
+/// so a resumed run reports the rounds it did not re-execute.
+struct RoundRecord {
+  int round = 0;
+  double mean_train_loss = 0.0;
+  double global_valid_accuracy = 0.0;
+  double wall_seconds = 0.0;
+  double valid_loss = 0.0;     // global model's validation loss
+  bool quorum_met = true;      // false -> previous global model kept
+  bool escalated = false;      // round ran under escalated screening
+  /// Every per-round kCounters column; a counter without one stays zero.
+  std::array<int, kNumCounters> counts{};
+
+  int& operator[](Counter counter) { return counts[counter]; }
+  int operator[](Counter counter) const { return counts[counter]; }
+};
 
 /// Field-by-field equality, wall-clock time excluded: "" on a match,
 /// otherwise the first differing field ("drops 2 vs 3"). A record

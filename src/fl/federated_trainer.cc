@@ -72,7 +72,7 @@ struct ClientRound {
 void CopyLifetimeCounters(const FaultStats& from, FaultStats* to) {
   for (const CounterSpec& counter : kCounters) {
     if (counter.scope == CounterScope::kLifetime) {
-      to->*counter.total = from.*counter.total;
+      (*to)[counter.id] = from[counter.id];
     }
   }
 }
@@ -292,7 +292,7 @@ Status FederatedTrainer::SaveSnapshot(const ServerRunState& state) {
         path + ".tmp", encoded.substr(0, encoded.size() / 2));
     // A storage fault can hit even the dying write; count it so the
     // attribution ledger stays exact, then crash as scheduled.
-    if (!half.ok()) ++lifetime_.storage_write_failures;
+    if (!half.ok()) ++lifetime_[kStorageWriteFailures];
     throw InjectedCrash{CrashPoint::kMidSave, round};
   }
   LIGHTTR_RETURN_NOT_OK(SaveRunState(fs, path, state));
@@ -426,16 +426,15 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     // stays aligned with the reputation state (itself deterministic).
     std::vector<size_t> selected = rng_.SampleWithoutReplacement(
         static_cast<size_t>(num_clients), static_cast<size_t>(sampled));
-    record.sampled = static_cast<int>(selected.size());
+    record[kSampled] = static_cast<int>(selected.size());
     if (healing && book_->QuarantinedCount() > 0) {
       auto keep_end = std::remove_if(
           selected.begin(), selected.end(), [&](size_t client_index) {
             return book_->IsQuarantined(static_cast<int>(client_index));
           });
-      record.skipped_quarantined =
-          static_cast<int>(selected.end() - keep_end);
+      record[kQuarantinedSkips] = static_cast<int>(selected.end() - keep_end);
       selected.erase(keep_end, selected.end());
-      lifetime_.quarantined_skips += record.skipped_quarantined;
+      lifetime_[kQuarantinedSkips] += record[kQuarantinedSkips];
     }
 
     // Lines 3-10: download, local training, upload — now with faults,
@@ -612,38 +611,38 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       result.comm.bytes_downlink += c.link.downlink_bytes;
       result.comm.bytes_uplink += c.link.uplink_bytes;
       result.comm.messages += c.link.uplink_frames + c.link.downlink_frames;
-      record.net_retries += c.link.retries;
-      record.net_timeouts += c.link.timeouts;
-      record.net_crc_drops += c.link.crc_drops;
-      record.net_dedup_drops += c.link.dedup_drops;
-      record.net_late_drops += c.link.late_drops;
+      record[kNetRetries] += c.link.retries;
+      record[kNetTimeouts] += c.link.timeouts;
+      record[kNetCrcDrops] += c.link.crc_drops;
+      record[kNetDedupDrops] += c.link.dedup_drops;
+      record[kNetLateDrops] += c.link.late_drops;
       result.faults.simulated_backoff_s += c.backoff_s + c.link.backoff_s;
-      record.retries += c.retries;
+      record[kRetries] += c.retries;
       if (c.trained()) {
         loss_sum += c.loss;
         ++loss_count;
       }
       // Ground truth, counted even when the wire later eats the upload:
       // the adversary DID rewrite it.
-      if (c.poisoned) ++record.poisoned_uploads;
+      if (c.poisoned) ++record[kPoisonedUploads];
       UpdateObservation obs;
       obs.client_index = static_cast<int>(c.client_index);
       switch (c.fate) {
         case ClientFate::kDropped:
-          ++record.drops;
+          ++record[kDrops];
           break;
         case ClientFate::kPullLost:
         case ClientFate::kPushLost:
           // Lost to the wire, not to the client: never a drop, straggler,
           // or reputation observation.
-          ++record.net_lost;
+          ++record[kNetLost];
           break;
         case ClientFate::kStraggler:
-          ++record.stragglers;
+          ++record[kStragglers];
           break;
         case ClientFate::kCorrupt:
         case ClientFate::kNormRejected:
-          ++record.rejected_uploads;
+          ++record[kRejectedUploads];
           obs.corrupt = c.fate == ClientFate::kCorrupt;
           obs.norm_rejected = !obs.corrupt;
           observations.push_back(obs);
@@ -652,7 +651,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
           obs.accepted = true;
           obs.delta_norm = c.delta_norm;
           observations.push_back(obs);
-          if (c.clipped) ++result.faults.clipped_uploads;
+          if (c.clipped) ++result.faults[kClippedUploads];
           // The adaptive adversary eavesdrops on accepted honest norms
           // (the simulator grants it a global view) to size its stealth
           // attacks. Coordinating thread, canonical order: deterministic.
@@ -665,7 +664,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
           break;
       }
     }
-    record.reporting = static_cast<int>(uploads.size());
+    record[kReporting] = static_cast<int>(uploads.size());
     // A "mid-round" crash lands after local work but before the round
     // commits anything: on resume the whole round re-executes.
     MaybeInjectCrash(durability, CrashPoint::kMidRound, round);
@@ -675,8 +674,8 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     // instead of averaging a tiny (or empty) cohort.
     const int quorum_need = std::max(
         1, static_cast<int>(std::ceil(tolerance.quorum_fraction *
-                                      static_cast<double>(record.sampled))));
-    record.quorum_met = record.reporting >= quorum_need;
+                                      static_cast<double>(record[kSampled]))));
+    record.quorum_met = record[kReporting] >= quorum_need;
     if (record.quorum_met) {
       // kNormBound clips against the rolling median accepted norm; an
       // empty window (the first rounds) leaves the bound unarmed.
@@ -695,7 +694,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
             // Map the aggregator's verdict back onto the reputation
             // evidence (same canonical order the uploads were folded in)
             // so Observe can score it below.
-            ++record.suspected_uploads;
+            ++record[kSuspectedUploads];
             obs.suspected = true;
           } else if (tolerance.aggregator.policy ==
                      AggregatorPolicy::kNormBound) {
@@ -708,12 +707,12 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         record.quorum_met = false;  // degrade: keep the previous model
       }
     }
-    if (!record.quorum_met) ++result.faults.quorum_misses;
+    if (!record.quorum_met) ++result.faults[kQuorumMisses];
     ++result.comm.rounds;
 
     for (const CounterSpec& counter : kCounters) {
-      if (counter.scope == CounterScope::kRun && counter.round != nullptr) {
-        result.faults.*counter.total += record.*counter.round;
+      if (counter.scope == CounterScope::kRun && counter.per_round) {
+        result.faults[counter.id] += record[counter.id];
       }
     }
 
@@ -732,21 +731,21 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     if (healing) {
       RoundHealthReport report = monitor_.Judge(
           &observations, global_model_->params().Flatten(), record.valid_loss);
-      record.verdict = static_cast<int>(report.verdict);
-      record.outlier_uploads = report.outlier_uploads;
-      lifetime_.outlier_uploads += report.outlier_uploads;
+      record[kVerdict] = static_cast<int>(report.verdict);
+      record[kOutlierUploads] = report.outlier_uploads;
+      lifetime_[kOutlierUploads] += report.outlier_uploads;
       for (const UpdateObservation& obs : observations) {
         if (book_->Observe(obs.client_index, obs.corrupt, obs.norm_rejected,
                            obs.outlier, obs.suspected)) {
-          ++lifetime_.quarantine_events;
+          ++lifetime_[kQuarantineEvents];
         }
       }
       if (report.verdict == HealthVerdict::kDiverged) {
-        ++lifetime_.diverged_rounds;
+        ++lifetime_[kDivergedRounds];
         escalated_ = true;
         const int anchor = last_healthy_->round;
         const bool roll_back =
-            lifetime_.rollbacks < options_.healing.max_rollbacks;
+            lifetime_[kRollbacks] < options_.healing.max_rollbacks;
         std::fprintf(stderr,
                      "[lighttr] round %d diverged (%s%s%s); %s round %d\n",
                      round, report.global_nonfinite ? "non-finite model " : "",
@@ -756,7 +755,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
                                : "rollback budget exhausted; stopping at",
                      anchor);
         if (roll_back) {
-          ++lifetime_.rollbacks;
+          ++lifetime_[kRollbacks];
         } else {
           result.gave_up = true;
         }
@@ -775,8 +774,8 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       }
       // Committed round: advance quarantine clocks (the quarantining
       // round's tick counts toward parole).
-      lifetime_.parole_events += book_->Tick();
-      record.quarantined = book_->QuarantinedCount();
+      lifetime_[kParoleEvents] += book_->Tick();
+      record[kQuarantined] = book_->QuarantinedCount();
     }
     record.wall_seconds = watch.ElapsedSeconds();
     result.history.push_back(record);
@@ -797,7 +796,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // with healing on it is this round's snapshot too.
       const Status saved = healing ? SaveSnapshot(*last_healthy_)
                                    : SaveSnapshot(CaptureState(round, result));
-      if (!saved.ok()) ++lifetime_.storage_write_failures;
+      if (!saved.ok()) ++lifetime_[kStorageWriteFailures];
       MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
     }
   }

@@ -282,7 +282,7 @@ class FederatedTrainer {
   /// forced on and kMean aggregation is hardened to kMedian for the
   /// rest of the run.
   bool escalated_ = false;
-  /// The CounterScope::kLifetime totals (its other fields stay zero),
+  /// The CounterScope::kLifetime totals (its other counters stay zero),
   /// merged into FaultStats only by CaptureState and Run's return. Not
   /// reset by rollback: an undone round's quarantine still happened.
   FaultStats lifetime_;

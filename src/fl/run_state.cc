@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/env.h"
+#include "common/parse_number.h"
 
 namespace lighttr::fl {
 
@@ -46,7 +47,7 @@ void WriteRoundRecord(const RoundRecord& record, BinaryWriter* writer) {
   writer->WriteU8(record.quorum_met ? 1 : 0);
   writer->WriteU8(record.escalated ? 1 : 0);
   for (const CounterSpec& counter : kCounters) {
-    if (counter.round != nullptr) writer->WriteI64(record.*counter.round);
+    if (counter.per_round) writer->WriteI64(record[counter.id]);
   }
 }
 
@@ -61,14 +62,14 @@ Status ReadRoundRecord(BinaryReader* reader, RoundRecord* record) {
   LIGHTTR_RETURN_NOT_OK(ReadFlag(reader, "quorum", &record->quorum_met));
   LIGHTTR_RETURN_NOT_OK(ReadFlag(reader, "escalation", &record->escalated));
   for (const CounterSpec& counter : kCounters) {
-    if (counter.round == nullptr) continue;
+    if (!counter.per_round) continue;
     int64_t value = 0;
     LIGHTTR_RETURN_NOT_OK(reader->ReadI64(&value));
     if (value < INT_MIN || value > INT_MAX) {
       return Status::InvalidArgument(std::string("run-state snapshot: ") +
                                      counter.name + " out of range");
     }
-    record->*counter.round = static_cast<int>(value);
+    (*record)[counter.id] = static_cast<int>(value);
   }
   return Status::Ok();
 }
@@ -122,9 +123,7 @@ std::string EncodeRunState(const ServerRunState& state) {
   writer.WriteI64(state.comm.rounds);
   writer.WriteF64(state.faults.simulated_backoff_s);
   for (const CounterSpec& counter : kCounters) {
-    if (counter.total != nullptr) {
-      writer.WriteI64(state.faults.*counter.total);
-    }
+    if (counter.has_total()) writer.WriteI64(state.faults[counter.id]);
   }
   writer.WriteString(state.global_params_blob);
   writer.WriteU32(static_cast<uint32_t>(state.optimizer_blobs.size()));
@@ -186,8 +185,8 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.rounds));
   LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&state->faults.simulated_backoff_s));
   for (const CounterSpec& counter : kCounters) {
-    if (counter.total != nullptr) {
-      LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&(state->faults.*counter.total)));
+    if (counter.has_total()) {
+      LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults[counter.id]));
     }
   }
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->global_params_blob));
@@ -272,12 +271,14 @@ Result<std::vector<int>> ListSnapshotRounds(FileSystem* fs,
   const size_t prefix_len = std::strlen(kSnapshotPrefix);
   for (const std::string& name : names.value()) {
     if (name.compare(0, prefix_len, kSnapshotPrefix) != 0) continue;
-    char* end = nullptr;
-    const long long round = std::strtoll(name.c_str() + prefix_len, &end, 10);
+    const size_t digits_end = name.find_first_not_of("0123456789", prefix_len);
+    uint64_t round = 0;
     // Only the exact name SnapshotPath writes counts: anything else
     // (in-flight "*.ltrs.tmp" partials, "snapshot-12.ltrs") is not ours,
     // and PruneSnapshots must never delete a real snapshot on its behalf.
-    if (round <= 0 || round > INT_MAX ||
+    if (!ParseNumber(name.substr(prefix_len, digits_end - prefix_len),
+                     &round) ||
+        round == 0 || round > INT_MAX ||
         name != SnapshotFileName(static_cast<int>(round))) {
       continue;
     }

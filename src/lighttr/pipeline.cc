@@ -14,12 +14,12 @@ std::string SummarizeResilience(const fl::FederatedRunResult& run) {
                 "cohort %.0f%% | drops %lld (retries %lld) | stragglers %lld"
                 " | rejected %lld | clipped %lld | quorum misses %lld",
                 faults.MeanCohortFraction() * 100.0,
-                static_cast<long long>(faults.drops),
-                static_cast<long long>(faults.retries),
-                static_cast<long long>(faults.stragglers),
-                static_cast<long long>(faults.rejected_uploads),
-                static_cast<long long>(faults.clipped_uploads),
-                static_cast<long long>(faults.quorum_misses));
+                static_cast<long long>(faults[fl::kDrops]),
+                static_cast<long long>(faults[fl::kRetries]),
+                static_cast<long long>(faults[fl::kStragglers]),
+                static_cast<long long>(faults[fl::kRejectedUploads]),
+                static_cast<long long>(faults[fl::kClippedUploads]),
+                static_cast<long long>(faults[fl::kQuorumMisses]));
   return std::string(buffer);
 }
 

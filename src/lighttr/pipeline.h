@@ -30,10 +30,6 @@ struct LightTrOptions {
 struct LightTrResult {
   fl::FederatedRunResult federated;
   double teacher_seconds = 0.0;
-
-  /// Fault-tolerance telemetry of the federated phase (drops, retries,
-  /// rejected uploads, quorum misses, effective cohort sizes).
-  const fl::FaultStats& faults() const { return federated.faults; }
 };
 
 /// One-line human-readable resilience summary of a federated run, e.g.

@@ -643,9 +643,9 @@ TEST(FederatedTrainerAdversary, DisabledEngineIsNullAndCountsZero) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   EXPECT_EQ(trainer.adversary(), nullptr);
   const FederatedRunResult result = trainer.Run();
-  EXPECT_EQ(result.faults.poisoned_uploads, 0);
+  EXPECT_EQ(result.faults[kPoisonedUploads], 0);
   for (const RoundRecord& record : result.history) {
-    EXPECT_EQ(record.poisoned_uploads, 0);
+    EXPECT_EQ(record[kPoisonedUploads], 0);
   }
 }
 
@@ -655,8 +655,8 @@ TEST(FederatedTrainerAdversary, QuarantinesAttackersAndOnlyAttackers) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   ASSERT_NE(trainer.adversary(), nullptr);
   const FederatedRunResult result = trainer.Run();
-  EXPECT_GT(result.faults.poisoned_uploads, 0);
-  EXPECT_GT(result.faults.suspected_uploads, 0);
+  EXPECT_GT(result.faults[kPoisonedUploads], 0);
+  EXPECT_GT(result.faults[kSuspectedUploads], 0);
   const ReputationBook* book = trainer.reputation();
   ASSERT_NE(book, nullptr);
   EXPECT_TRUE(book->IsQuarantined(0));
@@ -666,7 +666,7 @@ TEST(FederatedTrainerAdversary, QuarantinesAttackersAndOnlyAttackers) {
   }
   // Once quarantined, the attackers stop reaching the wire: poisoned
   // uploads must plateau before the run ends.
-  EXPECT_GT(result.faults.quarantined_skips, 0);
+  EXPECT_GT(result.faults[kQuarantinedSkips], 0);
 }
 
 TEST(FederatedTrainerAdversary, AttackSeedIsAnIndependentKnob) {
@@ -699,7 +699,7 @@ TEST(FederatedTrainerAdversary, BitwiseIdenticalAcrossThreadCounts) {
     const FederatedRunResult result = trainer.Run();
     std::vector<int> poisoned;
     for (const RoundRecord& record : result.history) {
-      poisoned.push_back(record.poisoned_uploads);
+      poisoned.push_back(record[kPoisonedUploads]);
     }
     const std::vector<nn::Scalar> params =
         trainer.global_model()->params().Flatten();

@@ -81,8 +81,8 @@ ServerRunState MakeState() {
   state.comm.bytes_uplink = 90;
   state.comm.messages = 40;
   state.comm.rounds = 12;
-  state.faults.drops = 3;
-  state.faults.retries = 5;
+  state.faults[kDrops] = 3;
+  state.faults[kRetries] = 5;
   state.faults.simulated_backoff_s = 1.25;
   state.global_params_blob = "pretend-params-bytes";
   state.optimizer_blobs = {"opt-a", "opt-b", std::string("\0\x01", 2)};
@@ -102,7 +102,7 @@ TEST(RunState, EncodeDecodeRoundTrips) {
   EXPECT_EQ(out.rng_state, state.rng_state);
   EXPECT_EQ(out.fault_rng_state, state.fault_rng_state);
   EXPECT_EQ(out.comm.bytes_downlink, state.comm.bytes_downlink);
-  EXPECT_EQ(out.faults.retries, state.faults.retries);
+  EXPECT_EQ(out.faults[kRetries], state.faults[kRetries]);
   EXPECT_EQ(out.faults.simulated_backoff_s, state.faults.simulated_backoff_s);
   EXPECT_EQ(out.global_params_blob, state.global_params_blob);
   EXPECT_EQ(out.optimizer_blobs, state.optimizer_blobs);
@@ -231,12 +231,12 @@ TEST(CrashRecovery, EveryCrashPointResumesBitwiseIdentical) {
     const std::vector<nn::Scalar> expected_params = FinalParams(&baseline);
     if (hostile) {
       // The scenario really exercises each family.
-      EXPECT_GT(expected.faults.net_retries, 0);
-      EXPECT_GT(expected.faults.net_lost, 0);
-      EXPECT_GT(expected.faults.poisoned_uploads, 0);
-      EXPECT_GT(expected.faults.suspected_uploads, 0);
-      EXPECT_GT(expected.faults.quarantine_events, 0);
-      EXPECT_GT(expected.faults.parole_events, 0);
+      EXPECT_GT(expected.faults[kNetRetries], 0);
+      EXPECT_GT(expected.faults[kNetLost], 0);
+      EXPECT_GT(expected.faults[kPoisonedUploads], 0);
+      EXPECT_GT(expected.faults[kSuspectedUploads], 0);
+      EXPECT_GT(expected.faults[kQuarantineEvents], 0);
+      EXPECT_GT(expected.faults[kParoleEvents], 0);
     }
 
     struct Case {

@@ -426,9 +426,9 @@ TEST(Determinism, SelfHealingRunIsBitwiseIdenticalAcrossThreadCounts) {
 
   const auto [serial, serial_w] = run_with_threads(1);
   // The scenario actually exercises the healing path.
-  ASSERT_GE(serial.faults.diverged_rounds, 1);
-  ASSERT_GE(serial.faults.rollbacks, 1);
-  ASSERT_GE(serial.faults.quarantine_events, 1);
+  ASSERT_GE(serial.faults[fl::kDivergedRounds], 1);
+  ASSERT_GE(serial.faults[fl::kRollbacks], 1);
+  ASSERT_GE(serial.faults[fl::kQuarantineEvents], 1);
 
   for (int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -472,8 +472,8 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalAcrossThreadCounts) {
 
   const auto [serial, serial_params] = run_with_threads(1);
   // The weather actually happened: frames were damaged and retried.
-  ASSERT_GT(serial.faults.net_crc_drops, 0);
-  ASSERT_GT(serial.faults.net_retries, 0);
+  ASSERT_GT(serial.faults[fl::kNetCrcDrops], 0);
+  ASSERT_GT(serial.faults[fl::kNetRetries], 0);
 
   for (int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -491,7 +491,7 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   fl::FederatedTrainerOptions baseline_options = LossyChannelOptions(12);
   fl::FederatedTrainer baseline(test_util::MakeStub, &clients, baseline_options);
   const fl::FederatedRunResult expected = baseline.Run();
-  ASSERT_GT(expected.faults.net_crc_drops, 0);
+  ASSERT_GT(expected.faults[fl::kNetCrcDrops], 0);
   const std::string expected_params =
       baseline.global_model()->params().Serialize();
 
@@ -548,7 +548,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
                             trainer.global_model()->params().Serialize());
     };
     const auto [serial, serial_params] = run_with_threads(1);
-    ASSERT_GT(serial.faults.net_retries, 0);
+    ASSERT_GT(serial.faults[fl::kNetRetries], 0);
     for (int threads : {2, 8}) {
       const auto [parallel, parallel_params] = run_with_threads(threads);
       EXPECT_EQ(parallel_params, serial_params)

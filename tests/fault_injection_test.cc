@@ -250,7 +250,7 @@ TEST(FaultTolerantTrainer, ThirtyPercentDropoutConvergesNearBaseline) {
   EXPECT_NEAR(clean_w, 1.5, 0.3);
   EXPECT_NEAR(faulty_w, clean_w, 0.3);
   // The schedule actually injected and the server actually recovered.
-  EXPECT_GT(result.faults.drops + result.faults.retries, 0);
+  EXPECT_GT(result.faults[kDrops] + result.faults[kRetries], 0);
   EXPECT_GT(result.faults.MeanCohortFraction(), 0.5);
 }
 
@@ -265,7 +265,7 @@ TEST(FaultTolerantTrainer, CorruptedUploadsNeverPoisonTheGlobalModel) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
 
-  EXPECT_GT(result.faults.rejected_uploads, 0);
+  EXPECT_GT(result.faults[kRejectedUploads], 0);
   const auto flat = trainer.global_model()->params().Flatten();
   for (nn::Scalar x : flat) EXPECT_TRUE(std::isfinite(x));
   // Uploads were rejected, never averaged: the weight stays in the sane
@@ -288,14 +288,14 @@ TEST(FaultTolerantTrainer, QuorumMissKeepsPreviousGlobalModel) {
       dynamic_cast<StubModel*>(trainer.global_model())->weight();
 
   EXPECT_DOUBLE_EQ(before, after);
-  EXPECT_EQ(result.faults.quorum_misses, 3);
-  EXPECT_EQ(result.faults.reporting_clients, 0);
-  EXPECT_EQ(result.faults.drops, 3 * 3);
-  EXPECT_EQ(result.faults.retries, 3 * 3);
+  EXPECT_EQ(result.faults[kQuorumMisses], 3);
+  EXPECT_EQ(result.faults[kReporting], 0);
+  EXPECT_EQ(result.faults[kDrops], 3 * 3);
+  EXPECT_EQ(result.faults[kRetries], 3 * 3);
   EXPECT_GT(result.faults.simulated_backoff_s, 0.0);
   for (const RoundRecord& record : result.history) {
     EXPECT_FALSE(record.quorum_met);
-    EXPECT_EQ(record.reporting, 0);
+    EXPECT_EQ(record[kReporting], 0);
   }
 }
 
@@ -307,9 +307,9 @@ TEST(FaultTolerantTrainer, QuorumFractionGatesSmallCohorts) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
   for (const RoundRecord& record : result.history) {
-    EXPECT_EQ(record.quorum_met, record.reporting >= 3);
+    EXPECT_EQ(record.quorum_met, record[kReporting] >= 3);
   }
-  EXPECT_GT(result.faults.quorum_misses, 0);
+  EXPECT_GT(result.faults[kQuorumMisses], 0);
 }
 
 TEST(FaultTolerantTrainer, StragglersAreCutOffAtTheDeadline) {
@@ -319,8 +319,8 @@ TEST(FaultTolerantTrainer, StragglersAreCutOffAtTheDeadline) {
   options.faults.straggler_slowdown_mean = 1000.0;
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
-  EXPECT_EQ(result.faults.stragglers, 3);
-  EXPECT_EQ(result.faults.reporting_clients, 0);
+  EXPECT_EQ(result.faults[kStragglers], 3);
+  EXPECT_EQ(result.faults[kReporting], 0);
   // Cut off before upload: each straggler's only uplink frame is its
   // pull request, answered by one pull reply; no push crosses the wire.
   const std::string pull_request = transport::EncodeFrame(
@@ -330,7 +330,7 @@ TEST(FaultTolerantTrainer, StragglersAreCutOffAtTheDeadline) {
             3 * static_cast<int64_t>(pull_request.size()));
   EXPECT_EQ(result.comm.messages, 3 * 2);
   EXPECT_GT(result.comm.bytes_downlink, 0);
-  EXPECT_EQ(result.faults.quorum_misses, 1);
+  EXPECT_EQ(result.faults[kQuorumMisses], 1);
 }
 
 TEST(FaultTolerantTrainer, RobustAggregatorsAreSelectableAndConverge) {
@@ -360,33 +360,26 @@ TEST(FaultTolerantTrainer, IdenticalSeedsGiveIdenticalFaultTelemetry) {
   };
   const FederatedRunResult a = run_once();
   const FederatedRunResult b = run_once();
-  EXPECT_EQ(a.faults.drops, b.faults.drops);
-  EXPECT_EQ(a.faults.retries, b.faults.retries);
-  EXPECT_EQ(a.faults.stragglers, b.faults.stragglers);
-  EXPECT_EQ(a.faults.rejected_uploads, b.faults.rejected_uploads);
-  EXPECT_EQ(a.faults.quorum_misses, b.faults.quorum_misses);
+  EXPECT_EQ(a.faults[kDrops], b.faults[kDrops]);
+  EXPECT_EQ(a.faults[kRetries], b.faults[kRetries]);
+  EXPECT_EQ(a.faults[kStragglers], b.faults[kStragglers]);
+  EXPECT_EQ(a.faults[kRejectedUploads], b.faults[kRejectedUploads]);
+  EXPECT_EQ(a.faults[kQuorumMisses], b.faults[kQuorumMisses]);
   EXPECT_DOUBLE_EQ(a.faults.simulated_backoff_s, b.faults.simulated_backoff_s);
   ASSERT_EQ(a.history.size(), b.history.size());
   for (size_t r = 0; r < a.history.size(); ++r) {
-    EXPECT_EQ(a.history[r].drops, b.history[r].drops);
-    EXPECT_EQ(a.history[r].reporting, b.history[r].reporting);
+    EXPECT_EQ(a.history[r][kDrops], b.history[r][kDrops]);
+    EXPECT_EQ(a.history[r][kReporting], b.history[r][kReporting]);
     EXPECT_DOUBLE_EQ(a.history[r].mean_train_loss,
                      b.history[r].mean_train_loss);
   }
 }
 
 // Every sampled client meets exactly one fate, and each fate has its own
-// RoundRecord column. A run that reaches all six must account for every
-// sampled slot of every round, and its run totals must be the sums of
-// its history, at any thread count.
+// kCohortPartition column. A run that reaches all six must account for
+// every sampled slot of every round, and its run totals must be the sums
+// of its history, at any thread count.
 TEST(FaultTolerantTrainer, FatesPartitionEverySampledCohort) {
-  const std::pair<const char*, int RoundRecord::*> kFates[] = {
-      {"skipped_quarantined", &RoundRecord::skipped_quarantined},
-      {"drops", &RoundRecord::drops},
-      {"net_lost", &RoundRecord::net_lost},
-      {"stragglers", &RoundRecord::stragglers},
-      {"rejected_uploads", &RoundRecord::rejected_uploads},
-      {"reporting", &RoundRecord::reporting}};
   auto clients = MakeClients(6, 71);
   FederatedTrainerOptions options = BaseOptions(12);
   options.faults = LossyConfig();
@@ -404,27 +397,26 @@ TEST(FaultTolerantTrainer, FatesPartitionEverySampledCohort) {
     FederatedTrainer trainer(MakeStub, &clients, options);
     const FederatedRunResult result = trainer.Run();
     ASSERT_EQ(result.history.size(), 12u);
-    std::vector<int> rounds_with(std::size(kFates), 0);
+    std::vector<int> rounds_with(kNumCounters, 0);
     for (const RoundRecord& record : result.history) {
       int fated = 0;
-      for (size_t f = 0; f < std::size(kFates); ++f) {
-        fated += record.*kFates[f].second;
-        if (record.*kFates[f].second > 0) ++rounds_with[f];
+      for (const Counter fate : kCohortPartition) {
+        fated += record[fate];
+        if (record[fate] > 0) ++rounds_with[fate];
       }
-      EXPECT_EQ(record.sampled, fated) << "round " << record.round;
+      EXPECT_EQ(record[kSampled], fated) << "round " << record.round;
     }
-    for (size_t f = 0; f < std::size(kFates); ++f) {
-      EXPECT_GT(rounds_with[f], 0) << kFates[f].first << " never fired";
+    for (const Counter fate : kCohortPartition) {
+      EXPECT_GT(rounds_with[fate], 0)
+          << kCounters[fate].name << " never fired";
     }
     for (const CounterSpec& counter : kCounters) {
-      if (counter.scope != CounterScope::kRun || counter.round == nullptr) {
-        continue;
-      }
+      if (counter.scope != CounterScope::kRun || !counter.per_round) continue;
       int64_t sum = 0;
       for (const RoundRecord& record : result.history) {
-        sum += record.*counter.round;
+        sum += record[counter.id];
       }
-      EXPECT_EQ(result.faults.*counter.total, sum) << counter.name;
+      EXPECT_EQ(result.faults[counter.id], sum) << counter.name;
     }
     if (threads == 1) {
       serial = result.history;
@@ -481,10 +473,10 @@ TEST(FaultTolerantTrainer, LightTrSurvivesLossyRoundsNearBaseline) {
     ASSERT_EQ(faulty.run.history.size(), 10u) << AggregatorPolicyName(policy);
     // Faults were injected and handled, and nothing non-finite survived
     // into the aggregate.
-    EXPECT_GT(faulty.run.faults.drops + faulty.run.faults.retries, 0)
+    EXPECT_GT(faulty.run.faults[kDrops] + faulty.run.faults[kRetries], 0)
         << AggregatorPolicyName(policy);
     for (const RoundRecord& record : faulty.run.history) {
-      EXPECT_LE(record.reporting, record.sampled);
+      EXPECT_LE(record[kReporting], record[kSampled]);
     }
     const double faulty_acc = faulty.run.history.back().global_valid_accuracy;
     EXPECT_NEAR(faulty_acc, clean_acc, 0.1 * clean_acc)

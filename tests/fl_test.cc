@@ -133,11 +133,11 @@ TEST(FederatedTrainer, CommAccountingMeasuresEncodedFrames) {
             contacts * static_cast<int64_t>(pull_reply_frame.size() +
                                             ack_frame.size()));
   // A clean channel produces no network-layer incidents.
-  EXPECT_EQ(result.faults.net_retries, 0);
-  EXPECT_EQ(result.faults.net_timeouts, 0);
-  EXPECT_EQ(result.faults.net_crc_drops, 0);
-  EXPECT_EQ(result.faults.net_dedup_drops, 0);
-  EXPECT_EQ(result.faults.net_lost, 0);
+  EXPECT_EQ(result.faults[kNetRetries], 0);
+  EXPECT_EQ(result.faults[kNetTimeouts], 0);
+  EXPECT_EQ(result.faults[kNetCrcDrops], 0);
+  EXPECT_EQ(result.faults[kNetDedupDrops], 0);
+  EXPECT_EQ(result.faults[kNetLost], 0);
 }
 
 TEST(FederatedTrainer, TransportIsAFaithfulPipe) {
@@ -195,15 +195,15 @@ TEST(FederatedTrainer, FaultFreeRunHasCleanTelemetry) {
       [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
       options);
   const FederatedRunResult result = trainer.Run();
-  EXPECT_EQ(result.faults.drops, 0);
-  EXPECT_EQ(result.faults.retries, 0);
-  EXPECT_EQ(result.faults.stragglers, 0);
-  EXPECT_EQ(result.faults.rejected_uploads, 0);
-  EXPECT_EQ(result.faults.quorum_misses, 0);
+  EXPECT_EQ(result.faults[kDrops], 0);
+  EXPECT_EQ(result.faults[kRetries], 0);
+  EXPECT_EQ(result.faults[kStragglers], 0);
+  EXPECT_EQ(result.faults[kRejectedUploads], 0);
+  EXPECT_EQ(result.faults[kQuorumMisses], 0);
   EXPECT_DOUBLE_EQ(result.faults.MeanCohortFraction(), 1.0);
   for (const RoundRecord& record : result.history) {
-    EXPECT_EQ(record.sampled, 4);
-    EXPECT_EQ(record.reporting, 4);
+    EXPECT_EQ(record[kSampled], 4);
+    EXPECT_EQ(record[kReporting], 4);
     EXPECT_TRUE(record.quorum_met);
   }
 }
@@ -224,8 +224,8 @@ TEST(FederatedTrainer, DroppedOutClientsPutNoFramesOnTheWire) {
   EXPECT_EQ(result.comm.messages, 0);
   EXPECT_EQ(result.comm.bytes_downlink, 0);
   EXPECT_EQ(result.comm.bytes_uplink, 0);
-  EXPECT_EQ(result.faults.drops, 2);
-  EXPECT_EQ(result.faults.retries, 2 * 2);
+  EXPECT_EQ(result.faults[kDrops], 2);
+  EXPECT_EQ(result.faults[kRetries], 2 * 2);
 }
 
 TEST(FederatedTrainer, ValidationPoolSpansAllClients) {

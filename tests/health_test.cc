@@ -25,6 +25,7 @@ namespace {
 using test_util::MakeClients;
 using test_util::MakeStub;
 using test_util::StubModel;
+using test_util::TurncoatUpdate;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -376,35 +377,6 @@ TEST(ReputationBook, MalformedLedgerRejectedWithoutDamage) {
 // ---------------------------------------------------------------------
 // End to end: divergence rollback + quarantine on the stub model.
 
-// A hostile client: behaves until it has seen `clean_updates` rounds,
-// then uploads a huge (finite) weight every round after. With screening
-// off and plain-mean aggregation this blows up the global model; the
-// health monitor has banked enough history by then to catch it.
-class TurncoatUpdate : public LocalUpdateStrategy {
- public:
-  explicit TurncoatUpdate(int hostile_client, int clean_updates)
-      : hostile_client_(hostile_client), clean_updates_(clean_updates) {}
-
-  double Update(int client_index, RecoveryModel* model,
-                nn::Optimizer* optimizer, const traj::ClientDataset& data,
-                int epochs, Rng* rng) override {
-    const double loss =
-        plain_.Update(client_index, model, optimizer, data, epochs, rng);
-    if (client_index == hostile_client_ && ++updates_ > clean_updates_) {
-      model->params().AssignFlat(
-          std::vector<nn::Scalar>(model->params().Flatten().size(),
-                                  nn::Scalar{1e8}));
-    }
-    return loss;
-  }
-
- private:
-  PlainLocalUpdate plain_;
-  int hostile_client_;
-  int clean_updates_;
-  int updates_ = 0;  // serial runs only (options.threads = 1)
-};
-
 FederatedTrainerOptions HealingOptions(int rounds, bool healing) {
   FederatedTrainerOptions options;
   options.rounds = rounds;
@@ -438,21 +410,21 @@ TEST(SelfHealingTrainer, DivergenceIsDetectedRolledBackAndQuarantined) {
   const FederatedRunResult on = guarded.Run(&poison_on);
 
   // The blow-up was detected and rolled back, not committed.
-  EXPECT_GE(on.faults.diverged_rounds, 1);
-  EXPECT_GE(on.faults.rollbacks, 1);
+  EXPECT_GE(on.faults[kDivergedRounds], 1);
+  EXPECT_GE(on.faults[kRollbacks], 1);
   EXPECT_FALSE(on.gave_up);
   ASSERT_EQ(on.history.size(), static_cast<size_t>(rounds));
   for (const RoundRecord& record : on.history) {
-    EXPECT_NE(record.verdict, static_cast<int>(HealthVerdict::kDiverged));
+    EXPECT_NE(record[kVerdict], static_cast<int>(HealthVerdict::kDiverged));
     EXPECT_TRUE(IsFinite(record.valid_loss));
   }
   // Escalation latched: rounds after the divergence ran hardened.
   EXPECT_TRUE(on.history.back().escalated);
 
   // The offender was flagged, quarantined, and skipped.
-  EXPECT_GE(on.faults.outlier_uploads, 1);
-  EXPECT_GE(on.faults.quarantine_events, 1);
-  EXPECT_GE(on.faults.quarantined_skips, 1);
+  EXPECT_GE(on.faults[kOutlierUploads], 1);
+  EXPECT_GE(on.faults[kQuarantineEvents], 1);
+  EXPECT_GE(on.faults[kQuarantinedSkips], 1);
   ASSERT_NE(guarded.reputation(), nullptr);
   EXPECT_GE(guarded.reputation()->client(0).outlier_events, 1);
 
@@ -476,8 +448,8 @@ TEST(SelfHealingTrainer, RollbackBudgetZeroParksAtLastHealthyState) {
   EXPECT_TRUE(result.gave_up);
   // The first divergence (round 4) stops the run at round 3's state.
   EXPECT_EQ(result.history.size(), 3u);
-  EXPECT_EQ(result.faults.diverged_rounds, 1);
-  EXPECT_EQ(result.faults.rollbacks, 0);
+  EXPECT_EQ(result.faults[kDivergedRounds], 1);
+  EXPECT_EQ(result.faults[kRollbacks], 0);
   EXPECT_TRUE(AllFinite(trainer.global_model()->params().Flatten()));
 }
 
@@ -495,14 +467,14 @@ TEST(SelfHealingTrainer, HealthyRunsAreUnaffectedByTheHealingLayer) {
 
   // No faults, no quarantine: the healing layer is pure observation and
   // the trained model is bitwise identical to the plain run.
-  EXPECT_EQ(on.faults.diverged_rounds, 0);
-  EXPECT_EQ(on.faults.rollbacks, 0);
-  EXPECT_EQ(on.faults.quarantine_events, 0);
+  EXPECT_EQ(on.faults[kDivergedRounds], 0);
+  EXPECT_EQ(on.faults[kRollbacks], 0);
+  EXPECT_EQ(on.faults[kQuarantineEvents], 0);
   EXPECT_EQ(dynamic_cast<StubModel*>(on_trainer.global_model())->weight(),
             dynamic_cast<StubModel*>(off_trainer.global_model())->weight());
   ASSERT_EQ(on.history.size(), off.history.size());
   for (size_t r = 0; r < on.history.size(); ++r) {
-    EXPECT_EQ(on.history[r].verdict,
+    EXPECT_EQ(on.history[r][kVerdict],
               static_cast<int>(HealthVerdict::kHealthy));
     EXPECT_DOUBLE_EQ(on.history[r].valid_loss, off.history[r].valid_loss);
   }
@@ -547,8 +519,8 @@ TEST(SelfHealingTrainer, WireCorruptionNeverFeedsReputation) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
 
-  EXPECT_GT(result.faults.net_crc_drops, 0);  // the wire really was hostile
-  EXPECT_GT(result.faults.net_retries, 0);
+  EXPECT_GT(result.faults[kNetCrcDrops], 0);  // the wire really was hostile
+  EXPECT_GT(result.faults[kNetRetries], 0);
   ASSERT_NE(trainer.reputation(), nullptr);
   for (int c = 0; c < trainer.num_clients(); ++c) {
     EXPECT_DOUBLE_EQ(trainer.reputation()->client(c).score, 0.0);
@@ -556,8 +528,8 @@ TEST(SelfHealingTrainer, WireCorruptionNeverFeedsReputation) {
     EXPECT_EQ(trainer.reputation()->client(c).outlier_events, 0);
     EXPECT_FALSE(trainer.reputation()->client(c).quarantined);
   }
-  EXPECT_EQ(result.faults.quarantine_events, 0);
-  EXPECT_EQ(result.faults.rejected_uploads, 0);
+  EXPECT_EQ(result.faults[kQuarantineEvents], 0);
+  EXPECT_EQ(result.faults[kRejectedUploads], 0);
 }
 
 TEST(SelfHealingTrainer, ClientCorruptionStillScoresThroughTheTransport) {
@@ -573,7 +545,7 @@ TEST(SelfHealingTrainer, ClientCorruptionStillScoresThroughTheTransport) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
 
-  EXPECT_GT(result.faults.rejected_uploads, 0);
+  EXPECT_GT(result.faults[kRejectedUploads], 0);
   ASSERT_NE(trainer.reputation(), nullptr);
   int corrupt_events = 0;
   for (int c = 0; c < trainer.num_clients(); ++c) {
@@ -581,9 +553,9 @@ TEST(SelfHealingTrainer, ClientCorruptionStillScoresThroughTheTransport) {
   }
   EXPECT_GT(corrupt_events, 0);
   // And the clean wire stays clean: no network-attributed incidents.
-  EXPECT_EQ(result.faults.net_crc_drops, 0);
-  EXPECT_EQ(result.faults.net_retries, 0);
-  EXPECT_EQ(result.faults.net_lost, 0);
+  EXPECT_EQ(result.faults[kNetCrcDrops], 0);
+  EXPECT_EQ(result.faults[kNetRetries], 0);
+  EXPECT_EQ(result.faults[kNetLost], 0);
 }
 
 }  // namespace

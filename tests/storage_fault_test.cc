@@ -21,6 +21,7 @@
 #include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
+#include "run_state_fixture.h"
 #include "stub_model.h"
 
 namespace lighttr {
@@ -303,56 +304,7 @@ TEST(Backoff, SaturatesAtExtremeRetryCounts) {
 // The run-state format: every counter-table row and the round history
 // round-trip, and only the current version is read.
 
-// Every field and every per-round column gets a value distinct from
-// every other one in the record (and from the other rounds'), so a
-// column the codec drops, swaps, or misreads shows up as a mismatch.
-fl::RoundRecord DistinctiveRecord(int round) {
-  fl::RoundRecord record;
-  record.round = round;
-  record.mean_train_loss = 0.125 + round;
-  record.global_valid_accuracy = 1.0 / (round + 2);
-  record.wall_seconds = 1e-3 * round;
-  record.valid_loss = 10.0 + round / 3.0;
-  record.quorum_met = round % 2 == 0;
-  record.escalated = round % 3 == 0;
-  int value = 100 * round;
-  for (const fl::CounterSpec& counter : fl::kCounters) {
-    if (counter.round != nullptr) record.*counter.round = ++value;
-  }
-  return record;
-}
-
-// Every kCounters total gets a value distinct from every other
-// counter's, every blob is non-empty, and every round has its
-// distinctive record, so a field the codec drops, swaps, or defaults
-// shows up as a mismatch.
-fl::ServerRunState DistinctiveState() {
-  fl::ServerRunState state;
-  state.round = 9;
-  state.rng_state = Rng(41).SerializeState();
-  state.fault_rng_state = Rng(42).SerializeState();
-  state.net_rng_state = Rng(43).SerializeState();
-  state.comm.bytes_downlink = 1111;
-  state.comm.bytes_uplink = 2222;
-  state.comm.messages = 33;
-  state.comm.rounds = 9;
-  state.faults.simulated_backoff_s = 2.75;
-  int64_t value = 100;
-  for (const fl::CounterSpec& counter : fl::kCounters) {
-    if (counter.total != nullptr) state.faults.*counter.total = ++value;
-  }
-  state.global_params_blob = "fake-params";
-  state.optimizer_blobs = {"opt-0", "opt-1"};
-  state.reputation_blob = "rep";
-  state.monitor_blob = "mon";
-  state.escalated = true;
-  state.adversary_blob = "adv";
-  state.normbound_blob = "nbw";
-  for (int round = 1; round <= state.round; ++round) {
-    state.history.push_back(DistinctiveRecord(round));
-  }
-  return state;
-}
+using test_util::DistinctiveState;
 
 // Re-signs `blob` (whole-file CRC trailer) after `edit` changes its body.
 template <typename Edit>
@@ -376,11 +328,7 @@ TEST(RunStateFormat, EveryFieldAndCounterRoundTrips) {
   EXPECT_EQ(out.comm.messages, state.comm.messages);
   EXPECT_EQ(out.comm.rounds, state.comm.rounds);
   EXPECT_EQ(out.faults.simulated_backoff_s, state.faults.simulated_backoff_s);
-  for (const fl::CounterSpec& counter : fl::kCounters) {
-    if (counter.total == nullptr) continue;
-    EXPECT_EQ(out.faults.*counter.total, state.faults.*counter.total)
-        << counter.name;
-  }
+  EXPECT_EQ(out.faults.counts, state.faults.counts);
   EXPECT_EQ(out.global_params_blob, state.global_params_blob);
   EXPECT_EQ(out.optimizer_blobs, state.optimizer_blobs);
   EXPECT_EQ(out.reputation_blob, state.reputation_blob);
@@ -511,9 +459,9 @@ TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
     EXPECT_EQ(result.history[i].round, expected.history[i].round);
     EXPECT_EQ(result.history[i].mean_train_loss,
               expected.history[i].mean_train_loss);
-    EXPECT_EQ(result.history[i].drops, expected.history[i].drops);
+    EXPECT_EQ(result.history[i][fl::kDrops], expected.history[i][fl::kDrops]);
   }
-  EXPECT_EQ(result.faults.drops, expected.faults.drops);
+  EXPECT_EQ(result.faults[fl::kDrops], expected.faults[fl::kDrops]);
 }
 
 TEST(SnapshotFallback, AllSnapshotsRottenIsAnErrorNotAFreshStart) {

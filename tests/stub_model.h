@@ -4,7 +4,8 @@
 // mean; a fixed target makes honest clients agree, which a Byzantine
 // defense needs to have something to defend. Runs in microseconds, so
 // a test can afford many rounds, seeds and thread widths. MakeClients
-// builds the small federation those tests train it on.
+// builds the small federation those tests train it on, and
+// TurncoatUpdate is the hostile client the healing tests fight.
 #ifndef LIGHTTR_TESTS_STUB_MODEL_H_
 #define LIGHTTR_TESTS_STUB_MODEL_H_
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fl/federated_trainer.h"
 #include "fl/recovery_model.h"
 #include "nn/losses.h"
 #include "nn/parameter.h"
@@ -71,6 +73,35 @@ class StubModel : public fl::RecoveryModel {
   std::string name_ = "Stub";
   nn::ParameterSet params_;
   nn::Tensor w_;
+};
+
+/// A hostile client: behaves until it has seen `clean_updates` rounds,
+/// then uploads a huge (finite) weight every round after. With screening
+/// off and plain-mean aggregation this blows up the global model; the
+/// health monitor has banked enough history by then to catch it.
+class TurncoatUpdate : public fl::LocalUpdateStrategy {
+ public:
+  explicit TurncoatUpdate(int hostile_client, int clean_updates)
+      : hostile_client_(hostile_client), clean_updates_(clean_updates) {}
+
+  double Update(int client_index, fl::RecoveryModel* model,
+                nn::Optimizer* optimizer, const traj::ClientDataset& data,
+                int epochs, Rng* rng) override {
+    const double loss =
+        plain_.Update(client_index, model, optimizer, data, epochs, rng);
+    if (client_index == hostile_client_ && ++updates_ > clean_updates_) {
+      model->params().AssignFlat(
+          std::vector<nn::Scalar>(model->params().Flatten().size(),
+                                  nn::Scalar{1e8}));
+    }
+    return loss;
+  }
+
+ private:
+  fl::PlainLocalUpdate plain_;
+  int hostile_client_;
+  int clean_updates_;
+  int updates_ = 0;  // serial runs only (options.threads = 1)
 };
 
 /// A fl::ModelFactory for the default one-weight stub.

@@ -438,19 +438,19 @@ TEST(TransportEndToEnd, MinorityDeadLinksDegradeToQuorum) {
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
 
-  EXPECT_EQ(result.faults.net_lost, 3);  // client 0, every round
-  EXPECT_GT(result.faults.net_timeouts, 0);
-  EXPECT_EQ(result.faults.quorum_misses, 0);
+  EXPECT_EQ(result.faults[fl::kNetLost], 3);  // client 0, every round
+  EXPECT_GT(result.faults[fl::kNetTimeouts], 0);
+  EXPECT_EQ(result.faults[fl::kQuorumMisses], 0);
   for (const RoundRecord& record : result.history) {
     EXPECT_TRUE(record.quorum_met);
-    EXPECT_EQ(record.sampled, 4);
-    EXPECT_EQ(record.reporting, 3);
-    EXPECT_EQ(record.net_lost, 1);
+    EXPECT_EQ(record[fl::kSampled], 4);
+    EXPECT_EQ(record[fl::kReporting], 3);
+    EXPECT_EQ(record[fl::kNetLost], 1);
   }
   // A dead link is a network fact, not client misbehavior: no drops
   // (dropout faults), no rejected uploads charged anywhere.
-  EXPECT_EQ(result.faults.drops, 0);
-  EXPECT_EQ(result.faults.rejected_uploads, 0);
+  EXPECT_EQ(result.faults[fl::kDrops], 0);
+  EXPECT_EQ(result.faults[fl::kRejectedUploads], 0);
 }
 
 TEST(TransportEndToEnd, WireCorruptionNeverReachesAggregationOrScreening) {
@@ -464,14 +464,14 @@ TEST(TransportEndToEnd, WireCorruptionNeverReachesAggregationOrScreening) {
   const FederatedRunResult result = trainer.Run();
 
   // The hostile wire shows up in network telemetry...
-  EXPECT_GT(result.faults.net_crc_drops, 0);
-  EXPECT_GT(result.faults.net_retries, 0);
+  EXPECT_GT(result.faults[fl::kNetCrcDrops], 0);
+  EXPECT_GT(result.faults[fl::kNetRetries], 0);
   // ...but every payload that reached aggregation survived its CRC, so
   // screening saw only intact uploads and every client reported.
-  EXPECT_EQ(result.faults.rejected_uploads, 0);
-  EXPECT_EQ(result.faults.net_lost, 0);
+  EXPECT_EQ(result.faults[fl::kRejectedUploads], 0);
+  EXPECT_EQ(result.faults[fl::kNetLost], 0);
   for (const RoundRecord& record : result.history) {
-    EXPECT_EQ(record.reporting, record.sampled);
+    EXPECT_EQ(record[fl::kReporting], record[fl::kSampled]);
     EXPECT_TRUE(record.quorum_met);
   }
 }
@@ -506,8 +506,8 @@ TEST(TransportEndToEnd, LossyRunIsReproducibleFromTheChannelSeed) {
     FederatedTrainer trainer(MakeStub, &clients, options);
     const FederatedRunResult result = trainer.Run();
     return std::make_pair(trainer.global_model()->params().Serialize(),
-                          result.faults.net_crc_drops +
-                              result.faults.net_retries * 1000);
+                          result.faults[fl::kNetCrcDrops] +
+                              result.faults[fl::kNetRetries] * 1000);
   };
   const auto a = run();
   const auto b = run();

@@ -115,9 +115,12 @@ struct BannedFn {
 };
 
 constexpr BannedFn kBannedFns[] = {
-    {"atof", "silently returns 0.0 on garbage; use std::strtod or std::stod"},
-    {"atoi", "silently returns 0 on garbage; use std::strtol or std::stoi"},
-    {"atol", "silently returns 0 on garbage; use std::strtol"},
+    {"atof", "silently returns 0.0 on garbage; use ParseNumber "
+             "(common/parse_number.h)"},
+    {"atoi", "silently returns 0 on garbage; use ParseNumber "
+             "(common/parse_number.h)"},
+    {"atol", "silently returns 0 on garbage; use ParseNumber "
+             "(common/parse_number.h)"},
     {"strcpy", "unbounded copy; use std::string or std::snprintf"},
     {"strcat", "unbounded append; use std::string"},
     {"sprintf", "unbounded format; use std::snprintf"},

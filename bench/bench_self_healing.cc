@@ -20,6 +20,7 @@
 
 #include "baselines/model_zoo.h"
 #include "bench/bench_output.h"
+#include "chaos/stub_federation.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "eval/harness.h"
@@ -29,39 +30,6 @@
 namespace {
 
 using namespace lighttr;
-
-// Poisons a fixed set of clients: each behaves for `clean_updates`
-// local rounds, then uploads a constant huge-but-finite weight vector.
-// Finite poison slips past the non-finite screen and (under mean
-// aggregation with screening off) drags the global model — the exact
-// failure mode the health monitor exists to catch. Per-client counters
-// keep the schedule identical at any thread width.
-class PoisonedUpdate : public fl::LocalUpdateStrategy {
- public:
-  PoisonedUpdate(int num_clients, int num_hostile, int clean_updates)
-      : updates_(num_clients, 0),
-        num_hostile_(num_hostile),
-        clean_updates_(clean_updates) {}
-
-  double Update(int client_index, fl::RecoveryModel* model,
-                nn::Optimizer* optimizer, const traj::ClientDataset& data,
-                int epochs, Rng* rng) override {
-    const double loss =
-        plain_.Update(client_index, model, optimizer, data, epochs, rng);
-    if (client_index < num_hostile_ &&
-        ++updates_[static_cast<size_t>(client_index)] > clean_updates_) {
-      model->params().AssignFlat(std::vector<nn::Scalar>(
-          model->params().Flatten().size(), nn::Scalar{1e6}));
-    }
-    return loss;
-  }
-
- private:
-  fl::PlainLocalUpdate plain_;
-  std::vector<int> updates_;
-  int num_hostile_;
-  int clean_updates_;
-};
 
 // Keeps the emitted JSON valid when the unprotected run blows its
 // validation loss up to infinity.
@@ -135,8 +103,9 @@ int main(int argc, char** argv) {
     fl::FederatedTrainer trainer(
         baselines::MakeFactory(baselines::ModelKind::kLightTr, &env->encoder()),
         &clients, fed_options(health));
-    PoisonedUpdate hostile(static_cast<int>(clients.size()), num_hostile,
-                           clean_updates);
+    // Finite poison slips past the non-finite screen and, with screening
+    // off, drags the mean: the failure the health monitor exists to catch.
+    chaos::HostileCohortUpdate hostile(num_hostile, clean_updates, 1e6);
     Stopwatch watch;
     RunOutcome outcome;
     outcome.run = trainer.Run(poisoned ? &hostile : nullptr);

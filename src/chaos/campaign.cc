@@ -6,74 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "common/finite.h"
 #include "fl/comm_stats.h"
 #include "fl/federated_trainer.h"
-#include "nn/losses.h"
-#include "roadnet/generators.h"
-#include "traj/workload.h"
 
 namespace lighttr::chaos {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Harness: the same minimal one-parameter RecoveryModel the durability
-// tests use — training cost is noise, so a scenario exercises the full
-// fault surface in milliseconds.
-// ---------------------------------------------------------------------------
-
-class ProbeModel : public fl::RecoveryModel {
- public:
-  explicit ProbeModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
-    params_.Register("w", w_);
-  }
-
-  const std::string& name() const override { return name_; }
-  nn::ParameterSet& params() override { return params_; }
-
-  fl::ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
-                            bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
-    fl::ForwardResult result;
-    result.loss = nn::MseLoss(w_, target);
-    result.representation = w_;
-    return result;
-  }
-
-  std::vector<roadnet::PointPosition> Recover(
-      const traj::IncompleteTrajectory& trajectory) override {
-    return std::vector<roadnet::PointPosition>(trajectory.size(),
-                                               roadnet::PointPosition{0, 0.0});
-  }
-
- private:
-  std::string name_ = "ChaosProbe";
-  nn::ParameterSet params_;
-  nn::Tensor w_;
-};
-
-std::unique_ptr<fl::RecoveryModel> MakeProbe(Rng* rng) {
-  return std::make_unique<ProbeModel>(rng);
-}
-
-// Client workloads for one scenario. Generated fresh per call (no
-// static caching) so scenarios are order-independent; every run segment
-// of one scenario shares the same vector.
-std::vector<traj::ClientDataset> MakeChaosClients(const ChaosScenario& s) {
-  Rng rng(s.seed ^ 0x9E3779B97F4A7C15ull);
-  roadnet::CityGridOptions grid;
-  grid.rows = 6;
-  grid.cols = 6;
-  const roadnet::RoadNetwork net = roadnet::GenerateCityGrid(grid, &rng);
-  traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-  profile.trajectories_per_client = 6;
-  traj::FederatedWorkloadOptions workload;
-  workload.num_clients = s.clients;
-  return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-}
 
 constexpr char kChaosDir[] = "chaos";
 
@@ -149,7 +88,7 @@ RunOutcome RunOnce(const ChaosScenario& s, int threads, bool with_crash,
     fs->set_leak_tmp_on_rename_failure(true);
   }
   auto trainer = std::make_unique<fl::FederatedTrainer>(
-      MakeProbe, clients, MakeOptions(s, threads, fs, with_crash));
+      MakeStub, clients, MakeOptions(s, threads, fs, with_crash));
   try {
     out.result = trainer->Run();
   } catch (const fl::InjectedCrash&) {
@@ -158,14 +97,14 @@ RunOutcome RunOnce(const ChaosScenario& s, int threads, bool with_crash,
     const fl::FederatedTrainerOptions after_crash =
         MakeOptions(s, threads, fs, /*with_crash=*/false);
     trainer =
-        std::make_unique<fl::FederatedTrainer>(MakeProbe, clients, after_crash);
+        std::make_unique<fl::FederatedTrainer>(MakeStub, clients, after_crash);
     const Status resumed = trainer->ResumeFrom(kChaosDir);
     if (!resumed.ok()) {
       // Nothing usable survived (or the resume itself hit storage
       // faults): discard the possibly half-restored trainer and restart
       // from scratch.
       out.fresh_restart = true;
-      trainer = std::make_unique<fl::FederatedTrainer>(MakeProbe, clients,
+      trainer = std::make_unique<fl::FederatedTrainer>(MakeStub, clients,
                                                        after_crash);
     }
     out.result = trainer->Run();
@@ -377,10 +316,10 @@ void CheckAdversaryContainment(const ChaosScenario& s, const RunOutcome& run,
 }
 
 // Invariant: the run is bitwise identical at a different thread count —
-// final model, full history, and lifetime counters (wall-clock
-// excluded). Fault filesystems are rebuilt from the same seed, and all
-// durability IO runs on the coordinating thread, so even the storage
-// fault schedule must match.
+// final model, comm totals, gave_up, lifetime counters and full history
+// (wall-clock excluded). Fault filesystems are rebuilt from the same
+// seed, and all durability IO runs on the coordinating thread, so even
+// the storage fault schedule must match.
 void CheckThreadBitwise(const ChaosScenario& s, const RunOutcome& main_run,
                         const std::vector<traj::ClientDataset>* clients,
                         ScenarioReport* report) {
@@ -395,23 +334,17 @@ void CheckThreadBitwise(const ChaosScenario& s, const RunOutcome& main_run,
                  "final global parameters differ" + tag);
     return;
   }
-  const std::string history_mismatch =
-      fl::DescribeMismatch(main_run.result.history, alt.result.history);
-  if (!history_mismatch.empty()) {
-    AddViolation(report, "thread-bitwise", history_mismatch + tag);
-    return;
-  }
-  const std::string faults_mismatch =
-      fl::DescribeMismatch(main_run.result.faults, alt.result.faults);
-  if (!faults_mismatch.empty()) {
-    AddViolation(report, "thread-bitwise",
-                 "lifetime counters: " + faults_mismatch + tag);
+  const std::string mismatch =
+      fl::DescribeMismatch(main_run.result, alt.result);
+  if (!mismatch.empty()) {
+    AddViolation(report, "thread-bitwise", mismatch + tag);
   }
 }
 
 // Invariant: a crashed-and-resumed (or crashed-and-restarted) run
 // converges to the same final model and the same round history,
-// bitwise, as the same scenario without the crash.
+// bitwise, as the same scenario without the crash. The history only:
+// a crash may lose the in-memory tail of the storage-failure counter.
 void CheckResumeBitwise(const ChaosScenario& s, const RunOutcome& main_run,
                         const std::vector<traj::ClientDataset>* clients,
                         ScenarioReport* report) {
@@ -452,7 +385,10 @@ bool ViolatesLabel(const ChaosScenario& s, const std::string& label) {
 ScenarioReport RunScenario(const ChaosScenario& scenario) {
   ScenarioReport report;
   report.scenario = scenario;
-  const std::vector<traj::ClientDataset> clients = MakeChaosClients(scenario);
+  // Built fresh per scenario, so scenarios are order-independent; every
+  // run segment of the scenario shares the one vector.
+  const std::vector<traj::ClientDataset> clients =
+      MakeClients(scenario.clients, scenario.seed ^ 0x9E3779B97F4A7C15ull);
 
   FaultyFileSystem fs = MakeScenarioFs(scenario);
   const RunOutcome main_run =

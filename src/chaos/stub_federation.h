@@ -1,14 +1,16 @@
-// The stub RecoveryModel the trainer-level tests share: one row of
-// weights trained by MSE toward a target. By default the target is the
-// client's driver id, so clients disagree and FedAvg lands on their
-// mean; a fixed target makes honest clients agree, which a Byzantine
-// defense needs to have something to defend. Runs in microseconds, so
-// a test can afford many rounds, seeds and thread widths. MakeClients
-// builds the small federation those tests train it on, and
-// TurncoatUpdate is the hostile client the healing tests fight.
-#ifndef LIGHTTR_TESTS_STUB_MODEL_H_
-#define LIGHTTR_TESTS_STUB_MODEL_H_
+// The stub federation: the one-weight-row RecoveryModel, the small
+// Tdrive-like federation it trains on, and the hostile cohort that
+// poisons it. The chaos campaign runs every scenario on it, and the
+// trainer-level tests and the self-healing bench share it. StubModel is
+// trained by MSE toward a target. By default the target is the client's
+// driver id, so clients disagree and FedAvg lands on their mean; a fixed
+// target makes honest clients agree, which a Byzantine defense needs to
+// have something to defend. A round runs in microseconds, so a caller
+// can afford many rounds, seeds, thread widths and scenarios.
+#ifndef LIGHTTR_CHAOS_STUB_FEDERATION_H_
+#define LIGHTTR_CHAOS_STUB_FEDERATION_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,8 +24,10 @@
 #include "roadnet/generators.h"
 #include "traj/workload.h"
 
-namespace lighttr::test_util {
+namespace lighttr::chaos {
 
+/// Recovers every missing step as segment 0, the only steps
+/// fl::EvaluateSegmentAccuracy reads.
 class StubModel : public fl::RecoveryModel {
  public:
   /// `rng` draws each initial weight from U(-1, 1) (null: all zero);
@@ -75,33 +79,39 @@ class StubModel : public fl::RecoveryModel {
   nn::Tensor w_;
 };
 
-/// A hostile client: behaves until it has seen `clean_updates` rounds,
-/// then uploads a huge (finite) weight every round after. With screening
-/// off and plain-mean aggregation this blows up the global model; the
-/// health monitor has banked enough history by then to catch it.
-class TurncoatUpdate : public fl::LocalUpdateStrategy {
+/// A hostile cohort: clients [0, num_hostile) train honestly until each
+/// has trained `clean_updates` times, then upload a constant `poison` in
+/// every weight on each update after. Finite poison passes the
+/// non-finite screen; with screening off and plain-mean aggregation it
+/// blows up the global model, and the health monitor has banked enough
+/// history by then to catch it. Each client's count is its own and a
+/// client trains at most once per round, so the schedule is the same at
+/// every thread width.
+class HostileCohortUpdate : public fl::LocalUpdateStrategy {
  public:
-  explicit TurncoatUpdate(int hostile_client, int clean_updates)
-      : hostile_client_(hostile_client), clean_updates_(clean_updates) {}
+  HostileCohortUpdate(int num_hostile, int clean_updates, nn::Scalar poison)
+      : updates_(static_cast<size_t>(num_hostile), 0),
+        clean_updates_(clean_updates),
+        poison_(poison) {}
 
   double Update(int client_index, fl::RecoveryModel* model,
                 nn::Optimizer* optimizer, const traj::ClientDataset& data,
                 int epochs, Rng* rng) override {
     const double loss =
         plain_.Update(client_index, model, optimizer, data, epochs, rng);
-    if (client_index == hostile_client_ && ++updates_ > clean_updates_) {
-      model->params().AssignFlat(
-          std::vector<nn::Scalar>(model->params().Flatten().size(),
-                                  nn::Scalar{1e8}));
+    if (static_cast<size_t>(client_index) < updates_.size() &&
+        ++updates_[static_cast<size_t>(client_index)] > clean_updates_) {
+      model->params().AssignFlat(std::vector<nn::Scalar>(
+          model->params().Flatten().size(), poison_));
     }
     return loss;
   }
 
  private:
   fl::PlainLocalUpdate plain_;
-  int hostile_client_;
+  std::vector<int> updates_;  // updates trained so far, per hostile client
   int clean_updates_;
-  int updates_ = 0;  // serial runs only (options.threads = 1)
+  nn::Scalar poison_;
 };
 
 /// A fl::ModelFactory for the default one-weight stub.
@@ -111,7 +121,8 @@ inline std::unique_ptr<fl::RecoveryModel> MakeStub(Rng* rng) {
 
 /// `n` Tdrive-like clients of `per_client` trajectories each on a 6x6
 /// city. The city and the workload both come from `seed`, so the same
-/// arguments give the same clients whichever test asks first.
+/// arguments give the same clients whoever asks first. Nothing is
+/// cached: each call builds its own.
 inline std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
                                                     int per_client = 6) {
   Rng rng(seed);
@@ -126,6 +137,6 @@ inline std::vector<traj::ClientDataset> MakeClients(int n, uint64_t seed,
   return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
 }
 
-}  // namespace lighttr::test_util
+}  // namespace lighttr::chaos
 
-#endif  // LIGHTTR_TESTS_STUB_MODEL_H_
+#endif  // LIGHTTR_CHAOS_STUB_FEDERATION_H_

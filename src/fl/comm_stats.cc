@@ -1,5 +1,7 @@
 #include "fl/comm_stats.h"
 
+#include <utility>
+
 namespace lighttr::fl {
 
 namespace {
@@ -56,6 +58,24 @@ std::string DescribeMismatch(const std::vector<RoundRecord>& a,
     }
   }
   return std::string();
+}
+
+std::string DescribeMismatch(const FederatedRunResult& a,
+                             const FederatedRunResult& b) {
+  const std::pair<const char*, int64_t CommStats::*> comm[] = {
+      {"comm bytes_downlink", &CommStats::bytes_downlink},
+      {"comm bytes_uplink", &CommStats::bytes_uplink},
+      {"comm messages", &CommStats::messages},
+      {"comm rounds", &CommStats::rounds}};
+  for (const auto& [name, field] : comm) {
+    if (a.comm.*field != b.comm.*field) {
+      return Differs(name, a.comm.*field, b.comm.*field);
+    }
+  }
+  if (a.gave_up != b.gave_up) return Differs("gave_up", a.gave_up, b.gave_up);
+  const std::string totals = DescribeMismatch(a.faults, b.faults);
+  if (!totals.empty()) return "total " + totals;
+  return DescribeMismatch(a.history, b.history);
 }
 
 }  // namespace lighttr::fl

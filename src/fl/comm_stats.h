@@ -218,6 +218,22 @@ struct CommStats {
   }
 };
 
+/// Outcome of a federated run (FederatedTrainer::Run).
+struct FederatedRunResult {
+  CommStats comm;
+  FaultStats faults;
+  std::vector<RoundRecord> history;
+  /// True when the self-healing layer exhausted its rollback budget and
+  /// stopped the run early at its last healthy state.
+  bool gave_up = false;
+};
+
+/// Two runs compared the same way, wall-clock time excluded: the comm
+/// totals ("comm messages 40 vs 41"), `gave_up`, every counter total
+/// ("total drops 2 vs 3") and the history ("history[4] drops 0 vs 1").
+std::string DescribeMismatch(const FederatedRunResult& a,
+                             const FederatedRunResult& b);
+
 }  // namespace lighttr::fl
 
 #endif  // LIGHTTR_FL_COMM_STATS_H_

@@ -156,17 +156,6 @@ struct FederatedTrainerOptions {
   int threads = 0;
 };
 
-/// Outcome of a federated run. (RoundRecord lives in comm_stats.h with
-/// the other telemetry structs.)
-struct FederatedRunResult {
-  CommStats comm;
-  FaultStats faults;
-  std::vector<RoundRecord> history;
-  /// True when the self-healing layer exhausted its rollback budget and
-  /// stopped the run early at its last healthy state.
-  bool gave_up = false;
-};
-
 /// Simulates horizontal federated learning in-process: one global model
 /// on the "server", one persistent model + optimizer per client.
 class FederatedTrainer {

@@ -12,18 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "fl/adversary.h"
 #include "fl/aggregation.h"
 #include "fl/federated_trainer.h"
 #include "fl/privacy.h"
 #include "fl/reputation.h"
 #include "fl/run_state.h"
-#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
-using test_util::MakeClients;
+using chaos::MakeClients;
 
 // ---------------------------------------------------------------------
 // AdversaryEngine unit tests
@@ -612,7 +612,7 @@ TEST(Reputation, SuspectWeightOutranksOutlierOnSameUpload) {
 // federation where no robust aggregator can distinguish honest
 // disagreement from attack).
 std::unique_ptr<RecoveryModel> MakeStub(Rng* rng) {
-  return std::make_unique<test_util::StubModel>(rng, 1, /*target=*/2.0);
+  return std::make_unique<chaos::StubModel>(rng, 1, /*target=*/2.0);
 }
 
 // The defended configuration bench_adversary gates on, shrunk for unit

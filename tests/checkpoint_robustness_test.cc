@@ -12,12 +12,12 @@
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "common/binary_io.h"
 #include "common/env.h"
 #include "common/finite.h"
@@ -25,10 +25,12 @@
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
 #include "nn/parameter.h"
-#include "stub_model.h"
+#include "fixtures.h"
 
 namespace lighttr::nn {
 namespace {
+
+using test_util::FreshDir;
 
 constexpr BlobPrecision kPrecisions[] = {BlobPrecision::kFloat32,
                                          BlobPrecision::kFloat64};
@@ -235,13 +237,6 @@ TEST(ParameterBlobRobustness, RandomMutantsNeverCrashTheDecoder) {
 // as it does for file-level corruption, and must never install a
 // non-finite global model.
 
-std::string FreshDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / name).generic_string();
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 fl::FederatedTrainerOptions SnapshotOptions(const std::string& dir,
                                             int rounds = 6) {
   fl::FederatedTrainerOptions options;
@@ -270,12 +265,12 @@ void PoisonSnapshotModel(const std::string& dir, int round, Scalar poison) {
 }
 
 TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
-  auto clients = test_util::MakeClients(4, 63);
+  auto clients = chaos::MakeClients(4, 63);
   fl::FederatedTrainerOptions baseline_options;
   baseline_options.rounds = 6;
   baseline_options.local_epochs = 2;
   baseline_options.learning_rate = 0.05;
-  fl::FederatedTrainer baseline(test_util::MakeStub, &clients, baseline_options);
+  fl::FederatedTrainer baseline(chaos::MakeStub, &clients, baseline_options);
   baseline.Run();
   const std::vector<Scalar> expected =
       baseline.global_model()->params().Flatten();
@@ -296,13 +291,13 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
         SnapshotOptions(FreshDir(std::string("poison_snapshot_") + c.label));
     last_dir = options.durability.dir;
     {
-      fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
+      fl::FederatedTrainer first(chaos::MakeStub, &clients, options);
       first.Run();
     }
     PoisonSnapshotModel(options.durability.dir, 6, c.poison);
 
     options.durability.resume = true;
-    fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
     ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
     EXPECT_EQ(resumed.resumed_round(), 5);
     resumed.Run();
@@ -328,7 +323,7 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
                         std::numeric_limits<Scalar>::quiet_NaN());
   }
   fl::FederatedTrainerOptions options = SnapshotOptions(last_dir);
-  fl::FederatedTrainer stranded(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer stranded(chaos::MakeStub, &clients, options);
   const std::vector<Scalar> before = stranded.global_model()->params().Flatten();
   EXPECT_FALSE(stranded.ResumeFrom(last_dir).ok());
   EXPECT_EQ(stranded.resumed_round(), 0);
@@ -342,11 +337,11 @@ TEST(SnapshotRobustness, NonFinitePoisonedSnapshotFallsBackToPrevious) {
 // followed by 4,096 values. Resume must refuse it with a Status (not
 // overrun the heap) and fall back to the snapshot before it.
 TEST(SnapshotRobustness, HostileAdamDimensionsFallBackToPrevious) {
-  auto clients = test_util::MakeClients(4, 67);
+  auto clients = chaos::MakeClients(4, 67);
   fl::FederatedTrainerOptions options = SnapshotOptions(FreshDir("poison_adam"));
   std::vector<Scalar> expected;
   {
-    fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer first(chaos::MakeStub, &clients, options);
     first.Run();
     expected = first.global_model()->params().Flatten();
   }
@@ -367,7 +362,7 @@ TEST(SnapshotRobustness, HostileAdamDimensionsFallBackToPrevious) {
   ASSERT_TRUE(fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
 
   options.durability.resume = true;
-  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
   ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
   EXPECT_EQ(resumed.resumed_round(), 5);
   resumed.Run();
@@ -378,11 +373,11 @@ TEST(SnapshotRobustness, HostileAdamDimensionsFallBackToPrevious) {
 // or reputation blob fails validation is rejected as a whole, falling
 // back one snapshot per damaged tail.
 TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
-  auto clients = test_util::MakeClients(4, 65);
+  auto clients = chaos::MakeClients(4, 65);
   fl::FederatedTrainerOptions options = SnapshotOptions(FreshDir("poison_tail"));
   options.healing.enabled = true;
   {
-    fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer first(chaos::MakeStub, &clients, options);
     first.Run();
   }
   {
@@ -409,7 +404,7 @@ TEST(SnapshotRobustness, CorruptHealingTailFallsBackToPrevious) {
   }
 
   options.durability.resume = true;
-  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
   ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
   EXPECT_EQ(resumed.resumed_round(), 4);
 }

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "eval/harness.h"
 #include "fl/comm_stats.h"
 #include "fl/run_state.h"
@@ -16,23 +16,10 @@
 #include "lighttr/teacher_training.h"
 #include "nn/kernels/kernels.h"
 #include "roadnet/generators.h"
-#include "stub_model.h"
+#include "fixtures.h"
 
 namespace lighttr {
 namespace {
-
-// Two runs that must agree bitwise: the same wire totals, every
-// counter-table total and per-round column, and the same per-round
-// losses and flags (wall-clock time excluded).
-void ExpectSameRun(const fl::FederatedRunResult& a,
-                   const fl::FederatedRunResult& b) {
-  EXPECT_EQ(a.comm.bytes_downlink, b.comm.bytes_downlink);
-  EXPECT_EQ(a.comm.bytes_uplink, b.comm.bytes_uplink);
-  EXPECT_EQ(a.comm.messages, b.comm.messages);
-  EXPECT_EQ(a.gave_up, b.gave_up);
-  EXPECT_EQ(fl::DescribeMismatch(a.faults, b.faults), "");
-  EXPECT_EQ(fl::DescribeMismatch(a.history, b.history), "");
-}
 
 TEST(Determinism, CityGenerationIsSeedDeterministic) {
   Rng rng_a(7);
@@ -116,7 +103,7 @@ TEST(Determinism, EndToEndExperimentIsReproducible) {
   EXPECT_DOUBLE_EQ(a.metrics.precision, b.metrics.precision);
   EXPECT_DOUBLE_EQ(a.metrics.mae_km, b.metrics.mae_km);
   EXPECT_DOUBLE_EQ(a.metrics.rmse_km, b.metrics.rmse_km);
-  ExpectSameRun(a.run, b.run);
+  EXPECT_EQ(fl::DescribeMismatch(a.run, b.run), "");
 }
 
 TEST(Determinism, FaultScheduleIsSeedDeterministic) {
@@ -159,7 +146,7 @@ TEST(Determinism, FaultyExperimentIsReproducible) {
   const eval::MethodResult b = run_once();
   EXPECT_DOUBLE_EQ(a.metrics.recall, b.metrics.recall);
   EXPECT_DOUBLE_EQ(a.metrics.mae_km, b.metrics.mae_km);
-  ExpectSameRun(a.run, b.run);
+  EXPECT_EQ(fl::DescribeMismatch(a.run, b.run), "");
 }
 
 // The determinism contract of the parallel substrate: thread count is a
@@ -201,7 +188,7 @@ TEST(Determinism, FederatedRunIsBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(parallel.metrics.precision, serial.metrics.precision);
     EXPECT_DOUBLE_EQ(parallel.metrics.mae_km, serial.metrics.mae_km);
     EXPECT_DOUBLE_EQ(parallel.metrics.rmse_km, serial.metrics.rmse_km);
-    ExpectSameRun(parallel.run, serial.run);
+    EXPECT_EQ(fl::DescribeMismatch(parallel.run, serial.run), "");
   }
 }
 
@@ -344,7 +331,7 @@ TEST(Determinism, CachedEncodingsAreBitwiseInvisibleInJobs) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " expose_encoder=" + std::to_string(expose_encoder));
         const JobOutcome job = RunForwardedJob(kind, expose_encoder, threads);
-        ExpectSameRun(job.run, reference.run);
+        EXPECT_EQ(fl::DescribeMismatch(job.run, reference.run), "");
         EXPECT_EQ(job.metrics.recall, reference.metrics.recall);
         EXPECT_EQ(job.metrics.precision, reference.metrics.precision);
         EXPECT_EQ(job.metrics.mae_km, reference.metrics.mae_km);
@@ -364,64 +351,21 @@ TEST(Determinism, CachedEncodingsAreBitwiseInvisibleInJobs) {
 // Self-healing across thread widths: the health verdicts, rollback
 // points, and quarantine decisions are all computed on the coordinating
 // thread from canonically ordered observations, so a run that diverges,
-// rolls back, and quarantines an offender must be bitwise identical at
-// every width.
-
-// Poisons client 0's uploads after 3 clean rounds (cf. health_test's
-// TurncoatUpdate). Only client 0's task ever touches the counter and a
-// client runs at most once per round, so the count — and therefore the
-// poison schedule — is identical at every thread width.
-class HostileClientUpdate : public fl::LocalUpdateStrategy {
- public:
-  double Update(int client_index, fl::RecoveryModel* model,
-                nn::Optimizer* optimizer, const traj::ClientDataset& data,
-                int epochs, Rng* rng) override {
-    const double loss =
-        plain_.Update(client_index, model, optimizer, data, epochs, rng);
-    if (client_index == 0 && ++hostile_updates_ > 3) {
-      model->params().AssignFlat(
-          std::vector<nn::Scalar>(model->params().Flatten().size(),
-                                  nn::Scalar{1e8}));
-    }
-    return loss;
-  }
-
- private:
-  fl::PlainLocalUpdate plain_;
-  int hostile_updates_ = 0;
-};
+// rolls back, and quarantines an offender (client 0, which poisons its
+// uploads after 3 clean rounds) must be bitwise identical at every width.
 
 TEST(Determinism, SelfHealingRunIsBitwiseIdenticalAcrossThreadCounts) {
-  auto make_clients = [] {
-    Rng rng(61);
-    roadnet::CityGridOptions options;
-    options.rows = 6;
-    options.cols = 6;
-    const roadnet::RoadNetwork net =
-        roadnet::GenerateCityGrid(options, &rng);
-    traj::WorkloadProfile profile = traj::TdriveLikeProfile();
-    profile.trajectories_per_client = 6;
-    traj::FederatedWorkloadOptions workload;
-    workload.num_clients = 4;
-    return traj::GenerateFederatedWorkload(net, profile, workload, &rng);
-  };
-  auto run_with_threads = [&](int threads) {
-    auto clients = make_clients();
-    fl::FederatedTrainerOptions options;
-    options.rounds = 12;
-    options.local_epochs = 2;
-    options.learning_rate = 0.05;
+  auto run_with_threads = [](int threads) {
+    auto clients = chaos::MakeClients(4, 61);
+    fl::FederatedTrainerOptions options = test_util::HealingOptions();
     options.threads = threads;
-    options.tolerance.screen.enabled = false;  // let the poison through
-    options.healing.enabled = true;
-    options.healing.reputation.quarantine_threshold = 0.4;
-    fl::FederatedTrainer trainer(
-        test_util::MakeStub, &clients, options);
-    HostileClientUpdate strategy;
+    fl::FederatedTrainer trainer(chaos::MakeStub, &clients, options);
+    chaos::HostileCohortUpdate strategy(/*num_hostile=*/1,
+                                        /*clean_updates=*/3, 1e8);
     fl::FederatedRunResult result = trainer.Run(&strategy);
     return std::make_pair(
         result,
-        dynamic_cast<test_util::StubModel*>(trainer.global_model())->weight());
+        dynamic_cast<chaos::StubModel*>(trainer.global_model())->weight());
   };
 
   const auto [serial, serial_w] = run_with_threads(1);
@@ -434,7 +378,7 @@ TEST(Determinism, SelfHealingRunIsBitwiseIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto [parallel, parallel_w] = run_with_threads(threads);
     EXPECT_EQ(parallel_w, serial_w);
-    ExpectSameRun(parallel, serial);
+    EXPECT_EQ(fl::DescribeMismatch(parallel, serial), "");
   }
 }
 
@@ -461,10 +405,10 @@ fl::FederatedTrainerOptions LossyChannelOptions(int rounds) {
 
 TEST(Determinism, LossyChannelRunIsBitwiseIdenticalAcrossThreadCounts) {
   auto run_with_threads = [](int threads) {
-    auto clients = test_util::MakeClients(4, 67);
+    auto clients = chaos::MakeClients(4, 67);
     fl::FederatedTrainerOptions options = LossyChannelOptions(10);
     options.threads = threads;
-    fl::FederatedTrainer trainer(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer trainer(chaos::MakeStub, &clients, options);
     fl::FederatedRunResult result = trainer.Run();
     return std::make_pair(std::move(result),
                           trainer.global_model()->params().Serialize());
@@ -479,7 +423,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto [parallel, parallel_params] = run_with_threads(threads);
     EXPECT_EQ(parallel_params, serial_params);
-    ExpectSameRun(parallel, serial);
+    EXPECT_EQ(fl::DescribeMismatch(parallel, serial), "");
   }
 }
 
@@ -487,27 +431,23 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   // A run killed mid-round over a hostile network must resume to the
   // exact bits of an uninterrupted run: the snapshot carries the channel
   // RNG state, so the replay sees the same network weather.
-  auto clients = test_util::MakeClients(4, 71);
+  auto clients = chaos::MakeClients(4, 71);
   fl::FederatedTrainerOptions baseline_options = LossyChannelOptions(12);
-  fl::FederatedTrainer baseline(test_util::MakeStub, &clients, baseline_options);
+  fl::FederatedTrainer baseline(chaos::MakeStub, &clients, baseline_options);
   const fl::FederatedRunResult expected = baseline.Run();
   ASSERT_GT(expected.faults[fl::kNetCrcDrops], 0);
   const std::string expected_params =
       baseline.global_model()->params().Serialize();
 
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "lossy_crash_resume")
-          .generic_string();
-  std::filesystem::remove_all(dir);
   fl::FederatedTrainerOptions options = LossyChannelOptions(12);
-  options.durability.dir = dir;
+  options.durability.dir = test_util::FreshDir("lossy_crash_resume");
   options.durability.snapshot_every = 3;
   options.durability.crash_point = fl::CrashPoint::kMidRound;
   options.durability.crash_round = 8;
 
   bool crashed = false;
   {
-    fl::FederatedTrainer victim(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer victim(chaos::MakeStub, &clients, options);
     try {
       victim.Run();
     } catch (const fl::InjectedCrash& crash) {
@@ -520,11 +460,11 @@ TEST(Determinism, CrashResumeOverLossyChannelIsBitwiseIdentical) {
   options.durability.crash_point = fl::CrashPoint::kNone;
   options.durability.crash_round = 0;
   options.durability.resume = true;
-  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
   const fl::FederatedRunResult result = resumed.Run();
   EXPECT_GT(resumed.resumed_round(), 0);
   EXPECT_EQ(resumed.global_model()->params().Serialize(), expected_params);
-  ExpectSameRun(result, expected);
+  EXPECT_EQ(fl::DescribeMismatch(result, expected), "");
 }
 
 // The kernel axis of the determinism contract (DESIGN.md §14): for a
@@ -539,10 +479,10 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
   for (nn::KernelMode mode : {nn::KernelMode::kScalar, nn::KernelMode::kAuto}) {
     nn::ActivateKernels(mode);
     auto run_with_threads = [](int threads) {
-      auto clients = test_util::MakeClients(4, 67);
+      auto clients = chaos::MakeClients(4, 67);
       fl::FederatedTrainerOptions options = LossyChannelOptions(6);
       options.threads = threads;
-      fl::FederatedTrainer trainer(test_util::MakeStub, &clients, options);
+      fl::FederatedTrainer trainer(chaos::MakeStub, &clients, options);
       fl::FederatedRunResult result = trainer.Run();
       return std::make_pair(std::move(result),
                             trainer.global_model()->params().Serialize());
@@ -553,24 +493,20 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
       const auto [parallel, parallel_params] = run_with_threads(threads);
       EXPECT_EQ(parallel_params, serial_params)
           << "kernel=" << nn::KernelModeName(mode) << " threads=" << threads;
-      ExpectSameRun(parallel, serial);
+      EXPECT_EQ(fl::DescribeMismatch(parallel, serial), "");
     }
 
     // Crash mid-run and resume under the same kernel: same final bits.
-    const std::string dir = (std::filesystem::path(::testing::TempDir()) /
-                             (std::string("kernel_crash_resume_") +
-                              nn::KernelModeName(mode)))
-                                .generic_string();
-    std::filesystem::remove_all(dir);
-    auto clients = test_util::MakeClients(4, 67);
+    auto clients = chaos::MakeClients(4, 67);
     fl::FederatedTrainerOptions options = LossyChannelOptions(6);
-    options.durability.dir = dir;
+    options.durability.dir = test_util::FreshDir(
+        std::string("kernel_crash_resume_") + nn::KernelModeName(mode));
     options.durability.snapshot_every = 2;
     options.durability.crash_point = fl::CrashPoint::kMidRound;
     options.durability.crash_round = 4;
     bool crashed = false;
     {
-      fl::FederatedTrainer victim(test_util::MakeStub, &clients, options);
+      fl::FederatedTrainer victim(chaos::MakeStub, &clients, options);
       try {
         victim.Run();
       } catch (const fl::InjectedCrash&) {
@@ -581,7 +517,7 @@ TEST(Determinism, LossyChannelRunIsBitwiseIdenticalPerKernelMode) {
     options.durability.crash_point = fl::CrashPoint::kNone;
     options.durability.crash_round = 0;
     options.durability.resume = true;
-    fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
     (void)resumed.Run();
     EXPECT_GT(resumed.resumed_round(), 0);
     EXPECT_EQ(resumed.global_model()->params().Serialize(), serial_params)

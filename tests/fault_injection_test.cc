@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 
+#include "chaos/stub_federation.h"
 #include "common/finite.h"
 #include "eval/harness.h"
 #include "fl/aggregation.h"
@@ -15,14 +16,13 @@
 #include "fl/federated_trainer.h"
 #include "fl/transport/wire.h"
 #include "traj/workload.h"
-#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
-using test_util::MakeClients;
-using test_util::MakeStub;
-using test_util::StubModel;
+using chaos::MakeClients;
+using chaos::MakeStub;
+using chaos::StubModel;
 
 FaultInjectionConfig LossyConfig() {
   FaultInjectionConfig config;

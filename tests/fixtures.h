@@ -1,16 +1,23 @@
-// A run state in which every field differs from every other, shared by
-// the run-state codec tests (storage_fault_test) and the snapshot-layout
-// digest (golden_test). A column the codec drops, swaps or misreads
+// The fixtures the tests share. A run state in which every field
+// differs from every other, for the run-state codec tests
+// (storage_fault_test, crash_recovery_test) and the snapshot-layout
+// digest (golden_test): a column the codec drops, swaps or misreads
 // shows up as a mismatch in the first, and any change to the bytes it
-// encodes to shows up in the second.
-#ifndef LIGHTTR_TESTS_RUN_STATE_FIXTURE_H_
-#define LIGHTTR_TESTS_RUN_STATE_FIXTURE_H_
+// encodes to shows up in the second. FreshDir, an emptied directory
+// under the test temp dir. And HealingOptions, the run the self-healing
+// tests fight a hostile cohort with.
+#ifndef LIGHTTR_TESTS_FIXTURES_H_
+#define LIGHTTR_TESTS_FIXTURES_H_
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include "common/rng.h"
 #include "fl/comm_stats.h"
+#include "fl/federated_trainer.h"
 #include "fl/run_state.h"
 
 namespace lighttr::test_util {
@@ -80,6 +87,32 @@ inline fl::ServerRunState DistinctiveState() {
   return state;
 }
 
+/// `name` under the test temp dir, removed with everything in it.
+inline std::string FreshDir(const std::string& name) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / name).generic_string();
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// A stub federation's run with the self-healing layer `healing`:
+/// screening is off, so a hostile cohort's finite poison reaches the
+/// mean, and outliers score 0.5 per offence, so the 0.4 threshold
+/// quarantines a repeat offender after a few flagged rounds. Serial;
+/// a test of thread widths sets its own.
+inline fl::FederatedTrainerOptions HealingOptions(int rounds = 12,
+                                                  bool healing = true) {
+  fl::FederatedTrainerOptions options;
+  options.rounds = rounds;
+  options.local_epochs = 2;
+  options.learning_rate = 0.05;
+  options.threads = 1;
+  options.tolerance.screen.enabled = false;
+  options.healing.enabled = healing;
+  options.healing.reputation.quarantine_threshold = 0.4;
+  return options;
+}
+
 }  // namespace lighttr::test_util
 
-#endif  // LIGHTTR_TESTS_RUN_STATE_FIXTURE_H_
+#endif  // LIGHTTR_TESTS_FIXTURES_H_

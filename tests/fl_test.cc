@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "chaos/stub_federation.h"
 #include "fl/compression.h"
 #include "fl/cyclic_trainer.h"
 #include "fl/federated_trainer.h"
@@ -11,13 +12,12 @@
 #include "fl/transport/wire.h"
 #include "nn/ops.h"
 #include "traj/downsample.h"
-#include "stub_model.h"
 
 namespace lighttr::fl {
 namespace {
 
-using test_util::MakeClients;
-using test_util::StubModel;
+using chaos::MakeClients;
+using chaos::StubModel;
 
 TEST(TrainLocal, ReducesLossOnStub) {
   auto clients = MakeClients(1, 1);

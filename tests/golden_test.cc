@@ -34,14 +34,14 @@
 #include <vector>
 
 #include "baselines/model_zoo.h"
+#include "chaos/stub_federation.h"
 #include "common/binary_io.h"
 #include "common/env.h"
 #include "eval/harness.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
 #include "nn/kernels/kernels.h"
-#include "run_state_fixture.h"
-#include "stub_model.h"
+#include "fixtures.h"
 
 namespace lighttr {
 namespace {
@@ -49,7 +49,7 @@ namespace {
 using fl::FederatedRunResult;
 using fl::FederatedTrainer;
 using fl::FederatedTrainerOptions;
-using test_util::MakeClients;
+using chaos::MakeClients;
 
 std::string DigestLine(const std::string& name, const std::string& bytes) {
   char hex[17];
@@ -102,18 +102,6 @@ std::string RunDigest(const std::string& name, fl::ModelFactory factory,
   return DigestLine(name, all.bytes());
 }
 
-FederatedTrainerOptions HealingOptions() {
-  FederatedTrainerOptions options;
-  options.rounds = 12;
-  options.local_epochs = 2;
-  options.learning_rate = 0.05;
-  options.threads = 1;  // TurncoatUpdate counts its own invocations
-  options.tolerance.screen.enabled = false;
-  options.healing.enabled = true;
-  options.healing.reputation.quarantine_threshold = 0.4;
-  return options;
-}
-
 // Every layout and stub-run digest line, in file order.
 std::vector<std::string> StubLines() {
   std::vector<std::string> lines;
@@ -141,28 +129,28 @@ std::vector<std::string> StubLines() {
     for (const int threads : {1, 8}) {
       options.threads = threads;
       lines.push_back(RunDigest("fates_threads" + std::to_string(threads),
-                                test_util::MakeStub, clients, options));
+                                chaos::MakeStub, clients, options));
     }
   }
 
-  // A turncoat the health layer rolls back, then one it gives up on
-  // (health_test's DivergenceIsDetectedRolledBackAndQuarantined and
+  // A hostile client the health layer rolls back, then one it gives up
+  // on (health_test's DivergenceIsDetectedRolledBackAndQuarantined and
   // RollbackBudgetZeroParksAtLastHealthyState).
   {
     const auto clients = MakeClients(4, 51);
-    test_util::TurncoatUpdate turncoat(/*hostile_client=*/0,
-                                       /*clean_updates=*/3);
-    lines.push_back(RunDigest("healing_rollback", test_util::MakeStub,
-                              clients, HealingOptions(), &turncoat));
+    chaos::HostileCohortUpdate hostile(/*num_hostile=*/1,
+                                       /*clean_updates=*/3, 1e8);
+    lines.push_back(RunDigest("healing_rollback", chaos::MakeStub, clients,
+                              test_util::HealingOptions(), &hostile));
   }
   {
     const auto clients = MakeClients(4, 53);
-    FederatedTrainerOptions options = HealingOptions();
+    FederatedTrainerOptions options = test_util::HealingOptions();
     options.healing.max_rollbacks = 0;
-    test_util::TurncoatUpdate turncoat(/*hostile_client=*/0,
-                                       /*clean_updates=*/3);
-    lines.push_back(RunDigest("healing_gave_up", test_util::MakeStub, clients,
-                              options, &turncoat));
+    chaos::HostileCohortUpdate hostile(/*num_hostile=*/1,
+                                       /*clean_updates=*/3, 1e8);
+    lines.push_back(RunDigest("healing_gave_up", chaos::MakeStub, clients,
+                              options, &hostile));
   }
 
   // Two sign-flip attackers against defended Multi-Krum, on a four-weight
@@ -184,7 +172,7 @@ std::vector<std::string> StubLines() {
     lines.push_back(RunDigest(
         "multikrum_defended",
         [](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-          return std::make_unique<test_util::StubModel>(rng, 4, 2.0);
+          return std::make_unique<chaos::StubModel>(rng, 4, 2.0);
         },
         clients, options));
   }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "common/binary_io.h"
 #include "common/finite.h"
 #include "common/rng.h"
@@ -17,15 +18,16 @@
 #include "fl/health.h"
 #include "fl/reputation.h"
 #include "traj/workload.h"
-#include "stub_model.h"
+#include "fixtures.h"
 
 namespace lighttr::fl {
 namespace {
 
-using test_util::MakeClients;
-using test_util::MakeStub;
-using test_util::StubModel;
-using test_util::TurncoatUpdate;
+using chaos::HostileCohortUpdate;
+using chaos::MakeClients;
+using chaos::MakeStub;
+using chaos::StubModel;
+using test_util::HealingOptions;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -377,20 +379,6 @@ TEST(ReputationBook, MalformedLedgerRejectedWithoutDamage) {
 // ---------------------------------------------------------------------
 // End to end: divergence rollback + quarantine on the stub model.
 
-FederatedTrainerOptions HealingOptions(int rounds, bool healing) {
-  FederatedTrainerOptions options;
-  options.rounds = rounds;
-  options.local_epochs = 2;
-  options.learning_rate = 0.05;
-  options.threads = 1;  // TurncoatUpdate counts its own invocations
-  options.tolerance.screen.enabled = false;  // let the poison through
-  options.healing.enabled = healing;
-  // Outliers score 0.5 per offence; a 0.4 threshold quarantines a
-  // repeat offender after a few flagged rounds.
-  options.healing.reputation.quarantine_threshold = 0.4;
-  return options;
-}
-
 TEST(SelfHealingTrainer, DivergenceIsDetectedRolledBackAndQuarantined) {
   const int rounds = 12;
   auto clients = MakeClients(4, 51);
@@ -398,7 +386,7 @@ TEST(SelfHealingTrainer, DivergenceIsDetectedRolledBackAndQuarantined) {
   // Baseline: same poison, healing off. The mean aggregate absorbs the
   // 1e8 upload every round; the run ends far from any client target.
   FederatedTrainer unguarded(MakeStub, &clients, HealingOptions(rounds, false));
-  TurncoatUpdate poison_off(/*hostile_client=*/0, /*clean_updates=*/3);
+  HostileCohortUpdate poison_off(/*num_hostile=*/1, /*clean_updates=*/3, 1e8);
   const FederatedRunResult off = unguarded.Run(&poison_off);
   const double off_loss = off.history.back().valid_loss;
   EXPECT_GT(std::fabs(
@@ -406,7 +394,7 @@ TEST(SelfHealingTrainer, DivergenceIsDetectedRolledBackAndQuarantined) {
             1e4);
 
   FederatedTrainer guarded(MakeStub, &clients, HealingOptions(rounds, true));
-  TurncoatUpdate poison_on(/*hostile_client=*/0, /*clean_updates=*/3);
+  HostileCohortUpdate poison_on(/*num_hostile=*/1, /*clean_updates=*/3, 1e8);
   const FederatedRunResult on = guarded.Run(&poison_on);
 
   // The blow-up was detected and rolled back, not committed.
@@ -442,7 +430,7 @@ TEST(SelfHealingTrainer, RollbackBudgetZeroParksAtLastHealthyState) {
   FederatedTrainerOptions options = HealingOptions(12, true);
   options.healing.max_rollbacks = 0;
   FederatedTrainer trainer(MakeStub, &clients, options);
-  TurncoatUpdate poison(/*hostile_client=*/0, /*clean_updates=*/3);
+  HostileCohortUpdate poison(/*num_hostile=*/1, /*clean_updates=*/3, 1e8);
   const FederatedRunResult result = trainer.Run(&poison);
 
   EXPECT_TRUE(result.gave_up);
@@ -481,14 +469,13 @@ TEST(SelfHealingTrainer, HealthyRunsAreUnaffectedByTheHealingLayer) {
 }
 
 TEST(SelfHealingTrainer, ReputationSurvivesSnapshotResume) {
-  const std::string dir =
-      (std::string(testing::TempDir()) + "/lighttr_health_resume");
+  const std::string dir = test_util::FreshDir("lighttr_health_resume");
   auto clients = MakeClients(4, 57);
   FederatedTrainerOptions options = HealingOptions(8, true);
   options.durability.dir = dir;
 
   FederatedTrainer first(MakeStub, &clients, options);
-  TurncoatUpdate poison(/*hostile_client=*/0, /*clean_updates=*/3);
+  HostileCohortUpdate poison(/*num_hostile=*/1, /*clean_updates=*/3, 1e8);
   first.Run(&poison);
   ASSERT_NE(first.reputation(), nullptr);
   const std::string ledger = first.reputation()->Serialize();

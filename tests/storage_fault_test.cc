@@ -15,14 +15,14 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "common/backoff.h"
 #include "common/binary_io.h"
 #include "common/crc32.h"
 #include "common/env.h"
 #include "fl/federated_trainer.h"
 #include "fl/run_state.h"
-#include "run_state_fixture.h"
-#include "stub_model.h"
+#include "fixtures.h"
 
 namespace lighttr {
 namespace {
@@ -316,7 +316,8 @@ std::string Resigned(std::string blob, Edit edit) {
 }
 
 TEST(RunStateFormat, EveryFieldAndCounterRoundTrips) {
-  const fl::ServerRunState state = DistinctiveState();
+  fl::ServerRunState state = DistinctiveState();
+  state.optimizer_blobs.push_back(std::string("\0\x01", 2));  // not C strings
   fl::ServerRunState out;
   ASSERT_TRUE(fl::DecodeRunState(fl::EncodeRunState(state), &out).ok());
   EXPECT_EQ(out.round, state.round);
@@ -425,7 +426,7 @@ TEST(RunStateFormat, TrailingBytesAreRejected) {
 // read-path rot on an intact disk — rather than editing bytes on disk.
 
 TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
-  auto clients = test_util::MakeClients(4, 71);
+  auto clients = chaos::MakeClients(4, 71);
   fl::FederatedTrainerOptions options;
   options.rounds = 6;
   options.local_epochs = 1;
@@ -438,7 +439,7 @@ TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
 
   FaultyFileSystem fs;  // clean RAM disk; only the targeted rot below
   options.durability.fs = &fs;
-  fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer first(chaos::MakeStub, &clients, options);
   const fl::FederatedRunResult expected = first.Run();
   const std::vector<nn::Scalar> expected_params =
       first.global_model()->params().Flatten();
@@ -447,7 +448,7 @@ TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
   // must reject it and resume must fall back to the round-4 snapshot,
   // then re-run rounds 5..6 to a bitwise-identical final model.
   fs.InjectBitrotOnce(fl::SnapshotPath("run", 6));
-  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
   ASSERT_TRUE(resumed.ResumeFrom("run").ok());
   EXPECT_EQ(resumed.resumed_round(), 4);
   EXPECT_EQ(fs.stats().bitrot_reads, 1);
@@ -465,7 +466,7 @@ TEST(SnapshotFallback, BitrottenNewestSnapshotFallsBackToOlderValidOne) {
 }
 
 TEST(SnapshotFallback, AllSnapshotsRottenIsAnErrorNotAFreshStart) {
-  auto clients = test_util::MakeClients(4, 73);
+  auto clients = chaos::MakeClients(4, 73);
   fl::FederatedTrainerOptions options;
   options.rounds = 4;
   options.local_epochs = 1;
@@ -476,12 +477,12 @@ TEST(SnapshotFallback, AllSnapshotsRottenIsAnErrorNotAFreshStart) {
   FaultyFileSystem fs;
   options.durability.fs = &fs;
   {
-    fl::FederatedTrainer first(test_util::MakeStub, &clients, options);
+    fl::FederatedTrainer first(chaos::MakeStub, &clients, options);
     first.Run();
   }
   fs.InjectBitrotOnce(fl::SnapshotPath("run", 2));
   fs.InjectBitrotOnce(fl::SnapshotPath("run", 4));
-  fl::FederatedTrainer resumed(test_util::MakeStub, &clients, options);
+  fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
   EXPECT_FALSE(resumed.ResumeFrom("run").ok());
   EXPECT_EQ(resumed.resumed_round(), 0);
 }

@@ -10,19 +10,19 @@
 #include <string>
 #include <vector>
 
+#include "chaos/stub_federation.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "fl/federated_trainer.h"
 #include "fl/transport/channel.h"
 #include "fl/transport/link.h"
 #include "fl/transport/wire.h"
-#include "stub_model.h"
 
 namespace lighttr::fl::transport {
 namespace {
 
-using test_util::MakeClients;
-using test_util::MakeStub;
+using chaos::MakeClients;
+using chaos::MakeStub;
 
 // ---------------------------------------------------------------------
 // Codec round-trips

@@ -66,7 +66,7 @@ double TrainLocal(RecoveryModel* model, nn::Optimizer* optimizer,
       epoch_loss += loss.ScalarValue();
       loss.Backward();
       if (options.clip_norm > 0.0) {
-        nn::ClipGradNorm(&model->params(), options.clip_norm);
+        nn::ClipGradientsByGlobalNorm(&model->params(), options.clip_norm);
       }
       optimizer->Step(&model->params());
     }

@@ -4,6 +4,7 @@
 
 #include "common/binary_io.h"
 #include "common/check.h"
+#include "common/finite.h"
 #include "nn/kernels/kernels.h"
 
 namespace lighttr::nn {
@@ -55,6 +56,12 @@ void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm) {
   }
   const Scalar norm = std::sqrt(total);
   if (norm <= max_norm) return;
+  if (!IsFinite(norm)) {
+    // A NaN/Inf gradient cannot be rescaled into a sane one; drop the
+    // step entirely rather than hand the optimizer poison.
+    params->ZeroGrads();
+    return;
+  }
   const Scalar scale = max_norm / norm;
   for (size_t i = 0; i < params->size(); ++i) {
     Matrix& g = params->tensor(i).grad();

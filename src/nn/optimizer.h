@@ -59,8 +59,11 @@ class AdamOptimizer : public Optimizer {
   std::vector<Matrix> v_;
 };
 
-/// Scales all gradients so their global L2 norm is at most `max_norm`
-/// (no-op when max_norm <= 0 or the norm is already within bounds).
+/// Global-norm gradient clipping: when the L2 norm over ALL parameter
+/// gradients in `params` exceeds `max_norm`, every gradient is scaled by
+/// max_norm / norm (the standard "clip_grad_norm" rule). A non-finite
+/// norm zeroes every gradient (a poisoned step must not reach the
+/// optimizer). No-op when max_norm <= 0.
 void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm);
 
 }  // namespace lighttr::nn

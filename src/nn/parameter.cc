@@ -1,12 +1,10 @@
 #include "nn/parameter.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/binary_io.h"
 #include "common/check.h"
-#include "common/finite.h"
 
 namespace lighttr::nn {
 
@@ -160,37 +158,6 @@ Status ParameterSet::Deserialize(const std::string& bytes) {
     return Status::InvalidArgument("trailing bytes in parameter blob");
   }
   return Status::Ok();
-}
-
-double ClipGradNorm(ParameterSet* params, double max_norm) {
-  LIGHTTR_CHECK(params != nullptr);
-  double sum_sq = 0.0;
-  for (size_t i = 0; i < params->size(); ++i) {
-    const Matrix& g = params->tensor(i).grad();
-    for (size_t j = 0; j < g.size(); ++j) {
-      const double v = static_cast<double>(g.data()[j]);
-      sum_sq += v * v;
-    }
-  }
-  const double norm = std::sqrt(sum_sq);
-  if (max_norm <= 0.0) return norm;
-  if (!IsFinite(norm)) {
-    // A NaN/Inf gradient cannot be rescaled into a sane one; drop the
-    // step entirely rather than hand the optimizer poison.
-    for (size_t i = 0; i < params->size(); ++i) {
-      Matrix& g = params->tensor(i).grad();
-      for (size_t j = 0; j < g.size(); ++j) g.data()[j] = Scalar{0};
-    }
-    return norm;
-  }
-  if (norm > max_norm) {
-    const Scalar scale = static_cast<Scalar>(max_norm / norm);
-    for (size_t i = 0; i < params->size(); ++i) {
-      Matrix& g = params->tensor(i).grad();
-      for (size_t j = 0; j < g.size(); ++j) g.data()[j] *= scale;
-    }
-  }
-  return norm;
 }
 
 }  // namespace lighttr::nn

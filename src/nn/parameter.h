@@ -73,13 +73,6 @@ class ParameterSet {
   std::vector<std::pair<std::string, Tensor>> items_;
 };
 
-/// Global-norm gradient clipping: when the L2 norm over ALL parameter
-/// gradients in `params` exceeds `max_norm`, every gradient is scaled
-/// by max_norm / norm (the standard "clip_grad_norm" rule). Returns the
-/// pre-clip global norm. A non-finite norm zeroes every gradient (a
-/// poisoned step must not reach the optimizer). No-op when max_norm <= 0.
-double ClipGradNorm(ParameterSet* params, double max_norm);
-
 }  // namespace lighttr::nn
 
 #endif  // LIGHTTR_NN_PARAMETER_H_

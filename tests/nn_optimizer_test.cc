@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -221,6 +222,31 @@ TEST(Clipping, LeavesSmallGradientsAlone) {
   w.grad().Fill(0.1);
   ClipGradientsByGlobalNorm(&params, 5.0);
   EXPECT_DOUBLE_EQ(w.grad()(0, 0), 0.1);
+}
+
+// A NaN or Inf anywhere makes the global norm non-finite: every
+// gradient, the finite ones too, comes out zero rather than scaled by
+// max_norm / NaN.
+TEST(Clipping, NonFiniteGradientsComeOutZero) {
+  for (const Scalar poison : {std::numeric_limits<Scalar>::quiet_NaN(),
+                              std::numeric_limits<Scalar>::infinity(),
+                              -std::numeric_limits<Scalar>::infinity()}) {
+    SCOPED_TRACE(poison);
+    ParameterSet params;
+    Tensor a = Tensor::Variable(Matrix::Full(1, 3, 0.0));
+    Tensor b = Tensor::Variable(Matrix::Full(2, 2, 0.0));
+    params.Register("a", a);
+    params.Register("b", b);
+    a.grad().Fill(0.5);
+    b.grad().Fill(2.0);
+    b.grad()(1, 0) = poison;
+    ClipGradientsByGlobalNorm(&params, 5.0);
+    for (const Tensor& t : {a, b}) {
+      for (size_t i = 0; i < t.grad().size(); ++i) {
+        EXPECT_EQ(t.grad().data()[i], 0.0);
+      }
+    }
+  }
 }
 
 TEST(ParameterSet, FlattenAssignRoundTrip) {

@@ -6,10 +6,12 @@
 //
 // Methods: fc | rnn | mtrajrec | rntrajrec | lighttr | centralized
 // Datasets: geolife | tdrive
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "common/parse_number.h"
@@ -25,7 +27,43 @@ namespace {
 
 using namespace lighttr;
 
-// Minimal --key=value parser (no external flag library).
+// Every flag run_experiment reads; a boolean one may also stand bare.
+constexpr const char* kValueFlags[] = {
+    "method", "dataset", "keep", "lr", "fraction", "clients", "rounds",
+    "epochs", "traj-per-client", "grid", "seed", "checkpoint-dir",
+    "checkpoint-every", "threads", "kernel", "quarantine-threshold",
+    "clip-norm", "max-rollbacks", "net-drop", "net-corrupt", "net-delay",
+    "net-dup", "net-reorder", "net-truncate", "net-retries", "net-seed",
+    "aggregation", "byzantine-fraction", "adversary-count",
+    "adversary-attack", "adversary-scale", "adversary-start",
+    "adversary-seed"};
+constexpr const char* kBoolFlags[] = {"resume", "health", "exclude-suspected"};
+
+// True when every argument is one of those flags: a misspelt one
+// ("--round=3", "--helth") is a usage error, not a run on the defaults.
+bool AllFlagsKnown(int argc, char** argv) {
+  const auto listed = [](const auto& flags, const std::string& key) {
+    return std::find(std::begin(flags), std::end(flags), key) !=
+           std::end(flags);
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    const bool known =
+        key.rfind("--", 0) == 0 &&
+        (listed(kBoolFlags, key.substr(2)) ||
+         (eq != std::string::npos && listed(kValueFlags, key.substr(2))));
+    if (!known) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+// Minimal --key=value parser (no external flag library). The first
+// spelling of a repeated flag wins.
 std::string FlagValue(int argc, char** argv, const std::string& key,
                       const std::string& fallback) {
   const std::string prefix = "--" + key + "=";
@@ -124,6 +162,7 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!AllFlagsKnown(argc, argv)) return Usage();
   const std::string method = FlagValue(argc, argv, "method", "lighttr");
   const std::string dataset = FlagValue(argc, argv, "dataset", "geolife");
   const std::string checkpoint_dir =
@@ -311,6 +350,11 @@ int main(int argc, char** argv) {
                    "federated methods; ignoring them for "
                    "--method=centralized\n");
     }
+    if (health) {
+      std::fprintf(stderr,
+                   "note: --health only applies to federated methods; "
+                   "ignoring it for --method=centralized\n");
+    }
     result = eval::RunCentralizedMethod(env, kind, clients,
                                         rounds * epochs, lr,
                                         /*max_test_trajectories=*/100,
@@ -398,7 +442,7 @@ int main(int argc, char** argv) {
     }
     add_counter_rows(fl::CounterBlock::kAttack);
   }
-  if (health) {
+  if (health && !centralized) {
     add_counter_rows(fl::CounterBlock::kHealth);
     table.AddRow({"Gave up", result.run.gave_up ? "yes" : "no"});
   }

@@ -5,6 +5,7 @@
 # count past kMaxThreads must not start a pool of that width, a seed
 # takes the unsigned 64-bit range only (no sign, no overflow), and a
 # number that is infinite or overflows to infinity is no number at all.
+# A misspelt flag is not ignored: it would run on the defaults.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
 if(NOT RUN_EXPERIMENT)
@@ -34,7 +35,9 @@ set(cases
   "--lr=inf"
   "--lr=1e999"
   "--clip-norm=inf"
-  "--adversary-scale=inf --adversary-count=1")
+  "--adversary-scale=inf --adversary-count=1"
+  "--round=3"
+  "--helth")
 
 set(failures 0)
 foreach(case IN LISTS cases)

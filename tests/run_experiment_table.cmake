@@ -2,7 +2,8 @@
 # between them print every block of counter rows: the network, attack
 # and health blocks; the storage row (the checkpoint directory lies
 # under a regular file, so every snapshot write fails); and the plain
-# table. Each run takes about 0.1 s. The Wall (s) value is the only
+# table. A fourth shows that a centralized run prints no health block,
+# since it has no federated trainer to heal. Each run takes about 0.1 s. The Wall (s) value is the only
 # thing not compared. On a mismatch the script prints what
 # run_experiment_table.txt would have to read.
 #
@@ -38,6 +39,7 @@ run_case("net, attack and health"
          --aggregation=multikrum --exclude-suspected --health)
 run_case("storage" --checkpoint-dir=${WORK_DIR}/not-a-dir/snapshots)
 run_case("plain")
+run_case("centralized ignores health" --method=centralized --health)
 
 get_filename_component(here "${CMAKE_SCRIPT_MODE_FILE}" DIRECTORY)
 file(READ "${here}/run_experiment_table.txt" expected)

@@ -113,8 +113,7 @@ MethodResult RunFederatedMethod(
     pipeline_options.use_teacher = options.lighttr_use_teacher;
     core::LightTrPipeline pipeline(&env.encoder(), &clients,
                                    pipeline_options);
-    core::LightTrResult trained = pipeline.Train();
-    result.run = std::move(trained.federated);
+    result.run = pipeline.Train();
     result.metrics =
         EvaluateRecovery(pipeline.global_model(), env.network(), test);
   } else {

@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
+#include "lighttr/lte_model.h"
 
 namespace lighttr::core {
 
@@ -29,27 +29,22 @@ LightTrPipeline::LightTrPipeline(
     : encoder_(encoder), clients_(clients), options_(options) {
   LIGHTTR_CHECK(encoder != nullptr);
   LIGHTTR_CHECK(clients != nullptr);
-  const LteConfig lte = options_.lte;
   const traj::TrajectoryEncoder* enc = encoder_;
-  factory_ = [enc, lte](Rng* rng) {
-    return std::make_unique<LteModel>(enc, lte, rng);
+  factory_ = [enc](Rng* rng) {
+    return std::make_unique<LteModel>(enc, LteConfig{}, rng);
   };
   trainer_ = std::make_unique<fl::FederatedTrainer>(factory_, clients_,
                                                     options_.federated);
 }
 
-LightTrResult LightTrPipeline::Train() {
-  LightTrResult result;
+fl::FederatedRunResult LightTrPipeline::Train() {
   if (options_.use_teacher) {
-    Stopwatch watch;
     teacher_ = TrainTeacher(factory_, *clients_, options_.teacher);
-    result.teacher_seconds = watch.ElapsedSeconds();
   }
   MetaLocalOptions meta = options_.meta;
   if (meta.clip_norm <= 0.0) meta.clip_norm = options_.federated.clip_norm;
   MetaLocalUpdate strategy(teacher_.get(), meta);
-  result.federated = trainer_->Run(options_.use_teacher ? &strategy : nullptr);
-  return result;
+  return trainer_->Run(options_.use_teacher ? &strategy : nullptr);
 }
 
 }  // namespace lighttr::core

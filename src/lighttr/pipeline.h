@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fl/federated_trainer.h"
-#include "lighttr/lte_model.h"
 #include "lighttr/meta_local_update.h"
 #include "lighttr/teacher_training.h"
 #include "traj/encoding.h"
@@ -17,19 +16,13 @@
 
 namespace lighttr::core {
 
-/// All knobs of a LightTR run.
+/// All knobs of a LightTR run. Every model is the default LTE
+/// configuration, as baselines::MakeFactory(kLightTr) builds it.
 struct LightTrOptions {
-  LteConfig lte;
   TeacherTrainingOptions teacher;
   MetaLocalOptions meta;
   fl::FederatedTrainerOptions federated;
   bool use_teacher = true;  // false -> w/o_Meta ablation (plain FedAvg)
-};
-
-/// Result of LightTrPipeline::Train.
-struct LightTrResult {
-  fl::FederatedRunResult federated;
-  double teacher_seconds = 0.0;
 };
 
 /// One-line human-readable resilience summary of a federated run, e.g.
@@ -43,7 +36,7 @@ std::string SummarizeResilience(const fl::FederatedRunResult& run);
 /// Example:
 ///   traj::TrajectoryEncoder encoder(network, index);
 ///   core::LightTrPipeline pipeline(&encoder, &clients, options);
-///   core::LightTrResult result = pipeline.Train();
+///   fl::FederatedRunResult result = pipeline.Train();
 ///   auto recovered = pipeline.global_model()->Recover(trajectory);
 class LightTrPipeline {
  public:
@@ -53,7 +46,7 @@ class LightTrPipeline {
                   LightTrOptions options);
 
   /// Runs Algorithm 1 then Algorithms 2+3.
-  LightTrResult Train();
+  fl::FederatedRunResult Train();
 
   /// The aggregated global model (valid after Train()).
   fl::RecoveryModel* global_model() { return trainer_->global_model(); }

@@ -1,6 +1,7 @@
 #include "lighttr/teacher_training.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 
 #include "common/check.h"
@@ -10,17 +11,25 @@
 
 namespace lighttr::core {
 
+namespace {
+
+// Each visit trains one local epoch on "a part of its local data": the
+// first half of the client's train split. The teacher's draws come from
+// one fixed seed.
+constexpr int kEpochsPerClient = 1;
+constexpr double kDataFraction = 0.5;
+constexpr uint64_t kTeacherSeed = 17;
+
+}  // namespace
+
 std::unique_ptr<fl::RecoveryModel> TrainTeacher(
     const fl::ModelFactory& factory,
     const std::vector<traj::ClientDataset>& clients,
     const TeacherTrainingOptions& options) {
   LIGHTTR_CHECK(!clients.empty());
   LIGHTTR_CHECK_GE(options.cycles, 1);
-  LIGHTTR_CHECK_GE(options.epochs_per_client, 1);
-  LIGHTTR_CHECK_GT(options.data_fraction, 0.0);
-  LIGHTTR_CHECK_LE(options.data_fraction, 1.0);
 
-  Rng rng(options.seed);
+  Rng rng(kTeacherSeed);
   Rng teacher_rng = rng.Fork();
   std::unique_ptr<fl::RecoveryModel> teacher = factory(&teacher_rng);
   // The frozen snapshot used as the distillation reference when the
@@ -37,7 +46,7 @@ std::unique_ptr<fl::RecoveryModel> TrainTeacher(
   valid.reserve(clients.size());
   for (const traj::ClientDataset& client : clients) {
     const size_t take = std::max<size_t>(
-        1, static_cast<size_t>(options.data_fraction *
+        1, static_cast<size_t>(kDataFraction *
                                static_cast<double>(client.train.size())));
     train.emplace_back(teacher->encoder(),
                        std::span(client.train)
@@ -53,7 +62,7 @@ std::unique_ptr<fl::RecoveryModel> TrainTeacher(
           teacher.get(), clients[i].valid, &valid[i]);
 
       fl::LocalTrainOptions local;
-      local.epochs = options.epochs_per_client;
+      local.epochs = kEpochsPerClient;
       if (incoming_acc >= options.l_t) {
         // Useful: preserve it via Eq. 17 against a frozen snapshot.
         LIGHTTR_CHECK_OK(

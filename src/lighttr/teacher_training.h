@@ -20,13 +20,10 @@ namespace lighttr::core {
 
 /// Options for TrainTeacher.
 struct TeacherTrainingOptions {
-  double lambda0 = 5.0;        // fixed distillation weight (Alg. 1 line 1)
-  double l_t = 0.4;            // knowledge-preservation threshold
-  int cycles = 1;              // cyclic passes over all clients
-  int epochs_per_client = 1;   // local epochs per visit
-  double data_fraction = 0.5;  // "a part of its local data"
+  double lambda0 = 5.0;  // fixed distillation weight (Alg. 1 line 1)
+  double l_t = 0.4;      // knowledge-preservation threshold
+  int cycles = 1;        // cyclic passes over all clients
   double learning_rate = 1e-3;
-  uint64_t seed = 17;
 };
 
 /// Trains a common teacher per Algorithm 1. `factory` must produce the

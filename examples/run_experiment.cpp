@@ -27,7 +27,8 @@ namespace {
 
 using namespace lighttr;
 
-// Every flag run_experiment reads; a boolean one may also stand bare.
+// Every flag run_experiment reads. A boolean one stands bare or takes
+// one of kBoolValues.
 constexpr const char* kValueFlags[] = {
     "method", "dataset", "keep", "lr", "fraction", "clients", "rounds",
     "epochs", "traj-per-client", "grid", "seed", "checkpoint-dir",
@@ -38,22 +39,26 @@ constexpr const char* kValueFlags[] = {
     "adversary-attack", "adversary-scale", "adversary-start",
     "adversary-seed"};
 constexpr const char* kBoolFlags[] = {"resume", "health", "exclude-suspected"};
+constexpr const char* kBoolValues[] = {"1", "true", "0", "false"};
 
 // True when every argument is one of those flags: a misspelt one
-// ("--round=3", "--helth") is a usage error, not a run on the defaults.
+// ("--round=3", "--helth", "--health=yes") is a usage error, not a run
+// on the defaults.
 bool AllFlagsKnown(int argc, char** argv) {
-  const auto listed = [](const auto& flags, const std::string& key) {
-    return std::find(std::begin(flags), std::end(flags), key) !=
-           std::end(flags);
+  const auto listed = [](const auto& list, const std::string& word) {
+    return std::find(std::begin(list), std::end(list), word) !=
+           std::end(list);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
+    const bool bare = eq == std::string::npos;
     const std::string key = arg.substr(0, eq);
+    const std::string name = key.rfind("--", 0) == 0 ? key.substr(2) : "";
     const bool known =
-        key.rfind("--", 0) == 0 &&
-        (listed(kBoolFlags, key.substr(2)) ||
-         (eq != std::string::npos && listed(kValueFlags, key.substr(2))));
+        listed(kBoolFlags, name)
+            ? bare || listed(kBoolValues, arg.substr(eq + 1))
+            : !bare && listed(kValueFlags, name);
     if (!known) {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       return false;

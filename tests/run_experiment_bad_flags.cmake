@@ -37,7 +37,8 @@ set(cases
   "--clip-norm=inf"
   "--adversary-scale=inf --adversary-count=1"
   "--round=3"
-  "--helth")
+  "--helth"
+  "--health=yes")
 
 set(failures 0)
 foreach(case IN LISTS cases)

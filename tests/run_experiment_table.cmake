@@ -3,9 +3,9 @@
 # and health blocks; the storage row (the checkpoint directory lies
 # under a regular file, so every snapshot write fails); and the plain
 # table. A fourth shows that a centralized run prints no health block,
-# since it has no federated trainer to heal. Each run takes about 0.1 s. The Wall (s) value is the only
-# thing not compared. On a mismatch the script prints what
-# run_experiment_table.txt would have to read.
+# since it has no federated trainer to heal. Each run takes about 0.1 s.
+# The Wall (s) value is the only thing not compared. On a mismatch the
+# script prints what run_experiment_table.txt would have to read.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -DWORK_DIR=<scratch dir>
 #         -P run_experiment_table.cmake

@@ -57,8 +57,8 @@ void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm) {
   const Scalar norm = std::sqrt(total);
   if (norm <= max_norm) return;
   if (!IsFinite(norm)) {
-    // A NaN/Inf gradient cannot be rescaled into a sane one; drop the
-    // step entirely rather than hand the optimizer poison.
+    // A NaN/Inf gradient cannot be rescaled into a sane one; zero it
+    // rather than hand the optimizer poison.
     params->ZeroGrads();
     return;
   }

@@ -78,9 +78,9 @@ TEST(RunState, SaveLoadThroughDisk) {
 TEST(RunState, ListAndPruneSnapshots) {
   const std::string dir = FreshDir("run_state_list");
   EXPECT_FALSE(ListSnapshotRounds(Disk(), dir).ok());  // NotFound before save
+  const ServerRunState state = DistinctiveState();
   for (int round : {4, 8, 12, 16}) {
-    ASSERT_TRUE(
-        SaveRunState(Disk(), SnapshotPath(dir, round), DistinctiveState()).ok());
+    ASSERT_TRUE(SaveRunState(Disk(), SnapshotPath(dir, round), state).ok());
   }
   // In-flight temp files and unrelated names are ignored.
   ASSERT_TRUE(
@@ -101,7 +101,8 @@ TEST(RunState, ListAndPruneSnapshots) {
 // as round 12 would make pruning keep it and delete the real newest one.
 TEST(RunState, StraySnapshotNameNeitherListsNorDisplacesTheRealOne) {
   const std::string dir = FreshDir("run_state_stray");
-  ASSERT_TRUE(SaveRunState(Disk(), SnapshotPath(dir, 3), DistinctiveState()).ok());
+  ASSERT_TRUE(
+      SaveRunState(Disk(), SnapshotPath(dir, 3), DistinctiveState()).ok());
   for (const char* stray : {"snapshot-12.ltrs", "snapshot-+00012.ltrs",
                             "snapshot- 00012.ltrs", "snapshot-0000012.ltrs"}) {
     ASSERT_TRUE(Disk()->WriteFileAtomic(dir + "/" + stray, "stray").ok());

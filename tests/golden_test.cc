@@ -46,10 +46,10 @@
 namespace lighttr {
 namespace {
 
+using chaos::MakeClients;
 using fl::FederatedRunResult;
 using fl::FederatedTrainer;
 using fl::FederatedTrainerOptions;
-using chaos::MakeClients;
 
 std::string DigestLine(const std::string& name, const std::string& bytes) {
   char hex[17];

@@ -26,8 +26,9 @@
 
 namespace lighttr::chaos {
 
-/// Recovers every missing step as segment 0, the only steps
-/// fl::EvaluateSegmentAccuracy reads.
+/// One row of `width` weights trained by MSE toward its target. Its
+/// validation accuracy is the share of missing steps on segment 0, since
+/// it recovers every missing step there.
 class StubModel : public fl::RecoveryModel {
  public:
   /// `rng` draws each initial weight from U(-1, 1) (null: all zero);

@@ -5,7 +5,11 @@
 # count past kMaxThreads must not start a pool of that width, a seed
 # takes the unsigned 64-bit range only (no sign, no overflow), and a
 # number that is infinite or overflows to infinity is no number at all.
-# A misspelt flag is not ignored: it would run on the defaults.
+# Each kind of bound a flag carries is probed at its edge: a rate of 1, a
+# fraction or threshold of 0, a count below its floor, a name no list
+# holds. --resume without --checkpoint-dir and more attackers than
+# clients (the trailing --clients=2) are refused too. A misspelt flag is
+# not ignored: it would run on the defaults.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
 if(NOT RUN_EXPERIMENT)
@@ -38,7 +42,23 @@ set(cases
   "--adversary-scale=inf --adversary-count=1"
   "--round=3"
   "--helth"
-  "--health=yes")
+  "--health=yes"
+  "--net-drop=1"
+  "--byzantine-fraction=1"
+  "--quarantine-threshold=0"
+  "--keep=0"
+  "--grid=2"
+  "--checkpoint-every=0"
+  "--max-rollbacks=-1"
+  "--net-retries=-1"
+  "--adversary-start=0"
+  "--adversary-count=3"
+  "--resume"
+  "--method=foo"
+  "--dataset=foo"
+  "--kernel=avx512"
+  "--aggregation=foo"
+  "--adversary-attack=foo")
 
 set(failures 0)
 foreach(case IN LISTS cases)

@@ -18,17 +18,6 @@ namespace {
 // Every value of the field's type.
 struct Any {};
 
-// A number in [min, max], or in (min, max] when `open_min` is set.
-struct Range {
-  double min;
-  double max;
-  bool open_min = false;
-
-  bool Holds(double value) const {
-    return (open_min ? value > min : value >= min) && value <= max;
-  }
-};
-
 // A probability, in [0, 1]. The shrinker walks the rates of enabled axes.
 struct Rate {};
 
@@ -170,21 +159,13 @@ bool Parse(const std::string& text, uint64_t* out, Any) {
   return ParseNumber(text, out);
 }
 
-bool Parse(const std::string& text, int* out, Range range) {
-  int64_t value = 0;
-  if (!ParseNumber(text, &value) || !range.Holds(static_cast<double>(value))) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool Parse(const std::string& text, double* out, Range range) {
-  return ParseNumber(text, out) && range.Holds(*out);
+template <typename Number>  // int or double
+bool Parse(const std::string& text, Number* out, Range range) {
+  return ParseNumber(text, out, range);
 }
 
 bool Parse(const std::string& text, double* out, Rate) {
-  return Parse(text, out, Range{0, 1});
+  return ParseNumber(text, out, Range{0, 1});
 }
 
 template <typename Flag>  // Any or Axis

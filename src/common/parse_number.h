@@ -4,8 +4,9 @@
 // the output: no leading whitespace, no trailing characters, no hex, no
 // inf or NaN, no sign on an unsigned value, and no value outside the
 // type's range (ERANGE, which for a double also means underflow to a
-// subnormal or to zero). Range checks narrower than the type stay with
-// the caller. Header-only, so nothing links it that does not call it.
+// subnormal or to zero). The overloads that take a Range also refuse a
+// number outside it. Header-only, so nothing links it that does not call
+// it.
 #ifndef LIGHTTR_COMMON_PARSE_NUMBER_H_
 #define LIGHTTR_COMMON_PARSE_NUMBER_H_
 
@@ -56,6 +57,40 @@ namespace lighttr {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (errno == ERANGE || end != text.c_str() + text.size()) return false;
+  *out = value;
+  return true;
+}
+
+/// A number in [min, max], or in (min, max] when `open_min` is set. A
+/// rate in [0, 1) is Range{0, std::nextafter(1.0, 0.0)}. No range holds
+/// NaN.
+struct Range {
+  double min;
+  double max;
+  bool open_min = false;
+
+  bool Holds(double value) const {
+    return (open_min ? value > min : value >= min) && value <= max;
+  }
+};
+
+/// An int in `range`, whose bounds lie within int's. The text is read as
+/// an int64 first, so a value past INT_MAX is refused, never wrapped.
+[[nodiscard]] inline bool ParseNumber(const std::string& text, int* out,
+                                      Range range) {
+  int64_t value = 0;
+  if (!ParseNumber(text, &value) || !range.Holds(static_cast<double>(value))) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+/// A double in `range`.
+[[nodiscard]] inline bool ParseNumber(const std::string& text, double* out,
+                                      Range range) {
+  double value = 0.0;
+  if (!ParseNumber(text, &value) || !range.Holds(value)) return false;
   *out = value;
   return true;
 }

@@ -161,13 +161,11 @@ int main(int argc, char** argv) {
       return arg.substr(std::strlen(prefix));
     };
     if (arg.rfind("--scenarios=", 0) == 0) {
-      int64_t scenarios = 0;
-      if (!lighttr::ParseNumber(value_of("--scenarios="), &scenarios) ||
-          scenarios < 1 || scenarios > 1'000'000) {
+      if (!lighttr::ParseNumber(value_of("--scenarios="), &options.scenarios,
+                                lighttr::Range{1, 1'000'000})) {
         std::fprintf(stderr, "bad --scenarios value\n");
         return 2;
       }
-      options.scenarios = static_cast<int>(scenarios);
     } else if (arg.rfind("--seed=", 0) == 0) {
       if (!lighttr::ParseNumber(value_of("--seed="), &options.seed)) {
         std::fprintf(stderr, "bad --seed value\n");

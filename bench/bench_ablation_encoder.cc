@@ -36,8 +36,7 @@ eval::RecoveryMetrics RunWithEncoder(
   fed.seed = scale.seed;
   fl::FederatedTrainer trainer(
       [encoder_ptr](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-        return std::make_unique<core::LteModel>(encoder_ptr, core::LteConfig{},
-                                                rng);
+        return std::make_unique<core::LteModel>(encoder_ptr, rng);
       },
       &clients, fed);
   trainer.Run();

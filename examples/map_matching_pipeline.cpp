@@ -64,7 +64,7 @@ int main() {
   //    recovery quality on held-out trajectories.
   const traj::TrajectoryEncoder encoder(network, index);
   Rng model_rng(10);
-  core::LteModel model(&encoder, core::LteConfig{}, &model_rng);
+  core::LteModel model(&encoder, &model_rng);
   const std::vector<traj::IncompleteTrajectory> train(dataset.begin(),
                                                       dataset.begin() + 18);
   const std::vector<traj::IncompleteTrajectory> test(dataset.begin() + 18,

@@ -1,21 +1,25 @@
 #include "baselines/fc_model.h"
 
-#include "common/check.h"
 #include "nn/ops.h"
 
 namespace lighttr::baselines {
+namespace {
 
-FcModel::FcModel(const traj::TrajectoryEncoder* encoder,
-                 const FcConfig& config, Rng* rng)
-    : PerStepModel(encoder, "FC+FL", config.mu), config_(config) {
-  LIGHTTR_CHECK_GE(config_.num_layers, 1u);
+constexpr size_t kHiddenDim = 64;
+constexpr size_t kNumLayers = 2;
+constexpr double kDropout = 0.2;
+
+}  // namespace
+
+FcModel::FcModel(const traj::TrajectoryEncoder* encoder, Rng* rng)
+    : PerStepModel(encoder, "FC+FL") {
   size_t in_dim = traj::TrajectoryEncoder::kFeatureDim;
-  for (size_t i = 0; i < config_.num_layers; ++i) {
+  for (size_t i = 0; i < kNumLayers; ++i) {
     layers_.push_back(std::make_unique<nn::Dense>(
-        in_dim, config_.hidden_dim, "fc" + std::to_string(i), &params_, rng));
-    in_dim = config_.hidden_dim;
+        in_dim, kHiddenDim, "fc" + std::to_string(i), &params_, rng));
+    in_dim = kHiddenDim;
   }
-  BuildHeads(config_.hidden_dim, rng);
+  BuildHeads(kHiddenDim, rng);
 }
 
 std::vector<nn::Tensor> FcModel::HiddenForMissing(
@@ -24,7 +28,7 @@ std::vector<nn::Tensor> FcModel::HiddenForMissing(
   nn::Tensor x = inputs;
   for (const auto& layer : layers_) {
     x = nn::Relu(layer->Forward(x));
-    x = nn::Dropout(x, config_.dropout, training, rng);
+    x = nn::Dropout(x, kDropout, training, rng);
   }
   std::vector<nn::Tensor> rows;
   rows.reserve(missing.size());

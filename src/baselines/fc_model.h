@@ -13,19 +13,10 @@
 
 namespace lighttr::baselines {
 
-/// Configuration for FcModel.
-struct FcConfig {
-  size_t hidden_dim = 64;
-  size_t num_layers = 2;
-  double dropout = 0.2;
-  double mu = 1.0;
-};
-
 /// Per-step MLP recovery model (no sequence modeling).
 class FcModel : public PerStepModel {
  public:
-  FcModel(const traj::TrajectoryEncoder* encoder, const FcConfig& config,
-          Rng* rng);
+  FcModel(const traj::TrajectoryEncoder* encoder, Rng* rng);
 
  private:
   std::vector<nn::Tensor> HiddenForMissing(const nn::Tensor& inputs,
@@ -33,7 +24,6 @@ class FcModel : public PerStepModel {
                                            bool training,
                                            Rng* rng) const override;
 
-  FcConfig config_;
   std::vector<std::unique_ptr<nn::Dense>> layers_;
 };
 

@@ -31,25 +31,23 @@ fl::ModelFactory MakeFactory(ModelKind kind,
   switch (kind) {
     case ModelKind::kFc:
       return [encoder](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-        return std::make_unique<FcModel>(encoder, FcConfig{}, rng);
+        return std::make_unique<FcModel>(encoder, rng);
       };
     case ModelKind::kRnn:
       return [encoder](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-        return std::make_unique<RnnModel>(encoder, RnnConfig{}, rng);
+        return std::make_unique<RnnModel>(encoder, rng);
       };
     case ModelKind::kMTrajRec:
       return [encoder](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-        return std::make_unique<MTrajRecModel>(encoder, MTrajRecConfig{}, rng);
+        return std::make_unique<MTrajRecModel>(encoder, rng);
       };
     case ModelKind::kRnTrajRec:
       return [encoder](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-        return std::make_unique<RnTrajRecModel>(encoder, RnTrajRecConfig{},
-                                                rng);
+        return std::make_unique<RnTrajRecModel>(encoder, rng);
       };
     case ModelKind::kLightTr:
       return [encoder](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-        return std::make_unique<core::LteModel>(encoder, core::LteConfig{},
-                                                rng);
+        return std::make_unique<core::LteModel>(encoder, rng);
       };
   }
   LIGHTTR_CHECK(false && "unreachable");

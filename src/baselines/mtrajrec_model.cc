@@ -3,20 +3,24 @@
 #include "nn/ops.h"
 
 namespace lighttr::baselines {
+namespace {
 
-MTrajRecModel::MTrajRecModel(const traj::TrajectoryEncoder* encoder,
-                             const MTrajRecConfig& config, Rng* rng,
-                             std::string name)
-    : Seq2SeqModel(encoder, std::move(name), config.mu), config_(config) {
+constexpr size_t kHiddenDim = 48;  // heavier than LightTR's LTE, as in Fig. 5
+constexpr size_t kSegEmbedDim = 16;
+constexpr double kDropout = 0.2;
+
+}  // namespace
+
+MTrajRecModel::MTrajRecModel(const traj::TrajectoryEncoder* encoder, Rng* rng)
+    : Seq2SeqModel(encoder, "MTrajRec+FL") {
   const size_t features = traj::TrajectoryEncoder::kFeatureDim;
-  const size_t hidden = config_.hidden_dim;
-  encoder_gru_ = std::make_unique<nn::GruCell>(features, hidden, "enc.gru",
+  encoder_gru_ = std::make_unique<nn::GruCell>(features, kHiddenDim, "enc.gru",
                                                &params_, rng);
   // Decoder input: [features, attention context, prev seg-emb, prev ratio].
-  const size_t dec_in = features + hidden + config_.seg_embed_dim + 1;
-  decoder_gru_ = std::make_unique<nn::GruCell>(dec_in, hidden, "dec.gru",
+  const size_t dec_in = features + kHiddenDim + kSegEmbedDim + 1;
+  decoder_gru_ = std::make_unique<nn::GruCell>(dec_in, kHiddenDim, "dec.gru",
                                                &params_, rng);
-  BuildHead(hidden, config_.seg_embed_dim, rng);
+  BuildHead(kHiddenDim, kSegEmbedDim, rng);
 }
 
 core::Seq2SeqModel::DecoderStep MTrajRecModel::Encode(
@@ -45,7 +49,7 @@ core::Seq2SeqModel::DecoderStep MTrajRecModel::Encode(
     nn::Tensor dec_in = nn::ConcatCols(
         nn::ConcatCols(nn::SliceRows(inputs, t, 1), context),
         nn::ConcatCols(prev_emb, prev_ratio_tensor));
-    dec_in = nn::Dropout(dec_in, config_.dropout, training, rng);
+    dec_in = nn::Dropout(dec_in, kDropout, training, rng);
     state = decoder_gru_->Forward(dec_in, state);
     return state;
   };

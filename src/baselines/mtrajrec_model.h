@@ -6,7 +6,6 @@
 #define LIGHTTR_BASELINES_MTRAJREC_MODEL_H_
 
 #include <memory>
-#include <string>
 
 #include "lighttr/seq2seq_model.h"
 #include "nn/layers.h"
@@ -14,28 +13,17 @@
 
 namespace lighttr::baselines {
 
-/// Configuration for MTrajRecModel.
-struct MTrajRecConfig {
-  size_t hidden_dim = 48;     // heavier than LightTR's LTE, as in Fig. 5
-  size_t seg_embed_dim = 16;
-  double dropout = 0.2;
-  double mu = 1.0;
-};
-
 /// Seq2Seq multi-task trajectory recovery (the centralized SOTA the
 /// paper compares against; federated as MTrajRec+FL).
 class MTrajRecModel : public core::Seq2SeqModel {
  public:
-  MTrajRecModel(const traj::TrajectoryEncoder* encoder,
-                const MTrajRecConfig& config, Rng* rng,
-                std::string name = "MTrajRec+FL");
+  MTrajRecModel(const traj::TrajectoryEncoder* encoder, Rng* rng);
 
  private:
   DecoderStep Encode(const traj::IncompleteTrajectory& trajectory,
                      const nn::Tensor& inputs, bool training,
                      Rng* rng) override;
 
-  MTrajRecConfig config_;
   std::unique_ptr<nn::GruCell> encoder_gru_;
   std::unique_ptr<nn::GruCell> decoder_gru_;
 };

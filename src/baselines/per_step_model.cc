@@ -7,10 +7,16 @@
 #include "nn/ops.h"
 
 namespace lighttr::baselines {
+namespace {
+
+// Weight of the ratio MSE against the segment cross-entropy (Eq. 13).
+constexpr nn::Scalar kMu = 1;
+
+}  // namespace
 
 PerStepModel::PerStepModel(const traj::TrajectoryEncoder* encoder,
-                           std::string name, double mu)
-    : encoder_(encoder), name_(std::move(name)), mu_(mu) {
+                           std::string name)
+    : encoder_(encoder), name_(std::move(name)) {
   LIGHTTR_CHECK(encoder != nullptr);
 }
 
@@ -69,8 +75,7 @@ fl::ForwardResult PerStepModel::ForwardEncoded(
         nn::SoftmaxCrossEntropy(logits, {candidates.target_index}));
   }
   const nn::Tensor ratio = nn::Sigmoid(ratio_head_->Forward(hidden));
-  nn::Tensor loss = nn::Scale(nn::MseLoss(ratio, ratio_target),
-                              static_cast<nn::Scalar>(mu_));
+  nn::Tensor loss = nn::Scale(nn::MseLoss(ratio, ratio_target), kMu);
   if (!ce_losses.empty()) {
     nn::Tensor ce_total = ce_losses[0];
     for (size_t i = 1; i < ce_losses.size(); ++i) {

@@ -41,9 +41,8 @@ class PerStepModel : public fl::RecoveryModel {
       const traj::IncompleteTrajectory& trajectory) override;
 
  protected:
-  /// `encoder` must outlive the model; `mu` weighs the ratio MSE.
-  PerStepModel(const traj::TrajectoryEncoder* encoder, std::string name,
-               double mu);
+  /// `encoder` must outlive the model.
+  PerStepModel(const traj::TrajectoryEncoder* encoder, std::string name);
 
   /// One [1, hidden] row per entry of `missing`, computed from `inputs`
   /// (the encoded trajectory, [steps, kFeatureDim]).
@@ -66,7 +65,6 @@ class PerStepModel : public fl::RecoveryModel {
 
   const traj::TrajectoryEncoder* encoder_;
   std::string name_;
-  double mu_;
   std::unique_ptr<nn::Dense> seg_head_;    // hidden -> num_segments
   std::unique_ptr<nn::Dense> ratio_head_;  // hidden -> 1
 };

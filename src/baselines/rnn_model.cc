@@ -1,22 +1,25 @@
 #include "baselines/rnn_model.h"
 
-#include "common/check.h"
 #include "nn/ops.h"
 
 namespace lighttr::baselines {
+namespace {
 
-RnnModel::RnnModel(const traj::TrajectoryEncoder* encoder,
-                   const RnnConfig& config, Rng* rng)
-    : PerStepModel(encoder, "RNN+FL", config.mu), config_(config) {
-  LIGHTTR_CHECK_GE(config_.num_layers, 1u);
+constexpr size_t kHiddenDim = 32;
+constexpr size_t kNumLayers = 2;
+constexpr double kDropout = 0.2;
+
+}  // namespace
+
+RnnModel::RnnModel(const traj::TrajectoryEncoder* encoder, Rng* rng)
+    : PerStepModel(encoder, "RNN+FL") {
   size_t in_dim = traj::TrajectoryEncoder::kFeatureDim;
-  for (size_t i = 0; i < config_.num_layers; ++i) {
+  for (size_t i = 0; i < kNumLayers; ++i) {
     layers_.push_back(std::make_unique<nn::GruCell>(
-        in_dim, config_.hidden_dim, "gru" + std::to_string(i), &params_,
-        rng));
-    in_dim = config_.hidden_dim;
+        in_dim, kHiddenDim, "gru" + std::to_string(i), &params_, rng));
+    in_dim = kHiddenDim;
   }
-  BuildHeads(config_.hidden_dim, rng);
+  BuildHeads(kHiddenDim, rng);
 }
 
 std::vector<nn::Tensor> RnnModel::HiddenForMissing(
@@ -34,7 +37,7 @@ std::vector<nn::Tensor> RnnModel::HiddenForMissing(
     nn::Tensor h = layer->InitialState();
     for (size_t t = 0; t < steps; ++t) {
       h = layer->Forward(current[t], h);
-      current[t] = nn::Dropout(h, config_.dropout, training, rng);
+      current[t] = nn::Dropout(h, kDropout, training, rng);
     }
   }
   std::vector<nn::Tensor> rows;

@@ -14,19 +14,10 @@
 
 namespace lighttr::baselines {
 
-/// Configuration for RnnModel.
-struct RnnConfig {
-  size_t hidden_dim = 32;
-  size_t num_layers = 2;
-  double dropout = 0.2;
-  double mu = 1.0;
-};
-
 /// Stacked-GRU recovery model.
 class RnnModel : public PerStepModel {
  public:
-  RnnModel(const traj::TrajectoryEncoder* encoder, const RnnConfig& config,
-           Rng* rng);
+  RnnModel(const traj::TrajectoryEncoder* encoder, Rng* rng);
 
  private:
   std::vector<nn::Tensor> HiddenForMissing(const nn::Tensor& inputs,
@@ -34,7 +25,6 @@ class RnnModel : public PerStepModel {
                                            bool training,
                                            Rng* rng) const override;
 
-  RnnConfig config_;
   std::vector<std::unique_ptr<nn::GruCell>> layers_;
 };
 

@@ -4,11 +4,17 @@
 #include "roadnet/road_network.h"
 
 namespace lighttr::baselines {
+namespace {
 
-RnTrajRecModel::RnTrajRecModel(const traj::TrajectoryEncoder* encoder,
-                               const RnTrajRecConfig& config, Rng* rng,
-                               std::string name)
-    : Seq2SeqModel(encoder, std::move(name), config.mu), config_(config) {
+constexpr size_t kHiddenDim = 48;
+constexpr size_t kSegEmbedDim = 16;
+constexpr double kDropout = 0.2;
+constexpr size_t kMaxNeighbors = 6;  // one-hop graph propagation fan-in cap
+
+}  // namespace
+
+RnTrajRecModel::RnTrajRecModel(const traj::TrajectoryEncoder* encoder, Rng* rng)
+    : Seq2SeqModel(encoder, "RNTrajRec+FL") {
   const roadnet::RoadNetwork& network = encoder->network();
   const auto num_segments = static_cast<size_t>(network.num_segments());
 
@@ -19,35 +25,32 @@ RnTrajRecModel::RnTrajRecModel(const traj::TrajectoryEncoder* encoder,
        e < static_cast<roadnet::SegmentId>(num_segments); ++e) {
     const roadnet::Segment& seg = network.segment(e);
     for (roadnet::SegmentId n : network.OutSegments(seg.to)) {
-      if (n != e && neighbors_[e].size() < config_.max_neighbors) {
+      if (n != e && neighbors_[e].size() < kMaxNeighbors) {
         neighbors_[e].push_back(n);
       }
     }
     for (roadnet::SegmentId n : network.InSegments(seg.from)) {
-      if (n != e && neighbors_[e].size() < config_.max_neighbors) {
+      if (n != e && neighbors_[e].size() < kMaxNeighbors) {
         neighbors_[e].push_back(n);
       }
     }
   }
 
   const size_t features = traj::TrajectoryEncoder::kFeatureDim;
-  const size_t hidden = config_.hidden_dim;
-  encoder_gru_ = std::make_unique<nn::GruCell>(features, hidden, "enc.gru",
+  encoder_gru_ = std::make_unique<nn::GruCell>(features, kHiddenDim, "enc.gru",
                                                &params_, rng);
-  attn_ffn_ =
-      std::make_unique<nn::Dense>(hidden, hidden, "enc.ffn", &params_, rng);
-  const size_t dec_in =
-      features + hidden + config_.seg_embed_dim + 1;
-  decoder_gru_ = std::make_unique<nn::GruCell>(dec_in, hidden, "dec.gru",
+  attn_ffn_ = std::make_unique<nn::Dense>(kHiddenDim, kHiddenDim, "enc.ffn",
+                                          &params_, rng);
+  const size_t dec_in = features + kHiddenDim + kSegEmbedDim + 1;
+  decoder_gru_ = std::make_unique<nn::GruCell>(dec_in, kHiddenDim, "dec.gru",
                                                &params_, rng);
-  gnn_embed_ = std::make_unique<nn::Embedding>(
-      num_segments, config_.seg_embed_dim, "gnn.emb", &params_, rng);
-  gnn_self_ = std::make_unique<nn::Dense>(
-      config_.seg_embed_dim, config_.seg_embed_dim, "gnn.self", &params_, rng);
-  gnn_neighbor_ = std::make_unique<nn::Dense>(config_.seg_embed_dim,
-                                              config_.seg_embed_dim,
+  gnn_embed_ = std::make_unique<nn::Embedding>(num_segments, kSegEmbedDim,
+                                               "gnn.emb", &params_, rng);
+  gnn_self_ = std::make_unique<nn::Dense>(kSegEmbedDim, kSegEmbedDim,
+                                          "gnn.self", &params_, rng);
+  gnn_neighbor_ = std::make_unique<nn::Dense>(kSegEmbedDim, kSegEmbedDim,
                                               "gnn.neighbor", &params_, rng);
-  BuildHead(hidden, config_.seg_embed_dim, rng);
+  BuildHead(kHiddenDim, kSegEmbedDim, rng);
 }
 
 nn::Tensor RnTrajRecModel::EnrichedSegmentEmbedding(int segment) const {
@@ -85,7 +88,7 @@ core::Seq2SeqModel::DecoderStep RnTrajRecModel::Encode(
   memory = nn::Add(memory,
                    nn::ScaledDotProductAttention(memory, memory, memory));
   memory = nn::Relu(attn_ffn_->Forward(memory));
-  memory = nn::Dropout(memory, config_.dropout, training, rng);
+  memory = nn::Dropout(memory, kDropout, training, rng);
 
   return [this, inputs, memory, state = h](
              size_t t, int prev_segment, double prev_ratio) mutable {

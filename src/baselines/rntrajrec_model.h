@@ -8,7 +8,6 @@
 #define LIGHTTR_BASELINES_RNTRAJREC_MODEL_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "lighttr/seq2seq_model.h"
@@ -17,21 +16,10 @@
 
 namespace lighttr::baselines {
 
-/// Configuration for RnTrajRecModel.
-struct RnTrajRecConfig {
-  size_t hidden_dim = 48;
-  size_t seg_embed_dim = 16;
-  double dropout = 0.2;
-  double mu = 1.0;
-  size_t max_neighbors = 6;  // one-hop graph propagation fan-in cap
-};
-
 /// Graph- and attention-enhanced seq2seq recovery model.
 class RnTrajRecModel : public core::Seq2SeqModel {
  public:
-  RnTrajRecModel(const traj::TrajectoryEncoder* encoder,
-                 const RnTrajRecConfig& config, Rng* rng,
-                 std::string name = "RNTrajRec+FL");
+  RnTrajRecModel(const traj::TrajectoryEncoder* encoder, Rng* rng);
 
  private:
   DecoderStep Encode(const traj::IncompleteTrajectory& trajectory,
@@ -42,7 +30,6 @@ class RnTrajRecModel : public core::Seq2SeqModel {
   /// ReLU(W1 emb[s] + W2 mean(emb[neighbors(s)])).
   nn::Tensor EnrichedSegmentEmbedding(int segment) const;
 
-  RnTrajRecConfig config_;
   std::vector<std::vector<int>> neighbors_;  // per segment, capped fan-in
 
   std::unique_ptr<nn::GruCell> encoder_gru_;

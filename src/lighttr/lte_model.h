@@ -17,8 +17,6 @@
 #define LIGHTTR_LIGHTTR_LTE_MODEL_H_
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "lighttr/seq2seq_model.h"
 #include "nn/layers.h"
@@ -26,34 +24,21 @@
 
 namespace lighttr::core {
 
-/// Architecture hyper-parameters of the LTE model.
-struct LteConfig {
-  size_t hidden_dim = 32;     // D of the paper (scaled down; see DESIGN.md)
-  size_t seg_embed_dim = 16;  // road-segment embedding size
-  size_t num_st_blocks = 1;   // stacked lightweight ST-blocks
-  double dropout = 0.2;       // embedding dropout (paper uses 0.5 at D=512)
-  double mu = 1.0;            // Eq. 13 trade-off between CE and MSE
-};
-
 /// LightTR's local trajectory-recovery model.
 class LteModel : public Seq2SeqModel {
  public:
   /// `encoder` must outlive the model.
-  LteModel(const traj::TrajectoryEncoder* encoder, const LteConfig& config,
-           Rng* rng, std::string name = "LightTR");
-
-  const LteConfig& config() const { return config_; }
+  LteModel(const traj::TrajectoryEncoder* encoder, Rng* rng);
 
  private:
   DecoderStep Encode(const traj::IncompleteTrajectory& trajectory,
                      const nn::Tensor& inputs, bool training,
                      Rng* rng) override;
 
-  LteConfig config_;
   // Embedding model (Eq. 5/6).
   std::unique_ptr<nn::GruCell> embed_gru_;
-  // Lightweight ST-operator (Eq. 7): RNN cells, one per stacked block.
-  std::vector<std::unique_ptr<nn::RnnCell>> st_rnn_;
+  // Lightweight ST-operator (Eq. 7): one ST-block, an RNN cell.
+  std::unique_ptr<nn::RnnCell> st_rnn_;
 };
 
 }  // namespace lighttr::core

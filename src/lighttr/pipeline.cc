@@ -31,7 +31,7 @@ LightTrPipeline::LightTrPipeline(
   LIGHTTR_CHECK(clients != nullptr);
   const traj::TrajectoryEncoder* enc = encoder_;
   factory_ = [enc](Rng* rng) {
-    return std::make_unique<LteModel>(enc, LteConfig{}, rng);
+    return std::make_unique<LteModel>(enc, rng);
   };
   trainer_ = std::make_unique<fl::FederatedTrainer>(factory_, clients_,
                                                     options_.federated);

@@ -7,6 +7,12 @@
 #include "nn/ops.h"
 
 namespace lighttr::core {
+namespace {
+
+// Weight of the ratio MSE against the segment cross-entropy (Eq. 13).
+constexpr nn::Scalar kMu = 1;
+
+}  // namespace
 
 MtHead::MtHead(size_t hidden_dim, size_t seg_embed_dim, size_t num_segments,
                nn::ParameterSet* params, Rng* rng) {
@@ -59,10 +65,9 @@ MtHeadStep MtHead::Run(const nn::Tensor& state,
 }
 
 Seq2SeqModel::Seq2SeqModel(const traj::TrajectoryEncoder* encoder,
-                           std::string name, double mu)
-    : encoder_(encoder), name_(std::move(name)), mu_(mu) {
+                           std::string name)
+    : encoder_(encoder), name_(std::move(name)) {
   LIGHTTR_CHECK(encoder != nullptr);
-  LIGHTTR_CHECK_GE(mu, 0.0);
 }
 
 void Seq2SeqModel::BuildHead(size_t hidden_dim, size_t seg_embed_dim,
@@ -139,15 +144,12 @@ fl::ForwardResult Seq2SeqModel::Decode(
     loss = nn::Scale(
         ce_total, nn::Scalar{1} / static_cast<nn::Scalar>(ce_losses.size()));
   }
-  if (mu_ > 0.0) {
-    nn::Matrix ratio_target(ratio_truths.size(), 1);
-    for (size_t i = 0; i < ratio_truths.size(); ++i) {
-      ratio_target(i, 0) = ratio_truths[i];
-    }
-    const nn::Tensor ratio_mat = nn::ConcatRows(ratio_preds);
-    loss = nn::Add(loss, nn::Scale(nn::MseLoss(ratio_mat, ratio_target),
-                                   static_cast<nn::Scalar>(mu_)));
+  nn::Matrix ratio_target(ratio_truths.size(), 1);
+  for (size_t i = 0; i < ratio_truths.size(); ++i) {
+    ratio_target(i, 0) = ratio_truths[i];
   }
+  const nn::Tensor ratio_mat = nn::ConcatRows(ratio_preds);
+  loss = nn::Add(loss, nn::Scale(nn::MseLoss(ratio_mat, ratio_target), kMu));
   result.loss = loss;
   result.representation = nn::ConcatRows(representation_rows);
   return result;

@@ -86,10 +86,8 @@ class Seq2SeqModel : public fl::RecoveryModel {
   using DecoderStep =
       std::function<nn::Tensor(size_t t, int prev_segment, double prev_ratio)>;
 
-  /// `encoder` must outlive the model; `mu` weighs the ratio MSE of
-  /// Eq. 13 (0 drops it).
-  Seq2SeqModel(const traj::TrajectoryEncoder* encoder, std::string name,
-               double mu);
+  /// `encoder` must outlive the model.
+  Seq2SeqModel(const traj::TrajectoryEncoder* encoder, std::string name);
 
   /// Runs the model's encoder over `inputs` (the encoded trajectory,
   /// [steps, kFeatureDim]) and returns its decoder for this trajectory.
@@ -116,7 +114,6 @@ class Seq2SeqModel : public fl::RecoveryModel {
                            std::vector<roadnet::PointPosition>* collect);
 
   std::string name_;
-  double mu_;
   std::unique_ptr<MtHead> head_;
 };
 

@@ -42,7 +42,7 @@ class LightTrTest : public ::testing::Test {
   fl::ModelFactory Factory() const {
     const traj::TrajectoryEncoder* encoder = encoder_.get();
     return [encoder](Rng* rng) -> std::unique_ptr<fl::RecoveryModel> {
-      return std::make_unique<LteModel>(encoder, LteConfig{}, rng);
+      return std::make_unique<LteModel>(encoder, rng);
     };
   }
 
@@ -54,14 +54,14 @@ class LightTrTest : public ::testing::Test {
 
 TEST_F(LightTrTest, ForwardLossFiniteAndPositive) {
   Rng rng(1);
-  LteModel model(encoder_.get(), LteConfig{}, &rng);
+  LteModel model(encoder_.get(), &rng);
   Rng fwd(2);
   for (const auto& trajectory : clients_[0].train) {
     const fl::ForwardResult result = model.Forward(trajectory, true, &fwd);
     EXPECT_TRUE(std::isfinite(result.loss.ScalarValue()));
     EXPECT_GE(result.loss.ScalarValue(), 0.0);
     ASSERT_TRUE(result.representation.defined());
-    EXPECT_EQ(result.representation.cols(), model.config().hidden_dim);
+    EXPECT_EQ(result.representation.cols(), 32u);  // LTE's hidden width
     EXPECT_EQ(result.representation.rows(),
               trajectory.MissingIndices().size());
   }
@@ -69,7 +69,7 @@ TEST_F(LightTrTest, ForwardLossFiniteAndPositive) {
 
 TEST_F(LightTrTest, TrainingReducesLoss) {
   Rng rng(4);
-  LteModel model(encoder_.get(), LteConfig{}, &rng);
+  LteModel model(encoder_.get(), &rng);
   nn::AdamOptimizer optimizer(3e-3);
   fl::LocalTrainOptions options;
   options.epochs = 1;
@@ -93,16 +93,6 @@ TEST_F(LightTrTest, ParameterLayoutIdenticalAcrossReplicas) {
     EXPECT_TRUE(a->params().tensor(i).value().SameShape(
         b->params().tensor(i).value()));
   }
-}
-
-TEST_F(LightTrTest, MuZeroDropsRatioLoss) {
-  LteConfig no_ratio;
-  no_ratio.mu = 0.0;
-  Rng rng(8);
-  LteModel model(encoder_.get(), no_ratio, &rng);
-  const fl::ForwardResult result =
-      model.Forward(clients_[0].train[0], false, nullptr);
-  EXPECT_TRUE(std::isfinite(result.loss.ScalarValue()));
 }
 
 TEST(DynamicLambda, MatchesEq18) {

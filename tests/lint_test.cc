@@ -831,53 +831,5 @@ TEST(LintTest, PlaceholderSuppressionSyntaxIsIgnored) {
   EXPECT_TRUE(Lint({file}).empty());
 }
 
-// ---------------------------------------------------------------------------
-// JSON output and baselines.
-// ---------------------------------------------------------------------------
-
-TEST(LintTest, FormatDiagnosticJsonEscapes) {
-  Diagnostic d;
-  d.file = "src/a.cc";
-  d.line = 7;
-  d.rule = "no-raw-rand";
-  d.message = "say \"hi\" and \\ survive";
-  EXPECT_EQ(FormatDiagnosticJson(d),
-            "{\"file\":\"src/a.cc\",\"line\":7,\"rule\":\"no-raw-rand\","
-            "\"message\":\"say \\\"hi\\\" and \\\\ survive\"}");
-}
-
-TEST(LintTest, ParseBaselineSkipsCommentsAndBlanks) {
-  const Baseline baseline = ParseBaseline(
-      "# header comment\n"
-      "\n"
-      "no-raw-rand src/fl/sampler.cc\n"
-      "  no-wall-clock src/nn/timing.cc  \n");
-  ASSERT_EQ(baseline.entries.size(), 2u);
-  EXPECT_EQ(baseline.entries[0].rule, "no-raw-rand");
-  EXPECT_EQ(baseline.entries[0].path_suffix, "src/fl/sampler.cc");
-  EXPECT_EQ(baseline.entries[1].rule, "no-wall-clock");
-}
-
-TEST(LintTest, ApplyBaselineFiltersByRuleAndPathSuffix) {
-  const Baseline baseline =
-      ParseBaseline("no-raw-rand src/fl/sampler.cc\n");
-  Diagnostic matched;
-  matched.file = "/abs/checkout/src/fl/sampler.cc";
-  matched.line = 3;
-  matched.rule = "no-raw-rand";
-  Diagnostic wrong_rule = matched;
-  wrong_rule.rule = "no-raw-thread";
-  Diagnostic wrong_file = matched;
-  wrong_file.file = "src/fl/other.cc";
-  EXPECT_TRUE(baseline.Matches(matched));
-  EXPECT_FALSE(baseline.Matches(wrong_rule));
-  EXPECT_FALSE(baseline.Matches(wrong_file));
-  const std::vector<Diagnostic> kept =
-      ApplyBaseline({matched, wrong_rule, wrong_file}, baseline);
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0].rule, "no-raw-thread");
-  EXPECT_EQ(kept[1].file, "src/fl/other.cc");
-}
-
 }  // namespace
 }  // namespace lighttr::lint

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -159,42 +158,6 @@ std::string FormatDiagnostic(const Diagnostic& diagnostic) {
   return os.str();
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string FormatDiagnosticJson(const Diagnostic& diagnostic) {
-  std::ostringstream os;
-  os << "{\"file\":\"" << JsonEscape(diagnostic.file)
-     << "\",\"line\":" << diagnostic.line << ",\"rule\":\""
-     << JsonEscape(diagnostic.rule) << "\",\"message\":\""
-     << JsonEscape(diagnostic.message) << "\"}";
-  return os.str();
-}
-
 const std::vector<std::string>& AllRuleNames() {
   static const std::vector<std::string> kNames = {
       "no-raw-rand",
@@ -214,43 +177,6 @@ const std::vector<std::string>& AllRuleNames() {
       "unused-suppression",
   };
   return kNames;
-}
-
-bool Baseline::Matches(const Diagnostic& diagnostic) const {
-  const std::string normalized = NormalizedPath(diagnostic.file);
-  for (const Entry& e : entries) {
-    if (e.rule == diagnostic.rule && PathEndsWith(normalized, e.path_suffix)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Baseline ParseBaseline(const std::string& content) {
-  Baseline baseline;
-  std::istringstream in(content);
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    Baseline::Entry entry;
-    if (fields >> entry.rule >> entry.path_suffix) {
-      baseline.entries.push_back(std::move(entry));
-    }
-  }
-  return baseline;
-}
-
-std::vector<Diagnostic> ApplyBaseline(std::vector<Diagnostic> diagnostics,
-                                      const Baseline& baseline) {
-  diagnostics.erase(
-      std::remove_if(diagnostics.begin(), diagnostics.end(),
-                     [&baseline](const Diagnostic& d) {
-                       return baseline.Matches(d);
-                     }),
-      diagnostics.end());
-  return diagnostics;
 }
 
 std::vector<Diagnostic> Lint(const std::vector<SourceFile>& files) {

@@ -71,34 +71,9 @@ struct Diagnostic {
 /// Renders "file:line: rule: message" (the clickable compiler format).
 std::string FormatDiagnostic(const Diagnostic& diagnostic);
 
-/// Renders one JSON object {"file":...,"line":N,"rule":...,
-/// "message":...} with proper string escaping (for --format=json).
-std::string FormatDiagnosticJson(const Diagnostic& diagnostic);
-
 /// Names of every rule the linter knows, e.g. for --help output and
 /// per-rule hit-count reporting.
 const std::vector<std::string>& AllRuleNames();
-
-/// A parsed --baseline file: pre-existing findings to suppress so new
-/// rules can land incrementally. One entry per line, `<rule> <path>`:
-/// suppresses every finding of <rule> whose (normalized) file path
-/// ends with <path>. `#` starts a comment; blank lines are ignored.
-struct Baseline {
-  struct Entry {
-    std::string rule;
-    std::string path_suffix;
-  };
-  std::vector<Entry> entries;
-
-  bool Matches(const Diagnostic& diagnostic) const;
-};
-
-/// Parses baseline file contents (see Baseline for the format).
-Baseline ParseBaseline(const std::string& content);
-
-/// Removes diagnostics matched by `baseline`.
-std::vector<Diagnostic> ApplyBaseline(std::vector<Diagnostic> diagnostics,
-                                      const Baseline& baseline);
 
 /// Runs every rule over `files` and returns the violations in file /
 /// line order. Cross-file state (the Status-returning function

@@ -1,20 +1,13 @@
 // CLI for lighttr-lint. Usage:
 //
-//   lighttr-lint [--format=text|json] [--baseline <file>] [--stats]
-//                <dir-or-file>...
+//   lighttr-lint [--stats] <dir-or-file>...
 //
 // Scans every .h/.cc/.cpp/.hpp under the given roots and reports
-// violations — compiler-style "file:line: rule: message" lines by
-// default, a JSON array of {file,line,rule,message} records with
-// --format=json. --baseline suppresses pre-existing findings listed in
-// the given file (`<rule> <path-suffix>` per line) so new rules can
-// land incrementally; --stats appends per-rule hit counts (baselined
-// findings excluded) so rule coverage is visible in CI logs. Exits 1
-// if any non-baselined violation was found, 2 on usage errors.
+// violations as compiler-style "file:line: rule: message" lines;
+// --stats appends per-rule hit counts so rule coverage is visible in CI
+// logs. Exits 1 if any violation was found, 2 on usage errors.
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,8 +17,7 @@ namespace {
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
-               "usage: lighttr-lint [--format=text|json] [--baseline <file>] "
-               "[--stats] <dir-or-file>...\nrules:\n");
+               "usage: lighttr-lint [--stats] <dir-or-file>...\nrules:\n");
   for (const std::string& rule : lighttr::lint::AllRuleNames()) {
     std::fprintf(out, "  %s\n", rule.c_str());
   }
@@ -39,27 +31,12 @@ void PrintUsage(std::FILE* out) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> roots;
-  std::string format = "text";
-  std::string baseline_path;
   bool stats = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
       return 0;
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "json") {
-        std::fprintf(stderr, "lighttr-lint: unknown format '%s'\n",
-                     format.c_str());
-        return 2;
-      }
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "lighttr-lint: --baseline needs a file\n");
-        return 2;
-      }
-      baseline_path = argv[++i];
     } else if (arg == "--stats") {
       stats = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -75,39 +52,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  lighttr::lint::Baseline baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "lighttr-lint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    baseline = lighttr::lint::ParseBaseline(contents.str());
-  }
-
-  std::vector<lighttr::lint::Diagnostic> diagnostics =
-      lighttr::lint::ApplyBaseline(lighttr::lint::LintPaths(roots), baseline);
-
-  if (format == "json") {
-    std::printf("[");
-    for (size_t i = 0; i < diagnostics.size(); ++i) {
-      std::printf("%s%s", i == 0 ? "\n" : ",\n",
-                  lighttr::lint::FormatDiagnosticJson(diagnostics[i]).c_str());
-    }
-    std::printf("%s]\n", diagnostics.empty() ? "" : "\n");
-  } else {
-    for (const auto& diagnostic : diagnostics) {
-      std::printf("%s\n",
-                  lighttr::lint::FormatDiagnostic(diagnostic).c_str());
-    }
+  const std::vector<lighttr::lint::Diagnostic> diagnostics =
+      lighttr::lint::LintPaths(roots);
+  for (const auto& diagnostic : diagnostics) {
+    std::printf("%s\n", lighttr::lint::FormatDiagnostic(diagnostic).c_str());
   }
 
   if (stats) {
     // Per-rule hit counts over every known rule (zeros included), to
-    // stderr so --format=json keeps stdout machine-readable.
+    // stderr so stdout holds only the findings.
     std::map<std::string, size_t> counts;
     for (const std::string& rule : lighttr::lint::AllRuleNames()) {
       counts[rule] = 0;

@@ -37,9 +37,7 @@ namespace {
 
 using namespace lighttr;
 
-// Keeps the emitted JSON valid when the undefended run blows its
-// validation loss up to infinity.
-double JsonSafe(double v) { return std::isfinite(v) ? v : 9.9e307; }
+using bench::JsonSafe;
 
 constexpr int kNumAttackers = 2;
 constexpr char kSnapshotDir[] = "bench-adv";
@@ -337,13 +335,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.ToString().c_str());
-  std::string json = "[\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json += json_rows[i];
-    json += (i + 1 < json_rows.size()) ? ",\n" : "\n";
-  }
-  json += "]\n";
-  if (!bench::WriteArtifact(args, "BENCH_adversary.json", json) ||
+  if (!bench::WriteArtifact(args, "BENCH_adversary.json",
+                            bench::JsonArray(json_rows) + "\n") ||
       !bench::WriteArtifact(args, "bench_adversary.csv", table.ToCsv())) {
     return 1;
   }

@@ -471,14 +471,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.ToString().c_str());
-  std::string json = "{\"avx2_available\": ";
-  json += avx2 ? "true" : "false";
-  json += ", \"rows\": [\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json += json_rows[i];
-    json += (i + 1 < json_rows.size()) ? ",\n" : "\n";
-  }
-  json += "]}\n";
+  const std::string json = std::string("{\"avx2_available\": ") +
+                           (avx2 ? "true" : "false") + ", \"rows\": " +
+                           bench::JsonArray(json_rows) + "}\n";
   if (!bench::WriteArtifact(args, "BENCH_kernels.json", json) ||
       !bench::WriteArtifact(args, "bench_kernels.csv", table.ToCsv())) {
     return 1;

@@ -11,14 +11,17 @@
 // Benches call ParseBenchArgs(argc, argv) once, then WriteArtifact()
 // per file; each write prints the resolved path so runs never leave
 // mystery files behind. README.md documents the artifact locations.
+// JsonArray and JsonSafe shape the rows of every BENCH_*.json.
 #ifndef LIGHTTR_BENCH_BENCH_OUTPUT_H_
 #define LIGHTTR_BENCH_BENCH_OUTPUT_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/env.h"
 
@@ -64,6 +67,21 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   }
   return args;
 }
+
+/// `rows` (JSON values) as a JSON array, one row per line: "[\n" and the
+/// rows joined by ",\n", then "\n]".
+inline std::string JsonArray(const std::vector<std::string>& rows) {
+  std::string json = "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    json += rows[i];
+    json += (i + 1 < rows.size()) ? ",\n" : "\n";
+  }
+  return json + "]";
+}
+
+/// Keeps emitted JSON valid when a run blows a value up to infinity or
+/// NaN, which JSON cannot spell.
+inline double JsonSafe(double v) { return std::isfinite(v) ? v : 9.9e307; }
 
 /// Writes `contents` to `<output_dir>/<filename>`, creating the
 /// directory if needed, and prints where the artifact landed. Returns

@@ -175,14 +175,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.ToString().c_str());
-  std::string json = "{\"kernel\": \"";
-  json += nn::KernelModeName(nn::ActiveKernelMode());
-  json += "\", \"rows\": [\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json += json_rows[i];
-    json += (i + 1 < json_rows.size()) ? ",\n" : "\n";
-  }
-  json += "]}\n";
+  const std::string json = std::string("{\"kernel\": \"") +
+                           nn::KernelModeName(nn::ActiveKernelMode()) +
+                           "\", \"rows\": " + bench::JsonArray(json_rows) +
+                           "}\n";
   if (!bench::WriteArtifact(args, "BENCH_parallel_scaling.json", json) ||
       !bench::WriteArtifact(args, "bench_parallel_scaling.csv",
                             table.ToCsv())) {

@@ -31,9 +31,7 @@ namespace {
 
 using namespace lighttr;
 
-// Keeps the emitted JSON valid when the unprotected run blows its
-// validation loss up to infinity.
-double JsonSafe(double v) { return std::isfinite(v) ? v : 9.9e307; }
+using bench::JsonSafe;
 
 std::string JsonRow(const std::string& section, bool health, double seconds,
                     double valid_loss, double recall, const fl::FaultStats& f,
@@ -177,13 +175,8 @@ int main(int argc, char** argv) {
                   : 0.0);
 
   std::printf("%s", table.ToString().c_str());
-  std::string json = "[\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json += json_rows[i];
-    json += (i + 1 < json_rows.size()) ? ",\n" : "\n";
-  }
-  json += "]\n";
-  if (!bench::WriteArtifact(args, "BENCH_self_healing.json", json) ||
+  if (!bench::WriteArtifact(args, "BENCH_self_healing.json",
+                            bench::JsonArray(json_rows) + "\n") ||
       !bench::WriteArtifact(args, "bench_self_healing.csv", table.ToCsv())) {
     return 1;
   }

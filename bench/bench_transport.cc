@@ -179,13 +179,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.ToString().c_str());
-  std::string json = "[\n";
-  for (size_t i = 0; i < json_rows.size(); ++i) {
-    json += json_rows[i];
-    json += (i + 1 < json_rows.size()) ? ",\n" : "\n";
-  }
-  json += "]\n";
-  if (!bench::WriteArtifact(args, "BENCH_transport.json", json) ||
+  if (!bench::WriteArtifact(args, "BENCH_transport.json",
+                            bench::JsonArray(json_rows) + "\n") ||
       !bench::WriteArtifact(args, "bench_transport.csv", table.ToCsv())) {
     return 1;
   }

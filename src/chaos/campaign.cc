@@ -7,9 +7,12 @@
 #include <vector>
 
 #include "chaos/stub_federation.h"
+#include "common/check.h"
+#include "common/crc32.h"
 #include "common/finite.h"
 #include "fl/comm_stats.h"
 #include "fl/federated_trainer.h"
+#include "fl/run_state.h"
 
 namespace lighttr::chaos {
 namespace {
@@ -399,6 +402,16 @@ ScenarioReport RunScenario(const ChaosScenario& scenario) {
   report.crash_fired = main_run.crash_fired;
   report.fresh_restart = main_run.fresh_restart;
   report.rounds_completed = static_cast<int>(main_run.result.history.size());
+  // The final model, then the telemetry's codec bytes without their CRC
+  // trailer: a CRC run over bytes that end in their own CRC comes out
+  // the same whatever those bytes hold.
+  const std::vector<nn::Scalar>& params = main_run.final_params;
+  const std::string telemetry = fl::TelemetryBytes(main_run.result);
+  size_t body = 0;
+  LIGHTTR_CHECK(CheckCrc32Trailer(telemetry, &body).ok());
+  report.digest =
+      Crc32Update(Crc32(params.data(), params.size() * sizeof(nn::Scalar)),
+                  telemetry.data(), body);
 
   CheckFiniteModel(main_run, &report);
   CheckRoundConservation(main_run, &report);

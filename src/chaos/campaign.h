@@ -38,6 +38,10 @@ struct ScenarioReport {
   /// still converge to the same final model).
   bool fresh_restart = false;
   int rounds_completed = 0;
+  /// CRC-32 of the final global model and of fl::TelemetryBytes of the
+  /// run (its comm and counter totals and history, wall clock zeroed),
+  /// so a drift in any value the run reports moves it.
+  uint32_t digest = 0;
 
   bool ok() const { return violations.empty(); }
 };

@@ -144,6 +144,16 @@ std::string EncodeRunState(const ServerRunState& state) {
   return out;
 }
 
+std::string TelemetryBytes(const FederatedRunResult& run) {
+  ServerRunState state;
+  state.round = static_cast<int>(run.history.size());
+  state.comm = run.comm;
+  state.faults = run.faults;
+  state.history = run.history;
+  for (RoundRecord& record : state.history) record.wall_seconds = 0.0;
+  return EncodeRunState(state);
+}
+
 Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   LIGHTTR_CHECK(state != nullptr);
   if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t)) {

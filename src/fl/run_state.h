@@ -108,6 +108,12 @@ struct ServerRunState {
 /// Encodes a snapshot ("LTRS" magic, version, fields, whole-file CRC).
 std::string EncodeRunState(const ServerRunState& state);
 
+/// The snapshot codec's bytes for a run's telemetry: its comm totals,
+/// counter totals and history, with wall clock zeroed. Runs that report
+/// the same outcome encode to the same bytes, so a digest of them pins
+/// the outcome.
+std::string TelemetryBytes(const FederatedRunResult& run);
+
 /// Decodes an EncodeRunState blob; any integrity violation (bad magic,
 /// truncation, CRC mismatch, oversized lengths, a history that is not
 /// exactly rounds 1..round) yields a non-OK Status.

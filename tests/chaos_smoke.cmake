@@ -1,8 +1,8 @@
 # The chaos_smoke campaign (16 scenarios, seed 7), its stdout pinned line
 # for line: one line per scenario (axes, crash and restart flags, rounds
-# completed, violations) and the campaign summary. The campaign must also
-# pass, exit 0. On a mismatch the script prints what chaos_smoke.txt
-# would have to read.
+# completed, violations, and a digest of the final model and telemetry)
+# and the campaign summary. The campaign must also pass, exit 0. On a
+# mismatch the script prints what chaos_smoke.txt would have to read.
 #
 #   cmake -DCHAOS=<path to lighttr-chaos> -DWORK_DIR=<scratch dir>
 #         -P chaos_smoke.cmake

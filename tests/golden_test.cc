@@ -58,17 +58,6 @@ std::string DigestLine(const std::string& name, const std::string& bytes) {
   return name + " " + hex;
 }
 
-// The snapshot codec's bytes for a run's telemetry, wall clock zeroed.
-std::string TelemetryBytes(const FederatedRunResult& run) {
-  fl::ServerRunState state;
-  state.round = static_cast<int>(run.history.size());
-  state.comm = run.comm;
-  state.faults = run.faults;
-  state.history = run.history;
-  for (fl::RoundRecord& record : state.history) record.wall_seconds = 0.0;
-  return fl::EncodeRunState(state);
-}
-
 // A snapshot file re-encoded with its history's wall clock zeroed.
 std::string NormalizedSnapshot(FaultyFileSystem* fs, const std::string& path) {
   Result<std::string> bytes = fs->ReadFile(path);
@@ -92,7 +81,7 @@ std::string RunDigest(const std::string& name, fl::ModelFactory factory,
   FederatedTrainer trainer(std::move(factory), &clients, options);
   const FederatedRunResult run = trainer.Run(strategy);
   BinaryWriter all;
-  all.WriteString(TelemetryBytes(run));
+  all.WriteString(fl::TelemetryBytes(run));
   all.WriteString(trainer.global_model()->params().Serialize(
       nn::BlobPrecision::kFloat64));
   for (const std::string& path : fs.AllFiles()) {
@@ -219,7 +208,7 @@ std::vector<std::string> MethodLines(const std::string& kernel) {
       all.WriteF64(result.metrics.mae_km);
       all.WriteF64(result.metrics.rmse_km);
       all.WriteI64(result.metrics.recovered_points);
-      all.WriteString(TelemetryBytes(result.run));
+      all.WriteString(fl::TelemetryBytes(result.run));
       char values[64];
       std::snprintf(values, sizeof(values), " recall=%.6f mae_km=%.6f",
                     result.metrics.recall, result.metrics.mae_km);

@@ -59,11 +59,11 @@ void Usage(const char* argv0) {
 }
 
 void PrintProgress(int index, const ScenarioReport& report) {
-  std::printf("scenario %3d  axes=%d%s%s  rounds=%d  violations=%zu\n",
-              index, AxisCount(report.scenario),
-              report.crash_fired ? " crash" : "",
-              report.fresh_restart ? "+fresh-restart" : "",
-              report.rounds_completed, report.violations.size());
+  std::printf(
+      "scenario %3d  axes=%d%s%s  rounds=%d  violations=%zu digest=%08x\n",
+      index, AxisCount(report.scenario), report.crash_fired ? " crash" : "",
+      report.fresh_restart ? "+fresh-restart" : "", report.rounds_completed,
+      report.violations.size(), report.digest);
 }
 
 void PrintViolations(const ScenarioReport& report) {
@@ -83,9 +83,10 @@ int RunReproMode(const std::string& repro) {
   }
   const ScenarioReport report = RunScenario(parsed.value());
   std::printf("repro: %s\n", FormatRepro(report.scenario).c_str());
-  std::printf("axes=%d crash_fired=%d rounds=%d violations=%zu\n",
+  std::printf("axes=%d crash_fired=%d rounds=%d violations=%zu digest=%08x\n",
               AxisCount(report.scenario), report.crash_fired ? 1 : 0,
-              report.rounds_completed, report.violations.size());
+              report.rounds_completed, report.violations.size(),
+              report.digest);
   PrintViolations(report);
   return report.ok() ? 0 : 1;
 }

@@ -65,8 +65,9 @@ struct Config {
   }();
 };
 
-// Every value of the field's type; the synopsis shows `placeholder`, else
-// the default. A bool is a switch: "--name", or =1, =true, =0 or =false.
+// Every value of the field's type. The synopsis shows the default, or
+// for a string `placeholder`. A bool is a switch: "--name", or =1, =true,
+// =0 or =false.
 struct Any {
   const char* placeholder = nullptr;
 };

@@ -8,8 +8,10 @@
 # Each kind of bound a flag carries is probed at its edge: a rate of 1, a
 # fraction or threshold of 0, a count below its floor, a name no list
 # holds. --resume without --checkpoint-dir and more attackers than
-# clients (the trailing --clients=2) are refused too. A misspelt flag is
-# not ignored: it would run on the defaults.
+# clients (the trailing --clients=2) are refused too, and so is a
+# centralized run whose rounds x epochs passes INT_MAX (each flag alone
+# is in range). A misspelt flag is not ignored: it would run on the
+# defaults.
 #
 #   cmake -DRUN_EXPERIMENT=<path to run_experiment> -P run_experiment_bad_flags.cmake
 if(NOT RUN_EXPERIMENT)
@@ -58,7 +60,8 @@ set(cases
   "--dataset=foo"
   "--kernel=avx512"
   "--aggregation=foo"
-  "--adversary-attack=foo")
+  "--adversary-attack=foo"
+  "--method=centralized --rounds=65536 --epochs=65536")
 
 set(failures 0)
 foreach(case IN LISTS cases)

@@ -284,6 +284,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--adversary-count exceeds --clients\n");
     return Usage();
   }
+  // A centralized run trains rounds x epochs epochs, counted in an int.
+  if (config.method.centralized &&
+      int64_t{fed.rounds} * fed.local_epochs > INT_MAX) {
+    std::fprintf(stderr, "--rounds x --epochs exceeds %d for "
+                         "--method=centralized\n", INT_MAX);
+    return Usage();
+  }
   // The kernel mode is process-global and only entry points select it;
   // the library never changes it.
   nn::ActivateKernels(config.kernel);

@@ -55,7 +55,12 @@ ThreadSlot& Slot() {
 }  // namespace
 
 void AddFlops(int64_t n) {
-  Slot().count.fetch_add(n, std::memory_order_relaxed);
+  // Only the owning thread writes its slot, so a relaxed load and store
+  // keep the count exact without a locked add; other threads only read
+  // it (TotalFlops), through relaxed atomic loads.
+  std::atomic<int64_t>& count = Slot().count;
+  count.store(count.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
 }
 
 int64_t ThreadFlops() {

@@ -1,10 +1,10 @@
 // Global floating-point-operation accounting (paper Fig. 5(b)).
 //
 // The matrix kernels and element-wise ops report their work here. Each
-// thread accumulates into its own registered slot (a relaxed atomic on
-// a private cache line), so counting is race-free under the thread
-// pool; TotalFlops() merges every live slot plus the drained counts of
-// exited threads. The merge is exact at any synchronization barrier:
+// thread accumulates into its own registered slot (a relaxed atomic
+// that only its owner writes, by a load and a store, with no locked
+// add), so counting is race-free under the thread pool; TotalFlops()
+// merges every live slot plus the drained counts of exited threads. The merge is exact at any synchronization barrier:
 // after ThreadPool::ParallelFor returns, all worker-side AddFlops calls
 // happen-before the caller's TotalFlops read.
 #ifndef LIGHTTR_NN_FLOPS_H_

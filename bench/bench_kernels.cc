@@ -8,20 +8,23 @@
 //  2. GRU step — fused GruStep (one graph node, packed gates) vs the
 //     composed ~12-op chain it replaced, forward+backward.
 //  3. Arena — steady-state heap allocations across identically-shaped
-//     training steps (must be 0), and arena-vs-bypass timing.
+//     training steps and no-grad decode steps (must be 0, for matrices
+//     and for graph nodes), and arena-vs-bypass timing.
 //  4. Adam — the optimizer's element update over a ~45k-scalar
 //     parameter set, in ns per scalar (the two tables agree bitwise).
 //
 // Emits BENCH_kernels.json (kernel variant recorded per row) and
 // bench_kernels.csv via the common --output-dir/LIGHTTR_BENCH_DIR
 // policy. `--smoke` runs tiny sizes and asserts the invariants
-// (SIMD >= scalar, scalar/AVX2 parity — bitwise for Adam — and arena
-// zero-alloc) — registered as the bench_kernels_smoke ctest so every
-// test run gates on them.
+// (SIMD >= scalar, scalar/AVX2 parity — bitwise for Adam — and zero
+// steady-state allocations from the arena and the node pool) —
+// registered as the bench_kernels_smoke ctest so every test run gates
+// on them.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,9 +35,11 @@
 #include "nn/arena.h"
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
+#include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/parameter.h"
 #include "nn/tensor.h"
+#include "traj/encoding.h"
 
 namespace {
 
@@ -118,6 +123,67 @@ GruFixture MakeGruFixture(size_t batch, size_t in_dim, size_t hidden,
   f.wh = nn::Tensor::Variable(nn::Matrix::Xavier(hidden + in_dim, hidden, rng));
   f.bh = nn::Tensor::Variable(nn::Matrix::Zeros(1, hidden));
   return f;
+}
+
+// LightTR's no-grad decode at its shapes: the encoder's GRU over
+// kFeatureDim inputs, the ST-block's RNN cell over [h | segment
+// embedding | ratio], and the fused head, hidden 32, embedding 16.
+struct DecodeFixture {
+  nn::ParameterSet params;
+  std::unique_ptr<nn::GruCell> gru;
+  std::unique_ptr<nn::RnnCell> st;
+  nn::MtHeadWeights head;
+  nn::Tensor inputs;  // [steps, kFeatureDim]
+  std::vector<int> candidates;
+  std::vector<nn::Scalar> log_mask;
+};
+
+DecodeFixture MakeDecodeFixture(Rng* rng) {
+  constexpr size_t kFeature = traj::TrajectoryEncoder::kFeatureDim;
+  constexpr size_t kHidden = 32;
+  constexpr size_t kEmbed = 16;
+  constexpr size_t kSegments = 64;
+  DecodeFixture f;
+  f.gru = std::make_unique<nn::GruCell>(kFeature, kHidden, "embed.gru",
+                                        &f.params, rng);
+  f.st = std::make_unique<nn::RnnCell>(kHidden + kEmbed + 1, kHidden,
+                                       "st0.rnn", &f.params, rng);
+  const auto variable = [rng](size_t rows, size_t cols) {
+    return nn::Tensor::Variable(
+        nn::Matrix::RandomUniform(rows, cols, 0.5, rng));
+  };
+  f.head.dense_w = variable(kHidden, kHidden);
+  f.head.dense_b = variable(1, kHidden);
+  f.head.seg_w = variable(kHidden, kSegments);
+  f.head.seg_b = variable(1, kSegments);
+  f.head.emb_table = variable(kSegments, kEmbed);
+  f.head.proj_w = variable(kEmbed, kHidden);
+  f.head.proj_b = variable(1, kHidden);
+  f.head.ratio_w = variable(kHidden + kEmbed, 1);
+  f.head.ratio_b = variable(1, 1);
+  f.inputs = nn::Tensor::Constant(
+      nn::Matrix::RandomUniform(4, kFeature, 1.0, rng));
+  f.candidates = {5, 17, 40, 3, 22, 61, 9, 30, 12};
+  for (size_t k = 0; k < f.candidates.size(); ++k) {
+    f.log_mask.push_back(rng->Uniform(-3.0, 0.0));
+  }
+  return f;
+}
+
+// One missing step of Recover's decode: encoder step, ST-block step on
+// the previous prediction, fused head. Returns the predicted segment.
+int NoGradDecodeStep(const DecodeFixture& f, int prev_segment,
+                     nn::Tensor* h, nn::Tensor* state) {
+  *h = f.gru->Forward(nn::SliceRows(f.inputs, 1, 1), *h);
+  const nn::Tensor prev_emb = nn::EmbeddingLookup(f.head.emb_table,
+                                                  {prev_segment});
+  const nn::Tensor prev_ratio =
+      nn::Tensor::Constant(nn::Matrix::Full(1, 1, 0.4));
+  *state = f.st->Forward(
+      nn::ConcatCols(nn::ConcatCols(*h, prev_emb), prev_ratio), *state);
+  return nn::MtHeadStep(*state, f.head, f.candidates, f.log_mask,
+                        /*target_index=*/-1, /*conditioning_segment=*/-1)
+      .predicted_segment;
 }
 
 // A ParameterSet shaped like a GRU seq2seq model of about MTrajRec+FL's
@@ -281,6 +347,35 @@ int RunSmoke() {
     std::printf("steady-state heap allocations over 5 GRU steps: %lld\n",
                 static_cast<long long>(heap));
     if (heap != 0) return Fail("steady-state heap allocations");
+  }
+  // Inference: after a warm-up step, no-grad decode steps (SliceRows,
+  // GruStep, EmbeddingLookup, ConcatCols, Dense, Tanh, the fused head)
+  // take every matrix and every graph node from the thread's pools.
+  {
+    Rng drng(12);
+    const DecodeFixture f = MakeDecodeFixture(&drng);
+    nn::NoGradScope no_grad;
+    nn::Tensor h = f.gru->InitialState();
+    nn::Tensor state = f.st->InitialState();
+    int segment = NoGradDecodeStep(f, 0, &h, &state);
+    const nn::ArenaStats warm = nn::ThreadArenaStats();
+    const nn::NodeStats warm_nodes = nn::ThreadNodeStats();
+    for (int i = 0; i < 5; ++i) {
+      segment = NoGradDecodeStep(f, segment, &h, &state);
+    }
+    const int64_t heap =
+        nn::ThreadArenaStats().heap_allocations - warm.heap_allocations;
+    const nn::NodeStats nodes = nn::ThreadNodeStats();
+    const int64_t node_heap =
+        nodes.heap_allocations - warm_nodes.heap_allocations;
+    std::printf("steady-state heap allocations over 5 no-grad decode "
+                "steps: %lld matrices, %lld nodes (%lld nodes built)\n",
+                static_cast<long long>(heap),
+                static_cast<long long>(node_heap),
+                static_cast<long long>(nodes.acquires - warm_nodes.acquires));
+    if (heap != 0 || node_heap != 0) {
+      return Fail("steady-state heap allocations in no-grad decode");
+    }
   }
   std::printf("SMOKE OK\n");
   return 0;

@@ -12,56 +12,55 @@ namespace {
 // Weight of the ratio MSE against the segment cross-entropy (Eq. 13).
 constexpr nn::Scalar kMu = 1;
 
+// Registers a trainable head parameter under `name`.
+nn::Tensor HeadParameter(nn::ParameterSet* params, const char* name,
+                         nn::Matrix value) {
+  nn::Tensor tensor = nn::Tensor::Variable(std::move(value));
+  params->Register(name, tensor);
+  return tensor;
+}
+
 }  // namespace
 
 MtHead::MtHead(size_t hidden_dim, size_t seg_embed_dim, size_t num_segments,
                nn::ParameterSet* params, Rng* rng) {
-  dense_ = std::make_unique<nn::Dense>(hidden_dim, hidden_dim, "head.dense",
-                                       params, rng);
+  LIGHTTR_CHECK(params != nullptr);
+  // Registration order and RNG draws are those of the layers the head
+  // was built from: Dense "head.dense", the segment head, Embedding
+  // "head.emb", Dense "head.embproj", Dense "head.ratio".
+  nn::MtHeadWeights& w = weights_;
+  w.dense_w = HeadParameter(params, "head.dense.w",
+                            nn::Matrix::Xavier(hidden_dim, hidden_dim, rng));
+  w.dense_b =
+      HeadParameter(params, "head.dense.b", nn::Matrix::Zeros(1, hidden_dim));
   // The segment head starts at zero so the initial prediction equals the
   // constraint-mask prior (Eq. 11); training only moves logits away from
   // the prior where the data supports it.
-  seg_w_ =
-      nn::Tensor::Variable(nn::Matrix::Zeros(hidden_dim, num_segments));
-  seg_b_ = nn::Tensor::Variable(nn::Matrix::Zeros(1, num_segments));
-  params->Register("head.seg.w", seg_w_);
-  params->Register("head.seg.b", seg_b_);
-  seg_embed_ = std::make_unique<nn::Embedding>(num_segments, seg_embed_dim,
-                                               "head.emb", params, rng);
-  emb_proj_ = std::make_unique<nn::Dense>(seg_embed_dim, hidden_dim,
-                                          "head.embproj", params, rng);
-  ratio_head_ = std::make_unique<nn::Dense>(hidden_dim + seg_embed_dim, 1,
-                                            "head.ratio", params, rng);
+  w.seg_w = HeadParameter(params, "head.seg.w",
+                          nn::Matrix::Zeros(hidden_dim, num_segments));
+  w.seg_b =
+      HeadParameter(params, "head.seg.b", nn::Matrix::Zeros(1, num_segments));
+  // Small-range init, as nn::Embedding does.
+  w.emb_table = HeadParameter(
+      params, "head.emb.table",
+      nn::Matrix::RandomUniform(num_segments, seg_embed_dim, 0.1, rng));
+  w.proj_w = HeadParameter(params, "head.embproj.w",
+                           nn::Matrix::Xavier(seg_embed_dim, hidden_dim, rng));
+  w.proj_b = HeadParameter(params, "head.embproj.b",
+                           nn::Matrix::Zeros(1, hidden_dim));
+  w.ratio_w =
+      HeadParameter(params, "head.ratio.w",
+                    nn::Matrix::Xavier(hidden_dim + seg_embed_dim, 1, rng));
+  w.ratio_b = HeadParameter(params, "head.ratio.b", nn::Matrix::Zeros(1, 1));
 }
 
-MtHeadStep MtHead::Run(const nn::Tensor& state,
-                       const traj::StepCandidates& candidates,
-                       int conditioning_segment) const {
-  const nn::Tensor h_d = dense_->Forward(state);
-  const nn::Tensor logits =
-      nn::CandidateLogits(h_d, seg_w_, seg_b_, candidates.segments);
-  const nn::Matrix mask_row = nn::Matrix::RowVector(candidates.log_mask);
-
-  MtHeadStep step;
-  if (candidates.target_in_range) {
-    step.ce_loss =
-        nn::SoftmaxCrossEntropy(logits, {candidates.target_index}, &mask_row);
-  }
-  size_t best = 0;
-  for (size_t k = 1; k < candidates.segments.size(); ++k) {
-    if (logits.value()(0, k) + mask_row(0, k) >
-        logits.value()(0, best) + mask_row(0, best)) {
-      best = k;
-    }
-  }
-  step.predicted_segment = candidates.segments[best];
-
-  const int condition = conditioning_segment >= 0 ? conditioning_segment
-                                                  : step.predicted_segment;
-  const nn::Tensor e_emb = seg_embed_->Forward({condition});
-  const nn::Tensor h_e = nn::Relu(nn::Add(h_d, emb_proj_->Forward(e_emb)));
-  step.ratio = nn::Sigmoid(ratio_head_->Forward(nn::ConcatCols(h_e, e_emb)));
-  return step;
+nn::MtHeadOutput MtHead::Run(const nn::Tensor& state,
+                             const traj::StepCandidates& candidates,
+                             int conditioning_segment, bool with_loss) const {
+  const int target =
+      with_loss && candidates.target_in_range ? candidates.target_index : -1;
+  return nn::MtHeadStep(state, weights_, candidates.segments,
+                        candidates.log_mask, target, conditioning_segment);
 }
 
 Seq2SeqModel::Seq2SeqModel(const traj::TrajectoryEncoder* encoder,
@@ -110,18 +109,19 @@ fl::ForwardResult Seq2SeqModel::Decode(
       continue;
     }
 
-    const MtHeadStep step =
+    const nn::MtHeadOutput step =
         head_->Run(state, encoded.candidates[k++],
-                   teacher_forcing ? targets[t].segment : -1);
-    if (step.ce_loss.defined()) ce_losses.push_back(step.ce_loss);
-    ratio_preds.push_back(step.ratio);
-    ratio_truths.push_back(static_cast<nn::Scalar>(targets[t].ratio));
-    representation_rows.push_back(state);
-
+                   teacher_forcing ? targets[t].segment : -1,
+                   /*with_loss=*/collect == nullptr);
     if (collect != nullptr) {
       (*collect)[t] = roadnet::PointPosition{
           step.predicted_segment,
           std::clamp(step.ratio.value()(0, 0), 0.0, 1.0)};
+    } else {
+      if (step.ce_loss.defined()) ce_losses.push_back(step.ce_loss);
+      ratio_preds.push_back(step.ratio);
+      ratio_truths.push_back(static_cast<nn::Scalar>(targets[t].ratio));
+      representation_rows.push_back(state);
     }
     prev_segment =
         teacher_forcing ? targets[t].segment : step.predicted_segment;
@@ -130,6 +130,7 @@ fl::ForwardResult Seq2SeqModel::Decode(
   }
 
   fl::ForwardResult result;
+  if (collect != nullptr) return result;
   if (ratio_preds.empty()) {
     result.loss = nn::Tensor::Constant(nn::Matrix::Zeros(1, 1));
     return result;

@@ -14,21 +14,16 @@
 #include <vector>
 
 #include "fl/recovery_model.h"
-#include "nn/layers.h"
+#include "nn/ops.h"
+#include "nn/parameter.h"
 #include "traj/encoding.h"
 
 namespace lighttr::core {
 
-/// One step's head output.
-struct MtHeadStep {
-  nn::Tensor ce_loss;       // cross-entropy vs the true segment
-  nn::Tensor ratio;         // [1,1] predicted moving ratio
-  int predicted_segment = 0;  // argmax under the mask
-};
-
 /// The multi-task head applied at each missing step (Eq. 8-11):
 /// candidate-restricted segment logits with the distance mask, plus a
-/// segment-embedding-conditioned moving-ratio regressor.
+/// segment-embedding-conditioned moving-ratio regressor. One fused
+/// nn::MtHeadStep per step.
 class MtHead {
  public:
   /// Registers the head's parameters, named "head.*", in `params`.
@@ -38,24 +33,21 @@ class MtHead {
   /// Runs the head on decoder state `state` ([1, hidden]) for the given
   /// candidates. `conditioning_segment` (ground truth when teacher
   /// forcing, else the prediction) drives the ratio branch; pass -1 to
-  /// use the head's own argmax prediction.
-  MtHeadStep Run(const nn::Tensor& state,
-                 const traj::StepCandidates& candidates,
-                 int conditioning_segment) const;
+  /// use the head's own argmax prediction. The cross-entropy against
+  /// the true segment is built when `with_loss` is set and the truth is
+  /// in range.
+  nn::MtHeadOutput Run(const nn::Tensor& state,
+                       const traj::StepCandidates& candidates,
+                       int conditioning_segment, bool with_loss) const;
 
   /// Embedding of a segment id (for feeding predictions back into the
   /// decoder input).
   nn::Tensor SegmentEmbedding(int segment) const {
-    return seg_embed_->Forward({segment});
+    return nn::EmbeddingLookup(weights_.emb_table, {segment});
   }
 
  private:
-  std::unique_ptr<nn::Dense> dense_;
-  nn::Tensor seg_w_;
-  nn::Tensor seg_b_;
-  std::unique_ptr<nn::Embedding> seg_embed_;
-  std::unique_ptr<nn::Dense> emb_proj_;
-  std::unique_ptr<nn::Dense> ratio_head_;
+  nn::MtHeadWeights weights_;
 };
 
 /// A recovery model that decodes step by step through an MtHead.
@@ -105,9 +97,9 @@ class Seq2SeqModel : public fl::RecoveryModel {
   nn::ParameterSet params_;
 
  private:
-  /// One decode pass over `encoded` (the encoding of `trajectory`):
-  /// builds the loss graph and, when `collect` is non-null, records every
-  /// step's position.
+  /// One decode pass over `encoded` (the encoding of `trajectory`).
+  /// Builds the Eq. 13 loss when `collect` is null; otherwise records
+  /// every step's position in `collect` and builds no loss.
   fl::ForwardResult Decode(const traj::EncodedTrajectory& encoded,
                            const traj::IncompleteTrajectory& trajectory,
                            bool training, bool teacher_forcing, Rng* rng,

@@ -47,12 +47,28 @@ void HeapRelease(Scalar* block) {
   ::operator delete(block, std::align_val_t{kAlignment});
 }
 
+// A heap block of the full class size for a cacheable request, so any
+// arena may later park it in a freelist.
+Scalar* HeapAcquireBlock(size_t elements) {
+  if (elements > kMaxCachedElements) return HeapAcquire(elements);
+  return HeapAcquire(size_t{1} << ClassIndex(std::max(elements, kMinElements)));
+}
+
+// Trivially destructible, so it stays readable while the thread's other
+// thread_locals are torn down: a buffer freed after this thread's arena
+// is gone (by a thread_local or static that outlives it) goes straight
+// to the heap.
+thread_local bool t_arena_gone = false;
+
 // One thread's pool: LIFO freelists per power-of-two size class. LIFO
 // keeps the hottest (cache-resident) block on top; plain vectors keep
 // reuse order independent of block addresses.
 class Arena {
  public:
-  ~Arena() { Trim(); }
+  ~Arena() {
+    Trim();
+    t_arena_gone = true;
+  }
 
   Scalar* Acquire(size_t elements) {
     ++stats_.acquires;
@@ -124,25 +140,40 @@ class Arena {
   bool bypass_ = false;
 };
 
-Arena& ThreadArena() {
+// Null once this thread's arena has been destroyed.
+Arena* ThreadArena() {
+  if (t_arena_gone) return nullptr;
   thread_local Arena arena;
-  return arena;
+  return &arena;
 }
 
 }  // namespace
 
-ArenaStats ThreadArenaStats() { return ThreadArena().stats(); }
+ArenaStats ThreadArenaStats() {
+  Arena* arena = ThreadArena();
+  return arena != nullptr ? arena->stats() : ArenaStats{};
+}
 
-void TrimThreadArena() { ThreadArena().Trim(); }
+void TrimThreadArena() {
+  if (Arena* arena = ThreadArena()) arena->Trim();
+}
 
-bool SetArenaBypass(bool bypass) { return ThreadArena().SetBypass(bypass); }
+bool SetArenaBypass(bool bypass) {
+  Arena* arena = ThreadArena();
+  return arena != nullptr && arena->SetBypass(bypass);
+}
 
 Scalar* AcquireArenaBlock(size_t elements) {
-  return ThreadArena().Acquire(elements);
+  if (Arena* arena = ThreadArena()) return arena->Acquire(elements);
+  return HeapAcquireBlock(elements);
 }
 
 void ReleaseArenaBlock(Scalar* block, size_t elements) {
-  ThreadArena().Release(block, elements);
+  if (Arena* arena = ThreadArena()) {
+    arena->Release(block, elements);
+  } else {
+    HeapRelease(block);
+  }
 }
 
 ArenaBuffer::ArenaBuffer(size_t size) : size_(size) {

@@ -1,63 +1,91 @@
 #include "nn/losses.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "nn/flops.h"
 
 namespace lighttr::nn {
 
-Tensor SoftmaxCrossEntropy(const Tensor& logits,
-                           const std::vector<int>& targets,
-                           const Matrix* logit_bias) {
+Scalar SoftmaxCrossEntropyValue(const Matrix& logits,
+                                std::span<const int> targets,
+                                const Scalar* logit_bias, Matrix* probs) {
   const size_t n = logits.rows();
   const size_t classes = logits.cols();
   LIGHTTR_CHECK_EQ(targets.size(), n);
-  if (logit_bias != nullptr) {
-    LIGHTTR_CHECK(logit_bias->SameShape(logits.value()));
-  }
-
-  // Probabilities are cached for the backward pass.
-  auto probs = std::make_shared<Matrix>(n, classes);
+  if (probs != nullptr) LIGHTTR_CHECK(probs->SameShape(logits));
   Scalar total_loss{0};
   for (size_t r = 0; r < n; ++r) {
     LIGHTTR_CHECK_GE(targets[r], 0);
     LIGHTTR_CHECK_LT(static_cast<size_t>(targets[r]), classes);
+    const Scalar* row = logits.data() + r * classes;
+    const Scalar* bias =
+        logit_bias != nullptr ? logit_bias + r * classes : nullptr;
+    const auto z = [row, bias](size_t c) {
+      return bias != nullptr ? row[c] + bias[c] : row[c];
+    };
     Scalar row_max = -std::numeric_limits<Scalar>::infinity();
-    for (size_t c = 0; c < classes; ++c) {
-      Scalar z = logits.value()(r, c);
-      if (logit_bias != nullptr) z += (*logit_bias)(r, c);
-      (*probs)(r, c) = z;
-      row_max = std::max(row_max, z);
-    }
+    for (size_t c = 0; c < classes; ++c) row_max = std::max(row_max, z(c));
+    Scalar* p = probs != nullptr ? probs->data() + r * classes : nullptr;
     Scalar denom{0};
     for (size_t c = 0; c < classes; ++c) {
-      (*probs)(r, c) = std::exp((*probs)(r, c) - row_max);
-      denom += (*probs)(r, c);
+      const Scalar e = std::exp(z(c) - row_max);
+      if (p != nullptr) p[c] = e;
+      denom += e;
     }
-    for (size_t c = 0; c < classes; ++c) (*probs)(r, c) /= denom;
-    const Scalar p = (*probs)(r, static_cast<size_t>(targets[r]));
-    total_loss += -std::log(std::max(p, Scalar{1e-12}));
+    const auto target = static_cast<size_t>(targets[r]);
+    Scalar p_target;
+    if (p != nullptr) {
+      for (size_t c = 0; c < classes; ++c) p[c] /= denom;
+      p_target = p[target];
+    } else {
+      p_target = std::exp(z(target) - row_max) / denom;
+    }
+    total_loss += -std::log(std::max(p_target, Scalar{1e-12}));
   }
   AddFlops(static_cast<int64_t>(6 * n * classes));
+  return total_loss / static_cast<Scalar>(n);
+}
 
+void SoftmaxCrossEntropyGrad(const Matrix& probs,
+                             std::span<const int> targets, Scalar upstream,
+                             Matrix* logits_grad) {
+  const Scalar g = upstream / static_cast<Scalar>(targets.size());
+  for (size_t r = 0; r < probs.rows(); ++r) {
+    for (size_t c = 0; c < probs.cols(); ++c) {
+      Scalar delta = probs(r, c);
+      if (c == static_cast<size_t>(targets[r])) delta -= Scalar{1};
+      (*logits_grad)(r, c) += g * delta;
+    }
+  }
+  AddFlops(static_cast<int64_t>(2 * probs.size()));
+}
+
+Tensor SoftmaxCrossEntropy(const Tensor& logits,
+                           const std::vector<int>& targets,
+                           const Matrix* logit_bias) {
+  if (logit_bias != nullptr) {
+    LIGHTTR_CHECK(logit_bias->SameShape(logits.value()));
+  }
+  const Scalar* bias = logit_bias != nullptr ? logit_bias->data() : nullptr;
   Matrix out(1, 1);
-  out(0, 0) = total_loss / static_cast<Scalar>(n);
+  if (!RecordsGradient(logits)) {
+    out(0, 0) = SoftmaxCrossEntropyValue(logits.value(), targets, bias,
+                                         nullptr);
+    return Tensor::Constant(std::move(out));
+  }
+  // Probabilities are kept for the backward pass.
+  Matrix probs(logits.rows(), logits.cols());
+  out(0, 0) = SoftmaxCrossEntropyValue(logits.value(), targets, bias, &probs);
   return Tensor::MakeOp(
-      std::move(out), {logits}, [logits, targets, probs](TensorNode& self) {
+      std::move(out), {logits},
+      [logits, targets, probs = std::move(probs)](TensorNode& self) {
         if (!logits.requires_grad()) return;
-        const Scalar g = self.grad(0, 0) / static_cast<Scalar>(targets.size());
-        Matrix& lg = logits.grad();
-        for (size_t r = 0; r < probs->rows(); ++r) {
-          for (size_t c = 0; c < probs->cols(); ++c) {
-            Scalar delta = (*probs)(r, c);
-            if (c == static_cast<size_t>(targets[r])) delta -= Scalar{1};
-            lg(r, c) += g * delta;
-          }
-        }
-        AddFlops(static_cast<int64_t>(2 * probs->size()));
+        SoftmaxCrossEntropyGrad(probs, targets, self.grad(0, 0),
+                                &logits.grad());
       });
 }
 
@@ -72,6 +100,7 @@ Tensor MseLoss(const Tensor& pred, const Matrix& target) {
   AddFlops(static_cast<int64_t>(3 * n));
   Matrix out(1, 1);
   out(0, 0) = total / static_cast<Scalar>(n);
+  if (!RecordsGradient(pred)) return Tensor::Constant(std::move(out));
   return Tensor::MakeOp(std::move(out), {pred}, [pred, target](TensorNode& self) {
     if (!pred.requires_grad()) return;
     const size_t count = pred.value().size();

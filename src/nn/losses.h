@@ -4,6 +4,7 @@
 #ifndef LIGHTTR_NN_LOSSES_H_
 #define LIGHTTR_NN_LOSSES_H_
 
+#include <span>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -18,6 +19,21 @@ namespace lighttr::nn {
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& targets,
                            const Matrix* logit_bias = nullptr);
+
+/// SoftmaxCrossEntropy's value on plain matrices, for fused ops: the
+/// mean over rows of -log p(target) under softmax(logits + bias), where
+/// `logit_bias` is null or points at logits.size() row-major entries.
+/// Fills `probs` (logits' shape) for the backward when it is non-null,
+/// and counts the op's FLOPs.
+Scalar SoftmaxCrossEntropyValue(const Matrix& logits,
+                                std::span<const int> targets,
+                                const Scalar* logit_bias, Matrix* probs);
+
+/// SoftmaxCrossEntropy's backward on plain matrices: adds the logits'
+/// gradient for the loss gradient `upstream` into `logits_grad`.
+void SoftmaxCrossEntropyGrad(const Matrix& probs,
+                             std::span<const int> targets, Scalar upstream,
+                             Matrix* logits_grad);
 
 /// Mean squared error between `pred` and a constant `target` of the same
 /// shape.

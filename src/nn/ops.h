@@ -1,8 +1,11 @@
 // Differentiable operations on Tensors.
 //
 // Every function returns a new Tensor whose backward closure accumulates
-// gradients into its inputs. Shapes are validated with LIGHTTR_CHECK
-// (shape errors are programming errors, not runtime conditions).
+// gradients into its inputs. An op records (parents, closure, the
+// buffers its backward reads) only when RecordsGradient() holds for its
+// inputs; otherwise it returns its value alone (nn/tensor.h). Shapes are
+// validated with LIGHTTR_CHECK (shape errors are programming errors, not
+// runtime conditions).
 #ifndef LIGHTTR_NN_OPS_H_
 #define LIGHTTR_NN_OPS_H_
 
@@ -96,6 +99,48 @@ Tensor Im2RowCausal(const Tensor& x, size_t kernel);
 /// O(H*C) to O(H*K).
 Tensor CandidateLogits(const Tensor& h, const Tensor& w, const Tensor& b,
                        const std::vector<int>& candidates);
+
+/// The parameters of the multi-task decoder head (paper Eq. 8-11), for
+/// hidden size H, segment-embedding size E and C road segments.
+struct MtHeadWeights {
+  Tensor dense_w;    // [H, H]    h_d = state W + b
+  Tensor dense_b;    // [1, H]
+  Tensor seg_w;      // [H, C]    segment logits (CandidateLogits)
+  Tensor seg_b;      // [1, C]
+  Tensor emb_table;  // [C, E]    segment embedding
+  Tensor proj_w;     // [E, H]    embedding projection
+  Tensor proj_b;     // [1, H]
+  Tensor ratio_w;    // [H + E, 1] moving-ratio regressor
+  Tensor ratio_b;    // [1, 1]
+};
+
+/// One head step's outputs.
+struct MtHeadOutput {
+  Tensor ce_loss;             // masked cross-entropy; undefined without a target
+  Tensor ratio;               // [1, 1] predicted moving ratio
+  int predicted_segment = 0;  // argmax of the logits under the mask
+};
+
+/// One fused multi-task head step on decoder state `state` ([1, H]):
+///   h_d    = state W_d + b_d                              (Eq. 8)
+///   logits = CandidateLogits(h_d, W_s, b_s, candidates)
+///   ce     = SoftmaxCrossEntropy(logits, target, log_mask) (Eq. 10-11)
+///   e      = E[segment]    (conditioning_segment, or the masked argmax
+///                           when it is negative)
+///   h_e    = ReLU(h_d + e W_p + b_p)
+///   ratio  = sigmoid([h_e | e] W_r + b_r)                  (Eq. 9)
+/// `target_index` is the target's position in `candidates`, or -1 for
+/// no loss (ce_loss stays undefined). Values and FLOP counts equal those
+/// of the composed chain of ops above, bit for bit. When it records, it
+/// records three nodes instead of the chain's 13: h_d, then ce, then
+/// ratio, so the backward runs the ratio branch first, as the chain's
+/// does; the hand-written backward replays the chain's accumulation
+/// order (DESIGN.md §14.3). A recording step needs every weight to
+/// require a gradient, as model parameters do.
+MtHeadOutput MtHeadStep(const Tensor& state, const MtHeadWeights& weights,
+                        const std::vector<int>& candidates,
+                        const std::vector<Scalar>& log_mask, int target_index,
+                        int conditioning_segment);
 
 }  // namespace lighttr::nn
 

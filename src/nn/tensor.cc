@@ -2,12 +2,136 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <new>
 
 #include "common/check.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define LIGHTTR_NODE_POISON(ptr, bytes) ASAN_POISON_MEMORY_REGION(ptr, bytes)
+#define LIGHTTR_NODE_UNPOISON(ptr, bytes) \
+  ASAN_UNPOISON_MEMORY_REGION(ptr, bytes)
+#else
+#define LIGHTTR_NODE_POISON(ptr, bytes) (void)0
+#define LIGHTTR_NODE_UNPOISON(ptr, bytes) (void)0
+#endif
 
 namespace lighttr::nn {
 
 namespace {
+
+// ---------------------------------------------------------------------
+// Node storage. Every node is one std::allocate_shared block (control
+// block plus TensorNode) of at most kNodeBlockBytes, drawn from a
+// thread-local LIFO freelist as the arena draws Matrix storage
+// (DESIGN.md §14.4). A block freed on another thread than it came from
+// joins the freeing thread's pool; blocks are plain heap memory, so any
+// pool, or the heap, may take any block. A node freed after its
+// thread's pool is gone (a thread_local or static that outlives the
+// pool) goes straight to the heap.
+// ---------------------------------------------------------------------
+
+// The control block adds a vtable pointer and two counts to TensorNode;
+// NodeAllocator::allocate static_asserts that the block fits.
+constexpr size_t kNodeBlockBytes = sizeof(TensorNode) + 4 * sizeof(void*);
+// Past this many cached blocks (~3 MiB) a freed block goes back to the
+// heap, so a thread that frees what others build cannot grow without
+// bound.
+constexpr size_t kMaxCachedNodes = size_t{1} << 14;
+
+// Both trivially destructible, so they stay readable while the thread's
+// other thread_locals are torn down.
+thread_local NodeStats t_node_stats;
+thread_local bool t_node_pool_gone = false;
+
+class NodePool {
+ public:
+  ~NodePool() {
+    Trim();
+    t_node_pool_gone = true;
+  }
+
+  // A cached block, or null when none is left.
+  void* Pop() {
+    if (free_.empty()) return nullptr;
+    void* block = free_.back();
+    free_.pop_back();
+    --t_node_stats.cached_nodes;
+    LIGHTTR_NODE_UNPOISON(block, kNodeBlockBytes);
+    return block;
+  }
+
+  // Parks `block`; false when the pool is full.
+  bool Push(void* block) {
+    if (free_.size() >= kMaxCachedNodes) return false;
+    free_.push_back(block);
+    ++t_node_stats.cached_nodes;
+    LIGHTTR_NODE_POISON(block, kNodeBlockBytes);
+    return true;
+  }
+
+  void Trim() {
+    for (void* block : free_) {
+      LIGHTTR_NODE_UNPOISON(block, kNodeBlockBytes);
+      ::operator delete(block);
+    }
+    free_.clear();
+    t_node_stats.cached_nodes = 0;
+  }
+
+ private:
+  std::vector<void*> free_;
+};
+
+// Null once this thread's pool has been destroyed.
+NodePool* ThreadNodePool() {
+  if (t_node_pool_gone) return nullptr;
+  thread_local NodePool pool;
+  return &pool;
+}
+
+void* AcquireNodeBlock() {
+  ++t_node_stats.acquires;
+  if (NodePool* pool = ThreadNodePool()) {
+    if (void* block = pool->Pop()) {
+      ++t_node_stats.pool_hits;
+      return block;
+    }
+  }
+  ++t_node_stats.heap_allocations;
+  return ::operator new(kNodeBlockBytes);
+}
+
+void ReleaseNodeBlock(void* block) {
+  ++t_node_stats.releases;
+  NodePool* pool = ThreadNodePool();
+  if (pool == nullptr || !pool->Push(block)) ::operator delete(block);
+}
+
+// The allocator std::allocate_shared rebinds to its control block type.
+template <typename T>
+struct NodeAllocator {
+  using value_type = T;
+
+  NodeAllocator() = default;
+  template <typename U>
+  NodeAllocator(const NodeAllocator<U>&) noexcept {}  // NOLINT(runtime/explicit)
+
+  T* allocate(size_t n) {
+    static_assert(sizeof(T) <= kNodeBlockBytes);
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    LIGHTTR_CHECK_EQ(n, 1u);
+    return static_cast<T*>(AcquireNodeBlock());
+  }
+  void deallocate(T* block, size_t) noexcept { ReleaseNodeBlock(block); }
+
+  template <typename U>
+  bool operator==(const NodeAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 // Both thread_local: each pool worker builds and walks its own client's
 // graph, so creation order only needs to be monotonic per thread (a
 // backward graph never spans threads — ops created during one forward
@@ -20,44 +144,44 @@ thread_local int g_no_grad_depth = 0;
 // thread next round, so per-thread epochs could collide with a stale
 // visit_tag and silently skip a node's backward_fn.
 std::atomic<uint64_t> g_visit_epoch{0};
+
+std::shared_ptr<TensorNode> NewNode(Matrix value, bool requires_grad) {
+  auto node = std::allocate_shared<TensorNode>(NodeAllocator<TensorNode>());
+  node->value = std::move(value);
+  node->requires_grad = requires_grad;
+  node->sequence = ++g_sequence;
+  return node;
+}
+
 }  // namespace
+
+NodeStats ThreadNodeStats() { return t_node_stats; }
+
+void TrimThreadNodePool() {
+  if (NodePool* pool = ThreadNodePool()) pool->Trim();
+}
 
 NoGradScope::NoGradScope() { ++g_no_grad_depth; }
 NoGradScope::~NoGradScope() { --g_no_grad_depth; }
 bool NoGradScope::Active() { return g_no_grad_depth > 0; }
 
 Tensor Tensor::Constant(Matrix value) {
-  auto node = std::make_shared<TensorNode>();
-  node->value = std::move(value);
-  node->requires_grad = false;
-  node->sequence = ++g_sequence;
-  return Tensor(std::move(node));
+  return Tensor(NewNode(std::move(value), /*requires_grad=*/false));
 }
 
 Tensor Tensor::Variable(Matrix value) {
-  auto node = std::make_shared<TensorNode>();
-  node->value = std::move(value);
-  node->requires_grad = true;
-  node->sequence = ++g_sequence;
-  return Tensor(std::move(node));
+  return Tensor(NewNode(std::move(value), /*requires_grad=*/true));
 }
 
 Tensor Tensor::MakeOp(Matrix value, std::vector<Tensor> parents,
                       std::function<void(TensorNode&)> backward_fn) {
-  bool needs_grad = false;
-  for (const Tensor& p : parents) {
-    LIGHTTR_CHECK(p.defined());
-    needs_grad = needs_grad || p.requires_grad();
-  }
-  if (NoGradScope::Active()) needs_grad = false;
-  auto node = std::make_shared<TensorNode>();
-  node->value = std::move(value);
-  node->sequence = ++g_sequence;
-  node->requires_grad = needs_grad;
-  if (needs_grad) {
-    node->parents = std::move(parents);
-    node->backward_fn = std::move(backward_fn);
-  }
+  LIGHTTR_DCHECK(!NoGradScope::Active());
+  LIGHTTR_DCHECK(std::any_of(parents.begin(), parents.end(),
+                             [](const Tensor& p) { return p.requires_grad(); }));
+  std::shared_ptr<TensorNode> node =
+      NewNode(std::move(value), /*requires_grad=*/true);
+  node->parents = std::move(parents);
+  node->backward_fn = std::move(backward_fn);
   return Tensor(std::move(node));
 }
 

@@ -5,8 +5,12 @@
 // their parents and a backward closure; Tensor::Backward() on a scalar
 // runs the closures in reverse creation order, accumulating gradients.
 //
-// Nodes whose inputs all have requires_grad == false skip graph
-// recording entirely, so inference is tape-free.
+// An op records only when RecordsGradient() holds for its inputs: some
+// input requires a gradient and no NoGradScope is alive. Otherwise it
+// returns its value alone, as a Constant, and builds no parents list,
+// no closure and no backward-only buffer, so inference is tape-free.
+// Every node, recorded or not, comes from a thread-local pool of
+// fixed-size blocks (NodeStats), not from the heap.
 #ifndef LIGHTTR_NN_TENSOR_H_
 #define LIGHTTR_NN_TENSOR_H_
 
@@ -60,20 +64,39 @@ class NoGradScope {
   static bool Active();
 };
 
+/// Lifetime counters of one thread's graph-node pool, the node-storage
+/// twin of ArenaStats: after warm-up, a step that builds the same nodes
+/// again must show pool_hits advancing while heap_allocations stays flat.
+struct NodeStats {
+  int64_t acquires = 0;          // nodes created on this thread
+  int64_t pool_hits = 0;         // served from the freelist
+  int64_t heap_allocations = 0;  // fell through to ::operator new
+  int64_t releases = 0;          // nodes freed on this thread
+  int64_t cached_nodes = 0;      // currently parked in the freelist
+};
+
+/// This thread's node-pool stats (see NodeStats).
+NodeStats ThreadNodeStats();
+
+/// Frees every node block cached by this thread's pool (stats keep
+/// their lifetime counts).
+void TrimThreadNodePool();
+
 /// Shared handle to a TensorNode; cheap to copy.
 class Tensor {
  public:
   /// Null tensor (no node). Most APIs require a non-null tensor.
   Tensor() = default;
 
-  /// Wraps a constant matrix (no gradient).
+  /// Wraps a constant matrix (no gradient). Also the value-only result
+  /// of an op that does not record.
   static Tensor Constant(Matrix value);
 
   /// Wraps a leaf variable that accumulates gradients (a parameter).
   static Tensor Variable(Matrix value);
 
-  /// Creates an op result node. If no parent requires a gradient the
-  /// parents and closure are dropped (inference fast path).
+  /// Creates a recorded op result node. Ops call it only when
+  /// RecordsGradient() holds for `parents`.
   static Tensor MakeOp(Matrix value, std::vector<Tensor> parents,
                        std::function<void(TensorNode&)> backward_fn);
 
@@ -127,6 +150,14 @@ class Tensor {
 
   std::shared_ptr<TensorNode> node_;
 };
+
+/// True when an op on `inputs` records a graph node: some input
+/// requires a gradient and no NoGradScope is alive. Every op decides
+/// this before it builds anything.
+template <typename... Inputs>
+bool RecordsGradient(const Inputs&... inputs) {
+  return !NoGradScope::Active() && (inputs.requires_grad() || ...);
+}
 
 }  // namespace lighttr::nn
 

@@ -200,6 +200,34 @@ TEST(GradCheck, Im2RowCausal) {
   });
 }
 
+TEST(GradCheck, MtHeadStep) {
+  // Hidden 4, embedding 3, 6 segments; the ratio branch is conditioned
+  // on a fixed segment, so no perturbation can move the argmax it reads.
+  Tensor state = RandomVariable(1, 4, 40);
+  MtHeadWeights w;
+  w.dense_w = RandomVariable(4, 4, 41);
+  w.dense_b = RandomVariable(1, 4, 42);
+  w.seg_w = RandomVariable(4, 6, 43);
+  w.seg_b = RandomVariable(1, 6, 44);
+  w.emb_table = RandomVariable(6, 3, 45);
+  w.proj_w = RandomVariable(3, 4, 46);
+  w.proj_b = RandomVariable(1, 4, 47);
+  w.ratio_w = RandomVariable(7, 1, 48);
+  w.ratio_b = RandomVariable(1, 1, 49);
+  const std::vector<int> candidates = {1, 4, 2, 4};
+  const std::vector<Scalar> log_mask = {-0.2, -1.5, -0.7, -0.1};
+  Matrix ratio_target(1, 1);
+  ratio_target(0, 0) = 0.3;
+  CheckGradients(
+      {state, w.dense_w, w.dense_b, w.seg_w, w.seg_b, w.emb_table, w.proj_w,
+       w.proj_b, w.ratio_w, w.ratio_b},
+      [&] {
+        const MtHeadOutput out =
+            MtHeadStep(state, w, candidates, log_mask, 2, 5);
+        return Add(Scale(out.ce_loss, 0.5), MseLoss(out.ratio, ratio_target));
+      });
+}
+
 TEST(GradCheck, GradientAccumulatesWhenTensorReused) {
   Tensor a = RandomVariable(2, 2, 34);
   CheckGradients({a}, [&] { return Mean(Mul(a, a)); });

@@ -1,13 +1,21 @@
 // Forward-value and behaviour tests for the nn ops, FLOP accounting,
-// NoGradScope, dropout semantics, and softmax properties.
+// NoGradScope, dropout semantics, and softmax properties; the fused
+// MtHeadStep against the composed chain it replaced; value-only ops;
+// and the graph-node pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "common/finite.h"
+#include "common/thread_pool.h"
 #include "nn/flops.h"
+#include "nn/kernels/kernels.h"
 #include "nn/layers.h"
 #include "nn/losses.h"
 #include "nn/ops.h"
@@ -434,6 +442,406 @@ TEST(Layers, CausalConv1dShapes) {
   EXPECT_EQ(y.rows(), 7u);
   EXPECT_EQ(y.cols(), 5u);
   EXPECT_EQ(params.NumScalars(), 3 * 4 * 5 + 5);
+}
+
+// ---------------------------------------------------------------------
+// The fused MT-head step against the composed chain it replaced.
+// ---------------------------------------------------------------------
+
+// The body MtHead::Run had before the fused step: the bitwise oracle.
+MtHeadOutput ComposedMtHead(const Tensor& state, const MtHeadWeights& w,
+                            const std::vector<int>& candidates,
+                            const std::vector<Scalar>& log_mask,
+                            int target_index, int conditioning_segment) {
+  const Tensor h_d = AddRowBroadcast(MatMul(state, w.dense_w), w.dense_b);
+  const Tensor logits = CandidateLogits(h_d, w.seg_w, w.seg_b, candidates);
+  const Matrix mask_row = Matrix::RowVector(log_mask);
+
+  MtHeadOutput step;
+  if (target_index >= 0) {
+    step.ce_loss = SoftmaxCrossEntropy(logits, {target_index}, &mask_row);
+  }
+  size_t best = 0;
+  for (size_t k = 1; k < candidates.size(); ++k) {
+    if (logits.value()(0, k) + mask_row(0, k) >
+        logits.value()(0, best) + mask_row(0, best)) {
+      best = k;
+    }
+  }
+  step.predicted_segment = candidates[best];
+
+  const int condition = conditioning_segment >= 0 ? conditioning_segment
+                                                  : step.predicted_segment;
+  const Tensor e_emb = EmbeddingLookup(w.emb_table, {condition});
+  const Tensor h_e = Relu(
+      Add(h_d, AddRowBroadcast(MatMul(e_emb, w.proj_w), w.proj_b)));
+  step.ratio = Sigmoid(AddRowBroadcast(
+      MatMul(ConcatCols(h_e, e_emb), w.ratio_w), w.ratio_b));
+  return step;
+}
+
+constexpr size_t kHeadEmbed = 16;
+constexpr size_t kHeadSegments = 40;
+
+// A decoder state and head weights, all trainable, with nonzero seeded
+// grads so that accumulation order shows in the bits. Equal seeds give
+// equal fixtures.
+struct HeadFixture {
+  Tensor state;
+  MtHeadWeights w;
+
+  // The state, then head.dense.{w,b}, head.seg.{w,b}, head.emb.table,
+  // head.embproj.{w,b}, head.ratio.{w,b}.
+  std::vector<Tensor> Leaves() const {
+    return {state,       w.dense_w, w.dense_b, w.seg_w,   w.seg_b,
+            w.emb_table, w.proj_w,  w.proj_b,  w.ratio_w, w.ratio_b};
+  }
+};
+
+HeadFixture MakeHeadFixture(size_t hidden, uint64_t seed, bool trainable) {
+  Rng rng(seed);
+  const auto make = [&](size_t rows, size_t cols) {
+    Matrix value = Matrix::RandomUniform(rows, cols, 1.0, &rng);
+    return trainable ? Tensor::Variable(std::move(value))
+                     : Tensor::Constant(std::move(value));
+  };
+  HeadFixture f;
+  f.state = make(1, hidden);
+  f.w.dense_w = make(hidden, hidden);
+  f.w.dense_b = make(1, hidden);
+  f.w.seg_w = make(hidden, kHeadSegments);
+  f.w.seg_b = make(1, kHeadSegments);
+  f.w.emb_table = make(kHeadSegments, kHeadEmbed);
+  f.w.proj_w = make(kHeadEmbed, hidden);
+  f.w.proj_b = make(1, hidden);
+  f.w.ratio_w = make(hidden + kHeadEmbed, 1);
+  f.w.ratio_b = make(1, 1);
+  if (trainable) {
+    for (const Tensor& leaf : f.Leaves()) {
+      leaf.grad() =
+          Matrix::RandomUniform(leaf.rows(), leaf.cols(), 1.0, &rng);
+    }
+  }
+  return f;
+}
+
+struct HeadCase {
+  std::vector<int> candidates;
+  std::vector<Scalar> log_mask;
+  int target_index = -1;          // -1: the truth is out of range
+  int conditioning_segment = -1;  // -1: condition on the argmax
+};
+
+using HeadFn = MtHeadOutput (*)(const Tensor&, const MtHeadWeights&,
+                                const std::vector<int>&,
+                                const std::vector<Scalar>&, int, int);
+
+// One step's forward and backward: the loss weighs the cross-entropy
+// and the ratio's squared error, as Eq. 13 does.
+struct HeadRun {
+  MtHeadOutput out;
+  int64_t flops = 0;
+};
+
+HeadRun RunHead(HeadFn head, const HeadFixture& f, const HeadCase& c) {
+  HeadRun run;
+  const ScopedFlopCount counter;
+  run.out = head(f.state, f.w, c.candidates, c.log_mask, c.target_index,
+                 c.conditioning_segment);
+  Tensor loss = MseLoss(run.out.ratio, Matrix::Full(1, 1, 0.3));
+  if (run.out.ce_loss.defined()) {
+    loss = Add(Scale(run.out.ce_loss, 0.5), loss);
+  }
+  loss.Backward();
+  run.flops = counter.Elapsed();
+  return run;
+}
+
+void ExpectFusedHeadMatchesComposed(size_t hidden, const HeadCase& c,
+                                    uint64_t seed) {
+  const HeadFixture fused_fixture = MakeHeadFixture(hidden, seed, true);
+  const HeadFixture composed_fixture = MakeHeadFixture(hidden, seed, true);
+  const HeadRun fused = RunHead(&MtHeadStep, fused_fixture, c);
+  const HeadRun composed = RunHead(&ComposedMtHead, composed_fixture, c);
+
+  const std::string where = "hidden " + std::to_string(hidden) + ", " +
+                            std::to_string(c.candidates.size()) +
+                            " candidates, target " +
+                            std::to_string(c.target_index) + ", condition " +
+                            std::to_string(c.conditioning_segment);
+  EXPECT_EQ(fused.out.predicted_segment, composed.out.predicted_segment)
+      << where;
+  ASSERT_EQ(fused.out.ce_loss.defined(), composed.out.ce_loss.defined())
+      << where;
+  if (fused.out.ce_loss.defined()) {
+    EXPECT_TRUE(SameBits(fused.out.ce_loss.value(),
+                         composed.out.ce_loss.value()))
+        << where;
+  }
+  EXPECT_TRUE(SameBits(fused.out.ratio.value(), composed.out.ratio.value()))
+      << where;
+  EXPECT_EQ(fused.flops, composed.flops) << where;
+  const std::vector<Tensor> got = fused_fixture.Leaves();
+  const std::vector<Tensor> want = composed_fixture.Leaves();
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(SameBits(got[i].grad_or_empty(), want[i].grad_or_empty()))
+        << where << ", leaf " << i;
+  }
+}
+
+TEST(MtHeadStep, MatchesComposedChainBitwise) {
+  const KernelMode previous = ActiveKernelMode();
+  Rng rng(31);
+  uint64_t seed = 100;
+  for (const KernelMode mode : {KernelMode::kScalar, KernelMode::kAuto}) {
+    ActivateKernels(mode);
+    for (const size_t hidden : {32u, 48u}) {
+      // 7 distinct ids (not a multiple of 4), 8 distinct, and 5 with
+      // repeated ids.
+      for (const std::vector<int>& candidates :
+           {std::vector<int>{3, 17, 29, 8, 39, 0, 21},
+            std::vector<int>{4, 12, 33, 7, 26, 15, 38, 1},
+            std::vector<int>{9, 22, 9, 30, 22}}) {
+        HeadCase c;
+        c.candidates = candidates;
+        for (size_t k = 0; k < candidates.size(); ++k) {
+          c.log_mask.push_back(rng.Uniform(-4.0, 0.0));
+        }
+        for (const int target : {2, -1}) {
+          c.target_index = target;
+          // Conditioning on the truth (an id outside the candidates when
+          // the truth is out of range), and on the argmax.
+          for (const int condition :
+               {target >= 0 ? candidates[static_cast<size_t>(target)] : 35,
+                -1}) {
+            c.conditioning_segment = condition;
+            ExpectFusedHeadMatchesComposed(hidden, c, ++seed);
+          }
+        }
+      }
+    }
+  }
+  ActivateKernels(previous);
+}
+
+// Distinct nodes with a backward reachable from `roots`.
+size_t RecordedNodes(const std::vector<Tensor>& roots) {
+  std::vector<const TensorNode*> seen;
+  std::vector<const TensorNode*> stack;
+  for (const Tensor& root : roots) {
+    if (root.defined()) stack.push_back(root.node());
+  }
+  while (!stack.empty()) {
+    const TensorNode* node = stack.back();
+    stack.pop_back();
+    if (!node->backward_fn ||
+        std::find(seen.begin(), seen.end(), node) != seen.end()) {
+      continue;
+    }
+    seen.push_back(node);
+    for (const Tensor& parent : node->parents) stack.push_back(parent.node());
+  }
+  return seen.size();
+}
+
+TEST(MtHeadStep, TeacherForcedStepRecordsAtMostThreeNodes) {
+  const HeadFixture f = MakeHeadFixture(32, 5, true);
+  const std::vector<int> candidates = {3, 17, 29, 8, 39};
+  const std::vector<Scalar> mask = {-0.5, -1.0, -0.1, -2.0, -0.3};
+  const MtHeadOutput fused =
+      MtHeadStep(f.state, f.w, candidates, mask, 1, candidates[1]);
+  EXPECT_LE(RecordedNodes({fused.ce_loss, fused.ratio}), 3u);
+  const MtHeadOutput composed =
+      ComposedMtHead(f.state, f.w, candidates, mask, 1, candidates[1]);
+  EXPECT_EQ(RecordedNodes({composed.ce_loss, composed.ratio}), 13u);
+}
+
+// ---------------------------------------------------------------------
+// Value-only ops: under NoGradScope, or on inputs that need no
+// gradient, every op returns the recorded path's value bits and FLOP
+// count with no parents and no backward.
+// ---------------------------------------------------------------------
+
+struct OpCase {
+  const char* name;
+  std::vector<Matrix> inputs;
+  std::function<Tensor(const std::vector<Tensor>&)> run;
+};
+
+std::vector<OpCase> ValueOnlyCases() {
+  Rng rng(41);
+  const auto m = [&](size_t rows, size_t cols) {
+    return Matrix::RandomUniform(rows, cols, 1.0, &rng);
+  };
+  const Matrix bias = m(1, 3);
+  const Matrix mse_target = m(2, 3);
+  HeadFixture head = MakeHeadFixture(8, 3, false);
+  std::vector<Matrix> head_inputs;
+  for (const Tensor& leaf : head.Leaves()) head_inputs.push_back(leaf.value());
+  const auto head_weights = [](const std::vector<Tensor>& in) {
+    MtHeadWeights w;
+    w.dense_w = in[1];
+    w.dense_b = in[2];
+    w.seg_w = in[3];
+    w.seg_b = in[4];
+    w.emb_table = in[5];
+    w.proj_w = in[6];
+    w.proj_b = in[7];
+    w.ratio_w = in[8];
+    w.ratio_b = in[9];
+    return w;
+  };
+  const std::vector<int> head_candidates = {3, 17, 29, 3, 39};
+  const std::vector<Scalar> head_mask = {-0.5, -1.0, -0.1, -2.0, -0.3};
+  using In = const std::vector<Tensor>&;
+  return {
+      {"Add", {m(2, 3), m(2, 3)}, [](In in) { return Add(in[0], in[1]); }},
+      {"AddRowBroadcast", {m(2, 3), m(1, 3)},
+       [](In in) { return AddRowBroadcast(in[0], in[1]); }},
+      {"Sub", {m(2, 3), m(2, 3)}, [](In in) { return Sub(in[0], in[1]); }},
+      {"Mul", {m(2, 3), m(2, 3)}, [](In in) { return Mul(in[0], in[1]); }},
+      {"Scale", {m(2, 3)}, [](In in) { return Scale(in[0], 0.3); }},
+      {"MatMul", {m(2, 3), m(3, 4)},
+       [](In in) { return MatMul(in[0], in[1]); }},
+      {"Sigmoid", {m(2, 3)}, [](In in) { return Sigmoid(in[0]); }},
+      {"Tanh", {m(2, 3)}, [](In in) { return Tanh(in[0]); }},
+      {"Relu", {m(2, 3)}, [](In in) { return Relu(in[0]); }},
+      {"ConcatCols", {m(2, 3), m(2, 1)},
+       [](In in) { return ConcatCols(in[0], in[1]); }},
+      {"ConcatRows", {m(1, 3), m(2, 3)},
+       [](In in) { return ConcatRows({in[0], in[1], in[0]}); }},
+      {"SliceRows", {m(4, 3)}, [](In in) { return SliceRows(in[0], 1, 2); }},
+      {"Transpose", {m(2, 3)}, [](In in) { return Transpose(in[0]); }},
+      {"SoftmaxRows", {m(2, 3)}, [](In in) { return SoftmaxRows(in[0]); }},
+      {"Sum", {m(2, 3)}, [](In in) { return Sum(in[0]); }},
+      {"Mean", {m(2, 3)}, [](In in) { return Mean(in[0]); }},
+      {"Dropout", {m(4, 5)},
+       [](In in) {
+         Rng dropout_rng(5);
+         return Dropout(in[0], 0.3, /*training=*/true, &dropout_rng);
+       }},
+      {"EmbeddingLookup", {m(6, 3)},
+       [](In in) { return EmbeddingLookup(in[0], {4, 1, 4}); }},
+      {"GruStep",
+       {m(2, 3), m(2, 4), m(7, 4), m(1, 4), m(7, 4), m(1, 4), m(7, 4),
+        m(1, 4)},
+       [](In in) {
+         return GruStep(in[0], in[1], in[2], in[3], in[4], in[5], in[6],
+                        in[7]);
+       }},
+      {"Im2RowCausal", {m(4, 3)},
+       [](In in) { return Im2RowCausal(in[0], 2); }},
+      {"CandidateLogits", {m(1, 4), m(4, 9), m(1, 9)},
+       [](In in) { return CandidateLogits(in[0], in[1], in[2], {2, 8, 2}); }},
+      {"SoftmaxCrossEntropy", {m(2, 3)},
+       [](In in) { return SoftmaxCrossEntropy(in[0], {2, 0}); }},
+      {"SoftmaxCrossEntropy masked", {m(1, 3)},
+       [bias](In in) { return SoftmaxCrossEntropy(in[0], {1}, &bias); }},
+      {"MseLoss", {m(2, 3)},
+       [mse_target](In in) { return MseLoss(in[0], mse_target); }},
+      {"MtHeadStep ce", head_inputs,
+       [=](In in) {
+         return MtHeadStep(in[0], head_weights(in), head_candidates,
+                           head_mask, 1, -1)
+             .ce_loss;
+       }},
+      {"MtHeadStep ratio", head_inputs,
+       [=](In in) {
+         return MtHeadStep(in[0], head_weights(in), head_candidates,
+                           head_mask, 1, -1)
+             .ratio;
+       }},
+  };
+}
+
+struct OpRun {
+  Tensor out;
+  int64_t flops = 0;
+};
+
+OpRun RunOp(const OpCase& c, bool variables) {
+  std::vector<Tensor> inputs;
+  for (const Matrix& value : c.inputs) {
+    inputs.push_back(variables ? Tensor::Variable(value)
+                               : Tensor::Constant(value));
+  }
+  OpRun run;
+  const ScopedFlopCount counter;
+  run.out = c.run(inputs);
+  run.flops = counter.Elapsed();
+  return run;
+}
+
+void ExpectValueOnly(const OpCase& c, const OpRun& recorded,
+                     const OpRun& run, const char* how) {
+  EXPECT_TRUE(SameBits(run.out.value(), recorded.out.value()))
+      << c.name << " " << how;
+  EXPECT_EQ(run.flops, recorded.flops) << c.name << " " << how;
+  EXPECT_FALSE(run.out.requires_grad()) << c.name << " " << how;
+  EXPECT_TRUE(run.out.node()->parents.empty()) << c.name << " " << how;
+  EXPECT_FALSE(run.out.node()->backward_fn) << c.name << " " << how;
+}
+
+TEST(ValueOnlyOps, EveryOpRecordsNothingWithoutAGradient) {
+  for (const OpCase& c : ValueOnlyCases()) {
+    const OpRun recorded = RunOp(c, /*variables=*/true);
+    ASSERT_TRUE(recorded.out.requires_grad()) << c.name;
+    ASSERT_TRUE(recorded.out.node()->backward_fn) << c.name;
+    {
+      NoGradScope no_grad;
+      ExpectValueOnly(c, recorded, RunOp(c, /*variables=*/true),
+                      "under NoGradScope");
+    }
+    ExpectValueOnly(c, recorded, RunOp(c, /*variables=*/false),
+                    "on constants");
+  }
+}
+
+// ---------------------------------------------------------------------
+// Graph-node storage.
+// ---------------------------------------------------------------------
+
+TEST(NodeStorage, PoolRecyclesNodesAfterWarmUp) {
+  TrimThreadNodePool();
+  const Tensor a = Tensor::Constant(Matrix::Full(1, 4, 1.0));
+  (void)Add(a, a);  // warm: one block parked in the pool
+  const NodeStats before = ThreadNodeStats();
+  for (int i = 0; i < 10; ++i) (void)Add(a, a);
+  const NodeStats after = ThreadNodeStats();
+  EXPECT_EQ(after.acquires - before.acquires, 10);
+  EXPECT_EQ(after.pool_hits - before.pool_hits, 10);
+  EXPECT_EQ(after.heap_allocations, before.heap_allocations);
+  EXPECT_EQ(after.releases - before.releases, 10);
+  EXPECT_EQ(after.cached_nodes, before.cached_nodes);
+  TrimThreadNodePool();
+  EXPECT_EQ(ThreadNodeStats().cached_nodes, 0);
+}
+
+// A thread_local constructed before its thread's node pool and arena,
+// and so destroyed after them.
+struct LateHolder {
+  Tensor tensor;
+};
+
+TEST(NodeStorage, NodesOutliveTheirThreadAndItsPool) {
+  Tensor from_worker;
+  {
+    ThreadPool pool(2);
+    std::atomic<bool> worker_ran{false};
+    // One index runs on the worker; the caller waits for it.
+    pool.ParallelFor(2, [&](size_t) {  // lint: shared-state(from_worker)
+      if (!ThreadPool::OnWorkerThread()) {
+        while (!worker_ran.load()) std::this_thread::yield();
+        return;
+      }
+      thread_local LateHolder holder;
+      holder.tensor = Tensor::Constant(Matrix::Full(1, 3, 2.0));
+      from_worker = Add(holder.tensor, holder.tensor);
+      worker_ran.store(true);
+    });
+  }  // the worker exits: its pool and arena go, then `holder` frees
+  EXPECT_DOUBLE_EQ(from_worker.value()(0, 2), 4.0);
+  from_worker = Tensor();  // freed on another thread than it came from
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ RnTrajRecModel::RnTrajRecModel(const traj::TrajectoryEncoder* encoder, Rng* rng)
 }
 
 nn::Tensor RnTrajRecModel::EnrichedSegmentEmbedding(int segment) const {
-  const nn::Tensor self_emb = gnn_embed_->Forward({segment});
+  const nn::Tensor self_emb = gnn_embed_->Forward({&segment, 1});
   nn::Tensor out = gnn_self_->Forward(self_emb);
   const auto& neighbors = neighbors_[static_cast<size_t>(segment)];
   if (!neighbors.empty()) {

@@ -43,7 +43,7 @@ class MtHead {
   /// Embedding of a segment id (for feeding predictions back into the
   /// decoder input).
   nn::Tensor SegmentEmbedding(int segment) const {
-    return nn::EmbeddingLookup(weights_.emb_table, {segment});
+    return nn::EmbeddingLookup(weights_.emb_table, {&segment, 1});
   }
 
  private:

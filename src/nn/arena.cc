@@ -1,9 +1,9 @@
 #include "nn/arena.h"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 #include <vector>
-
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -23,19 +23,20 @@ namespace {
 // vectors (kernels currently use unaligned loads, so this is headroom,
 // not a correctness requirement).
 constexpr size_t kAlignment = 32;
-// Smallest block: one AVX2 vector of Scalars.
-constexpr size_t kMinElements = kAlignment / sizeof(Scalar);
 // Blocks above this many elements (16 MiB) skip the freelists: shapes
 // that large are one-off experiment buffers, not per-step temporaries,
 // and caching them would pin memory for the process lifetime.
 constexpr size_t kMaxCachedElements = size_t{1} << 21;
 constexpr size_t kNumClasses = 22;  // class c holds 2^c elements, c <= 21
 
-// Index of the smallest power-of-two class holding `n` elements.
+// Whether a request of `elements` is served by a size class (0 wraps
+// past the limit and, like an oversized request, goes to the heap).
+bool Cacheable(size_t elements) { return elements - 1 < kMaxCachedElements; }
+
+// Index of the smallest power-of-two class holding `n` >= 1 elements;
+// the smallest class, 2, holds one AVX2 vector of Scalars.
 size_t ClassIndex(size_t n) {
-  size_t c = 2;  // 2^2 == kMinElements
-  while ((size_t{1} << c) < n) ++c;
-  return c;
+  return std::max<size_t>(2, std::bit_width(n - 1));
 }
 
 Scalar* HeapAcquire(size_t elements) {
@@ -50,8 +51,8 @@ void HeapRelease(Scalar* block) {
 // A heap block of the full class size for a cacheable request, so any
 // arena may later park it in a freelist.
 Scalar* HeapAcquireBlock(size_t elements) {
-  if (elements > kMaxCachedElements) return HeapAcquire(elements);
-  return HeapAcquire(size_t{1} << ClassIndex(std::max(elements, kMinElements)));
+  if (!Cacheable(elements)) return HeapAcquire(elements);
+  return HeapAcquire(size_t{1} << ClassIndex(elements));
 }
 
 // Trivially destructible, so it stays readable while the thread's other
@@ -72,7 +73,7 @@ class Arena {
 
   Scalar* Acquire(size_t elements) {
     ++stats_.acquires;
-    if (elements > kMaxCachedElements) {
+    if (!Cacheable(elements)) {
       ++stats_.heap_allocations;
       return HeapAcquire(elements);
     }
@@ -80,7 +81,7 @@ class Arena {
     // bypass — so a block's footprint never depends on the bypass flag
     // at acquire time (toggling it between acquire and release must not
     // park an undersized block in a freelist).
-    const size_t c = ClassIndex(std::max(elements, kMinElements));
+    const size_t c = ClassIndex(elements);
     if (bypass_) {
       ++stats_.heap_allocations;
       return HeapAcquire(size_t{1} << c);
@@ -101,14 +102,19 @@ class Arena {
 
   void Release(Scalar* block, size_t elements) {
     ++stats_.releases;
-    if (bypass_ || elements > kMaxCachedElements) {
+    if (bypass_ || !Cacheable(elements)) {
       HeapRelease(block);
       return;
     }
-    const size_t c = ClassIndex(std::max(elements, kMinElements));
+    const size_t c = ClassIndex(elements);
+    const int64_t bytes = static_cast<int64_t>(ClassBytes(c));
+    if (stats_.cached_bytes + bytes > kMaxCachedBytes) {
+      HeapRelease(block);
+      return;
+    }
     freelists_[c].push_back(block);
     ++stats_.cached_blocks;
-    stats_.cached_bytes += static_cast<int64_t>(ClassBytes(c));
+    stats_.cached_bytes += bytes;
     LIGHTTR_ARENA_POISON(block, ClassBytes(c));
   }
 

@@ -1,13 +1,14 @@
 // Thread-local tensor arena: a size-classed pool allocator behind every
-// Matrix (and therefore every Tensor temporary).
+// Matrix (and therefore every Tensor temporary) and every graph node
+// (nn/tensor.cc draws each node as one fixed-size block).
 //
 // Training allocates the same handful of shapes thousands of times per
-// round — gate pre-activations, gradients, packed GEMM operands. The
-// arena turns that churn into freelist hits: blocks are 32-byte aligned
-// (AVX2 vector width), bucketed by power-of-two element count, and
-// recycled on release instead of returned to the heap. Steady-state
-// rounds perform ~0 heap allocations in the tensor hot path (the
-// `bench_kernels --smoke` gate asserts this).
+// round — gate pre-activations, gradients, packed GEMM operands, graph
+// nodes. The arena turns that churn into freelist hits: blocks are
+// 32-byte aligned (AVX2 vector width), bucketed by power-of-two element
+// count, and recycled on release instead of returned to the heap.
+// Steady-state rounds perform ~0 heap allocations in the tensor hot path
+// (the `bench_kernels --smoke` gate asserts this).
 //
 // Determinism: the arena hands out storage only — values are always
 // written before being read (ArenaBuffer zero-fills on construction),
@@ -21,7 +22,8 @@
 // thread than it was acquired on simply joins the releasing thread's
 // pool (long-lived model state built on the coordinator but retired on
 // a pool worker stays safe — only the per-thread stats attribution
-// shifts).
+// shifts). A thread caches at most kMaxCachedBytes, so one that frees
+// what others allocate stays bounded.
 #ifndef LIGHTTR_NN_ARENA_H_
 #define LIGHTTR_NN_ARENA_H_
 
@@ -47,6 +49,14 @@ struct ArenaStats {
   int64_t cached_blocks = 0;     // currently parked in freelists
   int64_t cached_bytes = 0;      // bytes parked in freelists
 };
+
+/// Bound on one thread's cached_bytes. A released block that would take
+/// the cache past it goes back to the heap, so a thread that frees what
+/// other threads allocate (a coordinator retiring the gradients and Adam
+/// moments its pool workers built) cannot grow without bound. It sits
+/// about 2x above the largest single-threaded job's cache (~68 MB,
+/// RNTrajRec+FL at LIGHTTR_SCALE=full), so no such job reaches it.
+inline constexpr int64_t kMaxCachedBytes = int64_t{128} << 20;
 
 /// This thread's arena stats (see ArenaStats).
 ArenaStats ThreadArenaStats();

@@ -68,7 +68,7 @@ Embedding::Embedding(size_t vocab, size_t dim, const std::string& prefix,
   params->Register(prefix + ".table", table_);
 }
 
-Tensor Embedding::Forward(const std::vector<int>& ids) const {
+Tensor Embedding::Forward(std::span<const int> ids) const {
   return EmbeddingLookup(table_, ids);
 }
 

@@ -3,6 +3,7 @@
 #ifndef LIGHTTR_NN_LAYERS_H_
 #define LIGHTTR_NN_LAYERS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,7 @@ class Embedding {
             ParameterSet* params, Rng* rng);
 
   /// Rows of the table at `ids`, shape [ids.size(), dim].
-  Tensor Forward(const std::vector<int>& ids) const;
+  Tensor Forward(std::span<const int> ids) const;
 
   size_t vocab() const { return table_.rows(); }
   size_t dim() const { return table_.cols(); }

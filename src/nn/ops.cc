@@ -445,7 +445,7 @@ Tensor Dropout(const Tensor& a, double p, bool training, Rng* rng) {
       });
 }
 
-Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
+Tensor EmbeddingLookup(const Tensor& table, std::span<const int> ids) {
   LIGHTTR_CHECK(!ids.empty());
   const size_t dim = table.cols();
   Matrix out(ids.size(), dim);
@@ -457,12 +457,14 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
     }
   }
   if (!RecordsGradient(table)) return Tensor::Constant(std::move(out));
-  return Tensor::MakeOp(std::move(out), {table}, [table, ids](TensorNode& self) {
+  std::vector<int> rows(ids.begin(), ids.end());  // the closure's own copy
+  return Tensor::MakeOp(std::move(out), {table},
+                        [table, rows = std::move(rows)](TensorNode& self) {
     if (!table.requires_grad()) return;
     Matrix& tg = table.grad();
-    for (size_t r = 0; r < ids.size(); ++r) {
+    for (size_t r = 0; r < rows.size(); ++r) {
       for (size_t c = 0; c < tg.cols(); ++c) {
-        tg(static_cast<size_t>(ids[r]), c) += self.grad(r, c);
+        tg(static_cast<size_t>(rows[r]), c) += self.grad(r, c);
       }
     }
   });

@@ -9,6 +9,7 @@
 #ifndef LIGHTTR_NN_OPS_H_
 #define LIGHTTR_NN_OPS_H_
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -70,7 +71,7 @@ Tensor Dropout(const Tensor& a, double p, bool training, Rng* rng);
 
 /// Gathers rows of `table` ([V,D]) at `ids`, giving [ids.size(), D].
 /// Backward scatter-adds into the table rows.
-Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
+Tensor EmbeddingLookup(const Tensor& table, std::span<const int> ids);
 
 /// One fused GRU step (paper Eq. 5), replacing the ~12-node op chain a
 /// composed implementation builds per step with a single graph node:

@@ -3,111 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <new>
 
 #include "common/check.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
-#define LIGHTTR_NODE_POISON(ptr, bytes) ASAN_POISON_MEMORY_REGION(ptr, bytes)
-#define LIGHTTR_NODE_UNPOISON(ptr, bytes) \
-  ASAN_UNPOISON_MEMORY_REGION(ptr, bytes)
-#else
-#define LIGHTTR_NODE_POISON(ptr, bytes) (void)0
-#define LIGHTTR_NODE_UNPOISON(ptr, bytes) (void)0
-#endif
+#include "nn/arena.h"
 
 namespace lighttr::nn {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Node storage. Every node is one std::allocate_shared block (control
-// block plus TensorNode) of at most kNodeBlockBytes, drawn from a
-// thread-local LIFO freelist as the arena draws Matrix storage
-// (DESIGN.md §14.4). A block freed on another thread than it came from
-// joins the freeing thread's pool; blocks are plain heap memory, so any
-// pool, or the heap, may take any block. A node freed after its
-// thread's pool is gone (a thread_local or static that outlives the
-// pool) goes straight to the heap.
-// ---------------------------------------------------------------------
-
-// The control block adds a vtable pointer and two counts to TensorNode;
-// NodeAllocator::allocate static_asserts that the block fits.
-constexpr size_t kNodeBlockBytes = sizeof(TensorNode) + 4 * sizeof(void*);
-// Past this many cached blocks (~3 MiB) a freed block goes back to the
-// heap, so a thread that frees what others build cannot grow without
-// bound.
-constexpr size_t kMaxCachedNodes = size_t{1} << 14;
-
-// Both trivially destructible, so they stay readable while the thread's
-// other thread_locals are torn down.
-thread_local NodeStats t_node_stats;
-thread_local bool t_node_pool_gone = false;
-
-class NodePool {
- public:
-  ~NodePool() {
-    Trim();
-    t_node_pool_gone = true;
-  }
-
-  // A cached block, or null when none is left.
-  void* Pop() {
-    if (free_.empty()) return nullptr;
-    void* block = free_.back();
-    free_.pop_back();
-    --t_node_stats.cached_nodes;
-    LIGHTTR_NODE_UNPOISON(block, kNodeBlockBytes);
-    return block;
-  }
-
-  // Parks `block`; false when the pool is full.
-  bool Push(void* block) {
-    if (free_.size() >= kMaxCachedNodes) return false;
-    free_.push_back(block);
-    ++t_node_stats.cached_nodes;
-    LIGHTTR_NODE_POISON(block, kNodeBlockBytes);
-    return true;
-  }
-
-  void Trim() {
-    for (void* block : free_) {
-      LIGHTTR_NODE_UNPOISON(block, kNodeBlockBytes);
-      ::operator delete(block);
-    }
-    free_.clear();
-    t_node_stats.cached_nodes = 0;
-  }
-
- private:
-  std::vector<void*> free_;
-};
-
-// Null once this thread's pool has been destroyed.
-NodePool* ThreadNodePool() {
-  if (t_node_pool_gone) return nullptr;
-  thread_local NodePool pool;
-  return &pool;
-}
-
-void* AcquireNodeBlock() {
-  ++t_node_stats.acquires;
-  if (NodePool* pool = ThreadNodePool()) {
-    if (void* block = pool->Pop()) {
-      ++t_node_stats.pool_hits;
-      return block;
-    }
-  }
-  ++t_node_stats.heap_allocations;
-  return ::operator new(kNodeBlockBytes);
-}
-
-void ReleaseNodeBlock(void* block) {
-  ++t_node_stats.releases;
-  NodePool* pool = ThreadNodePool();
-  if (pool == nullptr || !pool->Push(block)) ::operator delete(block);
-}
+// Every node is one std::allocate_shared block (control block plus
+// TensorNode) drawn from the tensor arena, so nodes share its
+// freelists, stats, cache bound, thread rules and ASan poisoning
+// (DESIGN.md §14.4). The control block adds a vtable pointer and two
+// counts to TensorNode; NodeAllocator::allocate static_asserts that the
+// block fits.
+constexpr size_t kNodeElements =
+    (sizeof(TensorNode) + 4 * sizeof(void*) + sizeof(Scalar) - 1) /
+    sizeof(Scalar);
 
 // The allocator std::allocate_shared rebinds to its control block type.
 template <typename T>
@@ -119,12 +31,16 @@ struct NodeAllocator {
   NodeAllocator(const NodeAllocator<U>&) noexcept {}  // NOLINT(runtime/explicit)
 
   T* allocate(size_t n) {
-    static_assert(sizeof(T) <= kNodeBlockBytes);
+    static_assert(sizeof(T) <= kNodeElements * sizeof(Scalar));
     static_assert(alignof(T) <= alignof(std::max_align_t));
     LIGHTTR_CHECK_EQ(n, 1u);
-    return static_cast<T*>(AcquireNodeBlock());
+    return static_cast<T*>(
+        static_cast<void*>(AcquireArenaBlock(kNodeElements)));
   }
-  void deallocate(T* block, size_t) noexcept { ReleaseNodeBlock(block); }
+  void deallocate(T* block, size_t) noexcept {
+    ReleaseArenaBlock(static_cast<Scalar*>(static_cast<void*>(block)),
+                      kNodeElements);
+  }
 
   template <typename U>
   bool operator==(const NodeAllocator<U>&) const noexcept {
@@ -154,12 +70,6 @@ std::shared_ptr<TensorNode> NewNode(Matrix value, bool requires_grad) {
 }
 
 }  // namespace
-
-NodeStats ThreadNodeStats() { return t_node_stats; }
-
-void TrimThreadNodePool() {
-  if (NodePool* pool = ThreadNodePool()) pool->Trim();
-}
 
 NoGradScope::NoGradScope() { ++g_no_grad_depth; }
 NoGradScope::~NoGradScope() { --g_no_grad_depth; }

@@ -9,8 +9,8 @@
 // input requires a gradient and no NoGradScope is alive. Otherwise it
 // returns its value alone, as a Constant, and builds no parents list,
 // no closure and no backward-only buffer, so inference is tape-free.
-// Every node, recorded or not, comes from a thread-local pool of
-// fixed-size blocks (NodeStats), not from the heap.
+// Every node, recorded or not, is one tensor-arena block (nn/arena.h),
+// counted in ArenaStats like the matrices it holds.
 #ifndef LIGHTTR_NN_TENSOR_H_
 #define LIGHTTR_NN_TENSOR_H_
 
@@ -63,24 +63,6 @@ class NoGradScope {
   /// True when any NoGradScope is alive.
   static bool Active();
 };
-
-/// Lifetime counters of one thread's graph-node pool, the node-storage
-/// twin of ArenaStats: after warm-up, a step that builds the same nodes
-/// again must show pool_hits advancing while heap_allocations stays flat.
-struct NodeStats {
-  int64_t acquires = 0;          // nodes created on this thread
-  int64_t pool_hits = 0;         // served from the freelist
-  int64_t heap_allocations = 0;  // fell through to ::operator new
-  int64_t releases = 0;          // nodes freed on this thread
-  int64_t cached_nodes = 0;      // currently parked in the freelist
-};
-
-/// This thread's node-pool stats (see NodeStats).
-NodeStats ThreadNodeStats();
-
-/// Frees every node block cached by this thread's pool (stats keep
-/// their lifetime counts).
-void TrimThreadNodePool();
 
 /// Shared handle to a TensorNode; cheap to copy.
 class Tensor {

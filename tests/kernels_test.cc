@@ -1,15 +1,18 @@
 // Kernel-layer tests: mode resolution, scalar-vs-AVX2 numeric parity
 // (the scalar reference bounds the vector kernels' rounding drift, and
 // the Adam update must match it bitwise), and the tensor arena's
-// alignment/reuse/bypass contracts.
+// alignment/reuse/bypass/bound contracts.
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/arena.h"
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
@@ -389,6 +392,66 @@ TEST(Arena, ReleasedBlocksAreReused) {
   TrimThreadArena();
   EXPECT_EQ(ThreadArenaStats().cached_blocks, 0);
   EXPECT_EQ(ThreadArenaStats().cached_bytes, 0);
+
+  // Class boundaries: a block released at one size comes back for
+  // another exactly when both round up to the same power of two (never
+  // below 4 elements).
+  struct Sizes {
+    size_t released, acquired;
+    bool same_class;
+  };
+  for (const Sizes& s : {Sizes{1, 4, true}, Sizes{4, 1, true},
+                         Sizes{5, 8, true}, Sizes{8, 5, true},
+                         Sizes{8, 9, false}, Sizes{9, 8, false}}) {
+    Scalar* released = AcquireArenaBlock(s.released);
+    ReleaseArenaBlock(released, s.released);
+    Scalar* acquired = AcquireArenaBlock(s.acquired);
+    EXPECT_EQ(acquired == released, s.same_class)
+        << s.released << " then " << s.acquired;
+    ReleaseArenaBlock(acquired, s.acquired);
+    TrimThreadArena();
+  }
+  // The largest cached class holds 2^21 elements; a larger block goes
+  // back to the heap.
+  constexpr size_t kLargest = size_t{1} << 21;
+  for (size_t elements : {kLargest, kLargest + 1}) {
+    Scalar* block = AcquireArenaBlock(elements);
+    ReleaseArenaBlock(block, elements);
+    EXPECT_EQ(ThreadArenaStats().cached_blocks, elements == kLargest ? 1 : 0)
+        << elements;
+    TrimThreadArena();
+  }
+}
+
+// A thread that frees what another thread allocated, as a coordinator
+// frees the client state its pool workers built, caches at most
+// kMaxCachedBytes; past that, released blocks go back to the heap.
+TEST(Arena, CrossThreadReleasesStayUnderTheBound) {
+  TrimThreadArena();
+  constexpr size_t kElements = size_t{1} << 14;  // 128 KiB blocks
+  constexpr int64_t kBlockBytes = kElements * sizeof(Scalar);
+  const size_t count = static_cast<size_t>(kMaxCachedBytes / kBlockBytes) + 8;
+  std::vector<Scalar*> blocks;
+  {
+    ThreadPool pool(2);
+    std::atomic<bool> worker_ran{false};
+    // One index runs on the worker; the caller waits for it.
+    pool.ParallelFor(2, [&](size_t) {  // lint: shared-state(blocks)
+      if (!ThreadPool::OnWorkerThread()) {
+        while (!worker_ran.load()) std::this_thread::yield();
+        return;
+      }
+      for (size_t i = 0; i < count; ++i) {
+        blocks.push_back(AcquireArenaBlock(kElements));
+      }
+      worker_ran.store(true);
+    });
+  }
+  for (Scalar* block : blocks) ReleaseArenaBlock(block, kElements);
+  const ArenaStats stats = ThreadArenaStats();
+  EXPECT_LE(stats.cached_bytes, kMaxCachedBytes);
+  EXPECT_EQ(stats.cached_blocks, kMaxCachedBytes / kBlockBytes);
+  TrimThreadArena();
 }
 
 TEST(Arena, BypassSkipsFreelists) {

@@ -111,7 +111,7 @@ TEST(GradCheck, SoftmaxRows) {
 TEST(GradCheck, EmbeddingLookup) {
   Tensor table = RandomVariable(6, 3, 15);
   CheckGradients({table}, [&] {
-    return Mean(Tanh(EmbeddingLookup(table, {1, 4, 1})));
+    return Mean(Tanh(EmbeddingLookup(table, std::vector<int>{1, 4, 1})));
   });
 }
 

@@ -1,7 +1,7 @@
 // Forward-value and behaviour tests for the nn ops, FLOP accounting,
 // NoGradScope, dropout semantics, and softmax properties; the fused
 // MtHeadStep against the composed chain it replaced; value-only ops;
-// and the graph-node pool.
+// and graph-node storage in the tensor arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 
 #include "common/finite.h"
 #include "common/thread_pool.h"
+#include "nn/arena.h"
 #include "nn/flops.h"
 #include "nn/kernels/kernels.h"
 #include "nn/layers.h"
@@ -145,7 +146,7 @@ TEST(Ops, EmbeddingLookupGathersRows) {
   table(1, 0) = 2;
   table(2, 0) = 3;
   const Tensor t = Tensor::Constant(table);
-  const Matrix out = EmbeddingLookup(t, {2, 0, 2}).value();
+  const Matrix out = EmbeddingLookup(t, std::vector<int>{2, 0, 2}).value();
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_DOUBLE_EQ(out(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(out(1, 0), 1.0);
@@ -472,7 +473,8 @@ MtHeadOutput ComposedMtHead(const Tensor& state, const MtHeadWeights& w,
 
   const int condition = conditioning_segment >= 0 ? conditioning_segment
                                                   : step.predicted_segment;
-  const Tensor e_emb = EmbeddingLookup(w.emb_table, {condition});
+  const Tensor e_emb =
+      EmbeddingLookup(w.emb_table, std::vector<int>{condition});
   const Tensor h_e = Relu(
       Add(h_d, AddRowBroadcast(MatMul(e_emb, w.proj_w), w.proj_b)));
   step.ratio = Sigmoid(AddRowBroadcast(
@@ -721,7 +723,9 @@ std::vector<OpCase> ValueOnlyCases() {
          return Dropout(in[0], 0.3, /*training=*/true, &dropout_rng);
        }},
       {"EmbeddingLookup", {m(6, 3)},
-       [](In in) { return EmbeddingLookup(in[0], {4, 1, 4}); }},
+       [](In in) {
+         return EmbeddingLookup(in[0], std::vector<int>{4, 1, 4});
+       }},
       {"GruStep",
        {m(2, 3), m(2, 4), m(7, 4), m(1, 4), m(7, 4), m(1, 4), m(7, 4),
         m(1, 4)},
@@ -802,23 +806,24 @@ TEST(ValueOnlyOps, EveryOpRecordsNothingWithoutAGradient) {
 // ---------------------------------------------------------------------
 
 TEST(NodeStorage, PoolRecyclesNodesAfterWarmUp) {
-  TrimThreadNodePool();
+  TrimThreadArena();
   const Tensor a = Tensor::Constant(Matrix::Full(1, 4, 1.0));
-  (void)Add(a, a);  // warm: one block parked in the pool
-  const NodeStats before = ThreadNodeStats();
+  (void)Add(a, a);  // warm: its node and matrix blocks parked in the arena
+  const ArenaStats before = ThreadArenaStats();
   for (int i = 0; i < 10; ++i) (void)Add(a, a);
-  const NodeStats after = ThreadNodeStats();
-  EXPECT_EQ(after.acquires - before.acquires, 10);
-  EXPECT_EQ(after.pool_hits - before.pool_hits, 10);
+  const ArenaStats after = ThreadArenaStats();
+  // Each Add draws two blocks, its node and its matrix, both reused.
+  EXPECT_EQ(after.acquires - before.acquires, 20);
+  EXPECT_EQ(after.pool_hits - before.pool_hits, 20);
   EXPECT_EQ(after.heap_allocations, before.heap_allocations);
-  EXPECT_EQ(after.releases - before.releases, 10);
-  EXPECT_EQ(after.cached_nodes, before.cached_nodes);
-  TrimThreadNodePool();
-  EXPECT_EQ(ThreadNodeStats().cached_nodes, 0);
+  EXPECT_EQ(after.releases - before.releases, 20);
+  EXPECT_EQ(after.cached_blocks, before.cached_blocks);
+  TrimThreadArena();
+  EXPECT_EQ(ThreadArenaStats().cached_blocks, 0);
 }
 
-// A thread_local constructed before its thread's node pool and arena,
-// and so destroyed after them.
+// A thread_local constructed before its thread's arena, and so
+// destroyed after it.
 struct LateHolder {
   Tensor tensor;
 };

@@ -400,9 +400,8 @@ TEST(Arena, ReleasedBlocksAreReused) {
     size_t released, acquired;
     bool same_class;
   };
-  for (const Sizes& s : {Sizes{1, 4, true}, Sizes{4, 1, true},
-                         Sizes{5, 8, true}, Sizes{8, 5, true},
-                         Sizes{8, 9, false}, Sizes{9, 8, false}}) {
+  for (const Sizes& s :
+       {Sizes{1, 4, true}, Sizes{5, 8, true}, Sizes{8, 9, false}}) {
     Scalar* released = AcquireArenaBlock(s.released);
     ReleaseArenaBlock(released, s.released);
     Scalar* acquired = AcquireArenaBlock(s.acquired);

@@ -12,6 +12,13 @@
 // Adam, which are bitwise equal across kernel modes, so every stub digest
 // must hold under both the scalar and the auto kernels.
 //
+// Each format line digests the bytes one binary codec writes for a value
+// whose fields all differ: the four wire messages inside their frames
+// (the update push in both payload kinds), the float32 and float64
+// parameter blobs, and the Adam, reputation, health-monitor, adversary
+// and norm-bound-window state blobs. A field swapped, dropped or
+// re-typed in both halves of a codec still round-trips; it moves these.
+//
 // Each method line digests eval::RunFederatedMethod's metrics and the
 // same telemetry bytes for one method on one workload profile, and shows
 // its recall and MAE in plain text. The real models' sums round
@@ -38,9 +45,15 @@
 #include "common/binary_io.h"
 #include "common/env.h"
 #include "eval/harness.h"
+#include "fl/adversary.h"
 #include "fl/federated_trainer.h"
+#include "fl/health.h"
+#include "fl/reputation.h"
 #include "fl/run_state.h"
+#include "fl/transport/wire.h"
 #include "nn/kernels/kernels.h"
+#include "nn/optimizer.h"
+#include "nn/parameter.h"
 #include "fixtures.h"
 
 namespace lighttr {
@@ -91,11 +104,143 @@ std::string RunDigest(const std::string& name, fl::ModelFactory factory,
   return DigestLine(name, all.bytes());
 }
 
-// Every layout and stub-run digest line, in file order.
+// Three tensors of distinct shapes whose values all differ, none of
+// them exact in float32.
+nn::ParameterSet DistinctiveParams() {
+  nn::ParameterSet params;
+  const std::pair<const char*, std::pair<size_t, size_t>> kShapes[] = {
+      {"encoder.w", {2, 3}}, {"head.bias", {1, 2}}, {"z", {3, 1}}};
+  double next = 1.0 / 3.0;
+  for (const auto& [name, shape] : kShapes) {
+    nn::Matrix m(shape.first, shape.second);
+    for (size_t i = 0; i < m.size(); ++i) {
+      m.data()[i] = next;
+      next = -1.7 * next + 0.1;
+    }
+    params.Register(name, nn::Tensor::Variable(m));
+  }
+  return params;
+}
+
+// The format lines, in file order.
+std::vector<std::string> FormatLines() {
+  namespace wire = fl::transport;
+  std::vector<std::string> lines;
+  wire::ModelPullRequest pull;
+  pull.round = 11;
+  pull.client_id = 5;
+  lines.push_back(DigestLine(
+      "frame_pull_request",
+      wire::EncodeFrame(wire::FrameType::kModelPullRequest,
+                        wire::EncodeModelPullRequest(pull))));
+  wire::ModelPullReply reply;
+  reply.round = 12;
+  reply.model_blob = std::string("model\0blob\xfe", 11);
+  lines.push_back(DigestLine(
+      "frame_pull_reply",
+      wire::EncodeFrame(wire::FrameType::kModelPullReply,
+                        wire::EncodeModelPullReply(reply))));
+  wire::UpdatePush push;
+  push.round = 13;
+  push.client_id = 6;
+  push.msg_id = 0x0123456789abcdefull;
+  push.train_loss = 0.3125;
+  push.kind = wire::PayloadKind::kRawF64;
+  push.raw = {1.0 / 3.0, -2.5, 1e-300};
+  lines.push_back(DigestLine(
+      "frame_push_raw", wire::EncodeFrame(wire::FrameType::kUpdatePush,
+                                          wire::EncodeUpdatePush(push))));
+  push.kind = wire::PayloadKind::kQuantizedInt8;
+  push.quantized.min_value = -1.75;
+  push.quantized.max_value = 4.5;
+  push.quantized.codes = {3, 200, 17, 0, 255};
+  lines.push_back(DigestLine(
+      "frame_push_quantized",
+      wire::EncodeFrame(wire::FrameType::kUpdatePush,
+                        wire::EncodeUpdatePush(push))));
+  wire::PushAck ack;
+  ack.round = 14;
+  ack.client_id = 7;
+  ack.msg_id = 0xfedcba9876543210ull;
+  ack.duplicate = true;
+  lines.push_back(DigestLine(
+      "frame_push_ack", wire::EncodeFrame(wire::FrameType::kPushAck,
+                                          wire::EncodePushAck(ack))));
+
+  const nn::ParameterSet params = DistinctiveParams();
+  lines.push_back(DigestLine("params_f32", params.Serialize()));
+  lines.push_back(DigestLine(
+      "params_f64", params.Serialize(nn::BlobPrecision::kFloat64)));
+
+  // Three steps of distinct gradients: m and v differ from each other
+  // and across tensors. Adam is bitwise equal under both kernels.
+  nn::ParameterSet trained = DistinctiveParams();
+  nn::AdamOptimizer adam(0.01);
+  for (int step = 0; step < 3; ++step) {
+    for (size_t t = 0; t < trained.size(); ++t) {
+      nn::Matrix& grad = trained.tensor(t).grad();
+      for (size_t i = 0; i < grad.size(); ++i) {
+        grad.data()[i] = 0.3 * static_cast<double>(i) - 0.7 * step + 0.11 * t;
+      }
+    }
+    adam.Step(&trained);
+  }
+  lines.push_back(DigestLine("adam_state", adam.SerializeState()));
+
+  // Client 0 quarantined a round ago; clients 1 and 2 free with
+  // different event mixes.
+  fl::ReputationBook book(3, fl::ReputationConfig{});
+  book.Observe(0, true, false, false);
+  book.Observe(0, true, true, false);
+  book.Observe(1, false, true, false);
+  book.Observe(2, false, false, true);
+  book.Observe(2, false, false, false, true);
+  book.Observe(2, false, false, true);
+  book.Tick();
+  lines.push_back(DigestLine("reputation_ledger", book.Serialize()));
+
+  // Two judged rounds: three norms and two losses banked.
+  fl::RoundHealthMonitor monitor;
+  const std::vector<nn::Scalar> global = {0.5, -0.25};
+  for (const auto& [norms, loss] :
+       {std::pair<std::vector<double>, double>{{0.5, 0.75}, 2.5},
+        std::pair<std::vector<double>, double>{{1.25}, 2.125}}) {
+    std::vector<fl::UpdateObservation> observations;
+    for (size_t i = 0; i < norms.size(); ++i) {
+      fl::UpdateObservation obs;
+      obs.client_index = static_cast<int>(i);
+      obs.accepted = true;
+      obs.delta_norm = norms[i];
+      observations.push_back(obs);
+    }
+    monitor.Judge(&observations, global, loss);
+  }
+  lines.push_back(DigestLine("monitor_state", monitor.SerializeState()));
+
+  fl::AdversaryConfig adversary_config;
+  adversary_config.num_attackers = 1;
+  adversary_config.attack = fl::AttackType::kSignFlip;
+  adversary_config.seed = 99;
+  fl::AdversaryEngine adversary(adversary_config);
+  adversary.ObserveHonestNorm(0.375);
+  adversary.ObserveHonestNorm(1.5);
+  adversary.ForkStream();
+  lines.push_back(DigestLine("adversary_state", adversary.SerializeState()));
+
+  fl::RollingWindow window(fl::kNormWindow);
+  for (const double norm : {0.125, 3.5, 2.25}) window.Push(norm);
+  BinaryWriter window_bytes;
+  window.Write(&window_bytes);
+  lines.push_back(DigestLine("normbound_window", window_bytes.bytes()));
+  return lines;
+}
+
+// Every layout, format and stub-run digest line, in file order.
 std::vector<std::string> StubLines() {
   std::vector<std::string> lines;
   lines.push_back(DigestLine(
       "layout", fl::EncodeRunState(test_util::DistinctiveState())));
+  for (const std::string& line : FormatLines()) lines.push_back(line);
 
   // Every client fate fires (fault_injection_test's
   // FatesPartitionEverySampledCohort).

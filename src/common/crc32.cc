@@ -67,7 +67,7 @@ void AppendCrc32Trailer(std::string* buffer) {
   }
 }
 
-Status CheckCrc32Trailer(const std::string& bytes, size_t* body_len) {
+Status CheckCrc32Trailer(std::string_view bytes, size_t* body_len) {
   if (bytes.size() < sizeof(uint32_t)) {
     return Status::InvalidArgument("buffer too short to hold a CRC-32 trailer");
   }

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -40,7 +41,7 @@ void AppendCrc32Trailer(std::string* buffer);
 /// the body length (bytes before the trailer) in `body_len`. A short
 /// buffer or a checksum mismatch — truncation, bit rot, an in-flight
 /// flip — yields a non-OK Status.
-[[nodiscard]] Status CheckCrc32Trailer(const std::string& bytes,
+[[nodiscard]] Status CheckCrc32Trailer(std::string_view bytes,
                                        size_t* body_len);
 
 }  // namespace lighttr

@@ -17,6 +17,16 @@ constexpr uint32_t kAdversaryVersion = 1;
 /// kNormMatched): just inside the envelope the defense expects.
 constexpr double kStealthMargin = 0.9;
 
+// The engine's field walk (common/binary_io.h): magic, version, the RNG
+// stream's text state, then the honest-norm window.
+template <typename Io, typename Text, typename Window>
+void WalkAdversary(Io& io, Text& rng_state, Window& honest_norms) {
+  io.Expect(kAdversaryMagic, "adversary blob: bad magic");
+  io.Expect(kAdversaryVersion, "adversary blob: unknown version");
+  io.String(rng_state);
+  RollingWindow::Walk(io, honest_norms);
+}
+
 }  // namespace
 
 const char* AttackTypeName(AttackType attack) {
@@ -157,34 +167,18 @@ double AdversaryEngine::TargetNorm(double fallback) const {
 }
 
 std::string AdversaryEngine::SerializeState() const {
-  BinaryWriter writer;
-  writer.WriteU32(kAdversaryMagic);
-  writer.WriteU32(kAdversaryVersion);
-  writer.WriteString(rng_.SerializeState());
-  honest_norms_.Write(&writer);
-  return writer.Take();
+  const std::string rng_state = rng_.SerializeState();
+  return WriteFields([&](FieldWriter& io) {
+    WalkAdversary(io, rng_state, honest_norms_);
+  });
 }
 
 Status AdversaryEngine::DeserializeState(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&magic));
-  if (magic != kAdversaryMagic) {
-    return Status::InvalidArgument("adversary blob: bad magic");
-  }
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version != kAdversaryVersion) {
-    return Status::InvalidArgument("adversary blob: unknown version " +
-                                   std::to_string(version));
-  }
   std::string rng_state;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&rng_state));
   RollingWindow norms(kNormWindow);
-  LIGHTTR_RETURN_NOT_OK(norms.Read(&reader));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("adversary blob: trailing bytes");
-  }
+  LIGHTTR_RETURN_NOT_OK(ReadFields(
+      bytes, "adversary blob",
+      [&](FieldReader& io) { WalkAdversary(io, rng_state, norms); }));
   Rng restored(config_.seed);
   LIGHTTR_RETURN_NOT_OK(restored.DeserializeState(rng_state));
   rng_ = restored;

@@ -18,11 +18,6 @@ struct QuantizedBlob {
   double min_value = 0.0;
   double max_value = 0.0;
   std::vector<uint8_t> codes;
-
-  /// Wire size in bytes (codes + the two range scalars).
-  int64_t WireBytes() const {
-    return static_cast<int64_t>(codes.size()) + 2 * sizeof(double);
-  }
 };
 
 /// Quantizes a flattened parameter vector to 8 bits per weight.

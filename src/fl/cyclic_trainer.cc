@@ -22,7 +22,6 @@ CyclicExchangeTrainer::CyclicExchangeTrainer(
 CommStats CyclicExchangeTrainer::Run() {
   CommStats comm;
   const size_t n = models_.size();
-  const int64_t wire_bytes = models_[0]->params().WireBytes();
   // Each client's train encodings, held for every round of this run.
   std::vector<TrajectoryEncodings> encodings;
   encodings.reserve(n);
@@ -47,7 +46,8 @@ CommStats CyclicExchangeTrainer::Run() {
     for (size_t i = 0; i < n; ++i) {
       const size_t from = (i + n - 1) % n;
       LIGHTTR_CHECK_OK(models_[i]->params().Deserialize(blobs[from]));
-      comm.bytes_uplink += wire_bytes;  // peer-to-peer; count as uplink
+      // Peer-to-peer; counted as uplink.
+      comm.bytes_uplink += static_cast<int64_t>(blobs[from].size());
       ++comm.messages;
     }
     ++comm.rounds;

@@ -196,9 +196,8 @@ ServerRunState FederatedTrainer::CaptureState(int round,
   state.escalated = escalated_;
   state.net_rng_state = net_rng_.SerializeState();
   state.adversary_blob = adversary_ ? adversary_->SerializeState() : std::string();
-  BinaryWriter normbound;
-  normbound_window_.Write(&normbound);
-  state.normbound_blob = normbound.Take();
+  state.normbound_blob = WriteFields(
+      [&](FieldWriter& io) { RollingWindow::Walk(io, normbound_window_); });
   state.history = result.history;
   return state;
 }

@@ -37,6 +37,16 @@ constexpr double kLossSpikeMult = 10.0;
 // the raw MAD is ~0.
 constexpr double kLossMadFloor = 0.25;
 
+// The monitor's field walk (common/binary_io.h): magic, version, then
+// the norm and the loss window.
+template <typename Io, typename Window>
+void WalkMonitor(Io& io, Window& norms, Window& losses) {
+  io.Expect(kMonitorMagic, "health monitor blob: bad magic");
+  io.Expect(kMonitorVersion, "health monitor blob: unknown version");
+  RollingWindow::Walk(io, norms);
+  RollingWindow::Walk(io, losses);
+}
+
 }  // namespace
 
 double Median(std::vector<double> values) {
@@ -71,20 +81,16 @@ double RollingWindow::MedianAbsDeviation(double center) const {
 }
 
 void RollingWindow::Write(BinaryWriter* writer) const {
-  writer->WriteF64Vector(values_);
+  FieldWriter io(writer);
+  Walk(io, *this);
 }
 
 Status RollingWindow::Read(BinaryReader* reader) {
-  std::vector<double> values;
-  LIGHTTR_RETURN_NOT_OK(reader->ReadF64Vector(&values, capacity_));
-  for (const double v : values) {
-    if (!IsFinite(v) || v < 0.0) {
-      return Status::InvalidArgument(
-          "rolling window: entry is not a finite non-negative value");
-    }
-  }
-  values_ = std::move(values);
-  return Status::Ok();
+  RollingWindow restored(capacity_);
+  FieldReader io(reader);
+  Walk(io, restored);
+  if (io.ok()) *this = std::move(restored);
+  return io.status();
 }
 
 RoundHealthMonitor::RoundHealthMonitor()
@@ -168,36 +174,18 @@ RoundHealthReport RoundHealthMonitor::Judge(
 }
 
 std::string RoundHealthMonitor::SerializeState() const {
-  BinaryWriter writer;
-  writer.WriteU32(kMonitorMagic);
-  writer.WriteU32(kMonitorVersion);
-  norm_window_.Write(&writer);
-  loss_window_.Write(&writer);
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) {
+    WalkMonitor(io, norm_window_, loss_window_);
+  });
 }
 
 Status RoundHealthMonitor::DeserializeState(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&magic));
-  if (magic != kMonitorMagic) {
-    return Status::InvalidArgument("health monitor blob: bad magic");
-  }
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version != kMonitorVersion) {
-    return Status::InvalidArgument("health monitor blob: unknown version " +
-                                   std::to_string(version));
-  }
-  RollingWindow norms(kNormWindow);
-  RollingWindow losses(kLossWindow);
-  LIGHTTR_RETURN_NOT_OK(norms.Read(&reader));
-  LIGHTTR_RETURN_NOT_OK(losses.Read(&reader));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("health monitor blob: trailing bytes");
-  }
-  norm_window_ = std::move(norms);
-  loss_window_ = std::move(losses);
+  RoundHealthMonitor restored;
+  LIGHTTR_RETURN_NOT_OK(
+      ReadFields(bytes, "health monitor blob", [&](FieldReader& io) {
+        WalkMonitor(io, restored.norm_window_, restored.loss_window_);
+      }));
+  *this = std::move(restored);
   return Status::Ok();
 }
 

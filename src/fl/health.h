@@ -28,11 +28,13 @@
 #ifndef LIGHTTR_FL_HEALTH_H_
 #define LIGHTTR_FL_HEALTH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/finite.h"
 #include "common/status.h"
 #include "nn/arena.h"
 
@@ -60,11 +62,20 @@ class RollingWindow {
   double Median() const;
   double MedianAbsDeviation(double center) const;
 
-  /// u64 count + the values, oldest first.
-  void Write(BinaryWriter* writer) const;
+  /// The window's field walk (common/binary_io.h): u64 count + the
+  /// values, oldest first. Decoding rejects a count above capacity and
+  /// any non-finite or negative entry.
+  template <typename Io, typename Window>
+  static void Walk(Io& io, Window& window) {
+    io.Vector(window.values_, window.capacity_);
+    io.Check(std::all_of(window.values_.begin(), window.values_.end(),
+                         [](double v) { return IsFinite(v) && v >= 0.0; }),
+             "rolling window: entry is not a finite non-negative value");
+  }
 
-  /// Inverse of Write. Rejects a count above capacity and any
-  /// non-finite or negative entry, leaving the window untouched.
+  /// Walk into `writer`.
+  void Write(BinaryWriter* writer) const;
+  /// Walk from `reader`; a rejected blob leaves the window untouched.
   [[nodiscard]] Status Read(BinaryReader* reader);
 
  private:

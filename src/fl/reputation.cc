@@ -1,6 +1,7 @@
 #include "fl/reputation.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 
 #include "common/binary_io.h"
@@ -24,6 +25,33 @@ constexpr double kRejectedWeight = 0.7;
 // weight-w event converges to w (see quarantine_threshold).
 constexpr double kSuspectWeight = 0.7;
 constexpr double kOutlierWeight = 0.5;
+
+// The ledger's field walk (common/binary_io.h): magic, version, the
+// client count (it must be this book's), then per client the score, the
+// quarantine flag, its age and the four event counts.
+template <typename Io, typename Clients>
+void WalkLedger(Io& io, Clients& clients) {
+  io.Expect(kBookMagic, "reputation blob: bad magic");
+  io.Expect(kBookVersion, "reputation blob: unknown version");
+  io.Expect(static_cast<uint64_t>(clients.size()),
+            "reputation blob: client count does not match this book's:");
+  for (auto& c : clients) {
+    io.F64(c.score);
+    io.Flag(c.quarantined);
+    io.Check(IsFinite(c.score), "reputation blob: non-finite score");
+    for (auto* count : {&c.quarantine_age, &c.corrupt_events,
+                        &c.rejected_events, &c.outlier_events,
+                        &c.suspect_events}) {
+      io.U32(*count);
+      // Tick and Observe increment these: INT_MAX would overflow.
+      io.Check(*count >= 0 && *count < INT_MAX,
+               "reputation blob: count out of range");
+    }
+    // Only a quarantined client serves time; Tick resets it on parole.
+    io.Check(c.quarantined || c.quarantine_age == 0,
+             "reputation blob: quarantine age on a free client");
+  }
+}
 
 }  // namespace
 
@@ -98,66 +126,14 @@ int ReputationBook::Tick() {
 }
 
 std::string ReputationBook::Serialize() const {
-  BinaryWriter writer;
-  writer.WriteU32(kBookMagic);
-  writer.WriteU32(kBookVersion);
-  writer.WriteU64(clients_.size());
-  for (const ClientReputation& c : clients_) {
-    writer.WriteF64(c.score);
-    writer.WriteU8(c.quarantined ? 1 : 0);
-    writer.WriteU32(static_cast<uint32_t>(c.quarantine_age));
-    writer.WriteU32(static_cast<uint32_t>(c.corrupt_events));
-    writer.WriteU32(static_cast<uint32_t>(c.rejected_events));
-    writer.WriteU32(static_cast<uint32_t>(c.outlier_events));
-    writer.WriteU32(static_cast<uint32_t>(c.suspect_events));
-  }
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) { WalkLedger(io, clients_); });
 }
 
 Status ReputationBook::Deserialize(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&magic));
-  if (magic != kBookMagic) {
-    return Status::InvalidArgument("reputation blob: bad magic");
-  }
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version != kBookVersion) {
-    return Status::InvalidArgument("reputation blob: unknown version " +
-                                   std::to_string(version));
-  }
-  uint64_t count = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
-  if (count != clients_.size()) {
-    return Status::InvalidArgument(
-        "reputation blob: client count " + std::to_string(count) +
-        " does not match configured " + std::to_string(clients_.size()));
-  }
-  std::vector<ClientReputation> restored(static_cast<size_t>(count));
-  for (ClientReputation& c : restored) {
-    uint8_t quarantined = 0;
-    uint32_t age = 0, corrupt = 0, rejected = 0, outlier = 0, suspect = 0;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&c.score));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&quarantined));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&age));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&corrupt));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&rejected));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&outlier));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&suspect));
-    if (!IsFinite(c.score) || quarantined > 1) {
-      return Status::InvalidArgument("reputation blob: corrupt client entry");
-    }
-    c.quarantined = quarantined != 0;
-    c.quarantine_age = static_cast<int>(age);
-    c.corrupt_events = static_cast<int>(corrupt);
-    c.rejected_events = static_cast<int>(rejected);
-    c.outlier_events = static_cast<int>(outlier);
-    c.suspect_events = static_cast<int>(suspect);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("reputation blob: trailing bytes");
-  }
+  std::vector<ClientReputation> restored(clients_.size());
+  LIGHTTR_RETURN_NOT_OK(ReadFields(
+      bytes, "reputation blob",
+      [&](FieldReader& io) { WalkLedger(io, restored); }));
   clients_ = std::move(restored);
   return Status::Ok();
 }

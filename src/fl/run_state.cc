@@ -24,54 +24,57 @@ constexpr uint32_t kVersion = 8;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".ltrs";
 
-// A boolean stored as one byte that must be exactly 0 or 1.
-Status ReadFlag(BinaryReader* reader, const char* name, bool* out) {
-  uint8_t byte = 0;
-  LIGHTTR_RETURN_NOT_OK(reader->ReadU8(&byte));
-  if (byte > 1) {
-    return Status::InvalidArgument(std::string("run-state snapshot: bad ") +
-                                   name + " flag");
-  }
-  *out = byte != 0;
-  return Status::Ok();
-}
-
-// One history record: the round, the four doubles, the two flags, then
-// every kCounters per-round column in table order.
-void WriteRoundRecord(const RoundRecord& record, BinaryWriter* writer) {
-  writer->WriteU32(static_cast<uint32_t>(record.round));
-  writer->WriteF64(record.mean_train_loss);
-  writer->WriteF64(record.global_valid_accuracy);
-  writer->WriteF64(record.wall_seconds);
-  writer->WriteF64(record.valid_loss);
-  writer->WriteU8(record.quorum_met ? 1 : 0);
-  writer->WriteU8(record.escalated ? 1 : 0);
+// The snapshot's field walks (common/binary_io.h). One history record:
+// the round, the four doubles, the two flags, then every kCounters
+// per-round column in table order.
+template <typename Io, typename Record>
+void WalkRoundRecord(Io& io, Record& record) {
+  io.U32(record.round);
+  io.F64(record.mean_train_loss);
+  io.F64(record.global_valid_accuracy);
+  io.F64(record.wall_seconds);
+  io.F64(record.valid_loss);
+  io.Flag(record.quorum_met);
+  io.Flag(record.escalated);
   for (const CounterSpec& counter : kCounters) {
-    if (counter.per_round) writer->WriteI64(record[counter.id]);
+    if (counter.per_round) io.I64(record.counts[counter.id]);
   }
 }
 
-Status ReadRoundRecord(BinaryReader* reader, RoundRecord* record) {
-  uint32_t round = 0;
-  LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&round));
-  record->round = static_cast<int>(round);  // the caller checks its value
-  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->mean_train_loss));
-  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->global_valid_accuracy));
-  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->wall_seconds));
-  LIGHTTR_RETURN_NOT_OK(reader->ReadF64(&record->valid_loss));
-  LIGHTTR_RETURN_NOT_OK(ReadFlag(reader, "quorum", &record->quorum_met));
-  LIGHTTR_RETURN_NOT_OK(ReadFlag(reader, "escalation", &record->escalated));
+template <typename Io, typename State>
+void WalkRunState(Io& io, State& state) {
+  io.Magic(kMagic, "bad run-state magic");
+  io.Expect(kVersion, "unsupported run-state version");
+  io.U32(state.round);
+  io.Check(state.round >= 0, "run-state snapshot: bad round");
+  io.String(state.rng_state);
+  io.String(state.fault_rng_state);
+  io.String(state.net_rng_state);
+  io.I64(state.comm.bytes_downlink);
+  io.I64(state.comm.bytes_uplink);
+  io.I64(state.comm.messages);
+  io.I64(state.comm.rounds);
+  io.F64(state.faults.simulated_backoff_s);
   for (const CounterSpec& counter : kCounters) {
-    if (!counter.per_round) continue;
-    int64_t value = 0;
-    LIGHTTR_RETURN_NOT_OK(reader->ReadI64(&value));
-    if (value < INT_MIN || value > INT_MAX) {
-      return Status::InvalidArgument(std::string("run-state snapshot: ") +
-                                     counter.name + " out of range");
-    }
-    (*record)[counter.id] = static_cast<int>(value);
+    if (counter.has_total()) io.I64(state.faults.counts[counter.id]);
   }
-  return Status::Ok();
+  io.String(state.global_params_blob);
+  io.Count(state.optimizer_blobs);
+  for (auto& blob : state.optimizer_blobs) io.String(blob);
+  io.String(state.reputation_blob);
+  io.String(state.monitor_blob);
+  io.Flag(state.escalated);
+  io.String(state.adversary_blob);
+  io.String(state.normbound_blob);
+  // The history is exactly rounds 1..round, in order.
+  io.Count(state.history);
+  io.Check(state.history.size() == static_cast<size_t>(state.round),
+           "run-state snapshot: history length is not its round");
+  for (size_t i = 0; i < state.history.size(); ++i) {
+    WalkRoundRecord(io, state.history[i]);
+    io.Check(state.history[i].round == static_cast<int>(i) + 1,
+             "run-state snapshot: history is not rounds 1..round in order");
+  }
 }
 
 std::string SnapshotFileName(int round) {
@@ -110,36 +113,8 @@ void MaybeInjectCrash(const DurabilityConfig& config, CrashPoint point,
 }
 
 std::string EncodeRunState(const ServerRunState& state) {
-  BinaryWriter writer;
-  writer.WriteBytes(kMagic, sizeof(kMagic));
-  writer.WriteU32(kVersion);
-  writer.WriteU32(static_cast<uint32_t>(state.round));
-  writer.WriteString(state.rng_state);
-  writer.WriteString(state.fault_rng_state);
-  writer.WriteString(state.net_rng_state);
-  writer.WriteI64(state.comm.bytes_downlink);
-  writer.WriteI64(state.comm.bytes_uplink);
-  writer.WriteI64(state.comm.messages);
-  writer.WriteI64(state.comm.rounds);
-  writer.WriteF64(state.faults.simulated_backoff_s);
-  for (const CounterSpec& counter : kCounters) {
-    if (counter.has_total()) writer.WriteI64(state.faults[counter.id]);
-  }
-  writer.WriteString(state.global_params_blob);
-  writer.WriteU32(static_cast<uint32_t>(state.optimizer_blobs.size()));
-  for (const std::string& blob : state.optimizer_blobs) {
-    writer.WriteString(blob);
-  }
-  writer.WriteString(state.reputation_blob);
-  writer.WriteString(state.monitor_blob);
-  writer.WriteU8(state.escalated ? 1 : 0);
-  writer.WriteString(state.adversary_blob);
-  writer.WriteString(state.normbound_blob);
-  writer.WriteU32(static_cast<uint32_t>(state.history.size()));
-  for (const RoundRecord& record : state.history) {
-    WriteRoundRecord(record, &writer);
-  }
-  std::string out = writer.Take();
+  std::string out =
+      WriteFields([&](FieldWriter& io) { WalkRunState(io, state); });
   AppendCrc32Trailer(&out);
   return out;
 }
@@ -156,88 +131,17 @@ std::string TelemetryBytes(const FederatedRunResult& run) {
 
 Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   LIGHTTR_CHECK(state != nullptr);
-  if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t)) {
-    return Status::InvalidArgument("run-state snapshot too short");
-  }
   // Integrity first: nothing is interpreted until the whole-file CRC
-  // proves the bytes are exactly what was written.
+  // proves the bytes are exactly what was written. The body is then
+  // parsed in place.
   size_t body_len = 0;
   if (!CheckCrc32Trailer(bytes, &body_len).ok()) {
     return Status::InvalidArgument(
         "run-state snapshot failed CRC check (truncated or corrupted)");
   }
-  const std::string body = bytes.substr(0, body_len);
-
-  BinaryReader reader(body);
-  char magic[4];
-  LIGHTTR_RETURN_NOT_OK(reader.ReadBytes(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("bad run-state magic");
-  }
-  uint32_t version = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported run-state version " +
-                                   std::to_string(version));
-  }
-  uint32_t round = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&round));
-  if (round > INT_MAX) {
-    return Status::InvalidArgument("run-state snapshot: bad round");
-  }
-  state->round = static_cast<int>(round);
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->rng_state));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->fault_rng_state));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->net_rng_state));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.bytes_downlink));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.bytes_uplink));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.messages));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.rounds));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&state->faults.simulated_backoff_s));
-  for (const CounterSpec& counter : kCounters) {
-    if (counter.has_total()) {
-      LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults[counter.id]));
-    }
-  }
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->global_params_blob));
-  uint32_t opt_count = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&opt_count));
-  state->optimizer_blobs.clear();
-  for (uint32_t i = 0; i < opt_count; ++i) {
-    std::string blob;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadString(&blob));
-    state->optimizer_blobs.push_back(std::move(blob));
-  }
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->reputation_blob));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->monitor_blob));
-  LIGHTTR_RETURN_NOT_OK(ReadFlag(&reader, "escalation", &state->escalated));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->adversary_blob));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->normbound_blob));
-  // The history is exactly rounds 1..round, in order. Records are read
-  // one at a time (never sized from the stored count), so a hostile
-  // count fails on truncation instead of allocating.
-  uint32_t count = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&count));
-  if (count != round) {
-    return Status::InvalidArgument(
-        "run-state snapshot: " + std::to_string(count) +
-        " history records for round " + std::to_string(round));
-  }
-  state->history.clear();
-  for (int expected = 1; expected <= state->round; ++expected) {
-    RoundRecord record;
-    LIGHTTR_RETURN_NOT_OK(ReadRoundRecord(&reader, &record));
-    if (record.round != expected) {
-      return Status::InvalidArgument(
-          "run-state snapshot: history record " + std::to_string(expected) +
-          " holds round " + std::to_string(record.round));
-    }
-    state->history.push_back(record);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in run-state snapshot");
-  }
-  return Status::Ok();
+  return ReadFields(
+      std::string_view(bytes).substr(0, body_len), "run-state snapshot",
+      [&](FieldReader& io) { WalkRunState(io, *state); });
 }
 
 Status SaveRunState(FileSystem* fs, const std::string& path,

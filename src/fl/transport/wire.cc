@@ -11,12 +11,57 @@ constexpr char kMagic[4] = {'L', 'T', 'R', 'F'};
 
 // Caps on hostile length/count fields, far above any legitimate value:
 // a lied-about length is rejected before any allocation scales with it.
-constexpr uint64_t kMaxModelBlobBytes = 1ull << 30;
 constexpr uint64_t kMaxPayloadScalars = 1ull << 27;
 
-bool ValidType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kModelPullRequest) &&
-         type <= static_cast<uint8_t>(FrameType::kPushAck);
+// The field walks (common/binary_io.h). The envelope: magic, version,
+// type, u32 payload length, payload; the length must cover exactly the
+// bytes before the CRC trailer.
+template <typename Io, typename Type, typename Payload>
+void WalkFrame(Io& io, Type& type, Payload& payload) {
+  io.Magic(kMagic, "bad frame magic");
+  io.Expect(kWireVersion, "unsupported wire version");
+  io.U8(type);
+  io.Check(type >= FrameType::kModelPullRequest && type <= FrameType::kPushAck,
+           "unknown frame type");
+  io.String32(payload);
+}
+
+template <typename Io, typename Msg>
+void WalkModelPullRequest(Io& io, Msg& msg) {
+  io.U32(msg.round);
+  io.U32(msg.client_id);
+}
+
+template <typename Io, typename Msg>
+void WalkModelPullReply(Io& io, Msg& msg) {
+  io.U32(msg.round);
+  io.String(msg.model_blob);
+}
+
+template <typename Io, typename Msg>
+void WalkUpdatePush(Io& io, Msg& msg) {
+  io.U32(msg.round);
+  io.U32(msg.client_id);
+  io.U64(msg.msg_id);
+  io.F64(msg.train_loss);
+  io.U8(msg.kind);
+  io.Check(msg.kind <= PayloadKind::kQuantizedInt8,
+           "unknown update-push payload kind");
+  if (msg.kind == PayloadKind::kRawF64) {
+    io.Vector(msg.raw, kMaxPayloadScalars);
+  } else {
+    io.F64(msg.quantized.min_value);
+    io.F64(msg.quantized.max_value);
+    io.Vector(msg.quantized.codes);
+  }
+}
+
+template <typename Io, typename Msg>
+void WalkPushAck(Io& io, Msg& msg) {
+  io.U32(msg.round);
+  io.U32(msg.client_id);
+  io.U64(msg.msg_id);
+  io.Flag(msg.duplicate);
 }
 
 }  // namespace
@@ -32,192 +77,61 @@ const char* FrameTypeName(FrameType type) {
 }
 
 std::string EncodeFrame(FrameType type, const std::string& payload) {
-  BinaryWriter writer;
-  writer.WriteBytes(kMagic, sizeof(kMagic));
-  writer.WriteU8(kWireVersion);
-  writer.WriteU8(static_cast<uint8_t>(type));
-  writer.WriteU32(static_cast<uint32_t>(payload.size()));
-  writer.WriteBytes(payload.data(), payload.size());
-  std::string out = writer.Take();
+  std::string out =
+      WriteFields([&](FieldWriter& io) { WalkFrame(io, type, payload); });
   AppendCrc32Trailer(&out);
   return out;
 }
 
 Status DecodeFrame(const std::string& bytes, Frame* out) {
   // Integrity first: nothing is interpreted until the CRC proves the
-  // bytes survived the wire intact.
+  // bytes survived the wire intact. The body is then parsed in place.
   size_t body_len = 0;
   LIGHTTR_RETURN_NOT_OK(CheckCrc32Trailer(bytes, &body_len));
-  const std::string body = bytes.substr(0, body_len);
-  BinaryReader reader(body);
-  char magic[4];
-  LIGHTTR_RETURN_NOT_OK(reader.ReadBytes(magic, sizeof(magic)));
-  for (size_t i = 0; i < sizeof(kMagic); ++i) {
-    if (magic[i] != kMagic[i]) {
-      return Status::InvalidArgument("bad frame magic");
-    }
-  }
-  uint8_t version = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&version));
-  if (version != kWireVersion) {
-    return Status::InvalidArgument("unsupported wire version " +
-                                   std::to_string(version));
-  }
-  uint8_t type = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&type));
-  if (!ValidType(type)) {
-    return Status::InvalidArgument("unknown frame type " +
-                                   std::to_string(type));
-  }
-  uint32_t payload_len = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&payload_len));
-  if (payload_len != reader.remaining()) {
-    return Status::InvalidArgument(
-        "frame length field claims " + std::to_string(payload_len) +
-        " payload bytes, " + std::to_string(reader.remaining()) + " present");
-  }
-  out->type = static_cast<FrameType>(type);
-  out->payload.assign(body.data() + reader.offset(), payload_len);
-  return Status::Ok();
+  return ReadFields(
+      std::string_view(bytes).substr(0, body_len), "frame",
+      [&](FieldReader& io) { WalkFrame(io, out->type, out->payload); });
 }
 
-// ---------------------------------------------------------------------
-// Message payload codecs.
-
 std::string EncodeModelPullRequest(const ModelPullRequest& msg) {
-  BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(msg.round));
-  writer.WriteU32(static_cast<uint32_t>(msg.client_id));
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) { WalkModelPullRequest(io, msg); });
 }
 
 Status DecodeModelPullRequest(const std::string& payload,
                               ModelPullRequest* out) {
-  BinaryReader reader(payload);
-  uint32_t round = 0;
-  uint32_t client = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&round));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&client));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in model-pull-request");
-  }
-  out->round = static_cast<int32_t>(round);
-  out->client_id = static_cast<int32_t>(client);
-  return Status::Ok();
+  return ReadFields(payload, "model-pull-request", [&](FieldReader& io) {
+    WalkModelPullRequest(io, *out);
+  });
 }
 
 std::string EncodeModelPullReply(const ModelPullReply& msg) {
-  BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(msg.round));
-  writer.WriteString(msg.model_blob);
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) { WalkModelPullReply(io, msg); });
 }
 
 Status DecodeModelPullReply(const std::string& payload, ModelPullReply* out) {
-  BinaryReader reader(payload);
-  uint32_t round = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&round));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadString(&out->model_blob,
-                                          kMaxModelBlobBytes));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in model-pull-reply");
-  }
-  out->round = static_cast<int32_t>(round);
-  return Status::Ok();
+  return ReadFields(payload, "model-pull-reply", [&](FieldReader& io) {
+    WalkModelPullReply(io, *out);
+  });
 }
 
 std::string EncodeUpdatePush(const UpdatePush& msg) {
-  BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(msg.round));
-  writer.WriteU32(static_cast<uint32_t>(msg.client_id));
-  writer.WriteU64(msg.msg_id);
-  writer.WriteF64(msg.train_loss);
-  writer.WriteU8(static_cast<uint8_t>(msg.kind));
-  if (msg.kind == PayloadKind::kRawF64) {
-    writer.WriteF64Vector(msg.raw);
-  } else {
-    writer.WriteF64(msg.quantized.min_value);
-    writer.WriteF64(msg.quantized.max_value);
-    writer.WriteU64(static_cast<uint64_t>(msg.quantized.codes.size()));
-    if (!msg.quantized.codes.empty()) {
-      writer.WriteBytes(msg.quantized.codes.data(),
-                        msg.quantized.codes.size());
-    }
-  }
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) { WalkUpdatePush(io, msg); });
 }
 
 Status DecodeUpdatePush(const std::string& payload, UpdatePush* out) {
-  BinaryReader reader(payload);
-  uint32_t round = 0;
-  uint32_t client = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&round));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&client));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&out->msg_id));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&out->train_loss));
-  uint8_t kind = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&kind));
-  if (kind > static_cast<uint8_t>(PayloadKind::kQuantizedInt8)) {
-    return Status::InvalidArgument("unknown update-push payload kind " +
-                                   std::to_string(kind));
-  }
-  out->kind = static_cast<PayloadKind>(kind);
-  out->round = static_cast<int32_t>(round);
-  out->client_id = static_cast<int32_t>(client);
-  out->raw.clear();
-  out->quantized = QuantizedBlob{};
-  if (out->kind == PayloadKind::kRawF64) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadF64Vector(&out->raw, kMaxPayloadScalars));
-  } else {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&out->quantized.min_value));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&out->quantized.max_value));
-    uint64_t count = 0;
-    LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&count));
-    if (count > reader.remaining()) {
-      return Status::InvalidArgument(
-          "update-push claims " + std::to_string(count) + " codes, " +
-          std::to_string(reader.remaining()) + " payload bytes remain");
-    }
-    out->quantized.codes.resize(static_cast<size_t>(count));
-    if (count > 0) {
-      LIGHTTR_RETURN_NOT_OK(reader.ReadBytes(out->quantized.codes.data(),
-                                             static_cast<size_t>(count)));
-    }
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in update-push");
-  }
-  return Status::Ok();
+  *out = UpdatePush();  // only the decoded kind's payload is filled
+  return ReadFields(payload, "update-push", [&](FieldReader& io) {
+    WalkUpdatePush(io, *out);
+  });
 }
 
 std::string EncodePushAck(const PushAck& msg) {
-  BinaryWriter writer;
-  writer.WriteU32(static_cast<uint32_t>(msg.round));
-  writer.WriteU32(static_cast<uint32_t>(msg.client_id));
-  writer.WriteU64(msg.msg_id);
-  writer.WriteU8(msg.duplicate ? 1 : 0);
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) { WalkPushAck(io, msg); });
 }
 
 Status DecodePushAck(const std::string& payload, PushAck* out) {
-  BinaryReader reader(payload);
-  uint32_t round = 0;
-  uint32_t client = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&round));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU32(&client));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU64(&out->msg_id));
-  uint8_t duplicate = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&duplicate));
-  if (duplicate > 1) {
-    return Status::InvalidArgument("push-ack duplicate flag out of range");
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in push-ack");
-  }
-  out->round = static_cast<int32_t>(round);
-  out->client_id = static_cast<int32_t>(client);
-  out->duplicate = duplicate != 0;
-  return Status::Ok();
+  return ReadFields(payload, "push-ack",
+                    [&](FieldReader& io) { WalkPushAck(io, *out); });
 }
 
 }  // namespace lighttr::fl::transport

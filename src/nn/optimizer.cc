@@ -1,5 +1,6 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/binary_io.h"
@@ -17,33 +18,38 @@ namespace {
 // need to be bounds-safe to parse.
 constexpr uint8_t kStateKindAdam = 1;
 
-void WriteMatrices(BinaryWriter* writer, const std::vector<Matrix>& matrices) {
-  writer->WriteU32(static_cast<uint32_t>(matrices.size()));
-  for (const Matrix& m : matrices) {
-    writer->WriteU32(static_cast<uint32_t>(m.rows()));
-    writer->WriteU32(static_cast<uint32_t>(m.cols()));
-    writer->WriteF64Array(m.data(), m.size());
+// Whether `m` and `v` are moments Step can have written: one shape,
+// finite values and a non-negative second moment. (The default clip
+// zeroes a non-finite gradient, and v is a decayed sum of squares.)
+bool MomentsHold(const Matrix& m, const Matrix& v) {
+  if (!m.SameShape(v)) return false;
+  for (size_t i = 0; i < m.size(); ++i) {
+    if (!IsFinite(m.data()[i]) || !IsFinite(v.data()[i]) ||
+        v.data()[i] < Scalar{0}) {
+      return false;
+    }
   }
+  return true;
 }
 
-Status ReadMatrices(BinaryReader* reader, std::vector<Matrix>* out) {
-  uint32_t count = 0;
-  LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&count));
-  out->clear();
-  for (uint32_t k = 0; k < count; ++k) {
-    uint32_t rows = 0;
-    uint32_t cols = 0;
-    LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&rows));
-    LIGHTTR_RETURN_NOT_OK(reader->ReadU32(&cols));
-    // Two u32 dimensions multiply without wrapping in 64 bits; the
-    // reader's check then bounds the allocation by the bytes present.
-    LIGHTTR_RETURN_NOT_OK(
-        reader->CheckF64Count(static_cast<uint64_t>(rows) * cols));
-    Matrix m(rows, cols);
-    LIGHTTR_RETURN_NOT_OK(reader->ReadF64Array(m.data(), m.size()));
-    out->push_back(std::move(m));
+// Adam's state blob, as a field walk (common/binary_io.h): the kind tag,
+// the step count, then the first and the second moments, each a u32
+// matrix count and the matrices.
+template <typename Io, typename Steps, typename Moments>
+void WalkAdamState(Io& io, Steps& steps, Moments& m, Moments& v) {
+  io.Expect(kStateKindAdam, "state blob is not Adam state: kind");
+  io.I64(steps);
+  io.Check(steps >= 0, "negative Adam step count");
+  for (Moments* moments : {&m, &v}) {
+    io.Count(*moments);
+    for (auto& matrix : *moments) io.F64Matrix(matrix);
   }
-  return Status::Ok();
+  io.Check(m.size() == v.size(), "Adam moment vectors differ in length");
+  for (size_t i = 0; i < std::min(m.size(), v.size()); ++i) {
+    io.Check(MomentsHold(m[i], v[i]),
+             "Adam moments differ in shape, are not finite, or hold a "
+             "negative second moment");
+  }
 }
 
 }  // namespace
@@ -121,41 +127,19 @@ void AdamOptimizer::Step(ParameterSet* params) {
 }
 
 std::string AdamOptimizer::SerializeState() const {
-  BinaryWriter writer;
-  writer.WriteU8(kStateKindAdam);
-  writer.WriteI64(step_count_);
-  WriteMatrices(&writer, m_);
-  WriteMatrices(&writer, v_);
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) {
+    WalkAdamState(io, step_count_, m_, v_);
+  });
 }
 
 Status AdamOptimizer::DeserializeState(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  uint8_t kind = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&kind));
-  if (kind != kStateKindAdam) {
-    return Status::InvalidArgument("state blob is not Adam state");
-  }
   int64_t steps = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&steps));
-  if (steps < 0) {
-    return Status::InvalidArgument("negative Adam step count");
-  }
   std::vector<Matrix> m;
   std::vector<Matrix> v;
-  LIGHTTR_RETURN_NOT_OK(ReadMatrices(&reader, &m));
-  LIGHTTR_RETURN_NOT_OK(ReadMatrices(&reader, &v));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in Adam state blob");
-  }
-  if (m.size() != v.size()) {
-    return Status::InvalidArgument("Adam moment vectors differ in length");
-  }
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (!m[i].SameShape(v[i])) {
-      return Status::InvalidArgument("Adam moment matrices differ in shape");
-    }
-  }
+  LIGHTTR_RETURN_NOT_OK(
+      ReadFields(bytes, "Adam state blob", [&](FieldReader& io) {
+        WalkAdamState(io, steps, m, v);
+      }));
   step_count_ = steps;
   m_ = std::move(m);
   v_ = std::move(v);

@@ -1,7 +1,6 @@
 #include "nn/parameter.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/binary_io.h"
 #include "common/check.h"
@@ -13,6 +12,34 @@ namespace {
 // The magic names the element width: "LTR1" float32, "LTRD" float64.
 constexpr char kMagic[4] = {'L', 'T', 'R', '1'};
 constexpr char kMagic64[4] = {'L', 'T', 'R', 'D'};
+
+// The blob's field walk (common/binary_io.h): the magic, the tensor
+// count, then each tensor's u32-length name, u32 rows and cols, and
+// values at the magic's width. Decoding checks the count, names and
+// shapes against `items` and writes the values into its tensors.
+template <typename Io, typename Items>
+void WalkBlob(Io& io, Items& items, bool wide) {
+  io.Magic(wide ? kMagic64 : kMagic, "bad parameter blob magic");
+  io.Expect(static_cast<uint32_t>(items.size()),
+            "parameter count mismatch: blob holds");
+  for (auto& [name, tensor] : items) {
+    std::string stored = name;
+    io.String32(stored);
+    io.Check(stored == name, "parameter name mismatch: expected ", name);
+    Matrix& m = tensor.mutable_value();  // a Tensor is a shallow-const handle
+    auto rows = static_cast<uint32_t>(m.rows());
+    auto cols = static_cast<uint32_t>(m.cols());
+    io.U32(rows);
+    io.U32(cols);
+    io.Check(rows == m.rows() && cols == m.cols(),
+             "parameter shape mismatch for ", name);
+    if (wide) {
+      io.F64Array(m.data(), m.size());
+    } else {
+      io.F32Array(m.data(), m.size());
+    }
+  }
+}
 
 }  // namespace
 
@@ -65,99 +92,18 @@ void ParameterSet::ZeroGrads() {
   for (auto& [name, tensor] : items_) tensor.ZeroGrad();
 }
 
-int64_t ParameterSet::WireBytes() const {
-  // 4 bytes per scalar (float32 wire format) plus per-tensor headers.
-  int64_t bytes = sizeof(kMagic) + sizeof(uint32_t);
-  for (const auto& [name, tensor] : items_) {
-    bytes += sizeof(uint32_t) + static_cast<int64_t>(name.size());
-    bytes += 2 * sizeof(uint32_t);
-    bytes += static_cast<int64_t>(tensor.value().size()) * sizeof(float);
-  }
-  return bytes;
-}
-
 std::string ParameterSet::Serialize(BlobPrecision precision) const {
-  const bool wide = precision == BlobPrecision::kFloat64;
-  BinaryWriter writer;
-  writer.WriteBytes(wide ? kMagic64 : kMagic, sizeof(kMagic));
-  writer.WriteU32(static_cast<uint32_t>(items_.size()));
-  for (const auto& [name, tensor] : items_) {
-    writer.WriteU32(static_cast<uint32_t>(name.size()));
-    writer.WriteBytes(name.data(), name.size());
-    const Matrix& m = tensor.value();
-    writer.WriteU32(static_cast<uint32_t>(m.rows()));
-    writer.WriteU32(static_cast<uint32_t>(m.cols()));
-    if (wide) {
-      writer.WriteF64Array(m.data(), m.size());
-    } else {
-      for (size_t i = 0; i < m.size(); ++i) {
-        writer.WriteF32(static_cast<float>(m.data()[i]));
-      }
-    }
-  }
-  return writer.Take();
+  return WriteFields([&](FieldWriter& io) {
+    WalkBlob(io, items_, precision == BlobPrecision::kFloat64);
+  });
 }
 
 Status ParameterSet::Deserialize(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  char magic[4];
-  if (!reader.ReadBytes(magic, sizeof(magic)).ok()) {
-    return Status::InvalidArgument("bad parameter blob magic");
-  }
-  const bool wide = std::memcmp(magic, kMagic64, sizeof(kMagic64)) == 0;
-  if (!wide && std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("bad parameter blob magic");
-  }
-  uint32_t count = 0;
-  if (!reader.ReadU32(&count).ok()) {
-    return Status::InvalidArgument("truncated parameter blob");
-  }
-  if (count != items_.size()) {
-    return Status::InvalidArgument("parameter count mismatch");
-  }
-  for (auto& [name, tensor] : items_) {
-    uint32_t name_len = 0;
-    if (!reader.ReadU32(&name_len).ok()) {
-      return Status::InvalidArgument("truncated parameter blob");
-    }
-    if (name_len > reader.remaining()) {
-      return Status::InvalidArgument("truncated parameter blob");
-    }
-    std::string read_name(name_len, '\0');
-    if (!reader.ReadBytes(read_name.data(), name_len).ok()) {
-      return Status::InvalidArgument("truncated parameter blob");
-    }
-    if (read_name != name) {
-      return Status::InvalidArgument("parameter name mismatch: expected " +
-                                     name + ", got " + read_name);
-    }
-    uint32_t rows = 0;
-    uint32_t cols = 0;
-    if (!reader.ReadU32(&rows).ok() || !reader.ReadU32(&cols).ok()) {
-      return Status::InvalidArgument("truncated parameter blob");
-    }
-    Matrix& m = tensor.mutable_value();
-    if (rows != m.rows() || cols != m.cols()) {
-      return Status::InvalidArgument("parameter shape mismatch for " + name);
-    }
-    if (wide) {
-      if (!reader.ReadF64Array(m.data(), m.size()).ok()) {
-        return Status::InvalidArgument("truncated parameter blob");
-      }
-    } else {
-      for (size_t i = 0; i < m.size(); ++i) {
-        float v = 0.0f;
-        if (!reader.ReadF32(&v).ok()) {
-          return Status::InvalidArgument("truncated parameter blob");
-        }
-        m.data()[i] = static_cast<Scalar>(v);
-      }
-    }
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in parameter blob");
-  }
-  return Status::Ok();
+  // The magic names the width the walk then reads and checks.
+  const bool wide = bytes.compare(0, 4, kMagic64, sizeof(kMagic64)) == 0;
+  return ReadFields(bytes, "parameter blob", [&](FieldReader& io) {
+    WalkBlob(io, items_, wide);
+  });
 }
 
 }  // namespace lighttr::nn

@@ -56,9 +56,6 @@ class ParameterSet {
   /// Zeroes every parameter gradient.
   void ZeroGrads();
 
-  /// Serialized size in bytes of the float32 wire format.
-  int64_t WireBytes() const;
-
   /// Serializes names, shapes, and values at `precision`; the magic
   /// records the width.
   std::string Serialize(BlobPrecision precision = BlobPrecision::kFloat32) const;

@@ -92,7 +92,13 @@ TEST(ParameterBlob, Float32IsTheWireSizeAndFloat64HoldsTwiceThePayload) {
   const ParameterSet params = MakeParams();
   const std::string narrow = params.Serialize();
   const std::string wide = params.Serialize(BlobPrecision::kFloat64);
-  EXPECT_EQ(static_cast<int64_t>(narrow.size()), params.WireBytes());
+  // Magic and count, then per tensor a u32 name length, the name, u32
+  // rows and cols, and four bytes per value.
+  size_t layout = 8;
+  for (size_t i = 0; i < params.size(); ++i) {
+    layout += 12 + params.name(i).size() + 4 * params.tensor(i).value().size();
+  }
+  EXPECT_EQ(narrow.size(), layout);
   EXPECT_EQ(wide.size() - narrow.size(),
             static_cast<size_t>(params.NumScalars()) * sizeof(float));
 }
@@ -359,6 +365,42 @@ TEST(SnapshotRobustness, HostileAdamDimensionsFallBackToPrevious) {
   hostile.WriteU32(0x40000000u);
   for (int i = 0; i < 4096; ++i) hostile.WriteF64(1.0);
   state.optimizer_blobs[0] = hostile.Take();
+  ASSERT_TRUE(fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
+
+  options.durability.resume = true;
+  fl::FederatedTrainer resumed(chaos::MakeStub, &clients, options);
+  ASSERT_TRUE(resumed.ResumeFrom(options.durability.dir).ok());
+  EXPECT_EQ(resumed.resumed_round(), 5);
+  resumed.Run();
+  EXPECT_EQ(resumed.global_model()->params().Flatten(), expected);
+}
+
+// A CRC-valid snapshot whose first client's Adam state holds one NaN
+// first moment: the library never writes one, and restored it would make
+// that client's every upload NaN. Resume falls back a snapshot.
+TEST(SnapshotRobustness, PoisonedAdamMomentFallsBackToPrevious) {
+  auto clients = chaos::MakeClients(4, 69);
+  fl::FederatedTrainerOptions options =
+      SnapshotOptions(FreshDir("poison_adam_moment"));
+  std::vector<Scalar> expected;
+  {
+    fl::FederatedTrainer first(chaos::MakeStub, &clients, options);
+    first.Run();
+    expected = first.global_model()->params().Flatten();
+  }
+  const std::string path = fl::SnapshotPath(options.durability.dir, 6);
+  Result<fl::ServerRunState> loaded =
+      fl::LoadRunState(RealFileSystemInstance(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  fl::ServerRunState state = loaded.value();
+  ASSERT_FALSE(state.optimizer_blobs.empty());
+  // The kind tag, the step count, the matrix count, rows and cols, then
+  // the first moment's first value.
+  std::string& adam = state.optimizer_blobs[0];
+  const size_t first_m = 1 + 8 + 4 + 4 + 4;
+  ASSERT_GE(adam.size(), first_m + sizeof(Scalar));
+  const Scalar nan = std::numeric_limits<Scalar>::quiet_NaN();
+  std::memcpy(&adam[first_m], &nan, sizeof(nan));
   ASSERT_TRUE(fl::SaveRunState(RealFileSystemInstance(), path, state).ok());
 
   options.durability.resume = true;

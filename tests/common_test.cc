@@ -259,65 +259,146 @@ TEST(Crc32, SliceBy8MatchesBitwiseReference) {
   }
 }
 
-TEST(BinaryIo, RoundTripsEveryType) {
-  BinaryWriter writer;
-  writer.WriteU8(0xAB);
-  writer.WriteU32(0xDEADBEEFu);
-  writer.WriteU64(0x1122334455667788ull);
-  writer.WriteI64(-42);
-  writer.WriteF32(1.5f);
-  writer.WriteF64(-2.25);
-  writer.WriteString(std::string("s\0tr", 4));
-
-  BinaryReader reader(writer.bytes());
+// One field of every kind a walk stores, and its walk.
+struct EveryField {
   uint8_t u8 = 0;
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int64_t i64 = 0;
-  float f32 = 0;
-  double f64 = 0;
+  bool flag = false;
+  double f64 = 0.0;
+  double f32s[2] = {0.0, 0.0};
   std::string str;
-  ASSERT_TRUE(reader.ReadU8(&u8).ok());
-  ASSERT_TRUE(reader.ReadU32(&u32).ok());
-  ASSERT_TRUE(reader.ReadU64(&u64).ok());
-  ASSERT_TRUE(reader.ReadI64(&i64).ok());
-  ASSERT_TRUE(reader.ReadF32(&f32).ok());
-  ASSERT_TRUE(reader.ReadF64(&f64).ok());
-  ASSERT_TRUE(reader.ReadString(&str).ok());
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(u8, 0xAB);
-  EXPECT_EQ(u32, 0xDEADBEEFu);
-  EXPECT_EQ(u64, 0x1122334455667788ull);
-  EXPECT_EQ(i64, -42);
-  EXPECT_EQ(f32, 1.5f);
-  EXPECT_EQ(f64, -2.25);
-  EXPECT_EQ(str, std::string("s\0tr", 4));
+  std::vector<double> values;
+};
+
+template <typename Io, typename Fields>
+void WalkEveryField(Io& io, Fields& f) {
+  io.U8(f.u8);
+  io.U32(f.u32);
+  io.U64(f.u64);
+  io.I64(f.i64);
+  io.Flag(f.flag);
+  io.F64(f.f64);
+  io.F32Array(f.f32s, 2);
+  io.String(f.str);
+  io.Vector(f.values);
+}
+
+Status ReadEveryField(const std::string& bytes, EveryField* out) {
+  return ReadFields(bytes, "test record",
+                    [&](FieldReader& io) { WalkEveryField(io, *out); });
+}
+
+TEST(BinaryIo, OneWalkWritesTheTypedBytesAndReadsThemBack) {
+  EveryField in;
+  in.u8 = 0xAB;
+  in.u32 = 0xDEADBEEFu;
+  in.u64 = 0x1122334455667788ull;
+  in.i64 = -42;
+  in.flag = true;
+  in.f64 = -2.25;
+  in.f32s[0] = 1.5;
+  in.f32s[1] = 1.0 / 3.0;  // rounds to the nearest float
+  in.str = std::string("s\0tr", 4);
+  in.values = {0.5, -0.0};
+  const std::string bytes =
+      WriteFields([&](FieldWriter& io) { WalkEveryField(io, in); });
+  BinaryWriter typed;
+  typed.WriteU8(0xAB);
+  typed.WriteU32(0xDEADBEEFu);
+  typed.WriteU64(0x1122334455667788ull);
+  typed.WriteI64(-42);
+  typed.WriteU8(1);
+  typed.WriteF64(-2.25);
+  typed.WriteF32(1.5f);
+  typed.WriteF32(static_cast<float>(1.0 / 3.0));
+  typed.WriteString(in.str);
+  typed.WriteF64Vector(in.values);
+  EXPECT_EQ(bytes, typed.bytes());
+
+  EveryField out;
+  ASSERT_TRUE(ReadEveryField(bytes, &out).ok());
+  EXPECT_EQ(out.u8, 0xAB);
+  EXPECT_EQ(out.u32, 0xDEADBEEFu);
+  EXPECT_EQ(out.u64, 0x1122334455667788ull);
+  EXPECT_EQ(out.i64, -42);
+  EXPECT_TRUE(out.flag);
+  EXPECT_EQ(out.f64, -2.25);
+  EXPECT_EQ(out.f32s[0], 1.5);
+  EXPECT_EQ(out.f32s[1], static_cast<double>(static_cast<float>(1.0 / 3.0)));
+  EXPECT_EQ(out.str, in.str);
+  EXPECT_EQ(out.values, in.values);
+
+  // Every truncation fails, and so do trailing bytes and a flag byte
+  // that is neither 0 nor 1 (the flag follows 21 bytes of fields).
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_EQ(ReadEveryField(bytes.substr(0, len), &out).code(),
+              StatusCode::kInvalidArgument)
+        << "truncation to " << len << " bytes";
+  }
+  EXPECT_EQ(ReadEveryField(bytes + "x", &out).message(),
+            "trailing bytes in test record");
+  std::string bad_flag = bytes;
+  bad_flag[21] = 2;
+  EXPECT_FALSE(ReadEveryField(bad_flag, &out).ok());
 }
 
 TEST(BinaryIo, ReadsPastEndReturnStatusNotUb) {
   const std::string bytes = "ab";
   BinaryReader reader(bytes);
   uint32_t u32 = 0;
-  EXPECT_FALSE(reader.ReadU32(&u32).ok());
+  EXPECT_FALSE(reader.ReadBytes(&u32, sizeof(u32)).ok());
   // A failed read must not advance the cursor.
   uint8_t u8 = 0;
-  ASSERT_TRUE(reader.ReadU8(&u8).ok());
+  ASSERT_TRUE(reader.ReadBytes(&u8, sizeof(u8)).ok());
   EXPECT_EQ(u8, 'a');
+
+  // A walk keeps its first failure and reads nothing after it.
+  BinaryReader walked(bytes);
+  FieldReader io(&walked);
+  io.U32(u32);
+  const Status first = io.status();
+  EXPECT_FALSE(first.ok());
+  u8 = 7;
+  io.U8(u8);
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(walked.offset(), 0u);
+  EXPECT_EQ(io.status().message(), first.message());
+}
+
+TEST(BinaryIo, StoredValuesTheMemberCannotHoldAreRejected) {
+  for (const int64_t stored : {int64_t{1} << 31, -(int64_t{1} << 31) - 1}) {
+    BinaryWriter writer;
+    writer.WriteI64(stored);
+    int narrow = 5;
+    EXPECT_FALSE(
+        ReadFields(writer.bytes(), "int", [&](FieldReader& io) {
+          io.I64(narrow);
+        }).ok());
+  }
 }
 
 TEST(BinaryIo, HostileStringLengthIsRejected) {
-  // A declared length far past the real buffer must fail cleanly
-  // instead of allocating or reading out of bounds.
+  // A declared length far past the real buffer, or above the cap, must
+  // fail cleanly instead of allocating or reading out of bounds.
   BinaryWriter writer;
   writer.WriteU64(0xFFFFFFFFFFFFull);
   writer.WriteU8('x');
-  BinaryReader reader(writer.bytes());
   std::string out;
-  EXPECT_FALSE(reader.ReadString(&out).ok());
-  // Cursor restored: the u64 can still be read as itself.
-  uint64_t len = 0;
-  ASSERT_TRUE(reader.ReadU64(&len).ok());
-  EXPECT_EQ(len, 0xFFFFFFFFFFFFull);
+  EXPECT_FALSE(ReadFields(writer.bytes(), "string", [&](FieldReader& io) {
+                 io.String(out);
+               }).ok());
+  EXPECT_EQ(out.capacity(), std::string().capacity());
+  BinaryWriter capped;
+  capped.WriteString("seventeen bytes!!");
+  EXPECT_FALSE(ReadFields(capped.bytes(), "string", [&](FieldReader& io) {
+                 io.String(out, 16);
+               }).ok());
+  EXPECT_TRUE(ReadFields(capped.bytes(), "string", [&](FieldReader& io) {
+                io.String(out, 17);
+              }).ok());
+  EXPECT_EQ(out, "seventeen bytes!!");
 }
 
 TEST(BinaryIo, F64ArraysWriteTheBytesOfScalarWrites) {
@@ -330,12 +411,14 @@ TEST(BinaryIo, F64ArraysWriteTheBytesOfScalarWrites) {
   BinaryWriter bulk;
   bulk.WriteF64Vector(values);
   EXPECT_EQ(bulk.bytes(), scalar.bytes());
+  EXPECT_EQ(WriteFields([&](FieldWriter& io) { io.Vector(values); }),
+            scalar.bytes());
 
   // An exact fit round-trips byte-identically, NaN payload included.
-  BinaryReader reader(bulk.bytes());
   std::vector<double> back;
-  ASSERT_TRUE(reader.ReadF64Vector(&back, values.size()).ok());
-  EXPECT_TRUE(reader.AtEnd());
+  ASSERT_TRUE(ReadFields(bulk.bytes(), "values", [&](FieldReader& io) {
+                io.Vector(back, values.size());
+              }).ok());
   ASSERT_EQ(back.size(), values.size());
   EXPECT_EQ(std::memcmp(back.data(), values.data(),
                         values.size() * sizeof(double)),
@@ -356,35 +439,34 @@ TEST(BinaryIo, HostileF64CountsAreRefusedWithoutAllocating) {
     BinaryWriter writer;
     writer.WriteU64(count);
     writer.WriteF64(1.0);
-    const std::string bytes = writer.Take();
-    BinaryReader reader(bytes);
     std::vector<double> out;
-    EXPECT_EQ(reader.ReadF64Vector(&out, std::numeric_limits<uint64_t>::max())
+    EXPECT_EQ(ReadFields(writer.bytes(), "values",
+                         [&](FieldReader& io) { io.Vector(out); })
                   .code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(out.capacity(), 0u);   // nothing was sized by the count
-    EXPECT_EQ(reader.offset(), 0u);  // the cursor did not move
+    EXPECT_EQ(out.capacity(), 0u);  // nothing was sized by the count
 
+    BinaryReader reader(writer.bytes());
     uint64_t stored = 0;
-    ASSERT_TRUE(reader.ReadU64(&stored).ok());
-    EXPECT_FALSE(reader.CheckF64Count(stored).ok());
+    ASSERT_TRUE(reader.ReadBytes(&stored, sizeof(stored)).ok());
+    EXPECT_FALSE(reader.CheckCount(stored, sizeof(double)).ok());
     double value = 0.0;
-    EXPECT_FALSE(reader.ReadF64Array(&value, static_cast<size_t>(stored)).ok());
-    EXPECT_EQ(reader.offset(), sizeof(uint64_t));
-    ASSERT_TRUE(reader.ReadF64Array(&value, 1).ok());
+    ASSERT_TRUE(reader.ReadBytes(&value, sizeof(value)).ok());
     EXPECT_EQ(value, 1.0);
   }
 
-  // A count the bytes could hold but above the caller's cap is refused
+  // A count the bytes could hold but above the walk's cap is refused
   // the same way, and leaves the output alone.
   BinaryWriter writer;
   writer.WriteF64Vector({1.0, 2.0});
-  BinaryReader reader(writer.bytes());
   std::vector<double> out = {7.0};
-  EXPECT_FALSE(reader.ReadF64Vector(&out, 1).ok());
+  EXPECT_FALSE(ReadFields(writer.bytes(), "values", [&](FieldReader& io) {
+                 io.Vector(out, 1);
+               }).ok());
   EXPECT_EQ(out, std::vector<double>{7.0});
-  EXPECT_EQ(reader.offset(), 0u);
-  ASSERT_TRUE(reader.ReadF64Vector(&out, 2).ok());
+  ASSERT_TRUE(ReadFields(writer.bytes(), "values", [&](FieldReader& io) {
+                io.Vector(out, 2);
+              }).ok());
   EXPECT_EQ(out, (std::vector<double>{1.0, 2.0}));
 }
 

@@ -7,6 +7,7 @@
 #include "fl/compression.h"
 #include "fl/federated_trainer.h"
 #include "fl/privacy.h"
+#include "fl/transport/wire.h"
 #include "baselines/model_zoo.h"
 #include "mapmatch/hmm_map_matcher.h"
 #include "roadnet/generators.h"
@@ -87,10 +88,23 @@ TEST(Compression, ConstantVectorExact) {
 
 TEST(Compression, WireBytesAreQuarterOfFloat32) {
   const std::vector<nn::Scalar> flat(1000, 1.0);
-  const fl::QuantizedBlob blob = fl::QuantizeFlat(flat);
-  EXPECT_EQ(blob.WireBytes(), 1000 + 2 * 8);
-  // vs 4000 bytes at float32: ~3.9x reduction.
-  EXPECT_LT(blob.WireBytes() * 3, 1000 * 4);
+  fl::transport::UpdatePush raw;
+  raw.kind = fl::transport::PayloadKind::kRawF64;
+  raw.raw = flat;
+  fl::transport::UpdatePush quantized;
+  quantized.kind = fl::transport::PayloadKind::kQuantizedInt8;
+  quantized.quantized = fl::QuantizeFlat(flat);
+  const size_t raw_bytes = fl::transport::EncodeUpdatePush(raw).size();
+  const size_t quantized_bytes =
+      fl::transport::EncodeUpdatePush(quantized).size();
+  // Both share a 25-byte header and an 8-byte count; a raw push then
+  // carries 8 bytes per weight, a quantized one the two range scalars
+  // and one byte per weight.
+  EXPECT_EQ(raw_bytes, 25 + 8 + 1000 * 8);
+  EXPECT_EQ(quantized_bytes, 25 + 8 + 2 * 8 + 1000);
+  // vs 4000 bytes at float32: ~3.8x reduction (~7.7x against the push).
+  EXPECT_LT(quantized_bytes * 3, 1000 * 4);
+  EXPECT_LT(quantized_bytes * 7, raw_bytes);
 }
 
 TEST(Compression, ExtremesRepresentable) {

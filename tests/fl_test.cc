@@ -271,7 +271,11 @@ TEST(CyclicTrainer, PropagatesParametersAroundRing) {
   const CommStats comm = trainer.Run();
   EXPECT_EQ(comm.rounds, 2);
   EXPECT_EQ(comm.messages, 2 * 3);
-  EXPECT_NE(trainer.final_model(), nullptr);
+  ASSERT_NE(trainer.final_model(), nullptr);
+  // Every message is one float32 parameter blob.
+  EXPECT_EQ(comm.bytes_uplink,
+            2 * 3 * static_cast<int64_t>(
+                        trainer.final_model()->params().Serialize().size()));
 }
 
 }  // namespace

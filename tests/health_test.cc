@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -373,6 +374,30 @@ TEST(ReputationBook, MalformedLedgerRejectedWithoutDamage) {
   // A ledger for a different fleet size must not load.
   ReputationBook bigger(5, QuickQuarantine());
   EXPECT_FALSE(bigger.Deserialize(good).ok());
+
+  // Client 0's entry follows the 16-byte header: the f64 score, the
+  // quarantine flag, then u32 age and corrupt, rejected, outlier and
+  // suspect counts.
+  auto patched = [&good](char quarantined, size_t field, uint32_t value) {
+    std::string blob = good;
+    blob[24] = quarantined;
+    std::memcpy(&blob[25 + 4 * field], &value, sizeof(value));
+    return blob;
+  };
+  // Counts the next Tick or Observe would overflow, or that read back
+  // negative.
+  for (size_t field = 0; field < 5; ++field) {
+    for (const uint32_t value : {0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu}) {
+      EXPECT_FALSE(book.Deserialize(patched(1, field, value)).ok())
+          << "field " << field << " holds " << value;
+    }
+  }
+  // A free client has served no quarantine time; a quarantined one may
+  // have (checked on another book: this one must stay undamaged).
+  EXPECT_FALSE(book.Deserialize(patched(0, 0, 1)).ok());
+  ReputationBook other(2, QuickQuarantine());
+  ASSERT_TRUE(other.Deserialize(patched(1, 0, 1)).ok());
+  EXPECT_EQ(other.client(0).quarantine_age, 1);
   EXPECT_EQ(book.Serialize(), good);
 }
 

@@ -170,6 +170,28 @@ TEST(AdamState, RejectsMalformedBlobs) {
   negative.WriteI64(-1);
   negative.WriteBytes(blob.data() + 9, blob.size() - 9);
   EXPECT_FALSE(fresh.DeserializeState(negative.Take()).ok());
+  // Moments Step cannot write: a NaN or an infinity in either moment, or
+  // a negative second moment. Each moment list is a u32 count and then,
+  // per matrix, u32 rows and cols and the values.
+  const size_t first_m = 9 + 4 + 8;
+  size_t first_v = 9 + 4 + 4 + 8;
+  for (size_t i = 0; i < params->size(); ++i) {
+    first_v += 8 + 8 * params->tensor(i).value().size();
+  }
+  auto with_moment = [&blob](size_t offset, Scalar value) {
+    std::string edited = blob;
+    std::memcpy(&edited[offset], &value, sizeof(value));
+    return edited;
+  };
+  for (const Scalar poison : {std::numeric_limits<Scalar>::quiet_NaN(),
+                              std::numeric_limits<Scalar>::infinity(),
+                              -std::numeric_limits<Scalar>::infinity()}) {
+    EXPECT_FALSE(fresh.DeserializeState(with_moment(first_m, poison)).ok());
+    EXPECT_FALSE(fresh.DeserializeState(with_moment(first_v, poison)).ok());
+  }
+  EXPECT_FALSE(fresh.DeserializeState(with_moment(first_v, -0.5)).ok());
+  // A negative first moment is an ordinary state.
+  EXPECT_TRUE(fresh.DeserializeState(with_moment(first_m, -0.5)).ok());
   // The untouched blob loads: the rejections above are the edits'.
   EXPECT_TRUE(fresh.DeserializeState(blob).ok());
 }
@@ -276,7 +298,14 @@ TEST(ParameterSet, SerializeDeserializeRoundTrip) {
   auto source = MakeModel(1);
   auto dest = MakeModel(2);
   const std::string blob = source->Serialize();
-  EXPECT_EQ(static_cast<int64_t>(blob.size()), source->WireBytes());
+  // The float32 layout: magic and count, then per tensor a u32 name
+  // length, the name, u32 rows and cols, and four bytes per value.
+  size_t layout = 8;
+  for (size_t i = 0; i < source->size(); ++i) {
+    layout += 12 + source->name(i).size() +
+              4 * source->tensor(i).value().size();
+  }
+  EXPECT_EQ(blob.size(), layout);
   ASSERT_TRUE(dest->Deserialize(blob).ok());
   // float32 wire format: equality within float precision.
   const auto a = source->Flatten();

@@ -231,34 +231,31 @@ void CheckNoRawNonfinite(Context* ctx, size_t fi) {
 //
 // reinterpret_cast / memcpy struct (de)serialization scattered through
 // the tree is how silent layout drift and unchecked-bounds decode bugs
-// happen. common/binary_io is the one sanctioned place bytes are
-// reinterpreted (bounds-checked, length-capped); fl/transport builds
-// the framed wire protocol on top of it. Everywhere else in src/,
-// serialization must flow through BinaryWriter/BinaryReader, and CRC
-// trailers through common/crc32's Append/CheckCrc32Trailer.
+// happen. common/binary_io.h is the one sanctioned place bytes are
+// reinterpreted (bounds-checked, length-capped). Everywhere else in
+// src/, a binary format is a field walk over its FieldWriter and
+// FieldReader, and CRC trailers go through common/crc32's
+// Append/CheckCrc32Trailer.
 // ---------------------------------------------------------------------------
 
 void CheckNoRawWire(Context* ctx, size_t fi) {
   const TokenizedFile& file = ctx->files[fi];
   const std::string& path = file.norm_path;
   if (!PathContainsDir(path, "src")) return;  // tests may craft hostile bytes
-  if (PathEndsWith(path, "common/binary_io.h") ||
-      PathContainsDir(path, "fl/transport")) {
-    return;
-  }
+  if (PathEndsWith(path, "common/binary_io.h")) return;
   const std::vector<Token>& t = file.tokens;
   for (size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != TokenKind::kIdent) continue;
     if (t[i].text == "reinterpret_cast" && IsPunct(t, i + 1, "<")) {
       ctx->Report(fi, t[i].line, "no-raw-wire",
-                  "reinterpret_cast in library code; (de)serialize through "
-                  "common/binary_io (BinaryWriter/BinaryReader) instead of "
+                  "reinterpret_cast in library code; write the format as a "
+                  "field walk (common/binary_io.h) instead of "
                   "reinterpreting struct bytes");
     } else if (t[i].text == "memcpy" && IsFreeOrStdCall(t, i)) {
       ctx->Report(fi, t[i].line, "no-raw-wire",
-                  "memcpy-based serialization outside common/binary_io and "
-                  "fl/transport; use BinaryWriter/BinaryReader (or std::copy "
-                  "for typed buffers)");
+                  "memcpy-based serialization outside common/binary_io.h; "
+                  "write the format as a field walk (or std::copy for typed "
+                  "buffers)");
     }
   }
 }

@@ -240,11 +240,11 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
   if (adversary_ != nullptr && !state.adversary_blob.empty()) {
     LIGHTTR_RETURN_NOT_OK(adversary_->DeserializeState(state.adversary_blob));
   }
-  BinaryReader normbound(state.normbound_blob);
-  LIGHTTR_RETURN_NOT_OK(normbound_window_.Read(&normbound));
-  if (!normbound.AtEnd()) {
-    return Status::InvalidArgument("norm-bound window blob: trailing bytes");
-  }
+  RollingWindow normbound(kNormWindow);
+  LIGHTTR_RETURN_NOT_OK(ReadFields(
+      state.normbound_blob, "norm-bound window blob",
+      [&](FieldReader& io) { RollingWindow::Walk(io, normbound); }));
+  normbound_window_ = std::move(normbound);
   if (restore_reputation) {
     // Cross-process resume: the ledger and the escalation latch come
     // back too. A rollback deliberately skips this branch — offenders
